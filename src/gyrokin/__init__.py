@@ -13,8 +13,6 @@ __version__ = "0.1.0"
 
 from .ball import (
     BALL_MARGIN,
-    COMPONENT_TOL,
-    GAMMA_RTOL,
     MAX_NORM,
     BetaVector,
 )
@@ -23,7 +21,6 @@ from .errors import (
     AngleDegenerate,
     CollinearPoints,
     DegenerateAngle,
-    DegenerateLine,
     DimensionError,
     GyrokinError,
     InvalidTriangle,
@@ -43,7 +40,6 @@ from .gyro import (
     gamma_of_speed,
     gyrate,
     gyrate_definitional,
-    gyration,
     left_sub,
     speed_of_gamma,
 )
@@ -56,7 +52,6 @@ from .space import (
     gyromidpoint,
     gyroparallelogram_fourth,
     gyrovector_between,
-    gyrovector_coadd,
     metric_tensor,
     scalar_mul,
     translate_to,

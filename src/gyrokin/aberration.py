@@ -23,9 +23,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AdmissibilityError, AngleDegenerate
-from .gyro import einstein_add, gamma_of_speed
-from .trig import gyroangle
+from .ball import as_velocity
+from .errors import AdmissibilityError, AngleDegenerate, DimensionError
+from .gyro import _add, gamma_of_speed
+from .trig import _gyroangle
 
 ARCSEC_PER_RAD = 180.0 * 3600.0 / math.pi
 
@@ -56,8 +57,8 @@ def classical_aberration(theta_s, v, p_s):
     theta_s = _check_angle(theta_s, "theta_s")
     v = _check_speed(v, "v", allow_light=True)
     p_s = np.asarray(p_s, dtype=float)
-    if not np.all(p_s > 0.0):
-        raise AdmissibilityError("p_s must be positive")
+    if not np.all((p_s > 0.0) & np.isfinite(p_s)):
+        raise AdmissibilityError("p_s must be positive and finite")
     return np.arctan2(p_s * np.sin(theta_s), p_s * np.cos(theta_s) + v)
 
 
@@ -66,8 +67,8 @@ def classical_aberration_inv(theta_e, v, p_e):
     theta_e = _check_angle(theta_e, "theta_e")
     v = _check_speed(v, "v", allow_light=True)
     p_e = np.asarray(p_e, dtype=float)
-    if not np.all(p_e > 0.0):
-        raise AdmissibilityError("p_e must be positive")
+    if not np.all((p_e > 0.0) & np.isfinite(p_e)):
+        raise AdmissibilityError("p_e must be positive and finite")
     return np.arctan2(p_e * np.sin(theta_e), p_e * np.cos(theta_e) - v)
 
 
@@ -167,13 +168,16 @@ def aberration_scene(v, p_s, theta_s) -> AberrationResult:
         raise AngleDegenerate("v must be positive; E and S coincide otherwise")
     if p_s <= 0.0:
         raise AdmissibilityError("p_s must be positive")
-    earth = np.zeros(2)
     sun = np.array([v, 0.0])
     # At S the gyroline ES continues along +x (gyrolines are chords), so the
     # particle gyrovector at S is p_s at Euclidean angle theta_s from +x.
     w_s = p_s * np.array([math.cos(theta_s), math.sin(theta_s)])
-    particle = einstein_add(sun, w_s)
-    theta_e = gyroangle(earth, sun, particle)
+    particle = _add(sun, w_s)
+    # Speeds just below 1 pass the scalar checks yet leave the ball, and so
+    # can the composed particle velocity; all three velocities are checked.
+    as_velocity(np.array([sun, w_s, particle]), name="scene velocity")
+    # E sits at the origin, so the gyrovectors from E are S and P themselves.
+    theta_e = _gyroangle(sun, particle)
     p_e = float(np.linalg.norm(particle))
     return AberrationResult(v=v, p_e=p_e, p_s=p_s,
                             theta_e=float(theta_e), theta_s=theta_s)
@@ -189,7 +193,7 @@ def aberration_sweep(v, p, n_samples: int):
     """
     n_samples = int(n_samples)
     if n_samples < 2:
-        raise ValueError("n_samples must be at least 2")
+        raise DimensionError("n_samples must be at least 2")
     k = np.arange(1, n_samples + 1, dtype=float)
     theta_s = math.pi * k / (n_samples + 1)
     theta_cl = classical_aberration(theta_s, v, p)

@@ -27,10 +27,6 @@ MAX_NORM = float(np.sqrt(1.0 - BALL_MARGIN))
 # zeros, so that -0.0 and denormal dust compare equal to the identity.
 ZERO_EPS = 1e-300
 
-# Default tolerances for the validation checks the library reports on.
-COMPONENT_TOL = 1e-10
-GAMMA_RTOL = 1e-12
-
 
 def dot(u, v):
     """Inner product over the last axis."""
@@ -48,27 +44,44 @@ def norm(v):
     return np.sqrt(norm_sq(v))
 
 
+def _gamma(v) -> np.ndarray:
+    """Lorentz gamma factor 1/sqrt(1 - |v|^2) of a trusted velocity array."""
+    return 1.0 / np.sqrt(1.0 - norm_sq(v))
+
+
+def _as_real(v, name: str) -> np.ndarray:
+    """Coerce to a float array with a nonempty component axis, or raise."""
+    try:
+        arr = np.asarray(v)
+        if arr.dtype.kind == "c":
+            raise TypeError("complex components")
+        arr = arr.astype(float, copy=False)
+    except (TypeError, ValueError) as exc:
+        raise AdmissibilityError(f"{name} is not real-valued: {exc}") from exc
+    if arr.ndim == 0 or arr.shape[-1] == 0:
+        raise DimensionError(f"{name} must have at least one component")
+    return arr
+
+
 def as_velocity(v, *, name: str = "velocity") -> np.ndarray:
     """Coerce to a float array of shape (..., n) and enforce admissibility.
 
     Raises
     ------
     DimensionError
-        If the input is scalar (no component axis).
+        If the input is scalar or its component axis is empty.
     AdmissibilityError
-        If any entry is non-finite or any squared norm exceeds
+        If the input is not real-valued (complex, non-numeric or ragged), if
+        any entry is non-finite, or if any squared norm exceeds
         ``1 - BALL_MARGIN``.
     """
-    arr = np.asarray(v, dtype=float)
-    if arr.ndim == 0:
-        raise DimensionError(f"{name} must have at least one component")
-    if arr.shape[-1] < 1:
-        raise DimensionError(f"{name} has an empty component axis")
-    if not np.all(np.isfinite(arr)):
-        raise AdmissibilityError(f"{name} has non-finite components")
+    arr = _as_real(v, name)
     n2 = norm_sq(arr)
-    # "not <=" instead of ">" so NaN in n2 can never sneak through.
+    # "not <=" instead of ">" so NaN in n2 can never sneak through; a NaN or
+    # infinite component always lands here, so finiteness is tested only now.
     if not np.all(n2 <= 1.0 - BALL_MARGIN):
+        if not np.all(np.isfinite(arr)):
+            raise AdmissibilityError(f"{name} has non-finite components")
         worst = float(np.sqrt(np.max(n2)))
         raise AdmissibilityError(
             f"{name} has norm {worst:.17g} outside the admissible ball "
@@ -79,21 +92,40 @@ def as_velocity(v, *, name: str = "velocity") -> np.ndarray:
 
 def as_ambient(w, *, name: str = "vector") -> np.ndarray:
     """Coerce to a finite float array of shape (..., n); no ball constraint."""
-    arr = np.asarray(w, dtype=float)
-    if arr.ndim == 0:
-        raise DimensionError(f"{name} must have at least one component")
+    arr = _as_real(w, name)
     if not np.all(np.isfinite(arr)):
         raise AdmissibilityError(f"{name} has non-finite components")
     return arr
 
 
-def same_dimension(u: np.ndarray, v: np.ndarray, *, names=("u", "v")) -> None:
-    """Require matching component counts on the last axis."""
-    if u.shape[-1] != v.shape[-1]:
-        raise DimensionError(
-            f"{names[0]} has dimension {u.shape[-1]} but {names[1]} has "
-            f"dimension {v.shape[-1]}"
-        )
+def same_shape(arrays, names) -> None:
+    """Require one component count and broadcastable batch shapes.
+
+    ``names`` labels ``arrays`` in order for the error messages.
+    """
+    shapes = [a.shape for a in arrays]
+    dims = [s[-1] for s in shapes]
+    if len(set(dims)) > 1:
+        raise DimensionError(f"{', '.join(names)} have dimensions {dims}")
+    if len(set(shapes)) > 1:
+        try:
+            np.broadcast_shapes(*shapes)
+        except ValueError as exc:
+            raise DimensionError(f"{', '.join(names)}: {exc}") from None
+
+
+def operands(arrays, names, ambient_last: bool = False) -> list:
+    """Validate and return the operands of one operation, with same_shape.
+
+    All must be admissible velocities, except that with ``ambient_last`` the
+    last one need only be finite.
+    """
+    n = len(arrays) - ambient_last
+    out = [as_velocity(a, name=name) for a, name in zip(arrays[:n], names)]
+    if ambient_last:
+        out.append(as_ambient(arrays[-1], name=names[-1]))
+    same_shape(out, names)
+    return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -140,7 +172,7 @@ class BetaVector:
 
     @property
     def gamma(self) -> float:
-        return float(1.0 / np.sqrt(1.0 - norm_sq(self.components)))
+        return float(_gamma(self.components))
 
     @property
     def is_zero(self) -> bool:

@@ -12,6 +12,7 @@ dimension, or geometric-validity errors.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import os
@@ -69,10 +70,6 @@ ANGLE_TO_RAD = {
 
 def _fmt(x) -> str:
     return format(float(x), ".15g")
-
-
-def _fmt_vec(v) -> str:
-    return ",".join(_fmt(c) for c in np.atleast_1d(np.asarray(v, dtype=float)))
 
 
 def _round15(x):
@@ -185,6 +182,12 @@ def _jsonify(obj):
 
 
 def common_options(f):
+    """Add the six shared options and call ``f`` with a ready Config first."""
+
+    @functools.wraps(f)
+    def command(units, c_value, fmt, unit, out_unit, tol, **kwargs):
+        return f(Config(units, c_value, fmt, unit, out_unit, tol), **kwargs)
+
     for opt in reversed([
         click.option("--units", type=click.Choice(["natural", "si"]),
                      default="natural", show_default=True,
@@ -202,12 +205,8 @@ def common_options(f):
         click.option("--tol", type=float, default=None,
                      help="Override degeneracy-detection tolerances."),
     ]):
-        f = opt(f)
-    return f
-
-
-def _config(units, c_value, fmt, unit, out_unit, tol=None) -> Config:
-    return Config(units, c_value, fmt, unit, out_unit, tol)
+        command = opt(command)
+    return command
 
 
 @click.group()
@@ -241,9 +240,8 @@ def _maybe_gamma(w):
 @click.option("--u", "u_text", required=True, help="First velocity, comma-separated.")
 @click.option("--v", "v_text", required=True, help="Second velocity, comma-separated.")
 @common_options
-def add(u_text, v_text, units, c_value, fmt, unit, out_unit, tol):
+def add(cfg, u_text, v_text):
     """Einstein velocity addition u (+) v."""
-    cfg = _config(units, c_value, fmt, unit, out_unit, tol)
     u = cfg.parse_vector(u_text, "u")
     v = cfg.parse_vector(v_text, "v")
     w = einstein_add(u, v)
@@ -256,9 +254,8 @@ def add(u_text, v_text, units, c_value, fmt, unit, out_unit, tol):
 @click.option("--u", "u_text", required=True)
 @click.option("--v", "v_text", required=True)
 @common_options
-def sub(u_text, v_text, units, c_value, fmt, unit, out_unit, tol):
+def sub(cfg, u_text, v_text):
     """Einstein velocity subtraction u (-) v."""
-    cfg = _config(units, c_value, fmt, unit, out_unit, tol)
     u = cfg.parse_vector(u_text, "u")
     v = cfg.parse_vector(v_text, "v")
     w = einstein_sub(u, v)
@@ -272,9 +269,8 @@ def sub(u_text, v_text, units, c_value, fmt, unit, out_unit, tol):
 @click.option("--u", "u_text", required=True)
 @click.option("--v", "v_text", required=True)
 @common_options
-def coadd_cmd(u_text, v_text, units, c_value, fmt, unit, out_unit, tol):
+def coadd_cmd(cfg, u_text, v_text):
     """Einstein coaddition u [+] v (commutative)."""
-    cfg = _config(units, c_value, fmt, unit, out_unit, tol)
     u = cfg.parse_vector(u_text, "u")
     v = cfg.parse_vector(v_text, "v")
     w = coadd(u, v)
@@ -292,9 +288,8 @@ def coadd_cmd(u_text, v_text, units, c_value, fmt, unit, out_unit, tol):
 @click.option("--w", "w_text", required=True,
               help="Vector the gyration is applied to (need not be admissible).")
 @common_options
-def gyr(u_text, v_text, w_text, units, c_value, fmt, unit, out_unit, tol):
+def gyr(cfg, u_text, v_text, w_text):
     """Apply the gyration gyr[u, v]; prints its matrix (n <= 3) and angle."""
-    cfg = _config(units, c_value, fmt, unit, out_unit, tol)
     u = cfg.parse_vector(u_text, "u")
     v = cfg.parse_vector(v_text, "v")
     comps = [cfg.parse_speed(c, name="w") for c in w_text.split(",")]
@@ -327,9 +322,8 @@ def gyr(u_text, v_text, w_text, units, c_value, fmt, unit, out_unit, tol):
 @click.option("--r", type=float, required=True, help="Real scalar factor.")
 @click.option("--v", "v_text", required=True)
 @common_options
-def scale(r, v_text, units, c_value, fmt, unit, out_unit, tol):
+def scale(cfg, r, v_text):
     """Scalar gyromultiplication r (x) v."""
-    cfg = _config(units, c_value, fmt, unit, out_unit, tol)
     v = cfg.parse_vector(v_text, "v")
     w = scalar_mul(r, v)
     half = scalar_mul(0.5, scalar_mul(2.0, w)) if abs(r) < 1e6 else w
@@ -341,9 +335,8 @@ def scale(r, v_text, units, c_value, fmt, unit, out_unit, tol):
 @click.option("--a", "a_text", required=True)
 @click.option("--b", "b_text", required=True)
 @common_options
-def distance(a_text, b_text, units, c_value, fmt, unit, out_unit, tol):
+def distance(cfg, a_text, b_text):
     """Gyrodistance |(-a) (+) b| between two ball points (fraction of c)."""
-    cfg = _config(units, c_value, fmt, unit, out_unit, tol)
     a = cfg.parse_vector(a_text, "a")
     b = cfg.parse_vector(b_text, "b")
     d = float(gyrodistance(a, b))
@@ -359,9 +352,8 @@ def distance(a_text, b_text, units, c_value, fmt, unit, out_unit, tol):
 @click.option("--t", type=float, default=0.5, show_default=True,
               help="Gyroline parameter; 0.5 gives the gyromidpoint.")
 @common_options
-def midpoint(a_text, b_text, t, units, c_value, fmt, unit, out_unit, tol):
+def midpoint(cfg, a_text, b_text, t):
     """Gyromidpoint of a and b (or the gyroline point at parameter t)."""
-    cfg = _config(units, c_value, fmt, unit, out_unit, tol)
     a = cfg.parse_vector(a_text, "a")
     b = cfg.parse_vector(b_text, "b")
     if t == 0.5:
@@ -383,9 +375,8 @@ def midpoint(a_text, b_text, t, units, c_value, fmt, unit, out_unit, tol):
 @click.option("--b", "b_text", required=True)
 @click.option("--c", "c_text", required=True)
 @common_options
-def parallelogram(a_text, b_text, c_text, units, c_value, fmt, unit, out_unit, tol):
+def parallelogram(cfg, a_text, b_text, c_text):
     """Fourth gyroparallelogram vertex d = (b [+] c) (-) a."""
-    cfg = _config(units, c_value, fmt, unit, out_unit, tol)
     a = cfg.parse_vector(a_text, "a")
     b = cfg.parse_vector(b_text, "b")
     c = cfg.parse_vector(c_text, "c")
@@ -410,10 +401,8 @@ def parallelogram(a_text, b_text, c_text, units, c_value, fmt, unit, out_unit, t
 @click.option("--angles", default=None,
               help="Three gyroangles, comma-separated (aaa mode).")
 @common_options
-def triangle(mode, a_text, b_text, c_text, sides, angles,
-             units, c_value, fmt, unit, out_unit, tol):
+def triangle(cfg, mode, a_text, b_text, c_text, sides, angles):
     """Solve a gyrotriangle from vertices, sides (SSS) or angles (AAA)."""
-    cfg = _config(units, c_value, fmt, unit, out_unit, tol)
     if mode == "vertices":
         if not (a_text and b_text and c_text):
             raise click.UsageError("vertices mode needs --a, --b and --c")
@@ -477,10 +466,9 @@ def triangle(mode, a_text, b_text, c_text, sides, angles,
 @click.option("--sweep", "sweep_n", type=int, default=None,
               help="Emit a CSV sweep table with this many rows instead.")
 @common_options
-def aberration(model, v_text, theta_s_text, theta_e_text, p_s_text, p_e_text,
-               sweep_n, units, c_value, fmt, unit, out_unit, tol):
+def aberration(cfg, model, v_text, theta_s_text, theta_e_text, p_s_text, p_e_text,
+               sweep_n):
     """Aberration of a particle (or photon) direction between frames."""
-    cfg = _config(units, c_value, fmt, unit, out_unit, tol)
     v = cfg.parse_speed(v_text, "v")
     p_s = cfg.parse_speed(p_s_text, "p_s")
     p_e = cfg.parse_speed(p_e_text, "p_e")
@@ -559,9 +547,8 @@ def aberration(model, v_text, theta_s_text, theta_e_text, p_s_text, p_e_text,
 @click.option("--in", "infile", required=True,
               help="Particle file (CSV or JSON), or '-' for stdin.")
 @common_options
-def mass_cmd(infile, units, c_value, fmt, unit, out_unit, tol):
+def mass_cmd(cfg, infile):
     """Invariant-mass decomposition of a particle system from a file."""
-    cfg = _config(units, c_value, fmt, unit, out_unit, tol)
     if infile == "-":
         text = sys.stdin.read()
     else:

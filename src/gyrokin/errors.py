@@ -17,10 +17,6 @@ class NonFinite(GyrokinError, ValueError):
     """A scalar argument is NaN or infinite."""
 
 
-class DegenerateLine(GyrokinError, ValueError):
-    """Two coincident points do not determine a unique gyroline."""
-
-
 class CollinearPoints(GyrokinError, ValueError):
     """Points lie on one gyroline where a non-degenerate figure is required."""
 

@@ -13,7 +13,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .ball import as_ambient, as_velocity, dot, norm, norm_sq, same_dimension
+from .ball import (_gamma, as_ambient, as_velocity, dot, norm, norm_sq, operands,
+                   same_shape)
 from .errors import AdmissibilityError, DimensionError
 
 
@@ -22,8 +23,7 @@ def gamma(v) -> np.ndarray:
 
     Satisfies (gamma^2 - 1)/gamma^2 = |v|^2 to machine precision.
     """
-    v = as_velocity(v, name="v")
-    return 1.0 / np.sqrt(1.0 - norm_sq(v))
+    return _gamma(as_velocity(v, name="v"))
 
 
 def gamma_of_speed(s) -> np.ndarray:
@@ -42,6 +42,14 @@ def speed_of_gamma(g) -> np.ndarray:
     return np.sqrt(g * g - 1.0) / g
 
 
+def _add(u, v) -> np.ndarray:
+    """Einstein addition u (+) v on trusted velocity arrays."""
+    uv = dot(u, v)
+    gu = _gamma(u)
+    coef_u = 1.0 + (gu / (1.0 + gu)) * uv
+    return (coef_u[..., None] * u + (1.0 / gu)[..., None] * v) / (1.0 + uv)[..., None]
+
+
 def einstein_add(u, v) -> np.ndarray:
     """Relativistic composition u (+) v of two admissible velocities.
 
@@ -54,18 +62,13 @@ def einstein_add(u, v) -> np.ndarray:
     holds for every pair, and for parallel arguments the formula collapses
     to (u + v)/(1 + |u||v|).
     """
-    u = as_velocity(u, name="u")
-    v = as_velocity(v, name="v")
-    same_dimension(u, v)
-    uv = dot(u, v)
-    gu = 1.0 / np.sqrt(1.0 - norm_sq(u))
-    coef_u = 1.0 + (gu / (1.0 + gu)) * uv
-    return (coef_u[..., None] * u + (1.0 / gu)[..., None] * v) / (1.0 + uv)[..., None]
+    return _add(*operands((u, v), ("u", "v")))
 
 
 def einstein_sub(u, v) -> np.ndarray:
     """u (-) v = u (+) (-v)."""
-    return einstein_add(u, np.negative(np.asarray(v, dtype=float)))
+    u, v = operands((u, v), ("u", "v"))
+    return _add(u, -v)
 
 
 def left_sub(a, b) -> np.ndarray:
@@ -75,7 +78,8 @@ def left_sub(a, b) -> np.ndarray:
     addition is noncommutative (their norms agree, so either form gives the
     gyrodistance).
     """
-    return einstein_add(np.negative(np.asarray(a, dtype=float)), b)
+    a, b = operands((a, b), ("u", "v"))
+    return _add(-a, b)
 
 
 def add_speeds(x, y):
@@ -92,8 +96,8 @@ def add_speeds(x, y):
 
 def _gyr_coeffs(u, v, w):
     """Closed-form coefficients A, B, D with gyr[u,v]w = w + (A u + B v)/D."""
-    gu = 1.0 / np.sqrt(1.0 - norm_sq(u))
-    gv = 1.0 / np.sqrt(1.0 - norm_sq(v))
+    gu = _gamma(u)
+    gv = _gamma(v)
     uv = dot(u, v)
     uw = dot(u, w)
     vw = dot(v, w)
@@ -107,19 +111,19 @@ def _gyr_coeffs(u, v, w):
     return a, b, d
 
 
+def _gyrate(u, v, w) -> np.ndarray:
+    """Closed-form gyr[u, v]w on trusted arrays."""
+    a, b, d = _gyr_coeffs(u, v, w)
+    return w + (a[..., None] * u + b[..., None] * v) / d[..., None]
+
+
 def gyrate(u, v, w) -> np.ndarray:
     """Apply the gyration gyr[u, v] to ``w`` via the closed form.
 
     ``u`` and ``v`` must be admissible; ``w`` may be any ambient vector, since
     the closed form extends gyrations to linear maps of the whole space.
     """
-    u = as_velocity(u, name="u")
-    v = as_velocity(v, name="v")
-    w = as_ambient(w, name="w")
-    same_dimension(u, v)
-    same_dimension(u, w, names=("u", "w"))
-    a, b, d = _gyr_coeffs(u, v, w)
-    return w + (a[..., None] * u + b[..., None] * v) / d[..., None]
+    return _gyrate(*operands((u, v, w), ("u", "v", "w"), ambient_last=True))
 
 
 def gyrate_definitional(u, v, w) -> np.ndarray:
@@ -129,15 +133,26 @@ def gyrate_definitional(u, v, w) -> np.ndarray:
 
     Unlike the closed form this requires ``w`` itself to be admissible.  It
     is deliberately independent of :func:`gyrate` so the two can check each
-    other.
+    other.  The intermediate sums are checked too: near c they can leave
+    the ball.
     """
-    u = as_velocity(u, name="u")
-    v = as_velocity(v, name="v")
-    w = as_velocity(w, name="w")
-    return einstein_add(
-        -einstein_add(u, v),
-        einstein_add(u, einstein_add(v, w)),
-    )
+    u, v, w = operands((u, v, w), ("u", "v", "w"))
+    vw = as_velocity(_add(v, w), name="v")
+    uvw = as_velocity(_add(u, vw), name="v")
+    return _add(as_velocity(-_add(u, v), name="u"), uvw)
+
+
+def _midpoint(u, v) -> np.ndarray:
+    """Gamma-weighted mean (gamma_u u + gamma_v v)/(gamma_u + gamma_v)."""
+    gu = _gamma(u)
+    gv = _gamma(v)
+    return (gu[..., None] * u + gv[..., None] * v) / (gu + gv)[..., None]
+
+
+def _coadd(u, v) -> np.ndarray:
+    """Coaddition 2 (x) midpoint(u, v) on trusted arrays."""
+    m = _midpoint(u, v)
+    return (2.0 / (1.0 + norm_sq(m)))[..., None] * m
 
 
 def coadd(u, v) -> np.ndarray:
@@ -148,13 +163,7 @@ def coadd(u, v) -> np.ndarray:
     exact identity 2 (x) m = 2m/(1 + |m|^2).  The floating-point result is
     symmetric in u and v bit for bit.
     """
-    u = as_velocity(u, name="u")
-    v = as_velocity(v, name="v")
-    same_dimension(u, v)
-    gu = 1.0 / np.sqrt(1.0 - norm_sq(u))
-    gv = 1.0 / np.sqrt(1.0 - norm_sq(v))
-    m = (gu[..., None] * u + gv[..., None] * v) / (gu + gv)[..., None]
-    return (2.0 / (1.0 + norm_sq(m)))[..., None] * m
+    return _coadd(*operands((u, v), ("u", "v")))
 
 
 def coadd_via_gyration(u, v) -> np.ndarray:
@@ -163,9 +172,8 @@ def coadd_via_gyration(u, v) -> np.ndarray:
     Kept separate from :func:`coadd` as an independent route for
     cross-checking.
     """
-    u = as_velocity(u, name="u")
-    v = as_velocity(v, name="v")
-    return einstein_add(u, gyrate(u, -v, v))
+    u, v = operands((u, v), ("u", "v"))
+    return _add(u, as_velocity(_gyrate(u, -v, v), name="v"))
 
 
 def cosub(u, v) -> np.ndarray:
@@ -174,9 +182,8 @@ def cosub(u, v) -> np.ndarray:
     Solves the equation x (+) a = b as x = b [-] a and satisfies the right
     cancellation law (v (+) u) [-] u = v.
     """
-    u = as_velocity(u, name="u")
-    v = as_velocity(v, name="v")
-    return einstein_add(u, -gyrate(u, v, v))
+    u, v = operands((u, v), ("u", "v"))
+    return _add(u, as_velocity(-_gyrate(u, v, v), name="v"))
 
 
 class Gyration:
@@ -189,15 +196,13 @@ class Gyration:
     """
 
     def __init__(self, u, v):
-        u = as_velocity(u, name="u")
-        v = as_velocity(v, name="v")
+        u, v = operands((u, v), ("u", "v"))
         if u.ndim != 1 or v.ndim != 1:
             raise DimensionError("Gyration takes a single generator pair")
-        same_dimension(u, v)
         self.u = u
         self.v = v
-        gu = float(1.0 / np.sqrt(1.0 - norm_sq(u)))
-        gv = float(1.0 / np.sqrt(1.0 - norm_sq(v)))
+        gu = float(_gamma(u))
+        gv = float(_gamma(v))
         self.gamma_u = gu
         self.gamma_v = gv
         # D = gamma(u (+) v) + 1; strictly greater than 1 for admissible pairs.
@@ -212,7 +217,9 @@ class Gyration:
         return self.u.shape[0]
 
     def apply(self, w) -> np.ndarray:
-        return gyrate(self.u, self.v, w)
+        w = as_ambient(w, name="w")
+        same_shape((self.u, w), ("u", "w"))
+        return _gyrate(self.u, self.v, w)
 
     __call__ = apply
 
@@ -222,7 +229,7 @@ class Gyration:
 
     def matrix(self) -> np.ndarray:
         """The operator as an orthogonal n x n matrix acting on columns."""
-        return self.apply(np.eye(self.dim)).T
+        return _gyrate(self.u, self.v, np.eye(self.dim)).T
 
     def is_trivial(self, tol: float = 1e-14) -> bool:
         """True when the generators make the gyration the identity map."""
@@ -242,13 +249,8 @@ class Gyration:
         if self.is_trivial():
             return 0.0
         e = self.u / norm(self.u)
-        f = self.apply(e)
+        f = _gyrate(self.u, self.v, e)
         return float(2.0 * np.arctan2(norm(e - f), norm(e + f)))
 
     def __repr__(self) -> str:
         return f"Gyration(u={self.u!r}, v={self.v!r})"
-
-
-def gyration(u, v) -> Gyration:
-    """Build the gyration operator generated by ``u`` and ``v``."""
-    return Gyration(u, v)

@@ -23,9 +23,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ball import as_velocity, norm_sq, same_dimension
+from .ball import _gamma, as_velocity, norm_sq, operands, same_shape
 from .errors import AdmissibilityError, DimensionError, GyrokinError
-from .gyro import einstein_add
+from .gyro import _add
 
 
 class ParticleFormatError(GyrokinError, ValueError):
@@ -57,7 +57,7 @@ class Particle:
 
     @property
     def gamma(self) -> float:
-        return float(1.0 / np.sqrt(1.0 - norm_sq(self.velocity)))
+        return float(_gamma(self.velocity))
 
     @property
     def relativistic_mass(self) -> float:
@@ -102,7 +102,14 @@ class ParticleSystem:
 
     @property
     def gammas(self) -> np.ndarray:
-        return 1.0 / np.sqrt(1.0 - norm_sq(self.velocities))
+        return _gamma(self.velocities)
+
+
+def _gamma_rel_minus_1(u, v) -> np.ndarray:
+    """Cancellation-free gamma_rel - 1 on trusted velocity arrays."""
+    gu = _gamma(u)
+    gv = _gamma(v)
+    return (gu - gv) ** 2 / (2.0 * gu * gv) + gu * gv * norm_sq(u - v) / 2.0
 
 
 def gamma_rel_minus_1(u, v) -> np.ndarray:
@@ -118,12 +125,7 @@ def gamma_rel_minus_1(u, v) -> np.ndarray:
     Identical velocities therefore give exactly 0.0.  Broadcasts like the
     other velocity operations.
     """
-    u = as_velocity(u, name="u")
-    v = as_velocity(v, name="v")
-    same_dimension(u, v)
-    gu = 1.0 / np.sqrt(1.0 - norm_sq(u))
-    gv = 1.0 / np.sqrt(1.0 - norm_sq(v))
-    return (gu - gv) ** 2 / (2.0 * gu * gv) + gu * gv * norm_sq(u - v) / 2.0
+    return _gamma_rel_minus_1(*operands((u, v), ("u", "v")))
 
 
 def _pairwise_dark_sq(sys: ParticleSystem) -> float:
@@ -134,7 +136,7 @@ def _pairwise_dark_sq(sys: ParticleSystem) -> float:
     m = sys.masses
     vel = sys.velocities
     j, k = np.triu_indices(n, k=1)
-    terms = m[j] * m[k] * gamma_rel_minus_1(vel[j], vel[k])
+    terms = m[j] * m[k] * _gamma_rel_minus_1(vel[j], vel[k])
     return float(2.0 * np.sum(terms))
 
 
@@ -144,10 +146,8 @@ def cm_velocity(sys: ParticleSystem) -> np.ndarray:
     v0 = sum m_k gamma_k v_k / sum m_k gamma_k; admissible because it is a
     convex combination of ball points.
     """
-    m = sys.masses
-    g = sys.gammas
-    w = m * g
-    return (w[:, None] * sys.velocities).sum(axis=0) / w.sum()
+    energy, momentum = four_momentum(sys)
+    return momentum / energy
 
 
 def four_momentum(sys: ParticleSystem) -> tuple[float, np.ndarray]:
@@ -166,8 +166,7 @@ def invariant_mass(sys: ParticleSystem) -> float:
     with the pairwise relative gammas taken from the gamma identity.  Equals
     the Minkowski norm sqrt(E^2 - |P|^2) of the total four-momentum.
     """
-    m_newton = float(sys.masses.sum())
-    return float(np.sqrt(m_newton * m_newton + _pairwise_dark_sq(sys)))
+    return decompose(sys).m0
 
 
 @dataclass(frozen=True, eq=False)
@@ -197,7 +196,7 @@ def decompose(sys: ParticleSystem) -> MassDecomposition:
     m0 = float(np.sqrt(m_newton * m_newton + dark_sq))
     energy, momentum = four_momentum(sys)
     v0 = momentum / energy
-    gamma0 = float(1.0 / np.sqrt(1.0 - norm_sq(v0)))
+    gamma0 = float(_gamma(v0))
     residual = np.hypot(m0 * gamma0 - energy,
                         float(np.linalg.norm(m0 * gamma0 * v0 - momentum)))
     return MassDecomposition(
@@ -228,11 +227,13 @@ def boost(sys: ParticleSystem, u) -> ParticleSystem:
     """Left-compose every particle velocity with u: v_k -> u (+) v_k.
 
     The invariant and dark masses are unchanged by this, which is how frame
-    independence shows up here.
+    independence shows up here.  Each boosted velocity is checked again by
+    its Particle, since near c a composition can leave the ball.
     """
     u = as_velocity(u, name="u")
+    same_shape((u, sys.particles[0].velocity), ("u", "v"))
     return ParticleSystem(
-        tuple(Particle(p.mass, einstein_add(u, p.velocity)) for p in sys.particles),
+        tuple(Particle(p.mass, _add(u, p.velocity)) for p in sys.particles),
         frame=sys.frame,
     )
 

@@ -12,9 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ball import MAX_NORM, as_velocity, dot, norm, norm_sq, same_dimension
+from .ball import MAX_NORM, as_velocity, dot, norm, norm_sq, operands, same_shape
 from .errors import CollinearPoints, DimensionError, NonFinite
-from .gyro import coadd, einstein_add, einstein_sub, left_sub
+from .gyro import _add, _coadd, _midpoint, left_sub
 
 # Ambient triangle areas below this mark a triple as gyrocollinear.
 COLLINEAR_AREA_TOL = 1e-12
@@ -52,12 +52,11 @@ def gyroline_point(a, b, t) -> np.ndarray:
 
     t = 0 gives ``a``, t = 1 gives ``b``; the full parameter range traces the
     chord of the ball through the two points.  Coincident endpoints make the
-    line degenerate and every t maps to ``a``.
+    line degenerate and every t maps to ``a``.  Near c the gyrovector
+    (-a) (+) b and its scaled image can leave the ball, so both are checked.
     """
-    a = as_velocity(a, name="a")
-    b = as_velocity(b, name="b")
-    same_dimension(a, b, names=("a", "b"))
-    return einstein_add(a, scalar_mul(t, left_sub(a, b)))
+    a, b = operands((a, b), ("a", "b"))
+    return _add(a, as_velocity(scalar_mul(t, _add(-a, b)), name="v"))
 
 
 def gyromidpoint(a, b) -> np.ndarray:
@@ -68,12 +67,7 @@ def gyromidpoint(a, b) -> np.ndarray:
     the line-parameter and half-coaddition forms agree to rounding and are
     exercised by the test suite.
     """
-    a = as_velocity(a, name="a")
-    b = as_velocity(b, name="b")
-    same_dimension(a, b, names=("a", "b"))
-    ga = 1.0 / np.sqrt(1.0 - norm_sq(a))
-    gb = 1.0 / np.sqrt(1.0 - norm_sq(b))
-    return (ga[..., None] * a + gb[..., None] * b) / (ga + gb)[..., None]
+    return _midpoint(*operands((a, b), ("a", "b")))
 
 
 def triangle_area(a, b, c) -> np.ndarray:
@@ -105,15 +99,12 @@ def gyroparallelogram_fourth(a, b, c, *, allow_degenerate: bool = False,
     their gyromidpoint.  Collinear inputs degenerate the figure and raise
     CollinearPoints unless ``allow_degenerate`` is set (coincident points,
     e.g. a = b, then fall through to the raw formula, which returns c).
+    Near c the coaddition b [+] c can leave the ball, so it is checked.
     """
-    a = as_velocity(a, name="a")
-    b = as_velocity(b, name="b")
-    c = as_velocity(c, name="c")
-    same_dimension(a, b, names=("a", "b"))
-    same_dimension(a, c, names=("a", "c"))
+    a, b, c = operands((a, b, c), ("a", "b", "c"))
     if not allow_degenerate and are_gyrocollinear(a, b, c, tol):
         raise CollinearPoints("a, b, c lie on one gyroline; no gyroparallelogram")
-    return einstein_sub(coadd(b, c), a)
+    return _add(as_velocity(_coadd(b, c), name="u"), -a)
 
 
 @dataclass(frozen=True, eq=False)
@@ -135,10 +126,8 @@ class RootedGyrovector:
 
 def gyrovector_between(p, q) -> RootedGyrovector:
     """Rooted gyrovector from point p to point q."""
-    p = as_velocity(p, name="p")
-    q = as_velocity(q, name="q")
-    same_dimension(p, q, names=("p", "q"))
-    return RootedGyrovector(tail=p, head=q, value=left_sub(p, q))
+    p, q = operands((p, q), ("p", "q"))
+    return RootedGyrovector(tail=p, head=q, value=_add(-p, q))
 
 
 def equivalent(g1: RootedGyrovector, g2: RootedGyrovector,
@@ -153,24 +142,16 @@ def translate_to(g: RootedGyrovector, new_tail) -> RootedGyrovector:
     """Re-root a gyrovector: same value, head = new_tail (+) value.
 
     The value array is reused, not recomputed, so the translated gyrovector
-    is equivalent to ``g`` exactly.
+    is equivalent to ``g`` exactly.  The value is checked as well, since a
+    gyrovector between points near c can leave the ball.
     """
     new_tail = as_velocity(new_tail, name="new_tail")
-    same_dimension(new_tail, g.value, names=("new_tail", "value"))
+    same_shape((new_tail, g.value), ("new_tail", "value"))
     return RootedGyrovector(
         tail=new_tail,
-        head=einstein_add(new_tail, g.value),
+        head=_add(new_tail, as_velocity(g.value, name="value")),
         value=g.value,
     )
-
-
-def gyrovector_coadd(u, v) -> np.ndarray:
-    """Gyrovector addition by the gyroparallelogram law: the diagonal value.
-
-    For gyrovectors u = (-a)(+)b and v = (-a)(+)c rooted at a common tail,
-    the diagonal of their gyroparallelogram carries the value u [+] v.
-    """
-    return coadd(u, v)
 
 
 def metric_tensor(x) -> np.ndarray:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ball import as_velocity, norm, same_dimension
+from .ball import as_velocity, norm, operands, same_shape
 from .errors import (
     CollinearPoints,
     DegenerateAngle,
@@ -24,7 +24,7 @@ from .errors import (
     NoSuchTriangle,
     NotRightTriangle,
 )
-from .gyro import einstein_add, gamma_of_speed, left_sub, speed_of_gamma
+from .gyro import _add, gamma_of_speed, speed_of_gamma
 from .space import are_gyrocollinear
 
 # cos values and the triangle quantity may land this far outside their exact
@@ -35,15 +35,19 @@ CLAMP_TOL = 1e-12
 RIGHT_ANGLE_TOL = 1e-8
 
 
-def _angle_between(x, y) -> np.ndarray:
-    """Angle between ambient vectors via 2*atan2(|x^ - y^|, |x^ + y^|).
+def _gyroangle(gp, gq, tol: float = 1e-14) -> float:
+    """Angle between two gyrovectors via 2*atan2(|p^ - q^|, |p^ + q^|).
 
     Exact at 0 for bitwise-equal directions and well conditioned near both 0
-    and pi, unlike arccos of a clamped dot product.
+    and pi, unlike arccos of a clamped dot product.  Raises DegenerateAngle
+    when either gyrovector is shorter than ``tol``.
     """
-    ux = x / norm(x)[..., None]
-    uy = y / norm(y)[..., None]
-    return 2.0 * np.arctan2(norm(ux - uy), norm(ux + uy))
+    lp, lq = norm(gp), norm(gq)
+    if float(lp) < tol or float(lq) < tol:
+        raise DegenerateAngle("gyrovector of near-zero gyrolength at vertex")
+    up = gp / lp[..., None]
+    uq = gq / lq[..., None]
+    return float(2.0 * np.arctan2(norm(up - uq), norm(up + uq)))
 
 
 def gyroangle(vertex, p, q, *, tol: float = 1e-14) -> float:
@@ -55,16 +59,8 @@ def gyroangle(vertex, p, q, *, tol: float = 1e-14) -> float:
 
     Raises DegenerateAngle when either gyrovector is shorter than ``tol``.
     """
-    vertex = as_velocity(vertex, name="vertex")
-    p = as_velocity(p, name="p")
-    q = as_velocity(q, name="q")
-    same_dimension(vertex, p, names=("vertex", "p"))
-    same_dimension(vertex, q, names=("vertex", "q"))
-    gp = left_sub(vertex, p)
-    gq = left_sub(vertex, q)
-    if float(norm(gp)) < tol or float(norm(gq)) < tol:
-        raise DegenerateAngle("gyrovector of near-zero gyrolength at vertex")
-    return float(_angle_between(gp, gq))
+    vertex, p, q = operands((vertex, p, q), ("vertex", "p", "q"))
+    return _gyroangle(_add(-vertex, p), _add(-vertex, q), tol)
 
 
 def triangle_q(gamma_a: float, gamma_b: float, gamma_c: float) -> float:
@@ -185,16 +181,15 @@ def triangle_from_vertices(a, b, c) -> Gyrotriangle:
     are measured geometrically at each vertex and agree with the analytic
     conversion from the side gammas.
     """
-    a = as_velocity(a, name="a")
-    b = as_velocity(b, name="b")
-    c = as_velocity(c, name="c")
-    same_dimension(a, b, names=("a", "b"))
-    same_dimension(a, c, names=("a", "c"))
+    a, b, c = operands((a, b, c), ("a", "b", "c"))
     if are_gyrocollinear(a, b, c):
         raise CollinearPoints("vertices lie on one gyroline")
-    side_a = float(norm(left_sub(b, c)))
-    side_b = float(norm(left_sub(a, c)))
-    side_c = float(norm(left_sub(a, b)))
+    ab, ac = _add(-a, b), _add(-a, c)
+    ba, bc = _add(-b, a), _add(-b, c)
+    ca, cb = _add(-c, a), _add(-c, b)
+    side_a = float(norm(bc))
+    side_b = float(norm(ac))
+    side_c = float(norm(ab))
     return Gyrotriangle(
         side_a=side_a,
         side_b=side_b,
@@ -202,9 +197,9 @@ def triangle_from_vertices(a, b, c) -> Gyrotriangle:
         gamma_a=float(gamma_of_speed(side_a)),
         gamma_b=float(gamma_of_speed(side_b)),
         gamma_c=float(gamma_of_speed(side_c)),
-        alpha=gyroangle(a, b, c),
-        beta=gyroangle(b, a, c),
-        gamma=gyroangle(c, a, b),
+        alpha=_gyroangle(ab, ac),
+        beta=_gyroangle(ba, bc),
+        gamma=_gyroangle(ca, cb),
         vertices=(a, b, c),
     )
 
@@ -316,4 +311,9 @@ def law_of_gyrosines_ratios(tri: Gyrotriangle) -> tuple[float, float, float]:
 def left_gyrotranslate(t, *points) -> tuple:
     """Move every point p to t (+) p; gyroangles are invariant under this."""
     t = as_velocity(t, name="t")
-    return tuple(einstein_add(t, p) for p in points)
+    moved = []
+    for p in points:
+        p = as_velocity(p, name="p")
+        same_shape((t, p), ("t", "p"))
+        moved.append(_add(t, p))
+    return tuple(moved)

@@ -57,6 +57,12 @@ class TestClassical:
         with pytest.raises(AngleDegenerate):
             classical_aberration(math.pi, 0.5, 1.0)
 
+    def test_infinite_particle_speed(self):
+        with pytest.raises(AdmissibilityError):
+            classical_aberration(0.5, 0.1, math.inf)
+        with pytest.raises(AdmissibilityError):
+            classical_aberration_inv(0.5, 0.1, math.inf)
+
 
 class TestRelativistic:
     def test_no_relative_motion(self):

@@ -202,6 +202,20 @@ class TestExitCodes:
         rc, _, err = run(capsys, "mass", "--in", str(bad))
         assert rc == 2
 
+    def test_infinite_particle_speed_exits_two(self, capsys):
+        rc, out, err = run(capsys, "aberration", "--model", "classical",
+                           "--v", "0.1c", "--p-s", "inf", "--theta-s", "0.5")
+        assert rc == 2
+        assert out == ""
+        assert "AdmissibilityError" in err
+
+    def test_single_row_sweep_exits_two(self, capsys):
+        rc, out, err = run(capsys, "aberration", "--model", "stellar",
+                           "--v", "0.5c", "--sweep", "1")
+        assert rc == 2
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
 
 class TestMassCommand:
     def test_back_to_back_file(self, capsys, tmp_path):

@@ -1,5 +1,6 @@
 """Core algebra: gamma factors, Einstein addition, gyrations, coaddition."""
 
+import importlib
 import math
 
 import numpy as np
@@ -7,11 +8,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import gyrokin
 from gyrokin import (
     AdmissibilityError,
     BetaVector,
     DimensionError,
     Gyration,
+    GyrokinError,
+    Particle,
+    ParticleSystem,
     add_speeds,
     coadd,
     coadd_via_gyration,
@@ -21,7 +26,9 @@ from gyrokin import (
     gamma,
     gyrate,
     gyrate_definitional,
-    gyration,
+    gyromidpoint,
+    triangle_from_vertices,
+    decompose,
 )
 from helpers import ball_points, ball_vectors, max_abs
 
@@ -144,6 +151,25 @@ class TestEinsteinAdd:
     def test_accepts_beta_vectors(self):
         out = einstein_add(BetaVector(U_FIX), BetaVector(V_FIX))
         np.testing.assert_allclose(out, [0.6, 0.48, 0.0], atol=1e-15)
+
+    def test_mismatched_batch_shapes(self):
+        a, b = np.zeros((3, 3)), np.zeros((2, 3))
+        with pytest.raises(DimensionError):
+            einstein_add(a, b)
+        with pytest.raises(DimensionError):
+            gyrate(a, a, b)
+        with pytest.raises(DimensionError):
+            gyromidpoint(a, b)
+
+    @pytest.mark.parametrize("bad", [
+        [0.1 + 0.1j, 0.0, 0.0],
+        np.array([0.1j, 0.0, 0.0]),
+        ["fast", "slow", "still"],
+        [[0.1, 0.0], [0.1]],
+    ], ids=["complex-list", "complex-array", "non-numeric", "ragged"])
+    def test_non_real_input_names_argument(self, bad):
+        with pytest.raises(GyrokinError, match="^v "):
+            einstein_add(np.zeros(3), bad)
 
 
 class TestEinsteinSub:
@@ -318,9 +344,6 @@ class TestGyration:
         w = np.array([0.2, -0.1, 0.4])
         assert max_abs(g.inverse().apply(g.apply(w)) - w) < 1e-14
 
-    def test_gyration_factory(self):
-        assert isinstance(gyration(U_FIX, V_FIX), Gyration)
-
 
 class TestCoadd:
     def test_identity(self, rng):
@@ -450,3 +473,50 @@ class TestBetaVector:
     def test_is_zero(self):
         assert BetaVector.zero(3).is_zero
         assert not BetaVector([0.1, 0.0, 0.0]).is_zero
+
+
+LAYERS = ("ball", "gyro", "space", "trig", "aberration", "mass", "cli")
+
+
+def _failing(*args, **kwargs):
+    raise AssertionError("kernel of the other route was called")
+
+
+class TestValidationBoundary:
+    def test_oracle_routes_stay_independent(self, monkeypatch):
+        w = np.array([0.2, -0.1, 0.4])
+        closed, coadded = gyrate(U_FIX, V_FIX, w), coadd(U_FIX, V_FIX)
+        gyro = importlib.import_module("gyrokin.gyro")
+        with monkeypatch.context() as m:
+            m.setattr(gyro, "_gyr_coeffs", _failing)
+            m.setattr(gyro, "_gyrate", _failing)
+            assert max_abs(gyrate_definitional(U_FIX, V_FIX, w) - closed) < 1e-14
+        with monkeypatch.context() as m:
+            m.setattr(gyro, "_coadd", _failing)
+            m.setattr(gyro, "_midpoint", _failing)
+            assert max_abs(coadd_via_gyration(U_FIX, V_FIX) - coadded) < 1e-14
+
+    def test_each_operand_validated_once(self, monkeypatch):
+        # Rebind as_velocity wherever a gyrokin module holds it, so calls
+        # from every layer are counted.
+        original = importlib.import_module("gyrokin.ball").as_velocity
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(kwargs.get("name"))
+            return original(*args, **kwargs)
+
+        for mod in [gyrokin] + [importlib.import_module(f"gyrokin.{m}") for m in LAYERS]:
+            for key, value in list(vars(mod).items()):
+                if value is original:
+                    monkeypatch.setattr(mod, key, counting)
+        system = ParticleSystem((Particle(1.0, U_FIX), Particle(2.0, V_FIX)))
+
+        def count(fn, *args):
+            calls.clear()
+            fn(*args)
+            return len(calls)
+
+        assert count(einstein_add, U_FIX, V_FIX) == 2
+        assert count(triangle_from_vertices, U_FIX, V_FIX, np.zeros(3)) == 3
+        assert count(decompose, system) == 0
