@@ -139,10 +139,9 @@ class BetaVector:
     components: np.ndarray
 
     def __post_init__(self):
-        arr = np.array(self.components, dtype=float, copy=True)
+        arr = as_velocity(self.components, name="BetaVector").copy()
         if arr.ndim != 1:
             raise DimensionError("BetaVector takes a single 1-D vector")
-        arr = as_velocity(arr, name="BetaVector")
         arr.setflags(write=False)
         object.__setattr__(self, "components", arr)
 

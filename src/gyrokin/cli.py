@@ -32,6 +32,7 @@ from .gyro import (
     einstein_sub,
     gamma,
     gyrate_definitional,
+    left_sub,
 )
 from .mass import ParticleFormatError, decompose, parse_particles
 from .space import (
@@ -339,11 +340,11 @@ def distance(cfg, a_text, b_text):
     """Gyrodistance |(-a) (+) b| between two ball points (fraction of c)."""
     a = cfg.parse_vector(a_text, "a")
     b = cfg.parse_vector(b_text, "b")
-    d = float(gyrodistance(a, b))
+    w = left_sub(a, b)
+    d = float(norm(w))
     checks = {"symmetry_abs": abs(d - float(gyrodistance(b, a)))}
     cfg.emit("distance", {"a": a, "b": b},
-             {"result": d, "gamma": float(1.0 / math.sqrt(1.0 - d * d))},
-             checks)
+             {"result": d, "gamma": _maybe_gamma(w)}, checks)
 
 
 @cli.command()

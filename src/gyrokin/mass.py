@@ -12,6 +12,17 @@ which vanishes exactly for rigid systems and gives m0^2 = m_newton^2 +
 m_dark^2.  Invariant masses are frame independent: boosting every velocity
 by a common u leaves m0 unchanged.
 
+The pair sum is evaluated in O(N) time and memory.  With weights
+w_k = m_k gamma_k and the unit (n+1)-vectors x_k = (1/gamma_k, v_k), each
+pair term is 2 m_j m_k (gamma_rel - 1) = w_j w_k |x_j - x_k|^2, and the
+weighted-variance identity turns the sum over pairs into one over particles:
+
+    m_dark^2 = sum_{j<k} w_j w_k |x_j - x_k|^2 = W sum_k w_k |y_k - y_bar|^2,
+
+where W = sum_k w_k, y_k = x_k - x_0 and y_bar is the w-weighted mean of
+the y_k.  Every term is nonnegative, and centring on x_0 makes a rigid
+system's y_k exactly zero, so its dark mass is exactly 0.0.
+
 Masses are in arbitrary (uniform) units; energies are reported in mass
 units, never multiplied by c^2.
 """
@@ -23,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ball import _gamma, as_velocity, norm_sq, operands, same_shape
+from .ball import _as_real, _gamma, as_velocity, norm_sq, operands, same_shape
 from .errors import AdmissibilityError, DimensionError, GyrokinError
 from .gyro import _add
 
@@ -47,10 +58,9 @@ class Particle:
         mass = float(self.mass)
         if not (mass > 0.0 and np.isfinite(mass)):
             raise AdmissibilityError("particle mass must be positive and finite")
-        vel = np.array(self.velocity, dtype=float, copy=True)
+        vel = as_velocity(self.velocity, name="particle velocity").copy()
         if vel.ndim != 1:
             raise DimensionError("particle velocity must be a single vector")
-        vel = as_velocity(vel, name="particle velocity")
         vel.setflags(write=False)
         object.__setattr__(self, "mass", mass)
         object.__setattr__(self, "velocity", vel)
@@ -64,52 +74,64 @@ class Particle:
         return self.mass * self.gamma
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class ParticleSystem:
     """A nonempty collection of particles sharing one rest frame.
 
-    ``frame`` is a documentation label for that frame; all velocities are
-    understood relative to it.
+    Held as arrays: read-only ``(N,)`` masses and ``(N, n)`` velocities,
+    validated once when the system is made.  ``frame`` is a documentation
+    label for that frame; all velocities are understood relative to it.
     """
 
-    particles: tuple
+    masses: np.ndarray
+    velocities: np.ndarray
     frame: str = "rest"
 
-    def __post_init__(self):
-        parts = tuple(self.particles)
+    def __init__(self, particles, frame: str = "rest"):
+        parts = tuple(particles)
         if len(parts) < 1:
             raise DimensionError("a particle system needs at least one particle")
-        dim = parts[0].velocity.shape[0]
-        for p in parts:
-            if p.velocity.shape[0] != dim:
-                raise DimensionError("particles live in different dimensions")
-        object.__setattr__(self, "particles", parts)
+        if len({p.velocity.shape for p in parts}) > 1:
+            raise DimensionError("particles live in different dimensions")
+        # Each Particle has been validated already.
+        self._freeze(np.array([p.mass for p in parts]),
+                     np.array([p.velocity for p in parts]), frame)
+
+    @classmethod
+    def _from_arrays(cls, masses, velocities, frame: str = "rest") -> "ParticleSystem":
+        """System from (N,) masses and (N, n) velocities, each checked in one pass."""
+        masses = _as_real(masses, "particle mass")
+        if not np.all((masses > 0.0) & np.isfinite(masses)):
+            raise AdmissibilityError("particle mass must be positive and finite")
+        velocities = as_velocity(velocities, name="particle velocity")
+        if velocities.ndim != 2 or masses.shape != velocities.shape[:1]:
+            raise DimensionError("need one velocity vector per particle mass")
+        system = cls.__new__(cls)
+        system._freeze(masses, velocities, frame)
+        return system
+
+    def _freeze(self, masses, velocities, frame):
+        masses.setflags(write=False)
+        velocities.setflags(write=False)
+        object.__setattr__(self, "masses", masses)
+        object.__setattr__(self, "velocities", velocities)
+        object.__setattr__(self, "frame", frame)
 
     def __len__(self) -> int:
-        return len(self.particles)
+        return self.masses.shape[0]
+
+    @property
+    def particles(self) -> tuple:
+        """The particles as Particle objects, built on each access."""
+        return tuple(Particle(m, v) for m, v in zip(self.masses.tolist(), self.velocities))
 
     @property
     def dim(self) -> int:
-        return self.particles[0].velocity.shape[0]
-
-    @property
-    def masses(self) -> np.ndarray:
-        return np.array([p.mass for p in self.particles])
-
-    @property
-    def velocities(self) -> np.ndarray:
-        return np.array([p.velocity for p in self.particles])
+        return self.velocities.shape[1]
 
     @property
     def gammas(self) -> np.ndarray:
         return _gamma(self.velocities)
-
-
-def _gamma_rel_minus_1(u, v) -> np.ndarray:
-    """Cancellation-free gamma_rel - 1 on trusted velocity arrays."""
-    gu = _gamma(u)
-    gv = _gamma(v)
-    return (gu - gv) ** 2 / (2.0 * gu * gv) + gu * gv * norm_sq(u - v) / 2.0
 
 
 def gamma_rel_minus_1(u, v) -> np.ndarray:
@@ -125,19 +147,25 @@ def gamma_rel_minus_1(u, v) -> np.ndarray:
     Identical velocities therefore give exactly 0.0.  Broadcasts like the
     other velocity operations.
     """
-    return _gamma_rel_minus_1(*operands((u, v), ("u", "v")))
+    u, v = operands((u, v), ("u", "v"))
+    gu = _gamma(u)
+    gv = _gamma(v)
+    return (gu - gv) ** 2 / (2.0 * gu * gv) + gu * gv * norm_sq(u - v) / 2.0
 
 
-def _pairwise_dark_sq(sys: ParticleSystem) -> float:
-    """2 sum_{j<k} m_j m_k (gamma_rel - 1); the squared dark mass."""
-    n = len(sys)
-    if n == 1:
-        return 0.0
-    m = sys.masses
-    vel = sys.velocities
-    j, k = np.triu_indices(n, k=1)
-    terms = m[j] * m[k] * _gamma_rel_minus_1(vel[j], vel[k])
-    return float(2.0 * np.sum(terms))
+def _dark_sq(sys: ParticleSystem) -> float:
+    """The squared dark mass W sum_k w_k |y_k - y_bar|^2 (module docstring)."""
+    g = sys.gammas
+    w = sys.masses * g
+    total = w.sum()
+    # y_k = x_k - x_0 in two parts: the time component 1/gamma and the
+    # velocity.  The weighted means enter the sum only at second order.
+    t = 1.0 / g
+    t -= t[0]
+    s = sys.velocities - sys.velocities[0]
+    t -= (w @ t) / total
+    s -= (w @ s) / total
+    return float(total * (w @ (t * t + norm_sq(s))))
 
 
 def cm_velocity(sys: ParticleSystem) -> np.ndarray:
@@ -163,8 +191,8 @@ def invariant_mass(sys: ParticleSystem) -> float:
 
         m0 = sqrt((sum m_k)^2 + 2 sum_{j<k} m_j m_k (gamma_rel - 1))
 
-    with the pairwise relative gammas taken from the gamma identity.  Equals
-    the Minkowski norm sqrt(E^2 - |P|^2) of the total four-momentum.
+    with the pair sum evaluated in O(N) (module docstring).  Equals the
+    Minkowski norm sqrt(E^2 - |P|^2) of the total four-momentum.
     """
     return decompose(sys).m0
 
@@ -191,7 +219,7 @@ class MassDecomposition:
 def decompose(sys: ParticleSystem) -> MassDecomposition:
     """Full invariant/Newtonian/dark mass decomposition of a system."""
     m_newton = float(sys.masses.sum())
-    dark_sq = _pairwise_dark_sq(sys)
+    dark_sq = _dark_sq(sys)
     m_dark = float(np.sqrt(dark_sq))
     m0 = float(np.sqrt(m_newton * m_newton + dark_sq))
     energy, momentum = four_momentum(sys)
@@ -227,15 +255,14 @@ def boost(sys: ParticleSystem, u) -> ParticleSystem:
     """Left-compose every particle velocity with u: v_k -> u (+) v_k.
 
     The invariant and dark masses are unchanged by this, which is how frame
-    independence shows up here.  Each boosted velocity is checked again by
-    its Particle, since near c a composition can leave the ball.
+    independence shows up here.  The boosted velocities are checked again,
+    since near c a composition can leave the ball.
     """
     u = as_velocity(u, name="u")
-    same_shape((u, sys.particles[0].velocity), ("u", "v"))
-    return ParticleSystem(
-        tuple(Particle(p.mass, _add(u, p.velocity)) for p in sys.particles),
-        frame=sys.frame,
-    )
+    if u.ndim != 1:
+        raise DimensionError("u must be a single vector")
+    same_shape((u, sys.velocities), ("u", "v"))
+    return ParticleSystem._from_arrays(sys.masses, _add(u, sys.velocities), sys.frame)
 
 
 def parse_particles(text: str, *, c_value: float = 1.0) -> ParticleSystem:
@@ -253,11 +280,15 @@ def parse_particles(text: str, *, c_value: float = 1.0) -> ParticleSystem:
         raise ParticleFormatError("c_value must be positive and finite")
     stripped = text.lstrip()
     if stripped.startswith("[") or stripped.startswith("{"):
-        return _parse_particles_json(stripped, c_value)
-    return _parse_particles_csv(text, c_value)
+        masses, rows = _read_json(stripped)
+    else:
+        masses, rows = _read_csv(text)
+    velocities = _as_real(rows, "particle velocity") / c_value
+    return ParticleSystem._from_arrays(masses, velocities)
 
 
-def _parse_particles_json(text: str, c_value: float) -> ParticleSystem:
+def _read_json(text: str) -> tuple[list, list]:
+    """Masses and velocity rows of a JSON particle array."""
     try:
         records = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -266,19 +297,22 @@ def _parse_particles_json(text: str, c_value: float) -> ParticleSystem:
         records = [records]
     if not isinstance(records, list) or not records:
         raise ParticleFormatError("JSON input must be a nonempty array of particles")
-    particles = []
+    masses, rows = [], []
     for i, rec in enumerate(records):
         if not isinstance(rec, dict) or "mass" not in rec or "velocity" not in rec:
             raise ParticleFormatError(
                 f"particle {i} must be an object with 'mass' and 'velocity'"
             )
-        vel = np.asarray(rec["velocity"], dtype=float) / c_value
-        particles.append(Particle(float(rec["mass"]), vel))
-    return ParticleSystem(tuple(particles))
+        masses.append(rec["mass"])
+        rows.append(rec["velocity"])
+    if len({len(r) if isinstance(r, list) else None for r in rows}) > 1:
+        raise DimensionError("particles live in different dimensions")
+    return masses, rows
 
 
-def _parse_particles_csv(text: str, c_value: float) -> ParticleSystem:
-    particles = []
+def _read_csv(text: str) -> tuple[list, list]:
+    """Masses and velocity rows of CSV particle lines."""
+    masses, rows = [], []
     dim = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -304,8 +338,8 @@ def _parse_particles_csv(text: str, c_value: float) -> ParticleSystem:
                 f"got {len(values) - 1}",
                 line=lineno,
             )
-        vel = np.array(values[1:]) / c_value
-        particles.append(Particle(values[0], vel))
-    if not particles:
+        masses.append(values[0])
+        rows.append(values[1:])
+    if not rows:
         raise ParticleFormatError("no particles found in input")
-    return ParticleSystem(tuple(particles))
+    return masses, rows

@@ -20,6 +20,7 @@ from .ball import as_velocity, norm, operands, same_shape
 from .errors import (
     CollinearPoints,
     DegenerateAngle,
+    DimensionError,
     InvalidTriangle,
     NoSuchTriangle,
     NotRightTriangle,
@@ -33,6 +34,14 @@ CLAMP_TOL = 1e-12
 
 # Angle-at-C tolerance for treating a triangle as right-angled.
 RIGHT_ANGLE_TOL = 1e-8
+
+
+def _vectors(arrays, names) -> list:
+    """operands() for the scalar-only ops, which take single vectors only."""
+    out = operands(arrays, names)
+    if any(a.ndim != 1 for a in out):
+        raise DimensionError(f"{', '.join(names)} must be single vectors, not batches")
+    return out
 
 
 def _gyroangle(gp, gq, tol: float = 1e-14) -> float:
@@ -59,7 +68,7 @@ def gyroangle(vertex, p, q, *, tol: float = 1e-14) -> float:
 
     Raises DegenerateAngle when either gyrovector is shorter than ``tol``.
     """
-    vertex, p, q = operands((vertex, p, q), ("vertex", "p", "q"))
+    vertex, p, q = _vectors((vertex, p, q), ("vertex", "p", "q"))
     return _gyroangle(_add(-vertex, p), _add(-vertex, q), tol)
 
 
@@ -181,7 +190,7 @@ def triangle_from_vertices(a, b, c) -> Gyrotriangle:
     are measured geometrically at each vertex and agree with the analytic
     conversion from the side gammas.
     """
-    a, b, c = operands((a, b, c), ("a", "b", "c"))
+    a, b, c = _vectors((a, b, c), ("a", "b", "c"))
     if are_gyrocollinear(a, b, c):
         raise CollinearPoints("vertices lie on one gyroline")
     ab, ac = _add(-a, b), _add(-a, c)

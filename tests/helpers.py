@@ -3,6 +3,8 @@
 import numpy as np
 from hypothesis import strategies as st
 
+from gyrokin import gamma_rel_minus_1
+
 
 def ball_points(rng, size, dim, max_norm=0.95, min_norm=0.0):
     """Admissible velocities with uniform directions and uniform norms."""
@@ -41,3 +43,17 @@ def random_rotation(rng, dim):
 
 def max_abs(x):
     return float(np.max(np.abs(x)))
+
+
+def pairwise_dark_sq(masses, velocities):
+    """2 sum_{j<k} m_j m_k (gamma_rel(j,k) - 1), summed pair by pair.
+
+    The definition of the squared dark mass, kept as the small-N oracle for
+    the O(N) form in gyrokin.mass.  Row j holds the pairs (j, k > j), so
+    memory stays O(N); the row sums are added with numpy's pairwise sum.
+    """
+    m = np.asarray(masses, dtype=float)
+    v = np.asarray(velocities, dtype=float)
+    rows = [np.sum(m[j] * m[j + 1:] * gamma_rel_minus_1(v[j], v[j + 1:]))
+            for j in range(len(m) - 1)]
+    return 2.0 * float(np.sum(rows))

@@ -150,6 +150,15 @@ class TestLibraryEquivalence:
         d = float(gyrodistance([0.6, 0, 0], [0, 0.6, 0]))
         assert values[0] == "result: " + format(d, ".15g")
 
+    def test_distance_gamma_past_the_ball(self, capsys):
+        # (-a) (+) b leaves the admissible ball, so its gamma is n/a; the
+        # distance itself is still reported.
+        rc, out, err = run(capsys, "distance", "--a", "0.99999999999949,0",
+                           "--b", "-0.99999999999949,0")
+        assert rc == 0 and err == ""
+        values, _ = result_lines(out)
+        assert values == ["result: 1", "gamma: n/a"]
+
 
 class TestExitCodes:
     def test_euclidean_angle_sum_exits_two(self, capsys):

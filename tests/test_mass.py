@@ -1,6 +1,7 @@
 """Invariant mass, dark mass, and four-momentum bookkeeping."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,7 +23,9 @@ from gyrokin import (
     invariant_mass,
     parse_particles,
 )
-from helpers import ball_points, max_abs
+from helpers import ball_points, max_abs, pairwise_dark_sq
+
+EPS = np.finfo(float).eps
 
 
 def random_system(rng, n_max=10, dim=3, max_norm=0.99):
@@ -66,6 +69,24 @@ class TestParticleTypes:
         p = Particle(2.0, [0.6, 0.0, 0.0])
         assert p.gamma == pytest.approx(1.25, rel=1e-15)
         assert p.relativistic_mass == pytest.approx(2.5, rel=1e-15)
+
+    def test_rejects_complex_velocity(self):
+        with pytest.raises(AdmissibilityError, match="not real-valued"):
+            Particle(1.0, [0.1j, 0.0, 0.0])
+
+    def test_system_arrays_read_only(self):
+        system = ParticleSystem((Particle(1.0, [0.1, 0.0]), Particle(2.0, [0.0, 0.2])))
+        with pytest.raises(ValueError):
+            system.masses[0] = 3.0
+        with pytest.raises(ValueError):
+            system.velocities[0, 0] = 0.5
+
+    def test_particles_rebuilt_from_arrays(self, rng):
+        system = random_system(rng)
+        again = ParticleSystem(system.particles)
+        assert np.array_equal(again.masses, system.masses)
+        assert np.array_equal(again.velocities, system.velocities)
+        assert len(again) == len(system) and again.dim == system.dim
 
 
 class TestGammaRel:
@@ -140,6 +161,32 @@ class TestInvariantMass:
         assert max_abs(dec.v0) == 0.0
         # energy route: total relativistic mass 2.5 at rest
         assert dec.energy == pytest.approx(2.5, rel=1e-15)
+
+    def test_rigid_system_exact_at_scale(self, rng):
+        v = ball_points(rng, 1, 3, max_norm=0.99)[0]
+        masses = rng.uniform(0.1, 5.0, size=1000)
+        dec = decompose(ParticleSystem(tuple(Particle(m, v) for m in masses)))
+        assert dec.m_dark == 0.0
+        assert dec.m0 == dec.m_newton
+
+    @pytest.mark.parametrize("n", [2, 10, 300, 2000])
+    @pytest.mark.parametrize("top", [1e-6, 1e-3, 0.5, 0.9, 0.999])
+    def test_dark_mass_matches_pair_sum(self, rng, n, top):
+        # Both routes sum nonnegative terms built from the same gamma
+        # factors.  Each pair or particle term takes about ten rounded
+        # operations (<= 10 ulp); numpy's pairwise sums add about log2 of
+        # the term count: log2 N twice over in the oracle (row sums, then
+        # their sum), log2 N for W and for the sum over particles here.
+        # The weighted mean enters the O(N) form only at second order, and
+        # rounding 1/gamma costs about |v|/|v_j - v_k| ulp, O(1) for spread
+        # velocities.  Hence (20 + 4 log2 N) ulp.
+        vel = ball_points(rng, n, 3, max_norm=top)
+        masses = rng.uniform(0.1, 5.0, size=n)
+        dark_sq = decompose(ParticleSystem(tuple(
+            Particle(m, v) for m, v in zip(masses, vel)))).m_dark ** 2
+        want = pairwise_dark_sq(masses, vel)
+        # m_dark is rounded by its sqrt and squared again: 2 ulp more.
+        assert abs(dark_sq - want) <= (22 + 4 * math.log2(n)) * EPS * want
 
     def test_matches_minkowski_norm(self, rng):
         for _ in range(300):
@@ -242,6 +289,19 @@ class TestBoostInvariance:
             m0_boosted = invariant_mass(boost(sys_n, u))
             assert abs(m0_boosted - m0) / m0 < 1e-10
 
+    def test_boost_matches_per_particle_add(self, rng):
+        sys_n = random_system(rng, n_max=50, max_norm=0.95)
+        u = ball_points(rng, 1, 3, max_norm=0.9)[0]
+        loop = np.array([einstein_add(u, p.velocity) for p in sys_n.particles])
+        boosted = boost(sys_n, u)
+        assert np.array_equal(boosted.velocities, loop)
+        assert np.array_equal(boosted.masses, sys_n.masses)
+
+    def test_boost_rejects_batch_of_u(self, rng):
+        sys_n = random_system(rng)
+        with pytest.raises(DimensionError):
+            boost(sys_n, np.zeros((2, 3)))
+
     def test_dark_mass_frame_independent(self, rng):
         sys_n = random_system(rng, max_norm=0.9)
         u = ball_points(rng, 1, 3, max_norm=0.9)[0]
@@ -313,3 +373,61 @@ class TestParsing:
     def test_inadmissible_velocity_error(self):
         with pytest.raises(AdmissibilityError):
             parse_particles("1.0, 1.5, 0, 0\n")
+
+    def test_json_mixed_dimensions(self):
+        text = ('[{"mass": 1, "velocity": [0.6, 0]},'
+                ' {"mass": 1, "velocity": [-0.6, 0, 0]}]')
+        with pytest.raises(DimensionError):
+            parse_particles(text)
+
+    @pytest.mark.parametrize("text", [
+        "1.0, 0.1, 0\n0.0, 0.2, 0\n",
+        "1.0, 0.1, 0\n-2.0, 0.2, 0\n",
+        "nan, 0.1, 0\n",
+        "inf, 0.1, 0\n",
+        "1.0, 0.1, 0\n1.0, 0.8, 0.8\n",
+        "1.0, nan, 0\n",
+        '[{"mass": 0, "velocity": [0.1, 0]}]',
+        '[{"mass": "heavy", "velocity": [0.1, 0]}]',
+        '[{"mass": 1, "velocity": [2.0, 0]}]',
+        '[{"mass": 1, "velocity": ["fast", 0]}]',
+    ], ids=["zero-mass", "negative-mass", "nan-mass", "inf-mass", "fast",
+            "nan-velocity", "json-zero-mass", "json-text-mass", "json-fast",
+            "json-text-velocity"])
+    def test_bad_mass_or_velocity(self, text):
+        with pytest.raises(AdmissibilityError):
+            parse_particles(text)
+
+    def test_csv_read_exactly(self, rng):
+        masses = rng.uniform(0.5, 2.0, size=50)
+        vel = ball_points(rng, 50, 3, max_norm=0.95)
+        text = "\n".join(",".join(repr(float(x)) for x in (m, *v))
+                         for m, v in zip(masses, vel))
+        system = parse_particles(text)
+        assert np.array_equal(system.masses, masses)
+        assert np.array_equal(system.velocities, vel)
+
+    def test_one_validation_per_array(self, validation_calls):
+        text = "".join(f"1.0, 0.{k}, 0, 0\n" for k in range(1, 10)) * 20
+        system = parse_particles(text)
+        assert len(system) == 180
+        assert validation_calls == ["particle velocity"]
+        validation_calls.clear()
+        boost(system, [0.1, 0.0, 0.0])
+        assert validation_calls == ["u", "particle velocity"]
+
+
+class TestScaling:
+    def test_decompose_memory_is_linear(self, rng):
+        # An O(N^2) pair sum at N = 1e5 would need tens of GB; the O(N)
+        # form holds a few (N, n) temporaries.
+        n = 100_000
+        vel = ball_points(rng, n, 3, max_norm=0.95)
+        system = ParticleSystem._from_arrays(rng.uniform(0.5, 2.0, size=n), vel)
+        tracemalloc.start()
+        try:
+            decompose(system)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 * system.velocities.nbytes

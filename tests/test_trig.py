@@ -8,6 +8,7 @@ import pytest
 from gyrokin import (
     CollinearPoints,
     DegenerateAngle,
+    DimensionError,
     InvalidTriangle,
     NoSuchTriangle,
     NotRightTriangle,
@@ -76,6 +77,14 @@ class TestGyroangle:
     def test_degenerate_raises(self):
         with pytest.raises(DegenerateAngle):
             gyroangle(A_FIX, A_FIX, B_FIX)
+
+    def test_batch_input_rejected(self):
+        # Scalar-only ops: a batch is a DimensionError, not a numpy TypeError.
+        batch = np.zeros((2, 3))
+        with pytest.raises(DimensionError):
+            gyroangle(batch, A_FIX, B_FIX)
+        with pytest.raises(DimensionError):
+            triangle_from_vertices(batch, A_FIX, B_FIX)
 
     def test_left_gyrotranslation_invariance(self, rng):
         for _ in range(200):
