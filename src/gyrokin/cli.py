@@ -22,8 +22,8 @@ import click
 import numpy as np
 
 from . import __version__
-from .ball import BetaVector, norm
-from .errors import GyrokinError
+from .ball import norm
+from .errors import AngleDegenerate, GyrokinError
 from .gyro import (
     Gyration,
     coadd,
@@ -36,6 +36,7 @@ from .gyro import (
 )
 from .mass import ParticleFormatError, decompose, parse_particles
 from .space import (
+    COLLINEAR_AREA_TOL,
     gyrodistance,
     gyromidpoint,
     gyroline_point,
@@ -43,6 +44,7 @@ from .space import (
     scalar_mul,
 )
 from .trig import (
+    RIGHT_ANGLE_TOL,
     right_triangle_relations,
     sss_to_aaa,
     triangle_from_angles,
@@ -69,18 +71,24 @@ ANGLE_TO_RAD = {
 }
 
 
+# Each model's (forward, inverse) formula, called as f(theta, v, p).  The
+# stellar pair is the photon case and ignores p.
+_ABERRATION_MODELS = {
+    "classical": (classical_aberration, classical_aberration_inv),
+    "relativistic": (relativistic_aberration, relativistic_aberration_inv),
+    "stellar": (lambda theta, v, p: stellar_aberration(theta, v),
+                lambda theta, v, p: stellar_aberration_inv(theta, v)),
+}
+
+
 def _fmt(x) -> str:
     return format(float(x), ".15g")
 
 
-def _round15(x):
-    return float(_fmt(x))
-
-
 class Config:
-    """Per-invocation unit, tolerance, and formatting choices."""
+    """Per-invocation velocity unit and output format: the shared options."""
 
-    def __init__(self, units, c_value, fmt, unit, out_unit, tol=None):
+    def __init__(self, units, c_value, fmt):
         if c_value is not None:
             self.c_value = float(c_value)
         elif units == "si":
@@ -94,11 +102,6 @@ class Config:
         if not (self.c_value > 0.0 and math.isfinite(self.c_value)):
             raise click.BadParameter("c must be positive and finite")
         self.format = fmt
-        self.in_unit = unit
-        self.out_unit = out_unit or "rad"
-        if tol is not None and not (tol > 0.0 and math.isfinite(tol)):
-            raise click.BadParameter("--tol must be positive and finite")
-        self.tol = tol
 
     def parse_speed(self, text: str, name: str = "speed") -> float:
         """A scalar speed; trailing 'c' means a fraction of c directly."""
@@ -111,26 +114,11 @@ class Config:
             raise click.BadParameter(f"cannot parse {name} value {text!r}")
 
     def parse_vector(self, text: str, name: str = "vector") -> np.ndarray:
-        comps = [self.parse_speed(c, name=name) for c in text.split(",")]
-        return BetaVector(np.array(comps)).components
+        """Comma-separated speeds as a float array; the library validates it."""
+        return np.array([self.parse_speed(c, name=name) for c in text.split(",")])
 
-    def parse_angle(self, text: str, name: str = "angle") -> float:
-        s = text.strip()
-        for suffix in ("arcsec", "deg", "rad"):
-            if s.endswith(suffix):
-                try:
-                    return float(s[: -len(suffix)]) * ANGLE_TO_RAD[suffix]
-                except ValueError:
-                    raise click.BadParameter(f"cannot parse {name} value {text!r}")
-        try:
-            return float(s) * ANGLE_TO_RAD[self.in_unit]
-        except ValueError:
-            raise click.BadParameter(f"cannot parse {name} value {text!r}")
-
-    def angle_out(self, rad: float) -> float:
-        return rad / ANGLE_TO_RAD[self.out_unit]
-
-    def emit(self, op: str, inputs: dict, result: dict, checks: dict) -> None:
+    def emit(self, op: str, inputs: dict, result, checks: dict) -> None:
+        """Print one result; ``result`` is a dict, or in JSON also a list."""
         if self.format == "json":
             click.echo(json.dumps(
                 {"op": op, "inputs": _jsonify(inputs),
@@ -170,6 +158,19 @@ class Config:
             click.echo(f"{key}{sep}{rendered}")
 
 
+def _parse_angle(text: str, name: str, unit: str) -> float:
+    """An angle in radians; a unit suffix overrides ``unit``."""
+    s = text.strip()
+    for suffix in ("arcsec", "deg", "rad"):
+        if s.endswith(suffix):
+            s, unit = s[: -len(suffix)], suffix
+            break
+    try:
+        return float(s) * ANGLE_TO_RAD[unit]
+    except ValueError:
+        raise click.BadParameter(f"cannot parse {name} value {text!r}")
+
+
 def _jsonify(obj):
     if isinstance(obj, dict):
         return {k: _jsonify(v) for k, v in obj.items()}
@@ -179,15 +180,15 @@ def _jsonify(obj):
         return [_jsonify(v) for v in np.asarray(obj).tolist()]
     if isinstance(obj, (int, np.integer)):
         return int(obj)
-    return _round15(obj)
+    return float(_fmt(obj))  # rounded to the 15 digits printed
 
 
 def common_options(f):
-    """Add the six shared options and call ``f`` with a ready Config first."""
+    """Add the three options every command reads; call ``f`` with a Config first."""
 
     @functools.wraps(f)
-    def command(units, c_value, fmt, unit, out_unit, tol, **kwargs):
-        return f(Config(units, c_value, fmt, unit, out_unit, tol), **kwargs)
+    def command(units, c_value, fmt, **kwargs):
+        return f(Config(units, c_value, fmt), **kwargs)
 
     for opt in reversed([
         click.option("--units", type=click.Choice(["natural", "si"]),
@@ -197,17 +198,26 @@ def common_options(f):
                      help="Explicit value of c; overrides --units and GYROKIN_C."),
         click.option("--format", "fmt", type=click.Choice(["table", "json", "csv"]),
                      default="table", show_default=True),
-        click.option("--unit", type=click.Choice(["rad", "deg", "arcsec"]),
-                     default="rad", show_default=True,
-                     help="Unit of angle arguments without an explicit suffix."),
-        click.option("--out", "out_unit",
-                     type=click.Choice(["rad", "deg", "arcsec"]), default=None,
-                     help="Unit for printed angles (default rad)."),
-        click.option("--tol", type=float, default=None,
-                     help="Override degeneracy-detection tolerances."),
     ]):
         command = opt(command)
     return command
+
+
+def _positive_finite(ctx, param, value):
+    if not (value > 0.0 and math.isfinite(value)):
+        raise click.BadParameter("must be positive and finite")
+    return value
+
+
+_ANGLE_UNITS = click.Choice(list(ANGLE_TO_RAD))
+
+_unit_option = click.option(
+    "--unit", type=_ANGLE_UNITS, default="rad", show_default=True,
+    help="Unit of angle arguments without an explicit suffix.")
+
+_out_option = click.option(
+    "--out", "out_unit", type=_ANGLE_UNITS, default="rad", show_default=True,
+    help="Unit for printed angles.")
 
 
 @click.group()
@@ -288,13 +298,13 @@ def coadd_cmd(cfg, u_text, v_text):
 @click.option("--v", "v_text", required=True)
 @click.option("--w", "w_text", required=True,
               help="Vector the gyration is applied to (need not be admissible).")
+@_out_option
 @common_options
-def gyr(cfg, u_text, v_text, w_text):
+def gyr(cfg, u_text, v_text, w_text, out_unit):
     """Apply the gyration gyr[u, v]; prints its matrix (n <= 3) and angle."""
     u = cfg.parse_vector(u_text, "u")
     v = cfg.parse_vector(v_text, "v")
-    comps = [cfg.parse_speed(c, name="w") for c in w_text.split(",")]
-    w = np.asarray(comps, dtype=float)
+    w = cfg.parse_vector(w_text, "w")
     g = Gyration(u, v)
     out = g.apply(w)
     checks = {
@@ -311,8 +321,8 @@ def gyr(cfg, u_text, v_text, w_text):
         "result": out,
         "norm": float(norm(out)),
         "gamma": _maybe_gamma(out),
-        "rotation_angle": cfg.angle_out(g.rotation_angle()),
-        "angle_unit": cfg.out_unit,
+        "rotation_angle": g.rotation_angle() / ANGLE_TO_RAD[out_unit],
+        "angle_unit": out_unit,
     }
     if g.dim <= 3:
         result["matrix"] = g.matrix()
@@ -375,16 +385,16 @@ def midpoint(cfg, a_text, b_text, t):
 @click.option("--a", "a_text", required=True)
 @click.option("--b", "b_text", required=True)
 @click.option("--c", "c_text", required=True)
+@click.option("--tol", type=float, default=COLLINEAR_AREA_TOL, show_default=True,
+              callback=_positive_finite,
+              help="Triangle area below which a, b, c count as gyrocollinear.")
 @common_options
-def parallelogram(cfg, a_text, b_text, c_text):
+def parallelogram(cfg, a_text, b_text, c_text, tol):
     """Fourth gyroparallelogram vertex d = (b [+] c) (-) a."""
     a = cfg.parse_vector(a_text, "a")
     b = cfg.parse_vector(b_text, "b")
     c = cfg.parse_vector(c_text, "c")
-    if cfg.tol is not None:
-        d = gyroparallelogram_fourth(a, b, c, tol=cfg.tol)
-    else:
-        d = gyroparallelogram_fourth(a, b, c)
+    d = gyroparallelogram_fourth(a, b, c, tol=tol)
     m1 = scalar_mul(0.5, coadd(a, d))
     m2 = scalar_mul(0.5, coadd(b, c))
     checks = {"diagonal_midpoint_residual": float(np.max(np.abs(m1 - m2)))}
@@ -401,8 +411,13 @@ def parallelogram(cfg, a_text, b_text, c_text):
               help="Three side gyrolengths, comma-separated (sss mode).")
 @click.option("--angles", default=None,
               help="Three gyroangles, comma-separated (aaa mode).")
+@click.option("--tol", type=float, default=RIGHT_ANGLE_TOL, show_default=True,
+              callback=_positive_finite,
+              help="Largest |gamma - pi/2| of a right triangle, in radians.")
+@_unit_option
+@_out_option
 @common_options
-def triangle(cfg, mode, a_text, b_text, c_text, sides, angles):
+def triangle(cfg, mode, a_text, b_text, c_text, sides, angles, tol, unit, out_unit):
     """Solve a gyrotriangle from vertices, sides (SSS) or angles (AAA)."""
     if mode == "vertices":
         if not (a_text and b_text and c_text):
@@ -423,20 +438,21 @@ def triangle(cfg, mode, a_text, b_text, c_text, sides, angles):
     else:
         if not angles:
             raise click.UsageError("aaa mode needs --angles")
-        ang = [cfg.parse_angle(x, name="angle") for x in angles.split(",")]
+        ang = [_parse_angle(x, "angle", unit) for x in angles.split(",")]
         if len(ang) != 3:
             raise click.UsageError("--angles needs exactly three values")
         tri = triangle_from_angles(*ang)
         inputs = {"mode": mode, "angles": ang}
-    is_right = tri.is_right(cfg.tol) if cfg.tol is not None else tri.is_right()
+    is_right = tri.is_right(tol)
+    to_out = ANGLE_TO_RAD[out_unit]
     result = {
         "side_a": tri.side_a, "side_b": tri.side_b, "side_c": tri.side_c,
         "gamma_a": tri.gamma_a, "gamma_b": tri.gamma_b, "gamma_c": tri.gamma_c,
-        "alpha": cfg.angle_out(tri.alpha),
-        "beta": cfg.angle_out(tri.beta),
-        "gamma": cfg.angle_out(tri.gamma),
-        "defect": cfg.angle_out(tri.defect),
-        "angle_unit": cfg.out_unit,
+        "alpha": tri.alpha / to_out,
+        "beta": tri.beta / to_out,
+        "gamma": tri.gamma / to_out,
+        "defect": tri.defect / to_out,
+        "angle_unit": out_unit,
         "right_triangle": is_right,
     }
     checks = {}
@@ -445,15 +461,13 @@ def triangle(cfg, mode, a_text, b_text, c_text, sides, angles):
         abs(alpha2 - tri.alpha), abs(beta2 - tri.beta), abs(gamma2 - tri.gamma)
     )
     if is_right:
-        report = right_triangle_relations(
-            tri, tol=cfg.tol if cfg.tol is not None else 1e-8
-        )
+        report = right_triangle_relations(tri, tol=tol)
         checks["right_identities_max_residual"] = report.max_residual
     cfg.emit("triangle", inputs, result, checks)
 
 
 @cli.command()
-@click.option("--model", type=click.Choice(["classical", "relativistic", "stellar"]),
+@click.option("--model", type=click.Choice(list(_ABERRATION_MODELS)),
               required=True)
 @click.option("--v", "v_text", required=True, help="Relative frame speed.")
 @click.option("--theta-s", "theta_s_text", default=None,
@@ -466,80 +480,61 @@ def triangle(cfg, mode, a_text, b_text, c_text, sides, angles):
               help="Particle speed in frame E (inverse direction).")
 @click.option("--sweep", "sweep_n", type=int, default=None,
               help="Emit a CSV sweep table with this many rows instead.")
+@_unit_option
+@_out_option
 @common_options
 def aberration(cfg, model, v_text, theta_s_text, theta_e_text, p_s_text, p_e_text,
-               sweep_n):
+               sweep_n, unit, out_unit):
     """Aberration of a particle (or photon) direction between frames."""
     v = cfg.parse_speed(v_text, "v")
     p_s = cfg.parse_speed(p_s_text, "p_s")
     p_e = cfg.parse_speed(p_e_text, "p_e")
     if sweep_n is not None:
         table = aberration_sweep(v, p_s, sweep_n)
-        scale_out = 1.0 / ANGLE_TO_RAD[cfg.out_unit]
+        names = table.dtype.names
+        # Angle columns print in the --out unit; the offset stays in arcsec.
+        scale_out = 1.0 / ANGLE_TO_RAD[out_unit]
+        columns = [(table[k] if k == "offset_arcsec" else table[k] * scale_out).tolist()
+                   for k in names]
         if cfg.format == "json":
-            rows = [
-                {
-                    "theta_s": _round15(r["theta_s"] * scale_out),
-                    "theta_e_classical": _round15(r["theta_e_classical"] * scale_out),
-                    "theta_e_relativistic":
-                        _round15(r["theta_e_relativistic"] * scale_out),
-                    "offset_arcsec": _round15(r["offset_arcsec"]),
-                }
-                for r in table
-            ]
-            click.echo(json.dumps(
-                {"op": "aberration_sweep",
-                 "inputs": _jsonify({"model": model, "v": v, "p": p_s,
-                                     "n": sweep_n, "angle_unit": cfg.out_unit}),
-                 "result": rows, "checks": {}},
-                separators=(",", ":")))
+            cfg.emit("aberration_sweep",
+                     {"model": model, "v": v, "p": p_s, "n": sweep_n,
+                      "angle_unit": out_unit},
+                     [dict(zip(names, row)) for row in zip(*columns)], {})
         else:
-            click.echo("theta_s,theta_e_classical,theta_e_relativistic,offset_arcsec")
-            for r in table:
-                click.echo(",".join((
-                    _fmt(r["theta_s"] * scale_out),
-                    _fmt(r["theta_e_classical"] * scale_out),
-                    _fmt(r["theta_e_relativistic"] * scale_out),
-                    _fmt(r["offset_arcsec"]),
-                )))
+            click.echo("\n".join([",".join(names)] + [",".join(map(_fmt, row))
+                                                      for row in zip(*columns)]))
         return
     if (theta_s_text is None) == (theta_e_text is None):
         raise click.UsageError("give exactly one of --theta-s or --theta-e")
-    forward = theta_s_text is not None
-    if forward:
-        theta_in = cfg.parse_angle(theta_s_text, "theta_s")
-        if model == "classical":
-            theta_out = float(classical_aberration(theta_in, v, p_s))
-        elif model == "relativistic":
-            theta_out = float(relativistic_aberration(theta_in, v, p_s))
-        else:
-            theta_out = float(stellar_aberration(theta_in, v))
-        theta_s, theta_e = theta_in, theta_out
+    forward, inverse = _ABERRATION_MODELS[model]
+    if theta_s_text is not None:
+        theta_s = _parse_angle(theta_s_text, "theta_s", unit)
+        theta_e = float(forward(theta_s, v, p_s))
     else:
-        theta_in = cfg.parse_angle(theta_e_text, "theta_e")
-        if model == "classical":
-            theta_out = float(classical_aberration_inv(theta_in, v, p_e))
-        elif model == "relativistic":
-            theta_out = float(relativistic_aberration_inv(theta_in, v, p_e))
-        else:
-            theta_out = float(stellar_aberration_inv(theta_in, v))
-        theta_s, theta_e = theta_out, theta_in
+        theta_e = _parse_angle(theta_e_text, "theta_e", unit)
+        theta_s = float(inverse(theta_e, v, p_e))
+    to_out = ANGLE_TO_RAD[out_unit]
     result = {
         "model": model,
         "v": v,
-        "theta_s": cfg.angle_out(theta_s),
-        "theta_e": cfg.angle_out(theta_e),
-        "offset": cfg.angle_out(theta_s - theta_e),
+        "theta_s": theta_s / to_out,
+        "theta_e": theta_e / to_out,
+        "offset": (theta_s - theta_e) / to_out,
         "offset_arcsec": (theta_s - theta_e) * ARCSEC_PER_RAD,
-        "angle_unit": cfg.out_unit,
+        "angle_unit": out_unit,
     }
     checks = {}
     if model == "stellar":
-        checks["relativistic_p1_equivalence_abs"] = abs(
-            float(relativistic_aberration(theta_s, v, 1.0)) - theta_e
-        ) if forward else abs(
-            float(relativistic_aberration_inv(theta_e, v, 1.0)) - theta_s
-        )
+        # The photon taken back through the other direction's formula; n/a
+        # when the computed angle is too near 0 or pi for that formula.
+        try:
+            checks["inverse_roundtrip_abs"] = (
+                abs(float(inverse(theta_e, v, 1.0)) - theta_s)
+                if theta_s_text is not None
+                else abs(float(forward(theta_s, v, 1.0)) - theta_e))
+        except AngleDegenerate:
+            checks["inverse_roundtrip_abs"] = None
     cfg.emit("aberration", {"model": model, "v": v, "p_s": p_s, "p_e": p_e},
              result, checks)
 

@@ -201,16 +201,6 @@ class Gyration:
             raise DimensionError("Gyration takes a single generator pair")
         self.u = u
         self.v = v
-        gu = float(_gamma(u))
-        gv = float(_gamma(v))
-        self.gamma_u = gu
-        self.gamma_v = gv
-        # D = gamma(u (+) v) + 1; strictly greater than 1 for admissible pairs.
-        self.coefficient_d = gu * gv * (1.0 + float(dot(u, v))) + 1.0
-
-    @property
-    def generators(self):
-        return self.u, self.v
 
     @property
     def dim(self) -> int:
@@ -225,7 +215,9 @@ class Gyration:
 
     def inverse(self) -> "Gyration":
         """gyr[v, u], which undoes this gyration."""
-        return Gyration(self.v, self.u)
+        inv = Gyration.__new__(Gyration)
+        inv.u, inv.v = self.v, self.u  # already validated
+        return inv
 
     def matrix(self) -> np.ndarray:
         """The operator as an orthogonal n x n matrix acting on columns."""

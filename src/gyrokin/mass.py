@@ -30,6 +30,7 @@ units, never multiplied by c^2.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,8 +56,13 @@ class Particle:
     velocity: np.ndarray
 
     def __post_init__(self):
-        mass = float(self.mass)
-        if not (mass > 0.0 and np.isfinite(mass)):
+        mass = self.mass
+        try:
+            # float() accepts a numpy complex scalar with only a warning.
+            mass = math.nan if isinstance(mass, np.complexfloating) else float(mass)
+        except (TypeError, ValueError, OverflowError):
+            mass = math.nan
+        if not (mass > 0.0 and math.isfinite(mass)):
             raise AdmissibilityError("particle mass must be positive and finite")
         vel = as_velocity(self.velocity, name="particle velocity").copy()
         if vel.ndim != 1:

@@ -2,11 +2,13 @@
 
 import json
 import math
+import shlex
+from pathlib import Path
 
 import pytest
 
 from gyrokin import einstein_add, gyrodistance, stellar_aberration
-from gyrokin.cli import main
+from gyrokin.cli import cli, main
 
 BACK_TO_BACK = "# two particles\n1.0, 0.6, 0, 0\n1.0, -0.6, 0, 0\n"
 
@@ -502,3 +504,115 @@ class TestInverseDirection:
         rc, _, _ = run(capsys, "aberration", "--model", "stellar", "--v", "0.5c",
                        "--theta-s", "1.0", "--theta-e", "1.0")
         assert rc == 1
+
+
+def check_value(out, key):
+    return [float(ln.split(": ", 1)[1]) for ln in out.splitlines()
+            if ln.startswith(f"check_{key}: ")][0]
+
+
+class TestOptionSurface:
+    SHARED = {"--units", "--c-value", "--format"}
+    OWN = {
+        "add": {"--u", "--v"},
+        "sub": {"--u", "--v"},
+        "coadd": {"--u", "--v"},
+        "gyr": {"--u", "--v", "--w", "--out"},
+        "scale": {"--r", "--v"},
+        "distance": {"--a", "--b"},
+        "midpoint": {"--a", "--b", "--t"},
+        "parallelogram": {"--a", "--b", "--c", "--tol"},
+        "triangle": {"--mode", "--a", "--b", "--c", "--sides", "--angles",
+                     "--tol", "--unit", "--out"},
+        "aberration": {"--model", "--v", "--theta-s", "--theta-e", "--p-s",
+                       "--p-e", "--sweep", "--unit", "--out"},
+        "mass": {"--in"},
+    }
+
+    def test_each_command_takes_only_what_it_reads(self):
+        got = {name: {p.opts[0] for p in cmd.params}
+               for name, cmd in cli.commands.items()}
+        assert got == {name: own | self.SHARED for name, own in self.OWN.items()}
+        slots = sum(len(opts & (self.SHARED | {"--unit", "--out", "--tol"}))
+                    for opts in got.values())
+        assert slots == 40
+
+    def test_unread_option_exits_one(self, capsys):
+        rc, out, _ = run(capsys, "add", "--u", "0.1,0", "--v", "0,0.1",
+                         "--out", "deg")
+        assert rc == 1 and out == ""
+
+    def test_parallelogram_tol_is_the_collinear_area(self, capsys):
+        args = ("parallelogram", "--a", "0,0,0", "--b", "0.6,0,0", "--c", "0,0.6,0")
+        assert run(capsys, *args)[0] == 0
+        rc, _, err = run(capsys, *args, "--tol", "1")
+        assert rc == 2
+        assert "CollinearPoints" in err
+
+    def test_triangle_tol_is_the_right_angle_tolerance(self, capsys):
+        # gamma = 90.0001 deg is 1.7e-6 rad from pi/2: outside the default
+        # 1e-8, inside 1e-5.
+        args = ("triangle", "--mode", "aaa", "--angles", "30deg,40deg,90.0001deg")
+        _, out, _ = run(capsys, *args)
+        assert "right_triangle: no" in out
+        _, out, _ = run(capsys, *args, "--tol", "1e-5")
+        assert "right_triangle: yes" in out
+        assert "check_right_identities_max_residual" in out
+
+    @pytest.mark.parametrize("tol", ["0", "nan", "inf"])
+    @pytest.mark.parametrize("command", [
+        ("parallelogram", "--a", "0,0,0", "--b", "0.6,0,0", "--c", "0,0.6,0"),
+        ("triangle", "--mode", "sss", "--sides", "0.3,0.4,0.5"),
+    ])
+    def test_bad_tol_exits_one(self, capsys, command, tol):
+        rc, out, _ = run(capsys, *command, "--tol", tol)
+        assert rc == 1 and out == ""
+
+    def test_argument_named_in_admissibility_error(self, capsys):
+        rc, _, err = run(capsys, "gyr", "--u", "0.6,0", "--v", "0,1.5",
+                         "--w", "0.1,0")
+        assert rc == 2
+        assert err.startswith("error: AdmissibilityError: v has norm 1.5")
+
+
+class TestStellarRoundtrip:
+    @pytest.mark.parametrize("angle", ["--theta-s", "--theta-e"])
+    def test_inverse_roundtrip_small(self, capsys, angle):
+        rc, out, _ = run(capsys, "aberration", "--model", "stellar",
+                         "--v", "0.6c", angle, "1.2")
+        assert rc == 0
+        assert 0.0 <= check_value(out, "inverse_roundtrip_abs") <= 1e-12
+
+    def test_roundtrip_na_near_zero(self, capsys):
+        # theta_e comes out below sin = 1e-14, which the inverse formula
+        # rejects; the check is n/a and the command still succeeds.
+        rc, out, err = run(capsys, "aberration", "--model", "stellar",
+                           "--v", "0.9c", "--theta-s", "2e-14")
+        assert rc == 0 and err == ""
+        assert "check_inverse_roundtrip_abs: n/a" in out.splitlines()
+
+
+def readme_cli_examples():
+    """The gyrokin command lines of the README's CLI block, continuations joined."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = text.split("## CLI", 1)[1].split("```bash", 1)[1].split("```", 1)[0]
+    return [shlex.split(line, comments=True)[1:]
+            for line in block.replace("\\\n", " ").splitlines()
+            if line.startswith("gyrokin ")]
+
+
+class TestReadmeExamples:
+    EXAMPLES = readme_cli_examples()
+
+    def test_examples_found(self):
+        assert len(self.EXAMPLES) >= 12
+        assert {argv[0] for argv in self.EXAMPLES} >= {"add", "triangle", "aberration", "mass"}
+
+    @pytest.mark.parametrize("argv", EXAMPLES, ids=lambda argv: " ".join(argv[:3]))
+    def test_example_runs(self, capsys, tmp_path, argv):
+        particles = tmp_path / "particles.csv"
+        particles.write_text(BACK_TO_BACK)
+        argv = [str(particles) if a == "particles.csv" else a for a in argv]
+        rc, out, err = run(capsys, *argv)
+        assert rc == (2 if "60,60,60" in argv else 0), err  # the Euclidean AAA
+        assert out if rc == 0 else err.startswith("error: ")

@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -69,6 +70,15 @@ class TestParticleTypes:
         p = Particle(2.0, [0.6, 0.0, 0.0])
         assert p.gamma == pytest.approx(1.25, rel=1e-15)
         assert p.relativistic_mass == pytest.approx(2.5, rel=1e-15)
+
+    @pytest.mark.parametrize("mass", [1j, None, "abc", np.complex128(1)],
+                             ids=["complex", "none", "text", "complex128"])
+    def test_rejects_non_real_mass(self, mass):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no ComplexWarning either
+            with pytest.raises(AdmissibilityError,
+                               match="particle mass must be positive and finite"):
+                Particle(mass, [0.1, 0.0, 0.0])
 
     def test_rejects_complex_velocity(self):
         with pytest.raises(AdmissibilityError, match="not real-valued"):
