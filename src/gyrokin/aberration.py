@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ball import as_velocity
+from .ball import _real_array, _real_scalars, as_velocity
 from .errors import AdmissibilityError, AngleDegenerate, DimensionError
 from .gyro import _add, gamma_of_speed
 from .trig import _gyroangle
@@ -35,7 +35,7 @@ SIN_TOL = 1e-14
 
 
 def _check_angle(theta, name):
-    theta = np.asarray(theta, dtype=float)
+    theta = _real_array(theta, name)
     if not np.all((theta > 0.0) & (theta < math.pi)):
         raise AngleDegenerate(f"{name} must lie strictly between 0 and pi")
     if np.any(np.sin(theta) < SIN_TOL):
@@ -44,7 +44,7 @@ def _check_angle(theta, name):
 
 
 def _check_speed(s, name, *, allow_light=False):
-    s = np.asarray(s, dtype=float)
+    s = _real_array(s, name)
     top = 1.0 if allow_light else np.nextafter(1.0, 0.0)
     if not np.all((s >= 0.0) & (s <= top) & np.isfinite(s)):
         limit = "[0, 1]" if allow_light else "[0, 1)"
@@ -52,13 +52,19 @@ def _check_speed(s, name, *, allow_light=False):
     return s
 
 
+def _check_positive(p, name):
+    """A classical particle speed: any positive finite value."""
+    p = _real_array(p, name)
+    if not np.all((p > 0.0) & np.isfinite(p)):
+        raise AdmissibilityError(f"{name} must be positive and finite")
+    return p
+
+
 def classical_aberration(theta_s, v, p_s):
     """theta_e from cot(theta_e) = cot(theta_s) + v/(p_s sin(theta_s))."""
     theta_s = _check_angle(theta_s, "theta_s")
     v = _check_speed(v, "v", allow_light=True)
-    p_s = np.asarray(p_s, dtype=float)
-    if not np.all((p_s > 0.0) & np.isfinite(p_s)):
-        raise AdmissibilityError("p_s must be positive and finite")
+    p_s = _check_positive(p_s, "p_s")
     return np.arctan2(p_s * np.sin(theta_s), p_s * np.cos(theta_s) + v)
 
 
@@ -66,9 +72,7 @@ def classical_aberration_inv(theta_e, v, p_e):
     """theta_s from cot(theta_s) = cot(theta_e) - v/(p_e sin(theta_e))."""
     theta_e = _check_angle(theta_e, "theta_e")
     v = _check_speed(v, "v", allow_light=True)
-    p_e = np.asarray(p_e, dtype=float)
-    if not np.all((p_e > 0.0) & np.isfinite(p_e)):
-        raise AdmissibilityError("p_e must be positive and finite")
+    p_e = _check_positive(p_e, "p_e")
     return np.arctan2(p_e * np.sin(theta_e), p_e * np.cos(theta_e) - v)
 
 
@@ -113,7 +117,9 @@ def stellar_aberration_inv(theta_e, v):
 
 def classical_matched_p_e(theta_s, theta_e, p_s):
     """p_e consistent with the law of sines p_s/sin(theta_e) = p_e/sin(theta_s)."""
-    return np.asarray(p_s, dtype=float) * np.sin(theta_s) / np.sin(theta_e)
+    theta_s = _check_angle(theta_s, "theta_s")
+    theta_e = _check_angle(theta_e, "theta_e")
+    return _check_positive(p_s, "p_s") * np.sin(theta_s) / np.sin(theta_e)
 
 
 def relativistic_matched_p_e(theta_s, theta_e, p_s):
@@ -122,6 +128,8 @@ def relativistic_matched_p_e(theta_s, theta_e, p_s):
     gamma_{p_s} p_s / sin(theta_e) = gamma_{p_e} p_e / sin(theta_s); the
     momentum-like product gamma*p determines the speed uniquely.
     """
+    theta_s = _check_angle(theta_s, "theta_s")
+    theta_e = _check_angle(theta_e, "theta_e")
     p_s = _check_speed(p_s, "p_s")
     x = gamma_of_speed(p_s) * p_s * np.sin(theta_s) / np.sin(theta_e)
     return x / np.sqrt(1.0 + x * x)
@@ -161,9 +169,10 @@ def aberration_scene(v, p_s, theta_s) -> AberrationResult:
     formulas (and thereby for the gyroparallelogram/gyrotriangle view of
     velocity composition).
     """
-    v = float(_check_speed(v, "v"))
-    p_s = float(_check_speed(p_s, "p_s"))
-    theta_s = float(_check_angle(theta_s, "theta_s"))
+    v, p_s, theta_s = _real_scalars((v, p_s, theta_s), ("v", "p_s", "theta_s"))
+    _check_speed(v, "v")
+    _check_speed(p_s, "p_s")
+    _check_angle(theta_s, "theta_s")
     if v <= 0.0:
         raise AngleDegenerate("v must be positive; E and S coincide otherwise")
     if p_s <= 0.0:
@@ -191,9 +200,10 @@ def aberration_sweep(v, p, n_samples: int):
     (relativistic shift theta_s - theta_e in arc-seconds).  Sample angles
     are interior: theta_k = pi (k+1)/(n+1).
     """
-    n_samples = int(n_samples)
-    if n_samples < 2:
-        raise DimensionError("n_samples must be at least 2")
+    (n,) = _real_scalars((n_samples,), ("n_samples",))
+    if n < 2 or not n.is_integer():
+        raise DimensionError(f"n_samples must be {'at least 2' if n < 2 else 'whole'}")
+    n_samples = int(n)
     k = np.arange(1, n_samples + 1, dtype=float)
     theta_s = math.pi * k / (n_samples + 1)
     theta_cl = classical_aberration(theta_s, v, p)

@@ -49,18 +49,40 @@ def _gamma(v) -> np.ndarray:
     return 1.0 / np.sqrt(1.0 - norm_sq(v))
 
 
-def _as_real(v, name: str) -> np.ndarray:
-    """Coerce to a float array with a nonempty component axis, or raise."""
+def _real_array(v, name: str) -> np.ndarray:
+    """Coerce to a float array of any shape, or raise AdmissibilityError."""
     try:
         arr = np.asarray(v)
         if arr.dtype.kind == "c":
             raise TypeError("complex components")
-        arr = arr.astype(float, copy=False)
-    except (TypeError, ValueError) as exc:
+        return arr.astype(float, copy=False)
+    except (TypeError, ValueError, OverflowError) as exc:
         raise AdmissibilityError(f"{name} is not real-valued: {exc}") from exc
+
+
+def _as_real(v, name: str) -> np.ndarray:
+    """Coerce to a float array with a nonempty component axis, or raise."""
+    arr = _real_array(v, name)
     if arr.ndim == 0 or arr.shape[-1] == 0:
         raise DimensionError(f"{name} must have at least one component")
     return arr
+
+
+def _real_scalars(values, names) -> list:
+    """The scalar arguments ``values``, labelled ``names``, as Python floats.
+
+    Coerced in one call; raises DimensionError if any of them is a batch and
+    AdmissibilityError if any is not real-valued.
+    """
+    label = names[0] if len(names) == 1 else f"one of {', '.join(names)}"
+    try:
+        arr = np.asarray(values)
+    except ValueError as exc:  # ragged: an argument is a sequence
+        raise DimensionError(f"{label} is a batch, not a scalar") from exc
+    arr = _real_array(arr, label)
+    if arr.shape != (len(names),):
+        raise DimensionError(f"{label} is a batch, not a scalar")
+    return arr.tolist()
 
 
 def as_velocity(v, *, name: str = "velocity") -> np.ndarray:
@@ -91,10 +113,15 @@ def as_velocity(v, *, name: str = "velocity") -> np.ndarray:
 
 
 def as_ambient(w, *, name: str = "vector") -> np.ndarray:
-    """Coerce to a finite float array of shape (..., n); no ball constraint."""
+    """A float array of shape (..., n) whose |w|^2 is finite; no ball constraint."""
     arr = _as_real(w, name)
-    if not np.all(np.isfinite(arr)):
-        raise AdmissibilityError(f"{name} has non-finite components")
+    with np.errstate(over="ignore"):
+        n2 = norm_sq(arr)
+    # A NaN or infinite component makes n2 non-finite too.
+    if not np.all(np.isfinite(n2)):
+        if not np.all(np.isfinite(arr)):
+            raise AdmissibilityError(f"{name} has non-finite components")
+        raise AdmissibilityError(f"{name} has a squared norm that overflows")
     return arr
 
 

@@ -126,36 +126,25 @@ class Config:
                 separators=(",", ":"),
             ))
             return
+        # The rows as JSON would carry them, so floats are already rounded
+        # to 15 digits; printing those again with _fmt leaves them unchanged.
         table = self.format == "table"
-        sep = ": " if table else ","
-
-        def vec(v):
-            joiner = "," if table else " "
-            return joiner.join(_fmt(c) for c in np.atleast_1d(v))
-
-        rows = {**result, **{f"check_{k}": v for k, v in checks.items()}}
+        joiner, sep = (",", ": ") if table else (" ", ",")
+        lines = []
+        rows = _jsonify({**result, **{f"check_{k}": v for k, v in checks.items()}})
         for key, value in rows.items():
-            if isinstance(value, np.ndarray) and value.ndim == 2:
-                if table:
-                    click.echo(f"{key}:")
-                    for row in value:
-                        click.echo(vec(row))
-                else:
-                    click.echo(f"{key},{';'.join(vec(r) for r in value)}")
-                continue
-            if value is None:
-                rendered = "n/a"
-            elif isinstance(value, bool):
-                rendered = "yes" if value else "no"
-            elif isinstance(value, str):
-                rendered = value
-            elif isinstance(value, (np.ndarray, list, tuple)):
-                rendered = vec(np.asarray(value))
-            elif isinstance(value, (int, np.integer)):
-                rendered = str(int(value))
+            if isinstance(value, list) and value and isinstance(value[0], list):
+                cells = [joiner.join(map(_fmt, row)) for row in value]
+                lines += [f"{key}:", *cells] if table else [f"{key},{';'.join(cells)}"]
+            elif value is None or isinstance(value, bool):
+                lines.append(key + sep + {None: "n/a", True: "yes", False: "no"}[value])
+            elif isinstance(value, (str, int)):
+                lines.append(f"{key}{sep}{value}")
+            elif isinstance(value, list):
+                lines.append(key + sep + joiner.join(map(_fmt, value)))
             else:
-                rendered = _fmt(value)
-            click.echo(f"{key}{sep}{rendered}")
+                lines.append(key + sep + _fmt(value))
+        click.echo("\n".join(lines))
 
 
 def _parse_angle(text: str, name: str, unit: str) -> float:
@@ -183,24 +172,41 @@ def _jsonify(obj):
     return float(_fmt(obj))  # rounded to the 15 digits printed
 
 
-def common_options(f):
-    """Add the three options every command reads; call ``f`` with a Config first."""
+# --help text of the velocity options that common_options declares.
+_VECTOR_HELP = {
+    **{name: f"Velocity {name}, comma-separated." for name in "uv"},
+    **{name: f"Ball point {name}, comma-separated." for name in "abc"},
+    "w": "Vector the gyration is applied to, comma-separated (need not be admissible).",
+}
 
-    @functools.wraps(f)
-    def command(units, c_value, fmt, **kwargs):
-        return f(Config(units, c_value, fmt), **kwargs)
 
-    for opt in reversed([
-        click.option("--units", type=click.Choice(["natural", "si"]),
-                     default="natural", show_default=True,
-                     help="Velocity unit preset: natural (c=1) or si (m/s)."),
-        click.option("--c-value", type=float, default=None,
-                     help="Explicit value of c; overrides --units and GYROKIN_C."),
-        click.option("--format", "fmt", type=click.Choice(["table", "json", "csv"]),
-                     default="table", show_default=True),
-    ]):
-        command = opt(command)
-    return command
+def common_options(*vectors):
+    """Declare a required --<name> for each velocity in ``vectors``, then the
+    three options every command reads.  The command is called with a Config
+    and the vectors parsed by it in order, then its own options."""
+
+    def decorate(f):
+        @functools.wraps(f)
+        def command(units, c_value, fmt, **kwargs):
+            cfg = Config(units, c_value, fmt)
+            parsed = [cfg.parse_vector(kwargs.pop(name), name) for name in vectors]
+            return f(cfg, *parsed, **kwargs)
+
+        for opt in reversed([
+            *(click.option(f"--{name}", required=True, help=_VECTOR_HELP[name])
+              for name in vectors),
+            click.option("--units", type=click.Choice(["natural", "si"]),
+                         default="natural", show_default=True,
+                         help="Velocity unit preset: natural (c=1) or si (m/s)."),
+            click.option("--c-value", type=float, default=None,
+                         help="Explicit value of c; overrides --units and GYROKIN_C."),
+            click.option("--format", "fmt", type=click.Choice(["table", "json", "csv"]),
+                         default="table", show_default=True),
+        ]):
+            command = opt(command)
+        return command
+
+    return decorate
 
 
 def _positive_finite(ctx, param, value):
@@ -248,13 +254,9 @@ def _maybe_gamma(w):
 
 
 @cli.command()
-@click.option("--u", "u_text", required=True, help="First velocity, comma-separated.")
-@click.option("--v", "v_text", required=True, help="Second velocity, comma-separated.")
-@common_options
-def add(cfg, u_text, v_text):
+@common_options("u", "v")
+def add(cfg, u, v):
     """Einstein velocity addition u (+) v."""
-    u = cfg.parse_vector(u_text, "u")
-    v = cfg.parse_vector(v_text, "v")
     w = einstein_add(u, v)
     identity = float(gamma(u) * gamma(v) * (1.0 + float(np.dot(u, v))))
     checks = {"gamma_identity_rel_error": abs(float(gamma(w)) - identity) / identity}
@@ -262,13 +264,9 @@ def add(cfg, u_text, v_text):
 
 
 @cli.command()
-@click.option("--u", "u_text", required=True)
-@click.option("--v", "v_text", required=True)
-@common_options
-def sub(cfg, u_text, v_text):
+@common_options("u", "v")
+def sub(cfg, u, v):
     """Einstein velocity subtraction u (-) v."""
-    u = cfg.parse_vector(u_text, "u")
-    v = cfg.parse_vector(v_text, "v")
     w = einstein_sub(u, v)
     # left cancellation: (-u) (+) (u (+) (-v)) must recover -v
     checks = {"left_cancellation_max_abs":
@@ -277,13 +275,9 @@ def sub(cfg, u_text, v_text):
 
 
 @cli.command(name="coadd")
-@click.option("--u", "u_text", required=True)
-@click.option("--v", "v_text", required=True)
-@common_options
-def coadd_cmd(cfg, u_text, v_text):
+@common_options("u", "v")
+def coadd_cmd(cfg, u, v):
     """Einstein coaddition u [+] v (commutative)."""
-    u = cfg.parse_vector(u_text, "u")
-    v = cfg.parse_vector(v_text, "v")
     w = coadd(u, v)
     checks = {
         "route_agreement_max_abs":
@@ -294,17 +288,10 @@ def coadd_cmd(cfg, u_text, v_text):
 
 
 @cli.command()
-@click.option("--u", "u_text", required=True)
-@click.option("--v", "v_text", required=True)
-@click.option("--w", "w_text", required=True,
-              help="Vector the gyration is applied to (need not be admissible).")
 @_out_option
-@common_options
-def gyr(cfg, u_text, v_text, w_text, out_unit):
+@common_options("u", "v", "w")
+def gyr(cfg, u, v, w, out_unit):
     """Apply the gyration gyr[u, v]; prints its matrix (n <= 3) and angle."""
-    u = cfg.parse_vector(u_text, "u")
-    v = cfg.parse_vector(v_text, "v")
-    w = cfg.parse_vector(w_text, "w")
     g = Gyration(u, v)
     out = g.apply(w)
     checks = {
@@ -331,11 +318,9 @@ def gyr(cfg, u_text, v_text, w_text, out_unit):
 
 @cli.command()
 @click.option("--r", type=float, required=True, help="Real scalar factor.")
-@click.option("--v", "v_text", required=True)
-@common_options
-def scale(cfg, r, v_text):
+@common_options("v")
+def scale(cfg, v, r):
     """Scalar gyromultiplication r (x) v."""
-    v = cfg.parse_vector(v_text, "v")
     w = scalar_mul(r, v)
     half = scalar_mul(0.5, scalar_mul(2.0, w)) if abs(r) < 1e6 else w
     checks = {"halving_roundtrip_max_abs": float(np.max(np.abs(half - w)))}
@@ -343,13 +328,9 @@ def scale(cfg, r, v_text):
 
 
 @cli.command()
-@click.option("--a", "a_text", required=True)
-@click.option("--b", "b_text", required=True)
-@common_options
-def distance(cfg, a_text, b_text):
+@common_options("a", "b")
+def distance(cfg, a, b):
     """Gyrodistance |(-a) (+) b| between two ball points (fraction of c)."""
-    a = cfg.parse_vector(a_text, "a")
-    b = cfg.parse_vector(b_text, "b")
     w = left_sub(a, b)
     d = float(norm(w))
     checks = {"symmetry_abs": abs(d - float(gyrodistance(b, a)))}
@@ -358,15 +339,11 @@ def distance(cfg, a_text, b_text):
 
 
 @cli.command()
-@click.option("--a", "a_text", required=True)
-@click.option("--b", "b_text", required=True)
 @click.option("--t", type=float, default=0.5, show_default=True,
               help="Gyroline parameter; 0.5 gives the gyromidpoint.")
-@common_options
-def midpoint(cfg, a_text, b_text, t):
+@common_options("a", "b")
+def midpoint(cfg, a, b, t):
     """Gyromidpoint of a and b (or the gyroline point at parameter t)."""
-    a = cfg.parse_vector(a_text, "a")
-    b = cfg.parse_vector(b_text, "b")
     if t == 0.5:
         w = gyromidpoint(a, b)
         checks = {
@@ -382,18 +359,12 @@ def midpoint(cfg, a_text, b_text, t):
 
 
 @cli.command()
-@click.option("--a", "a_text", required=True)
-@click.option("--b", "b_text", required=True)
-@click.option("--c", "c_text", required=True)
 @click.option("--tol", type=float, default=COLLINEAR_AREA_TOL, show_default=True,
               callback=_positive_finite,
               help="Triangle area below which a, b, c count as gyrocollinear.")
-@common_options
-def parallelogram(cfg, a_text, b_text, c_text, tol):
+@common_options("a", "b", "c")
+def parallelogram(cfg, a, b, c, tol):
     """Fourth gyroparallelogram vertex d = (b [+] c) (-) a."""
-    a = cfg.parse_vector(a_text, "a")
-    b = cfg.parse_vector(b_text, "b")
-    c = cfg.parse_vector(c_text, "c")
     d = gyroparallelogram_fourth(a, b, c, tol=tol)
     m1 = scalar_mul(0.5, coadd(a, d))
     m2 = scalar_mul(0.5, coadd(b, c))
@@ -416,7 +387,7 @@ def parallelogram(cfg, a_text, b_text, c_text, tol):
               help="Largest |gamma - pi/2| of a right triangle, in radians.")
 @_unit_option
 @_out_option
-@common_options
+@common_options()
 def triangle(cfg, mode, a_text, b_text, c_text, sides, angles, tol, unit, out_unit):
     """Solve a gyrotriangle from vertices, sides (SSS) or angles (AAA)."""
     if mode == "vertices":
@@ -448,18 +419,13 @@ def triangle(cfg, mode, a_text, b_text, c_text, sides, angles, tol, unit, out_un
     result = {
         "side_a": tri.side_a, "side_b": tri.side_b, "side_c": tri.side_c,
         "gamma_a": tri.gamma_a, "gamma_b": tri.gamma_b, "gamma_c": tri.gamma_c,
-        "alpha": tri.alpha / to_out,
-        "beta": tri.beta / to_out,
-        "gamma": tri.gamma / to_out,
-        "defect": tri.defect / to_out,
+        **{k: getattr(tri, k) / to_out for k in ("alpha", "beta", "gamma", "defect")},
         "angle_unit": out_unit,
         "right_triangle": is_right,
     }
-    checks = {}
-    alpha2, beta2, gamma2 = sss_to_aaa(tri.gamma_a, tri.gamma_b, tri.gamma_c)
-    checks["sss_aaa_consistency_max_abs"] = max(
-        abs(alpha2 - tri.alpha), abs(beta2 - tri.beta), abs(gamma2 - tri.gamma)
-    )
+    angles2 = sss_to_aaa(tri.gamma_a, tri.gamma_b, tri.gamma_c)
+    checks = {"sss_aaa_consistency_max_abs": max(
+        abs(x - y) for x, y in zip(angles2, (tri.alpha, tri.beta, tri.gamma)))}
     if is_right:
         report = right_triangle_relations(tri, tol=tol)
         checks["right_identities_max_residual"] = report.max_residual
@@ -482,7 +448,7 @@ def triangle(cfg, mode, a_text, b_text, c_text, sides, angles, tol, unit, out_un
               help="Emit a CSV sweep table with this many rows instead.")
 @_unit_option
 @_out_option
-@common_options
+@common_options()
 def aberration(cfg, model, v_text, theta_s_text, theta_e_text, p_s_text, p_e_text,
                sweep_n, unit, out_unit):
     """Aberration of a particle (or photon) direction between frames."""
@@ -542,7 +508,7 @@ def aberration(cfg, model, v_text, theta_s_text, theta_e_text, p_s_text, p_e_tex
 @cli.command(name="mass")
 @click.option("--in", "infile", required=True,
               help="Particle file (CSV or JSON), or '-' for stdin.")
-@common_options
+@common_options()
 def mass_cmd(cfg, infile):
     """Invariant-mass decomposition of a particle system from a file."""
     if infile == "-":
@@ -555,16 +521,9 @@ def mass_cmd(cfg, infile):
             raise ParticleFormatError(f"cannot read {infile}: {exc}") from exc
     system = parse_particles(text, c_value=cfg.c_value)
     dec = decompose(system)
-    result = {
-        "n_particles": len(system),
-        "m_newton": dec.m_newton,
-        "m_dark": dec.m_dark,
-        "m0": dec.m0,
-        "v0": dec.v0,
-        "gamma0": dec.gamma0,
-        "energy": dec.energy,
-        "four_momentum_residual": dec.four_momentum_residual,
-    }
+    result = {"n_particles": len(system), **{k: getattr(dec, k) for k in (
+        "m_newton", "m_dark", "m0", "v0", "gamma0", "energy",
+        "four_momentum_residual")}}
     checks = {"four_momentum_residual": dec.four_momentum_residual,
               "mass_split_abs": abs(dec.m0 ** 2
                                     - dec.m_newton ** 2 - dec.m_dark ** 2)}
@@ -580,12 +539,9 @@ def main(argv=None) -> int:
     except click.ClickException as exc:
         exc.show()
         return 1
-    except ParticleFormatError as exc:
-        click.echo(f"error: {type(exc).__name__}: {exc}", err=True)
-        return 1
     except GyrokinError as exc:
         click.echo(f"error: {type(exc).__name__}: {exc}", err=True)
-        return 2
+        return 1 if isinstance(exc, ParticleFormatError) else 2
     return 0
 
 

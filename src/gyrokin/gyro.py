@@ -13,8 +13,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .ball import (_gamma, as_ambient, as_velocity, dot, norm, norm_sq, operands,
-                   same_shape)
+from .ball import (_gamma, _real_array, as_ambient, as_velocity, dot, norm, norm_sq,
+                   operands, same_shape)
 from .errors import AdmissibilityError, DimensionError
 
 
@@ -28,17 +28,17 @@ def gamma(v) -> np.ndarray:
 
 def gamma_of_speed(s) -> np.ndarray:
     """Gamma factor of a scalar speed in [0, 1)."""
-    s = np.asarray(s, dtype=float)
+    s = _real_array(s, "speed")
     if not np.all((s >= 0.0) & (s < 1.0)):
         raise AdmissibilityError("speed must lie in [0, 1)")
     return 1.0 / np.sqrt((1.0 - s) * (1.0 + s))
 
 
 def speed_of_gamma(g) -> np.ndarray:
-    """Speed in [0, 1) of a gamma factor >= 1: sqrt(g^2 - 1)/g."""
-    g = np.asarray(g, dtype=float)
-    if not np.all(g >= 1.0):
-        raise AdmissibilityError("gamma factor must be >= 1")
+    """Speed in [0, 1) of a finite gamma factor >= 1: sqrt(g^2 - 1)/g."""
+    g = _real_array(g, "gamma factor")
+    if not np.all((g >= 1.0) & (g < np.inf)):
+        raise AdmissibilityError("gamma factor must be finite and >= 1")
     return np.sqrt(g * g - 1.0) / g
 
 

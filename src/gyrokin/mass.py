@@ -35,7 +35,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ball import _as_real, _gamma, as_velocity, norm_sq, operands, same_shape
+from .ball import (_as_real, _gamma, _real_scalars, as_velocity, norm_sq, operands,
+                   same_shape)
 from .errors import AdmissibilityError, DimensionError, GyrokinError
 from .gyro import _add
 
@@ -282,6 +283,7 @@ def parse_particles(text: str, *, c_value: float = 1.0) -> ParticleSystem:
     Raises ParticleFormatError (with a line number for CSV input) on
     malformed content and AdmissibilityError on inadmissible velocities.
     """
+    (c_value,) = _real_scalars((c_value,), ("c_value",))
     if c_value <= 0.0 or not np.isfinite(c_value):
         raise ParticleFormatError("c_value must be positive and finite")
     stripped = text.lstrip()

@@ -12,7 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ball import MAX_NORM, as_velocity, dot, norm, norm_sq, operands, same_shape
+from .ball import (MAX_NORM, _real_array, as_velocity, dot, norm, norm_sq, operands,
+                   same_shape)
 from .errors import CollinearPoints, DimensionError, NonFinite
 from .gyro import _add, _coadd, _midpoint, left_sub
 
@@ -27,7 +28,7 @@ def scalar_mul(r, v) -> np.ndarray:
     definition.  The magnitude is clamped into the admissible ball so that
     the result is valid for every finite r.
     """
-    r = np.asarray(r, dtype=float)
+    r = _real_array(r, "scalar factor")
     if not np.all(np.isfinite(r)):
         raise NonFinite("scalar factor must be finite")
     v = as_velocity(v, name="v")

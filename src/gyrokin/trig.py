@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ball import as_velocity, norm, operands, same_shape
+from .ball import _real_scalars, as_velocity, norm, operands, same_shape
 from .errors import (
     CollinearPoints,
     DegenerateAngle,
@@ -108,7 +108,7 @@ def sss_to_aaa(gamma_a: float, gamma_b: float, gamma_c: float
     a gyrotriangle (any cos outside [-1, 1] beyond rounding, negative
     triangle quantity, or a gamma at/below 1).
     """
-    gs = (float(gamma_a), float(gamma_b), float(gamma_c))
+    gs = _real_scalars((gamma_a, gamma_b, gamma_c), ("gamma_a", "gamma_b", "gamma_c"))
     if not all(g > 1.0 for g in gs):
         raise InvalidTriangle("side gamma factors must exceed 1")
     ga, gb, gc = gs
@@ -131,10 +131,10 @@ def aaa_to_sss(alpha: float, beta: float, gamma: float, *,
         g_a = (cos alpha + cos beta cos gamma) / (sin beta sin gamma)
 
     and cyclically.  The angle sum must fall short of pi (positive defect);
-    otherwise, or when a computed gamma does not exceed 1, there is no such
-    gyrotriangle and NoSuchTriangle is raised.
+    otherwise, or when a computed gamma does not exceed 1 or overflows, there
+    is no such gyrotriangle and NoSuchTriangle is raised.
     """
-    angles = (float(alpha), float(beta), float(gamma))
+    angles = _real_scalars((alpha, beta, gamma), ("alpha", "beta", "gamma"))
     if not all(0.0 < a < math.pi for a in angles):
         raise NoSuchTriangle("gyroangles must lie strictly between 0 and pi")
     if angles[0] + angles[1] + angles[2] >= math.pi - tol:
@@ -143,11 +143,13 @@ def aaa_to_sss(alpha: float, beta: float, gamma: float, *,
         )
     ca, cb, cg = (math.cos(a) for a in angles)
     sa, sb, sg = (math.sin(a) for a in angles)
-    ga = (ca + cb * cg) / (sb * sg)
-    gb = (cb + ca * cg) / (sa * sg)
-    gc = (cg + ca * cb) / (sa * sb)
+    # Products of tiny sines can underflow to 0: the gamma is then infinite.
+    ga, gb, gc = (num / den if den else math.inf for num, den in (
+        (ca + cb * cg, sb * sg), (cb + ca * cg, sa * sg), (cg + ca * cb, sa * sb)))
     if not (ga > 1.0 and gb > 1.0 and gc > 1.0):
         raise NoSuchTriangle("angles yield a side gamma factor <= 1")
+    if max(ga, gb, gc) == math.inf:
+        raise NoSuchTriangle("gyroangles so small that a side gamma factor overflows")
     return ga, gb, gc
 
 
@@ -196,16 +198,11 @@ def triangle_from_vertices(a, b, c) -> Gyrotriangle:
     ab, ac = _add(-a, b), _add(-a, c)
     ba, bc = _add(-b, a), _add(-b, c)
     ca, cb = _add(-c, a), _add(-c, b)
-    side_a = float(norm(bc))
-    side_b = float(norm(ac))
-    side_c = float(norm(ab))
+    sides = [float(norm(bc)), float(norm(ac)), float(norm(ab))]
+    ga, gb, gc = gamma_of_speed(sides).tolist()
     return Gyrotriangle(
-        side_a=side_a,
-        side_b=side_b,
-        side_c=side_c,
-        gamma_a=float(gamma_of_speed(side_a)),
-        gamma_b=float(gamma_of_speed(side_b)),
-        gamma_c=float(gamma_of_speed(side_c)),
+        side_a=sides[0], side_b=sides[1], side_c=sides[2],
+        gamma_a=ga, gamma_b=gb, gamma_c=gc,
         alpha=_gyroangle(ab, ac),
         beta=_gyroangle(ba, bc),
         gamma=_gyroangle(ca, cb),
@@ -216,10 +213,10 @@ def triangle_from_vertices(a, b, c) -> Gyrotriangle:
 def triangle_from_sides(side_a: float, side_b: float, side_c: float
                         ) -> Gyrotriangle:
     """Solve a gyrotriangle from its three side gyrolengths in (0, 1)."""
-    sides = (float(side_a), float(side_b), float(side_c))
+    sides = _real_scalars((side_a, side_b, side_c), ("side_a", "side_b", "side_c"))
     if not all(0.0 < s < 1.0 for s in sides):
         raise InvalidTriangle("side gyrolengths must lie in (0, 1)")
-    ga, gb, gc = (float(gamma_of_speed(s)) for s in sides)
+    ga, gb, gc = gamma_of_speed(sides).tolist()
     alpha, beta, gamma = sss_to_aaa(ga, gb, gc)
     return Gyrotriangle(
         side_a=sides[0], side_b=sides[1], side_c=sides[2],
@@ -230,12 +227,17 @@ def triangle_from_sides(side_a: float, side_b: float, side_c: float
 
 def triangle_from_angles(alpha: float, beta: float, gamma: float
                          ) -> Gyrotriangle:
-    """Solve a gyrotriangle from its three gyroangles (positive defect)."""
+    """Solve a gyrotriangle from its three gyroangles (positive defect).
+
+    Angles so small that a side rounds to 1 raise NoSuchTriangle.
+    """
     ga, gb, gc = aaa_to_sss(alpha, beta, gamma)
+    with np.errstate(over="ignore"):  # g^2 overflows past 1e154: the side is inf
+        sides = speed_of_gamma([ga, gb, gc]).tolist()
+    if not all(s < 1.0 for s in sides):
+        raise NoSuchTriangle("gyroangles so small that a side reaches 1")
     return Gyrotriangle(
-        side_a=float(speed_of_gamma(ga)),
-        side_b=float(speed_of_gamma(gb)),
-        side_c=float(speed_of_gamma(gc)),
+        side_a=sides[0], side_b=sides[1], side_c=sides[2],
         gamma_a=ga, gamma_b=gb, gamma_c=gc,
         alpha=float(alpha), beta=float(beta), gamma=float(gamma),
     )

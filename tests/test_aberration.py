@@ -64,6 +64,21 @@ class TestClassical:
             classical_aberration_inv(0.5, 0.1, math.inf)
 
 
+class TestMatchedSpeed:
+    @pytest.mark.parametrize("matched",
+                             [classical_matched_p_e, relativistic_matched_p_e])
+    @pytest.mark.parametrize("theta_s, theta_e",
+                             [(0.0, 1.0), (1.0, 0.0), (math.nan, 1.0), (1.0, math.pi)])
+    def test_degenerate_angles_rejected(self, matched, theta_s, theta_e):
+        with pytest.raises(AngleDegenerate):
+            matched(theta_s, theta_e, 0.5)
+
+    @pytest.mark.parametrize("p_s", [0.0, -1.0, math.inf, math.nan])
+    def test_classical_particle_speed_checked(self, p_s):
+        with pytest.raises(AdmissibilityError):
+            classical_matched_p_e(1.0, 1.2, p_s)
+
+
 class TestRelativistic:
     def test_no_relative_motion(self):
         for theta in (0.3, 1.5, 2.8):

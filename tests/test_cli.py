@@ -5,6 +5,7 @@ import math
 import shlex
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from gyrokin import einstein_add, gyrodistance, stellar_aberration
@@ -170,6 +171,14 @@ class TestExitCodes:
         )
         assert rc == 2
         assert "NoSuchTriangle" in err
+
+    @pytest.mark.parametrize("fmt", ["table", "json", "csv"])
+    def test_overflowing_gyration_vector_exits_two(self, capsys, fmt):
+        # Finite components, but |w|^2 overflows: no inf norm, no NaN check.
+        rc, out, err = run(capsys, "gyr", "--u", "0.6,0,0", "--v", "0,0.6,0",
+                           "--w", "1e300,0,0", "--format", fmt)
+        assert (rc, out) == (2, "")
+        assert err == "error: AdmissibilityError: w has a squared norm that overflows\n"
 
     def test_parse_error_exits_one(self, capsys):
         rc, _, err = run(capsys, "add", "--u", "bogus", "--v", "0,0,0")
@@ -343,6 +352,43 @@ class TestCsvFormat:
         assert len(rows) == 2
         m = [[float(x) for x in row.split(" ")] for row in rows]
         assert m[0][0] == pytest.approx(m[1][1], abs=1e-15)
+
+
+class TestOneForm:
+    """Table and CSV print exactly the numbers the JSON output carries."""
+
+    ARGS = ("gyr", "--u", "0.6,0,0", "--v", "0,0.6,0", "--w", "5,7,9", "--out", "deg")
+
+    @staticmethod
+    def table_rows(out, fmt):
+        """key -> flat list of cells; matrix rows in table mode follow their key."""
+        rows, key = {}, None
+        for line in out.splitlines():
+            if fmt == "table" and line.endswith(":"):
+                key = line[:-1]
+                rows[key] = []
+            elif fmt == "table" and ": " not in line:
+                rows[key] += line.split(",")
+            else:
+                key, value = line.split(": " if fmt == "table" else ",", 1)
+                rows[key] = value.replace(";", " ").split(" " if fmt == "csv" else ",")
+        return rows
+
+    @pytest.mark.parametrize("fmt", ["table", "csv"])
+    def test_same_numbers_as_json(self, capsys, fmt):
+        _, out, _ = run(capsys, *self.ARGS, "--format", "json")
+        doc = json.loads(out)
+        want = {**doc["result"], **{f"check_{k}": v for k, v in doc["checks"].items()}}
+        _, out, _ = run(capsys, *self.ARGS, "--format", fmt)
+        got = self.table_rows(out, fmt)
+        assert list(got) == list(want)
+        assert got["gamma"] == ["n/a"] and got["angle_unit"] == ["deg"]
+        for key, value in want.items():
+            if isinstance(value, float):
+                assert float(got[key][0]) == value, key
+            elif isinstance(value, list):
+                flat = np.ravel(value).tolist()
+                assert [float(x) for x in got[key]] == flat, key
 
 
 class TestJsonFormat:
@@ -536,6 +582,12 @@ class TestOptionSurface:
         slots = sum(len(opts & (self.SHARED | {"--unit", "--out", "--tol"}))
                     for opts in got.values())
         assert slots == 40
+
+    def test_every_velocity_option_has_help(self):
+        for name, cmd in cli.commands.items():
+            for param in cmd.params:
+                if param.opts[0] in {"--u", "--v", "--w", "--a", "--b", "--c"}:
+                    assert param.help, f"{name} {param.opts[0]}"
 
     def test_unread_option_exits_one(self, capsys):
         rc, out, _ = run(capsys, "add", "--u", "0.1,0", "--v", "0,0.1",

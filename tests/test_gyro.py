@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import gyrokin as gk
 from gyrokin import (
     AdmissibilityError,
     BetaVector,
@@ -26,6 +27,7 @@ from gyrokin import (
     gyrate,
     gyrate_definitional,
     gyromidpoint,
+    speed_of_gamma,
     triangle_from_vertices,
     decompose,
 )
@@ -77,6 +79,12 @@ class TestGamma:
     def test_rejects_nan(self):
         with pytest.raises(AdmissibilityError):
             gamma(np.array([np.nan, 0.0]))
+
+    def test_speed_of_gamma_rejects_non_finite(self):
+        assert float(speed_of_gamma(1.25)) == pytest.approx(0.6, abs=1e-15)
+        for g in (math.inf, math.nan):
+            with pytest.raises(AdmissibilityError):
+                speed_of_gamma(g)
 
 
 class TestEinsteinAdd:
@@ -221,6 +229,15 @@ class TestGyration:
             v = rng.uniform(-0.95, 0.95) * d
             w = rng.normal(size=3)
             assert max_abs(gyrate(u, v, w) - w) < 1e-13
+
+    def test_ambient_vector_with_overflowing_norm_rejected(self):
+        # Each component is finite, but |w|^2 overflows to inf, and the norm
+        # is what a gyration keeps.
+        w = np.array([1e300, 0.0, 0.0])
+        for apply in (lambda w: gyrate(U_FIX, V_FIX, w), Gyration(U_FIX, V_FIX).apply):
+            with pytest.raises(AdmissibilityError, match="^w has a squared norm"):
+                apply(w)
+            assert np.linalg.norm(apply(1e-150 * w)) == pytest.approx(1e150, rel=1e-15)
 
     def test_closed_form_matches_definitional_fixture(self):
         w = np.array([0.1, 0.2, 0.3])
@@ -482,6 +499,33 @@ class TestBetaVector:
         assert not BetaVector([0.1, 0.0, 0.0]).is_zero
 
 
+# Scalar arguments that are not real numbers: each raises AdmissibilityError.
+NOT_REAL = {
+    "gamma_of_speed-str": lambda: gk.gamma_of_speed("x"),
+    "gamma_of_speed-complex": lambda: gk.gamma_of_speed(0.1j),
+    "gamma_of_speed-huge-int": lambda: gk.gamma_of_speed(10 ** 400),
+    "speed_of_gamma-str": lambda: gk.speed_of_gamma("x"),
+    "scalar_mul-complex": lambda: gk.scalar_mul(1j, U_FIX),
+    "gyroline_point-str": lambda: gk.gyroline_point(U_FIX, V_FIX, "x"),
+    "classical-str": lambda: gk.classical_aberration("x", 0.1, 1),
+    "relativistic-complex": lambda: gk.relativistic_aberration(1.0, 0.1j, 1),
+    "scene-complex": lambda: gk.aberration_scene(0.5j, 0.1, 1.0),
+    "sides-str": lambda: gk.triangle_from_sides("a", 0.3, 0.3),
+    "c_value-str": lambda: gk.parse_particles("1,0.1", c_value="x"),
+}
+
+# Batches, or a fractional count, where one whole value is due: each raises
+# DimensionError.
+NOT_SCALAR = {
+    "sss-one-batch": lambda: gk.sss_to_aaa(np.array([1.1, 1.2]), 1.2, 1.3),
+    "sss-all-batches": lambda: gk.sss_to_aaa(*np.full((3, 2), 1.2)),
+    "aaa-batch": lambda: gk.aaa_to_sss(np.array([0.1, 0.2]), 0.3, 0.4),
+    "sides-batch": lambda: gk.triangle_from_sides(np.array([0.3, 0.4]), 0.3, 0.3),
+    "scene-batch": lambda: gk.aberration_scene(np.array([0.1, 0.2]), 0.3, 0.4),
+    "sweep-fractional-rows": lambda: gk.aberration_sweep(0.3, 0.5, 2.7),
+}
+
+
 def _failing(*args, **kwargs):
     raise AssertionError("kernel of the other route was called")
 
@@ -513,3 +557,12 @@ class TestValidationBoundary:
         assert count(triangle_from_vertices, U_FIX, V_FIX, np.zeros(3)) == 3
         assert count(decompose, system) == 0
         assert count(Gyration(U_FIX, V_FIX).inverse) == 0
+
+    @pytest.mark.parametrize("call, error", [
+        pytest.param(call, error, id=name)
+        for cases, error in [(NOT_REAL, AdmissibilityError),
+                             (NOT_SCALAR, DimensionError)]
+        for name, call in cases.items()])
+    def test_scalar_arguments_raise_gyrokin_errors(self, call, error):
+        with pytest.raises(error):
+            call()

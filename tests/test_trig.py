@@ -248,6 +248,11 @@ class TestAaaToSss:
         assert lhs == pytest.approx(rhs, rel=1e-12)
         assert ga == pytest.approx(math.sqrt(rhs), rel=1e-12)
 
+    def test_tiny_angles_rejected(self):
+        # sin(1e-200)^2 underflows to 0, so gamma_c would divide by zero.
+        with pytest.raises(NoSuchTriangle):
+            aaa_to_sss(1e-200, 1e-200, 1.0)
+
     def test_out_of_range_angles_rejected(self):
         with pytest.raises(NoSuchTriangle):
             aaa_to_sss(0.0, 0.5, 0.5)
@@ -276,6 +281,16 @@ class TestTriangleConstructors:
             triangle_from_sides(0.5, 0.5, 1.2)
         with pytest.raises(InvalidTriangle):
             triangle_from_sides(0.9, 0.01, 0.01)
+
+    @pytest.mark.parametrize("small", [1e-160, 1e-100, 1e-10])
+    def test_from_angles_rejects_a_side_at_one(self, small):
+        # gamma_c overflows, its square overflows, or its side rounds to 1.
+        with pytest.raises(NoSuchTriangle):
+            triangle_from_angles(small, small, 0.5)
+
+    def test_from_angles_small_but_solvable(self):
+        tri = triangle_from_angles(1e-3, 1e-3, 0.5)
+        assert 0.0 < tri.side_a < 1.0 and 0.0 < tri.side_c < 1.0
 
     def test_from_angles_sides(self):
         tri = triangle_from_angles(ACUTE_FIX, ACUTE_FIX, math.pi / 2.0)
