@@ -35,12 +35,14 @@ SIN_TOL = 1e-14
 
 
 def _check_angle(theta, name):
+    """theta as a float array, and its sine, for an angle strictly inside (0, pi)."""
     theta = _real_array(theta, name)
     if not np.all((theta > 0.0) & (theta < math.pi)):
         raise AngleDegenerate(f"{name} must lie strictly between 0 and pi")
-    if np.any(np.sin(theta) < SIN_TOL):
+    sin = np.sin(theta)
+    if np.any(sin < SIN_TOL):
         raise AngleDegenerate(f"sin({name}) vanishes; formulas degenerate")
-    return theta
+    return theta, sin
 
 
 def _check_speed(s, name, *, allow_light=False):
@@ -62,18 +64,18 @@ def _check_positive(p, name):
 
 def classical_aberration(theta_s, v, p_s):
     """theta_e from cot(theta_e) = cot(theta_s) + v/(p_s sin(theta_s))."""
-    theta_s = _check_angle(theta_s, "theta_s")
+    theta_s, sin_s = _check_angle(theta_s, "theta_s")
     v = _check_speed(v, "v", allow_light=True)
     p_s = _check_positive(p_s, "p_s")
-    return np.arctan2(p_s * np.sin(theta_s), p_s * np.cos(theta_s) + v)
+    return np.arctan2(p_s * sin_s, p_s * np.cos(theta_s) + v)
 
 
 def classical_aberration_inv(theta_e, v, p_e):
     """theta_s from cot(theta_s) = cot(theta_e) - v/(p_e sin(theta_e))."""
-    theta_e = _check_angle(theta_e, "theta_e")
+    theta_e, sin_e = _check_angle(theta_e, "theta_e")
     v = _check_speed(v, "v", allow_light=True)
     p_e = _check_positive(p_e, "p_e")
-    return np.arctan2(p_e * np.sin(theta_e), p_e * np.cos(theta_e) - v)
+    return np.arctan2(p_e * sin_e, p_e * np.cos(theta_e) - v)
 
 
 def relativistic_aberration(theta_s, v, p_s):
@@ -82,24 +84,24 @@ def relativistic_aberration(theta_s, v, p_s):
     Speeds of exactly 1 are admitted for photons; then the formula is the
     stellar aberration formula.
     """
-    theta_s = _check_angle(theta_s, "theta_s")
+    theta_s, sin_s = _check_angle(theta_s, "theta_s")
     v = _check_speed(v, "v")
     p_s = _check_speed(p_s, "p_s", allow_light=True)
     if not np.all(p_s > 0.0):
         raise AdmissibilityError("p_s must be positive")
     gv = gamma_of_speed(v)
-    return np.arctan2(p_s * np.sin(theta_s), gv * (p_s * np.cos(theta_s) + v))
+    return np.arctan2(p_s * sin_s, gv * (p_s * np.cos(theta_s) + v))
 
 
 def relativistic_aberration_inv(theta_e, v, p_e):
     """theta_s from cot(theta_s) = gamma_v (cot(theta_e) - v/(p_e sin(theta_e)))."""
-    theta_e = _check_angle(theta_e, "theta_e")
+    theta_e, sin_e = _check_angle(theta_e, "theta_e")
     v = _check_speed(v, "v")
     p_e = _check_speed(p_e, "p_e", allow_light=True)
     if not np.all(p_e > 0.0):
         raise AdmissibilityError("p_e must be positive")
     gv = gamma_of_speed(v)
-    return np.arctan2(p_e * np.sin(theta_e), gv * (p_e * np.cos(theta_e) - v))
+    return np.arctan2(p_e * sin_e, gv * (p_e * np.cos(theta_e) - v))
 
 
 def stellar_aberration(theta_s, v):
@@ -117,9 +119,9 @@ def stellar_aberration_inv(theta_e, v):
 
 def classical_matched_p_e(theta_s, theta_e, p_s):
     """p_e consistent with the law of sines p_s/sin(theta_e) = p_e/sin(theta_s)."""
-    theta_s = _check_angle(theta_s, "theta_s")
-    theta_e = _check_angle(theta_e, "theta_e")
-    return _check_positive(p_s, "p_s") * np.sin(theta_s) / np.sin(theta_e)
+    sin_s = _check_angle(theta_s, "theta_s")[1]
+    sin_e = _check_angle(theta_e, "theta_e")[1]
+    return _check_positive(p_s, "p_s") * sin_s / sin_e
 
 
 def relativistic_matched_p_e(theta_s, theta_e, p_s):
@@ -128,10 +130,10 @@ def relativistic_matched_p_e(theta_s, theta_e, p_s):
     gamma_{p_s} p_s / sin(theta_e) = gamma_{p_e} p_e / sin(theta_s); the
     momentum-like product gamma*p determines the speed uniquely.
     """
-    theta_s = _check_angle(theta_s, "theta_s")
-    theta_e = _check_angle(theta_e, "theta_e")
+    sin_s = _check_angle(theta_s, "theta_s")[1]
+    sin_e = _check_angle(theta_e, "theta_e")[1]
     p_s = _check_speed(p_s, "p_s")
-    x = gamma_of_speed(p_s) * p_s * np.sin(theta_s) / np.sin(theta_e)
+    x = gamma_of_speed(p_s) * p_s * sin_s / sin_e
     return x / np.sqrt(1.0 + x * x)
 
 

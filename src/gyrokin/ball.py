@@ -27,16 +27,40 @@ MAX_NORM = float(np.sqrt(1.0 - BALL_MARGIN))
 # zeros, so that -0.0 and denormal dust compare equal to the identity.
 ZERO_EPS = 1e-300
 
+# numpy's float sum adds fewer terms than this one by one, in order, from +0.0;
+# from here on it sums pairwise.
+_IN_ORDER_TERMS = 8
+
+
+def _sum_last(p):
+    """np.sum(p, axis=-1), bit for bit.
+
+    A batch of short float64 rows is summed component by component, in
+    numpy's order but without its slow reduction over a short axis; anything
+    else goes to np.add.reduce, which np.sum wraps.
+    """
+    n = p.shape[-1] if p.ndim > 1 else 0
+    if 0 < n < _IN_ORDER_TERMS and p.dtype == np.float64:
+        acc = p[..., 0] + 0.0
+        for i in range(1, n):
+            acc += p[..., i]
+        return acc
+    return np.add.reduce(p, -1)
+
 
 def dot(u, v):
-    """Inner product over the last axis."""
-    return np.sum(np.asarray(u) * np.asarray(v), axis=-1)
+    """Inner product over the last axis.
+
+    Summed in the order np.sum(u * v, axis=-1) uses, so the bits are the
+    same; norm_sq makes the same promise.
+    """
+    return _sum_last(np.asarray(u) * np.asarray(v))
 
 
 def norm_sq(v):
     """Squared Euclidean norm over the last axis."""
     v = np.asarray(v)
-    return np.sum(v * v, axis=-1)
+    return _sum_last(v * v)
 
 
 def norm(v):
@@ -85,6 +109,21 @@ def _real_scalars(values, names) -> list:
     return arr.tolist()
 
 
+def _checked_norm_sq(arr):
+    """norm_sq(arr) of an input being validated: inf, not a warning, on overflow.
+
+    One short vector is summed in Python floats, which overflow silently, in
+    norm_sq's order; that skips the cost of np.errstate.
+    """
+    if arr.ndim == 1 and arr.shape[0] < _IN_ORDER_TERMS:
+        n2 = 0.0
+        for x in arr.tolist():
+            n2 += x * x
+        return n2
+    with np.errstate(over="ignore"):
+        return norm_sq(arr)
+
+
 def as_velocity(v, *, name: str = "velocity") -> np.ndarray:
     """Coerce to a float array of shape (..., n) and enforce admissibility.
 
@@ -98,7 +137,7 @@ def as_velocity(v, *, name: str = "velocity") -> np.ndarray:
         ``1 - BALL_MARGIN``.
     """
     arr = _as_real(v, name)
-    n2 = norm_sq(arr)
+    n2 = _checked_norm_sq(arr)
     # "not <=" instead of ">" so NaN in n2 can never sneak through; a NaN or
     # infinite component always lands here, so finiteness is tested only now.
     if not np.all(n2 <= 1.0 - BALL_MARGIN):
@@ -115,8 +154,7 @@ def as_velocity(v, *, name: str = "velocity") -> np.ndarray:
 def as_ambient(w, *, name: str = "vector") -> np.ndarray:
     """A float array of shape (..., n) whose |w|^2 is finite; no ball constraint."""
     arr = _as_real(w, name)
-    with np.errstate(over="ignore"):
-        n2 = norm_sq(arr)
+    n2 = _checked_norm_sq(arr)
     # A NaN or infinite component makes n2 non-finite too.
     if not np.all(np.isfinite(n2)):
         if not np.all(np.isfinite(arr)):

@@ -35,11 +35,16 @@ def gamma_of_speed(s) -> np.ndarray:
 
 
 def speed_of_gamma(g) -> np.ndarray:
-    """Speed in [0, 1) of a finite gamma factor >= 1: sqrt(g^2 - 1)/g."""
+    """Speed in [0, 1] of a finite gamma factor >= 1: sqrt(g^2 - 1)/g.
+
+    Evaluated as sqrt((g - 1)/g * (g + 1)/g), which cannot overflow and has
+    a relative error below machine epsilon; a speed that rounds up to 1 is
+    returned as 1.0.
+    """
     g = _real_array(g, "gamma factor")
     if not np.all((g >= 1.0) & (g < np.inf)):
         raise AdmissibilityError("gamma factor must be finite and >= 1")
-    return np.sqrt(g * g - 1.0) / g
+    return np.sqrt((g - 1.0) / g * ((g + 1.0) / g))
 
 
 def _add(u, v) -> np.ndarray:
@@ -47,7 +52,10 @@ def _add(u, v) -> np.ndarray:
     uv = dot(u, v)
     gu = _gamma(u)
     coef_u = 1.0 + (gu / (1.0 + gu)) * uv
-    return (coef_u[..., None] * u + (1.0 / gu)[..., None] * v) / (1.0 + uv)[..., None]
+    out = coef_u[..., None] * u
+    out += (1.0 / gu)[..., None] * v
+    out /= (1.0 + uv)[..., None]
+    return out
 
 
 def einstein_add(u, v) -> np.ndarray:
@@ -114,7 +122,11 @@ def _gyr_coeffs(u, v, w):
 def _gyrate(u, v, w) -> np.ndarray:
     """Closed-form gyr[u, v]w on trusted arrays."""
     a, b, d = _gyr_coeffs(u, v, w)
-    return w + (a[..., None] * u + b[..., None] * v) / d[..., None]
+    out = a[..., None] * u
+    out += b[..., None] * v
+    out /= d[..., None]
+    out += w
+    return out
 
 
 def gyrate(u, v, w) -> np.ndarray:
@@ -146,13 +158,18 @@ def _midpoint(u, v) -> np.ndarray:
     """Gamma-weighted mean (gamma_u u + gamma_v v)/(gamma_u + gamma_v)."""
     gu = _gamma(u)
     gv = _gamma(v)
-    return (gu[..., None] * u + gv[..., None] * v) / (gu + gv)[..., None]
+    out = gu[..., None] * u
+    # out has u's shape, which holds the sum only when v's shape is the same.
+    out = np.add(out, gv[..., None] * v, out=out if u.shape == v.shape else None)
+    out /= (gu + gv)[..., None]
+    return out
 
 
 def _coadd(u, v) -> np.ndarray:
     """Coaddition 2 (x) midpoint(u, v) on trusted arrays."""
     m = _midpoint(u, v)
-    return (2.0 / (1.0 + norm_sq(m)))[..., None] * m
+    m *= (2.0 / (1.0 + norm_sq(m)))[..., None]
+    return m
 
 
 def coadd(u, v) -> np.ndarray:

@@ -232,8 +232,7 @@ def triangle_from_angles(alpha: float, beta: float, gamma: float
     Angles so small that a side rounds to 1 raise NoSuchTriangle.
     """
     ga, gb, gc = aaa_to_sss(alpha, beta, gamma)
-    with np.errstate(over="ignore"):  # g^2 overflows past 1e154: the side is inf
-        sides = speed_of_gamma([ga, gb, gc]).tolist()
+    sides = speed_of_gamma([ga, gb, gc]).tolist()
     if not all(s < 1.0 for s in sides):
         raise NoSuchTriangle("gyroangles so small that a side reaches 1")
     return Gyrotriangle(

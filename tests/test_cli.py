@@ -2,12 +2,16 @@
 
 import json
 import math
+import os
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import gyrokin
 from gyrokin import einstein_add, gyrodistance, stellar_aberration
 from gyrokin.cli import cli, main
 
@@ -179,6 +183,20 @@ class TestExitCodes:
                            "--w", "1e300,0,0", "--format", fmt)
         assert (rc, out) == (2, "")
         assert err == "error: AdmissibilityError: w has a squared norm that overflows\n"
+
+    def test_overflowing_velocity_exits_two_without_warning(self, capsys):
+        # Finite components whose |u|^2 overflows; the filter turns a warning
+        # into an error here, and a fresh process must print none either.
+        rc, out, err = run(capsys, "add", "--u", "1e300,0,0", "--v", "0,0,0")
+        assert (rc, out) == (2, "")
+        assert err.startswith("error: AdmissibilityError: u has norm inf outside")
+        proc = subprocess.run(
+            [sys.executable, "-W", "default", "-c", "from gyrokin.cli import entry; entry()",
+             "add", "--u", "1e300,0,0", "--v", "0,0,0"],
+            capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": str(Path(gyrokin.__file__).parents[1])},
+        )
+        assert (proc.returncode, proc.stderr) == (2, err)
 
     def test_parse_error_exits_one(self, capsys):
         rc, _, err = run(capsys, "add", "--u", "bogus", "--v", "0,0,0")

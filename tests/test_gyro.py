@@ -86,6 +86,33 @@ class TestGamma:
             with pytest.raises(AdmissibilityError):
                 speed_of_gamma(g)
 
+    def test_speed_of_gamma_past_square_overflow(self):
+        # g*g overflows past about 1.34e154; the speed rounds to 1 there.
+        assert speed_of_gamma([1e200, np.finfo(float).max]).tolist() == [1.0, 1.0]
+
+    def test_speed_of_gamma_against_mpmath(self):
+        mpmath = pytest.importorskip("mpmath")
+        g = np.unique(np.concatenate([1.0 + np.geomspace(1e-16, 1.0, 400),
+                                      np.geomspace(2.0, 1e300, 400)]))
+        with mpmath.workdps(50):
+            exact = [mpmath.sqrt(1 - 1 / mpmath.mpf(x) ** 2) for x in g]
+
+            def rel_err(s):
+                return np.array([float(abs(mpmath.mpf(a) / e - 1)) if e else abs(a)
+                                 for a, e in zip(s.tolist(), exact)])
+
+            err = rel_err(speed_of_gamma(g))
+            with np.errstate(over="ignore"):
+                square_form = np.sqrt(g * g - 1.0) / g
+            finite = np.isfinite(square_form)
+            err_square = rel_err(np.where(finite, square_form, 0.0))
+        eps = np.finfo(float).eps
+        assert err.max() <= eps
+        # No worse than sqrt(g^2 - 1)/g wherever that is finite, up to one
+        # rounding; near g = 1 it was off by up to 2.6e-9.
+        assert np.all(err[finite] <= np.maximum(err_square[finite], eps))
+        assert err[finite].max() <= err_square[finite].max()
+
 
 class TestEinsteinAdd:
     def test_left_identity(self, rng):
@@ -431,6 +458,27 @@ class TestAddSpeeds:
     @settings(max_examples=200)
     def test_stays_in_unit_interval(self, x, y):
         assert 0.0 <= float(add_speeds(x, y)) < 1.0
+
+
+BINARY_OPS = [einstein_add, einstein_sub, cosub, coadd, gyromidpoint,
+              lambda u, v: gyrate(u, v, 2.0 * v)]
+
+
+class TestBroadcast:
+    """Broadcast operands give, row for row, the bits of single-vector calls."""
+
+    @pytest.mark.parametrize("op", BINARY_OPS)
+    @pytest.mark.parametrize("shapes", [((4, 1, 3), (5, 3)), ((3,), (6, 3)),
+                                        ((6, 3), (3,)), ((5, 3), (5, 3))])
+    def test_rows_match_single_calls(self, rng, op, shapes):
+        su, sv = shapes
+        u = ball_points(rng, math.prod(su[:-1]), 3, max_norm=0.99).reshape(su)
+        v = ball_points(rng, math.prod(sv[:-1]), 3, max_norm=0.99).reshape(sv)
+        out = op(u, v)
+        ub, vb = np.broadcast_arrays(u, v)
+        assert out.shape == ub.shape
+        rows = [op(a, b) for a, b in zip(ub.reshape(-1, 3), vb.reshape(-1, 3))]
+        assert np.array_equal(out.reshape(-1, 3), np.array(rows))
 
 
 class TestHypothesisLaws:

@@ -284,7 +284,7 @@ class TestTriangleConstructors:
 
     @pytest.mark.parametrize("small", [1e-160, 1e-100, 1e-10])
     def test_from_angles_rejects_a_side_at_one(self, small):
-        # gamma_c overflows, its square overflows, or its side rounds to 1.
+        # gamma_c overflows, or it is finite and its side rounds to 1.
         with pytest.raises(NoSuchTriangle):
             triangle_from_angles(small, small, 0.5)
 
