@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ball import _real_array, _real_scalars, as_velocity
+from .ball import _every, _real_array, _real_scalars, as_velocity
 from .errors import AdmissibilityError, AngleDegenerate, DimensionError
 from .gyro import _add, gamma_of_speed
 from .trig import _gyroangle
@@ -37,10 +37,10 @@ SIN_TOL = 1e-14
 def _check_angle(theta, name):
     """theta as a float array, and its sine, for an angle strictly inside (0, pi)."""
     theta = _real_array(theta, name)
-    if not np.all((theta > 0.0) & (theta < math.pi)):
+    if not _every((theta > 0.0) & (theta < math.pi)):
         raise AngleDegenerate(f"{name} must lie strictly between 0 and pi")
     sin = np.sin(theta)
-    if np.any(sin < SIN_TOL):
+    if not _every(sin >= SIN_TOL):
         raise AngleDegenerate(f"sin({name}) vanishes; formulas degenerate")
     return theta, sin
 
@@ -48,7 +48,7 @@ def _check_angle(theta, name):
 def _check_speed(s, name, *, allow_light=False):
     s = _real_array(s, name)
     top = 1.0 if allow_light else np.nextafter(1.0, 0.0)
-    if not np.all((s >= 0.0) & (s <= top) & np.isfinite(s)):
+    if not _every((s >= 0.0) & (s <= top) & np.isfinite(s)):
         limit = "[0, 1]" if allow_light else "[0, 1)"
         raise AdmissibilityError(f"{name} must lie in {limit}")
     return s
@@ -57,7 +57,7 @@ def _check_speed(s, name, *, allow_light=False):
 def _check_positive(p, name):
     """A classical particle speed: any positive finite value."""
     p = _real_array(p, name)
-    if not np.all((p > 0.0) & np.isfinite(p)):
+    if not _every((p > 0.0) & np.isfinite(p)):
         raise AdmissibilityError(f"{name} must be positive and finite")
     return p
 
@@ -87,7 +87,7 @@ def relativistic_aberration(theta_s, v, p_s):
     theta_s, sin_s = _check_angle(theta_s, "theta_s")
     v = _check_speed(v, "v")
     p_s = _check_speed(p_s, "p_s", allow_light=True)
-    if not np.all(p_s > 0.0):
+    if not _every(p_s > 0.0):
         raise AdmissibilityError("p_s must be positive")
     gv = gamma_of_speed(v)
     return np.arctan2(p_s * sin_s, gv * (p_s * np.cos(theta_s) + v))
@@ -98,7 +98,7 @@ def relativistic_aberration_inv(theta_e, v, p_e):
     theta_e, sin_e = _check_angle(theta_e, "theta_e")
     v = _check_speed(v, "v")
     p_e = _check_speed(p_e, "p_e", allow_light=True)
-    if not np.all(p_e > 0.0):
+    if not _every(p_e > 0.0):
         raise AdmissibilityError("p_e must be positive")
     gv = gamma_of_speed(v)
     return np.arctan2(p_e * sin_e, gv * (p_e * np.cos(theta_e) - v))

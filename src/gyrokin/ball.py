@@ -5,16 +5,19 @@ the open unit ball of R^n.  Physical units are handled only at I/O boundaries;
 nothing below this layer ever multiplies by c.
 
 Array-level functions operate on the last axis, so shapes ``(..., n)``
-broadcast like any other numpy operation.
+broadcast like any other numpy operation.  Batches longer than ``_BLOCK``
+rows are evaluated in row blocks, so that each kernel's temporaries stay in
+cache; every row still gets the bits of a single-vector call.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AdmissibilityError, DimensionError
+from .errors import AdmissibilityError, DimensionError, GyrokinError
 
 # Constructors reject squared norms above 1 - BALL_MARGIN: gamma factors blow
 # up and the algebraic laws lose their precision headroom without a hard edge.
@@ -26,6 +29,10 @@ MAX_NORM = float(np.sqrt(1.0 - BALL_MARGIN))
 # Vectors whose components are all below this magnitude are treated as exact
 # zeros, so that -0.0 and denormal dust compare equal to the identity.
 ZERO_EPS = 1e-300
+
+# Batches with more rows than this are evaluated this many rows at a time: the
+# temporaries of a block (192 kB for each (rows, 3) array) then stay in cache.
+_BLOCK = 8192
 
 # numpy's float sum adds fewer terms than this one by one, in order, from +0.0;
 # from here on it sums pairwise.
@@ -109,11 +116,42 @@ def _real_scalars(values, names) -> list:
     return arr.tolist()
 
 
-def _checked_norm_sq(arr):
-    """norm_sq(arr) of an input being validated: inf, not a warning, on overflow.
+def _every(mask) -> bool:
+    """Whether a comparison holds everywhere; bool() reads a 0-d result fastest."""
+    return bool(mask.all() if mask.ndim else mask)
 
-    One short vector is summed in Python floats, which overflow silently, in
-    norm_sq's order; that skips the cost of np.errstate.
+
+def _by_rows(fn, *arrays):
+    """fn(*arrays), evaluated in blocks of _BLOCK rows when the batch is longer.
+
+    ``fn`` is a trusted kernel that works row by row, so every block gets the
+    bits a single call would give.  The blocks run along the leading axis of
+    the operands' broadcast shape; an operand without that axis takes part
+    whole in every block.  If a block raises a GyrokinError, ``fn`` runs
+    once more on the whole operands, so the error describes the whole batch.
+    """
+    nd = max([a.ndim for a in arrays])
+    k = max([a.shape[0] for a in arrays if a.ndim == nd]) if nd > 1 else 0
+    if k <= _BLOCK:
+        return fn(*arrays)
+    rows = [a.ndim == nd and a.shape[0] == k for a in arrays]
+    try:
+        for lo in range(0, k, _BLOCK):
+            part = fn(*[a[lo:lo + _BLOCK] if r else a for a, r in zip(arrays, rows)])
+            if lo == 0:
+                out = np.empty((k,) + part.shape[1:], part.dtype)
+            out[lo:lo + _BLOCK] = part
+    except GyrokinError:
+        return fn(*arrays)
+    return out
+
+
+def _largest_norm_sq(arr) -> float:
+    """The largest squared norm of an input being validated.
+
+    inf, not a warning, on overflow, and NaN if any row is NaN.  One short
+    vector is summed in Python floats, which overflow silently, in norm_sq's
+    order; that skips the cost of np.errstate.
     """
     if arr.ndim == 1 and arr.shape[0] < _IN_ORDER_TERMS:
         n2 = 0.0
@@ -121,7 +159,25 @@ def _checked_norm_sq(arr):
             n2 += x * x
         return n2
     with np.errstate(over="ignore"):
-        return norm_sq(arr)
+        return float(_by_rows(norm_sq, arr).max(initial=0.0))
+
+
+def _admissible(arr, name: str) -> np.ndarray:
+    """``arr``, a float array of shape (..., n), if every row is admissible.
+
+    The check of as_velocity, for arrays that are already float arrays.
+    """
+    n2 = _largest_norm_sq(arr)
+    # "not <=" instead of ">" so NaN in n2 can never sneak through; a NaN or
+    # infinite component always lands here, so finiteness is tested only now.
+    if not n2 <= 1.0 - BALL_MARGIN:
+        if not _every(np.isfinite(arr)):
+            raise AdmissibilityError(f"{name} has non-finite components")
+        raise AdmissibilityError(
+            f"{name} has norm {math.sqrt(n2):.17g} outside the admissible ball "
+            f"(limit {MAX_NORM:.17g})"
+        )
+    return arr
 
 
 def as_velocity(v, *, name: str = "velocity") -> np.ndarray:
@@ -136,28 +192,15 @@ def as_velocity(v, *, name: str = "velocity") -> np.ndarray:
         any entry is non-finite, or if any squared norm exceeds
         ``1 - BALL_MARGIN``.
     """
-    arr = _as_real(v, name)
-    n2 = _checked_norm_sq(arr)
-    # "not <=" instead of ">" so NaN in n2 can never sneak through; a NaN or
-    # infinite component always lands here, so finiteness is tested only now.
-    if not np.all(n2 <= 1.0 - BALL_MARGIN):
-        if not np.all(np.isfinite(arr)):
-            raise AdmissibilityError(f"{name} has non-finite components")
-        worst = float(np.sqrt(np.max(n2)))
-        raise AdmissibilityError(
-            f"{name} has norm {worst:.17g} outside the admissible ball "
-            f"(limit {MAX_NORM:.17g})"
-        )
-    return arr
+    return _admissible(_as_real(v, name), name)
 
 
 def as_ambient(w, *, name: str = "vector") -> np.ndarray:
     """A float array of shape (..., n) whose |w|^2 is finite; no ball constraint."""
     arr = _as_real(w, name)
-    n2 = _checked_norm_sq(arr)
-    # A NaN or infinite component makes n2 non-finite too.
-    if not np.all(np.isfinite(n2)):
-        if not np.all(np.isfinite(arr)):
+    # A NaN or infinite component makes the largest squared norm non-finite too.
+    if not _largest_norm_sq(arr) < math.inf:
+        if not _every(np.isfinite(arr)):
             raise AdmissibilityError(f"{name} has non-finite components")
         raise AdmissibilityError(f"{name} has a squared norm that overflows")
     return arr

@@ -13,8 +13,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .ball import (_gamma, _real_array, as_ambient, as_velocity, dot, norm, norm_sq,
-                   operands, same_shape)
+from .ball import (_admissible, _by_rows, _every, _gamma, _real_array, as_ambient,
+                   as_velocity, dot, norm, norm_sq, operands, same_shape)
 from .errors import AdmissibilityError, DimensionError
 
 
@@ -23,13 +23,13 @@ def gamma(v) -> np.ndarray:
 
     Satisfies (gamma^2 - 1)/gamma^2 = |v|^2 to machine precision.
     """
-    return _gamma(as_velocity(v, name="v"))
+    return _by_rows(_gamma, as_velocity(v, name="v"))
 
 
 def gamma_of_speed(s) -> np.ndarray:
     """Gamma factor of a scalar speed in [0, 1)."""
     s = _real_array(s, "speed")
-    if not np.all((s >= 0.0) & (s < 1.0)):
+    if not _every((s >= 0.0) & (s < 1.0)):
         raise AdmissibilityError("speed must lie in [0, 1)")
     return 1.0 / np.sqrt((1.0 - s) * (1.0 + s))
 
@@ -42,7 +42,7 @@ def speed_of_gamma(g) -> np.ndarray:
     returned as 1.0.
     """
     g = _real_array(g, "gamma factor")
-    if not np.all((g >= 1.0) & (g < np.inf)):
+    if not _every((g >= 1.0) & (g < np.inf)):
         raise AdmissibilityError("gamma factor must be finite and >= 1")
     return np.sqrt((g - 1.0) / g * ((g + 1.0) / g))
 
@@ -70,13 +70,20 @@ def einstein_add(u, v) -> np.ndarray:
     holds for every pair, and for parallel arguments the formula collapses
     to (u + v)/(1 + |u||v|).
     """
-    return _add(*operands((u, v), ("u", "v")))
+    return _by_rows(_add, *operands((u, v), ("u", "v")))
+
+
+def _sub(u, v) -> np.ndarray:
+    return _add(u, -v)
 
 
 def einstein_sub(u, v) -> np.ndarray:
     """u (-) v = u (+) (-v)."""
-    u, v = operands((u, v), ("u", "v"))
-    return _add(u, -v)
+    return _by_rows(_sub, *operands((u, v), ("u", "v")))
+
+
+def _left_sub(a, b) -> np.ndarray:
+    return _add(-a, b)
 
 
 def left_sub(a, b) -> np.ndarray:
@@ -86,8 +93,7 @@ def left_sub(a, b) -> np.ndarray:
     addition is noncommutative (their norms agree, so either form gives the
     gyrodistance).
     """
-    a, b = operands((a, b), ("u", "v"))
-    return _add(-a, b)
+    return _by_rows(_left_sub, *operands((a, b), ("u", "v")))
 
 
 def add_speeds(x, y):
@@ -135,7 +141,13 @@ def gyrate(u, v, w) -> np.ndarray:
     ``u`` and ``v`` must be admissible; ``w`` may be any ambient vector, since
     the closed form extends gyrations to linear maps of the whole space.
     """
-    return _gyrate(*operands((u, v, w), ("u", "v", "w"), ambient_last=True))
+    return _by_rows(_gyrate, *operands((u, v, w), ("u", "v", "w"), ambient_last=True))
+
+
+def _gyrate_definitional(u, v, w) -> np.ndarray:
+    vw = _admissible(_add(v, w), "v")
+    uvw = _admissible(_add(u, vw), "v")
+    return _add(_admissible(-_add(u, v), "u"), uvw)
 
 
 def gyrate_definitional(u, v, w) -> np.ndarray:
@@ -148,10 +160,7 @@ def gyrate_definitional(u, v, w) -> np.ndarray:
     other.  The intermediate sums are checked too: near c they can leave
     the ball.
     """
-    u, v, w = operands((u, v, w), ("u", "v", "w"))
-    vw = as_velocity(_add(v, w), name="v")
-    uvw = as_velocity(_add(u, vw), name="v")
-    return _add(as_velocity(-_add(u, v), name="u"), uvw)
+    return _by_rows(_gyrate_definitional, *operands((u, v, w), ("u", "v", "w")))
 
 
 def _midpoint(u, v) -> np.ndarray:
@@ -180,7 +189,11 @@ def coadd(u, v) -> np.ndarray:
     exact identity 2 (x) m = 2m/(1 + |m|^2).  The floating-point result is
     symmetric in u and v bit for bit.
     """
-    return _coadd(*operands((u, v), ("u", "v")))
+    return _by_rows(_coadd, *operands((u, v), ("u", "v")))
+
+
+def _coadd_via_gyration(u, v) -> np.ndarray:
+    return _add(u, _admissible(_gyrate(u, -v, v), "v"))
 
 
 def coadd_via_gyration(u, v) -> np.ndarray:
@@ -189,8 +202,11 @@ def coadd_via_gyration(u, v) -> np.ndarray:
     Kept separate from :func:`coadd` as an independent route for
     cross-checking.
     """
-    u, v = operands((u, v), ("u", "v"))
-    return _add(u, as_velocity(_gyrate(u, -v, v), name="v"))
+    return _by_rows(_coadd_via_gyration, *operands((u, v), ("u", "v")))
+
+
+def _cosub(u, v) -> np.ndarray:
+    return _add(u, _admissible(-_gyrate(u, v, v), "v"))
 
 
 def cosub(u, v) -> np.ndarray:
@@ -199,8 +215,7 @@ def cosub(u, v) -> np.ndarray:
     Solves the equation x (+) a = b as x = b [-] a and satisfies the right
     cancellation law (v (+) u) [-] u = v.
     """
-    u, v = operands((u, v), ("u", "v"))
-    return _add(u, as_velocity(-_gyrate(u, v, v), name="v"))
+    return _by_rows(_cosub, *operands((u, v), ("u", "v")))
 
 
 class Gyration:

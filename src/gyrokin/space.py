@@ -12,13 +12,22 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ball import (MAX_NORM, _real_array, as_velocity, dot, norm, norm_sq, operands,
-                   same_shape)
+from .ball import (MAX_NORM, _by_rows, _every, _real_array, as_velocity, dot, norm,
+                   norm_sq, operands, same_shape)
 from .errors import CollinearPoints, DimensionError, NonFinite
-from .gyro import _add, _coadd, _midpoint, left_sub
+from .gyro import _add, _coadd, _left_sub, _midpoint
 
 # Ambient triangle areas below this mark a triple as gyrocollinear.
 COLLINEAR_AREA_TOL = 1e-12
+
+
+def _scalar_mul(r, v) -> np.ndarray:
+    """r (x) v on trusted arrays; r has a trailing axis of length 1."""
+    n = norm(v)
+    mag = np.tanh(r[..., 0] * np.arctanh(n))
+    mag = np.clip(mag, -MAX_NORM, MAX_NORM)
+    scale = np.divide(mag, n, out=np.zeros(np.broadcast(mag, n).shape), where=n > 0.0)
+    return scale[..., None] * v
 
 
 def scalar_mul(r, v) -> np.ndarray:
@@ -29,14 +38,15 @@ def scalar_mul(r, v) -> np.ndarray:
     the result is valid for every finite r.
     """
     r = _real_array(r, "scalar factor")
-    if not np.all(np.isfinite(r)):
+    if not _every(np.isfinite(r)):
         raise NonFinite("scalar factor must be finite")
-    v = as_velocity(v, name="v")
-    n = norm(v)
-    mag = np.tanh(r * np.arctanh(n))
-    mag = np.clip(mag, -MAX_NORM, MAX_NORM)
-    scale = np.divide(mag, n, out=np.zeros(np.broadcast(mag, n).shape), where=n > 0.0)
-    return scale[..., None] * v
+    r, v = r[..., None], as_velocity(v, name="v")
+    same_shape((r, v[..., :1]), ("scalar factor", "v"))
+    return _by_rows(_scalar_mul, r, v)
+
+
+def _distance(a, b) -> np.ndarray:
+    return norm(_left_sub(a, b))
 
 
 def gyrodistance(a, b) -> np.ndarray:
@@ -45,7 +55,7 @@ def gyrodistance(a, b) -> np.ndarray:
     Symmetric, zero exactly on coincident points, and gyroadditive along
     gyrosegments under the parallel speed composition.
     """
-    return norm(left_sub(a, b))
+    return _by_rows(_distance, *operands((a, b), ("u", "v")))
 
 
 def gyroline_point(a, b, t) -> np.ndarray:
@@ -68,7 +78,7 @@ def gyromidpoint(a, b) -> np.ndarray:
     the line-parameter and half-coaddition forms agree to rounding and are
     exercised by the test suite.
     """
-    return _midpoint(*operands((a, b), ("a", "b")))
+    return _by_rows(_midpoint, *operands((a, b), ("a", "b")))
 
 
 def triangle_area(a, b, c) -> np.ndarray:

@@ -1,9 +1,11 @@
 """Shared sampling helpers and hypothesis strategies for the test suite."""
 
+import math
+
 import numpy as np
 from hypothesis import strategies as st
 
-from gyrokin import gamma_rel_minus_1
+from gyrokin import GyrokinError, gamma_rel_minus_1
 
 
 def ball_points(rng, size, dim, max_norm=0.95, min_norm=0.0):
@@ -57,3 +59,54 @@ def pairwise_dark_sq(masses, velocities):
     rows = [np.sum(m[j] * m[j + 1:] * gamma_rel_minus_1(v[j], v[j + 1:]))
             for j in range(len(m) - 1)]
     return 2.0 * float(np.sum(rows))
+
+
+# A batch is cut into blocks of this many rows while tests compare blocked and
+# whole evaluation; the lengths below are one short of a block, one block,
+# one over and several blocks with a remainder.
+TEST_BLOCK = 4
+BLOCK_LENGTHS = [TEST_BLOCK - 1, TEST_BLOCK, TEST_BLOCK + 1, 3 * TEST_BLOCK + 5]
+
+# Operand shapes for a batch of k rows against m = 3 rows or one vector.
+LAYOUTS = {
+    "k1n-mn": lambda k: ((k, 1, 3), (3, 3)),
+    "n-kn": lambda k: ((3,), (k, 3)),
+    "kn-n": lambda k: ((k, 3), (3,)),
+    "kn-kn": lambda k: ((k, 3), (k, 3)),
+}
+
+
+def layout_operands(rng, layout, k):
+    """Two velocity arrays of the shapes LAYOUTS[layout](k).
+
+    The first two rows of a batch are a +0.0 and a -0.0 vector, so results
+    carry signed zeros.
+    """
+    out = []
+    for shape in LAYOUTS[layout](k):
+        rows = ball_points(rng, math.prod(shape[:-1]), 3, max_norm=0.99)
+        if len(rows) > 2:
+            rows[0], rows[1] = 0.0, -0.0
+        out.append(rows.reshape(shape))
+    return out
+
+
+def same_bits(a, b):
+    """One shape, one dtype and the same bytes: -0.0 differs from 0.0."""
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def in_blocks(monkeypatch, op, *args):
+    """op(*args) evaluated in blocks of TEST_BLOCK rows."""
+    with monkeypatch.context() as m:
+        m.setattr("gyrokin.ball._BLOCK", TEST_BLOCK)
+        return op(*args)
+
+
+def raised(op, *args):
+    """The class and message of the GyrokinError op(*args) raises, or None."""
+    try:
+        op(*args)
+    except GyrokinError as exc:
+        return type(exc), str(exc)
+    return None

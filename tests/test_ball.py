@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from gyrokin import AdmissibilityError, gamma
-from gyrokin.ball import as_velocity, dot, norm_sq
+from gyrokin.ball import as_ambient, as_velocity, dot, norm_sq
+from helpers import in_blocks, raised
 
 DIMS = range(1, 11)
 
@@ -85,3 +86,27 @@ class TestOverflowingVelocity:
     def test_non_finite_still_named(self):
         with pytest.raises(AdmissibilityError, match="non-finite"):
             as_velocity([np.inf, 0.0, 0.0], name="u")
+
+
+@pytest.mark.parametrize("bad, velocity, ambient", [
+    ({16: 1.5}, "norm 1.506", None),
+    ({0: 1.2, 16: 1.5}, "norm 1.506", None),
+    ({0: 1.5, 16: 1.2}, "norm 1.506", None),
+    ({3: np.nan, 16: 1.5}, "non-finite", "non-finite"),
+    ({16: 1e300}, "norm inf", "overflows"),
+    ({}, None, None),
+])
+def test_checked_in_blocks_as_a_whole(monkeypatch, bad, velocity, ambient):
+    """A long batch is checked block by block; an error names its worst row."""
+    v = np.full((17, 3), 0.1)
+    for row, x in bad.items():
+        v[row, 0] = x
+    for check, want in ((as_velocity, velocity), (as_ambient, ambient)):
+        got = in_blocks(monkeypatch, raised, check, v)
+        assert got == raised(check, v)
+        assert got is None if want is None else want in got[1]
+
+
+def test_empty_batch_is_admissible():
+    for check in (as_velocity, as_ambient):
+        assert check(np.zeros((0, 3))).shape == (0, 3)

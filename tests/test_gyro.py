@@ -27,12 +27,15 @@ from gyrokin import (
     gyrate,
     gyrate_definitional,
     gyromidpoint,
+    left_sub,
     speed_of_gamma,
     triangle_from_vertices,
     decompose,
 )
+from gyrokin.ball import BALL_MARGIN, MAX_NORM, norm_sq
 from gyrokin.gyro import _gyr_coeffs
-from helpers import ball_points, ball_vectors, max_abs
+from helpers import (BLOCK_LENGTHS, LAYOUTS, TEST_BLOCK, ball_points, ball_vectors,
+                     in_blocks, layout_operands, max_abs, raised, same_bits)
 
 U_FIX = np.array([0.6, 0.0, 0.0])
 V_FIX = np.array([0.0, 0.6, 0.0])
@@ -463,6 +466,11 @@ class TestAddSpeeds:
 BINARY_OPS = [einstein_add, einstein_sub, cosub, coadd, gyromidpoint,
               lambda u, v: gyrate(u, v, 2.0 * v)]
 
+# Every gyro operation that long batches evaluate in row blocks.
+BLOCKED_OPS = BINARY_OPS + [left_sub, coadd_via_gyration,
+                            lambda u, v: gyrate_definitional(u, v, -v),
+                            lambda u, v: gamma(u), lambda u, v: gamma(v)]
+
 
 class TestBroadcast:
     """Broadcast operands give, row for row, the bits of single-vector calls."""
@@ -479,6 +487,58 @@ class TestBroadcast:
         assert out.shape == ub.shape
         rows = [op(a, b) for a, b in zip(ub.reshape(-1, 3), vb.reshape(-1, 3))]
         assert np.array_equal(out.reshape(-1, 3), np.array(rows))
+
+    @pytest.mark.parametrize("op", BLOCKED_OPS)
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    @pytest.mark.parametrize("k", BLOCK_LENGTHS)
+    def test_blocks_give_the_bits_of_one_call(self, rng, monkeypatch, op, layout, k):
+        u, v = layout_operands(rng, layout, k)
+        assert same_bits(in_blocks(monkeypatch, op, u, v), op(u, v))
+
+    @pytest.mark.parametrize("bad", [[1.5, 0.0, 0.0], [0.5, np.nan, 0.0]])
+    @pytest.mark.parametrize("op", BLOCKED_OPS)
+    def test_bad_input_row_in_last_block(self, rng, monkeypatch, op, bad):
+        u = ball_points(rng, BLOCK_LENGTHS[-1], 3, max_norm=0.9)
+        v = ball_points(rng, BLOCK_LENGTHS[-1], 3, max_norm=0.9)
+        u[-1] = v[-1] = bad
+        whole = raised(op, u, v)
+        assert whole is not None
+        assert in_blocks(monkeypatch, raised, op, u, v) == whole
+
+    @pytest.mark.parametrize("op", [cosub, coadd_via_gyration,
+                                    lambda u, v: gyrate_definitional(u, v, -v)])
+    def test_intermediate_leaving_the_ball_in_late_blocks(self, rng, monkeypatch, op):
+        # Rows near c, a quarter of them at MAX_NORM, where an intermediate
+        # result can round or add its way out of the ball.
+        n = 400
+        u = ball_points(rng, n, 3, max_norm=1.0, min_norm=1.0)
+        v = ball_points(rng, n, 3, max_norm=1.0, min_norm=1.0)
+        u *= 1.0 - 10.0 ** rng.uniform(-12.0, -1.0, (n, 1))
+        v *= np.where(rng.uniform(size=(n, 1)) < 0.25, MAX_NORM,
+                      1.0 - 10.0 ** rng.uniform(-12.0, -1.0, (n, 1)))
+        keep = (norm_sq(u) <= 1.0 - BALL_MARGIN) & (norm_sq(v) <= 1.0 - BALL_MARGIN)
+        u, v = u[keep], v[keep]
+        alone = [raised(op, a, b) for a, b in zip(u, v)]
+        good = [i for i, e in enumerate(alone) if e is None]
+        bad = {e: i for i, e in enumerate(alone) if e is not None}
+        assert len(good) >= 15 and len(bad) >= 2
+        (_, i), (_, j) = list(bad.items())[:2]
+
+        def check(rows):
+            whole = raised(op, u[rows], v[rows])
+            assert whole is not None
+            assert in_blocks(monkeypatch, raised, op, u[rows], v[rows]) == whole
+            return whole
+
+        # Only the last block leaves the ball.
+        check(good[:15] + [i])
+        # The first and the last block do, the last one further: the first
+        # block's own error names a smaller norm than the whole batch's.
+        rows = [i] + good[:15] + [j]
+        if raised(op, u[rows], v[rows]) == alone[i]:
+            rows = [j] + good[:15] + [i]
+        whole = check(rows)
+        assert raised(op, u[rows[:TEST_BLOCK]], v[rows[:TEST_BLOCK]]) != whole
 
 
 class TestHypothesisLaws:

@@ -8,6 +8,7 @@ import pytest
 from gyrokin import (
     AdmissibilityError,
     CollinearPoints,
+    DimensionError,
     MAX_NORM,
     NonFinite,
     add_speeds,
@@ -26,10 +27,35 @@ from gyrokin import (
     translate_to,
     triangle_area,
 )
-from helpers import ball_points, max_abs
+from helpers import (BLOCK_LENGTHS, LAYOUTS, ball_points, in_blocks, layout_operands,
+                     max_abs, raised, same_bits)
 
 U_FIX = np.array([0.6, 0.0, 0.0])
 V_FIX = np.array([0.0, 0.6, 0.0])
+
+
+# Every space operation that long batches evaluate in row blocks.  The
+# scalar_mul factor takes u's batch shape: (k, 1), () or (k,).
+BLOCKED_OPS = [gyrodistance, gyromidpoint, lambda u, v: scalar_mul(-1.5, v),
+               lambda u, v: scalar_mul(4.0 * u[..., 0], v)]
+
+
+@pytest.mark.parametrize("op", BLOCKED_OPS)
+@pytest.mark.parametrize("layout", LAYOUTS)
+@pytest.mark.parametrize("k", BLOCK_LENGTHS)
+def test_blocks_give_the_bits_of_one_call(rng, monkeypatch, op, layout, k):
+    u, v = layout_operands(rng, layout, k)
+    assert same_bits(in_blocks(monkeypatch, op, u, v), op(u, v))
+
+
+@pytest.mark.parametrize("op", BLOCKED_OPS)
+def test_bad_input_row_in_last_block(rng, monkeypatch, op):
+    u = ball_points(rng, BLOCK_LENGTHS[-1], 3, max_norm=0.9)
+    v = ball_points(rng, BLOCK_LENGTHS[-1], 3, max_norm=0.9)
+    v[-1] = [0.6, 0.9, 0.0]
+    whole = raised(op, u, v)
+    assert whole is not None
+    assert in_blocks(monkeypatch, raised, op, u, v) == whole
 
 
 class TestScalarMul:
@@ -54,6 +80,16 @@ class TestScalarMul:
             scalar_mul(math.inf, U_FIX)
         with pytest.raises(NonFinite):
             scalar_mul(math.nan, U_FIX)
+
+    def test_factor_batch_must_broadcast(self, rng, monkeypatch):
+        v = ball_points(rng, 4, 3)
+        for r in (np.ones(5), np.ones(8)):
+            with pytest.raises(DimensionError, match="scalar factor, v"):
+                scalar_mul(r, v)
+            # 8 factors make two blocks of 4 rows, each of which would
+            # broadcast against v on its own.
+            with pytest.raises(DimensionError, match="scalar factor, v"):
+                in_blocks(monkeypatch, scalar_mul, r, v)
 
     def test_result_admissible_for_huge_scalars(self):
         out = scalar_mul(1e12, np.array([0.9, 0.0]))
