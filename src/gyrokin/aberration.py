@@ -25,7 +25,7 @@ import numpy as np
 
 from .ball import _every, _real_array, _real_scalars, as_velocity
 from .errors import AdmissibilityError, AngleDegenerate, DimensionError
-from .gyro import _add, gamma_of_speed
+from .gyro import _add, _gamma_of_speed
 from .trig import _gyroangle
 
 ARCSEC_PER_RAD = 180.0 * 3600.0 / math.pi
@@ -89,7 +89,7 @@ def relativistic_aberration(theta_s, v, p_s):
     p_s = _check_speed(p_s, "p_s", allow_light=True)
     if not _every(p_s > 0.0):
         raise AdmissibilityError("p_s must be positive")
-    gv = gamma_of_speed(v)
+    gv = _gamma_of_speed(v)
     return np.arctan2(p_s * sin_s, gv * (p_s * np.cos(theta_s) + v))
 
 
@@ -100,7 +100,7 @@ def relativistic_aberration_inv(theta_e, v, p_e):
     p_e = _check_speed(p_e, "p_e", allow_light=True)
     if not _every(p_e > 0.0):
         raise AdmissibilityError("p_e must be positive")
-    gv = gamma_of_speed(v)
+    gv = _gamma_of_speed(v)
     return np.arctan2(p_e * sin_e, gv * (p_e * np.cos(theta_e) - v))
 
 
@@ -133,7 +133,7 @@ def relativistic_matched_p_e(theta_s, theta_e, p_s):
     sin_s = _check_angle(theta_s, "theta_s")[1]
     sin_e = _check_angle(theta_e, "theta_e")[1]
     p_s = _check_speed(p_s, "p_s")
-    x = gamma_of_speed(p_s) * p_s * sin_s / sin_e
+    x = _gamma_of_speed(p_s) * p_s * sin_s / sin_e
     return x / np.sqrt(1.0 + x * x)
 
 

@@ -159,7 +159,12 @@ def _largest_norm_sq(arr) -> float:
             n2 += x * x
         return n2
     with np.errstate(over="ignore"):
-        return float(_by_rows(norm_sq, arr).max(initial=0.0))
+        if arr.ndim == 1 or arr.shape[0] <= _BLOCK:
+            return float(norm_sq(arr).max(initial=0.0))
+        # The largest of each block's, so no (k,) array is built; np.max, not
+        # Python's max, so that a NaN in any block reaches the result.
+        return float(np.max([norm_sq(arr[lo:lo + _BLOCK]).max()
+                             for lo in range(0, arr.shape[0], _BLOCK)]))
 
 
 def _admissible(arr, name: str) -> np.ndarray:

@@ -468,7 +468,8 @@ def aberration(cfg, model, v_text, theta_s_text, theta_e_text, p_s_text, p_e_tex
                       "angle_unit": out_unit},
                      [dict(zip(names, row)) for row in zip(*columns)], {})
         else:
-            click.echo("\n".join([",".join(names)] + [",".join(map(_fmt, row))
+            row_fmt = ",".join(["%.15g"] * len(names))  # each value as _fmt prints it
+            click.echo("\n".join([",".join(names)] + [row_fmt % row
                                                       for row in zip(*columns)]))
         return
     if (theta_s_text is None) == (theta_e_text is None):

@@ -26,12 +26,17 @@ def gamma(v) -> np.ndarray:
     return _by_rows(_gamma, as_velocity(v, name="v"))
 
 
+def _gamma_of_speed(s) -> np.ndarray:
+    """Gamma factor of a trusted speed array in [0, 1)."""
+    return 1.0 / np.sqrt((1.0 - s) * (1.0 + s))
+
+
 def gamma_of_speed(s) -> np.ndarray:
     """Gamma factor of a scalar speed in [0, 1)."""
     s = _real_array(s, "speed")
     if not _every((s >= 0.0) & (s < 1.0)):
         raise AdmissibilityError("speed must lie in [0, 1)")
-    return 1.0 / np.sqrt((1.0 - s) * (1.0 + s))
+    return _gamma_of_speed(s)
 
 
 def speed_of_gamma(g) -> np.ndarray:

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import json
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -276,9 +277,10 @@ def parse_particles(text: str, *, c_value: float = 1.0) -> ParticleSystem:
     """Parse a particle system from CSV lines or a JSON array.
 
     CSV: one particle per line as ``mass,v1,...,vn`` with ``#`` comments and
-    blank lines ignored; every line must use the same dimension.  JSON: an
-    array of objects with "mass" and "velocity" keys.  Velocities are given
-    in units of ``c_value`` and are divided by it before validation.
+    blank lines ignored; every line must use the same dimension.  numpy's C
+    reader reads it; where that fails, a Python line loop reads it again and
+    names any bad line.  JSON: an array of objects with "mass" and "velocity"
+    keys.  Velocities are in units of ``c_value`` and are divided by it.
 
     Raises ParticleFormatError (with a line number for CSV input) on
     malformed content and AdmissibilityError on inadmissible velocities.
@@ -290,7 +292,7 @@ def parse_particles(text: str, *, c_value: float = 1.0) -> ParticleSystem:
     if stripped.startswith("[") or stripped.startswith("{"):
         masses, rows = _read_json(stripped)
     else:
-        masses, rows = _read_csv(text)
+        masses, rows = _read_table(text) or _read_csv(text)
     velocities = _as_real(rows, "particle velocity") / c_value
     return ParticleSystem._from_arrays(masses, velocities)
 
@@ -318,8 +320,28 @@ def _read_json(text: str) -> tuple[list, list]:
     return masses, rows
 
 
+def _read_table(text: str) -> tuple | None:
+    """Masses and velocity rows of CSV particle lines, read by numpy's C reader.
+
+    None where it fails, warns or finds no velocity column; then _read_csv
+    reads the lines (it also takes whitespace-only lines, "1_0" and non-ASCII
+    digits) or names the bad one.  Every field the C reader accepts, float()
+    reads to the same double.
+    """
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # "input contained no data", for one
+        try:
+            table = np.loadtxt(text.splitlines(), delimiter=",", comments="#",
+                               ndmin=2, dtype=float)
+        except (ValueError, Warning):
+            return None
+    if len(table) == 0 or table.shape[1] < 2:
+        return None
+    return table[:, 0].copy(), table[:, 1:]
+
+
 def _read_csv(text: str) -> tuple[list, list]:
-    """Masses and velocity rows of CSV particle lines."""
+    """Masses and velocity rows of CSV particle lines, checked line by line."""
     masses, rows = [], []
     dim = None
     for lineno, raw in enumerate(text.splitlines(), start=1):

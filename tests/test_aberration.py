@@ -23,6 +23,7 @@ from gyrokin import (
     stellar_aberration,
     stellar_aberration_inv,
 )
+from gyrokin.ball import _real_array
 
 SI_C = 299792458.0
 
@@ -145,6 +146,25 @@ class TestRelativistic:
             relativistic_aberration(1.0, 1.0, 0.5)
         with pytest.raises(AdmissibilityError):
             relativistic_aberration(1.0, 0.5, 1.2)
+
+
+def test_speeds_checked_once(monkeypatch):
+    """The relativistic formulas range-check each speed once, not in gyro again."""
+    calls = []
+
+    def counting(value, name):
+        calls.append(name)
+        return _real_array(value, name)
+
+    monkeypatch.setattr("gyrokin.gyro._real_array", counting)
+    v = np.linspace(0.0, 0.99, 7)
+    theta = np.linspace(0.1, 3.0, 7)
+    relativistic_aberration(theta, v, 0.9)
+    relativistic_aberration_inv(theta, v, 0.9)
+    stellar_aberration(theta, v)
+    relativistic_matched_p_e(theta, theta[::-1], v)
+    assert calls == []
+    assert float(gamma_of_speed(0.6)) == 1.25 and calls == ["speed"]
 
 
 class TestStellar:

@@ -1,5 +1,6 @@
 """The validation layer: last-axis sums and the admissibility check."""
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -95,6 +96,8 @@ class TestOverflowingVelocity:
     ({3: np.nan, 16: 1.5}, "non-finite", "non-finite"),
     ({16: 1e300}, "norm inf", "overflows"),
     ({}, None, None),
+    ({0: 1.5, 16: np.nan}, "non-finite", "non-finite"),
+    ({16: np.nan}, "non-finite", "non-finite"),
 ])
 def test_checked_in_blocks_as_a_whole(monkeypatch, bad, velocity, ambient):
     """A long batch is checked block by block; an error names its worst row."""
@@ -105,6 +108,18 @@ def test_checked_in_blocks_as_a_whole(monkeypatch, bad, velocity, ambient):
         got = in_blocks(monkeypatch, raised, check, v)
         assert got == raised(check, v)
         assert got is None if want is None else want in got[1]
+
+
+def test_long_batch_checked_without_a_norm_array():
+    """Validation keeps one block's squared norms, not the whole batch's."""
+    v = np.full((32 * 8192, 3), 0.1)
+    tracemalloc.start()
+    try:
+        as_velocity(v)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < v.shape[0] * v.itemsize / 4
 
 
 def test_empty_batch_is_admissible():

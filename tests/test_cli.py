@@ -12,8 +12,8 @@ import numpy as np
 import pytest
 
 import gyrokin
-from gyrokin import einstein_add, gyrodistance, stellar_aberration
-from gyrokin.cli import cli, main
+from gyrokin import aberration_sweep, einstein_add, gyrodistance, stellar_aberration
+from gyrokin.cli import ANGLE_TO_RAD, _fmt, cli, main
 
 BACK_TO_BACK = "# two particles\n1.0, 0.6, 0, 0\n1.0, -0.6, 0, 0\n"
 
@@ -457,6 +457,27 @@ class TestSweep:
         rows = [ln.split(",") for ln in out.splitlines()[1:]]
         for r in rows:
             assert r[0] == r[2]
+
+    @pytest.mark.parametrize("model, v, p, n, fmt, out", [
+        ("stellar", "0.6c", "1", "5", "csv", "rad"),
+        ("relativistic", "0.3c", "0.9c", "257", "table", "deg"),
+        ("classical", "0c", "1", "9", "csv", "arcsec"),
+        ("relativistic", "0.999999c", "1e-9c", "64", "csv", "rad"),
+    ])
+    def test_rows_print_as_fmt_prints_them(self, capsys, model, v, p, n, fmt, out):
+        # The rows as the per-value _fmt rendering printed them.  The sweep has
+        # no -0.0 to print: its angles lie in (0, pi), and an offset that
+        # vanishes is theta - theta, which is +0.0.
+        rc, got, _ = run(capsys, "aberration", "--model", model, "--v", v,
+                         "--p-s", p, "--sweep", n, "--format", fmt, "--out", out)
+        assert rc == 0
+        table = aberration_sweep(float(v[:-1]), float(p.rstrip("c")), int(n))
+        scale = 1.0 / ANGLE_TO_RAD[out]
+        columns = [table[k] if k == "offset_arcsec" else table[k] * scale
+                   for k in table.dtype.names]
+        want = [",".join(table.dtype.names)]
+        want += [",".join(map(_fmt, row)) for row in zip(*columns)]
+        assert got == "\n".join(want) + "\n"
 
     def test_sweep_json(self, capsys):
         rc, out, _ = run(capsys, "aberration", "--model", "relativistic",

@@ -24,7 +24,8 @@ from gyrokin import (
     invariant_mass,
     parse_particles,
 )
-from helpers import ball_points, max_abs, pairwise_dark_sq
+from gyrokin import mass
+from helpers import ball_points, max_abs, pairwise_dark_sq, same_bits
 
 EPS = np.finfo(float).eps
 
@@ -425,6 +426,96 @@ class TestParsing:
         validation_calls.clear()
         boost(system, [0.1, 0.0, 0.0])
         assert validation_calls == ["u", "particle velocity"]
+
+
+# Text that numpy's C reader and the line loop might read differently: line
+# separators, whitespace, comments, fields that only float() accepts, fields
+# neither accepts, and tables of odd shape.
+PARITY_CORPUS = {
+    "crlf": "1,0.1,0\r\n2,0.2,0\r\n",
+    "bare-cr": "1,0.1,0\r2,0.2,0\r",
+    "vt-ff": "1,0.1,0\x0b2,0.2,0\x0c3,0.3,0",
+    "tab-nbsp": "\t1 ,\xa00.1\t, 0\xa0\n2\t,\t0.2,0\n",
+    "whitespace-line": "1,0.1,0\n   \n\t\n2,0.2,0\n",
+    "blank-lines": "\n\n1,0.1\n\n\n2,0.2\n\n",
+    "comments": "# head\n1,0.1 # tail\n#\n2,0.2#x\n   # indented\n",
+    "comment-only": "# nothing\n# more\n",
+    "empty": "",
+    "blank-only": " \n\n\t",
+    "underscore": "1_0,0.1\n2,0.2\n",
+    "arabic-indic": "\u0661,0.\u0665\n2,0.2\n",
+    "bom": "\ufeff1,0.1\n",
+    "inf-mass": "inf,0.1\n",
+    "nan-velocity": "1,nan\n",
+    "infinity-velocity": "1,-Infinity\n",
+    "hex": "0x1,0.1\n",
+    "fortran-exponent": "1d0,0.1\n",
+    "quoted": '"1",0.1\n',
+    "semicolons": "1;0.1;0\n",
+    "trailing-comma": "1,0.1,\n",
+    "mass-only": "1\n2\n",
+    "ragged": "1,0.1,0\n2,0.2\n",
+    "one-row": "1,0.1,0.2,0.3\n",
+    "n1": "1,0.1\n2,-0.2\n",
+    "n5": "1,0.1,0,0,-0.0,0.2\n2,0,0,0,0,0\n0.5,1e-300,-5e-324,0,0,0.99\n",
+}
+
+
+def parsed(text):
+    """The system parse_particles makes of text, or the error it raises."""
+    try:
+        return parse_particles(text)
+    except Exception as exc:
+        return type(exc), str(exc), getattr(exc, "line", None)
+
+
+class TestCsvReaderParity:
+    """numpy's C reader and the line loop give the same system or error."""
+
+    @staticmethod
+    def line_loop(monkeypatch, text):
+        with monkeypatch.context() as m:
+            m.setattr(mass, "_read_table", lambda text: None)
+            return parsed(text)
+
+    def assert_parity(self, monkeypatch, text):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            got = parsed(text)
+        assert caught == []
+        want = self.line_loop(monkeypatch, text)
+        if isinstance(want, tuple):
+            assert got == want
+        else:
+            assert isinstance(got, ParticleSystem)
+            assert same_bits(got.masses, want.masses)
+            assert same_bits(got.velocities, want.velocities)
+
+    @pytest.mark.parametrize("name", PARITY_CORPUS)
+    def test_corpus(self, monkeypatch, name):
+        self.assert_parity(monkeypatch, PARITY_CORPUS[name])
+
+    def test_every_digit_layout(self, monkeypatch, rng):
+        masses = rng.uniform(0.5, 2.0, size=300)
+        vel = ball_points(rng, 300, 3, max_norm=0.95)
+        vel[:3] = [[-0.0, 0.0, 1e-310], [5e-324, -5e-324, 0.5], [-0.0, -0.0, -0.0]]
+        layouts = ["%r", "%.17g", "%.3e", "%.20f", "%+.9G"]
+        rows = np.column_stack([masses, vel]).tolist()
+        text = "\n".join(",".join(layouts[(i + j) % 5] % x for j, x in enumerate(row))
+                         for i, row in enumerate(rows))
+        self.assert_parity(monkeypatch, text)
+        assert mass._read_table(text) is not None
+
+    def test_well_formed_text_skips_the_line_loop(self, monkeypatch, rng):
+        masses = rng.uniform(0.5, 2.0, size=2000)
+        vel = ball_points(rng, 2000, 3, max_norm=0.95)
+        text = "".join(",".join(map(repr, (m, *v.tolist()))) + "\n"
+                       for m, v in zip(masses.tolist(), vel))
+        monkeypatch.setattr(mass, "_read_csv", None)
+        system = parse_particles(text)
+        assert same_bits(system.masses, masses)
+        assert same_bits(system.velocities, vel)
+        assert system.masses.flags.c_contiguous and system.velocities.flags.c_contiguous
 
 
 class TestScaling:
