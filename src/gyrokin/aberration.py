@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ball import _every, _real_array, _real_scalars, as_velocity
+from .ball import _by_rows, _every, _real_array, _real_scalars, as_velocity
 from .errors import AdmissibilityError, AngleDegenerate, DimensionError
 from .gyro import _add, _gamma_of_speed
 from .trig import _gyroangle
@@ -78,30 +78,41 @@ def classical_aberration_inv(theta_e, v, p_e):
     return np.arctan2(p_e * sin_e, p_e * np.cos(theta_e) - v)
 
 
+def _relativistic(shift, names, theta, v, p):
+    """atan2(p sin(theta), gamma_v shift(p cos(theta), v)), checked in row blocks.
+
+    ``names`` are theta's and p's.  Each row block is checked first, in
+    argument order.  Arguments that do not coerce or broadcast are evaluated
+    whole, so they fail as one call would.
+    """
+    def kernel(theta, v, p):
+        theta, sin = _check_angle(theta, names[0])
+        v = _check_speed(v, "v")
+        p = _check_speed(p, names[1], allow_light=True)
+        if not _every(p > 0.0):
+            raise AdmissibilityError(f"{names[1]} must be positive")
+        return np.arctan2(p * sin, _gamma_of_speed(v) * shift(p * np.cos(theta), v))
+
+    try:
+        arrays = [np.asarray(x) for x in (theta, v, p)]
+        np.broadcast_shapes(*[a.shape for a in arrays])
+    except ValueError:
+        return kernel(theta, v, p)
+    return _by_rows(kernel, *arrays, core=0)
+
+
 def relativistic_aberration(theta_s, v, p_s):
     """theta_e from cot(theta_e) = gamma_v (cot(theta_s) + v/(p_s sin(theta_s))).
 
     Speeds of exactly 1 are admitted for photons; then the formula is the
     stellar aberration formula.
     """
-    theta_s, sin_s = _check_angle(theta_s, "theta_s")
-    v = _check_speed(v, "v")
-    p_s = _check_speed(p_s, "p_s", allow_light=True)
-    if not _every(p_s > 0.0):
-        raise AdmissibilityError("p_s must be positive")
-    gv = _gamma_of_speed(v)
-    return np.arctan2(p_s * sin_s, gv * (p_s * np.cos(theta_s) + v))
+    return _relativistic(np.add, ("theta_s", "p_s"), theta_s, v, p_s)
 
 
 def relativistic_aberration_inv(theta_e, v, p_e):
     """theta_s from cot(theta_s) = gamma_v (cot(theta_e) - v/(p_e sin(theta_e)))."""
-    theta_e, sin_e = _check_angle(theta_e, "theta_e")
-    v = _check_speed(v, "v")
-    p_e = _check_speed(p_e, "p_e", allow_light=True)
-    if not _every(p_e > 0.0):
-        raise AdmissibilityError("p_e must be positive")
-    gv = _gamma_of_speed(v)
-    return np.arctan2(p_e * sin_e, gv * (p_e * np.cos(theta_e) - v))
+    return _relativistic(np.subtract, ("theta_e", "p_e"), theta_e, v, p_e)
 
 
 def stellar_aberration(theta_s, v):

@@ -8,6 +8,12 @@ Array-level functions operate on the last axis, so shapes ``(..., n)``
 broadcast like any other numpy operation.  Batches longer than ``_BLOCK``
 rows are evaluated in row blocks, so that each kernel's temporaries stay in
 cache; every row still gets the bits of a single-vector call.
+
+The public operations coerce their operands and match their shapes whole
+(``_one_pass``), and check admissibility inside each row block: the one
+check, ``_norm_sq_checked``, returns the block's squared norms, and gamma
+consumes them (``_gamma(v, n2)``) instead of summing |v|^2 again.  A more
+accurate 1 - |v|^2 therefore has one place to go.
 """
 
 from __future__ import annotations
@@ -34,6 +40,9 @@ ZERO_EPS = 1e-300
 # temporaries of a block (192 kB for each (rows, 3) array) then stay in cache.
 _BLOCK = 8192
 
+# The largest finite float: an ambient vector's squared norm may not exceed it.
+_FLOAT_MAX = float(np.finfo(float).max)
+
 # numpy's float sum adds fewer terms than this one by one, in order, from +0.0;
 # from here on it sums pairwise.
 _IN_ORDER_TERMS = 8
@@ -42,17 +51,38 @@ _IN_ORDER_TERMS = 8
 def _sum_last(p):
     """np.sum(p, axis=-1), bit for bit.
 
-    A batch of short float64 rows is summed component by component, in
-    numpy's order but without its slow reduction over a short axis; anything
-    else goes to np.add.reduce, which np.sum wraps.
+    Short float64 rows are summed component by component, in numpy's order
+    but without its slow reduction over a short axis (one vector in Python
+    floats); anything else goes to np.add.reduce, which np.sum wraps.
     """
-    n = p.shape[-1] if p.ndim > 1 else 0
-    if 0 < n < _IN_ORDER_TERMS and p.dtype == np.float64:
-        acc = p[..., 0] + 0.0
-        for i in range(1, n):
-            acc += p[..., i]
-        return acc
-    return np.add.reduce(p, -1)
+    n = p.shape[-1] if p.ndim else 0
+    if not 0 < n < _IN_ORDER_TERMS or p.dtype != np.float64:
+        return np.add.reduce(p, -1)
+    if p.ndim == 1:
+        acc = 0.0
+        for x in p.tolist():
+            acc += x
+        return np.float64(acc)
+    acc = p[..., 0] + 0.0
+    for i in range(1, n):
+        acc += p[..., i]
+    return acc
+
+
+def _columns(rows, fn, *vecs):
+    """fn(*vecs) for a row-wise combination ``fn`` of (..., n) vectors.
+
+    ``fn`` scales and adds whole vectors by per-row coefficients of shape
+    ``rows``, the batch shape of the result.  A batch is assembled one
+    component column at a time, which numpy runs as one (k,) loop each,
+    not as a 3-long loop per row; one vector is plain vector arithmetic.
+    """
+    if not rows:
+        return fn(*vecs)
+    out = np.empty(rows + vecs[0].shape[-1:])
+    for i in range(out.shape[-1]):
+        out[..., i] = fn(*[x[..., i] for x in vecs])
+    return out
 
 
 def dot(u, v):
@@ -75,9 +105,13 @@ def norm(v):
     return np.sqrt(norm_sq(v))
 
 
-def _gamma(v) -> np.ndarray:
-    """Lorentz gamma factor 1/sqrt(1 - |v|^2) of a trusted velocity array."""
-    return 1.0 / np.sqrt(1.0 - norm_sq(v))
+def _gamma(v, n2=None) -> np.ndarray:
+    """Lorentz gamma factor 1/sqrt(1 - |v|^2) of a trusted velocity array.
+
+    ``n2`` is |v|^2 where the caller has it already, as _norm_sq_checked
+    returns it.
+    """
+    return 1.0 / np.sqrt(1.0 - (norm_sq(v) if n2 is None else n2))
 
 
 def _real_array(v, name: str) -> np.ndarray:
@@ -121,17 +155,21 @@ def _every(mask) -> bool:
     return bool(mask.all() if mask.ndim else mask)
 
 
-def _by_rows(fn, *arrays):
+def _by_rows(fn, *arrays, core: int = 1):
     """fn(*arrays), evaluated in blocks of _BLOCK rows when the batch is longer.
 
     ``fn`` is a trusted kernel that works row by row, so every block gets the
-    bits a single call would give.  The blocks run along the leading axis of
-    the operands' broadcast shape; an operand without that axis takes part
-    whole in every block.  If a block raises a GyrokinError, ``fn`` runs
-    once more on the whole operands, so the error describes the whole batch.
+    bits a single call would give.  The last ``core`` axes of an operand
+    make one row: a velocity's component axis, or none for scalars.  The
+    blocks run along the leading axis of the operands' broadcast shape; an
+    operand without that axis takes part whole in every block.  If a block
+    raises a GyrokinError, ``fn`` runs once more on the whole operands, so
+    the error describes the whole batch.
     """
     nd = max([a.ndim for a in arrays])
-    k = max([a.shape[0] for a in arrays if a.ndim == nd]) if nd > 1 else 0
+    if nd <= core:
+        return fn(*arrays)
+    k = max([a.shape[0] for a in arrays if a.ndim == nd])
     if k <= _BLOCK:
         return fn(*arrays)
     rows = [a.ndim == nd and a.shape[0] == k for a in arrays]
@@ -146,42 +184,53 @@ def _by_rows(fn, *arrays):
     return out
 
 
-def _largest_norm_sq(arr) -> float:
-    """The largest squared norm of an input being validated.
+def _norm_sq_checked(arr, name: str, ambient: bool = False):
+    """norm_sq(arr), once every row of ``arr`` is admissible: the one check.
 
-    inf, not a warning, on overflow, and NaN if any row is NaN.  One short
-    vector is summed in Python floats, which overflow silently, in norm_sq's
-    order; that skips the cost of np.errstate.
+    A row is admissible if its squared norm is at most 1 - BALL_MARGIN or,
+    for an ``ambient`` vector, finite; the error names a non-finite input or
+    the largest norm.  Overflow gives inf, not a warning.  One short vector
+    is summed in Python floats, which overflow silently, in norm_sq's order;
+    that skips the cost of np.errstate.
     """
     if arr.ndim == 1 and arr.shape[0] < _IN_ORDER_TERMS:
         n2 = 0.0
         for x in arr.tolist():
             n2 += x * x
-        return n2
-    with np.errstate(over="ignore"):
-        if arr.ndim == 1 or arr.shape[0] <= _BLOCK:
-            return float(norm_sq(arr).max(initial=0.0))
-        # The largest of each block's, so no (k,) array is built; np.max, not
-        # Python's max, so that a NaN in any block reaches the result.
-        return float(np.max([norm_sq(arr[lo:lo + _BLOCK]).max()
-                             for lo in range(0, arr.shape[0], _BLOCK)]))
-
-
-def _admissible(arr, name: str) -> np.ndarray:
-    """``arr``, a float array of shape (..., n), if every row is admissible.
-
-    The check of as_velocity, for arrays that are already float arrays.
-    """
-    n2 = _largest_norm_sq(arr)
-    # "not <=" instead of ">" so NaN in n2 can never sneak through; a NaN or
+        largest = n2
+    else:
+        with np.errstate(over="ignore"):
+            n2 = norm_sq(arr)
+        largest = n2.max(initial=0.0)
+    # "not <=" instead of ">" so NaN can never sneak through; a NaN or
     # infinite component always lands here, so finiteness is tested only now.
-    if not n2 <= 1.0 - BALL_MARGIN:
+    if not largest <= (_FLOAT_MAX if ambient else 1.0 - BALL_MARGIN):
         if not _every(np.isfinite(arr)):
             raise AdmissibilityError(f"{name} has non-finite components")
+        if ambient:
+            raise AdmissibilityError(f"{name} has a squared norm that overflows")
         raise AdmissibilityError(
-            f"{name} has norm {math.sqrt(n2):.17g} outside the admissible ball "
+            f"{name} has norm {math.sqrt(largest):.17g} outside the admissible ball "
             f"(limit {MAX_NORM:.17g})"
         )
+    return n2
+
+
+def _admissible(arr, name: str, ambient: bool = False) -> np.ndarray:
+    """``arr``, a float array of shape (..., n), if _norm_sq_checked passes it.
+
+    A long batch is checked block by block, so that no (k,) array of norms
+    is built; if a block fails, the whole batch is checked again, so that the
+    error names its largest norm.
+    """
+    if arr.ndim > 1 and arr.shape[0] > _BLOCK:
+        try:
+            for lo in range(0, arr.shape[0], _BLOCK):
+                _norm_sq_checked(arr[lo:lo + _BLOCK], name, ambient)
+            return arr
+        except AdmissibilityError:
+            pass
+    _norm_sq_checked(arr, name, ambient)
     return arr
 
 
@@ -202,13 +251,7 @@ def as_velocity(v, *, name: str = "velocity") -> np.ndarray:
 
 def as_ambient(w, *, name: str = "vector") -> np.ndarray:
     """A float array of shape (..., n) whose |w|^2 is finite; no ball constraint."""
-    arr = _as_real(w, name)
-    # A NaN or infinite component makes the largest squared norm non-finite too.
-    if not _largest_norm_sq(arr) < math.inf:
-        if not _every(np.isfinite(arr)):
-            raise AdmissibilityError(f"{name} has non-finite components")
-        raise AdmissibilityError(f"{name} has a squared norm that overflows")
-    return arr
+    return _admissible(_as_real(w, name), name, ambient=True)
 
 
 def same_shape(arrays, names) -> None:
@@ -217,14 +260,15 @@ def same_shape(arrays, names) -> None:
     ``names`` labels ``arrays`` in order for the error messages.
     """
     shapes = [a.shape for a in arrays]
+    if shapes.count(shapes[0]) == len(shapes):
+        return
     dims = [s[-1] for s in shapes]
     if len(set(dims)) > 1:
         raise DimensionError(f"{', '.join(names)} have dimensions {dims}")
-    if len(set(shapes)) > 1:
-        try:
-            np.broadcast_shapes(*shapes)
-        except ValueError as exc:
-            raise DimensionError(f"{', '.join(names)}: {exc}") from None
+    try:
+        np.broadcast_shapes(*shapes)
+    except ValueError as exc:
+        raise DimensionError(f"{', '.join(names)}: {exc}") from None
 
 
 def operands(arrays, names, ambient_last: bool = False) -> list:
@@ -239,6 +283,29 @@ def operands(arrays, names, ambient_last: bool = False) -> list:
         out.append(as_ambient(arrays[-1], name=names[-1]))
     same_shape(out, names)
     return out
+
+
+def _one_pass(kernel, arrays, names, ambient_last: bool = False):
+    """kernel(*operands, n2) of one operation, checked inside its row blocks.
+
+    The operands are coerced and their shapes matched whole.  Then each row
+    block's operands pass _norm_sq_checked, as operands() would check them,
+    and the kernel takes their squared norms as the list ``n2``.  If the
+    coercion or the shape match raises, operands() runs instead, so that the
+    error is the first one a check operand by operand meets.
+    """
+    try:
+        arrs = [_as_real(a, name) for a, name in zip(arrays, names)]
+        same_shape(arrs, names)
+    except GyrokinError:
+        operands(arrays, names, ambient_last)
+        raise
+    ambient = [False] * (len(arrs) - ambient_last) + [True] * ambient_last
+
+    def block(*parts):
+        return kernel(*parts, [_norm_sq_checked(*c) for c in zip(parts, names, ambient)])
+
+    return _by_rows(block, *arrs)
 
 
 @dataclass(frozen=True, eq=False)

@@ -13,8 +13,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .ball import (_admissible, _by_rows, _every, _gamma, _real_array, as_ambient,
-                   as_velocity, dot, norm, norm_sq, operands, same_shape)
+from .ball import (_as_real, _by_rows, _columns, _every, _gamma, _norm_sq_checked,
+                   _one_pass, _real_array, as_ambient, dot, norm, norm_sq, operands,
+                   same_shape)
 from .errors import AdmissibilityError, DimensionError
 
 
@@ -23,7 +24,7 @@ def gamma(v) -> np.ndarray:
 
     Satisfies (gamma^2 - 1)/gamma^2 = |v|^2 to machine precision.
     """
-    return _by_rows(_gamma, as_velocity(v, name="v"))
+    return _by_rows(lambda v: _gamma(v, _norm_sq_checked(v, "v")), _as_real(v, "v"))
 
 
 def _gamma_of_speed(s) -> np.ndarray:
@@ -39,6 +40,11 @@ def gamma_of_speed(s) -> np.ndarray:
     return _gamma_of_speed(s)
 
 
+def _speed_of_gamma(g) -> np.ndarray:
+    """Speed of a trusted gamma factor array, finite and >= 1."""
+    return np.sqrt((g - 1.0) / g * ((g + 1.0) / g))
+
+
 def speed_of_gamma(g) -> np.ndarray:
     """Speed in [0, 1] of a finite gamma factor >= 1: sqrt(g^2 - 1)/g.
 
@@ -49,18 +55,21 @@ def speed_of_gamma(g) -> np.ndarray:
     g = _real_array(g, "gamma factor")
     if not _every((g >= 1.0) & (g < np.inf)):
         raise AdmissibilityError("gamma factor must be finite and >= 1")
-    return np.sqrt((g - 1.0) / g * ((g + 1.0) / g))
+    return _speed_of_gamma(g)
 
 
-def _add(u, v) -> np.ndarray:
-    """Einstein addition u (+) v on trusted velocity arrays."""
+def _add(u, v, n2=(None,)) -> np.ndarray:
+    """Einstein addition u (+) v on trusted velocity arrays.
+
+    ``n2`` starts with |u|^2 where the caller has it; so do the ``n2`` of the
+    kernels below, in the order of their velocity operands.
+    """
     uv = dot(u, v)
-    gu = _gamma(u)
+    gu = _gamma(u, n2[0])
     coef_u = 1.0 + (gu / (1.0 + gu)) * uv
-    out = coef_u[..., None] * u
-    out += (1.0 / gu)[..., None] * v
-    out /= (1.0 + uv)[..., None]
-    return out
+    inv_gu = 1.0 / gu
+    den = 1.0 + uv
+    return _columns(np.shape(uv), lambda x, y: (coef_u * x + inv_gu * y) / den, u, v)
 
 
 def einstein_add(u, v) -> np.ndarray:
@@ -75,20 +84,20 @@ def einstein_add(u, v) -> np.ndarray:
     holds for every pair, and for parallel arguments the formula collapses
     to (u + v)/(1 + |u||v|).
     """
-    return _by_rows(_add, *operands((u, v), ("u", "v")))
+    return _one_pass(_add, (u, v), ("u", "v"))
 
 
-def _sub(u, v) -> np.ndarray:
-    return _add(u, -v)
+def _sub(u, v, n2) -> np.ndarray:
+    return _add(u, -v, n2)
 
 
 def einstein_sub(u, v) -> np.ndarray:
     """u (-) v = u (+) (-v)."""
-    return _by_rows(_sub, *operands((u, v), ("u", "v")))
+    return _one_pass(_sub, (u, v), ("u", "v"))
 
 
-def _left_sub(a, b) -> np.ndarray:
-    return _add(-a, b)
+def _left_sub(a, b, n2) -> np.ndarray:
+    return _add(-a, b, n2)
 
 
 def left_sub(a, b) -> np.ndarray:
@@ -98,7 +107,7 @@ def left_sub(a, b) -> np.ndarray:
     addition is noncommutative (their norms agree, so either form gives the
     gyrodistance).
     """
-    return _by_rows(_left_sub, *operands((a, b), ("u", "v")))
+    return _one_pass(_left_sub, (a, b), ("u", "v"))
 
 
 def add_speeds(x, y):
@@ -113,10 +122,10 @@ def add_speeds(x, y):
     return (x + y) / (1.0 + x * y)
 
 
-def _gyr_coeffs(u, v, w):
+def _gyr_coeffs(u, v, w, n2=(None, None)):
     """Closed-form coefficients A, B, D with gyr[u,v]w = w + (A u + B v)/D."""
-    gu = _gamma(u)
-    gv = _gamma(v)
+    gu = _gamma(u, n2[0])
+    gv = _gamma(v, n2[1])
     uv = dot(u, v)
     uw = dot(u, w)
     vw = dot(v, w)
@@ -130,14 +139,10 @@ def _gyr_coeffs(u, v, w):
     return a, b, d
 
 
-def _gyrate(u, v, w) -> np.ndarray:
+def _gyrate(u, v, w, n2=(None, None)) -> np.ndarray:
     """Closed-form gyr[u, v]w on trusted arrays."""
-    a, b, d = _gyr_coeffs(u, v, w)
-    out = a[..., None] * u
-    out += b[..., None] * v
-    out /= d[..., None]
-    out += w
-    return out
+    a, b, d = _gyr_coeffs(u, v, w, n2)
+    return _columns(np.shape(a), lambda x, y, z: (a * x + b * y) / d + z, u, v, w)
 
 
 def gyrate(u, v, w) -> np.ndarray:
@@ -146,13 +151,16 @@ def gyrate(u, v, w) -> np.ndarray:
     ``u`` and ``v`` must be admissible; ``w`` may be any ambient vector, since
     the closed form extends gyrations to linear maps of the whole space.
     """
-    return _by_rows(_gyrate, *operands((u, v, w), ("u", "v", "w"), ambient_last=True))
+    return _one_pass(_gyrate, (u, v, w), ("u", "v", "w"), ambient_last=True)
 
 
-def _gyrate_definitional(u, v, w) -> np.ndarray:
-    vw = _admissible(_add(v, w), "v")
-    uvw = _admissible(_add(u, vw), "v")
-    return _add(_admissible(-_add(u, v), "u"), uvw)
+def _gyrate_definitional(u, v, w, n2) -> np.ndarray:
+    vw = _add(v, w, n2[1:])
+    _norm_sq_checked(vw, "v")
+    uvw = _add(u, vw, n2)
+    _norm_sq_checked(uvw, "v")
+    neg = -_add(u, v, n2)
+    return _add(neg, uvw, [_norm_sq_checked(neg, "u")])
 
 
 def gyrate_definitional(u, v, w) -> np.ndarray:
@@ -165,25 +173,22 @@ def gyrate_definitional(u, v, w) -> np.ndarray:
     other.  The intermediate sums are checked too: near c they can leave
     the ball.
     """
-    return _by_rows(_gyrate_definitional, *operands((u, v, w), ("u", "v", "w")))
+    return _one_pass(_gyrate_definitional, (u, v, w), ("u", "v", "w"))
 
 
-def _midpoint(u, v) -> np.ndarray:
+def _midpoint(u, v, n2) -> np.ndarray:
     """Gamma-weighted mean (gamma_u u + gamma_v v)/(gamma_u + gamma_v)."""
-    gu = _gamma(u)
-    gv = _gamma(v)
-    out = gu[..., None] * u
-    # out has u's shape, which holds the sum only when v's shape is the same.
-    out = np.add(out, gv[..., None] * v, out=out if u.shape == v.shape else None)
-    out /= (gu + gv)[..., None]
-    return out
+    gu = _gamma(u, n2[0])
+    gv = _gamma(v, n2[1])
+    den = gu + gv
+    return _columns(np.shape(den), lambda x, y: (gu * x + gv * y) / den, u, v)
 
 
-def _coadd(u, v) -> np.ndarray:
+def _coadd(u, v, n2=(None, None)) -> np.ndarray:
     """Coaddition 2 (x) midpoint(u, v) on trusted arrays."""
-    m = _midpoint(u, v)
-    m *= (2.0 / (1.0 + norm_sq(m)))[..., None]
-    return m
+    m = _midpoint(u, v, n2)
+    s = 2.0 / (1.0 + norm_sq(m))
+    return _columns(m.shape[:-1], lambda x: x * s, m)
 
 
 def coadd(u, v) -> np.ndarray:
@@ -194,11 +199,13 @@ def coadd(u, v) -> np.ndarray:
     exact identity 2 (x) m = 2m/(1 + |m|^2).  The floating-point result is
     symmetric in u and v bit for bit.
     """
-    return _by_rows(_coadd, *operands((u, v), ("u", "v")))
+    return _one_pass(_coadd, (u, v), ("u", "v"))
 
 
-def _coadd_via_gyration(u, v) -> np.ndarray:
-    return _add(u, _admissible(_gyrate(u, -v, v), "v"))
+def _coadd_via_gyration(u, v, n2) -> np.ndarray:
+    g = _gyrate(u, -v, v, n2)
+    _norm_sq_checked(g, "v")
+    return _add(u, g, n2)
 
 
 def coadd_via_gyration(u, v) -> np.ndarray:
@@ -207,11 +214,13 @@ def coadd_via_gyration(u, v) -> np.ndarray:
     Kept separate from :func:`coadd` as an independent route for
     cross-checking.
     """
-    return _by_rows(_coadd_via_gyration, *operands((u, v), ("u", "v")))
+    return _one_pass(_coadd_via_gyration, (u, v), ("u", "v"))
 
 
-def _cosub(u, v) -> np.ndarray:
-    return _add(u, _admissible(-_gyrate(u, v, v), "v"))
+def _cosub(u, v, n2) -> np.ndarray:
+    g = -_gyrate(u, v, v, n2)
+    _norm_sq_checked(g, "v")
+    return _add(u, g, n2)
 
 
 def cosub(u, v) -> np.ndarray:
@@ -220,7 +229,7 @@ def cosub(u, v) -> np.ndarray:
     Solves the equation x (+) a = b as x = b [-] a and satisfies the right
     cancellation law (v (+) u) [-] u = v.
     """
-    return _by_rows(_cosub, *operands((u, v), ("u", "v")))
+    return _one_pass(_cosub, (u, v), ("u", "v"))
 
 
 class Gyration:

@@ -161,10 +161,11 @@ def gamma_rel_minus_1(u, v) -> np.ndarray:
     return (gu - gv) ** 2 / (2.0 * gu * gv) + gu * gv * norm_sq(u - v) / 2.0
 
 
-def _dark_sq(sys: ParticleSystem) -> float:
-    """The squared dark mass W sum_k w_k |y_k - y_bar|^2 (module docstring)."""
-    g = sys.gammas
-    w = sys.masses * g
+def _dark_sq(sys: ParticleSystem, g, w) -> float:
+    """The squared dark mass W sum_k w_k |y_k - y_bar|^2 (module docstring).
+
+    ``g`` holds the particles' gamma factors and ``w`` their weights m g.
+    """
     total = w.sum()
     # y_k = x_k - x_0 in two parts: the time component 1/gamma and the
     # velocity.  The weighted means enter the sum only at second order.
@@ -188,9 +189,11 @@ def cm_velocity(sys: ParticleSystem) -> np.ndarray:
 
 def four_momentum(sys: ParticleSystem) -> tuple[float, np.ndarray]:
     """Total four-momentum (E, P) = (sum m_k gamma_k, sum m_k gamma_k v_k)."""
-    m = sys.masses
-    g = sys.gammas
-    w = m * g
+    return _four_momentum(sys, sys.masses * sys.gammas)
+
+
+def _four_momentum(sys: ParticleSystem, w) -> tuple[float, np.ndarray]:
+    """four_momentum of a system whose weights m_k gamma_k are ``w``."""
     return float(w.sum()), (w[:, None] * sys.velocities).sum(axis=0)
 
 
@@ -227,10 +230,12 @@ class MassDecomposition:
 def decompose(sys: ParticleSystem) -> MassDecomposition:
     """Full invariant/Newtonian/dark mass decomposition of a system."""
     m_newton = float(sys.masses.sum())
-    dark_sq = _dark_sq(sys)
+    g = sys.gammas
+    w = sys.masses * g
+    dark_sq = _dark_sq(sys, g, w)
     m_dark = float(np.sqrt(dark_sq))
     m0 = float(np.sqrt(m_newton * m_newton + dark_sq))
-    energy, momentum = four_momentum(sys)
+    energy, momentum = _four_momentum(sys, w)
     v0 = momentum / energy
     gamma0 = float(_gamma(v0))
     residual = np.hypot(m0 * gamma0 - energy,
@@ -255,8 +260,9 @@ def collide_and_stick(p1: Particle, p2: Particle) -> Particle:
     velocity, so m0 gamma0 = m1 gamma1 + m2 gamma2.  The invariant mass grows
     in the collision; the Newtonian mass sum is what stays put.
     """
-    sys = ParticleSystem((p1, p2))
-    return Particle(mass=invariant_mass(sys), velocity=cm_velocity(sys))
+    # decompose's m0 and v0 are invariant_mass and cm_velocity, bit for bit.
+    dec = decompose(ParticleSystem((p1, p2)))
+    return Particle(mass=dec.m0, velocity=dec.v0)
 
 
 def boost(sys: ParticleSystem, u) -> ParticleSystem:

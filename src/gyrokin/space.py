@@ -12,8 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ball import (MAX_NORM, _by_rows, _every, _real_array, as_velocity, dot, norm,
-                   norm_sq, operands, same_shape)
+from .ball import (MAX_NORM, _as_real, _by_rows, _columns, _every, _norm_sq_checked,
+                   _one_pass, _real_array, as_velocity, dot, norm, norm_sq, operands,
+                   same_shape)
 from .errors import CollinearPoints, DimensionError, NonFinite
 from .gyro import _add, _coadd, _left_sub, _midpoint
 
@@ -22,12 +23,12 @@ COLLINEAR_AREA_TOL = 1e-12
 
 
 def _scalar_mul(r, v) -> np.ndarray:
-    """r (x) v on trusted arrays; r has a trailing axis of length 1."""
-    n = norm(v)
+    """r (x) v, once v is checked; r has a trailing axis of length 1."""
+    n = np.sqrt(_norm_sq_checked(v, "v"))
     mag = np.tanh(r[..., 0] * np.arctanh(n))
     mag = np.clip(mag, -MAX_NORM, MAX_NORM)
     scale = np.divide(mag, n, out=np.zeros(np.broadcast(mag, n).shape), where=n > 0.0)
-    return scale[..., None] * v
+    return _columns(scale.shape, lambda x: scale * x, v)
 
 
 def scalar_mul(r, v) -> np.ndarray:
@@ -40,13 +41,17 @@ def scalar_mul(r, v) -> np.ndarray:
     r = _real_array(r, "scalar factor")
     if not _every(np.isfinite(r)):
         raise NonFinite("scalar factor must be finite")
-    r, v = r[..., None], as_velocity(v, name="v")
-    same_shape((r, v[..., :1]), ("scalar factor", "v"))
+    r, v = r[..., None], _as_real(v, "v")
+    try:
+        same_shape((r, v[..., :1]), ("scalar factor", "v"))
+    except DimensionError:
+        as_velocity(v, name="v")  # an inadmissible v is reported first
+        raise
     return _by_rows(_scalar_mul, r, v)
 
 
-def _distance(a, b) -> np.ndarray:
-    return norm(_left_sub(a, b))
+def _distance(a, b, n2) -> np.ndarray:
+    return norm(_left_sub(a, b, n2))
 
 
 def gyrodistance(a, b) -> np.ndarray:
@@ -55,7 +60,7 @@ def gyrodistance(a, b) -> np.ndarray:
     Symmetric, zero exactly on coincident points, and gyroadditive along
     gyrosegments under the parallel speed composition.
     """
-    return _by_rows(_distance, *operands((a, b), ("u", "v")))
+    return _one_pass(_distance, (a, b), ("u", "v"))
 
 
 def gyroline_point(a, b, t) -> np.ndarray:
@@ -78,7 +83,7 @@ def gyromidpoint(a, b) -> np.ndarray:
     the line-parameter and half-coaddition forms agree to rounding and are
     exercised by the test suite.
     """
-    return _by_rows(_midpoint, *operands((a, b), ("a", "b")))
+    return _one_pass(_midpoint, (a, b), ("a", "b"))
 
 
 def triangle_area(a, b, c) -> np.ndarray:

@@ -16,8 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ball import _real_scalars, as_velocity, norm, operands, same_shape
+from .ball import _columns, _every, _real_scalars, as_velocity, norm, operands, same_shape
 from .errors import (
+    AdmissibilityError,
     CollinearPoints,
     DegenerateAngle,
     DimensionError,
@@ -25,7 +26,7 @@ from .errors import (
     NoSuchTriangle,
     NotRightTriangle,
 )
-from .gyro import _add, gamma_of_speed, speed_of_gamma
+from .gyro import _add, _gamma_of_speed, _speed_of_gamma
 from .space import are_gyrocollinear
 
 # cos values and the triangle quantity may land this far outside their exact
@@ -44,19 +45,19 @@ def _vectors(arrays, names) -> list:
     return out
 
 
-def _gyroangle(gp, gq, tol: float = 1e-14) -> float:
-    """Angle between two gyrovectors via 2*atan2(|p^ - q^|, |p^ + q^|).
+def _gyroangle(gp, gq, tol: float = 1e-14) -> np.ndarray:
+    """Angles between gyrovectors, row by row, via 2*atan2(|p^ - q^|, |p^ + q^|).
 
     Exact at 0 for bitwise-equal directions and well conditioned near both 0
     and pi, unlike arccos of a clamped dot product.  Raises DegenerateAngle
-    when either gyrovector is shorter than ``tol``.
+    when any gyrovector is shorter than ``tol``.
     """
     lp, lq = norm(gp), norm(gq)
-    if float(lp) < tol or float(lq) < tol:
+    if not (_every(lp >= tol) and _every(lq >= tol)):
         raise DegenerateAngle("gyrovector of near-zero gyrolength at vertex")
-    up = gp / lp[..., None]
-    uq = gq / lq[..., None]
-    return float(2.0 * np.arctan2(norm(up - uq), norm(up + uq)))
+    up = _columns(lp.shape, lambda x: x / lp, gp)
+    uq = _columns(lq.shape, lambda x: x / lq, gq)
+    return 2.0 * np.arctan2(norm(up - uq), norm(up + uq))
 
 
 def gyroangle(vertex, p, q, *, tol: float = 1e-14) -> float:
@@ -69,7 +70,7 @@ def gyroangle(vertex, p, q, *, tol: float = 1e-14) -> float:
     Raises DegenerateAngle when either gyrovector is shorter than ``tol``.
     """
     vertex, p, q = _vectors((vertex, p, q), ("vertex", "p", "q"))
-    return _gyroangle(_add(-vertex, p), _add(-vertex, q), tol)
+    return float(_gyroangle(_add(-vertex, p), _add(-vertex, q), tol))
 
 
 def triangle_q(gamma_a: float, gamma_b: float, gamma_c: float) -> float:
@@ -195,17 +196,18 @@ def triangle_from_vertices(a, b, c) -> Gyrotriangle:
     a, b, c = _vectors((a, b, c), ("a", "b", "c"))
     if are_gyrocollinear(a, b, c):
         raise CollinearPoints("vertices lie on one gyroline")
-    ab, ac = _add(-a, b), _add(-a, c)
-    ba, bc = _add(-b, a), _add(-b, c)
-    ca, cb = _add(-c, a), _add(-c, b)
-    sides = [float(norm(bc)), float(norm(ac)), float(norm(ab))]
-    ga, gb, gc = gamma_of_speed(sides).tolist()
+    # The gyrovectors ab, ac, ba, bc, ca and cb, one per row.
+    g = _add(-np.array([a, a, b, b, c, c]), np.array([b, c, a, c, a, b]))
+    sides = norm(g[[3, 1, 0]])
+    if not sides.max() < 1.0:  # a side between points near c can round to 1
+        raise AdmissibilityError("speed must lie in [0, 1)")
+    ga, gb, gc = _gamma_of_speed(sides).tolist()
+    alpha, beta, gamma = _gyroangle(g[0::2], g[1::2]).tolist()
+    side_a, side_b, side_c = sides.tolist()
     return Gyrotriangle(
-        side_a=sides[0], side_b=sides[1], side_c=sides[2],
+        side_a=side_a, side_b=side_b, side_c=side_c,
         gamma_a=ga, gamma_b=gb, gamma_c=gc,
-        alpha=_gyroangle(ab, ac),
-        beta=_gyroangle(ba, bc),
-        gamma=_gyroangle(ca, cb),
+        alpha=alpha, beta=beta, gamma=gamma,
         vertices=(a, b, c),
     )
 
@@ -216,7 +218,7 @@ def triangle_from_sides(side_a: float, side_b: float, side_c: float
     sides = _real_scalars((side_a, side_b, side_c), ("side_a", "side_b", "side_c"))
     if not all(0.0 < s < 1.0 for s in sides):
         raise InvalidTriangle("side gyrolengths must lie in (0, 1)")
-    ga, gb, gc = gamma_of_speed(sides).tolist()
+    ga, gb, gc = _gamma_of_speed(np.array(sides)).tolist()
     alpha, beta, gamma = sss_to_aaa(ga, gb, gc)
     return Gyrotriangle(
         side_a=sides[0], side_b=sides[1], side_c=sides[2],
@@ -232,7 +234,7 @@ def triangle_from_angles(alpha: float, beta: float, gamma: float
     Angles so small that a side rounds to 1 raise NoSuchTriangle.
     """
     ga, gb, gc = aaa_to_sss(alpha, beta, gamma)
-    sides = speed_of_gamma([ga, gb, gc]).tolist()
+    sides = _speed_of_gamma(np.array([ga, gb, gc])).tolist()
     if not all(s < 1.0 for s in sides):
         raise NoSuchTriangle("gyroangles so small that a side reaches 1")
     return Gyrotriangle(

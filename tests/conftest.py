@@ -13,17 +13,19 @@ def rng():
 
 @pytest.fixture
 def validation_calls(monkeypatch):
-    """The names passed to as_velocity, recorded from every gyrokin layer.
+    """The names passed to the admissibility check, from every gyrokin layer.
 
-    as_velocity is rebound wherever a gyrokin module holds it, so calls
-    from every layer are counted.  Clear the list before the call counted.
+    ball._norm_sq_checked is the one check: as_velocity and as_ambient call
+    it, and so do the kernels, inside each row block.  It is rebound
+    wherever a gyrokin module holds it, so calls from every layer are
+    counted.  Clear the list before the call counted.
     """
-    original = importlib.import_module("gyrokin.ball").as_velocity
+    original = importlib.import_module("gyrokin.ball")._norm_sq_checked
     calls = []
 
-    def counting(*args, **kwargs):
-        calls.append(kwargs.get("name"))
-        return original(*args, **kwargs)
+    def counting(arr, name, *args):
+        calls.append(name)
+        return original(arr, name, *args)
 
     modules = [importlib.import_module("gyrokin")]
     modules += [importlib.import_module(f"gyrokin.{m}") for m in LAYERS]

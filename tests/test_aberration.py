@@ -11,6 +11,7 @@ from gyrokin import (
     ARCSEC_PER_RAD,
     AdmissibilityError,
     AngleDegenerate,
+    GyrokinError,
     aberration_scene,
     aberration_sweep,
     classical_aberration,
@@ -24,6 +25,8 @@ from gyrokin import (
     stellar_aberration_inv,
 )
 from gyrokin.ball import _real_array
+from gyrokin.gyro import _gamma_of_speed
+from helpers import same_bits
 
 SI_C = 299792458.0
 
@@ -165,6 +168,89 @@ def test_speeds_checked_once(monkeypatch):
     relativistic_matched_p_e(theta, theta[::-1], v)
     assert calls == []
     assert float(gamma_of_speed(0.6)) == 1.25 and calls == ["speed"]
+
+
+RELATIVISTIC = {
+    "relativistic_aberration": relativistic_aberration,
+    "relativistic_aberration_inv": relativistic_aberration_inv,
+    "stellar_aberration": lambda theta, v, p: stellar_aberration(theta, v),
+    "stellar_aberration_inv": lambda theta, v, p: stellar_aberration_inv(theta, v),
+}
+
+# Around one block of 8192 rows, and several blocks with a remainder.
+LENGTHS = [8191, 8192, 8193, 20000]
+
+
+def one_call(monkeypatch, op, *args):
+    """op(*args) with no row blocks."""
+    with monkeypatch.context() as m:
+        m.setattr("gyrokin.ball._BLOCK", 10 ** 9)
+        return op(*args)
+
+
+def failure(op, *args):
+    """The class and message op(*args) raises, or None."""
+    try:
+        op(*args)
+    except (GyrokinError, ValueError) as exc:
+        return type(exc), str(exc)
+    return None
+
+
+def scenario(rng, k):
+    return (rng.uniform(0.01, math.pi - 0.01, k), rng.uniform(0.0, 0.99, k),
+            rng.uniform(0.01, 1.0, k))
+
+
+@pytest.mark.parametrize("name", RELATIVISTIC)
+class TestRowBlocks:
+    """Long batches run in row blocks with the checks inside; one call's bits and errors."""
+
+    @pytest.mark.parametrize("k", LENGTHS)
+    def test_blocks_give_the_bits_of_one_call(self, rng, monkeypatch, name, k):
+        op = RELATIVISTIC[name]
+        theta, v, p = scenario(rng, k)
+        for args in [(theta, v, p), (theta, 0.6, p), (theta[:, None], v[:3], p[:3]),
+                     (1.2, v, 0.7)]:
+            assert same_bits(op(*args), one_call(monkeypatch, op, *args))
+
+    @pytest.mark.parametrize("k", LENGTHS)
+    def test_each_block_evaluated_once(self, rng, monkeypatch, name, k):
+        rows = []
+        monkeypatch.setattr("gyrokin.aberration._gamma_of_speed",
+                            lambda s: rows.append(len(s)) or _gamma_of_speed(s))
+        RELATIVISTIC[name](*scenario(rng, k))
+        assert rows == [min(8192, k - lo) for lo in range(0, k, 8192)]
+
+    @pytest.mark.parametrize("k", LENGTHS)
+    @pytest.mark.parametrize("arg, value", [(0, 0.0), (0, np.nan), (1, 1.0), (1, -0.1),
+                                            (1, np.inf), (2, 0.0), (2, 1.5)])
+    def test_bad_last_row(self, rng, monkeypatch, name, k, arg, value):
+        op = RELATIVISTIC[name]
+        args = scenario(rng, k)
+        args[arg][-1] = value
+        want = one_call(monkeypatch, failure, op, *args)
+        if name.startswith("stellar") and arg == 2:
+            assert want is None
+        else:
+            assert want is not None and want[0] is not ValueError
+        assert failure(op, *args) == want
+
+    def test_first_argument_checked_first(self, rng, monkeypatch, name):
+        op = RELATIVISTIC[name]
+        theta, v, p = scenario(rng, 20000)
+        theta[-1], v[0] = math.pi, 1.0
+        want = one_call(monkeypatch, failure, op, theta, v, p)
+        assert want[0] is AngleDegenerate
+        assert failure(op, theta, v, p) == want
+
+    def test_mismatched_shapes_fail_as_one_call(self, rng, monkeypatch, name):
+        op = RELATIVISTIC[name]
+        theta, v, p = scenario(rng, 20000)
+        for args in [(theta, v[:-1], p), (theta, [0.1j], p), ([[0.5], [0.6, 0.7]], v, p)]:
+            want = one_call(monkeypatch, failure, op, *args)
+            assert want is not None
+            assert failure(op, *args) == want
 
 
 class TestStellar:

@@ -2,6 +2,7 @@
 
 import importlib
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -26,8 +27,10 @@ from gyrokin import (
     gamma,
     gyrate,
     gyrate_definitional,
+    gyrodistance,
     gyromidpoint,
     left_sub,
+    scalar_mul,
     speed_of_gamma,
     triangle_from_vertices,
     decompose,
@@ -539,6 +542,122 @@ class TestBroadcast:
             rows = [j] + good[:15] + [i]
         whole = check(rows)
         assert raised(op, u[rows[:TEST_BLOCK]], v[rows[:TEST_BLOCK]]) != whole
+
+
+OUT = "has norm 1.5 outside the admissible ball (limit 0.99999999999949996)"
+BAD, OK = [1.5, 0.0, 0.0], [0.1, 0.2, 0.3]
+ROWS = BLOCK_LENGTHS[-1]
+
+# Operands with two faults each, alone and as batches of ROWS rows with the
+# faults in the last row; the fault a check operand by operand meets first
+# wins, whether or not the coercion or the shape match fails too.
+TWO_FAULTS = {
+    "u-bad-v-ragged": ((BAD, [[0.1, 0.2], [0.3]]),
+                       ([OK] * (ROWS - 1) + [BAD], [OK] * (ROWS - 1) + [[0.3]])),
+    "u-bad-v-complex": ((BAD, [0.1j, 0.0, 0.0]),
+                        ([OK] * (ROWS - 1) + [BAD], [[0.1j, 0.0, 0.0]] * ROWS)),
+    "u-bad-v-2d": ((BAD, [0.1, 0.2]),
+                   ([OK] * (ROWS - 1) + [BAD], [[0.1, 0.2]] * ROWS)),
+    "u-bad-v-scalar": ((BAD, 0.5), ([OK] * (ROWS - 1) + [BAD], 0.5)),
+    "u-nan-v-complex": (([np.nan, 0.0, 0.0], [0.1j, 0.0, 0.0]),
+                        ([OK] * (ROWS - 1) + [[np.nan, 0.0, 0.0]], [[0.1j, 0.0, 0.0]] * ROWS)),
+    "v-bad-dims": ((OK, [1.5, 0.0]), ([OK] * ROWS, [[0.1, 0.2]] * (ROWS - 1) + [[1.5, 0.0]])),
+    "v-bad-rows": (([OK] * 4, [BAD] * 5), ([OK] * (ROWS - 1), [OK] * (ROWS - 1) + [BAD])),
+    "v-inf-rows": (([OK] * 4, [[np.inf, 0.0, 0.0]] * 5),
+                   ([OK] * (ROWS - 1), [OK] * (ROWS - 1) + [[np.inf, 0.0, 0.0]])),
+}
+
+TWO_FAULT_OPS = {
+    "einstein_add": (einstein_add, "u", "v"),
+    "left_sub": (left_sub, "u", "v"),
+    "cosub": (cosub, "u", "v"),
+    "gyrodistance": (gyrodistance, "u", "v"),
+    "gyromidpoint": (gyromidpoint, "a", "b"),
+    "gyrate_definitional": (lambda u, v: gyrate_definitional(OK, u, v), "v", "w"),
+}
+
+# The class and message each raised before the checks moved into the row
+# blocks.  gyrate's w need only be finite, and scalar_mul's r is no velocity.
+GOLDEN = {
+    (op, case): (AdmissibilityError, f"{first} {OUT}" if case.startswith("u-bad")
+                 else f"{first} has non-finite components" if case.startswith("u-nan")
+                 else f"{second} has non-finite components" if case.startswith("v-inf")
+                 else f"{second} {OUT}")
+    for op, (_, first, second) in TWO_FAULT_OPS.items() for case in TWO_FAULTS
+}
+GOLDEN.update({
+    ("gyrate", "u-bad-v-ragged"): (AdmissibilityError, f"u {OUT}"),
+    ("gyrate", "u-bad-v-complex"): (AdmissibilityError, f"u {OUT}"),
+    ("gyrate", "u-nan-v-complex"): (AdmissibilityError, "u has non-finite components"),
+    ("gyrate", "v-bad-dims"): (DimensionError, "u, v, w have dimensions [3, 3, 2]"),
+    ("gyrate", "v-inf-rows"): (AdmissibilityError, "w has non-finite components"),
+    ("scalar_mul", "u-bad-v-complex"): (AdmissibilityError,
+                                        "v is not real-valued: complex components"),
+    ("scalar_mul", "v-bad-dims"): (AdmissibilityError, f"v {OUT}"),
+    ("scalar_mul", "v-bad-rows"): (AdmissibilityError, f"v {OUT}"),
+    ("scalar_mul", "v-inf-rows"): (AdmissibilityError, "v has non-finite components"),
+})
+TWO_FAULT_OPS.update({"gyrate": (lambda u, v: gyrate(u, OK, v), "u", "w"),
+                      "scalar_mul": (scalar_mul, "r", "v")})
+
+NOT_FINITE = {"nan": [np.nan, 0.0, 0.0], "inf": [0.0, -np.inf, 0.0],
+              "overflow": [1e300, 0.0, 0.0], "overflow-sum": [1e154, 1e154, 1e154]}
+
+
+class TestOnePass:
+    """Each row block is coerced, checked and evaluated in one pass."""
+
+    @pytest.mark.parametrize("op, case", list(GOLDEN))
+    def test_first_fault_wins(self, monkeypatch, op, case):
+        fn = TWO_FAULT_OPS[op][0]
+        for args in TWO_FAULTS[case]:
+            assert raised(fn, *args) == GOLDEN[op, case]
+            assert in_blocks(monkeypatch, raised, fn, *args) == GOLDEN[op, case]
+
+    @pytest.mark.parametrize("bad", NOT_FINITE)
+    @pytest.mark.parametrize("op", BLOCKED_OPS + [gyrodistance,
+                                                  lambda u, v: scalar_mul(0.5, u)])
+    def test_non_finite_rows_raise_without_warning(self, rng, monkeypatch, op, bad):
+        want = "non-finite" if bad in ("nan", "inf") else "norm inf"
+        u = ball_points(rng, ROWS, 3, max_norm=0.9)
+        v = ball_points(rng, ROWS, 3, max_norm=0.9)
+        u[-1] = v[-1] = NOT_FINITE[bad]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            single = raised(op, u[-1], v[-1])
+            whole = raised(op, u, v)
+            assert in_blocks(monkeypatch, raised, op, u, v) == whole
+        assert single[0] is whole[0] is AdmissibilityError
+        assert want in single[1] and want in whole[1]
+
+    @pytest.mark.parametrize("bad, want", [("nan", "w has non-finite components"),
+                                           ("overflow", "w has a squared norm that overflows")])
+    def test_ambient_rows_raise_without_warning(self, rng, monkeypatch, bad, want):
+        u, v, w = ball_points(rng, 3 * ROWS, 3, max_norm=0.9).reshape(3, ROWS, 3)
+        w[-1] = [1e200, 1e200, 0.0] if bad == "overflow" else NOT_FINITE[bad]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert raised(gyrate, u[-1], v[-1], w[-1]) == (AdmissibilityError, want)
+            assert raised(gyrate, u, v, w) == (AdmissibilityError, want)
+            assert in_blocks(monkeypatch, raised, gyrate, u, v, w) == (AdmissibilityError, want)
+
+    def test_unblocked_call_checks_each_array_once(self, validation_calls):
+        calls = validation_calls
+        for op, args, want in [
+                (gamma, (BAD,), ["v"]),
+                (einstein_add, (BAD, OK), ["u"]),
+                (einstein_add, (OK, BAD), ["u", "v"]),
+                (gyrate, ([OK] * 5, OK, BAD), ["u", "v", "w"]),
+                (cosub, (OK, OK), ["u", "v", "v"]),
+                (gyrate_definitional, (OK, OK, OK), ["u", "v", "w", "v", "v", "u"])]:
+            calls.clear()
+            raised(op, *args)
+            assert calls == want
+
+    def test_each_block_checks_its_rows(self, rng, monkeypatch, validation_calls):
+        u = ball_points(rng, ROWS, 3)
+        in_blocks(monkeypatch, einstein_add, u, u[0])
+        assert validation_calls == ["u", "v"] * math.ceil(ROWS / TEST_BLOCK)
 
 
 class TestHypothesisLaws:

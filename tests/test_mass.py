@@ -25,6 +25,7 @@ from gyrokin import (
     parse_particles,
 )
 from gyrokin import mass
+from gyrokin.ball import _gamma
 from helpers import ball_points, max_abs, pairwise_dark_sq, same_bits
 
 EPS = np.finfo(float).eps
@@ -245,6 +246,17 @@ class TestDecompose:
             _, energy, _ = minkowski_mass(sys_n)
             assert dec.m0 * dec.gamma0 == pytest.approx(energy, rel=1e-12)
 
+    def test_gammas_computed_once(self, rng, monkeypatch):
+        calls = []
+        monkeypatch.setattr(mass, "_gamma", lambda *a: calls.append(a) or _gamma(*a))
+        for _ in range(50):
+            system = random_system(rng)
+            calls.clear()
+            dec = decompose(system)
+            assert len(calls) == 2  # the particles' gammas and gamma0, once each
+            energy, momentum = four_momentum(system)
+            assert dec.energy == energy and same_bits(dec.momentum, momentum)
+
     def test_four_momentum_helper(self):
         sys2 = ParticleSystem((
             Particle(1.0, [0.6, 0.0, 0.0]),
@@ -289,6 +301,21 @@ class TestCollideAndStick:
             assert composite.relativistic_mass == pytest.approx(e_in, rel=1e-12)
             assert max_abs(composite.relativistic_mass * composite.velocity - p_in) \
                 < 1e-12 * e_in
+
+
+    def test_two_particle_decomposition_reused(self, rng, monkeypatch):
+        """m0 and v0 of one decompose: the bits of invariant_mass and cm_velocity."""
+        calls = []
+        monkeypatch.setattr(mass, "_gamma", lambda *a: calls.append(a) or _gamma(*a))
+        for _ in range(50):
+            v1, v2 = ball_points(rng, 2, 3, max_norm=0.99)
+            p1, p2 = Particle(rng.uniform(0.1, 4.0), v1), Particle(rng.uniform(0.1, 4.0), v2)
+            calls.clear()
+            composite = collide_and_stick(p1, p2)
+            assert len(calls) == 2  # the particles' gammas and gamma0, once each
+            system = ParticleSystem((p1, p2))
+            assert composite.mass == invariant_mass(system)
+            assert same_bits(composite.velocity, cm_velocity(system))
 
 
 class TestBoostInvariance:

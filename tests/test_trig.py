@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 from gyrokin import (
+    MAX_NORM,
+    AdmissibilityError,
     CollinearPoints,
     DegenerateAngle,
     DimensionError,
@@ -23,8 +25,10 @@ from gyrokin import (
     triangle_from_angles,
     triangle_from_sides,
     triangle_from_vertices,
+    triangle_area,
     triangle_q,
 )
+from gyrokin.ball import _real_array
 from helpers import ball_points, max_abs, random_rotation
 
 A_FIX = np.array([0.6, 0.0, 0.0])
@@ -77,6 +81,8 @@ class TestGyroangle:
     def test_degenerate_raises(self):
         with pytest.raises(DegenerateAngle):
             gyroangle(A_FIX, A_FIX, B_FIX)
+        with pytest.raises(DegenerateAngle):
+            gyroangle(A_FIX, B_FIX, A_FIX)
 
     def test_batch_input_rejected(self):
         # Scalar-only ops: a batch is a DimensionError, not a numpy TypeError.
@@ -161,6 +167,36 @@ class TestTriangleFromVertices:
                 np.array([0.1, 0.0, 0.0]),
                 np.array([0.7, 0.0, 0.0]),
             )
+
+    @pytest.mark.parametrize("dim", range(2, 10))
+    def test_stacked_rows_give_the_bits_of_pairwise_calls(self, rng, dim):
+        """The six gyrovectors and three angles, one row each, as if one by one."""
+        for a, b, c in ball_points(rng, 60, dim, max_norm=0.9).reshape(20, 3, dim):
+            if float(triangle_area(a, b, c)) < 1e-3:
+                continue
+            tri = triangle_from_vertices(a, b, c)
+            sides = [float(gyrodistance(b, c)), float(gyrodistance(a, c)),
+                     float(gyrodistance(a, b))]
+            want = sides + gamma_of_speed(sides).tolist() + [
+                gyroangle(a, b, c), gyroangle(b, a, c), gyroangle(c, a, b)]
+            got = [tri.side_a, tri.side_b, tri.side_c, tri.gamma_a, tri.gamma_b,
+                   tri.gamma_c, tri.alpha, tri.beta, tri.gamma]
+            assert [type(x) for x in got] == [float] * 9
+            assert got == want
+
+    def test_side_rounding_to_one(self):
+        a = np.array([MAX_NORM, 0.0, 0.0])
+        with pytest.raises(AdmissibilityError, match=r"^speed must lie in \[0, 1\)$"):
+            triangle_from_vertices(a, -a, np.array([0.0, 0.5, 0.0]))
+
+    def test_no_second_range_check_in_gyro(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr("gyrokin.gyro._real_array",
+                            lambda *args: calls.append(args) or _real_array(*args))
+        tri = triangle_from_vertices(A_FIX, B_FIX, C_FIX)
+        triangle_from_sides(tri.side_a, tri.side_b, tri.side_c)
+        triangle_from_angles(tri.alpha, tri.beta, tri.gamma)
+        assert calls == []
 
     def test_geometric_equals_analytic_angles(self, rng):
         for _ in range(300):
