@@ -1,7 +1,10 @@
 """Command-line frontend.
 
 Every command mirrors one library call on the parsed, dimensionless inputs;
-the CLI only handles units, parsing, and formatting.  Velocities are divided
+the CLI only handles units, parsing, and formatting.  The commands whose
+result is one ball vector are driven by one table, ``_VECTOR_COMMANDS``:
+each entry names the library call, its inputs, its residual checks and its
+own options, and one factory turns it into a command.  Velocities are divided
 by the working value of c at ingestion (so in natural units they are entered
 as fractions of c, in SI as m/s) and all printed velocities are fractions of
 c.  Floats print with 15 significant digits in every output format.
@@ -182,15 +185,15 @@ _VECTOR_HELP = {
 
 def common_options(*vectors):
     """Declare a required --<name> for each velocity in ``vectors``, then the
-    three options every command reads.  The command is called with a Config
-    and the vectors parsed by it in order, then its own options."""
+    three options every command reads.  The command is called with a Config,
+    then with its options by name, each of ``vectors`` parsed by that Config."""
 
     def decorate(f):
         @functools.wraps(f)
         def command(units, c_value, fmt, **kwargs):
             cfg = Config(units, c_value, fmt)
-            parsed = [cfg.parse_vector(kwargs.pop(name), name) for name in vectors]
-            return f(cfg, *parsed, **kwargs)
+            parsed = {name: cfg.parse_vector(kwargs[name], name) for name in vectors}
+            return f(cfg, **{**kwargs, **parsed})
 
         for opt in reversed([
             *(click.option(f"--{name}", required=True, help=_VECTOR_HELP[name])
@@ -236,16 +239,6 @@ def cli():
     """
 
 
-def _vector_result(cfg: Config, op: str, inputs: dict, w: np.ndarray,
-                   checks: dict) -> None:
-    result = {
-        "result": w,
-        "norm": float(norm(w)),
-        "gamma": _maybe_gamma(w),
-    }
-    cfg.emit(op, inputs, result, checks)
-
-
 def _maybe_gamma(w):
     try:
         return float(gamma(w))
@@ -253,38 +246,13 @@ def _maybe_gamma(w):
         return None
 
 
-@cli.command()
-@common_options("u", "v")
-def add(cfg, u, v):
-    """Einstein velocity addition u (+) v."""
-    w = einstein_add(u, v)
-    identity = float(gamma(u) * gamma(v) * (1.0 + float(np.dot(u, v))))
-    checks = {"gamma_identity_rel_error": abs(float(gamma(w)) - identity) / identity}
-    _vector_result(cfg, "add", {"u": u, "v": v}, w, checks)
+def _ball_result(w) -> dict:
+    """A ball vector as printed: w, its norm, and its gamma (None past the ball)."""
+    return {"result": w, "norm": float(norm(w)), "gamma": _maybe_gamma(w)}
 
 
-@cli.command()
-@common_options("u", "v")
-def sub(cfg, u, v):
-    """Einstein velocity subtraction u (-) v."""
-    w = einstein_sub(u, v)
-    # left cancellation: (-u) (+) (u (+) (-v)) must recover -v
-    checks = {"left_cancellation_max_abs":
-              float(np.max(np.abs(einstein_add(-u, w) + v)))}
-    _vector_result(cfg, "sub", {"u": u, "v": v}, w, checks)
-
-
-@cli.command(name="coadd")
-@common_options("u", "v")
-def coadd_cmd(cfg, u, v):
-    """Einstein coaddition u [+] v (commutative)."""
-    w = coadd(u, v)
-    checks = {
-        "route_agreement_max_abs":
-            float(np.max(np.abs(w - coadd_via_gyration(u, v)))),
-        "commutativity_max_abs": float(np.max(np.abs(w - coadd(v, u)))),
-    }
-    _vector_result(cfg, "coadd", {"u": u, "v": v}, w, checks)
+def _max_abs(x) -> float:
+    return float(np.max(np.abs(x)))
 
 
 @cli.command()
@@ -299,32 +267,18 @@ def gyr(cfg, u, v, w, out_unit):
             abs(float(norm(out)) - float(norm(w))),
     }
     try:
-        checks["definitional_vs_closed_max_abs"] = float(
-            np.max(np.abs(out - gyrate_definitional(u, v, w)))
-        )
+        checks["definitional_vs_closed_max_abs"] = _max_abs(
+            out - gyrate_definitional(u, v, w))
     except GyrokinError:
         pass  # w outside the ball: only the closed form applies
     result = {
-        "result": out,
-        "norm": float(norm(out)),
-        "gamma": _maybe_gamma(out),
+        **_ball_result(out),
         "rotation_angle": g.rotation_angle() / ANGLE_TO_RAD[out_unit],
         "angle_unit": out_unit,
     }
     if g.dim <= 3:
         result["matrix"] = g.matrix()
     cfg.emit("gyr", {"u": u, "v": v, "w": w}, result, checks)
-
-
-@cli.command()
-@click.option("--r", type=float, required=True, help="Real scalar factor.")
-@common_options("v")
-def scale(cfg, v, r):
-    """Scalar gyromultiplication r (x) v."""
-    w = scalar_mul(r, v)
-    half = scalar_mul(0.5, scalar_mul(2.0, w)) if abs(r) < 1e6 else w
-    checks = {"halving_roundtrip_max_abs": float(np.max(np.abs(half - w)))}
-    _vector_result(cfg, "scale", {"r": r, "v": v}, w, checks)
 
 
 @cli.command()
@@ -338,38 +292,77 @@ def distance(cfg, a, b):
              {"result": d, "gamma": _maybe_gamma(w)}, checks)
 
 
-@cli.command()
-@click.option("--t", type=float, default=0.5, show_default=True,
-              help="Gyroline parameter; 0.5 gives the gyromidpoint.")
-@common_options("a", "b")
-def midpoint(cfg, a, b, t):
-    """Gyromidpoint of a and b (or the gyroline point at parameter t)."""
-    if t == 0.5:
-        w = gyromidpoint(a, b)
-        checks = {
-            "line_form_max_abs":
-                float(np.max(np.abs(w - gyroline_point(a, b, 0.5)))),
+def _add_checks(w, u, v):
+    identity = float(gamma(u) * gamma(v) * (1.0 + float(np.dot(u, v))))
+    return {"gamma_identity_rel_error": abs(float(gamma(w)) - identity) / identity}
+
+
+def _scale_checks(w, r, v):
+    half = scalar_mul(0.5, scalar_mul(2.0, w)) if abs(r) < 1e6 else w
+    return {"halving_roundtrip_max_abs": _max_abs(half - w)}
+
+
+def _midpoint_checks(w, a, b, t):
+    if t != 0.5:
+        return {}
+    return {"line_form_max_abs": _max_abs(w - gyroline_point(a, b, 0.5)),
             "equidistance_abs":
-                abs(float(gyrodistance(w, a)) - float(gyrodistance(w, b))),
-        }
-    else:
-        w = gyroline_point(a, b, t)
-        checks = {}
-    _vector_result(cfg, "midpoint", {"a": a, "b": b, "t": t}, w, checks)
+                abs(float(gyrodistance(w, a)) - float(gyrodistance(w, b)))}
 
 
-@cli.command()
-@click.option("--tol", type=float, default=COLLINEAR_AREA_TOL, show_default=True,
-              callback=_positive_finite,
-              help="Triangle area below which a, b, c count as gyrocollinear.")
-@common_options("a", "b", "c")
-def parallelogram(cfg, a, b, c, tol):
-    """Fourth gyroparallelogram vertex d = (b [+] c) (-) a."""
-    d = gyroparallelogram_fourth(a, b, c, tol=tol)
-    m1 = scalar_mul(0.5, coadd(a, d))
-    m2 = scalar_mul(0.5, coadd(b, c))
-    checks = {"diagonal_midpoint_residual": float(np.max(np.abs(m1 - m2)))}
-    _vector_result(cfg, "parallelogram", {"a": a, "b": b, "c": c}, d, checks)
+# The commands whose result is one ball vector w, printed with its norm and gamma.
+# Each entry is (docstring, library call, its positional input names in order,
+# checks(w, *inputs, **opts), the command's own click options).  The inputs named
+# in _VECTOR_HELP are velocities that common_options parses; the other inputs and
+# the keyword opts are the command's own options.
+_VECTOR_COMMANDS = {
+    "add": ("Einstein velocity addition u (+) v.", einstein_add, ("u", "v"),
+            _add_checks, []),
+    "sub": ("Einstein velocity subtraction u (-) v.", einstein_sub, ("u", "v"),
+            # left cancellation: (-u) (+) (u (+) (-v)) must recover -v
+            lambda w, u, v: {"left_cancellation_max_abs":
+                             _max_abs(einstein_add(-u, w) + v)}, []),
+    "coadd": ("Einstein coaddition u [+] v (commutative).", coadd, ("u", "v"),
+              lambda w, u, v: {
+                  "route_agreement_max_abs": _max_abs(w - coadd_via_gyration(u, v)),
+                  "commutativity_max_abs": _max_abs(w - coadd(v, u))}, []),
+    "scale": ("Scalar gyromultiplication r (x) v.", scalar_mul, ("r", "v"),
+              _scale_checks, [click.option("--r", type=float, required=True,
+                                           help="Real scalar factor.")]),
+    "midpoint": ("Gyromidpoint of a and b (or the gyroline point at parameter t).",
+                 lambda a, b, t: (gyromidpoint(a, b) if t == 0.5
+                                  else gyroline_point(a, b, t)),
+                 ("a", "b", "t"), _midpoint_checks,
+                 [click.option("--t", type=float, default=0.5, show_default=True,
+                               help="Gyroline parameter; 0.5 gives the gyromidpoint.")]),
+    "parallelogram": (
+        "Fourth gyroparallelogram vertex d = (b [+] c) (-) a.",
+        gyroparallelogram_fourth, ("a", "b", "c"),
+        lambda d, a, b, c, tol: {"diagonal_midpoint_residual": _max_abs(
+            scalar_mul(0.5, coadd(a, d)) - scalar_mul(0.5, coadd(b, c)))},
+        [click.option("--tol", type=float, default=COLLINEAR_AREA_TOL,
+                      show_default=True, callback=_positive_finite,
+                      help="Triangle area below which a, b, c count as gyrocollinear.")]),
+}
+
+
+def _vector_command(name, doc, call, inputs, checks, options):
+    """Register the command ``name`` from its _VECTOR_COMMANDS entry."""
+    vectors = [k for k in inputs if k in _VECTOR_HELP]
+
+    def command(cfg, **args):
+        values = [args.pop(k) for k in inputs]
+        w = call(*values, **args)
+        residuals = checks(w, *values, **args)
+        cfg.emit(name, dict(zip(inputs, values)), _ball_result(w), residuals)
+
+    for option in [common_options(*vectors), *reversed(options)]:
+        command = option(command)
+    cli.command(name=name, help=doc)(command)
+
+
+for _name, _entry in _VECTOR_COMMANDS.items():
+    _vector_command(_name, *_entry)
 
 
 @cli.command()
@@ -396,24 +389,17 @@ def triangle(cfg, mode, a_text, b_text, c_text, sides, angles, tol, unit, out_un
         tri = triangle_from_vertices(cfg.parse_vector(a_text, "a"),
                                      cfg.parse_vector(b_text, "b"),
                                      cfg.parse_vector(c_text, "c"))
-        inputs = {"mode": mode, "a": tri.vertices[0], "b": tri.vertices[1],
-                  "c": tri.vertices[2]}
-    elif mode == "sss":
-        if not sides:
-            raise click.UsageError("sss mode needs --sides")
-        s = [cfg.parse_speed(x, name="side") for x in sides.split(",")]
-        if len(s) != 3:
-            raise click.UsageError("--sides needs exactly three values")
-        tri = triangle_from_sides(*s)
-        inputs = {"mode": mode, "sides": s}
-    else:
-        if not angles:
-            raise click.UsageError("aaa mode needs --angles")
-        ang = [_parse_angle(x, "angle", unit) for x in angles.split(",")]
-        if len(ang) != 3:
-            raise click.UsageError("--angles needs exactly three values")
-        tri = triangle_from_angles(*ang)
-        inputs = {"mode": mode, "angles": ang}
+        inputs = {"mode": mode, **dict(zip("abc", tri.vertices))}
+    else:  # three side gyrolengths (sss) or three gyroangles (aaa)
+        key, text = ("sides", sides) if mode == "sss" else ("angles", angles)
+        if not text:
+            raise click.UsageError(f"{mode} mode needs --{key}")
+        values = [cfg.parse_speed(x, name="side") if mode == "sss"
+                  else _parse_angle(x, "angle", unit) for x in text.split(",")]
+        if len(values) != 3:
+            raise click.UsageError(f"--{key} needs exactly three values")
+        tri = (triangle_from_sides if mode == "sss" else triangle_from_angles)(*values)
+        inputs = {"mode": mode, key: values}
     is_right = tri.is_right(tol)
     to_out = ANGLE_TO_RAD[out_unit]
     result = {
@@ -512,14 +498,14 @@ def aberration(cfg, model, v_text, theta_s_text, theta_e_text, p_s_text, p_e_tex
 @common_options()
 def mass_cmd(cfg, infile):
     """Invariant-mass decomposition of a particle system from a file."""
-    if infile == "-":
-        text = sys.stdin.read()
-    else:
-        try:
+    try:
+        if infile == "-":
+            text = sys.stdin.read()
+        else:
             with open(infile, "r", encoding="utf-8") as fh:
                 text = fh.read()
-        except OSError as exc:
-            raise ParticleFormatError(f"cannot read {infile}: {exc}") from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ParticleFormatError(f"cannot read {infile}: {exc}") from exc
     system = parse_particles(text, c_value=cfg.c_value)
     dec = decompose(system)
     result = {"n_particles": len(system), **{k: getattr(dec, k) for k in (

@@ -115,10 +115,11 @@ def add_speeds(x, y):
 
     This is the restriction of Einstein addition to collinear velocities and
     the operation under which gyrodistances satisfy the gyrotriangle
-    inequality.
+    inequality.  Both speeds must be finite and lie in (-1, 1).
     """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
+    x, y = _real_array(x, "x"), _real_array(y, "y")
+    if not (_every(np.abs(x) < 1.0) and _every(np.abs(y) < 1.0)):
+        raise AdmissibilityError("speeds must lie in (-1, 1)")
     return (x + y) / (1.0 + x * y)
 
 
@@ -267,7 +268,9 @@ class Gyration:
 
     def matrix(self) -> np.ndarray:
         """The operator as an orthogonal n x n matrix acting on columns."""
-        return _gyrate(self.u, self.v, np.eye(self.dim)).T
+        eye = np.eye(self.dim)
+        a, b, d = _gyr_coeffs(self.u, self.v, eye)
+        return (np.outer(self.u, a) + np.outer(self.v, b)) / d + eye
 
     def is_trivial(self, tol: float = 1e-14) -> bool:
         """True when the generators make the gyration the identity map."""

@@ -1,5 +1,6 @@
 """CLI golden tests: frozen output bytes, exit codes, units, file ingestion."""
 
+import io
 import json
 import math
 import os
@@ -13,6 +14,7 @@ import pytest
 
 import gyrokin
 from gyrokin import aberration_sweep, einstein_add, gyrodistance, stellar_aberration
+import gyrokin.cli as cli_module
 from gyrokin.cli import ANGLE_TO_RAD, _fmt, cli, main
 
 BACK_TO_BACK = "# two particles\n1.0, 0.6, 0, 0\n1.0, -0.6, 0, 0\n"
@@ -143,7 +145,41 @@ class TestGoldenOutputs:
         assert all(v < 1e-12 for v in check_values(checks))
 
 
+# Each command of cli._VECTOR_COMMANDS: its arguments and the library call it
+# must mirror.
+U, V, C = [0.37, 0.11, 0.0], [-0.2, 0.5, 0.1], [0.05, -0.3, 0.4]
+UV = ["--u", ",".join(map(repr, U)), "--v", ",".join(map(repr, V))]
+AB = ["--a", ",".join(map(repr, U)), "--b", ",".join(map(repr, V))]
+VECTOR_CALLS = {
+    "add": (UV, lambda: gyrokin.einstein_add(U, V)),
+    "sub": (UV, lambda: gyrokin.einstein_sub(U, V)),
+    "coadd": (UV, lambda: gyrokin.coadd(U, V)),
+    "scale": (["--r", "1.7", *UV[2:]], lambda: gyrokin.scalar_mul(1.7, V)),
+    "midpoint": (AB, lambda: gyrokin.gyromidpoint(U, V)),
+    "midpoint --t": ([*AB, "--t", "0.3"], lambda: gyrokin.gyroline_point(U, V, 0.3)),
+    "parallelogram": ([*AB, "--c", ",".join(map(repr, C))],
+                      lambda: gyrokin.gyroparallelogram_fourth(U, V, C)),
+}
+
+
 class TestLibraryEquivalence:
+    def test_every_table_command_is_covered(self):
+        assert {key.split()[0] for key in VECTOR_CALLS} == set(cli_module._VECTOR_COMMANDS)
+
+    @pytest.mark.parametrize("fmt", ["table", "json", "csv"])
+    @pytest.mark.parametrize("key", VECTOR_CALLS)
+    def test_vector_result_is_the_library_call(self, capsys, key, fmt):
+        argv, call = VECTOR_CALLS[key]
+        rc, out, err = run(capsys, key.split()[0], *argv, "--format", fmt)
+        assert (rc, err) == (0, "")
+        cells = [_fmt(c) for c in call()]
+        if fmt == "json":
+            assert json.loads(out)["result"]["result"] == [float(c) for c in cells]
+        else:
+            line = out.splitlines()[0]
+            assert line == ("result: " + ",".join(cells) if fmt == "table"
+                            else "result," + " ".join(cells))
+
     def test_add_matches_library_formatting(self, capsys):
         _, out, _ = run(capsys, "add", "--u", "0.37,0.11,0", "--v", "-0.2,0.5,0.1")
         values, _ = result_lines(out)
@@ -234,6 +270,22 @@ class TestExitCodes:
         assert rc == 1
         assert "line 2" in err
 
+    @pytest.mark.parametrize("source", ["file", "stdin"])
+    def test_non_utf8_particle_input_exits_one(self, capsys, monkeypatch, tmp_path,
+                                               source):
+        data = b"1.0, 0.1, 0\n\xff, 0.2, 0\n"
+        if source == "file":
+            (tmp_path / "latin.csv").write_bytes(data)
+            infile = str(tmp_path / "latin.csv")
+        else:  # stdin as a locale with strict UTF-8 decoding opens it
+            monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(data),
+                                                              encoding="utf-8"))
+            infile = "-"
+        rc, out, err = run(capsys, "mass", "--in", infile)
+        assert (rc, out) == (1, "")
+        assert err.startswith(f"error: ParticleFormatError: cannot read {infile}: ")
+        assert len(err.splitlines()) == 1 and "Traceback" not in err
+
     def test_inadmissible_particle_exits_two(self, capsys, tmp_path):
         bad = tmp_path / "fast.csv"
         bad.write_text("1.0, 1.5, 0, 0\n")
@@ -302,7 +354,6 @@ class TestMassCommand:
         assert "m0: 2.5" in values
 
     def test_stdin(self, capsys, monkeypatch, tmp_path):
-        import io
         monkeypatch.setattr("sys.stdin", io.StringIO(BACK_TO_BACK))
         rc, out, _ = run(capsys, "mass", "--in", "-")
         assert rc == 0

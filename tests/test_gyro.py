@@ -381,6 +381,13 @@ class TestGyration:
         w = rng.normal(size=3)
         assert max_abs(g.matrix() @ w - g.apply(w)) < 1e-14
 
+    @pytest.mark.parametrize("dim", range(2, 8))
+    def test_matrix_is_the_image_of_the_basis_bit_for_bit(self, rng, dim):
+        # Column j of the matrix is gyr[u, v] e_j, as apply computes it.
+        for u, v in ball_points(rng, 400, dim, max_norm=0.999).reshape(200, 2, dim):
+            g = Gyration(u, v)
+            assert same_bits(g.matrix(), np.ascontiguousarray(g.apply(np.eye(dim)).T))
+
     def test_rotation_angle_fixture(self):
         # angle of the canonical generator pair, frozen from the x-axis image
         g = Gyration(U_FIX, V_FIX)
@@ -459,6 +466,12 @@ class TestCosub:
 class TestAddSpeeds:
     def test_fixture(self):
         assert float(add_speeds(0.5, 0.5)) == pytest.approx(0.8, abs=1e-15)
+
+    @pytest.mark.parametrize("bad", [1.5, -1.0, 1.0, math.nan, math.inf, -math.inf])
+    def test_rejects_speeds_outside_the_open_interval(self, bad):
+        for x, y in ((bad, 0.9), (0.9, bad), (np.array([0.1, bad]), 0.2)):
+            with pytest.raises(AdmissibilityError):
+                add_speeds(x, y)
 
     @given(x=speeds(), y=speeds())
     @settings(max_examples=200)
@@ -732,6 +745,7 @@ NOT_REAL = {
     "gamma_of_speed-complex": lambda: gk.gamma_of_speed(0.1j),
     "gamma_of_speed-huge-int": lambda: gk.gamma_of_speed(10 ** 400),
     "speed_of_gamma-str": lambda: gk.speed_of_gamma("x"),
+    "add_speeds-str": lambda: gk.add_speeds("x", 0.5),
     "scalar_mul-complex": lambda: gk.scalar_mul(1j, U_FIX),
     "gyroline_point-str": lambda: gk.gyroline_point(U_FIX, V_FIX, "x"),
     "classical-str": lambda: gk.classical_aberration("x", 0.1, 1),
