@@ -294,7 +294,8 @@ def distance(cfg, a, b):
 
 def _add_checks(w, u, v):
     identity = float(gamma(u) * gamma(v) * (1.0 + float(np.dot(u, v))))
-    return {"gamma_identity_rel_error": abs(float(gamma(w)) - identity) / identity}
+    g = _maybe_gamma(w)  # None once the sum has left the ball
+    return {"gamma_identity_rel_error": None if g is None else abs(g - identity) / identity}
 
 
 def _scale_checks(w, r, v):

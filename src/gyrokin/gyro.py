@@ -219,16 +219,17 @@ def coadd_via_gyration(u, v) -> np.ndarray:
 
 
 def _cosub(u, v, n2) -> np.ndarray:
-    g = -_gyrate(u, v, v, n2)
-    _norm_sq_checked(g, "v")
-    return _add(u, g, n2)
+    return _coadd(u, -v, n2)
 
 
 def cosub(u, v) -> np.ndarray:
-    """Cosubtraction u [-] v = u (-) gyr[u, v]v.
+    """Cosubtraction u [-] v = u [+] (-v) = u (-) gyr[u, v]v.
 
     Solves the equation x (+) a = b as x = b [-] a and satisfies the right
-    cancellation law (v (+) u) [-] u = v.
+    cancellation law (v (+) u) [-] u = v.  Evaluated as the coaddition
+    2 (x) (gamma_u u - gamma_v v)/(gamma_u + gamma_v) in one pass, so no
+    intermediate can leave the ball; the gyration form u (-) gyr[u, v]v is
+    the test suite's independent oracle.
     """
     return _one_pass(_cosub, (u, v), ("u", "v"))
 

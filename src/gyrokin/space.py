@@ -31,6 +31,20 @@ def _scalar_mul(r, v) -> np.ndarray:
     return _columns(scale.shape, lambda x: scale * x, v)
 
 
+def _scale(r, v, name: str) -> np.ndarray:
+    """r (x) v, for a finite factor ``r`` that the errors call ``name``."""
+    r = _real_array(r, name)
+    if not _every(np.isfinite(r)):
+        raise NonFinite(f"{name} must be finite")
+    r, v = r[..., None], _as_real(v, "v")
+    try:
+        same_shape((r, v[..., :1]), (name, "v"))
+    except DimensionError:
+        as_velocity(v, name="v")  # an inadmissible v is reported first
+        raise
+    return _by_rows(_scalar_mul, r, v)
+
+
 def scalar_mul(r, v) -> np.ndarray:
     """Scalar gyromultiplication r (x) v = tanh(r artanh|v|) v/|v|.
 
@@ -38,16 +52,7 @@ def scalar_mul(r, v) -> np.ndarray:
     definition.  The magnitude is clamped into the admissible ball so that
     the result is valid for every finite r.
     """
-    r = _real_array(r, "scalar factor")
-    if not _every(np.isfinite(r)):
-        raise NonFinite("scalar factor must be finite")
-    r, v = r[..., None], _as_real(v, "v")
-    try:
-        same_shape((r, v[..., :1]), ("scalar factor", "v"))
-    except DimensionError:
-        as_velocity(v, name="v")  # an inadmissible v is reported first
-        raise
-    return _by_rows(_scalar_mul, r, v)
+    return _scale(r, v, "scalar factor")
 
 
 def _distance(a, b, n2) -> np.ndarray:
@@ -72,7 +77,7 @@ def gyroline_point(a, b, t) -> np.ndarray:
     (-a) (+) b and its scaled image can leave the ball, so both are checked.
     """
     a, b = operands((a, b), ("a", "b"))
-    return _add(a, as_velocity(scalar_mul(t, _add(-a, b)), name="v"))
+    return _add(a, as_velocity(_scale(t, _add(-a, b), "t"), name="v"))
 
 
 def gyromidpoint(a, b) -> np.ndarray:

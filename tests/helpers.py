@@ -5,7 +5,7 @@ import math
 import numpy as np
 from hypothesis import strategies as st
 
-from gyrokin import GyrokinError, gamma_rel_minus_1
+from gyrokin import GyrokinError, cosub, einstein_sub, gamma_rel_minus_1, gyrate
 
 
 def ball_points(rng, size, dim, max_norm=0.95, min_norm=0.0):
@@ -59,6 +59,42 @@ def pairwise_dark_sq(masses, velocities):
     rows = [np.sum(m[j] * m[j + 1:] * gamma_rel_minus_1(v[j], v[j + 1:]))
             for j in range(len(m) - 1)]
     return 2.0 * float(np.sum(rows))
+
+
+def cosub_via_gyration(u, v):
+    """u (-) gyr[u, v]v: cosubtraction from its definition, the oracle of cosub."""
+    return einstein_sub(u, gyrate(u, v, v))
+
+
+def cosub_error_ratio(u, v):
+    """Row error of cosub(u, v) against 60-digit mpmath, per eps gamma^2.
+
+    The exact u [-] v = 2 (x) (gamma_u u - gamma_v v)/(gamma_u + gamma_v) is
+    evaluated from the float inputs.  Rounding 1 - |v|^2 costs of order eps
+    gamma^2 near c, so the error of each row is divided by eps times the
+    larger of gamma_u^2 and gamma_v^2; returned for the one-pass cosub and
+    for cosub_via_gyration, whose rows are NaN where it raises.
+    """
+    import mpmath
+
+    exact = []
+    with mpmath.workdps(60):
+        for a, b in zip(u, v):
+            ma, mb = [[mpmath.mpf(float(x)) for x in row] for row in (a, b)]
+            ga, gb = [1 / mpmath.sqrt(1 - mpmath.fsum(x * x for x in m)) for m in (ma, mb)]
+            mid = [(ga * x - gb * y) / (ga + gb) for x, y in zip(ma, mb)]
+            s = 2 / (1 + mpmath.fsum(x * x for x in mid))
+            exact.append([float(s * x) for x in mid])
+    exact = np.array(exact)
+    via = []
+    for a, b in zip(u, v):
+        try:
+            via.append(cosub_via_gyration(a, b))
+        except GyrokinError:
+            via.append(np.full(len(a), np.nan))
+    eps_g2 = np.finfo(float).eps * np.maximum(1.0 / (1.0 - np.sum(u * u, axis=-1)),
+                                              1.0 / (1.0 - np.sum(v * v, axis=-1)))
+    return [np.max(np.abs(w - exact), axis=-1) / eps_g2 for w in (cosub(u, v), np.array(via))]
 
 
 # A batch is cut into blocks of this many rows while tests compare blocked and

@@ -202,6 +202,23 @@ class TestLibraryEquivalence:
         values, _ = result_lines(out)
         assert values == ["result: 1", "gamma: n/a"]
 
+    # u (+) v rounds out of the admissible ball: gamma and the gamma-identity
+    # check print n/a, and the command still succeeds.
+    SUM_PAST_THE_BALL = {
+        "table": "result: 1,0,0\nnorm: 1\ngamma: n/a\n"
+                 "check_gamma_identity_rel_error: n/a\n",
+        "json": '{"op":"add","inputs":{"u":[0.99999999,0.0,0.0],"v":[0.99999999,0.0,0.0]},'
+                '"result":{"result":[1.0,0.0,0.0],"norm":1.0,"gamma":null},'
+                '"checks":{"gamma_identity_rel_error":null}}\n',
+        "csv": "result,1 0 0\nnorm,1\ngamma,n/a\ncheck_gamma_identity_rel_error,n/a\n",
+    }
+
+    @pytest.mark.parametrize("fmt", SUM_PAST_THE_BALL)
+    def test_add_gamma_past_the_ball(self, capsys, fmt):
+        got = run(capsys, "add", "--u", "0.99999999,0,0", "--v", "0.99999999,0,0",
+                  "--format", fmt)
+        assert got == (0, self.SUM_PAST_THE_BALL[fmt], "")
+
 
 class TestExitCodes:
     def test_euclidean_angle_sum_exits_two(self, capsys):
@@ -233,6 +250,11 @@ class TestExitCodes:
             env={**os.environ, "PYTHONPATH": str(Path(gyrokin.__file__).parents[1])},
         )
         assert (proc.returncode, proc.stderr) == (2, err)
+
+    @pytest.mark.parametrize("t", ["nan", "inf", "-inf"])
+    def test_non_finite_line_parameter_named(self, capsys, t):
+        rc, out, err = run(capsys, "midpoint", "--a", "0.1,0", "--b", "0.2,0", "--t", t)
+        assert (rc, out, err) == (2, "", "error: NonFinite: t must be finite\n")
 
     def test_parse_error_exits_one(self, capsys):
         rc, _, err = run(capsys, "add", "--u", "bogus", "--v", "0,0,0")

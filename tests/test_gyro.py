@@ -35,10 +35,12 @@ from gyrokin import (
     triangle_from_vertices,
     decompose,
 )
-from gyrokin.ball import BALL_MARGIN, MAX_NORM, norm_sq
+from gyrokin import ball
+from gyrokin.ball import _FEW_ROWS, BALL_MARGIN, MAX_NORM, norm_sq
 from gyrokin.gyro import _gyr_coeffs
 from helpers import (BLOCK_LENGTHS, LAYOUTS, TEST_BLOCK, ball_points, ball_vectors,
-                     in_blocks, layout_operands, max_abs, raised, same_bits)
+                     cosub_error_ratio, cosub_via_gyration, in_blocks, layout_operands,
+                     max_abs, raised, same_bits)
 
 U_FIX = np.array([0.6, 0.0, 0.0])
 V_FIX = np.array([0.0, 0.6, 0.0])
@@ -462,6 +464,46 @@ class TestCosub:
         x = cosub(b, a)
         assert max_abs(einstein_add(x, a) - b) < 1e-11
 
+    @given(u=ball_vectors(), v=ball_vectors())
+    @settings(max_examples=300)
+    def test_is_coaddition_of_the_negation(self, u, v):
+        assert same_bits(cosub(u, v), coadd(u, -v))
+        assert max_abs(cosub(u, v) - cosub_via_gyration(u, v)) < 1e-11
+
+    def test_near_c_error_profile(self, rng):
+        # 1 - |u| and 1 - |v| log-uniform down to 1e-11.  Against 60-digit
+        # mpmath, the error per eps gamma^2 peaked at 0.20 for the one-pass
+        # cosub and at 0.83 for the gyration route on these rows (plain
+        # errors: maxima 3.4e-7 and 2.2e-6, medians 5.6e-12 and 6.1e-12);
+        # neither route raised.
+        pytest.importorskip("mpmath")
+        u, v = near_c_pairs(rng, 400, low=-11.0, at_max=0.0)
+        one_pass, via = cosub_error_ratio(u, v)
+        assert np.max(one_pass) <= COSUB_ERROR_RATIO
+        assert np.max(via) <= GYRATION_ERROR_RATIO
+
+
+# Bounds on cosub's near-c error per eps gamma^2 (see test_near_c_error_profile):
+# twice the largest ratio measured over six seeds, 0.35 for the one-pass cosub
+# and 1.44 for the gyration route.
+COSUB_ERROR_RATIO = 0.7
+GYRATION_ERROR_RATIO = 2.9
+
+
+def near_c_pairs(rng, n, low=-12.0, at_max=0.25):
+    """Admissible pairs with 1 - |u| and 1 - |v| log-uniform in [10**low, 0.1].
+
+    A share ``at_max`` of the v sit at MAX_NORM instead.  Rows whose rounded
+    squared norm leaves the ball are dropped.
+    """
+    u = ball_points(rng, n, 3, max_norm=1.0, min_norm=1.0)
+    v = ball_points(rng, n, 3, max_norm=1.0, min_norm=1.0)
+    u *= 1.0 - 10.0 ** rng.uniform(low, -1.0, (n, 1))
+    v *= np.where(rng.uniform(size=(n, 1)) < at_max, MAX_NORM,
+                  1.0 - 10.0 ** rng.uniform(low, -1.0, (n, 1)))
+    keep = (norm_sq(u) <= 1.0 - BALL_MARGIN) & (norm_sq(v) <= 1.0 - BALL_MARGIN)
+    return u[keep], v[keep]
+
 
 class TestAddSpeeds:
     def test_fixture(self):
@@ -493,7 +535,9 @@ class TestBroadcast:
 
     @pytest.mark.parametrize("op", BINARY_OPS)
     @pytest.mark.parametrize("shapes", [((4, 1, 3), (5, 3)), ((3,), (6, 3)),
-                                        ((6, 3), (3,)), ((5, 3), (5, 3))])
+                                        ((6, 3), (3,)), ((5, 3), (5, 3)),
+                                        ((_FEW_ROWS, 3), (3,)),
+                                        ((_FEW_ROWS + 1, 3), (_FEW_ROWS + 1, 3))])
     def test_rows_match_single_calls(self, rng, op, shapes):
         su, sv = shapes
         u = ball_points(rng, math.prod(su[:-1]), 3, max_norm=0.99).reshape(su)
@@ -526,15 +570,16 @@ class TestBroadcast:
     def test_intermediate_leaving_the_ball_in_late_blocks(self, rng, monkeypatch, op):
         # Rows near c, a quarter of them at MAX_NORM, where an intermediate
         # result can round or add its way out of the ball.
-        n = 400
-        u = ball_points(rng, n, 3, max_norm=1.0, min_norm=1.0)
-        v = ball_points(rng, n, 3, max_norm=1.0, min_norm=1.0)
-        u *= 1.0 - 10.0 ** rng.uniform(-12.0, -1.0, (n, 1))
-        v *= np.where(rng.uniform(size=(n, 1)) < 0.25, MAX_NORM,
-                      1.0 - 10.0 ** rng.uniform(-12.0, -1.0, (n, 1)))
-        keep = (norm_sq(u) <= 1.0 - BALL_MARGIN) & (norm_sq(v) <= 1.0 - BALL_MARGIN)
-        u, v = u[keep], v[keep]
+        u, v = near_c_pairs(rng, 400)
         alone = [raised(op, a, b) for a, b in zip(u, v)]
+        if op is cosub:
+            # One pass has no intermediate: no row raises, alone, whole or
+            # in blocks, and every row keeps the near-c error bound.
+            pytest.importorskip("mpmath")
+            assert alone == [None] * len(u) and raised(op, u, v) is None
+            assert in_blocks(monkeypatch, raised, op, u, v) is None
+            assert np.max(cosub_error_ratio(u, v)[0]) <= COSUB_ERROR_RATIO
+            return
         good = [i for i, e in enumerate(alone) if e is None]
         bad = {e: i for i, e in enumerate(alone) if e is not None}
         assert len(good) >= 15 and len(bad) >= 2
@@ -661,7 +706,7 @@ class TestOnePass:
                 (einstein_add, (BAD, OK), ["u"]),
                 (einstein_add, (OK, BAD), ["u", "v"]),
                 (gyrate, ([OK] * 5, OK, BAD), ["u", "v", "w"]),
-                (cosub, (OK, OK), ["u", "v", "v"]),
+                (cosub, (OK, OK), ["u", "v"]),
                 (gyrate_definitional, (OK, OK, OK), ["u", "v", "w", "v", "v", "u"])]:
             calls.clear()
             raised(op, *args)
