@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ball import _by_rows, _every, _real_array, _real_scalars, as_velocity
+from .ball import _by_rows, _every, _real_array, _real_arrays, _real_scalars, as_velocity
 from .errors import AdmissibilityError, AngleDegenerate, DimensionError
 from .gyro import _add, _gamma_of_speed
 from .trig import _gyroangle
@@ -64,6 +64,7 @@ def _check_positive(p, name):
 
 def classical_aberration(theta_s, v, p_s):
     """theta_e from cot(theta_e) = cot(theta_s) + v/(p_s sin(theta_s))."""
+    theta_s, v, p_s = _real_arrays((theta_s, v, p_s), ("theta_s", "v", "p_s"))
     theta_s, sin_s = _check_angle(theta_s, "theta_s")
     v = _check_speed(v, "v", allow_light=True)
     p_s = _check_positive(p_s, "p_s")
@@ -72,6 +73,7 @@ def classical_aberration(theta_s, v, p_s):
 
 def classical_aberration_inv(theta_e, v, p_e):
     """theta_s from cot(theta_s) = cot(theta_e) - v/(p_e sin(theta_e))."""
+    theta_e, v, p_e = _real_arrays((theta_e, v, p_e), ("theta_e", "v", "p_e"))
     theta_e, sin_e = _check_angle(theta_e, "theta_e")
     v = _check_speed(v, "v", allow_light=True)
     p_e = _check_positive(p_e, "p_e")
@@ -81,9 +83,9 @@ def classical_aberration_inv(theta_e, v, p_e):
 def _relativistic(shift, names, theta, v, p):
     """atan2(p sin(theta), gamma_v shift(p cos(theta), v)), checked in row blocks.
 
-    ``names`` are theta's and p's.  Each row block is checked first, in
-    argument order.  Arguments that do not coerce or broadcast are evaluated
-    whole, so they fail as one call would.
+    ``names`` are theta's and p's.  The arguments are coerced and their
+    shapes matched whole; then each row block is checked, in argument order,
+    and evaluated.
     """
     def kernel(theta, v, p):
         theta, sin = _check_angle(theta, names[0])
@@ -93,12 +95,7 @@ def _relativistic(shift, names, theta, v, p):
             raise AdmissibilityError(f"{names[1]} must be positive")
         return np.arctan2(p * sin, _gamma_of_speed(v) * shift(p * np.cos(theta), v))
 
-    try:
-        arrays = [np.asarray(x) for x in (theta, v, p)]
-        np.broadcast_shapes(*[a.shape for a in arrays])
-    except ValueError:
-        return kernel(theta, v, p)
-    return _by_rows(kernel, *arrays, core=0)
+    return _by_rows(kernel, *_real_arrays((theta, v, p), (names[0], "v", names[1])), core=0)
 
 
 def relativistic_aberration(theta_s, v, p_s):
@@ -130,6 +127,8 @@ def stellar_aberration_inv(theta_e, v):
 
 def classical_matched_p_e(theta_s, theta_e, p_s):
     """p_e consistent with the law of sines p_s/sin(theta_e) = p_e/sin(theta_s)."""
+    theta_s, theta_e, p_s = _real_arrays((theta_s, theta_e, p_s),
+                                         ("theta_s", "theta_e", "p_s"))
     sin_s = _check_angle(theta_s, "theta_s")[1]
     sin_e = _check_angle(theta_e, "theta_e")[1]
     return _check_positive(p_s, "p_s") * sin_s / sin_e
@@ -141,6 +140,8 @@ def relativistic_matched_p_e(theta_s, theta_e, p_s):
     gamma_{p_s} p_s / sin(theta_e) = gamma_{p_e} p_e / sin(theta_s); the
     momentum-like product gamma*p determines the speed uniquely.
     """
+    theta_s, theta_e, p_s = _real_arrays((theta_s, theta_e, p_s),
+                                         ("theta_s", "theta_e", "p_s"))
     sin_s = _check_angle(theta_s, "theta_s")[1]
     sin_e = _check_angle(theta_e, "theta_e")[1]
     p_s = _check_speed(p_s, "p_s")

@@ -9,11 +9,15 @@ broadcast like any other numpy operation.  Batches longer than ``_BLOCK``
 rows are evaluated in row blocks, so that each kernel's temporaries stay in
 cache; every row still gets the bits of a single-vector call.
 
-The public operations coerce their operands and match their shapes whole
-(``_one_pass``), and check admissibility inside each row block: the one
-check, ``_norm_sq_checked``, returns the block's squared norms, and gamma
-consumes them (``_gamma(v, n2)``) instead of summing |v|^2 again.  A more
-accurate 1 - |v|^2 therefore has one place to go.
+Every checked operation takes one order: coerce all its operands, match
+their shapes, then check row block after row block, with the operands in
+argument order inside each block (``_one_pass``, ``operands``).  The first
+failing check raises, once; an admissibility error in a batch names its
+first failing row as an index into the whole batch ("u row 19999 has norm
+..."), and a single vector's error names no row.  The one check,
+``_norm_sq_checked``, returns the block's squared norms, and gamma consumes
+them (``_gamma(v, n2)``) instead of summing |v|^2 again.  A more accurate
+1 - |v|^2 therefore has one place to go.
 """
 
 from __future__ import annotations
@@ -175,12 +179,14 @@ def _by_rows(fn, *arrays, core: int = 1):
     """fn(*arrays), evaluated in blocks of _BLOCK rows when the batch is longer.
 
     ``fn`` is a trusted kernel that works row by row, so every block gets the
-    bits a single call would give.  The last ``core`` axes of an operand
-    make one row: a velocity's component axis, or none for scalars.  The
-    blocks run along the leading axis of the operands' broadcast shape; an
-    operand without that axis takes part whole in every block.  If a block
-    raises a GyrokinError, ``fn`` runs once more on the whole operands, so
-    the error describes the whole batch.
+    bits a single call would give; a check that returns None makes this
+    return None.  The last ``core`` axes of an operand make one row: a
+    velocity's component axis, or none for scalars.  The blocks run along the
+    leading axis of the operands' broadcast shape; an operand without that
+    axis takes part whole in every block, so its faults raise in the first
+    block.  The first block that raises ends the call: a GyrokinError that
+    names a row gets the block's first row added, so that it indexes the
+    whole batch.
     """
     nd = max([a.ndim for a in arrays])
     if nd <= core:
@@ -193,10 +199,12 @@ def _by_rows(fn, *arrays, core: int = 1):
         for lo in range(0, k, _BLOCK):
             part = fn(*[a[lo:lo + _BLOCK] if r else a for a, r in zip(arrays, rows)])
             if lo == 0:
-                out = np.empty((k,) + part.shape[1:], part.dtype)
-            out[lo:lo + _BLOCK] = part
-    except GyrokinError:
-        return fn(*arrays)
+                out = None if part is None else np.empty((k,) + part.shape[1:], part.dtype)
+            if out is not None:
+                out[lo:lo + _BLOCK] = part
+    except GyrokinError as exc:
+        exc.row = exc.row and (exc.row[0] + lo,) + exc.row[1:]  # None stays None
+        raise
     return out
 
 
@@ -204,10 +212,10 @@ def _norm_sq_checked(arr, name: str, ambient: bool = False):
     """norm_sq(arr), once every row of ``arr`` is admissible: the one check.
 
     A row is admissible if its squared norm is at most 1 - BALL_MARGIN or,
-    for an ``ambient`` vector, finite; the error names a non-finite input or
-    the largest norm.  Overflow gives inf, not a warning.  One short vector
-    is summed in Python floats, which overflow silently, in norm_sq's order;
-    that skips the cost of np.errstate.
+    for an ``ambient`` vector, finite.  The error names the first row that
+    is not, and its non-finite input or its norm.  Overflow gives inf, not a
+    warning.  One short vector is summed in Python floats, which overflow
+    silently, in norm_sq's order; that skips the cost of np.errstate.
     """
     if arr.ndim == 1 and arr.shape[0] < _IN_ORDER_TERMS:
         n2 = 0.0
@@ -218,35 +226,38 @@ def _norm_sq_checked(arr, name: str, ambient: bool = False):
         with np.errstate(over="ignore"):
             n2 = norm_sq(arr)
         largest = n2.max(initial=0.0)
+    limit = _FLOAT_MAX if ambient else 1.0 - BALL_MARGIN
     # "not <=" instead of ">" so NaN can never sneak through; a NaN or
     # infinite component always lands here, so finiteness is tested only now.
-    if not largest <= (_FLOAT_MAX if ambient else 1.0 - BALL_MARGIN):
+    if not largest <= limit:
+        row = None
+        if arr.ndim > 1:  # the first failing row, in C order
+            row = tuple(map(int, np.unravel_index(np.argmin(n2 <= limit), n2.shape)))
+            arr, largest = arr[row], n2[row]
         if not _every(np.isfinite(arr)):
-            raise AdmissibilityError(f"{name} has non-finite components")
+            raise AdmissibilityError("has non-finite components", name=name, row=row)
         if ambient:
-            raise AdmissibilityError(f"{name} has a squared norm that overflows")
+            raise AdmissibilityError("has a squared norm that overflows", name=name, row=row)
         raise AdmissibilityError(
-            f"{name} has norm {math.sqrt(largest):.17g} outside the admissible ball "
-            f"(limit {MAX_NORM:.17g})"
+            f"has norm {math.sqrt(largest):.17g} outside the admissible ball "
+            f"(limit {MAX_NORM:.17g})", name=name, row=row
         )
     return n2
 
 
 def _admissible(arr, name: str, ambient: bool = False) -> np.ndarray:
-    """``arr``, a float array of shape (..., n), if _norm_sq_checked passes it.
+    """``arr``, a float array of shape (..., n), once _norm_sq_checked passes it.
 
-    A long batch is checked block by block, so that no (k,) array of norms
-    is built; if a block fails, the whole batch is checked again, so that the
-    error names its largest norm.
+    A batch longer than a block is checked in row blocks (_by_rows), so
+    that no (k,) array of norms is built.
     """
     if arr.ndim > 1 and arr.shape[0] > _BLOCK:
-        try:
-            for lo in range(0, arr.shape[0], _BLOCK):
-                _norm_sq_checked(arr[lo:lo + _BLOCK], name, ambient)
-            return arr
-        except AdmissibilityError:
-            pass
-    _norm_sq_checked(arr, name, ambient)
+        def check(part):
+            _norm_sq_checked(part, name, ambient)
+
+        _by_rows(check, arr)
+    else:
+        _norm_sq_checked(arr, name, ambient)
     return arr
 
 
@@ -260,7 +271,7 @@ def as_velocity(v, *, name: str = "velocity") -> np.ndarray:
     AdmissibilityError
         If the input is not real-valued (complex, non-numeric or ragged), if
         any entry is non-finite, or if any squared norm exceeds
-        ``1 - BALL_MARGIN``.
+        ``1 - BALL_MARGIN``; a batch's error names its first failing row.
     """
     return _admissible(_as_real(v, name), name)
 
@@ -268,6 +279,28 @@ def as_velocity(v, *, name: str = "velocity") -> np.ndarray:
 def as_ambient(w, *, name: str = "vector") -> np.ndarray:
     """A float array of shape (..., n) whose |w|^2 is finite; no ball constraint."""
     return _admissible(_as_real(w, name), name, ambient=True)
+
+
+def _broadcast(arrays, names) -> None:
+    """Require arrays whose shapes broadcast together.
+
+    The DimensionError names the arguments ``names``.
+    """
+    try:
+        np.broadcast(*arrays)
+    except ValueError as exc:
+        raise DimensionError(f"{', '.join(names)}: {exc}") from None
+
+
+def _real_arrays(values, names) -> list:
+    """The arguments ``values``, labelled ``names``, as float arrays.
+
+    Raises AdmissibilityError if one is not real-valued and DimensionError
+    if their shapes do not broadcast together.
+    """
+    arrays = [_real_array(x, name) for x, name in zip(values, names)]
+    _broadcast(arrays, names)
+    return arrays
 
 
 def same_shape(arrays, names) -> None:
@@ -281,47 +314,46 @@ def same_shape(arrays, names) -> None:
     dims = [s[-1] for s in shapes]
     if len(set(dims)) > 1:
         raise DimensionError(f"{', '.join(names)} have dimensions {dims}")
-    try:
-        np.broadcast_shapes(*shapes)
-    except ValueError as exc:
-        raise DimensionError(f"{', '.join(names)}: {exc}") from None
+    _broadcast(arrays, names)
+
+
+def _matched(arrays, names) -> list:
+    """The operands coerced by _as_real, in argument order, once same_shape passes them."""
+    arrs = [_as_real(a, name) for a, name in zip(arrays, names)]
+    same_shape(arrs, names)
+    return arrs
+
+
+def _checking(kernel, names, ambient_last: bool):
+    """kernel(*parts, n2) for a row block ``parts``, checked first.
+
+    The block's operands pass _norm_sq_checked in argument order, and the
+    kernel takes their squared norms as the list ``n2``.  All must be
+    admissible velocities, except that with ``ambient_last`` the last one
+    need only be finite.
+    """
+    ambient = [False] * (len(names) - 1) + [ambient_last]
+    return lambda *parts: kernel(*parts, list(map(_norm_sq_checked, parts, names, ambient)))
 
 
 def operands(arrays, names, ambient_last: bool = False) -> list:
-    """Validate and return the operands of one operation, with same_shape.
+    """The operands of one operation, coerced and shape-matched, once all are admissible.
 
-    All must be admissible velocities, except that with ``ambient_last`` the
-    last one need only be finite.
+    They are checked in _one_pass's order, row block after row block.
     """
-    n = len(arrays) - ambient_last
-    out = [as_velocity(a, name=name) for a, name in zip(arrays[:n], names)]
-    if ambient_last:
-        out.append(as_ambient(arrays[-1], name=names[-1]))
-    same_shape(out, names)
-    return out
+    arrs = _matched(arrays, names)
+    _by_rows(_checking(lambda *parts: None, names, ambient_last), *arrs)
+    return arrs
 
 
 def _one_pass(kernel, arrays, names, ambient_last: bool = False):
     """kernel(*operands, n2) of one operation, checked inside its row blocks.
 
-    The operands are coerced and their shapes matched whole.  Then each row
-    block's operands pass _norm_sq_checked, as operands() would check them,
-    and the kernel takes their squared norms as the list ``n2``.  If the
-    coercion or the shape match raises, operands() runs instead, so that the
-    error is the first one a check operand by operand meets.
+    The operands are coerced and their shapes matched whole (_matched); then
+    each row block is checked (_checking) and evaluated.  The first failing
+    coercion, shape match or block raises.
     """
-    try:
-        arrs = [_as_real(a, name) for a, name in zip(arrays, names)]
-        same_shape(arrs, names)
-    except GyrokinError:
-        operands(arrays, names, ambient_last)
-        raise
-    ambient = [False] * (len(arrs) - ambient_last) + [True] * ambient_last
-
-    def block(*parts):
-        return kernel(*parts, [_norm_sq_checked(*c) for c in zip(parts, names, ambient)])
-
-    return _by_rows(block, *arrs)
+    return _by_rows(_checking(kernel, names, ambient_last), *_matched(arrays, names))
 
 
 @dataclass(frozen=True, eq=False)

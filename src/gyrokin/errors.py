@@ -2,7 +2,24 @@
 
 
 class GyrokinError(Exception):
-    """Base class for every error gyrokin raises on purpose."""
+    """Base class for every error gyrokin raises on purpose.
+
+    An error about one argument may carry its ``name``, and then its message
+    starts with it.  An error about one row of a batch carries ``row`` too:
+    the row's index over the batch axes, a tuple, 0-based.  The message names
+    it after the argument, "u row 19999 has norm ...", or "u row (2, 1) ..."
+    for two batch axes; ``row`` is None for a single vector.
+    """
+
+    def __init__(self, message, *, name=None, row=None):
+        super().__init__(message)
+        self.name, self.row = name, row
+
+    def __str__(self):
+        text = super().__str__()
+        if self.row is not None:
+            text = f"row {self.row[0] if len(self.row) == 1 else self.row} {text}"
+        return text if self.name is None else f"{self.name} {text}"
 
 
 class AdmissibilityError(GyrokinError, ValueError):
@@ -10,7 +27,7 @@ class AdmissibilityError(GyrokinError, ValueError):
 
 
 class DimensionError(GyrokinError, ValueError):
-    """Operands live in spaces of different dimension."""
+    """Operands live in spaces of different dimension, or their shapes do not broadcast."""
 
 
 class NonFinite(GyrokinError, ValueError):

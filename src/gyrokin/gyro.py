@@ -14,8 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from .ball import (_as_real, _by_rows, _columns, _every, _gamma, _norm_sq_checked,
-                   _one_pass, _real_array, as_ambient, dot, norm, norm_sq, operands,
-                   same_shape)
+                   _one_pass, _real_array, _real_arrays, dot, norm, norm_sq, operands)
 from .errors import AdmissibilityError, DimensionError
 
 
@@ -117,7 +116,7 @@ def add_speeds(x, y):
     the operation under which gyrodistances satisfy the gyrotriangle
     inequality.  Both speeds must be finite and lie in (-1, 1).
     """
-    x, y = _real_array(x, "x"), _real_array(y, "y")
+    x, y = _real_arrays((x, y), ("x", "y"))
     if not (_every(np.abs(x) < 1.0) and _every(np.abs(y) < 1.0)):
         raise AdmissibilityError("speeds must lie in (-1, 1)")
     return (x + y) / (1.0 + x * y)
@@ -255,9 +254,8 @@ class Gyration:
         return self.u.shape[0]
 
     def apply(self, w) -> np.ndarray:
-        w = as_ambient(w, name="w")
-        same_shape((self.u, w), ("u", "w"))
-        return _gyrate(self.u, self.v, w)
+        u, w = operands((self.u, w), ("u", "w"), ambient_last=True)
+        return _gyrate(u, self.v, w)
 
     __call__ = apply
 

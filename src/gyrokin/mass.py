@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ball import (_as_real, _gamma, _real_scalars, as_velocity, norm_sq, operands,
+from .ball import (_as_real, _gamma, _one_pass, _real_scalars, as_velocity, norm_sq,
                    same_shape)
 from .errors import AdmissibilityError, DimensionError, GyrokinError
 from .gyro import _add
@@ -142,6 +142,12 @@ class ParticleSystem:
         return _gamma(self.velocities)
 
 
+def _gamma_rel_minus_1(u, v, n2) -> np.ndarray:
+    gu = _gamma(u, n2[0])
+    gv = _gamma(v, n2[1])
+    return (gu - gv) ** 2 / (2.0 * gu * gv) + gu * gv * norm_sq(u - v) / 2.0
+
+
 def gamma_rel_minus_1(u, v) -> np.ndarray:
     """gamma of the relative velocity (-u) (+) v, minus 1, without cancellation.
 
@@ -155,10 +161,7 @@ def gamma_rel_minus_1(u, v) -> np.ndarray:
     Identical velocities therefore give exactly 0.0.  Broadcasts like the
     other velocity operations.
     """
-    u, v = operands((u, v), ("u", "v"))
-    gu = _gamma(u)
-    gv = _gamma(v)
-    return (gu - gv) ** 2 / (2.0 * gu * gv) + gu * gv * norm_sq(u - v) / 2.0
+    return _one_pass(_gamma_rel_minus_1, (u, v), ("u", "v"))
 
 
 def _dark_sq(sys: ParticleSystem, g, w) -> float:

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ball import (MAX_NORM, _as_real, _by_rows, _columns, _every, _norm_sq_checked,
-                   _one_pass, _real_array, as_velocity, dot, norm, norm_sq, operands,
-                   same_shape)
+                   _one_pass, _real_array, _real_arrays, as_velocity, dot, norm, norm_sq,
+                   operands, same_shape)
 from .errors import CollinearPoints, DimensionError, NonFinite
 from .gyro import _add, _coadd, _left_sub, _midpoint
 
@@ -22,8 +22,13 @@ from .gyro import _add, _coadd, _left_sub, _midpoint
 COLLINEAR_AREA_TOL = 1e-12
 
 
-def _scalar_mul(r, v) -> np.ndarray:
-    """r (x) v, once v is checked; r has a trailing axis of length 1."""
+def _scalar_mul(r, v, name: str) -> np.ndarray:
+    """r (x) v, once r is finite and v admissible; r has a trailing axis of length 1.
+
+    ``name`` is r's name in the errors.
+    """
+    if not _every(np.isfinite(r)):
+        raise NonFinite(f"{name} must be finite")
     n = np.sqrt(_norm_sq_checked(v, "v"))
     mag = np.tanh(r[..., 0] * np.arctanh(n))
     mag = np.clip(mag, -MAX_NORM, MAX_NORM)
@@ -32,17 +37,10 @@ def _scalar_mul(r, v) -> np.ndarray:
 
 
 def _scale(r, v, name: str) -> np.ndarray:
-    """r (x) v, for a finite factor ``r`` that the errors call ``name``."""
-    r = _real_array(r, name)
-    if not _every(np.isfinite(r)):
-        raise NonFinite(f"{name} must be finite")
-    r, v = r[..., None], _as_real(v, "v")
-    try:
-        same_shape((r, v[..., :1]), (name, "v"))
-    except DimensionError:
-        as_velocity(v, name="v")  # an inadmissible v is reported first
-        raise
-    return _by_rows(_scalar_mul, r, v)
+    """r (x) v, for a factor ``r`` that the errors call ``name``, checked in row blocks."""
+    r, v = _real_array(r, name)[..., None], _as_real(v, "v")
+    same_shape((r, v[..., :1]), (name, "v"))
+    return _by_rows(lambda r, v: _scalar_mul(r, v, name), r, v)
 
 
 def scalar_mul(r, v) -> np.ndarray:
@@ -98,9 +96,9 @@ def triangle_area(a, b, c) -> np.ndarray:
     the latter cancels catastrophically near collinear triples and cannot
     resolve areas below sqrt(eps), while this form stays accurate to rounding.
     """
-    a = np.asarray(a, dtype=float)
-    x = np.asarray(b, dtype=float) - a
-    y = np.asarray(c, dtype=float) - a
+    a, b, c = _real_arrays((a, b, c), ("a", "b", "c"))
+    x = b - a
+    y = c - a
     xx = norm_sq(x)
     coef = np.divide(dot(x, y), xx, out=np.zeros(np.shape(xx)), where=xx > 0.0)
     y_perp = y - coef[..., None] * x
@@ -166,13 +164,8 @@ def translate_to(g: RootedGyrovector, new_tail) -> RootedGyrovector:
     is equivalent to ``g`` exactly.  The value is checked as well, since a
     gyrovector between points near c can leave the ball.
     """
-    new_tail = as_velocity(new_tail, name="new_tail")
-    same_shape((new_tail, g.value), ("new_tail", "value"))
-    return RootedGyrovector(
-        tail=new_tail,
-        head=_add(new_tail, as_velocity(g.value, name="value")),
-        value=g.value,
-    )
+    new_tail, value = operands((new_tail, g.value), ("new_tail", "value"))
+    return RootedGyrovector(tail=new_tail, head=_add(new_tail, value), value=g.value)
 
 
 def metric_tensor(x) -> np.ndarray:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ball import _columns, _every, _real_scalars, as_velocity, norm, operands, same_shape
+from .ball import _columns, _every, _real_scalars, as_velocity, norm, operands
 from .errors import (
     AdmissibilityError,
     CollinearPoints,
@@ -323,9 +323,4 @@ def law_of_gyrosines_ratios(tri: Gyrotriangle) -> tuple[float, float, float]:
 def left_gyrotranslate(t, *points) -> tuple:
     """Move every point p to t (+) p; gyroangles are invariant under this."""
     t = as_velocity(t, name="t")
-    moved = []
-    for p in points:
-        p = as_velocity(p, name="p")
-        same_shape((t, p), ("t", "p"))
-        moved.append(_add(t, p))
-    return tuple(moved)
+    return tuple(_add(*operands((t, p), ("t", "p"))) for p in points)

@@ -11,20 +11,18 @@ def rng():
     return np.random.default_rng(20260808)
 
 
-@pytest.fixture
-def validation_calls(monkeypatch):
-    """The names passed to the admissibility check, from every gyrokin layer.
+def _count_checks(monkeypatch, record):
+    """Rebind the admissibility check so that each call runs record(arr, name) first.
 
     ball._norm_sq_checked is the one check: as_velocity and as_ambient call
     it, and so do the kernels, inside each row block.  It is rebound
     wherever a gyrokin module holds it, so calls from every layer are
-    counted.  Clear the list before the call counted.
+    counted.
     """
     original = importlib.import_module("gyrokin.ball")._norm_sq_checked
-    calls = []
 
     def counting(arr, name, *args):
-        calls.append(name)
+        record(arr, name)
         return original(arr, name, *args)
 
     modules = [importlib.import_module("gyrokin")]
@@ -33,4 +31,23 @@ def validation_calls(monkeypatch):
         for key, value in list(vars(mod).items()):
             if value is original:
                 monkeypatch.setattr(mod, key, counting)
+
+
+@pytest.fixture
+def validation_calls(monkeypatch):
+    """The names passed to the admissibility check, from every gyrokin layer.
+
+    Clear the list before the call counted.
+    """
+    calls = []
+    _count_checks(monkeypatch, lambda arr, name: calls.append(name))
+    return calls
+
+
+@pytest.fixture
+def checked_rows(monkeypatch):
+    """(name, rows) of each admissibility check: a batch's rows, 1 for one vector."""
+    calls = []
+    _count_checks(monkeypatch,
+                  lambda arr, name: calls.append((name, len(arr) if arr.ndim > 1 else 1)))
     return calls

@@ -139,6 +139,24 @@ def in_blocks(monkeypatch, op, *args):
         return op(*args)
 
 
+def broadcast_error(*arrays):
+    """numpy's message for arrays whose shapes do not broadcast together."""
+    try:
+        np.broadcast(*arrays)
+    except ValueError as exc:
+        return str(exc)
+    raise AssertionError("the shapes broadcast")
+
+
+def coercion_error(value):
+    """numpy's message for a value that is no float array (ragged, say)."""
+    try:
+        np.asarray(value).astype(float)
+    except (TypeError, ValueError) as exc:
+        return str(exc)
+    raise AssertionError("the value coerces")
+
+
 def raised(op, *args):
     """The class and message of the GyrokinError op(*args) raises, or None."""
     try:

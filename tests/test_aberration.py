@@ -11,6 +11,7 @@ from gyrokin import (
     ARCSEC_PER_RAD,
     AdmissibilityError,
     AngleDegenerate,
+    DimensionError,
     GyrokinError,
     aberration_scene,
     aberration_sweep,
@@ -24,9 +25,10 @@ from gyrokin import (
     stellar_aberration,
     stellar_aberration_inv,
 )
+from gyrokin.aberration import _check_angle
 from gyrokin.ball import _real_array
 from gyrokin.gyro import _gamma_of_speed
-from helpers import same_bits
+from helpers import broadcast_error, coercion_error, same_bits
 
 SI_C = 299792458.0
 
@@ -197,6 +199,11 @@ def failure(op, *args):
     return None
 
 
+def name_of(op, i):
+    """The name of argument theta (i = 0) or p (i = 1) of a RELATIVISTIC op."""
+    return ("theta_e", "p_e")[i] if op.endswith("_inv") else ("theta_s", "p_s")[i]
+
+
 def scenario(rng, k):
     return (rng.uniform(0.01, math.pi - 0.01, k), rng.uniform(0.0, 0.99, k),
             rng.uniform(0.01, 1.0, k))
@@ -236,20 +243,45 @@ class TestRowBlocks:
             assert want is not None and want[0] is not ValueError
         assert failure(op, *args) == want
 
+    @pytest.mark.parametrize("k", LENGTHS)
+    @pytest.mark.parametrize("arg, value", [(0, 0.0), (1, 1.0), (2, 1.5)])
+    def test_failing_call_evaluates_each_block_once(self, rng, monkeypatch, name, k, arg,
+                                                    value):
+        # Counted as in test_each_block_evaluated_once, by the first check of
+        # each block; no block runs again after the last one raised.
+        rows = []
+        monkeypatch.setattr("gyrokin.aberration._check_angle",
+                            lambda theta, n: rows.append(len(theta)) or _check_angle(theta, n))
+        args = scenario(rng, k)
+        args[arg][-1] = value
+        failure(RELATIVISTIC[name], *args)
+        assert rows == [min(8192, k - lo) for lo in range(0, k, 8192)]
+
     def test_first_argument_checked_first(self, rng, monkeypatch, name):
+        # Inside a block the arguments are checked in order; across blocks
+        # the first failing block raises.
         op = RELATIVISTIC[name]
+        angle = (AngleDegenerate, f"{name_of(name, 0)} must lie strictly between 0 and pi")
+        speed = (AdmissibilityError, "v must lie in [0, 1)")
         theta, v, p = scenario(rng, 20000)
-        theta[-1], v[0] = math.pi, 1.0
-        want = one_call(monkeypatch, failure, op, theta, v, p)
-        assert want[0] is AngleDegenerate
-        assert failure(op, theta, v, p) == want
+        theta[-1], v[-1] = math.pi, 1.0
+        assert failure(op, theta, v, p) == one_call(monkeypatch, failure, op, theta, v, p) == angle
+        v[-1], v[0] = 0.5, 1.0
+        assert one_call(monkeypatch, failure, op, theta, v, p) == angle
+        assert failure(op, theta, v, p) == speed
 
     def test_mismatched_shapes_fail_as_one_call(self, rng, monkeypatch, name):
         op = RELATIVISTIC[name]
         theta, v, p = scenario(rng, 20000)
-        for args in [(theta, v[:-1], p), (theta, [0.1j], p), ([[0.5], [0.6, 0.7]], v, p)]:
-            want = one_call(monkeypatch, failure, op, *args)
-            assert want is not None
+        names = f"{name_of(name, 0)}, v, {name_of(name, 1)}"
+        ragged = [[0.5], [0.6, 0.7]]
+        for args, want in [
+                ((theta, v[:-1], p),
+                 (DimensionError, f"{names}: {broadcast_error(theta, v[:-1])}")),
+                ((theta, [0.1j], p), (AdmissibilityError, "v is not real-valued: complex components")),
+                ((ragged, v, p), (AdmissibilityError, f"{name_of(name, 0)} is not real-valued: "
+                                                      f"{coercion_error(ragged)}"))]:
+            assert one_call(monkeypatch, failure, op, *args) == want
             assert failure(op, *args) == want
 
 

@@ -1,14 +1,17 @@
 """The validation layer: last-axis sums and the admissibility check."""
 
+import pickle
 import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
-from gyrokin import AdmissibilityError, gamma
+from gyrokin import (AdmissibilityError, DimensionError, add_speeds, are_gyrocollinear,
+                     classical_aberration, classical_aberration_inv, classical_matched_p_e,
+                     gamma, relativistic_aberration, relativistic_matched_p_e, triangle_area)
 from gyrokin.ball import as_ambient, as_velocity, dot, norm_sq
-from helpers import in_blocks, raised
+from helpers import broadcast_error, in_blocks, raised
 
 DIMS = range(1, 11)
 
@@ -91,23 +94,66 @@ class TestOverflowingVelocity:
 
 @pytest.mark.parametrize("bad, velocity, ambient", [
     ({16: 1.5}, "norm 1.506", None),
-    ({0: 1.2, 16: 1.5}, "norm 1.506", None),
+    ({0: 1.2, 16: 1.5}, "norm 1.208", None),
     ({0: 1.5, 16: 1.2}, "norm 1.506", None),
     ({3: np.nan, 16: 1.5}, "non-finite", "non-finite"),
     ({16: 1e300}, "norm inf", "overflows"),
     ({}, None, None),
-    ({0: 1.5, 16: np.nan}, "non-finite", "non-finite"),
+    ({0: 1.5, 16: np.nan}, "norm 1.506", "non-finite"),
     ({16: np.nan}, "non-finite", "non-finite"),
 ])
 def test_checked_in_blocks_as_a_whole(monkeypatch, bad, velocity, ambient):
-    """A long batch is checked block by block; an error names its worst row."""
+    """A long batch is checked block by block; an error names its first failing row.
+
+    The message is that row's own message, with the row's index in the whole
+    batch after the name, whether or not the batch runs in blocks.
+    """
     v = np.full((17, 3), 0.1)
     for row, x in bad.items():
         v[row, 0] = x
-    for check, want in ((as_velocity, velocity), (as_ambient, ambient)):
+    for check, want, name in ((as_velocity, velocity, "velocity"),
+                              (as_ambient, ambient, "vector")):
         got = in_blocks(monkeypatch, raised, check, v)
         assert got == raised(check, v)
-        assert got is None if want is None else want in got[1]
+        if want is None:
+            assert got is None
+            continue
+        first = min(row for row in bad if raised(check, v[row]))
+        cls, text = raised(check, v[first])
+        assert want in text
+        assert got == (cls, text.replace(f"{name} ", f"{name} row {first} ", 1))
+
+
+def test_error_row_indexes_the_whole_batch(monkeypatch):
+    """The error's row is a tuple over the batch axes, offset by its block's first row."""
+    v = np.full((9, 2, 3), 0.1)
+    v[6, 1, 0] = 1.5
+    with pytest.raises(AdmissibilityError) as info:
+        in_blocks(monkeypatch, as_velocity, v)
+    err = info.value
+    assert (err.name, err.row) == ("velocity", (6, 1))
+    assert str(err).startswith("velocity row (6, 1) has norm 1.50665")
+    assert str(pickle.loads(pickle.dumps(err))) == str(err)
+
+
+ANGLES, MORE_ANGLES = [0.1, 0.2], [0.1, 0.2, 0.3]
+POINTS = ([[0.1, 0.0, 0.0]] * 2, [[0.0, 0.1, 0.0]] * 3, [0.0, 0.0, 0.1])
+
+
+@pytest.mark.parametrize("op, args, names", [
+    (classical_aberration, (ANGLES, MORE_ANGLES, 0.5), "theta_s, v, p_s"),
+    (classical_aberration_inv, (ANGLES, MORE_ANGLES, 0.5), "theta_e, v, p_e"),
+    (classical_matched_p_e, (ANGLES, MORE_ANGLES, 0.5), "theta_s, theta_e, p_s"),
+    (relativistic_matched_p_e, (ANGLES, MORE_ANGLES, 0.5), "theta_s, theta_e, p_s"),
+    (relativistic_aberration, (ANGLES, MORE_ANGLES, 0.5), "theta_s, v, p_s"),
+    (add_speeds, (ANGLES, MORE_ANGLES), "x, y"),
+    (triangle_area, POINTS, "a, b, c"),
+    (are_gyrocollinear, POINTS, "a, b, c"),
+], ids=lambda x: getattr(x, "__name__", None))
+def test_batches_that_do_not_broadcast(op, args, names):
+    """Scalar and ambient batches that do not broadcast raise DimensionError, naming them."""
+    want = broadcast_error(*[np.asarray(a, dtype=float) for a in args])
+    assert raised(op, *args) == (DimensionError, f"{names}: {want}")
 
 
 def test_long_batch_checked_without_a_norm_array():

@@ -314,6 +314,15 @@ class TestExitCodes:
         rc, _, err = run(capsys, "mass", "--in", str(bad))
         assert rc == 2
 
+    def test_inadmissible_particle_named_by_its_row(self, capsys, tmp_path):
+        # Rows count particles from 0; comments and blank lines do not count.
+        bad = tmp_path / "third.csv"
+        bad.write_text("# three particles\n1.0, 0.1, 0, 0\n\n2.0, 0, 0.2, 0\n1.0, 1.5, 0, 0\n")
+        rc, out, err = run(capsys, "mass", "--in", str(bad))
+        assert (rc, out) == (2, "")
+        assert err == ("error: AdmissibilityError: particle velocity row 2 has norm 1.5 "
+                       "outside the admissible ball (limit 0.99999999999949996)\n")
+
     def test_infinite_particle_speed_exits_two(self, capsys):
         rc, out, err = run(capsys, "aberration", "--model", "classical",
                            "--v", "0.1c", "--p-s", "inf", "--theta-s", "0.5")

@@ -25,6 +25,7 @@ from gyrokin import (
     einstein_add,
     einstein_sub,
     gamma,
+    gamma_rel_minus_1,
     gyrate,
     gyrate_definitional,
     gyrodistance,
@@ -39,8 +40,8 @@ from gyrokin import ball
 from gyrokin.ball import _FEW_ROWS, BALL_MARGIN, MAX_NORM, norm_sq
 from gyrokin.gyro import _gyr_coeffs
 from helpers import (BLOCK_LENGTHS, LAYOUTS, TEST_BLOCK, ball_points, ball_vectors,
-                     cosub_error_ratio, cosub_via_gyration, in_blocks, layout_operands,
-                     max_abs, raised, same_bits)
+                     broadcast_error, coercion_error, cosub_error_ratio, cosub_via_gyration,
+                     in_blocks, layout_operands, max_abs, raised, same_bits)
 
 U_FIX = np.array([0.6, 0.0, 0.0])
 V_FIX = np.array([0.0, 0.6, 0.0])
@@ -527,7 +528,7 @@ BINARY_OPS = [einstein_add, einstein_sub, cosub, coadd, gyromidpoint,
 # Every gyro operation that long batches evaluate in row blocks.
 BLOCKED_OPS = BINARY_OPS + [left_sub, coadd_via_gyration,
                             lambda u, v: gyrate_definitional(u, v, -v),
-                            lambda u, v: gamma(u), lambda u, v: gamma(v)]
+                            lambda u, v: gamma(u), lambda u, v: gamma(v), gamma_rel_minus_1]
 
 
 class TestBroadcast:
@@ -581,34 +582,40 @@ class TestBroadcast:
             assert np.max(cosub_error_ratio(u, v)[0]) <= COSUB_ERROR_RATIO
             return
         good = [i for i, e in enumerate(alone) if e is None]
-        bad = {e: i for i, e in enumerate(alone) if e is not None}
-        assert len(good) >= 15 and len(bad) >= 2
-        (_, i), (_, j) = list(bad.items())[:2]
-
-        def check(rows):
-            whole = raised(op, u[rows], v[rows])
-            assert whole is not None
-            assert in_blocks(monkeypatch, raised, op, u[rows], v[rows]) == whole
-            return whole
-
-        # Only the last block leaves the ball.
-        check(good[:15] + [i])
-        # The first and the last block do, the last one further: the first
-        # block's own error names a smaller norm than the whole batch's.
-        rows = [i] + good[:15] + [j]
-        if raised(op, u[rows], v[rows]) == alone[i]:
-            rows = [j] + good[:15] + [i]
-        whole = check(rows)
-        assert raised(op, u[rows[:TEST_BLOCK]], v[rows[:TEST_BLOCK]]) != whole
+        bad = [i for i, e in enumerate(alone) if e is not None]
+        assert len(good) >= 16 and len(bad) >= 1
+        i = bad[0]
+        # The bad row in the last block, in the first, and in both: the error
+        # is the first bad row's own, with its index, whole or in blocks.
+        for rows, first in [(good[:15] + [i], 15), ([i] + good[:16], 0),
+                            ([i] + good[:15] + [i], 0)]:
+            want = at_row(alone[i], first)
+            assert raised(op, u[rows], v[rows]) == want
+            assert in_blocks(monkeypatch, raised, op, u[rows], v[rows]) == want
 
 
 OUT = "has norm 1.5 outside the admissible ball (limit 0.99999999999949996)"
+NAN = "has non-finite components"
 BAD, OK = [1.5, 0.0, 0.0], [0.1, 0.2, 0.3]
 ROWS = BLOCK_LENGTHS[-1]
 
+
+def at_row(error, row):
+    """A single vector's (class, message) ``error`` as a batch raises it for row ``row``."""
+    cls, text = error
+    name, rest = text.split(" has ", 1)
+    return cls, f"{name} row {row} has {rest}"
+
+
+def mismatch(names, *shapes):
+    """The DimensionError of operands ``names`` whose shapes do not broadcast."""
+    return DimensionError, f"{names}: {broadcast_error(*[np.empty(s) for s in shapes])}"
+
+
 # Operands with two faults each, alone and as batches of ROWS rows with the
-# faults in the last row; the fault a check operand by operand meets first
-# wins, whether or not the coercion or the shape match fails too.
+# faults in the last row.  The operands are coerced and their shapes matched
+# before any row is checked, so the coercion or the shape match fails first,
+# whatever the other operand's fault.
 TWO_FAULTS = {
     "u-bad-v-ragged": ((BAD, [[0.1, 0.2], [0.3]]),
                        ([OK] * (ROWS - 1) + [BAD], [OK] * (ROWS - 1) + [[0.3]])),
@@ -625,52 +632,159 @@ TWO_FAULTS = {
                    ([OK] * (ROWS - 1), [OK] * (ROWS - 1) + [[np.inf, 0.0, 0.0]])),
 }
 
+# Each op on the two faulty operands, the names of all its operands, and
+# the shapes its shape match sees when the faulty ones have shapes s and t.
 TWO_FAULT_OPS = {
-    "einstein_add": (einstein_add, "u", "v"),
-    "left_sub": (left_sub, "u", "v"),
-    "cosub": (cosub, "u", "v"),
-    "gyrodistance": (gyrodistance, "u", "v"),
-    "gyromidpoint": (gyromidpoint, "a", "b"),
-    "gyrate_definitional": (lambda u, v: gyrate_definitional(OK, u, v), "v", "w"),
+    "einstein_add": (einstein_add, ("u", "v"), lambda s, t: (s, t)),
+    "left_sub": (left_sub, ("u", "v"), lambda s, t: (s, t)),
+    "cosub": (cosub, ("u", "v"), lambda s, t: (s, t)),
+    "gyrodistance": (gyrodistance, ("u", "v"), lambda s, t: (s, t)),
+    "gyromidpoint": (gyromidpoint, ("a", "b"), lambda s, t: (s, t)),
+    "gyrate_definitional": (lambda u, v: gyrate_definitional(OK, u, v), ("u", "v", "w"),
+                            lambda s, t: ((3,), s, t)),
+    "gyrate": (lambda u, w: gyrate(u, OK, w), ("u", "v", "w"), lambda s, t: (s, (3,), t)),
+    "scalar_mul": (scalar_mul, ("scalar factor", "v"), lambda s, t: (s + (1,), t[:-1] + (1,))),
 }
 
-# The class and message each raised before the checks moved into the row
-# blocks.  gyrate's w need only be finite, and scalar_mul's r is no velocity.
-GOLDEN = {
-    (op, case): (AdmissibilityError, f"{first} {OUT}" if case.startswith("u-bad")
-                 else f"{first} has non-finite components" if case.startswith("u-nan")
-                 else f"{second} has non-finite components" if case.startswith("v-inf")
-                 else f"{second} {OUT}")
-    for op, (_, first, second) in TWO_FAULT_OPS.items() for case in TWO_FAULTS
-}
-GOLDEN.update({
-    ("gyrate", "u-bad-v-ragged"): (AdmissibilityError, f"u {OUT}"),
-    ("gyrate", "u-bad-v-complex"): (AdmissibilityError, f"u {OUT}"),
-    ("gyrate", "u-nan-v-complex"): (AdmissibilityError, "u has non-finite components"),
-    ("gyrate", "v-bad-dims"): (DimensionError, "u, v, w have dimensions [3, 3, 2]"),
-    ("gyrate", "v-inf-rows"): (AdmissibilityError, "w has non-finite components"),
-    ("scalar_mul", "u-bad-v-complex"): (AdmissibilityError,
-                                        "v is not real-valued: complex components"),
-    ("scalar_mul", "v-bad-dims"): (AdmissibilityError, f"v {OUT}"),
-    ("scalar_mul", "v-bad-rows"): (AdmissibilityError, f"v {OUT}"),
-    ("scalar_mul", "v-inf-rows"): (AdmissibilityError, "v has non-finite components"),
-})
-TWO_FAULT_OPS.update({"gyrate": (lambda u, v: gyrate(u, OK, v), "u", "w"),
-                      "scalar_mul": (scalar_mul, "r", "v")})
+
+def two_fault_golden(op, case):
+    """The (single, batch) class and message of TWO_FAULTS[case] for ``op``."""
+    _, names, seen = TWO_FAULT_OPS[op]
+    joined, last = ", ".join(names), names[-1]
+    if case.endswith("ragged"):
+        return [(AdmissibilityError, f"{last} is not real-valued: {coercion_error(args[1])}")
+                for args in TWO_FAULTS[case]]
+    if case.endswith("complex"):
+        return [(AdmissibilityError, f"{last} is not real-valued: complex components")] * 2
+    if case.endswith("scalar"):
+        return [(DimensionError, f"{last} must have at least one component")] * 2
+    if case in ("u-bad-v-2d", "v-bad-dims"):
+        dims = [3] * (len(names) - 1) + [2]
+        return [(DimensionError, f"{joined} have dimensions {dims}")] * 2
+    return [mismatch(joined, *seen((4, 3), (5, 3))),
+            mismatch(joined, *seen((ROWS - 1, 3), (ROWS, 3)))]
+
+
+GOLDEN = {(op, case): two_fault_golden(op, case)
+          for op in list(TWO_FAULT_OPS)[:6] for case in TWO_FAULTS}
+GOLDEN.update({(op, case): two_fault_golden(op, case) for op, case in [
+    ("gyrate", "u-bad-v-ragged"), ("gyrate", "u-bad-v-complex"),
+    ("gyrate", "u-nan-v-complex"), ("gyrate", "v-bad-dims"), ("gyrate", "v-inf-rows"),
+    ("scalar_mul", "u-bad-v-complex"), ("scalar_mul", "v-bad-rows"),
+    ("scalar_mul", "v-inf-rows")]})
+# scalar_mul's factor r = OK has three rows, and v = [1.5, 0] one: a single v
+# broadcasts against them, so its norm fails; a batch of v does not broadcast.
+GOLDEN["scalar_mul", "v-bad-dims"] = [
+    (AdmissibilityError, f"v {OUT}"),
+    mismatch("scalar factor, v", (ROWS, 3, 1), (ROWS, 1))]
 
 NOT_FINITE = {"nan": [np.nan, 0.0, 0.0], "inf": [0.0, -np.inf, 0.0],
               "overflow": [1e300, 0.0, 0.0], "overflow-sum": [1e154, 1e154, 1e154]}
 
+# Every checked operation, the names its checks give its operands, and which
+# operand need only be finite (None: all must be admissible).
+CHECKED_OPS = {
+    "as_velocity": (ball.as_velocity, ("velocity",), None),
+    "as_ambient": (ball.as_ambient, ("vector",), 0),
+    "gamma": (gamma, ("v",), None),
+    "einstein_add": (einstein_add, ("u", "v"), None),
+    "einstein_sub": (einstein_sub, ("u", "v"), None),
+    "left_sub": (left_sub, ("u", "v"), None),
+    "gyrate": (gyrate, ("u", "v", "w"), 2),
+    "gyrate_definitional": (gyrate_definitional, ("u", "v", "w"), None),
+    "coadd": (coadd, ("u", "v"), None),
+    "coadd_via_gyration": (coadd_via_gyration, ("u", "v"), None),
+    "cosub": (cosub, ("u", "v"), None),
+    "gyrodistance": (gyrodistance, ("u", "v"), None),
+    "gyromidpoint": (gyromidpoint, ("a", "b"), None),
+    "gamma_rel_minus_1": (gamma_rel_minus_1, ("u", "v"), None),
+    "scalar_mul": (lambda v: scalar_mul(0.5, v), ("v",), None),
+}
+
+# Where a single fault sits: the first row, the last of the first block, the
+# first of the second, and the last row of the batch.
+FAULT_ROWS = [0, TEST_BLOCK - 1, TEST_BLOCK, ROWS - 1]
+
+
+def faulty_operands(rng, op, layout, row, arg):
+    """Operands of CHECKED_OPS[op] with one fault in operand ``arg``, and its error.
+
+    ``kn-kn``: every operand is (ROWS, 3).  ``k1n-mn``: the first is
+    (ROWS, 1, 3), so a batch has two axes, and the others (3, 3); those take
+    part whole in every block, and their fault sits in row ``row % 3``.
+    """
+    names, ambient = CHECKED_OPS[op][1:]
+    ops = [ball_points(rng, ROWS, 3, max_norm=0.9) for _ in names]
+    if layout == "k1n-mn":
+        ops = [ops[0][:, None]] + [x[:3] for x in ops[1:]]
+        where = (row, 0) if arg == 0 else row % 3
+    else:
+        where = row
+    ops[arg][where] = [np.nan, 0.0, 0.0] if arg == ambient else BAD
+    text = f"{names[arg]} {NAN if arg == ambient else OUT}"
+    return ops, (AdmissibilityError, text), where
+
 
 class TestOnePass:
-    """Each row block is coerced, checked and evaluated in one pass."""
+    """Coerce, match shapes, then check and evaluate row block after row block."""
 
     @pytest.mark.parametrize("op, case", list(GOLDEN))
     def test_first_fault_wins(self, monkeypatch, op, case):
         fn = TWO_FAULT_OPS[op][0]
-        for args in TWO_FAULTS[case]:
-            assert raised(fn, *args) == GOLDEN[op, case]
-            assert in_blocks(monkeypatch, raised, fn, *args) == GOLDEN[op, case]
+        for args, want in zip(TWO_FAULTS[case], GOLDEN[op, case]):
+            assert raised(fn, *args) == want
+            assert in_blocks(monkeypatch, raised, fn, *args) == want
+
+    def test_first_failing_block_wins(self, monkeypatch):
+        # u's bad row is in the last block and v's in the first: one call
+        # checks u before v, and blocks check the first block first.
+        u, v = [OK] * (ROWS - 1) + [BAD], [BAD] + [OK] * (ROWS - 1)
+        assert raised(einstein_add, u, v) == (AdmissibilityError, f"u row {ROWS - 1} {OUT}")
+        assert in_blocks(monkeypatch, raised, einstein_add, u, v) == (AdmissibilityError,
+                                                                      f"v row 0 {OUT}")
+
+    @pytest.mark.parametrize("op", list(CHECKED_OPS))
+    @pytest.mark.parametrize("layout", ["kn-kn", "k1n-mn"])
+    @pytest.mark.parametrize("row", FAULT_ROWS)
+    def test_single_fault_names_its_row(self, rng, monkeypatch, op, layout, row):
+        fn, names, _ = CHECKED_OPS[op]
+        for arg in range(len(names)):
+            ops, alone, where = faulty_operands(rng, op, layout, row, arg)
+            want = at_row(alone, where)
+            assert raised(fn, *ops) == want
+            assert in_blocks(monkeypatch, raised, fn, *ops) == want
+            if layout == "kn-kn":  # the row alone: a single vector's message
+                assert raised(fn, *[x[row] for x in ops]) == alone
+
+    @pytest.mark.parametrize("op", [coadd_via_gyration,
+                                    lambda u, v: gyrate_definitional(u, v, -v)])
+    @pytest.mark.parametrize("layout", ["kn-n", "k1n-mn"])
+    @pytest.mark.parametrize("row", FAULT_ROWS)
+    def test_single_intermediate_fault_names_its_row(self, rng, monkeypatch, op, layout,
+                                                     row):
+        # A near-c pair (a, b) whose intermediate leaves the ball, among rows
+        # u that pass with the same v = b.
+        u, v = near_c_pairs(rng, 400)
+        i = next(i for i in range(len(u)) if raised(op, u[i], v[i]))
+        a, b = u[i], v[i]
+        good = ball_points(rng, 4 * ROWS, 3, max_norm=0.9)
+        good = good[[raised(op, c, b) is None for c in good]][:ROWS]
+        good[row] = a
+        args = (good, b) if layout == "kn-n" else (good[:, None], np.array([b] * 3))
+        want = at_row(raised(op, a, b), row if layout == "kn-n" else (row, 0))
+        assert raised(op, *args) == want
+        assert in_blocks(monkeypatch, raised, op, *args) == want
+
+    @pytest.mark.parametrize("op", list(CHECKED_OPS))
+    def test_failing_call_checks_each_block_once(self, rng, monkeypatch, checked_rows, op):
+        # Counted as aberration's test_each_block_evaluated_once counts its
+        # blocks: no check sees more than a block, and the first operand's
+        # check of the last block, which fails, is the last one made.
+        fn, names, _ = CHECKED_OPS[op]
+        ops, _, _ = faulty_operands(rng, op, "kn-kn", ROWS - 1, 0)
+        in_blocks(monkeypatch, raised, fn, *ops)
+        assert max(rows for _, rows in checked_rows) <= TEST_BLOCK
+        assert checked_rows[-1] == (names[0], (ROWS - 1) % TEST_BLOCK + 1)
 
     @pytest.mark.parametrize("bad", NOT_FINITE)
     @pytest.mark.parametrize("op", BLOCKED_OPS + [gyrodistance,
@@ -693,11 +807,12 @@ class TestOnePass:
     def test_ambient_rows_raise_without_warning(self, rng, monkeypatch, bad, want):
         u, v, w = ball_points(rng, 3 * ROWS, 3, max_norm=0.9).reshape(3, ROWS, 3)
         w[-1] = [1e200, 1e200, 0.0] if bad == "overflow" else NOT_FINITE[bad]
+        batch = at_row((AdmissibilityError, want), ROWS - 1)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert raised(gyrate, u[-1], v[-1], w[-1]) == (AdmissibilityError, want)
-            assert raised(gyrate, u, v, w) == (AdmissibilityError, want)
-            assert in_blocks(monkeypatch, raised, gyrate, u, v, w) == (AdmissibilityError, want)
+            assert raised(gyrate, u, v, w) == batch
+            assert in_blocks(monkeypatch, raised, gyrate, u, v, w) == batch
 
     def test_unblocked_call_checks_each_array_once(self, validation_calls):
         calls = validation_calls
@@ -716,6 +831,7 @@ class TestOnePass:
         u = ball_points(rng, ROWS, 3)
         in_blocks(monkeypatch, einstein_add, u, u[0])
         assert validation_calls == ["u", "v"] * math.ceil(ROWS / TEST_BLOCK)
+
 
 
 class TestHypothesisLaws:
