@@ -11,11 +11,7 @@ at the CLI boundary.
 
 __version__ = "0.1.0"
 
-from .ball import (
-    BALL_MARGIN,
-    MAX_NORM,
-    BetaVector,
-)
+from .ball import BALL_MARGIN, MAX_NORM
 from .errors import (
     AdmissibilityError,
     AngleDegenerate,

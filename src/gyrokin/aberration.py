@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ball import _by_rows, _every, _real_array, _real_arrays, _real_scalars, as_velocity
+from .ball import _by_rows, _real_arrays, _real_scalars, _require, as_velocity
 from .errors import AdmissibilityError, AngleDegenerate, DimensionError
 from .gyro import _add, _gamma_of_speed
 from .trig import _gyroangle
@@ -34,49 +34,47 @@ ARCSEC_PER_RAD = 180.0 * 3600.0 / math.pi
 SIN_TOL = 1e-14
 
 
+# The range checks below take float arrays or numpy floats, coerced by their
+# callers (_real_arrays), and raise through _require, so that a batch's error
+# names its first failing row.
+
 def _check_angle(theta, name):
-    """theta as a float array, and its sine, for an angle strictly inside (0, pi)."""
-    theta = _real_array(theta, name)
-    if not _every((theta > 0.0) & (theta < math.pi)):
-        raise AngleDegenerate(f"{name} must lie strictly between 0 and pi")
+    """sin(theta), once theta lies strictly inside (0, pi) and sin(theta) >= SIN_TOL."""
+    _require((theta > 0.0) & (theta < math.pi), AngleDegenerate,
+             "must lie strictly between 0 and pi", name)
     sin = np.sin(theta)
-    if not _every(sin >= SIN_TOL):
-        raise AngleDegenerate(f"sin({name}) vanishes; formulas degenerate")
-    return theta, sin
+    _require(sin >= SIN_TOL, AngleDegenerate, "vanishes; formulas degenerate",
+             f"sin({name})")
+    return sin
 
 
 def _check_speed(s, name, *, allow_light=False):
-    s = _real_array(s, name)
     top = 1.0 if allow_light else np.nextafter(1.0, 0.0)
-    if not _every((s >= 0.0) & (s <= top) & np.isfinite(s)):
-        limit = "[0, 1]" if allow_light else "[0, 1)"
-        raise AdmissibilityError(f"{name} must lie in {limit}")
-    return s
+    _require((s >= 0.0) & (s <= top) & np.isfinite(s), AdmissibilityError,
+             "must lie in [0, 1]" if allow_light else "must lie in [0, 1)", name)
 
 
 def _check_positive(p, name):
     """A classical particle speed: any positive finite value."""
-    p = _real_array(p, name)
-    if not _every((p > 0.0) & np.isfinite(p)):
-        raise AdmissibilityError(f"{name} must be positive and finite")
-    return p
+    _require((p > 0.0) & np.isfinite(p), AdmissibilityError, "must be positive and finite",
+             name)
 
 
 def classical_aberration(theta_s, v, p_s):
     """theta_e from cot(theta_e) = cot(theta_s) + v/(p_s sin(theta_s))."""
     theta_s, v, p_s = _real_arrays((theta_s, v, p_s), ("theta_s", "v", "p_s"))
-    theta_s, sin_s = _check_angle(theta_s, "theta_s")
-    v = _check_speed(v, "v", allow_light=True)
-    p_s = _check_positive(p_s, "p_s")
+    sin_s = _check_angle(theta_s, "theta_s")
+    _check_speed(v, "v", allow_light=True)
+    _check_positive(p_s, "p_s")
     return np.arctan2(p_s * sin_s, p_s * np.cos(theta_s) + v)
 
 
 def classical_aberration_inv(theta_e, v, p_e):
     """theta_s from cot(theta_s) = cot(theta_e) - v/(p_e sin(theta_e))."""
     theta_e, v, p_e = _real_arrays((theta_e, v, p_e), ("theta_e", "v", "p_e"))
-    theta_e, sin_e = _check_angle(theta_e, "theta_e")
-    v = _check_speed(v, "v", allow_light=True)
-    p_e = _check_positive(p_e, "p_e")
+    sin_e = _check_angle(theta_e, "theta_e")
+    _check_speed(v, "v", allow_light=True)
+    _check_positive(p_e, "p_e")
     return np.arctan2(p_e * sin_e, p_e * np.cos(theta_e) - v)
 
 
@@ -88,11 +86,10 @@ def _relativistic(shift, names, theta, v, p):
     and evaluated.
     """
     def kernel(theta, v, p):
-        theta, sin = _check_angle(theta, names[0])
-        v = _check_speed(v, "v")
-        p = _check_speed(p, names[1], allow_light=True)
-        if not _every(p > 0.0):
-            raise AdmissibilityError(f"{names[1]} must be positive")
+        sin = _check_angle(theta, names[0])
+        _check_speed(v, "v")
+        _check_speed(p, names[1], allow_light=True)
+        _require(p > 0.0, AdmissibilityError, "must be positive", names[1])
         return np.arctan2(p * sin, _gamma_of_speed(v) * shift(p * np.cos(theta), v))
 
     return _by_rows(kernel, *_real_arrays((theta, v, p), (names[0], "v", names[1])), core=0)
@@ -129,9 +126,10 @@ def classical_matched_p_e(theta_s, theta_e, p_s):
     """p_e consistent with the law of sines p_s/sin(theta_e) = p_e/sin(theta_s)."""
     theta_s, theta_e, p_s = _real_arrays((theta_s, theta_e, p_s),
                                          ("theta_s", "theta_e", "p_s"))
-    sin_s = _check_angle(theta_s, "theta_s")[1]
-    sin_e = _check_angle(theta_e, "theta_e")[1]
-    return _check_positive(p_s, "p_s") * sin_s / sin_e
+    sin_s = _check_angle(theta_s, "theta_s")
+    sin_e = _check_angle(theta_e, "theta_e")
+    _check_positive(p_s, "p_s")
+    return p_s * sin_s / sin_e
 
 
 def relativistic_matched_p_e(theta_s, theta_e, p_s):
@@ -142,9 +140,9 @@ def relativistic_matched_p_e(theta_s, theta_e, p_s):
     """
     theta_s, theta_e, p_s = _real_arrays((theta_s, theta_e, p_s),
                                          ("theta_s", "theta_e", "p_s"))
-    sin_s = _check_angle(theta_s, "theta_s")[1]
-    sin_e = _check_angle(theta_e, "theta_e")[1]
-    p_s = _check_speed(p_s, "p_s")
+    sin_s = _check_angle(theta_s, "theta_s")
+    sin_e = _check_angle(theta_e, "theta_e")
+    _check_speed(p_s, "p_s")
     x = _gamma_of_speed(p_s) * p_s * sin_s / sin_e
     return x / np.sqrt(1.0 + x * x)
 
@@ -184,9 +182,9 @@ def aberration_scene(v, p_s, theta_s) -> AberrationResult:
     velocity composition).
     """
     v, p_s, theta_s = _real_scalars((v, p_s, theta_s), ("v", "p_s", "theta_s"))
-    _check_speed(v, "v")
-    _check_speed(p_s, "p_s")
-    _check_angle(theta_s, "theta_s")
+    _check_speed(np.float64(v), "v")
+    _check_speed(np.float64(p_s), "p_s")
+    _check_angle(np.float64(theta_s), "theta_s")
     if v <= 0.0:
         raise AngleDegenerate("v must be positive; E and S coincide otherwise")
     if p_s <= 0.0:

@@ -1,4 +1,4 @@
-"""The ball of admissible velocities: validation helpers and the BetaVector type.
+"""The ball of admissible velocities and the checks that guard it.
 
 Every velocity in this library is dimensionless (a fraction of c) and lives in
 the open unit ball of R^n.  Physical units are handled only at I/O boundaries;
@@ -12,19 +12,19 @@ cache; every row still gets the bits of a single-vector call.
 Every checked operation takes one order: coerce all its operands, match
 their shapes, then check row block after row block, with the operands in
 argument order inside each block (``_one_pass``, ``operands``).  The first
-failing check raises, once; an admissibility error in a batch names its
-first failing row as an index into the whole batch ("u row 19999 has norm
-..."), and a single vector's error names no row.  The one check,
+failing check raises, once; an error in a batch names its first failing
+row as an index into the whole batch ("u row 19999 has norm ..."), and a
+single value's error names no row.  The one velocity check,
 ``_norm_sq_checked``, returns the block's squared norms, and gamma consumes
 them (``_gamma(v, n2)``) instead of summing |v|^2 again.  A more accurate
-1 - |v|^2 therefore has one place to go.
+1 - |v|^2 therefore has one place to go.  Every other range check (speeds,
+gamma factors, angles, scale factors, masses) raises through ``_require``,
+which finds the failing row the same way (``_first_row``).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import AdmissibilityError, DimensionError, GyrokinError
@@ -35,10 +35,6 @@ BALL_MARGIN = 1e-12
 
 # Largest norm an admissible velocity may have; scalar results clamp here.
 MAX_NORM = float(np.sqrt(1.0 - BALL_MARGIN))
-
-# Vectors whose components are all below this magnitude are treated as exact
-# zeros, so that -0.0 and denormal dust compare equal to the identity.
-ZERO_EPS = 1e-300
 
 # Batches with more rows than this are evaluated this many rows at a time: the
 # temporaries of a block (192 kB for each (rows, 3) array) then stay in cache.
@@ -175,6 +171,23 @@ def _every(mask) -> bool:
     return bool(mask.all() if mask.ndim else mask)
 
 
+def _first_row(ok) -> tuple:
+    """The index of the first False entry of the mask ``ok``, in C order."""
+    return tuple(map(int, np.unravel_index(np.argmin(ok), ok.shape)))
+
+
+def _require(ok, error, message: str, name: str) -> None:
+    """Raise error(message, name=name, row=...) unless the mask ``ok`` holds everywhere.
+
+    ``ok`` is a numpy comparison over one argument's batch, or over the
+    batch its arguments broadcast to; ``row`` is its first failing row
+    (_first_row), or None for a single value.  Inside _by_rows the row
+    becomes an index over the whole batch.
+    """
+    if not _every(ok):
+        raise error(message, name=name, row=_first_row(ok) if ok.ndim else None)
+
+
 def _by_rows(fn, *arrays, core: int = 1):
     """fn(*arrays), evaluated in blocks of _BLOCK rows when the batch is longer.
 
@@ -231,8 +244,8 @@ def _norm_sq_checked(arr, name: str, ambient: bool = False):
     # infinite component always lands here, so finiteness is tested only now.
     if not largest <= limit:
         row = None
-        if arr.ndim > 1:  # the first failing row, in C order
-            row = tuple(map(int, np.unravel_index(np.argmin(n2 <= limit), n2.shape)))
+        if arr.ndim > 1:
+            row = _first_row(n2 <= limit)
             arr, largest = arr[row], n2[row]
         if not _every(np.isfinite(arr)):
             raise AdmissibilityError("has non-finite components", name=name, row=row)
@@ -245,7 +258,7 @@ def _norm_sq_checked(arr, name: str, ambient: bool = False):
     return n2
 
 
-def _admissible(arr, name: str, ambient: bool = False) -> np.ndarray:
+def _admissible(arr, name: str) -> np.ndarray:
     """``arr``, a float array of shape (..., n), once _norm_sq_checked passes it.
 
     A batch longer than a block is checked in row blocks (_by_rows), so
@@ -253,11 +266,11 @@ def _admissible(arr, name: str, ambient: bool = False) -> np.ndarray:
     """
     if arr.ndim > 1 and arr.shape[0] > _BLOCK:
         def check(part):
-            _norm_sq_checked(part, name, ambient)
+            _norm_sq_checked(part, name)
 
         _by_rows(check, arr)
     else:
-        _norm_sq_checked(arr, name, ambient)
+        _norm_sq_checked(arr, name)
     return arr
 
 
@@ -274,11 +287,6 @@ def as_velocity(v, *, name: str = "velocity") -> np.ndarray:
         ``1 - BALL_MARGIN``; a batch's error names its first failing row.
     """
     return _admissible(_as_real(v, name), name)
-
-
-def as_ambient(w, *, name: str = "vector") -> np.ndarray:
-    """A float array of shape (..., n) whose |w|^2 is finite; no ball constraint."""
-    return _admissible(_as_real(w, name), name, ambient=True)
 
 
 def _broadcast(arrays, names) -> None:
@@ -354,75 +362,3 @@ def _one_pass(kernel, arrays, names, ambient_last: bool = False):
     coercion, shape match or block raises.
     """
     return _by_rows(_checking(kernel, names, ambient_last), *_matched(arrays, names))
-
-
-@dataclass(frozen=True, eq=False)
-class BetaVector:
-    """A validated point of the open unit ball: a velocity in units of c.
-
-    The wrapped array is read-only; all math happens in the functional
-    modules, which accept BetaVector wherever an array is expected.
-    """
-
-    components: np.ndarray
-
-    def __post_init__(self):
-        arr = as_velocity(self.components, name="BetaVector").copy()
-        if arr.ndim != 1:
-            raise DimensionError("BetaVector takes a single 1-D vector")
-        arr.setflags(write=False)
-        object.__setattr__(self, "components", arr)
-
-    @classmethod
-    def zero(cls, dim: int) -> "BetaVector":
-        return cls(np.zeros(dim))
-
-    def __array__(self, dtype=None, copy=None):
-        if dtype is not None:
-            return self.components.astype(dtype)
-        return self.components
-
-    def __len__(self) -> int:
-        return self.components.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.components.shape[0]
-
-    @property
-    def norm(self) -> float:
-        return float(norm(self.components))
-
-    @property
-    def norm_sq(self) -> float:
-        return float(norm_sq(self.components))
-
-    @property
-    def gamma(self) -> float:
-        return float(_gamma(self.components))
-
-    @property
-    def is_zero(self) -> bool:
-        """True when every component is below the exact-zero threshold."""
-        return bool(np.all(np.abs(self.components) < ZERO_EPS))
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, BetaVector):
-            return NotImplemented
-        if self.dim != other.dim:
-            return False
-        if self.is_zero and other.is_zero:
-            return True
-        return bool(np.array_equal(self.components, other.components))
-
-    def __hash__(self):
-        if self.is_zero:
-            return hash((self.dim, 0.0))
-        return hash((self.dim, self.components.tobytes()))
-
-    def __neg__(self) -> "BetaVector":
-        return BetaVector(-self.components)
-
-    def __repr__(self) -> str:
-        inner = ", ".join(format(x, ".17g") for x in self.components)
-        return f"BetaVector([{inner}])"

@@ -13,8 +13,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .ball import (_as_real, _by_rows, _columns, _every, _gamma, _norm_sq_checked,
-                   _one_pass, _real_array, _real_arrays, dot, norm, norm_sq, operands)
+from .ball import (_as_real, _by_rows, _columns, _gamma, _norm_sq_checked, _one_pass,
+                   _real_array, _real_arrays, _require, dot, norm, norm_sq, operands)
 from .errors import AdmissibilityError, DimensionError
 
 
@@ -34,8 +34,7 @@ def _gamma_of_speed(s) -> np.ndarray:
 def gamma_of_speed(s) -> np.ndarray:
     """Gamma factor of a scalar speed in [0, 1)."""
     s = _real_array(s, "speed")
-    if not _every((s >= 0.0) & (s < 1.0)):
-        raise AdmissibilityError("speed must lie in [0, 1)")
+    _require((s >= 0.0) & (s < 1.0), AdmissibilityError, "must lie in [0, 1)", "speed")
     return _gamma_of_speed(s)
 
 
@@ -52,8 +51,8 @@ def speed_of_gamma(g) -> np.ndarray:
     returned as 1.0.
     """
     g = _real_array(g, "gamma factor")
-    if not _every((g >= 1.0) & (g < np.inf)):
-        raise AdmissibilityError("gamma factor must be finite and >= 1")
+    _require((g >= 1.0) & (g < np.inf), AdmissibilityError, "must be finite and >= 1",
+             "gamma factor")
     return _speed_of_gamma(g)
 
 
@@ -114,11 +113,12 @@ def add_speeds(x, y):
 
     This is the restriction of Einstein addition to collinear velocities and
     the operation under which gyrodistances satisfy the gyrotriangle
-    inequality.  Both speeds must be finite and lie in (-1, 1).
+    inequality.  Both speeds must be finite and lie in (-1, 1); a batch's
+    error names the first failing row of the batch the two broadcast to.
     """
     x, y = _real_arrays((x, y), ("x", "y"))
-    if not (_every(np.abs(x) < 1.0) and _every(np.abs(y) < 1.0)):
-        raise AdmissibilityError("speeds must lie in (-1, 1)")
+    _require((np.abs(x) < 1.0) & (np.abs(y) < 1.0), AdmissibilityError,
+             "must lie in (-1, 1)", "speeds")
     return (x + y) / (1.0 + x * y)
 
 
@@ -266,10 +266,11 @@ class Gyration:
         return inv
 
     def matrix(self) -> np.ndarray:
-        """The operator as an orthogonal n x n matrix acting on columns."""
-        eye = np.eye(self.dim)
-        a, b, d = _gyr_coeffs(self.u, self.v, eye)
-        return (np.outer(self.u, a) + np.outer(self.v, b)) / d + eye
+        """The operator as an orthogonal n x n matrix acting on columns.
+
+        Column j is gyr[u, v] e_j, as apply computes it.
+        """
+        return _gyrate(self.u, self.v, np.eye(self.dim)).T
 
     def is_trivial(self, tol: float = 1e-14) -> bool:
         """True when the generators make the gyration the identity map."""

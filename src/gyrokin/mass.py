@@ -36,8 +36,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ball import (_as_real, _gamma, _one_pass, _real_scalars, as_velocity, norm_sq,
-                   same_shape)
+from .ball import (_as_real, _gamma, _one_pass, _real_scalars, _require, as_velocity,
+                   norm_sq, same_shape)
 from .errors import AdmissibilityError, DimensionError, GyrokinError
 from .gyro import _add
 
@@ -109,8 +109,8 @@ class ParticleSystem:
     def _from_arrays(cls, masses, velocities, frame: str = "rest") -> "ParticleSystem":
         """System from (N,) masses and (N, n) velocities, each checked in one pass."""
         masses = _as_real(masses, "particle mass")
-        if not np.all((masses > 0.0) & np.isfinite(masses)):
-            raise AdmissibilityError("particle mass must be positive and finite")
+        _require((masses > 0.0) & np.isfinite(masses), AdmissibilityError,
+                 "must be positive and finite", "particle mass")
         velocities = as_velocity(velocities, name="particle velocity")
         if velocities.ndim != 2 or masses.shape != velocities.shape[:1]:
             raise DimensionError("need one velocity vector per particle mass")

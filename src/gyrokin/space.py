@@ -12,8 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ball import (MAX_NORM, _as_real, _by_rows, _columns, _every, _norm_sq_checked,
-                   _one_pass, _real_array, _real_arrays, as_velocity, dot, norm, norm_sq,
+from .ball import (MAX_NORM, _as_real, _by_rows, _columns, _matched, _norm_sq_checked,
+                   _one_pass, _real_array, _require, as_velocity, dot, norm, norm_sq,
                    operands, same_shape)
 from .errors import CollinearPoints, DimensionError, NonFinite
 from .gyro import _add, _coadd, _left_sub, _midpoint
@@ -25,10 +25,9 @@ COLLINEAR_AREA_TOL = 1e-12
 def _scalar_mul(r, v, name: str) -> np.ndarray:
     """r (x) v, once r is finite and v admissible; r has a trailing axis of length 1.
 
-    ``name`` is r's name in the errors.
+    ``name`` is r's name in the errors, and their rows are r's own.
     """
-    if not _every(np.isfinite(r)):
-        raise NonFinite(f"{name} must be finite")
+    _require(np.isfinite(r[..., 0]), NonFinite, "must be finite", name)
     n = np.sqrt(_norm_sq_checked(v, "v"))
     mag = np.tanh(r[..., 0] * np.arctanh(n))
     mag = np.clip(mag, -MAX_NORM, MAX_NORM)
@@ -95,8 +94,10 @@ def triangle_area(a, b, c) -> np.ndarray:
     Uses base times orthogonalized height rather than the Gram determinant:
     the latter cancels catastrophically near collinear triples and cannot
     resolve areas below sqrt(eps), while this form stays accurate to rounding.
+    The points must have one dimension, like the operands of a velocity
+    operation, and their batch shapes must broadcast.
     """
-    a, b, c = _real_arrays((a, b, c), ("a", "b", "c"))
+    a, b, c = _matched((a, b, c), ("a", "b", "c"))
     x = b - a
     y = c - a
     xx = norm_sq(x)

@@ -78,8 +78,15 @@ def triangle_q(gamma_a: float, gamma_b: float, gamma_c: float) -> float:
 
     Nonnegative exactly when the three gammas belong to a realizable
     gyrotriangle; it is the squared common numerator of the three gyrosines.
-    Values in a rounding-width band below zero clamp to 0.
+    Values in a rounding-width band below zero clamp to 0.  The gammas must
+    be real scalars.
     """
+    return _triangle_q(*_real_scalars((gamma_a, gamma_b, gamma_c),
+                                      ("gamma_a", "gamma_b", "gamma_c")))
+
+
+def _triangle_q(gamma_a: float, gamma_b: float, gamma_c: float) -> float:
+    """triangle_q of three trusted Python floats."""
     q = (1.0 + 2.0 * gamma_a * gamma_b * gamma_c
          - gamma_a * gamma_a - gamma_b * gamma_b - gamma_c * gamma_c)
     scale = 1.0 + 2.0 * gamma_a * gamma_b * gamma_c
@@ -114,7 +121,7 @@ def sss_to_aaa(gamma_a: float, gamma_b: float, gamma_c: float
         raise InvalidTriangle("side gamma factors must exceed 1")
     ga, gb, gc = gs
     scale = 1.0 + 2.0 * ga * gb * gc
-    if triangle_q(ga, gb, gc) < -CLAMP_TOL * scale:
+    if _triangle_q(ga, gb, gc) < -CLAMP_TOL * scale:
         raise InvalidTriangle("negative triangle quantity; sides do not close")
     ra = math.sqrt(ga * ga - 1.0)
     rb = math.sqrt(gb * gb - 1.0)
@@ -180,7 +187,7 @@ class Gyrotriangle:
 
     @property
     def q(self) -> float:
-        return triangle_q(self.gamma_a, self.gamma_b, self.gamma_c)
+        return _triangle_q(self.gamma_a, self.gamma_b, self.gamma_c)
 
     def is_right(self, tol: float = RIGHT_ANGLE_TOL) -> bool:
         return abs(self.gamma - math.pi / 2.0) <= tol

@@ -14,8 +14,8 @@ def rng():
 def _count_checks(monkeypatch, record):
     """Rebind the admissibility check so that each call runs record(arr, name) first.
 
-    ball._norm_sq_checked is the one check: as_velocity and as_ambient call
-    it, and so do the kernels, inside each row block.  It is rebound
+    ball._norm_sq_checked is the one velocity check: as_velocity calls it,
+    and so do the kernels, inside each row block.  It is rebound
     wherever a gyrokin module holds it, so calls from every layer are
     counted.
     """

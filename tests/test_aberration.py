@@ -257,12 +257,28 @@ class TestRowBlocks:
         failure(RELATIVISTIC[name], *args)
         assert rows == [min(8192, k - lo) for lo in range(0, k, 8192)]
 
+    @pytest.mark.parametrize("k", LENGTHS)
+    @pytest.mark.parametrize("arg, value", [(0, 0.0), (1, 1.0)])
+    def test_error_names_its_row_in_the_whole_batch(self, rng, monkeypatch, name, k, arg,
+                                                    value):
+        # The same row with and without row blocks, on both sides of a block edge.
+        op = RELATIVISTIC[name]
+        error, text = [(AngleDegenerate, name_of(name, 0) + " row {} must lie strictly "
+                                                            "between 0 and pi"),
+                       (AdmissibilityError, "v row {} must lie in [0, 1)")][arg]
+        for row in sorted({0, 8191, 8192, k - 1} & set(range(k))):
+            args = scenario(rng, k)
+            args[arg][row] = value
+            want = (error, text.format(row))
+            assert failure(op, *args) == one_call(monkeypatch, failure, op, *args) == want
+
     def test_first_argument_checked_first(self, rng, monkeypatch, name):
         # Inside a block the arguments are checked in order; across blocks
-        # the first failing block raises.
+        # the first failing block raises.  Each error names its row.
         op = RELATIVISTIC[name]
-        angle = (AngleDegenerate, f"{name_of(name, 0)} must lie strictly between 0 and pi")
-        speed = (AdmissibilityError, "v must lie in [0, 1)")
+        angle = (AngleDegenerate,
+                 f"{name_of(name, 0)} row 19999 must lie strictly between 0 and pi")
+        speed = (AdmissibilityError, "v row 0 must lie in [0, 1)")
         theta, v, p = scenario(rng, 20000)
         theta[-1], v[-1] = math.pi, 1.0
         assert failure(op, theta, v, p) == one_call(monkeypatch, failure, op, theta, v, p) == angle

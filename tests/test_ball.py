@@ -7,10 +7,12 @@ import warnings
 import numpy as np
 import pytest
 
-from gyrokin import (AdmissibilityError, DimensionError, add_speeds, are_gyrocollinear,
-                     classical_aberration, classical_aberration_inv, classical_matched_p_e,
-                     gamma, relativistic_aberration, relativistic_matched_p_e, triangle_area)
-from gyrokin.ball import as_ambient, as_velocity, dot, norm_sq
+from gyrokin import (AdmissibilityError, AngleDegenerate, DimensionError, NonFinite,
+                     add_speeds, are_gyrocollinear, classical_aberration,
+                     classical_aberration_inv, classical_matched_p_e, gamma, gamma_of_speed,
+                     gyrate, gyroline_point, relativistic_aberration,
+                     relativistic_matched_p_e, scalar_mul, speed_of_gamma, triangle_area)
+from gyrokin.ball import as_velocity, dot, norm_sq
 from helpers import broadcast_error, in_blocks, raised
 
 DIMS = range(1, 11)
@@ -64,7 +66,7 @@ class TestSumOrder:
 
 
 def test_empty_component_axis():
-    # triangle_area passes raw arrays, which may have no components.
+    # dot and norm_sq take raw arrays, which may have no components.
     for shape in [(0,), (5, 0), (2, 3, 0)]:
         x = np.zeros(shape)
         assert same_bits(dot(x, x), np.sum(x * x, axis=-1))
@@ -92,6 +94,11 @@ class TestOverflowingVelocity:
             as_velocity([np.inf, 0.0, 0.0], name="u")
 
 
+def gyrate_w(w):
+    """gyr[u, v]w for fixed admissible u, v: w is the one ambient operand."""
+    return gyrate(np.full(3, 0.1), np.full(3, 0.2), w)
+
+
 @pytest.mark.parametrize("bad, velocity, ambient", [
     ({16: 1.5}, "norm 1.506", None),
     ({0: 1.2, 16: 1.5}, "norm 1.208", None),
@@ -111,8 +118,7 @@ def test_checked_in_blocks_as_a_whole(monkeypatch, bad, velocity, ambient):
     v = np.full((17, 3), 0.1)
     for row, x in bad.items():
         v[row, 0] = x
-    for check, want, name in ((as_velocity, velocity, "velocity"),
-                              (as_ambient, ambient, "vector")):
+    for check, want, name in ((as_velocity, velocity, "velocity"), (gyrate_w, ambient, "w")):
         got = in_blocks(monkeypatch, raised, check, v)
         assert got == raised(check, v)
         if want is None:
@@ -156,6 +162,101 @@ def test_batches_that_do_not_broadcast(op, args, names):
     assert raised(op, *args) == (DimensionError, f"{names}: {want}")
 
 
+@pytest.mark.parametrize("op", [triangle_area, are_gyrocollinear],
+                         ids=lambda op: op.__name__)
+@pytest.mark.parametrize("points, want", [
+    (([0.5], [0.1, 0.2, 0.3], [0.0, 0.0, 0.1]), "a, b, c have dimensions [1, 3, 3]"),
+    (([[0.5]] * 2, [0.1, 0.2, 0.3], [[0.0, 0.0, 0.1]] * 2),
+     "a, b, c have dimensions [1, 3, 3]"),
+    (([0.1, 0.2, 0.3], [0.0, 0.1, 0.0], [0.3, 0.4]), "a, b, c have dimensions [3, 3, 2]"),
+    ((0.5, [0.1, 0.2, 0.3], [0.0, 0.0, 0.1]), "a must have at least one component"),
+    (([0.1, 0.2], [0.0, 0.1], 0.3), "c must have at least one component"),
+    (([], [], []), "a must have at least one component"),
+], ids=["1-vs-3", "batch-1-vs-3", "3-vs-2", "0-d-a", "0-d-c", "no-components"])
+def test_points_of_other_dimensions(op, points, want):
+    """The three points share one dimension: no component axis broadcasts."""
+    assert raised(op, *points) == (DimensionError, want)
+
+
+K = 7
+UNIT = [0.1, 0.2, 0.3]
+
+# Every range check on a batch argument, as (op, args, which argument is
+# the batch, a bad value, error, name, message): the batch is an array of K
+# rows, the other arguments single values.
+ROW_CHECKS = {
+    "gamma_of_speed": (gamma_of_speed, [np.full(K, 0.5)], 0, 1.0,
+                       AdmissibilityError, "speed", "must lie in [0, 1)"),
+    "speed_of_gamma": (speed_of_gamma, [np.full(K, 1.5)], 0, np.inf,
+                       AdmissibilityError, "gamma factor", "must be finite and >= 1"),
+    "add_speeds-x": (add_speeds, [np.full(K, 0.5), 0.3], 0, -1.0,
+                     AdmissibilityError, "speeds", "must lie in (-1, 1)"),
+    "add_speeds-y": (add_speeds, [0.3, np.full(K, 0.5)], 1, np.nan,
+                     AdmissibilityError, "speeds", "must lie in (-1, 1)"),
+    "scalar_mul": (scalar_mul, [np.full(K, 0.5), UNIT], 0, np.inf,
+                   NonFinite, "scalar factor", "must be finite"),
+    "gyroline_point": (gyroline_point, [UNIT, [0.0, 0.1, 0.0], np.full(K, 0.5)], 2, np.nan,
+                       NonFinite, "t", "must be finite"),
+    "classical-angle": (classical_aberration, [np.full(K, 1.0), 0.3, 0.5], 0, 0.0,
+                        AngleDegenerate, "theta_s", "must lie strictly between 0 and pi"),
+    "classical-sin": (classical_aberration, [np.full(K, 1.0), 0.3, 0.5], 0, 1e-300,
+                      AngleDegenerate, "sin(theta_s)", "vanishes; formulas degenerate"),
+    "classical-v": (classical_aberration, [1.0, np.full(K, 0.3), 0.5], 1, 1.5,
+                    AdmissibilityError, "v", "must lie in [0, 1]"),
+    "classical-p": (classical_aberration, [1.0, 0.3, np.full(K, 0.5)], 2, -0.5,
+                    AdmissibilityError, "p_s", "must be positive and finite"),
+    "classical_inv-angle": (classical_aberration_inv, [np.full(K, 1.0), 0.3, 0.5], 0,
+                            np.pi, AngleDegenerate, "theta_e",
+                            "must lie strictly between 0 and pi"),
+    "classical_matched-angle": (classical_matched_p_e, [1.0, np.full(K, 1.0), 0.5], 1,
+                                -1.0, AngleDegenerate, "theta_e",
+                                "must lie strictly between 0 and pi"),
+    "relativistic_matched-p": (relativistic_matched_p_e, [1.0, 1.2, np.full(K, 0.5)], 2,
+                               1.0, AdmissibilityError, "p_s", "must lie in [0, 1)"),
+    "relativistic-angle": (relativistic_aberration, [np.full(K, 1.0), 0.3, 0.5], 0,
+                           np.nan, AngleDegenerate, "theta_s",
+                           "must lie strictly between 0 and pi"),
+    "relativistic-v": (relativistic_aberration, [1.0, np.full(K, 0.3), 0.5], 1, 1.0,
+                       AdmissibilityError, "v", "must lie in [0, 1)"),
+    "relativistic-p-light": (relativistic_aberration, [1.0, 0.3, np.full(K, 0.5)], 2, 1.5,
+                             AdmissibilityError, "p_s", "must lie in [0, 1]"),
+    "relativistic-p-positive": (relativistic_aberration, [1.0, 0.3, np.full(K, 0.5)], 2,
+                                0.0, AdmissibilityError, "p_s", "must be positive"),
+}
+
+
+@pytest.mark.parametrize("case", ROW_CHECKS)
+@pytest.mark.parametrize("row", [0, 3, K - 1])
+def test_range_check_names_its_row(monkeypatch, case, row):
+    """A batch's range error names its first failing row, blocked or not.
+
+    The row alone, passed as a single value, gives the message without it.
+    """
+    op, args, arg, bad, error, name, text = ROW_CHECKS[case]
+    args = [a.copy() if isinstance(a, np.ndarray) else a for a in args]
+    args[arg][row] = bad
+    if row < K - 1:
+        args[arg][K - 1] = bad  # a later failing row does not win
+    want = (error, f"{name} row {row} {text}")
+    assert raised(op, *args) == want
+    assert in_blocks(monkeypatch, raised, op, *args) == want
+    single = [a[row] if isinstance(a, np.ndarray) else a for a in args]
+    assert raised(op, *single) == (error, f"{name} {text}")
+
+
+def test_range_error_row_is_a_tuple_over_the_batch_axes(monkeypatch):
+    # In blocks of 4 rows the bad row sits in the second block.
+    theta = np.full((9, 2), 1.0)
+    theta[6, 1] = 0.0
+    for run in (lambda: relativistic_aberration(theta, 0.3, 0.5),
+                lambda: in_blocks(monkeypatch, relativistic_aberration, theta, 0.3, 0.5),
+                lambda: classical_aberration(theta, 0.3, 0.5)):
+        with pytest.raises(AngleDegenerate) as info:
+            run()
+        assert (info.value.name, info.value.row) == ("theta_s", (6, 1))
+        assert str(info.value) == "theta_s row (6, 1) must lie strictly between 0 and pi"
+
+
 def test_long_batch_checked_without_a_norm_array():
     """Validation keeps one block's squared norms, not the whole batch's."""
     v = np.full((32 * 8192, 3), 0.1)
@@ -169,5 +270,5 @@ def test_long_batch_checked_without_a_norm_array():
 
 
 def test_empty_batch_is_admissible():
-    for check in (as_velocity, as_ambient):
+    for check in (as_velocity, gyrate_w):
         assert check(np.zeros((0, 3))).shape == (0, 3)

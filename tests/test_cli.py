@@ -1,5 +1,6 @@
 """CLI golden tests: frozen output bytes, exit codes, units, file ingestion."""
 
+import ast
 import io
 import json
 import math
@@ -322,6 +323,13 @@ class TestExitCodes:
         assert (rc, out) == (2, "")
         assert err == ("error: AdmissibilityError: particle velocity row 2 has norm 1.5 "
                        "outside the admissible ball (limit 0.99999999999949996)\n")
+
+    def test_bad_mass_named_by_its_row(self, capsys, tmp_path):
+        bad = tmp_path / "negative.csv"
+        bad.write_text("-1, 0.1, 0, 0\n2.0, 0, 0.2, 0\n")
+        rc, out, err = run(capsys, "mass", "--in", str(bad))
+        assert (rc, out) == (2, "")
+        assert err == "error: AdmissibilityError: particle mass row 0 must be positive and finite\n"
 
     def test_infinite_particle_speed_exits_two(self, capsys):
         rc, out, err = run(capsys, "aberration", "--model", "classical",
@@ -765,13 +773,47 @@ class TestStellarRoundtrip:
         assert "check_inverse_roundtrip_abs: n/a" in out.splitlines()
 
 
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
 def readme_cli_examples():
     """The gyrokin command lines of the README's CLI block, continuations joined."""
-    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    text = README.read_text()
     block = text.split("## CLI", 1)[1].split("```bash", 1)[1].split("```", 1)[0]
     return [shlex.split(line, comments=True)[1:]
             for line in block.replace("\\\n", " ").splitlines()
             if line.startswith("gyrokin ")]
+
+
+def readme_library_example():
+    """The names the README's library example binds, and its expressions' values.
+
+    The values are keyed by their source text; the statements run in order.
+    """
+    source = README.read_text().split("## Library example", 1)[1]
+    source = source.split("```python", 1)[1].split("```", 1)[0]
+    namespace, values = {}, {}
+    for stmt in ast.parse(source).body:
+        code = ast.get_source_segment(source, stmt)
+        if isinstance(stmt, ast.Expr):
+            values[code] = eval(code, namespace)
+        else:
+            exec(code, namespace)
+    return namespace, values
+
+
+def test_readme_library_example():
+    """The library example runs, and gives the values its comments state."""
+    namespace, values = readme_library_example()
+    assert np.array_equal(namespace["w"], [0.6, 0.48, 0.0])
+    assert np.array_equal(values["gk.gyrate(u, v, gk.einstein_add(v, u))"], namespace["w"])
+    assert values["gk.gamma(w)"] == 1.5625
+    assert np.any(values["gk.einstein_add(u, v) - gk.einstein_add(v, u)"] != 0.0)
+    assert np.all(values["gk.coadd(u, v) - gk.coadd(v, u)"] == 0.0)
+    assert values["g.rotation_angle()"] == pytest.approx(0.2213, abs=5e-5)
+    assert abs(values["tri.gamma_a * tri.gamma_b - tri.gamma_c"]) < 1e-14
+    dec = values["gk.decompose(sys2)"]
+    assert (dec.m0, dec.m_newton, dec.m_dark) == pytest.approx((2.5, 2.0, 1.5), rel=1e-15)
 
 
 class TestReadmeExamples:

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 import gyrokin as gk
 from gyrokin import (
     AdmissibilityError,
-    BetaVector,
     DimensionError,
     Gyration,
     GyrokinError,
@@ -191,10 +190,6 @@ class TestEinsteinAdd:
     def test_inadmissible_input(self):
         with pytest.raises(AdmissibilityError):
             einstein_add(np.array([1.5, 0.0]), np.zeros(2))
-
-    def test_accepts_beta_vectors(self):
-        out = einstein_add(BetaVector(U_FIX), BetaVector(V_FIX))
-        np.testing.assert_allclose(out, [0.6, 0.48, 0.0], atol=1e-15)
 
     def test_mismatched_batch_shapes(self):
         a, b = np.zeros((3, 3)), np.zeros((2, 3))
@@ -384,12 +379,16 @@ class TestGyration:
         w = rng.normal(size=3)
         assert max_abs(g.matrix() @ w - g.apply(w)) < 1e-14
 
-    @pytest.mark.parametrize("dim", range(2, 8))
+    @pytest.mark.parametrize("dim", range(1, 8))
     def test_matrix_is_the_image_of_the_basis_bit_for_bit(self, rng, dim):
-        # Column j of the matrix is gyr[u, v] e_j, as apply computes it.
+        # Column j of the matrix is gyr[u, v] e_j, as apply computes it, and
+        # the closed form I + (u a^T + v b^T)/d assembled from outer products.
+        eye = np.eye(dim)
         for u, v in ball_points(rng, 400, dim, max_norm=0.999).reshape(200, 2, dim):
             g = Gyration(u, v)
-            assert same_bits(g.matrix(), np.ascontiguousarray(g.apply(np.eye(dim)).T))
+            a, b, d = _gyr_coeffs(u, v, eye)
+            assert same_bits(g.matrix(), np.ascontiguousarray(g.apply(eye).T))
+            assert same_bits(g.matrix(), (np.outer(u, a) + np.outer(v, b)) / d + eye)
 
     def test_rotation_angle_fixture(self):
         # angle of the canonical generator pair, frozen from the x-axis image
@@ -685,7 +684,6 @@ NOT_FINITE = {"nan": [np.nan, 0.0, 0.0], "inf": [0.0, -np.inf, 0.0],
 # operand need only be finite (None: all must be admissible).
 CHECKED_OPS = {
     "as_velocity": (ball.as_velocity, ("velocity",), None),
-    "as_ambient": (ball.as_ambient, ("vector",), 0),
     "gamma": (gamma, ("v",), None),
     "einstein_add": (einstein_add, ("u", "v"), None),
     "einstein_sub": (einstein_sub, ("u", "v"), None),
@@ -860,46 +858,6 @@ class TestHypothesisLaws:
         assert max_abs(cosub(einstein_add(v, u), u) - v) < 1e-11
 
 
-class TestBetaVector:
-    def test_valid_construction(self):
-        b = BetaVector([0.1, 0.2, 0.3])
-        assert b.dim == 3
-        assert b.gamma == pytest.approx(1.0 / math.sqrt(1.0 - 0.14), rel=1e-15)
-
-    def test_rejects_boundary(self):
-        with pytest.raises(AdmissibilityError):
-            BetaVector([1.0, 0.0])
-
-    def test_rejects_matrix(self):
-        with pytest.raises(DimensionError):
-            BetaVector(np.zeros((2, 2)))
-
-    def test_rejects_complex(self):
-        with pytest.raises(AdmissibilityError, match="not real-valued"):
-            BetaVector([0.1j, 0.0, 0.0])
-
-    def test_components_read_only(self):
-        b = BetaVector([0.1, 0.2])
-        with pytest.raises(ValueError):
-            b.components[0] = 0.5
-
-    def test_negative_zero_equals_identity(self):
-        assert BetaVector([-0.0, 0.0]) == BetaVector.zero(2)
-        assert BetaVector([1e-301, -1e-305]) == BetaVector.zero(2)
-        assert BetaVector([1e-299, 0.0]) != BetaVector.zero(2)
-
-    def test_dimension_mismatch_not_equal(self):
-        assert BetaVector.zero(2) != BetaVector.zero(3)
-
-    def test_negation(self):
-        b = BetaVector([0.3, -0.4])
-        assert np.array_equal((-b).components, [-0.3, 0.4])
-
-    def test_is_zero(self):
-        assert BetaVector.zero(3).is_zero
-        assert not BetaVector([0.1, 0.0, 0.0]).is_zero
-
-
 # Scalar arguments that are not real numbers: each raises AdmissibilityError.
 NOT_REAL = {
     "gamma_of_speed-str": lambda: gk.gamma_of_speed("x"),
@@ -913,6 +871,8 @@ NOT_REAL = {
     "relativistic-complex": lambda: gk.relativistic_aberration(1.0, 0.1j, 1),
     "scene-complex": lambda: gk.aberration_scene(0.5j, 0.1, 1.0),
     "sides-str": lambda: gk.triangle_from_sides("a", 0.3, 0.3),
+    "triangle_q-str": lambda: gk.triangle_q("x", 1.2, 1.3),
+    "triangle_q-complex": lambda: gk.triangle_q(1.1, 1.2j, 1.3),
     "c_value-str": lambda: gk.parse_particles("1,0.1", c_value="x"),
 }
 
@@ -923,6 +883,8 @@ NOT_SCALAR = {
     "sss-all-batches": lambda: gk.sss_to_aaa(*np.full((3, 2), 1.2)),
     "aaa-batch": lambda: gk.aaa_to_sss(np.array([0.1, 0.2]), 0.3, 0.4),
     "sides-batch": lambda: gk.triangle_from_sides(np.array([0.3, 0.4]), 0.3, 0.3),
+    "triangle_q-batch": lambda: gk.triangle_q(np.array([1.1, 1.2]), 1.2, 1.3),
+    "triangle_q-list": lambda: gk.triangle_q(1.1, 1.2, [1.3]),
     "scene-batch": lambda: gk.aberration_scene(np.array([0.1, 0.2]), 0.3, 0.4),
     "sweep-fractional-rows": lambda: gk.aberration_sweep(0.3, 0.5, 2.7),
 }

@@ -82,6 +82,19 @@ class TestParticleTypes:
                                match="particle mass must be positive and finite"):
                 Particle(mass, [0.1, 0.0, 0.0])
 
+    @pytest.mark.parametrize("text, row", [
+        ("-1,0.1,0,0\n2,0,0.2,0\n", 0),
+        ("1,0.1,0,0\n# comment\n2,0,0.2,0\n0,0,0,0.1\n", 2),
+        ("1,0.1,0,0\n2,0,0.2,0\nnan,0,0,0.1\n-1,1.5,0,0\n", 2),
+        ('[{"mass": 1, "velocity": [0.1]}, {"mass": -2, "velocity": [0.2]}]', 1),
+    ], ids=["first", "after-comment", "first-of-two", "json"])
+    def test_bad_mass_named_by_its_row(self, text, row):
+        # A particle file is one batch: its first bad mass is named by its row.
+        with pytest.raises(AdmissibilityError) as info:
+            parse_particles(text)
+        assert (info.value.name, info.value.row) == ("particle mass", (row,))
+        assert str(info.value) == f"particle mass row {row} must be positive and finite"
+
     def test_rejects_complex_velocity(self):
         with pytest.raises(AdmissibilityError, match="not real-valued"):
             Particle(1.0, [0.1j, 0.0, 0.0])
