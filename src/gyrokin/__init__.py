@@ -59,7 +59,6 @@ from .trig import (
     aaa_to_sss,
     gyroangle,
     law_of_gyrosines_ratios,
-    left_gyrotranslate,
     right_triangle_relations,
     sss_to_aaa,
     triangle_from_angles,
@@ -87,10 +86,8 @@ from .mass import (
     ParticleFormatError,
     ParticleSystem,
     boost,
-    cm_velocity,
     collide_and_stick,
     decompose,
-    four_momentum,
     gamma_rel_minus_1,
     invariant_mass,
     parse_particles,

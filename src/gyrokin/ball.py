@@ -11,10 +11,11 @@ cache; every row still gets the bits of a single-vector call.
 
 Every checked operation takes one order: coerce all its operands, match
 their shapes, then check row block after row block, with the operands in
-argument order inside each block (``_one_pass``, ``operands``).  The first
-failing check raises, once; an error in a batch names its first failing
-row as an index into the whole batch ("u row 19999 has norm ..."), and a
-single value's error names no row.  The one velocity check,
+argument order inside each block (``_one_pass``); an operation that takes
+single vectors only checks them in the same order (``_single_vectors``).
+The first failing check raises, once; an error in a batch names its first
+failing row as an index into the whole batch ("u row 19999 has norm ..."),
+and a single value's error names no row.  The one velocity check,
 ``_norm_sq_checked``, returns the block's squared norms, and gamma consumes
 them (``_gamma(v, n2)``) instead of summing |v|^2 again.  A more accurate
 1 - |v|^2 therefore has one place to go.  Every other range check (speeds,
@@ -258,24 +259,11 @@ def _norm_sq_checked(arr, name: str, ambient: bool = False):
     return n2
 
 
-def _admissible(arr, name: str) -> np.ndarray:
-    """``arr``, a float array of shape (..., n), once _norm_sq_checked passes it.
+def as_velocity(v, *, name: str = "velocity") -> np.ndarray:
+    """Coerce to a float array of shape (..., n) and enforce admissibility.
 
     A batch longer than a block is checked in row blocks (_by_rows), so
     that no (k,) array of norms is built.
-    """
-    if arr.ndim > 1 and arr.shape[0] > _BLOCK:
-        def check(part):
-            _norm_sq_checked(part, name)
-
-        _by_rows(check, arr)
-    else:
-        _norm_sq_checked(arr, name)
-    return arr
-
-
-def as_velocity(v, *, name: str = "velocity") -> np.ndarray:
-    """Coerce to a float array of shape (..., n) and enforce admissibility.
 
     Raises
     ------
@@ -286,7 +274,15 @@ def as_velocity(v, *, name: str = "velocity") -> np.ndarray:
         any entry is non-finite, or if any squared norm exceeds
         ``1 - BALL_MARGIN``; a batch's error names its first failing row.
     """
-    return _admissible(_as_real(v, name), name)
+    arr = _as_real(v, name)
+    if arr.ndim > 1 and arr.shape[0] > _BLOCK:
+        def check(part):
+            _norm_sq_checked(part, name)
+
+        _by_rows(check, arr)
+    else:
+        _norm_sq_checked(arr, name)
+    return arr
 
 
 def _broadcast(arrays, names) -> None:
@@ -316,10 +312,13 @@ def same_shape(arrays, names) -> None:
 
     ``names`` labels ``arrays`` in order for the error messages.
     """
-    shapes = [a.shape for a in arrays]
-    if shapes.count(shapes[0]) == len(shapes):
+    first = arrays[0].shape
+    for a in arrays:
+        if a.shape != first:
+            break
+    else:
         return
-    dims = [s[-1] for s in shapes]
+    dims = [a.shape[-1] for a in arrays]
     if len(set(dims)) > 1:
         raise DimensionError(f"{', '.join(names)} have dimensions {dims}")
     _broadcast(arrays, names)
@@ -327,7 +326,7 @@ def same_shape(arrays, names) -> None:
 
 def _matched(arrays, names) -> list:
     """The operands coerced by _as_real, in argument order, once same_shape passes them."""
-    arrs = [_as_real(a, name) for a, name in zip(arrays, names)]
+    arrs = list(map(_as_real, arrays, names))
     same_shape(arrs, names)
     return arrs
 
@@ -344,13 +343,18 @@ def _checking(kernel, names, ambient_last: bool):
     return lambda *parts: kernel(*parts, list(map(_norm_sq_checked, parts, names, ambient)))
 
 
-def operands(arrays, names, ambient_last: bool = False) -> list:
-    """The operands of one operation, coerced and shape-matched, once all are admissible.
+def _single_vectors(values, names) -> list:
+    """The operands of an operation on single vectors, coerced, shape-matched and checked.
 
-    They are checked in _one_pass's order, row block after row block.
+    They are coerced and matched as _one_pass does (_matched); then each,
+    in argument order, must be one vector, not a batch, and admissible.
+    The DimensionError of a batch names it.
     """
-    arrs = _matched(arrays, names)
-    _by_rows(_checking(lambda *parts: None, names, ambient_last), *arrs)
+    arrs = _matched(values, names)
+    for arr, name in zip(arrs, names):
+        if arr.ndim != 1:
+            raise DimensionError("must be a single vector, not a batch", name=name)
+        _norm_sq_checked(arr, name)
     return arrs
 
 

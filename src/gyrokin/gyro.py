@@ -14,8 +14,8 @@ from __future__ import annotations
 import numpy as np
 
 from .ball import (_as_real, _by_rows, _columns, _gamma, _norm_sq_checked, _one_pass,
-                   _real_array, _real_arrays, _require, dot, norm, norm_sq, operands)
-from .errors import AdmissibilityError, DimensionError
+                   _real_array, _real_arrays, _require, _single_vectors, dot, norm, norm_sq)
+from .errors import AdmissibilityError
 
 
 def gamma(v) -> np.ndarray:
@@ -33,9 +33,11 @@ def _gamma_of_speed(s) -> np.ndarray:
 
 def gamma_of_speed(s) -> np.ndarray:
     """Gamma factor of a scalar speed in [0, 1)."""
-    s = _real_array(s, "speed")
-    _require((s >= 0.0) & (s < 1.0), AdmissibilityError, "must lie in [0, 1)", "speed")
-    return _gamma_of_speed(s)
+    def kernel(s):
+        _require((s >= 0.0) & (s < 1.0), AdmissibilityError, "must lie in [0, 1)", "speed")
+        return _gamma_of_speed(s)
+
+    return _by_rows(kernel, _real_array(s, "speed"), core=0)
 
 
 def _speed_of_gamma(g) -> np.ndarray:
@@ -50,10 +52,12 @@ def speed_of_gamma(g) -> np.ndarray:
     a relative error below machine epsilon; a speed that rounds up to 1 is
     returned as 1.0.
     """
-    g = _real_array(g, "gamma factor")
-    _require((g >= 1.0) & (g < np.inf), AdmissibilityError, "must be finite and >= 1",
-             "gamma factor")
-    return _speed_of_gamma(g)
+    def kernel(g):
+        _require((g >= 1.0) & (g < np.inf), AdmissibilityError, "must be finite and >= 1",
+                 "gamma factor")
+        return _speed_of_gamma(g)
+
+    return _by_rows(kernel, _real_array(g, "gamma factor"), core=0)
 
 
 def _add(u, v, n2=(None,)) -> np.ndarray:
@@ -116,10 +120,12 @@ def add_speeds(x, y):
     inequality.  Both speeds must be finite and lie in (-1, 1); a batch's
     error names the first failing row of the batch the two broadcast to.
     """
-    x, y = _real_arrays((x, y), ("x", "y"))
-    _require((np.abs(x) < 1.0) & (np.abs(y) < 1.0), AdmissibilityError,
-             "must lie in (-1, 1)", "speeds")
-    return (x + y) / (1.0 + x * y)
+    def kernel(x, y):
+        _require((np.abs(x) < 1.0) & (np.abs(y) < 1.0), AdmissibilityError,
+                 "must lie in (-1, 1)", "speeds")
+        return (x + y) / (1.0 + x * y)
+
+    return _by_rows(kernel, *_real_arrays((x, y), ("x", "y")), core=0)
 
 
 def _gyr_coeffs(u, v, w, n2=(None, None)):
@@ -243,19 +249,17 @@ class Gyration:
     """
 
     def __init__(self, u, v):
-        u, v = operands((u, v), ("u", "v"))
-        if u.ndim != 1 or v.ndim != 1:
-            raise DimensionError("Gyration takes a single generator pair")
-        self.u = u
-        self.v = v
+        self.u, self.v = _single_vectors((u, v), ("u", "v"))
 
     @property
     def dim(self) -> int:
         return self.u.shape[0]
 
     def apply(self, w) -> np.ndarray:
-        u, w = operands((self.u, w), ("u", "w"), ambient_last=True)
-        return _gyrate(u, self.v, w)
+        def kernel(u, w, n2):
+            return _gyrate(u, self.v, w, (n2[0], None))
+
+        return _one_pass(kernel, (self.u, w), ("u", "w"), ambient_last=True)
 
     __call__ = apply
 

@@ -36,8 +36,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ball import (_as_real, _gamma, _one_pass, _real_scalars, _require, as_velocity,
-                   norm_sq, same_shape)
+from .ball import (_as_real, _gamma, _one_pass, _real_scalars, _require, _single_vectors,
+                   as_velocity, norm_sq, same_shape)
 from .errors import AdmissibilityError, DimensionError, GyrokinError
 from .gyro import _add
 
@@ -66,9 +66,8 @@ class Particle:
             mass = math.nan
         if not (mass > 0.0 and math.isfinite(mass)):
             raise AdmissibilityError("particle mass must be positive and finite")
-        vel = as_velocity(self.velocity, name="particle velocity").copy()
-        if vel.ndim != 1:
-            raise DimensionError("particle velocity must be a single vector")
+        (vel,) = _single_vectors((self.velocity,), ("particle velocity",))
+        vel = vel.copy()
         vel.setflags(write=False)
         object.__setattr__(self, "mass", mass)
         object.__setattr__(self, "velocity", vel)
@@ -180,26 +179,6 @@ def _dark_sq(sys: ParticleSystem, g, w) -> float:
     return float(total * (w @ (t * t + norm_sq(s))))
 
 
-def cm_velocity(sys: ParticleSystem) -> np.ndarray:
-    """Center-of-momentum velocity: the relativistic-mass-weighted mean.
-
-    v0 = sum m_k gamma_k v_k / sum m_k gamma_k; admissible because it is a
-    convex combination of ball points.
-    """
-    energy, momentum = four_momentum(sys)
-    return momentum / energy
-
-
-def four_momentum(sys: ParticleSystem) -> tuple[float, np.ndarray]:
-    """Total four-momentum (E, P) = (sum m_k gamma_k, sum m_k gamma_k v_k)."""
-    return _four_momentum(sys, sys.masses * sys.gammas)
-
-
-def _four_momentum(sys: ParticleSystem, w) -> tuple[float, np.ndarray]:
-    """four_momentum of a system whose weights m_k gamma_k are ``w``."""
-    return float(w.sum()), (w[:, None] * sys.velocities).sum(axis=0)
-
-
 def invariant_mass(sys: ParticleSystem) -> float:
     """Invariant (rest) mass of the system.
 
@@ -216,7 +195,10 @@ class MassDecomposition:
     """Invariant-mass split of a particle system.
 
     m0^2 = m_newton^2 + m_dark^2; the relativistic mass m0*gamma0 equals the
-    conserved energy.  ``four_momentum_residual`` is the relative mismatch
+    conserved energy.  ``energy`` and ``momentum`` are the total four-momentum
+    (sum m_k gamma_k, sum m_k gamma_k v_k), and ``v0`` = momentum/energy is
+    the center-of-momentum velocity, admissible because it is a convex
+    combination of ball points.  ``four_momentum_residual`` is the relative mismatch
     between the summed constituent four-momenta and (m0 gamma0, m0 gamma0 v0).
     """
 
@@ -238,7 +220,7 @@ def decompose(sys: ParticleSystem) -> MassDecomposition:
     dark_sq = _dark_sq(sys, g, w)
     m_dark = float(np.sqrt(dark_sq))
     m0 = float(np.sqrt(m_newton * m_newton + dark_sq))
-    energy, momentum = _four_momentum(sys, w)
+    energy, momentum = float(w.sum()), (w[:, None] * sys.velocities).sum(axis=0)
     v0 = momentum / energy
     gamma0 = float(_gamma(v0))
     residual = np.hypot(m0 * gamma0 - energy,
@@ -263,7 +245,6 @@ def collide_and_stick(p1: Particle, p2: Particle) -> Particle:
     velocity, so m0 gamma0 = m1 gamma1 + m2 gamma2.  The invariant mass grows
     in the collision; the Newtonian mass sum is what stays put.
     """
-    # decompose's m0 and v0 are invariant_mass and cm_velocity, bit for bit.
     dec = decompose(ParticleSystem((p1, p2)))
     return Particle(mass=dec.m0, velocity=dec.v0)
 
@@ -275,9 +256,7 @@ def boost(sys: ParticleSystem, u) -> ParticleSystem:
     independence shows up here.  The boosted velocities are checked again,
     since near c a composition can leave the ball.
     """
-    u = as_velocity(u, name="u")
-    if u.ndim != 1:
-        raise DimensionError("u must be a single vector")
+    (u,) = _single_vectors((u,), ("u",))
     same_shape((u, sys.velocities), ("u", "v"))
     return ParticleSystem._from_arrays(sys.masses, _add(u, sys.velocities), sys.frame)
 

@@ -12,10 +12,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ball import (MAX_NORM, _as_real, _by_rows, _columns, _matched, _norm_sq_checked,
-                   _one_pass, _real_array, _require, as_velocity, dot, norm, norm_sq,
-                   operands, same_shape)
-from .errors import CollinearPoints, DimensionError, NonFinite
+from .ball import (MAX_NORM, _as_real, _broadcast, _by_rows, _columns, _matched,
+                   _norm_sq_checked, _one_pass, _real_array, _require, _single_vectors, dot,
+                   norm, norm_sq, same_shape)
+from .errors import CollinearPoints, NonFinite
 from .gyro import _add, _coadd, _left_sub, _midpoint
 
 # Ambient triangle areas below this mark a triple as gyrocollinear.
@@ -35,13 +35,6 @@ def _scalar_mul(r, v, name: str) -> np.ndarray:
     return _columns(scale.shape, lambda x: scale * x, v)
 
 
-def _scale(r, v, name: str) -> np.ndarray:
-    """r (x) v, for a factor ``r`` that the errors call ``name``, checked in row blocks."""
-    r, v = _real_array(r, name)[..., None], _as_real(v, "v")
-    same_shape((r, v[..., :1]), (name, "v"))
-    return _by_rows(lambda r, v: _scalar_mul(r, v, name), r, v)
-
-
 def scalar_mul(r, v) -> np.ndarray:
     """Scalar gyromultiplication r (x) v = tanh(r artanh|v|) v/|v|.
 
@@ -49,7 +42,9 @@ def scalar_mul(r, v) -> np.ndarray:
     definition.  The magnitude is clamped into the admissible ball so that
     the result is valid for every finite r.
     """
-    return _scale(r, v, "scalar factor")
+    r, v = _real_array(r, "scalar factor")[..., None], _as_real(v, "v")
+    same_shape((r, v[..., :1]), ("scalar factor", "v"))
+    return _by_rows(lambda r, v: _scalar_mul(r, v, "scalar factor"), r, v)
 
 
 def _distance(a, b, n2) -> np.ndarray:
@@ -73,8 +68,16 @@ def gyroline_point(a, b, t) -> np.ndarray:
     line degenerate and every t maps to ``a``.  Near c the gyrovector
     (-a) (+) b and its scaled image can leave the ball, so both are checked.
     """
-    a, b = operands((a, b), ("a", "b"))
-    return _add(a, as_velocity(_scale(t, _add(-a, b), "t"), name="v"))
+    def point(a, b, t):
+        n2 = [_norm_sq_checked(a, "a"), _norm_sq_checked(b, "b")]
+        v = _scalar_mul(t, _left_sub(a, b, n2), "t")
+        _norm_sq_checked(v, "v")
+        return _add(a, v, n2)
+
+    a, b = _matched((a, b), ("a", "b"))
+    t = _real_array(t, "t")[..., None]
+    _broadcast((a, b, t), ("a", "b", "t"))
+    return _by_rows(point, a, b, t)
 
 
 def gyromidpoint(a, b) -> np.ndarray:
@@ -97,18 +100,27 @@ def triangle_area(a, b, c) -> np.ndarray:
     The points must have one dimension, like the operands of a velocity
     operation, and their batch shapes must broadcast.
     """
-    a, b, c = _matched((a, b, c), ("a", "b", "c"))
+    return _by_rows(_area, *_matched((a, b, c), ("a", "b", "c")))
+
+
+def _area(a, b, c) -> np.ndarray:
+    """triangle_area of trusted arrays."""
     x = b - a
     y = c - a
     xx = norm_sq(x)
-    coef = np.divide(dot(x, y), xx, out=np.zeros(np.shape(xx)), where=xx > 0.0)
+    xy = dot(x, y)
+    coef = np.divide(xy, xx, out=np.zeros(np.broadcast(xy, xx).shape), where=xx > 0.0)
     y_perp = y - coef[..., None] * x
     return 0.5 * np.sqrt(xx) * norm(y_perp)
 
 
-def are_gyrocollinear(a, b, c, tol: float = COLLINEAR_AREA_TOL) -> bool:
-    """True when the three points lie on one gyroline (one chord)."""
-    return bool(np.all(triangle_area(a, b, c) < tol))
+def are_gyrocollinear(a, b, c, tol: float = COLLINEAR_AREA_TOL) -> bool | np.ndarray:
+    """Whether the three points lie on one gyroline (one chord).
+
+    A bool for one triple, and a bool array of the rows for a batch.
+    """
+    rows = triangle_area(a, b, c) < tol
+    return rows if rows.ndim else bool(rows)
 
 
 def gyroparallelogram_fourth(a, b, c, *, allow_degenerate: bool = False,
@@ -119,12 +131,17 @@ def gyroparallelogram_fourth(a, b, c, *, allow_degenerate: bool = False,
     their gyromidpoint.  Collinear inputs degenerate the figure and raise
     CollinearPoints unless ``allow_degenerate`` is set (coincident points,
     e.g. a = b, then fall through to the raw formula, which returns c).
-    Near c the coaddition b [+] c can leave the ball, so it is checked.
+    A batch's error names its first collinear row.  Near c the coaddition
+    b [+] c can leave the ball, so it is checked.
     """
-    a, b, c = operands((a, b, c), ("a", "b", "c"))
-    if not allow_degenerate and are_gyrocollinear(a, b, c, tol):
-        raise CollinearPoints("a, b, c lie on one gyroline; no gyroparallelogram")
-    return _add(as_velocity(_coadd(b, c), name="u"), -a)
+    def fourth(a, b, c, n2):
+        if not allow_degenerate:
+            _require(_area(a, b, c) >= tol, CollinearPoints,
+                     "lie on one gyroline; no gyroparallelogram", "a, b, c")
+        u = _coadd(b, c, n2[1:])
+        return _add(u, -a, [_norm_sq_checked(u, "u")])
+
+    return _one_pass(fourth, (a, b, c), ("a", "b", "c"))
 
 
 @dataclass(frozen=True, eq=False)
@@ -146,8 +163,8 @@ class RootedGyrovector:
 
 def gyrovector_between(p, q) -> RootedGyrovector:
     """Rooted gyrovector from point p to point q."""
-    p, q = operands((p, q), ("p", "q"))
-    return RootedGyrovector(tail=p, head=q, value=_add(-p, q))
+    value = _one_pass(_left_sub, (p, q), ("p", "q"))
+    return RootedGyrovector(tail=_as_real(p, "p"), head=_as_real(q, "q"), value=value)
 
 
 def equivalent(g1: RootedGyrovector, g2: RootedGyrovector,
@@ -165,8 +182,8 @@ def translate_to(g: RootedGyrovector, new_tail) -> RootedGyrovector:
     is equivalent to ``g`` exactly.  The value is checked as well, since a
     gyrovector between points near c can leave the ball.
     """
-    new_tail, value = operands((new_tail, g.value), ("new_tail", "value"))
-    return RootedGyrovector(tail=new_tail, head=_add(new_tail, value), value=g.value)
+    head = _one_pass(_add, (new_tail, g.value), ("new_tail", "value"))
+    return RootedGyrovector(tail=_as_real(new_tail, "new_tail"), head=head, value=g.value)
 
 
 def metric_tensor(x) -> np.ndarray:
@@ -177,9 +194,7 @@ def metric_tensor(x) -> np.ndarray:
     with G(x) = I/(1 - x^2) + x x^T/(1 - x^2)^2, the classical line element
     of the ball model.  Symmetric positive definite; the identity at x = 0.
     """
-    x = as_velocity(x, name="x")
-    if x.ndim != 1:
-        raise DimensionError("metric_tensor expects a single point")
+    (x,) = _single_vectors((x,), ("x",))
     n = x.shape[0]
     q = 1.0 - float(norm_sq(x))
     return np.eye(n) / q + np.outer(x, x) / (q * q)

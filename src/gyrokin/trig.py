@@ -16,18 +16,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ball import _columns, _every, _real_scalars, as_velocity, norm, operands
+from .ball import _columns, _every, _real_scalars, _single_vectors, norm
 from .errors import (
     AdmissibilityError,
     CollinearPoints,
     DegenerateAngle,
-    DimensionError,
     InvalidTriangle,
     NoSuchTriangle,
     NotRightTriangle,
 )
 from .gyro import _add, _gamma_of_speed, _speed_of_gamma
-from .space import are_gyrocollinear
+from .space import COLLINEAR_AREA_TOL, _area
 
 # cos values and the triangle quantity may land this far outside their exact
 # range from rounding at degenerate configurations; clamp instead of failing.
@@ -35,14 +34,6 @@ CLAMP_TOL = 1e-12
 
 # Angle-at-C tolerance for treating a triangle as right-angled.
 RIGHT_ANGLE_TOL = 1e-8
-
-
-def _vectors(arrays, names) -> list:
-    """operands() for the scalar-only ops, which take single vectors only."""
-    out = operands(arrays, names)
-    if any(a.ndim != 1 for a in out):
-        raise DimensionError(f"{', '.join(names)} must be single vectors, not batches")
-    return out
 
 
 def _gyroangle(gp, gq, tol: float = 1e-14) -> np.ndarray:
@@ -69,7 +60,7 @@ def gyroangle(vertex, p, q, *, tol: float = 1e-14) -> float:
 
     Raises DegenerateAngle when either gyrovector is shorter than ``tol``.
     """
-    vertex, p, q = _vectors((vertex, p, q), ("vertex", "p", "q"))
+    vertex, p, q = _single_vectors((vertex, p, q), ("vertex", "p", "q"))
     return float(_gyroangle(_add(-vertex, p), _add(-vertex, q), tol))
 
 
@@ -200,14 +191,17 @@ def triangle_from_vertices(a, b, c) -> Gyrotriangle:
     are measured geometrically at each vertex and agree with the analytic
     conversion from the side gammas.
     """
-    a, b, c = _vectors((a, b, c), ("a", "b", "c"))
-    if are_gyrocollinear(a, b, c):
+    a, b, c = _single_vectors((a, b, c), ("a", "b", "c"))
+    if _area(a, b, c) < COLLINEAR_AREA_TOL:
         raise CollinearPoints("vertices lie on one gyroline")
     # The gyrovectors ab, ac, ba, bc, ca and cb, one per row.
     g = _add(-np.array([a, a, b, b, c, c]), np.array([b, c, a, c, a, b]))
     sides = norm(g[[3, 1, 0]])
     if not sides.max() < 1.0:  # a side between points near c can round to 1
-        raise AdmissibilityError("speed must lie in [0, 1)")
+        i = int(np.argmin(sides < 1.0))
+        ends = " and ".join("abc".replace("abc"[i], ""))
+        raise AdmissibilityError(f"side {'abc'[i]}, between vertices {ends}, has gyrolength "
+                                 f"{sides[i]:.17g}, not below 1")
     ga, gb, gc = _gamma_of_speed(sides).tolist()
     alpha, beta, gamma = _gyroangle(g[0::2], g[1::2]).tolist()
     side_a, side_b, side_c = sides.tolist()
@@ -325,9 +319,3 @@ def law_of_gyrosines_ratios(tri: Gyrotriangle) -> tuple[float, float, float]:
         math.sin(tri.beta) / math.sqrt(tri.gamma_b ** 2 - 1.0),
         math.sin(tri.gamma) / math.sqrt(tri.gamma_c ** 2 - 1.0),
     )
-
-
-def left_gyrotranslate(t, *points) -> tuple:
-    """Move every point p to t (+) p; gyroangles are invariant under this."""
-    t = as_velocity(t, name="t")
-    return tuple(_add(*operands((t, p), ("t", "p"))) for p in points)

@@ -143,8 +143,8 @@ def test_criterion_05_triangle_roundtrips(rng):
     for _ in range(300):
         x, y = rng.uniform(0.05, 0.7, size=2)
         t = ball_points(rng, 1, 3, max_norm=0.5)[0]
-        pts = gk.left_gyrotranslate(t, np.array([x, 0.0, 0.0]),
-                                    np.array([0.0, y, 0.0]), np.zeros(3))
+        pts = [gk.einstein_add(t, p) for p in (np.array([x, 0.0, 0.0]),
+                                               np.array([0.0, y, 0.0]), np.zeros(3))]
         tri = gk.triangle_from_vertices(*pts)
         rep = gk.right_triangle_relations(tri)
         worst_pyth = max(worst_pyth,

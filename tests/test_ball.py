@@ -11,7 +11,9 @@ from gyrokin import (AdmissibilityError, AngleDegenerate, DimensionError, NonFin
                      add_speeds, are_gyrocollinear, classical_aberration,
                      classical_aberration_inv, classical_matched_p_e, gamma, gamma_of_speed,
                      gyrate, gyroline_point, relativistic_aberration,
-                     relativistic_matched_p_e, scalar_mul, speed_of_gamma, triangle_area)
+                     relativistic_aberration_inv, relativistic_matched_p_e, scalar_mul,
+                     speed_of_gamma, stellar_aberration, stellar_aberration_inv,
+                     triangle_area)
 from gyrokin.ball import as_velocity, dot, norm_sq
 from helpers import broadcast_error, in_blocks, raised
 
@@ -222,6 +224,13 @@ ROW_CHECKS = {
                              AdmissibilityError, "p_s", "must lie in [0, 1]"),
     "relativistic-p-positive": (relativistic_aberration, [1.0, 0.3, np.full(K, 0.5)], 2,
                                 0.0, AdmissibilityError, "p_s", "must be positive"),
+    "relativistic_inv-angle": (relativistic_aberration_inv, [np.full(K, 1.0), 0.3, 0.5], 0,
+                               0.0, AngleDegenerate, "theta_e",
+                               "must lie strictly between 0 and pi"),
+    "stellar-v": (stellar_aberration, [1.0, np.full(K, 0.3)], 1, 1.0,
+                  AdmissibilityError, "v", "must lie in [0, 1)"),
+    "stellar_inv-angle": (stellar_aberration_inv, [np.full(K, 1.0), 0.3], 0, np.pi,
+                          AngleDegenerate, "theta_e", "must lie strictly between 0 and pi"),
 }
 
 

@@ -17,21 +17,37 @@ from gyrokin import (
     GyrokinError,
     Particle,
     ParticleSystem,
+    RootedGyrovector,
     add_speeds,
+    are_gyrocollinear,
+    classical_aberration,
+    classical_aberration_inv,
+    classical_matched_p_e,
     coadd,
     coadd_via_gyration,
     cosub,
     einstein_add,
     einstein_sub,
     gamma,
+    gamma_of_speed,
     gamma_rel_minus_1,
     gyrate,
     gyrate_definitional,
     gyrodistance,
+    gyroline_point,
     gyromidpoint,
+    gyroparallelogram_fourth,
+    gyrovector_between,
     left_sub,
+    relativistic_aberration,
+    relativistic_aberration_inv,
+    relativistic_matched_p_e,
     scalar_mul,
     speed_of_gamma,
+    stellar_aberration,
+    stellar_aberration_inv,
+    translate_to,
+    triangle_area,
     triangle_from_vertices,
     decompose,
 )
@@ -530,23 +546,86 @@ BLOCKED_OPS = BINARY_OPS + [left_sub, coadd_via_gyration,
                             lambda u, v: gamma(u), lambda u, v: gamma(v), gamma_rel_minus_1]
 
 
+# Draws of n rows of an argument: a velocity ("v"), a point that lies on the
+# x axis in every even row ("x"), an ambient vector ("w"), or a scalar.
+DRAWS = {
+    "v": lambda rng, n: ball_points(rng, n, 3, max_norm=0.99),
+    "x": lambda rng, n: ball_points(rng, n, 3, max_norm=0.9)
+    * np.where(np.arange(n)[:, None] % 2, 1.0, [1.0, 0.0, 0.0]),
+    "w": lambda rng, n: rng.normal(size=(n, 3)),
+    "t": lambda rng, n: rng.uniform(-2.0, 2.0, n),
+    "angle": lambda rng, n: rng.uniform(0.1, 3.0, n),
+    "speed": lambda rng, n: rng.uniform(0.05, 0.9, n),
+    "gamma": lambda rng, n: rng.uniform(1.0, 10.0, n),
+}
+SCALAR_DRAWS = ("t", "angle", "speed", "gamma")
+
+# Every public function that accepts a batch, with the draws of its arguments.
+BATCH_OPS = {
+    "gamma": (gamma, ("v",)),
+    "einstein_add": (einstein_add, ("v", "v")),
+    "einstein_sub": (einstein_sub, ("v", "v")),
+    "left_sub": (left_sub, ("v", "v")),
+    "coadd": (coadd, ("v", "v")),
+    "coadd_via_gyration": (coadd_via_gyration, ("v", "v")),
+    "cosub": (cosub, ("v", "v")),
+    "gyrate": (gyrate, ("v", "v", "w")),
+    "gyrate_definitional": (gyrate_definitional, ("v", "v", "v")),
+    "Gyration.apply": (Gyration(U_FIX, V_FIX).apply, ("w",)),
+    "gamma_of_speed": (gamma_of_speed, ("speed",)),
+    "speed_of_gamma": (speed_of_gamma, ("gamma",)),
+    "add_speeds": (add_speeds, ("speed", "speed")),
+    "scalar_mul": (scalar_mul, ("t", "v")),
+    "gyrodistance": (gyrodistance, ("v", "v")),
+    "gyromidpoint": (gyromidpoint, ("v", "v")),
+    "gyroline_point": (gyroline_point, ("v", "v", "t")),
+    "gyroparallelogram_fourth": (gyroparallelogram_fourth, ("v", "v", "v")),
+    "gyrovector_between": (lambda p, q: gyrovector_between(p, q).value, ("v", "v")),
+    "translate_to": (lambda t, v: translate_to(RootedGyrovector(v, v, v), t).head,
+                     ("v", "v")),
+    "triangle_area": (triangle_area, ("x", "x", "x")),
+    "are_gyrocollinear": (are_gyrocollinear, ("x", "x", "x")),
+    "gamma_rel_minus_1": (gamma_rel_minus_1, ("v", "v")),
+    "classical_aberration": (classical_aberration, ("angle", "speed", "speed")),
+    "classical_aberration_inv": (classical_aberration_inv, ("angle", "speed", "speed")),
+    "relativistic_aberration": (relativistic_aberration, ("angle", "speed", "speed")),
+    "relativistic_aberration_inv": (relativistic_aberration_inv,
+                                    ("angle", "speed", "speed")),
+    "stellar_aberration": (stellar_aberration, ("angle", "speed")),
+    "stellar_aberration_inv": (stellar_aberration_inv, ("angle", "speed")),
+    "classical_matched_p_e": (classical_matched_p_e, ("angle", "angle", "speed")),
+    "relativistic_matched_p_e": (relativistic_matched_p_e, ("angle", "angle", "speed")),
+}
+
+# Batch shapes of the first argument, the second, and any others.
+BATCH_SHAPES = [((4, 1), (5,), (5,)), ((), (6,), (6,)), ((6,), (), ()), ((5,), (5,), (5,)),
+                ((), (4, 1), (5,)), ((_FEW_ROWS,), (), ()),
+                ((_FEW_ROWS + 1,), (_FEW_ROWS + 1,), (_FEW_ROWS + 1,))]
+
+
+def draw_batch(rng, kind, shape):
+    """An argument drawn by DRAWS[kind] with the batch shape ``shape``."""
+    core = () if kind in SCALAR_DRAWS else (3,)
+    return DRAWS[kind](rng, math.prod(shape)).reshape(shape + core)
+
+
 class TestBroadcast:
     """Broadcast operands give, row for row, the bits of single-vector calls."""
 
-    @pytest.mark.parametrize("op", BINARY_OPS)
-    @pytest.mark.parametrize("shapes", [((4, 1, 3), (5, 3)), ((3,), (6, 3)),
-                                        ((6, 3), (3,)), ((5, 3), (5, 3)),
-                                        ((_FEW_ROWS, 3), (3,)),
-                                        ((_FEW_ROWS + 1, 3), (_FEW_ROWS + 1, 3))])
-    def test_rows_match_single_calls(self, rng, op, shapes):
-        su, sv = shapes
-        u = ball_points(rng, math.prod(su[:-1]), 3, max_norm=0.99).reshape(su)
-        v = ball_points(rng, math.prod(sv[:-1]), 3, max_norm=0.99).reshape(sv)
-        out = op(u, v)
-        ub, vb = np.broadcast_arrays(u, v)
-        assert out.shape == ub.shape
-        rows = [op(a, b) for a, b in zip(ub.reshape(-1, 3), vb.reshape(-1, 3))]
-        assert np.array_equal(out.reshape(-1, 3), np.array(rows))
+    @pytest.mark.parametrize("op", list(BATCH_OPS))
+    @pytest.mark.parametrize("shapes", BATCH_SHAPES)
+    def test_rows_match_single_calls(self, rng, monkeypatch, op, shapes):
+        fn, kinds = BATCH_OPS[op]
+        shapes = [shapes[min(i, 2)] for i in range(len(kinds))]
+        args = [draw_batch(rng, kind, s) for kind, s in zip(kinds, shapes)]
+        out = np.asarray(fn(*args))
+        assert same_bits(np.asarray(in_blocks(monkeypatch, fn, *args)), out)
+        batch = np.broadcast_shapes(*shapes)
+        assert out.shape[:len(batch)] == batch
+        rows = [np.broadcast_to(a, batch + a.shape[len(s):]).reshape((-1,) + a.shape[len(s):])
+                for a, s in zip(args, shapes)]
+        want = np.array([fn(*row) for row in zip(*rows)])
+        assert same_bits(out, want.reshape(out.shape))
 
     @pytest.mark.parametrize("op", BLOCKED_OPS)
     @pytest.mark.parametrize("layout", LAYOUTS)
@@ -599,11 +678,14 @@ BAD, OK = [1.5, 0.0, 0.0], [0.1, 0.2, 0.3]
 ROWS = BLOCK_LENGTHS[-1]
 
 
-def at_row(error, row):
-    """A single vector's (class, message) ``error`` as a batch raises it for row ``row``."""
+def at_row(error, row, name=None):
+    """A single call's (class, message) ``error`` as a batch raises it for row ``row``.
+
+    The message starts with ``name``: by default, the words before " has ".
+    """
     cls, text = error
-    name, rest = text.split(" has ", 1)
-    return cls, f"{name} row {row} has {rest}"
+    name = name or text.split(" has ", 1)[0]
+    return cls, f"{name} row {row}{text[len(name):]}"
 
 
 def mismatch(names, *shapes):
@@ -697,6 +779,38 @@ CHECKED_OPS = {
     "gyromidpoint": (gyromidpoint, ("a", "b"), None),
     "gamma_rel_minus_1": (gamma_rel_minus_1, ("u", "v"), None),
     "scalar_mul": (lambda v: scalar_mul(0.5, v), ("v",), None),
+    "gyroline_point": (lambda a, b: gyroline_point(a, b, 0.5), ("a", "b"), None),
+    "gyroparallelogram_fourth": (gyroparallelogram_fourth, ("a", "b", "c"), None),
+    "gyrovector_between": (lambda p, q: gyrovector_between(p, q).value, ("p", "q"), None),
+    "translate_to": (lambda t, v: translate_to(RootedGyrovector(v, v, v), t).head,
+                     ("new_tail", "value"), None),
+    "Gyration.apply": (Gyration(U_FIX, V_FIX).apply, ("w",), 0),
+}
+
+def near_c_fault(rng, op):
+    """A near-c pair (a, b) that op rejects: an intermediate leaves the ball."""
+    u, v = near_c_pairs(rng, 400)
+    i = next(i for i in range(len(u)) if raised(op, u[i], v[i]))
+    return u[i], v[i]
+
+
+def collinear_fault(rng, op):
+    """A pair (a, b) with a on the gyroline through b and -b."""
+    b = ball_points(rng, 1, 3, max_norm=0.9)[0]
+    return 0.5 * b, b
+
+
+# Operations on (u, v) whose rows can fail after both operands pass: each
+# with a draw of a failing pair and the name its error starts with (None:
+# the words before " has ").
+ROW_FAULTS = {
+    "coadd_via_gyration": (coadd_via_gyration, near_c_fault, None),
+    "gyrate_definitional": (lambda u, v: gyrate_definitional(u, v, -v), near_c_fault, None),
+    "gyroline_point": (lambda u, v: gyroline_point(u, v, 0.5), near_c_fault, None),
+    "gyroparallelogram_fourth": (lambda u, v: gyroparallelogram_fourth(OK, u, v),
+                                 near_c_fault, None),
+    "gyroparallelogram_fourth-collinear": (lambda u, v: gyroparallelogram_fourth(u, v, -v),
+                                           collinear_fault, "a, b, c"),
 }
 
 # Where a single fault sits: the first row, the last of the first block, the
@@ -754,24 +868,23 @@ class TestOnePass:
             if layout == "kn-kn":  # the row alone: a single vector's message
                 assert raised(fn, *[x[row] for x in ops]) == alone
 
-    @pytest.mark.parametrize("op", [coadd_via_gyration,
-                                    lambda u, v: gyrate_definitional(u, v, -v)])
+    @pytest.mark.parametrize("op", list(ROW_FAULTS))
     @pytest.mark.parametrize("layout", ["kn-n", "k1n-mn"])
     @pytest.mark.parametrize("row", FAULT_ROWS)
     def test_single_intermediate_fault_names_its_row(self, rng, monkeypatch, op, layout,
                                                      row):
-        # A near-c pair (a, b) whose intermediate leaves the ball, among rows
-        # u that pass with the same v = b.
-        u, v = near_c_pairs(rng, 400)
-        i = next(i for i in range(len(u)) if raised(op, u[i], v[i]))
-        a, b = u[i], v[i]
+        # A pair (a, b) that fails although both operands pass, among rows u
+        # that pass with the same v = b.
+        fn, draw, name = ROW_FAULTS[op]
+        a, b = draw(rng, fn)
         good = ball_points(rng, 4 * ROWS, 3, max_norm=0.9)
-        good = good[[raised(op, c, b) is None for c in good]][:ROWS]
+        good = good[[raised(fn, c, b) is None for c in good]][:ROWS]
+        assert len(good) == ROWS
         good[row] = a
         args = (good, b) if layout == "kn-n" else (good[:, None], np.array([b] * 3))
-        want = at_row(raised(op, a, b), row if layout == "kn-n" else (row, 0))
-        assert raised(op, *args) == want
-        assert in_blocks(monkeypatch, raised, op, *args) == want
+        want = at_row(raised(fn, a, b), row if layout == "kn-n" else (row, 0), name)
+        assert raised(fn, *args) == want
+        assert in_blocks(monkeypatch, raised, fn, *args) == want
 
     @pytest.mark.parametrize("op", list(CHECKED_OPS))
     def test_failing_call_checks_each_block_once(self, rng, monkeypatch, checked_rows, op):
@@ -890,6 +1003,19 @@ NOT_SCALAR = {
 }
 
 
+# The operations that take single vectors only: the names their checks give
+# their vector arguments, and valid values of those.
+SINGLE_VECTOR_OPS = {
+    "gyroangle": (gk.gyroangle, ("vertex", "p", "q"), (U_FIX, V_FIX, OK)),
+    "triangle_from_vertices": (triangle_from_vertices, ("a", "b", "c"), (U_FIX, V_FIX, OK)),
+    "Gyration": (Gyration, ("u", "v"), (U_FIX, V_FIX)),
+    "metric_tensor": (gk.metric_tensor, ("x",), (U_FIX,)),
+    "Particle": (lambda v: Particle(1.0, v), ("particle velocity",), (U_FIX,)),
+    "boost": (lambda u: gk.boost(ParticleSystem((Particle(1.0, V_FIX),)), u), ("u",),
+              (U_FIX,)),
+}
+
+
 def _failing(*args, **kwargs):
     raise AssertionError("kernel of the other route was called")
 
@@ -908,7 +1034,7 @@ class TestValidationBoundary:
             m.setattr(gyro, "_midpoint", _failing)
             assert max_abs(coadd_via_gyration(U_FIX, V_FIX) - coadded) < 1e-14
 
-    def test_each_operand_validated_once(self, validation_calls):
+    def test_each_operand_validated_once(self, rng, monkeypatch, validation_calls):
         calls = validation_calls
         system = ParticleSystem((Particle(1.0, U_FIX), Particle(2.0, V_FIX)))
 
@@ -921,6 +1047,29 @@ class TestValidationBoundary:
         assert count(triangle_from_vertices, U_FIX, V_FIX, np.zeros(3)) == 3
         assert count(decompose, system) == 0
         assert count(Gyration(U_FIX, V_FIX).inverse) == 0
+        # Every operand and intermediate once per row block: (-a) (+) b and
+        # its scaled image are gyroline_point's v, and b [+] c is the u of
+        # gyroparallelogram_fourth.
+        a = ball_points(rng, ROWS, 3, max_norm=0.9)
+        for fn, args, names in [(gyroline_point, (a, V_FIX, 0.5), ["a", "b", "v", "v"]),
+                                (gyroparallelogram_fourth, (a, U_FIX, V_FIX),
+                                 ["a", "b", "c", "u"])]:
+            assert count(fn, *args) == 4 and calls == names
+            calls.clear()
+            in_blocks(monkeypatch, fn, *args)
+            assert calls == names * math.ceil(ROWS / TEST_BLOCK)
+
+    @pytest.mark.parametrize("op", list(SINGLE_VECTOR_OPS))
+    def test_single_vector_ops_name_their_argument(self, op):
+        fn, names, args = SINGLE_VECTOR_OPS[op]
+        for i, name in enumerate(names):
+            batch = list(args)
+            batch[i] = np.array([args[i], args[i]])
+            assert raised(fn, *batch) == (DimensionError,
+                                          f"{name} must be a single vector, not a batch")
+            bad = list(args)
+            bad[i] = BAD
+            assert raised(fn, *bad) == (AdmissibilityError, f"{name} {OUT}")
 
     @pytest.mark.parametrize("call, error", [
         pytest.param(call, error, id=name)

@@ -256,12 +256,21 @@ class TestGyroparallelogram:
             m2 = scalar_mul(0.5, coadd(b, c))
             assert max_abs(m1 - m2) < 1e-10
 
-    def test_collinear_raises(self):
+    def test_collinear_raises(self, monkeypatch):
         a = np.zeros(3)
         b = np.array([0.2, 0.0, 0.0])
         c = np.array([0.5, 0.0, 0.0])
         with pytest.raises(CollinearPoints):
             gyroparallelogram_fourth(a, b, c)
+        # Of these two triples only the second is collinear: the batch
+        # raises for that row, as the row alone does.
+        a, b, c = np.zeros((2, 2)), np.array([[0.3, 0.0]] * 2), np.array([[0.0, 0.3], [0.5, 0.0]])
+        text = "lie on one gyroline; no gyroparallelogram"
+        assert raised(gyroparallelogram_fourth, a[1], b[1], c[1]) == (CollinearPoints,
+                                                                     f"a, b, c {text}")
+        want = (CollinearPoints, f"a, b, c row 1 {text}")
+        assert raised(gyroparallelogram_fourth, a, b, c) == want
+        assert in_blocks(monkeypatch, raised, gyroparallelogram_fourth, a, b, c) == want
 
     def test_degenerate_coincident_tail(self):
         # a = b collapses the figure; the raw formula returns c by the dual
@@ -309,6 +318,19 @@ class TestRootedGyrovectors:
         g1 = gyrovector_between(np.zeros(3), U_FIX)
         g2 = gyrovector_between(np.zeros(3), V_FIX)
         assert not equivalent(g1, g2)
+
+    def test_paper_identities(self, rng):
+        # The gyrolength of the gyrovector from p to q is the gyrodistance
+        # d(p, q); moved to the tail t it stays the same gyrovector, with
+        # head t (+) value.  Checked on a batch and on its first row.
+        p, q, t = ball_points(rng, 21, 3, max_norm=0.9).reshape(3, 7, 3)
+        assert [gyrovector_between(a, b).gyrolength
+                for a, b in zip(p, q)] == gyrodistance(p, q).tolist()
+        for tail, head, new_tail in [(p, q, t), (p[0], q[0], t[0])]:
+            g = gyrovector_between(tail, head)
+            moved = translate_to(g, new_tail)
+            assert equivalent(moved, g)
+            assert same_bits(moved.head, einstein_add(new_tail, g.value))
 
 
 class TestGyrovectorCoadd:

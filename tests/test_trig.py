@@ -15,11 +15,11 @@ from gyrokin import (
     NoSuchTriangle,
     NotRightTriangle,
     aaa_to_sss,
+    einstein_add,
     gamma_of_speed,
     gyroangle,
     gyrodistance,
     law_of_gyrosines_ratios,
-    left_gyrotranslate,
     right_triangle_relations,
     sss_to_aaa,
     triangle_from_angles,
@@ -62,7 +62,7 @@ def random_right_triangle(rng, max_leg=0.7):
     b = np.array([0.0, y, 0.0])
     c = np.zeros(3)
     t = ball_points(rng, 1, 3, max_norm=0.5)[0]
-    return left_gyrotranslate(t, a, b, c)
+    return tuple(einstein_add(t, p) for p in (a, b, c))
 
 
 class TestGyroangle:
@@ -98,7 +98,7 @@ class TestGyroangle:
             if min(np.linalg.norm(p - v), np.linalg.norm(q - v)) < 1e-3:
                 continue
             before = gyroangle(v, p, q)
-            after = gyroangle(*left_gyrotranslate(t, v, p, q))
+            after = gyroangle(*[einstein_add(t, p) for p in (v, p, q)])
             assert abs(before - after) < 1e-10
 
     def test_rotation_invariance(self, rng):
@@ -184,10 +184,17 @@ class TestTriangleFromVertices:
             assert [type(x) for x in got] == [float] * 9
             assert got == want
 
-    def test_side_rounding_to_one(self):
-        a = np.array([MAX_NORM, 0.0, 0.0])
-        with pytest.raises(AdmissibilityError, match=r"^speed must lie in \[0, 1\)$"):
-            triangle_from_vertices(a, -a, np.array([0.0, 0.5, 0.0]))
+    @pytest.mark.parametrize("order, side, ends", [((0, 1, 2), "c", "a and b"),
+                                                    ((2, 0, 1), "a", "b and c"),
+                                                    ((0, 2, 1), "b", "a and c")])
+    def test_side_rounding_to_one_is_named(self, order, side, ends):
+        # Two admissible vertices at opposite ends of a diameter: the side
+        # between them rounds to gyrolength 1.
+        points = [[MAX_NORM, 0.0], [-MAX_NORM, 0.0], [0.0, 0.5]]
+        with pytest.raises(AdmissibilityError) as info:
+            triangle_from_vertices(*[points[i] for i in order])
+        assert str(info.value) == (f"side {side}, between vertices {ends}, "
+                                   "has gyrolength 1, not below 1")
 
     def test_no_second_range_check_in_gyro(self, monkeypatch):
         calls = []
