@@ -89,7 +89,6 @@ from .mass import (
     collide_and_stick,
     decompose,
     gamma_rel_minus_1,
-    invariant_mass,
     parse_particles,
 )
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ball import _by_rows, _real_arrays, _real_scalars, _require, as_velocity
+from .ball import _by_rows, _norm_sq_checked, _real_arrays, _real_scalars, _require
 from .errors import AdmissibilityError, AngleDegenerate, DimensionError
 from .gyro import _add, _gamma_of_speed
 from .trig import _gyroangle
@@ -182,8 +182,6 @@ def aberration_scene(v, p_s, theta_s) -> AberrationResult:
     velocity composition).
     """
     v, p_s, theta_s = _real_scalars((v, p_s, theta_s), ("v", "p_s", "theta_s"))
-    _check_speed(np.float64(v), "v")
-    _check_speed(np.float64(p_s), "p_s")
     _check_angle(np.float64(theta_s), "theta_s")
     if v <= 0.0:
         raise AngleDegenerate("v must be positive; E and S coincide otherwise")
@@ -193,10 +191,10 @@ def aberration_scene(v, p_s, theta_s) -> AberrationResult:
     # At S the gyroline ES continues along +x (gyrolines are chords), so the
     # particle gyrovector at S is p_s at Euclidean angle theta_s from +x.
     w_s = p_s * np.array([math.cos(theta_s), math.sin(theta_s)])
-    particle = _add(sun, w_s)
-    # Speeds just below 1 pass the scalar checks yet leave the ball, and so
-    # can the composed particle velocity; all three velocities are checked.
-    as_velocity(np.array([sun, w_s, particle]), name="scene velocity")
+    # Each velocity of the scene is checked once, under its own name: speeds
+    # just below 1 can leave the ball, and so can their composition.
+    particle = _add(sun, w_s, [_norm_sq_checked(sun, "v"), _norm_sq_checked(w_s, "p_s")])
+    _norm_sq_checked(particle, "v (+) p_s")
     # E sits at the origin, so the gyrovectors from E are S and P themselves.
     theta_e = _gyroangle(sun, particle)
     p_e = float(np.linalg.norm(particle))

@@ -262,8 +262,8 @@ def _norm_sq_checked(arr, name: str, ambient: bool = False):
 def as_velocity(v, *, name: str = "velocity") -> np.ndarray:
     """Coerce to a float array of shape (..., n) and enforce admissibility.
 
-    A batch longer than a block is checked in row blocks (_by_rows), so
-    that no (k,) array of norms is built.
+    A batch is checked in row blocks (_by_rows), so that no array of norms
+    longer than a block is built.
 
     Raises
     ------
@@ -275,13 +275,11 @@ def as_velocity(v, *, name: str = "velocity") -> np.ndarray:
         ``1 - BALL_MARGIN``; a batch's error names its first failing row.
     """
     arr = _as_real(v, name)
-    if arr.ndim > 1 and arr.shape[0] > _BLOCK:
-        def check(part):
-            _norm_sq_checked(part, name)
 
-        _by_rows(check, arr)
-    else:
-        _norm_sq_checked(arr, name)
+    def check(part):
+        _norm_sq_checked(part, name)
+
+    _by_rows(check, arr)
     return arr
 
 

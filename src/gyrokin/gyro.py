@@ -245,7 +245,7 @@ class Gyration:
     The operator is lazy: applications re-evaluate the closed-form
     coefficients against the stored generators, which keeps any ambient
     vector admissible as input.  ``matrix()`` materializes the n x n rotation
-    for callers that want it (cheap for the n <= 3 fast paths).
+    for callers that want it, as one gyration of the n unit vectors.
     """
 
     def __init__(self, u, v):

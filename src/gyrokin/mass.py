@@ -36,8 +36,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ball import (_as_real, _gamma, _one_pass, _real_scalars, _require, _single_vectors,
-                   as_velocity, norm_sq, same_shape)
+from .ball import (_as_real, _by_rows, _gamma, _norm_sq_checked, _one_pass, _real_scalars,
+                   _require, _single_vectors, as_velocity, norm_sq, same_shape)
 from .errors import AdmissibilityError, DimensionError, GyrokinError
 from .gyro import _add
 
@@ -105,7 +105,7 @@ class ParticleSystem:
                      np.array([p.velocity for p in parts]), frame)
 
     @classmethod
-    def _from_arrays(cls, masses, velocities, frame: str = "rest") -> "ParticleSystem":
+    def _from_arrays(cls, masses, velocities) -> "ParticleSystem":
         """System from (N,) masses and (N, n) velocities, each checked in one pass."""
         masses = _as_real(masses, "particle mass")
         _require((masses > 0.0) & np.isfinite(masses), AdmissibilityError,
@@ -113,16 +113,16 @@ class ParticleSystem:
         velocities = as_velocity(velocities, name="particle velocity")
         if velocities.ndim != 2 or masses.shape != velocities.shape[:1]:
             raise DimensionError("need one velocity vector per particle mass")
-        system = cls.__new__(cls)
-        system._freeze(masses, velocities, frame)
-        return system
+        return cls.__new__(cls)._freeze(masses, velocities, "rest")
 
-    def _freeze(self, masses, velocities, frame):
+    def _freeze(self, masses, velocities, frame) -> "ParticleSystem":
+        """Set the fields, making the arrays read-only; returns the system."""
         masses.setflags(write=False)
         velocities.setflags(write=False)
         object.__setattr__(self, "masses", masses)
         object.__setattr__(self, "velocities", velocities)
         object.__setattr__(self, "frame", frame)
+        return self
 
     def __len__(self) -> int:
         return self.masses.shape[0]
@@ -179,17 +179,6 @@ def _dark_sq(sys: ParticleSystem, g, w) -> float:
     return float(total * (w @ (t * t + norm_sq(s))))
 
 
-def invariant_mass(sys: ParticleSystem) -> float:
-    """Invariant (rest) mass of the system.
-
-        m0 = sqrt((sum m_k)^2 + 2 sum_{j<k} m_j m_k (gamma_rel - 1))
-
-    with the pair sum evaluated in O(N) (module docstring).  Equals the
-    Minkowski norm sqrt(E^2 - |P|^2) of the total four-momentum.
-    """
-    return decompose(sys).m0
-
-
 @dataclass(frozen=True, eq=False)
 class MassDecomposition:
     """Invariant-mass split of a particle system.
@@ -198,8 +187,12 @@ class MassDecomposition:
     conserved energy.  ``energy`` and ``momentum`` are the total four-momentum
     (sum m_k gamma_k, sum m_k gamma_k v_k), and ``v0`` = momentum/energy is
     the center-of-momentum velocity, admissible because it is a convex
-    combination of ball points.  ``four_momentum_residual`` is the relative mismatch
-    between the summed constituent four-momenta and (m0 gamma0, m0 gamma0 v0).
+    combination of ball points.  ``gamma0`` is energy/m0, which keeps its
+    digits near c, where 1 - |v0|^2 cancels; a quotient that rounds below 1
+    is reported as 1.0.  ``four_momentum_residual`` is the relative mismatch
+    between the summed constituent four-momenta and (m0 gamma(v0),
+    m0 gamma(v0) v0); it takes gamma from v0, not from energy/m0, so that it
+    still compares two routes.
     """
 
     m0: float
@@ -222,15 +215,14 @@ def decompose(sys: ParticleSystem) -> MassDecomposition:
     m0 = float(np.sqrt(m_newton * m_newton + dark_sq))
     energy, momentum = float(w.sum()), (w[:, None] * sys.velocities).sum(axis=0)
     v0 = momentum / energy
-    gamma0 = float(_gamma(v0))
-    residual = np.hypot(m0 * gamma0 - energy,
-                        float(np.linalg.norm(m0 * gamma0 * v0 - momentum)))
+    g0 = float(_gamma(v0))
+    residual = np.hypot(m0 * g0 - energy, float(np.linalg.norm(m0 * g0 * v0 - momentum)))
     return MassDecomposition(
         m0=m0,
         v0=v0,
         m_newton=m_newton,
         m_dark=m_dark,
-        gamma0=gamma0,
+        gamma0=max(energy / m0, 1.0),
         energy=energy,
         momentum=momentum,
         four_momentum_residual=float(residual / energy),
@@ -253,12 +245,21 @@ def boost(sys: ParticleSystem, u) -> ParticleSystem:
     """Left-compose every particle velocity with u: v_k -> u (+) v_k.
 
     The invariant and dark masses are unchanged by this, which is how frame
-    independence shows up here.  The boosted velocities are checked again,
-    since near c a composition can leave the ball.
+    independence shows up here.  Near c a composition can leave the ball, so
+    each row block of boosted velocities is checked as it is made, under the
+    name "u (+) particle velocity"; the system's own masses and velocities
+    were checked when it was made.
     """
     (u,) = _single_vectors((u,), ("u",))
     same_shape((u, sys.velocities), ("u", "v"))
-    return ParticleSystem._from_arrays(sys.masses, _add(u, sys.velocities), sys.frame)
+
+    def compose(v):
+        w = _add(u, v)
+        _norm_sq_checked(w, "u (+) particle velocity")
+        return w
+
+    boosted = ParticleSystem.__new__(ParticleSystem)
+    return boosted._freeze(sys.masses, _by_rows(compose, sys.velocities), sys.frame)
 
 
 def parse_particles(text: str, *, c_value: float = 1.0) -> ParticleSystem:

@@ -168,11 +168,16 @@ def gyrovector_between(p, q) -> RootedGyrovector:
 
 
 def equivalent(g1: RootedGyrovector, g2: RootedGyrovector,
-               tol: float = 1e-12) -> bool:
-    """Whether two rooted gyrovectors carry the same value."""
+               tol: float = 1e-12) -> bool | np.ndarray:
+    """Whether two rooted gyrovectors carry the same value.
+
+    A bool for one pair, and a bool array of the rows for batches of one
+    shape; values of different shapes are never equivalent.
+    """
     if g1.value.shape != g2.value.shape:
         return False
-    return bool(np.all(np.abs(g1.value - g2.value) <= tol))
+    rows = np.all(np.abs(g1.value - g2.value) <= tol, axis=-1)
+    return rows if rows.ndim else bool(rows)
 
 
 def translate_to(g: RootedGyrovector, new_tail) -> RootedGyrovector:

@@ -111,8 +111,7 @@ def sss_to_aaa(gamma_a: float, gamma_b: float, gamma_c: float
     if not all(g > 1.0 for g in gs):
         raise InvalidTriangle("side gamma factors must exceed 1")
     ga, gb, gc = gs
-    scale = 1.0 + 2.0 * ga * gb * gc
-    if _triangle_q(ga, gb, gc) < -CLAMP_TOL * scale:
+    if _triangle_q(ga, gb, gc) < 0.0:  # negative beyond the rounding band
         raise InvalidTriangle("negative triangle quantity; sides do not close")
     ra = math.sqrt(ga * ga - 1.0)
     rb = math.sqrt(gb * gb - 1.0)

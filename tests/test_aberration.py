@@ -392,6 +392,30 @@ class TestSceneValidation:
         with pytest.raises(AngleDegenerate):
             aberration_scene(0.0, 0.5, 1.0)
 
+    @pytest.mark.parametrize("args, error", [
+        ((1.0 - 1e-13, 0.5, 1.0), (AdmissibilityError, "v has norm 0.99999999999989997")),
+        ((0.5, 1.0 - 1e-13, 1.0), (AdmissibilityError, "p_s has norm 0.99999999999989997")),
+        ((0.9999999, 0.9999999, 0.3),
+         (AdmissibilityError, "v (+) p_s has norm 0.99999999999999489")),
+        ((math.nan, 0.5, 1.0), (AdmissibilityError, "v has non-finite components")),
+        ((0.5, math.inf, 1.0), (AdmissibilityError, "p_s has non-finite components")),
+        ((0.5, 0.5, 0.0), (AngleDegenerate, "theta_s must lie strictly between 0 and pi")),
+        ((0.5, -0.5, 1.0), (AdmissibilityError, "p_s must be positive")),
+    ], ids=["v", "p_s", "composition", "v-nan", "p_s-inf", "theta_s", "p_s-negative"])
+    def test_each_velocity_named(self, args, error):
+        # The ball check names v, p_s and their composition v (+) p_s.
+        cls, start = error
+        with pytest.raises(cls) as err:
+            aberration_scene(*args)
+        assert type(err.value) is cls and str(err.value).startswith(start)
+        if "norm" in start:
+            assert str(err.value).endswith(
+                " outside the admissible ball (limit 0.99999999999949996)")
+
+    def test_each_velocity_checked_once(self, validation_calls):
+        aberration_scene(0.6, 0.9, 1.2)
+        assert validation_calls == ["v", "p_s", "v (+) p_s"]
+
     def test_offset_properties(self):
         scene = aberration_scene(0.6, 0.9, 1.2)
         assert scene.offset == scene.theta_s - scene.theta_e

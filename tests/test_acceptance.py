@@ -262,7 +262,7 @@ def test_criterion_10_mass_suite(rng):
         system = gk.ParticleSystem(
             tuple(gk.Particle(m, w) for m, w in zip(masses, vel))
         )
-        m0 = gk.invariant_mass(system)
+        m0 = gk.decompose(system).m0
         energy = float(np.sum(masses * gk.gamma(vel)))
         momentum = np.sum((masses * gk.gamma(vel))[:, None] * vel, axis=0)
         mink = math.sqrt(energy ** 2 - float(momentum @ momentum))
@@ -284,9 +284,9 @@ def test_criterion_10_mass_suite(rng):
             tuple(gk.Particle(m, w) for m, w in zip(masses, vel))
         )
         u = ball_points(rng, 1, 3, max_norm=0.9)[0]
-        m0 = gk.invariant_mass(system)
+        m0 = gk.decompose(system).m0
         worst_boost = max(
-            worst_boost, abs(gk.invariant_mass(gk.boost(system, u)) - m0) / m0
+            worst_boost, abs(gk.decompose(gk.boost(system, u)).m0 - m0) / m0
         )
 
     v_rigid = np.array([0.44, -0.21, 0.3])

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from gyrokin import (
+    MAX_NORM,
     AdmissibilityError,
     DimensionError,
     Particle,
@@ -19,12 +20,12 @@ from gyrokin import (
     einstein_add,
     gamma,
     gamma_rel_minus_1,
-    invariant_mass,
     parse_particles,
 )
 from gyrokin import mass
 from gyrokin.ball import _gamma
-from helpers import ball_points, max_abs, pairwise_dark_sq, same_bits
+from gyrokin.gyro import _add
+from helpers import TEST_BLOCK, ball_points, in_blocks, max_abs, pairwise_dark_sq, same_bits
 
 EPS = np.finfo(float).eps
 
@@ -34,6 +35,10 @@ def random_system(rng, n_max=10, dim=3, max_norm=0.99):
     vel = ball_points(rng, n, dim, max_norm=max_norm)
     masses = rng.uniform(0.1, 5.0, size=n)
     return ParticleSystem(tuple(Particle(m, v) for m, v in zip(masses, vel)))
+
+
+def _failing(*args, **kwargs):
+    raise AssertionError("a range check ran again")
 
 
 def minkowski_mass(system):
@@ -169,7 +174,7 @@ class TestInvariantMass:
     def test_rigid_system_exact(self):
         v = np.array([0.55, 0.1, -0.3])
         sys3 = ParticleSystem(tuple(Particle(m, v) for m in (1.0, 2.5, 0.25)))
-        assert invariant_mass(sys3) == 3.75
+        assert decompose(sys3).m0 == 3.75
         dec = decompose(sys3)
         assert dec.m_dark == 0.0
         assert dec.m0 == 3.75
@@ -179,7 +184,7 @@ class TestInvariantMass:
             Particle(1.0, [0.6, 0.0, 0.0]),
             Particle(1.0, [-0.6, 0.0, 0.0]),
         ))
-        assert invariant_mass(sys2) == pytest.approx(2.5, abs=1e-12)
+        assert decompose(sys2).m0 == pytest.approx(2.5, abs=1e-12)
         dec = decompose(sys2)
         assert dec.m_newton == pytest.approx(2.0, abs=1e-12)
         assert dec.m_dark == pytest.approx(1.5, abs=1e-12)
@@ -216,7 +221,7 @@ class TestInvariantMass:
     def test_matches_minkowski_norm(self, rng):
         for _ in range(300):
             sys_n = random_system(rng)
-            m0 = invariant_mass(sys_n)
+            m0 = decompose(sys_n).m0
             mink, _, _ = minkowski_mass(sys_n)
             assert abs(m0 - mink) / mink < 1e-12
 
@@ -225,7 +230,7 @@ class TestInvariantMass:
             Particle(1.0, [0.6, 0.0, 0.0]),
             Particle(1.0, [0.0, 0.6, 0.0]),
         ))
-        assert invariant_mass(sys2) > 2.0 + 1e-3
+        assert decompose(sys2).m0 > 2.0 + 1e-3
 
     def test_exceeds_newton_unless_rigid(self, rng):
         for _ in range(100):
@@ -266,10 +271,44 @@ class TestDecompose:
             system = random_system(rng)
             calls.clear()
             dec = decompose(system)
-            assert len(calls) == 2  # the particles' gammas and gamma0, once each
+            assert len(calls) == 2  # the particles' gammas and gamma(v0), once each
             w = system.masses * _gamma(system.velocities)
             energy, momentum = float(w.sum()), (w[:, None] * system.velocities).sum(axis=0)
             assert dec.energy == energy and same_bits(dec.momentum, momentum)
+
+    @pytest.mark.parametrize("eps", [1e-3, 1e-6, 1e-9])
+    def test_gamma0_near_c_against_mpmath(self, rng, eps):
+        # 100 particles with relative speeds <= 0.01, boosted by 1 - eps.
+        # Rounding 1 - |v_k|^2 costs each particle's gamma about EPS/eps
+        # relatively, and 1 - |v0|^2 costs gamma(v0) as much; the sum E
+        # averages the particles' errors, and E/m0 does not round 1 - |v0|^2.
+        # Over 40 seeded systems per eps, E/m0 erred by at most 0.015 EPS/eps
+        # and gamma(v0) by 0.4 EPS/eps in the median.
+        mpmath = pytest.importorskip("mpmath")
+        for _ in range(5):
+            vel = ball_points(rng, 100, 3, max_norm=0.005)
+            u = (1.0 - eps) * ball_points(rng, 1, 3, max_norm=1.0, min_norm=1.0)[0]
+            system = boost(ParticleSystem._from_arrays(rng.uniform(0.5, 2.0, 100), vel), u)
+            with mpmath.workdps(60):
+                energy, momentum = 0, [0, 0, 0]
+                for m, v in zip(system.masses.tolist(), system.velocities.tolist()):
+                    w = m / mpmath.sqrt(1 - mpmath.fsum(mpmath.mpf(x) ** 2 for x in v))
+                    energy += w
+                    momentum = [p + w * x for p, x in zip(momentum, v)]
+                exact = energy / mpmath.sqrt(energy ** 2 - mpmath.fsum(p ** 2 for p in momentum))
+                error = float(abs(decompose(system).gamma0 - exact) / exact)
+            assert error <= 0.02 * EPS / eps
+
+    def test_gamma0_of_a_system_at_rest(self, rng):
+        # E/m0 of a system at rest can round below 1; gamma0 does not.
+        for _ in range(200):
+            v = ball_points(rng, 1, 3, max_norm=0.99)[0]
+            m = rng.uniform(0.1, 5.0)
+            dec = decompose(ParticleSystem((Particle(m, v), Particle(m, -v))))
+            assert dec.gamma0 >= 1.0 and dec.gamma0 - 1.0 <= 4 * EPS
+        rigid = decompose(ParticleSystem(tuple(Particle(m, [0.6, 0.0, 0.0])
+                                               for m in (1.0, 2.0))))
+        assert rigid.m_dark == 0.0 and rigid.gamma0 == pytest.approx(1.25, rel=4 * EPS)
 
     def test_four_momentum_fixture(self):
         sys2 = ParticleSystem((
@@ -319,7 +358,7 @@ class TestCollideAndStick:
 
 
     def test_two_particle_decomposition_reused(self, rng, monkeypatch):
-        """m0 and v0 of one decompose: the bits of invariant_mass and decompose's v0."""
+        """m0 and v0 of one decompose: the bits of decompose(system).m0 and .v0."""
         calls = []
         monkeypatch.setattr(mass, "_gamma", lambda *a: calls.append(a) or _gamma(*a))
         for _ in range(50):
@@ -327,9 +366,9 @@ class TestCollideAndStick:
             p1, p2 = Particle(rng.uniform(0.1, 4.0), v1), Particle(rng.uniform(0.1, 4.0), v2)
             calls.clear()
             composite = collide_and_stick(p1, p2)
-            assert len(calls) == 2  # the particles' gammas and gamma0, once each
+            assert len(calls) == 2  # the particles' gammas and gamma(v0), once each
             system = ParticleSystem((p1, p2))
-            assert composite.mass == invariant_mass(system)
+            assert composite.mass == decompose(system).m0
             assert same_bits(composite.velocity, decompose(system).v0)
 
 
@@ -338,8 +377,8 @@ class TestBoostInvariance:
         for _ in range(100):
             sys_n = random_system(rng, max_norm=0.9)
             u = ball_points(rng, 1, 3, max_norm=0.9)[0]
-            m0 = invariant_mass(sys_n)
-            m0_boosted = invariant_mass(boost(sys_n, u))
+            m0 = decompose(sys_n).m0
+            m0_boosted = decompose(boost(sys_n, u)).m0
             assert abs(m0_boosted - m0) / m0 < 1e-10
 
     def test_boost_matches_per_particle_add(self, rng):
@@ -349,6 +388,33 @@ class TestBoostInvariance:
         boosted = boost(sys_n, u)
         assert np.array_equal(boosted.velocities, loop)
         assert np.array_equal(boosted.masses, sys_n.masses)
+
+    def test_boost_bits_are_those_of_one_addition(self, rng, monkeypatch):
+        sys_n = random_system(rng, n_max=50, max_norm=0.95)
+        u = ball_points(rng, 1, 3, max_norm=0.9)[0]
+        want = _add(u, sys_n.velocities)
+        assert same_bits(boost(sys_n, u).velocities, want)
+        assert same_bits(in_blocks(monkeypatch, boost, sys_n, u).velocities, want)
+
+    def test_boost_names_the_composition_that_leaves_the_ball(self, monkeypatch):
+        # Both particles and u are admissible; u (+) v_1 is not.
+        fast = [0.99999999 * MAX_NORM, 0.0, 0.0]
+        u = [0.999999, 0.0, 0.0]
+        message = ("u (+) particle velocity row {} has norm 0.99999999999999512 outside "
+                   "the admissible ball (limit 0.99999999999949996)")
+        pair = ParticleSystem((Particle(1.0, [0.1, 0.0, 0.0]), Particle(1.0, fast)))
+        with pytest.raises(AdmissibilityError) as err:
+            boost(pair, u)
+        assert str(err.value) == message.format(1) and err.value.row == (1,)
+        # Blocked, the row is still an index over the whole system.
+        vel = np.zeros((3 * TEST_BLOCK + 1, 3))
+        vel[:, 0] = 0.1
+        vel[2 * TEST_BLOCK + 1] = fast
+        system = ParticleSystem._from_arrays(np.ones(len(vel)), vel)
+        for run in (boost, lambda *a: in_blocks(monkeypatch, boost, *a)):
+            with pytest.raises(AdmissibilityError) as err:
+                run(system, u)
+            assert str(err.value) == message.format(2 * TEST_BLOCK + 1)
 
     def test_boost_rejects_batch_of_u(self, rng):
         sys_n = random_system(rng)
@@ -387,7 +453,7 @@ class TestParsing:
     def test_csv_roundtrip(self):
         system = parse_particles(self.CSV)
         assert len(system) == 2
-        assert invariant_mass(system) == pytest.approx(2.5, abs=1e-12)
+        assert decompose(system).m0 == pytest.approx(2.5, abs=1e-12)
 
     def test_json_roundtrip(self):
         text = (
@@ -395,7 +461,7 @@ class TestParsing:
             ' {"mass": 1, "velocity": [-0.6, 0, 0]}]'
         )
         system = parse_particles(text)
-        assert invariant_mass(system) == pytest.approx(2.5, abs=1e-12)
+        assert decompose(system).m0 == pytest.approx(2.5, abs=1e-12)
 
     def test_c_value_scaling(self):
         text = "1.0, 179875474.8, 0, 0\n"  # 0.6 c in m/s
@@ -460,14 +526,19 @@ class TestParsing:
         assert np.array_equal(system.masses, masses)
         assert np.array_equal(system.velocities, vel)
 
-    def test_one_validation_per_array(self, validation_calls):
+    def test_one_validation_per_array(self, monkeypatch, validation_calls):
+        # boost checks u once and each block of compositions once; the
+        # system's own masses and velocities are not checked again.
         text = "".join(f"1.0, 0.{k}, 0, 0\n" for k in range(1, 10)) * 20
         system = parse_particles(text)
         assert len(system) == 180
         assert validation_calls == ["particle velocity"]
-        validation_calls.clear()
-        boost(system, [0.1, 0.0, 0.0])
-        assert validation_calls == ["u", "particle velocity"]
+        monkeypatch.setattr(mass, "_require", _failing)
+        blocked = (lambda *a: in_blocks(monkeypatch, boost, *a), math.ceil(180 / TEST_BLOCK))
+        for run, blocks in [(boost, 1), blocked]:
+            validation_calls.clear()
+            run(system, [0.1, 0.0, 0.0])
+            assert validation_calls == ["u"] + ["u (+) particle velocity"] * blocks
 
 
 # Text that numpy's C reader and the line loop might read differently: line

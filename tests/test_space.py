@@ -319,6 +319,19 @@ class TestRootedGyrovectors:
         g2 = gyrovector_between(np.zeros(3), V_FIX)
         assert not equivalent(g1, g2)
 
+    def test_equivalent_batches_row_by_row(self):
+        # A bool per row for batches, one bool for one pair, and False for
+        # values of different shapes.
+        tails = np.zeros((2, 3))
+        g1 = gyrovector_between(tails, np.array([U_FIX, U_FIX]))
+        g2 = gyrovector_between(tails, np.array([U_FIX, V_FIX]))
+        same = equivalent(g1, g2)
+        assert same.dtype == bool and same.tolist() == [True, False]
+        assert equivalent(g1, g1).tolist() == [True, True]
+        one = equivalent(gyrovector_between(tails[0], U_FIX), gyrovector_between(tails[1], U_FIX))
+        assert one is True
+        assert equivalent(g1, gyrovector_between(tails[0], U_FIX)) is False
+
     def test_paper_identities(self, rng):
         # The gyrolength of the gyrovector from p to q is the gyrodistance
         # d(p, q); moved to the tail t it stays the same gyrovector, with
@@ -329,7 +342,8 @@ class TestRootedGyrovectors:
         for tail, head, new_tail in [(p, q, t), (p[0], q[0], t[0])]:
             g = gyrovector_between(tail, head)
             moved = translate_to(g, new_tail)
-            assert equivalent(moved, g)
+            same = equivalent(moved, g)
+            assert np.all(same) and np.shape(same) == tail.shape[:-1]
             assert same_bits(moved.head, einstein_add(new_tail, g.value))
 
 

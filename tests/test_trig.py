@@ -29,6 +29,7 @@ from gyrokin import (
     triangle_q,
 )
 from gyrokin.ball import _real_array
+from gyrokin.trig import CLAMP_TOL, _triangle_q
 from helpers import ball_points, max_abs, random_rotation
 
 A_FIX = np.array([0.6, 0.0, 0.0])
@@ -254,6 +255,27 @@ class TestSssToAaa:
     def test_gamma_at_most_one_raises(self):
         with pytest.raises(InvalidTriangle):
             sss_to_aaa(1.0, 1.25, 1.25)
+
+    def test_negative_q_means_beyond_the_rounding_band(self, rng):
+        # sss_to_aaa rejects the sides where _triangle_q, which clamps the
+        # band -CLAMP_TOL (1 + 2 g_a g_b g_c) <= q < 0 to 0, stays negative:
+        # exactly where q lies below the band, NaN and overflow included.
+        ga, gb = rng.uniform(1.0, 10.0, size=(2, 200))
+        flat = ga * gb + np.sqrt((ga * ga - 1.0) * (gb * gb - 1.0))  # q = 0
+        triples = [(a, b, c * (1.0 + d)) for a, b, c in zip(ga, gb, flat)
+                   for d in (0.0, 1e-16, -1e-16, 1e-14, 1e-13, 1e-12, 1e-10, 1e-6, -1e-6)]
+        triples += [(1.5, 1.5, math.inf), (math.inf, math.inf, 2.0), (1e200, 1.0 + 1e-7, 1.5),
+                    (1e200, 1e200, 1e200), (math.nan, 1.5, 1.5), (1.5, 1.5, 1.5)]
+        below = 0
+        for a, b, c in triples:
+            q = 1.0 + 2.0 * a * b * c - a * a - b * b - c * c
+            want = q < -CLAMP_TOL * (1.0 + 2.0 * a * b * c)
+            assert (_triangle_q(a, b, c) < 0.0) == want
+            below += want
+            if want and min(a, b, c) > 1.0:
+                with pytest.raises(InvalidTriangle, match="negative triangle quantity"):
+                    sss_to_aaa(a, b, c)
+        assert 0 < below < len(triples)
 
     def test_q_formula_matches_sin(self, rng):
         # sqrt(1 - cos^2) equals the closed form with the triangle quantity
