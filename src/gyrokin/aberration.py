@@ -183,7 +183,9 @@ def aberration_scene(v, p_s, theta_s) -> AberrationResult:
     """
     v, p_s, theta_s = _real_scalars((v, p_s, theta_s), ("v", "p_s", "theta_s"))
     _check_angle(np.float64(theta_s), "theta_s")
-    if v <= 0.0:
+    if v < 0.0:
+        raise AdmissibilityError("v must lie in [0, 1)")
+    if v == 0.0:
         raise AngleDegenerate("v must be positive; E and S coincide otherwise")
     if p_s <= 0.0:
         raise AdmissibilityError("p_s must be positive")

@@ -1,13 +1,17 @@
 """Command-line frontend.
 
 Every command mirrors one library call on the parsed, dimensionless inputs;
-the CLI only handles units, parsing, and formatting.  The commands whose
-result is one ball vector are driven by one table, ``_VECTOR_COMMANDS``:
-each entry names the library call, its inputs, its residual checks and its
-own options, and one factory turns it into a command.  Velocities are divided
-by the working value of c at ingestion (so in natural units they are entered
-as fractions of c, in SI as m/s) and all printed velocities are fractions of
-c.  Floats print with 15 significant digits in every output format.
+the CLI only handles units, parsing, and formatting.  One decorator,
+``_command``, declares every command: it registers it, gives it its own
+options, its velocity options and the three shared ones, builds the Config
+and parses the velocities, then emits the (op, inputs, result, checks) that
+the command's body returns.  A body is its library call, its result and its
+checks.  The commands whose result is one ball vector come from one table,
+``_VECTOR_COMMANDS``; ``triangle`` reads its modes and ``aberration`` its two
+directions from tables too.  Velocities are divided by the working value of c
+at ingestion (so in natural units they are entered as fractions of c, in SI
+as m/s) and all printed velocities are fractions of c.  Floats print with 15
+significant digits in every output format.
 
 Exit codes: 0 on success, 1 on parse/file-format errors, 2 on admissibility,
 dimension, or geometric-validity errors.
@@ -15,7 +19,6 @@ dimension, or geometric-validity errors.
 
 from __future__ import annotations
 
-import functools
 import json
 import math
 import os
@@ -175,39 +178,46 @@ def _jsonify(obj):
     return float(_fmt(obj))  # rounded to the 15 digits printed
 
 
-# --help text of the velocity options that common_options declares.
+# --help text of the velocity options that _command declares.
 _VECTOR_HELP = {
     **{name: f"Velocity {name}, comma-separated." for name in "uv"},
     **{name: f"Ball point {name}, comma-separated." for name in "abc"},
     "w": "Vector the gyration is applied to, comma-separated (need not be admissible).",
 }
 
+# The three options every command reads, last in each command's option list.
+_SHARED_OPTIONS = [
+    click.Option(["--units"], type=click.Choice(["natural", "si"]),
+                 default="natural", show_default=True,
+                 help="Velocity unit preset: natural (c=1) or si (m/s)."),
+    click.Option(["--c-value"], type=float, default=None,
+                 help="Explicit value of c; overrides --units and GYROKIN_C."),
+    click.Option(["--format", "fmt"], type=click.Choice(["table", "json", "csv"]),
+                 default="table", show_default=True),
+]
 
-def common_options(*vectors):
-    """Declare a required --<name> for each velocity in ``vectors``, then the
-    three options every command reads.  The command is called with a Config,
-    then with its options by name, each of ``vectors`` parsed by that Config."""
 
-    def decorate(f):
-        @functools.wraps(f)
+def _command(name, *velocities, options=()):
+    """Register the decorated body as the command ``name``.
+
+    The command takes ``options``, then a required --<name> for each of
+    ``velocities``, then the shared options.  The body is called with the
+    invocation's Config and its options by name, each of ``velocities`` parsed
+    by that Config.  It returns the (op, inputs, result, checks) to emit, or
+    None once it has printed its output itself."""
+
+    def decorate(body):
         def command(units, c_value, fmt, **kwargs):
             cfg = Config(units, c_value, fmt)
-            parsed = {name: cfg.parse_vector(kwargs[name], name) for name in vectors}
-            return f(cfg, **{**kwargs, **parsed})
+            kwargs.update((k, cfg.parse_vector(kwargs[k], k)) for k in velocities)
+            emitted = body(cfg, **kwargs)
+            if emitted is not None:
+                cfg.emit(*emitted)
 
-        for opt in reversed([
-            *(click.option(f"--{name}", required=True, help=_VECTOR_HELP[name])
-              for name in vectors),
-            click.option("--units", type=click.Choice(["natural", "si"]),
-                         default="natural", show_default=True,
-                         help="Velocity unit preset: natural (c=1) or si (m/s)."),
-            click.option("--c-value", type=float, default=None,
-                         help="Explicit value of c; overrides --units and GYROKIN_C."),
-            click.option("--format", "fmt", type=click.Choice(["table", "json", "csv"]),
-                         default="table", show_default=True),
-        ]):
-            command = opt(command)
-        return command
+        params = [*options, *(click.Option([f"--{k}"], required=True, help=_VECTOR_HELP[k])
+                              for k in velocities), *_SHARED_OPTIONS]
+        cli.add_command(click.Command(name, callback=command, params=params, help=body.__doc__))
+        return cli.commands[name]
 
     return decorate
 
@@ -220,12 +230,12 @@ def _positive_finite(ctx, param, value):
 
 _ANGLE_UNITS = click.Choice(list(ANGLE_TO_RAD))
 
-_unit_option = click.option(
-    "--unit", type=_ANGLE_UNITS, default="rad", show_default=True,
+_unit_option = click.Option(
+    ["--unit"], type=_ANGLE_UNITS, default="rad", show_default=True,
     help="Unit of angle arguments without an explicit suffix.")
 
-_out_option = click.option(
-    "--out", "out_unit", type=_ANGLE_UNITS, default="rad", show_default=True,
+_out_option = click.Option(
+    ["--out", "out_unit"], type=_ANGLE_UNITS, default="rad", show_default=True,
     help="Unit for printed angles.")
 
 
@@ -255,9 +265,7 @@ def _max_abs(x) -> float:
     return float(np.max(np.abs(x)))
 
 
-@cli.command()
-@_out_option
-@common_options("u", "v", "w")
+@_command("gyr", "u", "v", "w", options=[_out_option])
 def gyr(cfg, u, v, w, out_unit):
     """Apply the gyration gyr[u, v]; prints its matrix (n <= 3) and angle."""
     g = Gyration(u, v)
@@ -278,18 +286,16 @@ def gyr(cfg, u, v, w, out_unit):
     }
     if g.dim <= 3:
         result["matrix"] = g.matrix()
-    cfg.emit("gyr", {"u": u, "v": v, "w": w}, result, checks)
+    return "gyr", {"u": u, "v": v, "w": w}, result, checks
 
 
-@cli.command()
-@common_options("a", "b")
+@_command("distance", "a", "b")
 def distance(cfg, a, b):
     """Gyrodistance |(-a) (+) b| between two ball points (fraction of c)."""
     w = left_sub(a, b)
     d = float(norm(w))
     checks = {"symmetry_abs": abs(d - float(gyrodistance(b, a)))}
-    cfg.emit("distance", {"a": a, "b": b},
-             {"result": d, "gamma": _maybe_gamma(w)}, checks)
+    return "distance", {"a": a, "b": b}, {"result": d, "gamma": _maybe_gamma(w)}, checks
 
 
 def _add_checks(w, u, v):
@@ -314,8 +320,8 @@ def _midpoint_checks(w, a, b, t):
 # The commands whose result is one ball vector w, printed with its norm and gamma.
 # Each entry is (docstring, library call, its positional input names in order,
 # checks(w, *inputs, **opts), the command's own click options).  The inputs named
-# in _VECTOR_HELP are velocities that common_options parses; the other inputs and
-# the keyword opts are the command's own options.
+# in _VECTOR_HELP are velocities that _command parses; the other inputs and the
+# keyword opts are the command's own options.
 _VECTOR_COMMANDS = {
     "add": ("Einstein velocity addition u (+) v.", einstein_add, ("u", "v"),
             _add_checks, []),
@@ -328,20 +334,20 @@ _VECTOR_COMMANDS = {
                   "route_agreement_max_abs": _max_abs(w - coadd_via_gyration(u, v)),
                   "commutativity_max_abs": _max_abs(w - coadd(v, u))}, []),
     "scale": ("Scalar gyromultiplication r (x) v.", scalar_mul, ("r", "v"),
-              _scale_checks, [click.option("--r", type=float, required=True,
+              _scale_checks, [click.Option(["--r"], type=float, required=True,
                                            help="Real scalar factor.")]),
     "midpoint": ("Gyromidpoint of a and b (or the gyroline point at parameter t).",
                  lambda a, b, t: (gyromidpoint(a, b) if t == 0.5
                                   else gyroline_point(a, b, t)),
                  ("a", "b", "t"), _midpoint_checks,
-                 [click.option("--t", type=float, default=0.5, show_default=True,
+                 [click.Option(["--t"], type=float, default=0.5, show_default=True,
                                help="Gyroline parameter; 0.5 gives the gyromidpoint.")]),
     "parallelogram": (
         "Fourth gyroparallelogram vertex d = (b [+] c) (-) a.",
         gyroparallelogram_fourth, ("a", "b", "c"),
         lambda d, a, b, c, tol: {"diagonal_midpoint_residual": _max_abs(
             scalar_mul(0.5, coadd(a, d)) - scalar_mul(0.5, coadd(b, c)))},
-        [click.option("--tol", type=float, default=COLLINEAR_AREA_TOL,
+        [click.Option(["--tol"], type=float, default=COLLINEAR_AREA_TOL,
                       show_default=True, callback=_positive_finite,
                       help="Triangle area below which a, b, c count as gyrocollinear.")]),
 }
@@ -349,58 +355,58 @@ _VECTOR_COMMANDS = {
 
 def _vector_command(name, doc, call, inputs, checks, options):
     """Register the command ``name`` from its _VECTOR_COMMANDS entry."""
-    vectors = [k for k in inputs if k in _VECTOR_HELP]
 
     def command(cfg, **args):
         values = [args.pop(k) for k in inputs]
         w = call(*values, **args)
-        residuals = checks(w, *values, **args)
-        cfg.emit(name, dict(zip(inputs, values)), _ball_result(w), residuals)
+        return name, dict(zip(inputs, values)), _ball_result(w), checks(w, *values, **args)
 
-    for option in [common_options(*vectors), *reversed(options)]:
-        command = option(command)
-    cli.command(name=name, help=doc)(command)
+    command.__doc__ = doc
+    _command(name, *(k for k in inputs if k in _VECTOR_HELP), options=options)(command)
 
 
 for _name, _entry in _VECTOR_COMMANDS.items():
     _vector_command(_name, *_entry)
 
 
-@cli.command()
-@click.option("--mode", type=click.Choice(["vertices", "sss", "aaa"]),
-              required=True)
-@click.option("--a", "a_text", default=None, help="Vertex A (vertices mode).")
-@click.option("--b", "b_text", default=None, help="Vertex B (vertices mode).")
-@click.option("--c", "c_text", default=None, help="Vertex C (vertices mode).")
-@click.option("--sides", default=None,
-              help="Three side gyrolengths, comma-separated (sss mode).")
-@click.option("--angles", default=None,
-              help="Three gyroangles, comma-separated (aaa mode).")
-@click.option("--tol", type=float, default=RIGHT_ANGLE_TOL, show_default=True,
-              callback=_positive_finite,
-              help="Largest |gamma - pi/2| of a right triangle, in radians.")
-@_unit_option
-@_out_option
-@common_options()
-def triangle(cfg, mode, a_text, b_text, c_text, sides, angles, tol, unit, out_unit):
+def _three(text, key, parse):
+    """The three comma-separated values of --<key>, each read by ``parse``."""
+    values = [parse(x) for x in text.split(",")]
+    if len(values) != 3:
+        raise click.UsageError(f"--{key} needs exactly three values")
+    return values
+
+
+# The modes of `triangle`: mode -> (the options it reads, its solver).  The
+# solver takes the three vertices, or the three numbers of --sides or --angles.
+_TRIANGLE_MODES = {
+    "vertices": (("a", "b", "c"), triangle_from_vertices),
+    "sss": (("sides",), lambda sides: triangle_from_sides(*sides)),
+    "aaa": (("angles",), lambda angles: triangle_from_angles(*angles)),
+}
+
+
+@_command("triangle", options=[
+    click.Option(["--mode"], type=click.Choice(list(_TRIANGLE_MODES)), required=True),
+    *(click.Option([f"--{k}"], help=f"Vertex {k.upper()} (vertices mode).") for k in "abc"),
+    click.Option(["--sides"], help="Three side gyrolengths, comma-separated (sss mode)."),
+    click.Option(["--angles"], help="Three gyroangles, comma-separated (aaa mode)."),
+    click.Option(["--tol"], type=float, default=RIGHT_ANGLE_TOL, show_default=True,
+                 callback=_positive_finite,
+                 help="Largest |gamma - pi/2| of a right triangle, in radians."),
+    _unit_option, _out_option])
+def triangle(cfg, mode, tol, unit, out_unit, **texts):
     """Solve a gyrotriangle from vertices, sides (SSS) or angles (AAA)."""
-    if mode == "vertices":
-        if not (a_text and b_text and c_text):
-            raise click.UsageError("vertices mode needs --a, --b and --c")
-        tri = triangle_from_vertices(cfg.parse_vector(a_text, "a"),
-                                     cfg.parse_vector(b_text, "b"),
-                                     cfg.parse_vector(c_text, "c"))
-        inputs = {"mode": mode, **dict(zip("abc", tri.vertices))}
-    else:  # three side gyrolengths (sss) or three gyroangles (aaa)
-        key, text = ("sides", sides) if mode == "sss" else ("angles", angles)
-        if not text:
-            raise click.UsageError(f"{mode} mode needs --{key}")
-        values = [cfg.parse_speed(x, name="side") if mode == "sss"
-                  else _parse_angle(x, "angle", unit) for x in text.split(",")]
-        if len(values) != 3:
-            raise click.UsageError(f"--{key} needs exactly three values")
-        tri = (triangle_from_sides if mode == "sss" else triangle_from_angles)(*values)
-        inputs = {"mode": mode, key: values}
+    keys, solve = _TRIANGLE_MODES[mode]
+    if not all(texts[k] for k in keys):
+        *rest, last = (f"--{k}" for k in keys)
+        raise click.UsageError(f"{mode} mode needs "
+                               + (", ".join(rest) + " and " if rest else "") + last)
+    number = {"sides": lambda x: cfg.parse_speed(x, name="side"),
+              "angles": lambda x: _parse_angle(x, "angle", unit)}
+    inputs = {k: _three(texts[k], k, number[k]) if k in number
+              else cfg.parse_vector(texts[k], k) for k in keys}
+    tri = solve(*inputs.values())
     is_right = tri.is_right(tol)
     to_out = ANGLE_TO_RAD[out_unit]
     result = {
@@ -416,66 +422,65 @@ def triangle(cfg, mode, a_text, b_text, c_text, sides, angles, tol, unit, out_un
     if is_right:
         report = right_triangle_relations(tri, tol=tol)
         checks["right_identities_max_residual"] = report.max_residual
-    cfg.emit("triangle", inputs, result, checks)
+    return "triangle", {"mode": mode, **inputs}, result, checks
 
 
-@cli.command()
-@click.option("--model", type=click.Choice(list(_ABERRATION_MODELS)),
-              required=True)
-@click.option("--v", "v_text", required=True, help="Relative frame speed.")
-@click.option("--theta-s", "theta_s_text", default=None,
-              help="Angle seen from S; computes theta_e.")
-@click.option("--theta-e", "theta_e_text", default=None,
-              help="Angle seen from E; computes theta_s.")
-@click.option("--p-s", "p_s_text", default="1", show_default=True,
-              help="Particle speed in frame S (classical/relativistic).")
-@click.option("--p-e", "p_e_text", default="1", show_default=True,
-              help="Particle speed in frame E (inverse direction).")
-@click.option("--sweep", "sweep_n", type=int, default=None,
-              help="Emit a CSV sweep table with this many rows instead.")
-@_unit_option
-@_out_option
-@common_options()
-def aberration(cfg, model, v_text, theta_s_text, theta_e_text, p_s_text, p_e_text,
-               sweep_n, unit, out_unit):
+# The two directions of `aberration`: the angle given -> (the angle computed,
+# the particle speed the formula takes, the index of that formula in the
+# model's (forward, inverse) pair).
+_ABERRATION_DIRECTIONS = {
+    "theta_s": ("theta_e", "p_s", 0),
+    "theta_e": ("theta_s", "p_e", 1),
+}
+
+
+@_command("aberration", options=[
+    click.Option(["--model"], type=click.Choice(list(_ABERRATION_MODELS)), required=True),
+    click.Option(["--v"], required=True, help="Relative frame speed."),
+    click.Option(["--theta-s"], help="Angle seen from S; computes theta_e."),
+    click.Option(["--theta-e"], help="Angle seen from E; computes theta_s."),
+    click.Option(["--p-s"], default="1", show_default=True,
+                 help="Particle speed in frame S (classical/relativistic)."),
+    click.Option(["--p-e"], default="1", show_default=True,
+                 help="Particle speed in frame E (inverse direction)."),
+    click.Option(["--sweep", "sweep_n"], type=int,
+                 help="Emit a CSV sweep table with this many rows instead."),
+    _unit_option, _out_option])
+def aberration(cfg, model, sweep_n, unit, out_unit, **texts):
     """Aberration of a particle (or photon) direction between frames."""
-    v = cfg.parse_speed(v_text, "v")
-    p_s = cfg.parse_speed(p_s_text, "p_s")
-    p_e = cfg.parse_speed(p_e_text, "p_e")
+    speeds = {k: cfg.parse_speed(texts[k], k) for k in ("v", "p_s", "p_e")}
+    v = speeds["v"]
     if sweep_n is not None:
-        table = aberration_sweep(v, p_s, sweep_n)
+        table = aberration_sweep(v, speeds["p_s"], sweep_n)
         names = table.dtype.names
         # Angle columns print in the --out unit; the offset stays in arcsec.
         scale_out = 1.0 / ANGLE_TO_RAD[out_unit]
         columns = [(table[k] if k == "offset_arcsec" else table[k] * scale_out).tolist()
                    for k in names]
         if cfg.format == "json":
-            cfg.emit("aberration_sweep",
-                     {"model": model, "v": v, "p": p_s, "n": sweep_n,
-                      "angle_unit": out_unit},
-                     [dict(zip(names, row)) for row in zip(*columns)], {})
-        else:
-            row_fmt = ",".join(["%.15g"] * len(names))  # each value as _fmt prints it
-            click.echo("\n".join([",".join(names)] + [row_fmt % row
-                                                      for row in zip(*columns)]))
-        return
-    if (theta_s_text is None) == (theta_e_text is None):
+            return ("aberration_sweep",
+                    {"model": model, "v": v, "p": speeds["p_s"], "n": sweep_n,
+                     "angle_unit": out_unit},
+                    [dict(zip(names, row)) for row in zip(*columns)], {})
+        row_fmt = ",".join(["%.15g"] * len(names))  # each value as _fmt prints it
+        click.echo("\n".join([",".join(names)] + [row_fmt % row for row in zip(*columns)]))
+        return None
+    named = [k for k in _ABERRATION_DIRECTIONS if texts[k] is not None]
+    if len(named) != 1:
         raise click.UsageError("give exactly one of --theta-s or --theta-e")
-    forward, inverse = _ABERRATION_MODELS[model]
-    if theta_s_text is not None:
-        theta_s = _parse_angle(theta_s_text, "theta_s", unit)
-        theta_e = float(forward(theta_s, v, p_s))
-    else:
-        theta_e = _parse_angle(theta_e_text, "theta_e", unit)
-        theta_s = float(inverse(theta_e, v, p_e))
+    given = named[0]
+    computed, speed, index = _ABERRATION_DIRECTIONS[given]
+    formulas = _ABERRATION_MODELS[model]
+    angle = {given: _parse_angle(texts[given], given, unit)}
+    angle[computed] = float(formulas[index](angle[given], v, speeds[speed]))
+    offset = angle["theta_s"] - angle["theta_e"]
     to_out = ANGLE_TO_RAD[out_unit]
     result = {
         "model": model,
         "v": v,
-        "theta_s": theta_s / to_out,
-        "theta_e": theta_e / to_out,
-        "offset": (theta_s - theta_e) / to_out,
-        "offset_arcsec": (theta_s - theta_e) * ARCSEC_PER_RAD,
+        **{k: angle[k] / to_out for k in ("theta_s", "theta_e")},
+        "offset": offset / to_out,
+        "offset_arcsec": offset * ARCSEC_PER_RAD,
         "angle_unit": out_unit,
     }
     checks = {}
@@ -483,20 +488,15 @@ def aberration(cfg, model, v_text, theta_s_text, theta_e_text, p_s_text, p_e_tex
         # The photon taken back through the other direction's formula; n/a
         # when the computed angle is too near 0 or pi for that formula.
         try:
-            checks["inverse_roundtrip_abs"] = (
-                abs(float(inverse(theta_e, v, 1.0)) - theta_s)
-                if theta_s_text is not None
-                else abs(float(forward(theta_s, v, 1.0)) - theta_e))
+            checks["inverse_roundtrip_abs"] = abs(
+                float(formulas[1 - index](angle[computed], v, 1.0)) - angle[given])
         except AngleDegenerate:
             checks["inverse_roundtrip_abs"] = None
-    cfg.emit("aberration", {"model": model, "v": v, "p_s": p_s, "p_e": p_e},
-             result, checks)
+    return "aberration", {"model": model, **speeds}, result, checks
 
 
-@cli.command(name="mass")
-@click.option("--in", "infile", required=True,
-              help="Particle file (CSV or JSON), or '-' for stdin.")
-@common_options()
+@_command("mass", options=[click.Option(
+    ["--in", "infile"], required=True, help="Particle file (CSV or JSON), or '-' for stdin.")])
 def mass_cmd(cfg, infile):
     """Invariant-mass decomposition of a particle system from a file."""
     try:
@@ -515,7 +515,7 @@ def mass_cmd(cfg, infile):
     checks = {"four_momentum_residual": dec.four_momentum_residual,
               "mass_split_abs": abs(dec.m0 ** 2
                                     - dec.m_newton ** 2 - dec.m_dark ** 2)}
-    cfg.emit("mass", {"file": infile, "c_value": cfg.c_value}, result, checks)
+    return "mass", {"file": infile, "c_value": cfg.c_value}, result, checks
 
 
 def main(argv=None) -> int:

@@ -269,7 +269,8 @@ def parse_particles(text: str, *, c_value: float = 1.0) -> ParticleSystem:
     blank lines ignored; every line must use the same dimension.  numpy's C
     reader reads it; where that fails, a Python line loop reads it again and
     names any bad line.  JSON: an array of objects with "mass" and "velocity"
-    keys.  Velocities are in units of ``c_value`` and are divided by it.
+    keys, or one such object for a single particle.  Velocities are in units
+    of ``c_value`` and are divided by it.
 
     Raises ParticleFormatError (with a line number for CSV input) on
     malformed content and AdmissibilityError on inadmissible velocities.

@@ -401,7 +401,9 @@ class TestSceneValidation:
         ((0.5, math.inf, 1.0), (AdmissibilityError, "p_s has non-finite components")),
         ((0.5, 0.5, 0.0), (AngleDegenerate, "theta_s must lie strictly between 0 and pi")),
         ((0.5, -0.5, 1.0), (AdmissibilityError, "p_s must be positive")),
-    ], ids=["v", "p_s", "composition", "v-nan", "p_s-inf", "theta_s", "p_s-negative"])
+        ((-0.5, 0.5, 1.0), (AdmissibilityError, "v must lie in [0, 1)")),
+    ], ids=["v", "p_s", "composition", "v-nan", "p_s-inf", "theta_s", "p_s-negative",
+            "v-negative"])
     def test_each_velocity_named(self, args, error):
         # The ball check names v, p_s and their composition v (+) p_s.
         cls, start = error

@@ -346,6 +346,37 @@ class TestExitCodes:
         assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
 
+ADD = ("add", "--u", "0.1,0", "--v", "0,0.2")
+
+
+class TestUsageErrors:
+    """Faults in the shared options or in a command's own arguments exit 1
+    with click's usage error, print nothing on stdout and name the fault."""
+
+    @pytest.mark.parametrize("env, argv, message", [
+        ("abc", ADD, "Invalid value: GYROKIN_C='abc' is not a number"),
+        (None, (*ADD, "--c-value", "0"), "Invalid value: c must be positive and finite"),
+        (None, (*ADD, "--c-value", "nan"), "Invalid value: c must be positive and finite"),
+        (None, ("aberration", "--model", "stellar", "--v", "0.5", "--theta-s", "12xdeg"),
+         "Invalid value: cannot parse theta_s value '12xdeg'"),
+        (None, ("triangle", "--mode", "vertices", "--a", "0,0", "--b", "0.5,0"),
+         "vertices mode needs --a, --b and --c"),
+        (None, ("triangle", "--mode", "sss", "--sides", "0.3,0.4"),
+         "--sides needs exactly three values"),
+    ], ids=["env-c-text", "c-zero", "c-nan", "angle-suffix", "vertices-missing",
+            "two-sides"])
+    def test_fault_named(self, capsys, monkeypatch, env, argv, message):
+        monkeypatch.delenv("GYROKIN_C", raising=False)
+        if env is not None:
+            monkeypatch.setenv("GYROKIN_C", env)
+        rc, out, err = run(capsys, *argv)
+        assert (rc, out) == (1, "")
+        assert err.splitlines()[-1] == f"Error: {message}"
+
+    def test_version_exits_zero(self, capsys):
+        assert run(capsys, "--version") == (0, f"gyrokin, version {gyrokin.__version__}\n", "")
+
+
 class TestMassCommand:
     def test_back_to_back_file(self, capsys, tmp_path):
         f = tmp_path / "pair.csv"

@@ -489,6 +489,22 @@ class TestParsing:
         with pytest.raises(ParticleFormatError):
             parse_particles('[{"mass": 1}]')
 
+    @pytest.mark.parametrize("text, c_value, error, message", [
+        ('[{"mass": 1, "velocity": 0.5}]', 1.0, DimensionError,
+         "need one velocity vector per particle mass"),
+        ("[]", 1.0, ParticleFormatError, "JSON input must be a nonempty array of particles"),
+        ("1,0.1", 0.0, ParticleFormatError, "c_value must be positive and finite"),
+    ], ids=["json-scalar-velocity", "json-empty", "zero-c"])
+    def test_rejected_input_named(self, text, c_value, error, message):
+        with pytest.raises(error) as err:
+            parse_particles(text, c_value=c_value)
+        assert type(err.value) is error and str(err.value) == message
+
+    def test_json_object_is_one_particle(self):
+        system = parse_particles('{"mass": 1, "velocity": [0.1, 0.2]}')
+        assert system.masses.tolist() == [1.0]
+        assert system.velocities.tolist() == [[0.1, 0.2]]
+
     def test_inadmissible_velocity_error(self):
         with pytest.raises(AdmissibilityError):
             parse_particles("1.0, 1.5, 0, 0\n")

@@ -29,7 +29,7 @@ from gyrokin import (
     triangle_q,
 )
 from gyrokin.ball import _real_array
-from gyrokin.trig import CLAMP_TOL, _triangle_q
+from gyrokin.trig import CLAMP_TOL, _clamped_cos, _triangle_q
 from helpers import ball_points, max_abs, random_rotation
 
 A_FIX = np.array([0.6, 0.0, 0.0])
@@ -277,6 +277,22 @@ class TestSssToAaa:
                     sss_to_aaa(a, b, c)
         assert 0 < below < len(triples)
 
+    def test_cosine_past_the_clamp_raises(self):
+        # Admissible side gammas whose cos(beta) rounds 5.1e-11 below -1,
+        # past the clamp: the cosine check, not the q check, rejects them.
+        with pytest.raises(InvalidTriangle) as err:
+            sss_to_aaa(1.0001907664224359, 1.0000000032153429, 1.0001923360840048)
+        assert str(err.value) == "side gammas give cos = -1.0000000000514331, outside [-1, 1]"
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_clamped_cos(self, sign):
+        # A cosine up to CLAMP_TOL past +-1 is rounding and clamps; past that
+        # the sides form no triangle.
+        assert _clamped_cos(sign * (1.0 + 5e-13), 1.0) == sign
+        assert _clamped_cos(sign * (1.0 + CLAMP_TOL), 1.0) == sign
+        with pytest.raises(InvalidTriangle, match=r"outside \[-1, 1\]"):
+            _clamped_cos(sign * math.nextafter(1.0 + CLAMP_TOL, 2.0), 1.0)
+
     def test_q_formula_matches_sin(self, rng):
         # sqrt(1 - cos^2) equals the closed form with the triangle quantity
         for _ in range(100):
@@ -312,6 +328,14 @@ class TestAaaToSss:
             (1 - math.cos(alpha) ** 2) * (1 - math.cos(alpha) ** 2))
         assert lhs == pytest.approx(rhs, rel=1e-12)
         assert ga == pytest.approx(math.sqrt(rhs), rel=1e-12)
+
+    def test_side_gamma_at_one_rejected(self):
+        # The angle sum falls 2e-12 short of pi, so it passes the defect test
+        # (tol 1e-12), but a side gamma factor comes out at most 1.
+        b = (math.pi - 1e-5 - 2e-12) / 2
+        with pytest.raises(NoSuchTriangle) as err:
+            aaa_to_sss(1e-5, b, b)
+        assert str(err.value) == "angles yield a side gamma factor <= 1"
 
     def test_tiny_angles_rejected(self):
         # sin(1e-200)^2 underflows to 0, so gamma_c would divide by zero.
