@@ -189,19 +189,18 @@ def aberration_scene(v, p_s, theta_s) -> AberrationResult:
         raise AngleDegenerate("v must be positive; E and S coincide otherwise")
     if p_s <= 0.0:
         raise AdmissibilityError("p_s must be positive")
-    sun = np.array([v, 0.0])
+    sun = [v, 0.0]
     # At S the gyroline ES continues along +x (gyrolines are chords), so the
     # particle gyrovector at S is p_s at Euclidean angle theta_s from +x.
-    w_s = p_s * np.array([math.cos(theta_s), math.sin(theta_s)])
+    w_s = [p_s * math.cos(theta_s), p_s * math.sin(theta_s)]
     # Each velocity of the scene is checked once, under its own name: speeds
     # just below 1 can leave the ball, and so can their composition.
     particle = _add(sun, w_s, [_norm_sq_checked(sun, "v"), _norm_sq_checked(w_s, "p_s")])
     _norm_sq_checked(particle, "v (+) p_s")
     # E sits at the origin, so the gyrovectors from E are S and P themselves.
-    theta_e = _gyroangle(sun, particle)
     p_e = float(np.linalg.norm(particle))
     return AberrationResult(v=v, p_e=p_e, p_s=p_s,
-                            theta_e=float(theta_e), theta_s=theta_s)
+                            theta_e=_gyroangle(sun, particle), theta_s=theta_s)
 
 
 def aberration_sweep(v, p, n_samples: int):

@@ -519,18 +519,21 @@ def mass_cmd(cfg, infile):
 
 
 def main(argv=None) -> int:
-    """Run the CLI, mapping exceptions onto the documented exit codes."""
+    """Run the CLI, mapping exceptions onto the documented exit codes.
+
+    Outside standalone mode click returns the code of a ctx.exit (which
+    --help and --version make too), and a command's own return value, None,
+    when it ends normally.
+    """
     try:
-        cli.main(args=argv, standalone_mode=False)
-    except click.exceptions.Exit as exc:
-        return int(exc.exit_code)
+        code = cli.main(args=argv, standalone_mode=False)
     except click.ClickException as exc:
         exc.show()
         return 1
     except GyrokinError as exc:
         click.echo(f"error: {type(exc).__name__}: {exc}", err=True)
         return 1 if isinstance(exc, ParticleFormatError) else 2
-    return 0
+    return code if isinstance(code, int) else 0
 
 
 def entry() -> None:

@@ -13,9 +13,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from .ball import (_as_real, _by_rows, _columns, _gamma, _norm_sq_checked, _one_pass,
-                   _real_array, _real_arrays, _require, _single_vectors, dot, norm, norm_sq)
+from .ball import (_as_real, _by_rows, _dot, _gamma, _neg, _norm, _norm_sq, _norm_sq_checked,
+                   _on_components, _one_pass, _real_array, _real_arrays, _require,
+                   _single_vectors, _sqrt)
 from .errors import AdmissibilityError
+
+
+# gamma's row-block function, made once rather than on every call.
+_checked_gamma = _on_components(lambda v: _gamma(_norm_sq_checked(v, "v")))
 
 
 def gamma(v) -> np.ndarray:
@@ -23,12 +28,12 @@ def gamma(v) -> np.ndarray:
 
     Satisfies (gamma^2 - 1)/gamma^2 = |v|^2 to machine precision.
     """
-    return _by_rows(lambda v: _gamma(v, _norm_sq_checked(v, "v")), _as_real(v, "v"))
+    return _by_rows(_checked_gamma, _as_real(v, "v"))
 
 
 def _gamma_of_speed(s) -> np.ndarray:
-    """Gamma factor of a trusted speed array in [0, 1)."""
-    return 1.0 / np.sqrt((1.0 - s) * (1.0 + s))
+    """Gamma factor of a trusted speed in [0, 1), a float or an array."""
+    return 1.0 / _sqrt((1.0 - s) * (1.0 + s))
 
 
 def gamma_of_speed(s) -> np.ndarray:
@@ -41,8 +46,8 @@ def gamma_of_speed(s) -> np.ndarray:
 
 
 def _speed_of_gamma(g) -> np.ndarray:
-    """Speed of a trusted gamma factor array, finite and >= 1."""
-    return np.sqrt((g - 1.0) / g * ((g + 1.0) / g))
+    """Speed of a trusted gamma factor, finite and >= 1, a float or an array."""
+    return _sqrt((g - 1.0) / g * ((g + 1.0) / g))
 
 
 def speed_of_gamma(g) -> np.ndarray:
@@ -60,18 +65,19 @@ def speed_of_gamma(g) -> np.ndarray:
     return _by_rows(kernel, _real_array(g, "gamma factor"), core=0)
 
 
-def _add(u, v, n2=(None,)) -> np.ndarray:
-    """Einstein addition u (+) v on trusted velocity arrays.
+def _add(u, v, n2) -> list:
+    """Einstein addition u (+) v of trusted velocities.
 
-    ``n2`` starts with |u|^2 where the caller has it; so do the ``n2`` of the
-    kernels below, in the order of their velocity operands.
+    Like every kernel below, it takes and returns lists of components
+    (ball._components), and ``n2`` starts with |u|^2; the ``n2`` of the
+    others hold the squared norms of their velocity operands in order.
     """
-    uv = dot(u, v)
-    gu = _gamma(u, n2[0])
+    uv = _dot(u, v)
+    gu = _gamma(n2[0])
     coef_u = 1.0 + (gu / (1.0 + gu)) * uv
     inv_gu = 1.0 / gu
     den = 1.0 + uv
-    return _columns(np.shape(uv), lambda x, y: (coef_u * x + inv_gu * y) / den, u, v)
+    return [(coef_u * x + inv_gu * y) / den for x, y in zip(u, v)]
 
 
 def einstein_add(u, v) -> np.ndarray:
@@ -89,8 +95,8 @@ def einstein_add(u, v) -> np.ndarray:
     return _one_pass(_add, (u, v), ("u", "v"))
 
 
-def _sub(u, v, n2) -> np.ndarray:
-    return _add(u, -v, n2)
+def _sub(u, v, n2) -> list:
+    return _add(u, _neg(v), n2)
 
 
 def einstein_sub(u, v) -> np.ndarray:
@@ -98,8 +104,8 @@ def einstein_sub(u, v) -> np.ndarray:
     return _one_pass(_sub, (u, v), ("u", "v"))
 
 
-def _left_sub(a, b, n2) -> np.ndarray:
-    return _add(-a, b, n2)
+def _left_sub(a, b, n2) -> list:
+    return _add(_neg(a), b, n2)
 
 
 def left_sub(a, b) -> np.ndarray:
@@ -128,13 +134,13 @@ def add_speeds(x, y):
     return _by_rows(kernel, *_real_arrays((x, y), ("x", "y")), core=0)
 
 
-def _gyr_coeffs(u, v, w, n2=(None, None)):
+def _gyr_coeffs(u, v, w, n2):
     """Closed-form coefficients A, B, D with gyr[u,v]w = w + (A u + B v)/D."""
-    gu = _gamma(u, n2[0])
-    gv = _gamma(v, n2[1])
-    uv = dot(u, v)
-    uw = dot(u, w)
-    vw = dot(v, w)
+    gu = _gamma(n2[0])
+    gv = _gamma(n2[1])
+    uv = _dot(u, v)
+    uw = _dot(u, w)
+    vw = _dot(v, w)
     a = (
         -(gu * gu) / (gu + 1.0) * (gv - 1.0) * uw
         + gu * gv * vw
@@ -145,10 +151,10 @@ def _gyr_coeffs(u, v, w, n2=(None, None)):
     return a, b, d
 
 
-def _gyrate(u, v, w, n2=(None, None)) -> np.ndarray:
-    """Closed-form gyr[u, v]w on trusted arrays."""
+def _gyrate(u, v, w, n2) -> list:
+    """Closed-form gyr[u, v]w of trusted velocities u, v and ambient w."""
     a, b, d = _gyr_coeffs(u, v, w, n2)
-    return _columns(np.shape(a), lambda x, y, z: (a * x + b * y) / d + z, u, v, w)
+    return [(a * x + b * y) / d + z for x, y, z in zip(u, v, w)]
 
 
 def gyrate(u, v, w) -> np.ndarray:
@@ -160,12 +166,12 @@ def gyrate(u, v, w) -> np.ndarray:
     return _one_pass(_gyrate, (u, v, w), ("u", "v", "w"), ambient_last=True)
 
 
-def _gyrate_definitional(u, v, w, n2) -> np.ndarray:
+def _gyrate_definitional(u, v, w, n2) -> list:
     vw = _add(v, w, n2[1:])
     _norm_sq_checked(vw, "v")
     uvw = _add(u, vw, n2)
     _norm_sq_checked(uvw, "v")
-    neg = -_add(u, v, n2)
+    neg = _neg(_add(u, v, n2))
     return _add(neg, uvw, [_norm_sq_checked(neg, "u")])
 
 
@@ -182,19 +188,19 @@ def gyrate_definitional(u, v, w) -> np.ndarray:
     return _one_pass(_gyrate_definitional, (u, v, w), ("u", "v", "w"))
 
 
-def _midpoint(u, v, n2) -> np.ndarray:
+def _midpoint(u, v, n2) -> list:
     """Gamma-weighted mean (gamma_u u + gamma_v v)/(gamma_u + gamma_v)."""
-    gu = _gamma(u, n2[0])
-    gv = _gamma(v, n2[1])
+    gu = _gamma(n2[0])
+    gv = _gamma(n2[1])
     den = gu + gv
-    return _columns(np.shape(den), lambda x, y: (gu * x + gv * y) / den, u, v)
+    return [(gu * x + gv * y) / den for x, y in zip(u, v)]
 
 
-def _coadd(u, v, n2=(None, None)) -> np.ndarray:
-    """Coaddition 2 (x) midpoint(u, v) on trusted arrays."""
+def _coadd(u, v, n2) -> list:
+    """Coaddition 2 (x) midpoint(u, v) of trusted velocities."""
     m = _midpoint(u, v, n2)
-    s = 2.0 / (1.0 + norm_sq(m))
-    return _columns(m.shape[:-1], lambda x: x * s, m)
+    s = 2.0 / (1.0 + _norm_sq(m))
+    return [x * s for x in m]
 
 
 def coadd(u, v) -> np.ndarray:
@@ -208,8 +214,8 @@ def coadd(u, v) -> np.ndarray:
     return _one_pass(_coadd, (u, v), ("u", "v"))
 
 
-def _coadd_via_gyration(u, v, n2) -> np.ndarray:
-    g = _gyrate(u, -v, v, n2)
+def _coadd_via_gyration(u, v, n2) -> list:
+    g = _gyrate(u, _neg(v), v, n2)
     _norm_sq_checked(g, "v")
     return _add(u, g, n2)
 
@@ -223,8 +229,8 @@ def coadd_via_gyration(u, v) -> np.ndarray:
     return _one_pass(_coadd_via_gyration, (u, v), ("u", "v"))
 
 
-def _cosub(u, v, n2) -> np.ndarray:
-    return _coadd(u, -v, n2)
+def _cosub(u, v, n2) -> list:
+    return _coadd(u, _neg(v), n2)
 
 
 def cosub(u, v) -> np.ndarray:
@@ -245,19 +251,26 @@ class Gyration:
     The operator is lazy: applications re-evaluate the closed-form
     coefficients against the stored generators, which keeps any ambient
     vector admissible as input.  ``matrix()`` materializes the n x n rotation
-    for callers that want it, as one gyration of the n unit vectors.
+    for callers that want it, as the gyrations of the n unit vectors.
     """
 
     def __init__(self, u, v):
-        self.u, self.v = _single_vectors((u, v), ("u", "v"))
+        (self.u, self.v), _, _ = _single_vectors((u, v), ("u", "v"))
 
     @property
     def dim(self) -> int:
         return self.u.shape[0]
 
+    def _generators(self):
+        """The components of u and v, and their squared norms (_single_vectors)."""
+        u, v = self.u.tolist(), self.v.tolist()
+        return u, v, [_norm_sq(u), _norm_sq(v)]
+
     def apply(self, w) -> np.ndarray:
+        _, v, (_, nv) = self._generators()
+
         def kernel(u, w, n2):
-            return _gyrate(u, self.v, w, (n2[0], None))
+            return _gyrate(u, v, w, (n2[0], nv))
 
         return _one_pass(kernel, (self.u, w), ("u", "w"), ambient_last=True)
 
@@ -274,15 +287,16 @@ class Gyration:
 
         Column j is gyr[u, v] e_j, as apply computes it.
         """
-        return _gyrate(self.u, self.v, np.eye(self.dim)).T
+        u, v, n2 = self._generators()
+        return np.array([_gyrate(u, v, e, n2) for e in np.eye(self.dim).tolist()]).T
 
     def is_trivial(self, tol: float = 1e-14) -> bool:
         """True when the generators make the gyration the identity map."""
-        nu = float(norm(self.u))
-        nv = float(norm(self.v))
+        u, v, _ = self._generators()
+        nu, nv = float(_norm(u)), float(_norm(v))
         if nu < tol or nv < tol:
             return True
-        cross_sq = nu * nu * nv * nv - float(dot(self.u, self.v)) ** 2
+        cross_sq = nu * nu * nv * nv - float(_dot(u, v)) ** 2
         return cross_sq <= (tol * nu * nv) ** 2
 
     def rotation_angle(self) -> float:
@@ -293,9 +307,12 @@ class Gyration:
         """
         if self.is_trivial():
             return 0.0
-        e = self.u / norm(self.u)
-        f = _gyrate(self.u, self.v, e)
-        return float(2.0 * np.arctan2(norm(e - f), norm(e + f)))
+        u, v, n2 = self._generators()
+        nu = _norm(u)
+        e = [x / nu for x in u]
+        f = _gyrate(u, v, e, n2)
+        return float(2.0 * np.arctan2(_norm([x - y for x, y in zip(e, f)]),
+                                      _norm([x + y for x, y in zip(e, f)])))
 
     def __repr__(self) -> str:
         return f"Gyration(u={self.u!r}, v={self.v!r})"

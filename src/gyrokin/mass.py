@@ -36,8 +36,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ball import (_as_real, _by_rows, _gamma, _norm_sq_checked, _one_pass, _real_scalars,
-                   _require, _single_vectors, as_velocity, norm_sq, same_shape)
+from .ball import (_as_real, _by_rows, _gamma, _norm_sq, _norm_sq_checked, _on_components,
+                   _one_pass, _real_scalars, _require, _single_vectors, as_velocity, norm_sq,
+                   same_shape)
 from .errors import AdmissibilityError, DimensionError, GyrokinError
 from .gyro import _add
 
@@ -50,15 +51,14 @@ class ParticleFormatError(GyrokinError, ValueError):
         self.line = line
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class Particle:
     """A point particle: positive invariant mass and admissible velocity."""
 
     mass: float
     velocity: np.ndarray
 
-    def __post_init__(self):
-        mass = self.mass
+    def __init__(self, mass, velocity):
         try:
             # float() accepts a numpy complex scalar with only a warning.
             mass = math.nan if isinstance(mass, np.complexfloating) else float(mass)
@@ -66,15 +66,14 @@ class Particle:
             mass = math.nan
         if not (mass > 0.0 and math.isfinite(mass)):
             raise AdmissibilityError("particle mass must be positive and finite")
-        (vel,) = _single_vectors((self.velocity,), ("particle velocity",))
+        (vel,), _, _ = _single_vectors((velocity,), ("particle velocity",))
         vel = vel.copy()
         vel.setflags(write=False)
-        object.__setattr__(self, "mass", mass)
-        object.__setattr__(self, "velocity", vel)
+        vars(self).update(mass=mass, velocity=vel)  # the fields of a frozen dataclass
 
     @property
     def gamma(self) -> float:
-        return float(_gamma(self.velocity))
+        return float(_gamma(norm_sq(self.velocity)))
 
     @property
     def relativistic_mass(self) -> float:
@@ -119,9 +118,7 @@ class ParticleSystem:
         """Set the fields, making the arrays read-only; returns the system."""
         masses.setflags(write=False)
         velocities.setflags(write=False)
-        object.__setattr__(self, "masses", masses)
-        object.__setattr__(self, "velocities", velocities)
-        object.__setattr__(self, "frame", frame)
+        vars(self).update(masses=masses, velocities=velocities, frame=frame)
         return self
 
     def __len__(self) -> int:
@@ -138,13 +135,14 @@ class ParticleSystem:
 
     @property
     def gammas(self) -> np.ndarray:
-        return _gamma(self.velocities)
+        return _gamma(norm_sq(self.velocities))
 
 
-def _gamma_rel_minus_1(u, v, n2) -> np.ndarray:
-    gu = _gamma(u, n2[0])
-    gv = _gamma(v, n2[1])
-    return (gu - gv) ** 2 / (2.0 * gu * gv) + gu * gv * norm_sq(u - v) / 2.0
+def _gamma_rel_minus_1(u, v, n2):
+    gu = _gamma(n2[0])
+    gv = _gamma(n2[1])
+    d = gu - gv
+    return d * d / (2.0 * gu * gv) + gu * gv * _norm_sq([x - y for x, y in zip(u, v)]) / 2.0
 
 
 def gamma_rel_minus_1(u, v) -> np.ndarray:
@@ -215,7 +213,7 @@ def decompose(sys: ParticleSystem) -> MassDecomposition:
     m0 = float(np.sqrt(m_newton * m_newton + dark_sq))
     energy, momentum = float(w.sum()), (w[:, None] * sys.velocities).sum(axis=0)
     v0 = momentum / energy
-    g0 = float(_gamma(v0))
+    g0 = float(_gamma(norm_sq(v0)))
     residual = np.hypot(m0 * g0 - energy, float(np.linalg.norm(m0 * g0 * v0 - momentum)))
     return MassDecomposition(
         m0=m0,
@@ -250,16 +248,16 @@ def boost(sys: ParticleSystem, u) -> ParticleSystem:
     name "u (+) particle velocity"; the system's own masses and velocities
     were checked when it was made.
     """
-    (u,) = _single_vectors((u,), ("u",))
+    (u,), (u_vec,), n2 = _single_vectors((u,), ("u",))
     same_shape((u, sys.velocities), ("u", "v"))
 
     def compose(v):
-        w = _add(u, v)
+        w = _add(u_vec, v, n2)
         _norm_sq_checked(w, "u (+) particle velocity")
         return w
 
-    boosted = ParticleSystem.__new__(ParticleSystem)
-    return boosted._freeze(sys.masses, _by_rows(compose, sys.velocities), sys.frame)
+    boosted = _by_rows(_on_components(compose), sys.velocities)
+    return ParticleSystem.__new__(ParticleSystem)._freeze(sys.masses, boosted, sys.frame)
 
 
 def parse_particles(text: str, *, c_value: float = 1.0) -> ParticleSystem:

@@ -12,9 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ball import (MAX_NORM, _as_real, _broadcast, _by_rows, _columns, _matched,
-                   _norm_sq_checked, _one_pass, _real_array, _require, _single_vectors, dot,
-                   norm, norm_sq, same_shape)
+from .ball import (MAX_NORM, _as_real, _broadcast, _by_rows, _dot, _matched, _neg, _norm,
+                   _norm_sq, _norm_sq_checked, _on_components, _one_pass, _real_array, _require,
+                   _single_vectors, _sqrt, norm, same_shape)
 from .errors import CollinearPoints, NonFinite
 from .gyro import _add, _coadd, _left_sub, _midpoint
 
@@ -22,17 +22,23 @@ from .gyro import _add, _coadd, _left_sub, _midpoint
 COLLINEAR_AREA_TOL = 1e-12
 
 
-def _scalar_mul(r, v, name: str) -> np.ndarray:
-    """r (x) v, once r is finite and v admissible; r has a trailing axis of length 1.
+def _ratio(num, den):
+    """num / den where den > 0, else 0.0: of two Python floats, or by np.divide."""
+    if type(num) is float and type(den) is float:
+        return num / den if den > 0.0 else 0.0
+    return np.divide(num, den, out=np.zeros(np.broadcast(num, den).shape), where=den > 0.0)
+
+
+def _scalar_mul(r, v, name: str) -> list:
+    """r (x) v, once the float or array r is finite and v admissible.
 
     ``name`` is r's name in the errors, and their rows are r's own.
     """
-    _require(np.isfinite(r[..., 0]), NonFinite, "must be finite", name)
-    n = np.sqrt(_norm_sq_checked(v, "v"))
-    mag = np.tanh(r[..., 0] * np.arctanh(n))
-    mag = np.clip(mag, -MAX_NORM, MAX_NORM)
-    scale = np.divide(mag, n, out=np.zeros(np.broadcast(mag, n).shape), where=n > 0.0)
-    return _columns(scale.shape, lambda x: scale * x, v)
+    _require(np.isfinite(r), NonFinite, "must be finite", name)
+    n = _sqrt(_norm_sq_checked(v, "v"))
+    mag = np.clip(np.tanh(r * np.arctanh(n)), -MAX_NORM, MAX_NORM)
+    scale = _ratio(mag if mag.ndim else float(mag), n)
+    return [scale * x for x in v]
 
 
 def scalar_mul(r, v) -> np.ndarray:
@@ -44,11 +50,11 @@ def scalar_mul(r, v) -> np.ndarray:
     """
     r, v = _real_array(r, "scalar factor")[..., None], _as_real(v, "v")
     same_shape((r, v[..., :1]), ("scalar factor", "v"))
-    return _by_rows(lambda r, v: _scalar_mul(r, v, "scalar factor"), r, v)
+    return _by_rows(_on_components(lambda r, v: _scalar_mul(r[0], v, "scalar factor")), r, v)
 
 
-def _distance(a, b, n2) -> np.ndarray:
-    return norm(_left_sub(a, b, n2))
+def _distance(a, b, n2):
+    return _norm(_left_sub(a, b, n2))
 
 
 def gyrodistance(a, b) -> np.ndarray:
@@ -70,14 +76,14 @@ def gyroline_point(a, b, t) -> np.ndarray:
     """
     def point(a, b, t):
         n2 = [_norm_sq_checked(a, "a"), _norm_sq_checked(b, "b")]
-        v = _scalar_mul(t, _left_sub(a, b, n2), "t")
+        v = _scalar_mul(t[0], _left_sub(a, b, n2), "t")
         _norm_sq_checked(v, "v")
         return _add(a, v, n2)
 
     a, b = _matched((a, b), ("a", "b"))
     t = _real_array(t, "t")[..., None]
     _broadcast((a, b, t), ("a", "b", "t"))
-    return _by_rows(point, a, b, t)
+    return _by_rows(_on_components(point), a, b, t)
 
 
 def gyromidpoint(a, b) -> np.ndarray:
@@ -100,18 +106,16 @@ def triangle_area(a, b, c) -> np.ndarray:
     The points must have one dimension, like the operands of a velocity
     operation, and their batch shapes must broadcast.
     """
-    return _by_rows(_area, *_matched((a, b, c), ("a", "b", "c")))
+    return _by_rows(_on_components(_area), *_matched((a, b, c), ("a", "b", "c")))
 
 
-def _area(a, b, c) -> np.ndarray:
-    """triangle_area of trusted arrays."""
-    x = b - a
-    y = c - a
-    xx = norm_sq(x)
-    xy = dot(x, y)
-    coef = np.divide(xy, xx, out=np.zeros(np.broadcast(xy, xx).shape), where=xx > 0.0)
-    y_perp = y - coef[..., None] * x
-    return 0.5 * np.sqrt(xx) * norm(y_perp)
+def _area(a, b, c):
+    """triangle_area of three trusted component lists."""
+    x = [q - p for p, q in zip(a, b)]
+    y = [q - p for p, q in zip(a, c)]
+    xx = _norm_sq(x)
+    coef = _ratio(_dot(x, y), xx)
+    return 0.5 * _sqrt(xx) * _norm([q - coef * p for p, q in zip(x, y)])
 
 
 def are_gyrocollinear(a, b, c, tol: float = COLLINEAR_AREA_TOL) -> bool | np.ndarray:
@@ -139,7 +143,7 @@ def gyroparallelogram_fourth(a, b, c, *, allow_degenerate: bool = False,
             _require(_area(a, b, c) >= tol, CollinearPoints,
                      "lie on one gyroline; no gyroparallelogram", "a, b, c")
         u = _coadd(b, c, n2[1:])
-        return _add(u, -a, [_norm_sq_checked(u, "u")])
+        return _add(u, _neg(a), [_norm_sq_checked(u, "u")])
 
     return _one_pass(fourth, (a, b, c), ("a", "b", "c"))
 
@@ -199,7 +203,7 @@ def metric_tensor(x) -> np.ndarray:
     with G(x) = I/(1 - x^2) + x x^T/(1 - x^2)^2, the classical line element
     of the ball model.  Symmetric positive definite; the identity at x = 0.
     """
-    (x,) = _single_vectors((x,), ("x",))
+    (x,), _, (n2,) = _single_vectors((x,), ("x",))
     n = x.shape[0]
-    q = 1.0 - float(norm_sq(x))
+    q = 1.0 - float(n2)
     return np.eye(n) / q + np.outer(x, x) / (q * q)

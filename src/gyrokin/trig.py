@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ball import _columns, _every, _real_scalars, _single_vectors, norm
+from .ball import _neg, _norm, _real_scalars, _single_vectors
 from .errors import (
     AdmissibilityError,
     CollinearPoints,
@@ -36,19 +36,21 @@ CLAMP_TOL = 1e-12
 RIGHT_ANGLE_TOL = 1e-8
 
 
-def _gyroangle(gp, gq, tol: float = 1e-14) -> np.ndarray:
-    """Angles between gyrovectors, row by row, via 2*atan2(|p^ - q^|, |p^ + q^|).
+def _gyroangle(p, q, tol: float = 1e-14) -> float:
+    """Angle between the gyrovectors p and q, via 2*atan2(|p^ - q^|, |p^ + q^|).
 
-    Exact at 0 for bitwise-equal directions and well conditioned near both 0
-    and pi, unlike arccos of a clamped dot product.  Raises DegenerateAngle
-    when any gyrovector is shorter than ``tol``.
+    p and q are lists of Python floats.  Exact at 0 for bitwise-equal
+    directions and well conditioned near both 0 and pi, unlike arccos of a
+    clamped dot product.  Raises DegenerateAngle when either gyrovector is
+    shorter than ``tol``.
     """
-    lp, lq = norm(gp), norm(gq)
-    if not (_every(lp >= tol) and _every(lq >= tol)):
+    lp, lq = _norm(p), _norm(q)
+    if not (lp >= tol and lq >= tol):
         raise DegenerateAngle("gyrovector of near-zero gyrolength at vertex")
-    up = _columns(lp.shape, lambda x: x / lp, gp)
-    uq = _columns(lq.shape, lambda x: x / lq, gq)
-    return 2.0 * np.arctan2(norm(up - uq), norm(up + uq))
+    up = [x / lp for x in p]
+    uq = [x / lq for x in q]
+    return float(2.0 * np.arctan2(_norm([x - y for x, y in zip(up, uq)]),
+                                  _norm([x + y for x, y in zip(up, uq)])))
 
 
 def gyroangle(vertex, p, q, *, tol: float = 1e-14) -> float:
@@ -60,8 +62,9 @@ def gyroangle(vertex, p, q, *, tol: float = 1e-14) -> float:
 
     Raises DegenerateAngle when either gyrovector is shorter than ``tol``.
     """
-    vertex, p, q = _single_vectors((vertex, p, q), ("vertex", "p", "q"))
-    return float(_gyroangle(_add(-vertex, p), _add(-vertex, q), tol))
+    _, (vertex, p, q), n2 = _single_vectors((vertex, p, q), ("vertex", "p", "q"))
+    neg = _neg(vertex)
+    return _gyroangle(_add(neg, p, n2), _add(neg, q, n2), tol)
 
 
 def triangle_q(gamma_a: float, gamma_b: float, gamma_c: float) -> float:
@@ -190,25 +193,26 @@ def triangle_from_vertices(a, b, c) -> Gyrotriangle:
     are measured geometrically at each vertex and agree with the analytic
     conversion from the side gammas.
     """
-    a, b, c = _single_vectors((a, b, c), ("a", "b", "c"))
+    vertices, (a, b, c), (na, nb, nc) = _single_vectors((a, b, c), ("a", "b", "c"))
     if _area(a, b, c) < COLLINEAR_AREA_TOL:
         raise CollinearPoints("vertices lie on one gyroline")
-    # The gyrovectors ab, ac, ba, bc, ca and cb, one per row.
-    g = _add(-np.array([a, a, b, b, c, c]), np.array([b, c, a, c, a, b]))
-    sides = norm(g[[3, 1, 0]])
-    if not sides.max() < 1.0:  # a side between points near c can round to 1
-        i = int(np.argmin(sides < 1.0))
-        ends = " and ".join("abc".replace("abc"[i], ""))
-        raise AdmissibilityError(f"side {'abc'[i]}, between vertices {ends}, has gyrolength "
-                                 f"{sides[i]:.17g}, not below 1")
-    ga, gb, gc = _gamma_of_speed(sides).tolist()
-    alpha, beta, gamma = _gyroangle(g[0::2], g[1::2]).tolist()
-    side_a, side_b, side_c = sides.tolist()
+    # The gyrovectors ab, ac, ba, bc, ca and cb.
+    g = [_add(_neg(p), q, [n2]) for p, q, n2 in
+         ((a, b, na), (a, c, na), (b, a, nb), (b, c, nb), (c, a, nc), (c, b, nc))]
+    sides = [float(_norm(g[3])), float(_norm(g[1])), float(_norm(g[0]))]
+    for i, side in enumerate(sides):
+        if not side < 1.0:  # a side between points near c can round to 1
+            ends = " and ".join("abc".replace("abc"[i], ""))
+            raise AdmissibilityError(f"side {'abc'[i]}, between vertices {ends}, has "
+                                     f"gyrolength {side:.17g}, not below 1")
+    ga, gb, gc = map(_gamma_of_speed, sides)
+    alpha, beta, gamma = (_gyroangle(*g[i:i + 2]) for i in (0, 2, 4))
+    side_a, side_b, side_c = sides
     return Gyrotriangle(
         side_a=side_a, side_b=side_b, side_c=side_c,
         gamma_a=ga, gamma_b=gb, gamma_c=gc,
         alpha=alpha, beta=beta, gamma=gamma,
-        vertices=(a, b, c),
+        vertices=tuple(vertices),
     )
 
 
@@ -218,7 +222,7 @@ def triangle_from_sides(side_a: float, side_b: float, side_c: float
     sides = _real_scalars((side_a, side_b, side_c), ("side_a", "side_b", "side_c"))
     if not all(0.0 < s < 1.0 for s in sides):
         raise InvalidTriangle("side gyrolengths must lie in (0, 1)")
-    ga, gb, gc = _gamma_of_speed(np.array(sides)).tolist()
+    ga, gb, gc = map(_gamma_of_speed, sides)
     alpha, beta, gamma = sss_to_aaa(ga, gb, gc)
     return Gyrotriangle(
         side_a=sides[0], side_b=sides[1], side_c=sides[2],
@@ -234,7 +238,7 @@ def triangle_from_angles(alpha: float, beta: float, gamma: float
     Angles so small that a side rounds to 1 raise NoSuchTriangle.
     """
     ga, gb, gc = aaa_to_sss(alpha, beta, gamma)
-    sides = _speed_of_gamma(np.array([ga, gb, gc])).tolist()
+    sides = [_speed_of_gamma(g) for g in (ga, gb, gc)]
     if not all(s < 1.0 for s in sides):
         raise NoSuchTriangle("gyroangles so small that a side reaches 1")
     return Gyrotriangle(

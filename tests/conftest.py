@@ -12,7 +12,7 @@ def rng():
 
 
 def _count_checks(monkeypatch, record):
-    """Rebind the admissibility check so that each call runs record(arr, name) first.
+    """Rebind the admissibility check so that each call runs record(v, name) first.
 
     ball._norm_sq_checked is the one velocity check: as_velocity calls it,
     and so do the kernels, inside each row block.  It is rebound
@@ -21,9 +21,9 @@ def _count_checks(monkeypatch, record):
     """
     original = importlib.import_module("gyrokin.ball")._norm_sq_checked
 
-    def counting(arr, name, *args):
-        record(arr, name)
-        return original(arr, name, *args)
+    def counting(v, name, *args):
+        record(v, name)
+        return original(v, name, *args)
 
     modules = [importlib.import_module("gyrokin")]
     modules += [importlib.import_module(f"gyrokin.{m}") for m in LAYERS]
@@ -46,8 +46,11 @@ def validation_calls(monkeypatch):
 
 @pytest.fixture
 def checked_rows(monkeypatch):
-    """(name, rows) of each admissibility check: a batch's rows, 1 for one vector."""
+    """(name, rows) of each admissibility check: a batch's rows, 1 for one vector.
+
+    The check takes a list of components: a batch's columns or one vector's floats.
+    """
     calls = []
     _count_checks(monkeypatch,
-                  lambda arr, name: calls.append((name, len(arr) if arr.ndim > 1 else 1)))
+                  lambda v, name: calls.append((name, len(v[0]) if np.ndim(v[0]) else 1)))
     return calls

@@ -10,6 +10,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import click
 import numpy as np
 import pytest
 
@@ -375,6 +376,20 @@ class TestUsageErrors:
 
     def test_version_exits_zero(self, capsys):
         assert run(capsys, "--version") == (0, f"gyrokin, version {gyrokin.__version__}\n", "")
+
+    @pytest.mark.parametrize("argv", [["--help"], ["add", "--help"]])
+    def test_help_exits_zero(self, capsys, argv):
+        rc, out, err = run(capsys, *argv)
+        assert (rc, err) == (0, "") and out.startswith("Usage: ")
+
+    def test_main_returns_the_code_a_command_exits_with(self, capsys, monkeypatch):
+        @click.command("exit-three")
+        @click.pass_context
+        def exit_three(ctx):
+            ctx.exit(3)
+
+        monkeypatch.setitem(cli.commands, "exit-three", exit_three)
+        assert run(capsys, "exit-three") == (3, "", "")
 
 
 class TestMassCommand:

@@ -52,7 +52,7 @@ from gyrokin import (
     decompose,
 )
 from gyrokin import ball
-from gyrokin.ball import _FEW_ROWS, BALL_MARGIN, MAX_NORM, norm_sq
+from gyrokin.ball import BALL_MARGIN, MAX_NORM, norm_sq
 from gyrokin.gyro import _gyr_coeffs
 from helpers import (BLOCK_LENGTHS, LAYOUTS, TEST_BLOCK, ball_points, ball_vectors,
                      broadcast_error, coercion_error, cosub_error_ratio, cosub_via_gyration,
@@ -60,6 +60,11 @@ from helpers import (BLOCK_LENGTHS, LAYOUTS, TEST_BLOCK, ball_points, ball_vecto
 
 U_FIX = np.array([0.6, 0.0, 0.0])
 V_FIX = np.array([0.0, 0.6, 0.0])
+
+
+def gyr_coeffs(u, v, w):
+    """The closed-form coefficients A, B, D of gyr[u, v]w, from arrays."""
+    return _gyr_coeffs(*map(ball._components, (u, v, w)), [norm_sq(u), norm_sq(v)])
 
 
 @st.composite
@@ -370,12 +375,12 @@ class TestGyration:
         # not depend on w.
         u = ball_points(rng, 500, 3, max_norm=0.999)
         v = ball_points(rng, 500, 3, max_norm=0.999)
-        assert np.all(_gyr_coeffs(u, v, np.zeros(3))[2] > 1.0)
+        assert np.all(gyr_coeffs(u, v, np.zeros(3))[2] > 1.0)
 
     def test_d_coefficient_is_sum_gamma_plus_one(self, rng):
         for uu, vv in zip(ball_points(rng, 50, 3, 0.95),
                           ball_points(rng, 50, 3, 0.95)):
-            d = float(_gyr_coeffs(uu, vv, np.zeros(3))[2])
+            d = float(gyr_coeffs(uu, vv, np.zeros(3))[2])
             expected = float(gamma(einstein_add(uu, vv))) + 1.0
             assert d == pytest.approx(expected, rel=1e-12)
 
@@ -402,7 +407,7 @@ class TestGyration:
         eye = np.eye(dim)
         for u, v in ball_points(rng, 400, dim, max_norm=0.999).reshape(200, 2, dim):
             g = Gyration(u, v)
-            a, b, d = _gyr_coeffs(u, v, eye)
+            a, b, d = gyr_coeffs(u, v, eye)
             assert same_bits(g.matrix(), np.ascontiguousarray(g.apply(eye).T))
             assert same_bits(g.matrix(), (np.outer(u, a) + np.outer(v, b)) / d + eye)
 
@@ -546,19 +551,27 @@ BLOCKED_OPS = BINARY_OPS + [left_sub, coadd_via_gyration,
                             lambda u, v: gamma(u), lambda u, v: gamma(v), gamma_rel_minus_1]
 
 
-# Draws of n rows of an argument: a velocity ("v"), a point that lies on the
-# x axis in every even row ("x"), an ambient vector ("w"), or a scalar.
+# Draws of n rows of an argument with dim components: a velocity ("v"), a
+# point that lies on the first axis in every even row ("x"), an ambient
+# vector ("w"), or a scalar.
 DRAWS = {
-    "v": lambda rng, n: ball_points(rng, n, 3, max_norm=0.99),
-    "x": lambda rng, n: ball_points(rng, n, 3, max_norm=0.9)
-    * np.where(np.arange(n)[:, None] % 2, 1.0, [1.0, 0.0, 0.0]),
-    "w": lambda rng, n: rng.normal(size=(n, 3)),
-    "t": lambda rng, n: rng.uniform(-2.0, 2.0, n),
-    "angle": lambda rng, n: rng.uniform(0.1, 3.0, n),
-    "speed": lambda rng, n: rng.uniform(0.05, 0.9, n),
-    "gamma": lambda rng, n: rng.uniform(1.0, 10.0, n),
+    "v": lambda rng, n, dim: ball_points(rng, n, dim, max_norm=0.99),
+    "x": lambda rng, n, dim: ball_points(rng, n, dim, max_norm=0.9)
+    * np.where(np.arange(n)[:, None] % 2, 1.0, np.eye(dim)[0]),
+    "w": lambda rng, n, dim: rng.normal(size=(n, dim)),
+    "t": lambda rng, n, dim: rng.uniform(-2.0, 2.0, n),
+    "angle": lambda rng, n, dim: rng.uniform(0.1, 3.0, n),
+    "speed": lambda rng, n, dim: rng.uniform(0.05, 0.9, n),
+    "gamma": lambda rng, n, dim: rng.uniform(1.0, 10.0, n),
 }
 SCALAR_DRAWS = ("t", "angle", "speed", "gamma")
+
+
+def gyration_of(dim):
+    """gyr[0.6 e_0, 0.6 e_1] in dim dimensions (gyr[U_FIX, V_FIX] for dim = 3)."""
+    eye = np.eye(dim)
+    return Gyration(0.6 * eye[0], 0.6 * eye[min(1, dim - 1)])
+
 
 # Every public function that accepts a batch, with the draws of its arguments.
 BATCH_OPS = {
@@ -571,7 +584,7 @@ BATCH_OPS = {
     "cosub": (cosub, ("v", "v")),
     "gyrate": (gyrate, ("v", "v", "w")),
     "gyrate_definitional": (gyrate_definitional, ("v", "v", "v")),
-    "Gyration.apply": (Gyration(U_FIX, V_FIX).apply, ("w",)),
+    "Gyration.apply": (lambda w: gyration_of(np.shape(w)[-1]).apply(w), ("w",)),
     "gamma_of_speed": (gamma_of_speed, ("speed",)),
     "speed_of_gamma": (speed_of_gamma, ("gamma",)),
     "add_speeds": (add_speeds, ("speed", "speed")),
@@ -595,18 +608,35 @@ BATCH_OPS = {
     "stellar_aberration_inv": (stellar_aberration_inv, ("angle", "speed")),
     "classical_matched_p_e": (classical_matched_p_e, ("angle", "angle", "speed")),
     "relativistic_matched_p_e": (relativistic_matched_p_e, ("angle", "angle", "speed")),
+    "as_velocity": (ball.as_velocity, ("v",)),
+    "dot": (ball.dot, ("w", "w")),
+    "norm_sq": (ball.norm_sq, ("w",)),
+    "norm": (ball.norm, ("w",)),
 }
+# The operations above with a vector argument, and the type of a result
+# that is not a vector, for one vector: np.float64 unless named here.
+VECTOR_OPS = [op for op, (_, kinds) in BATCH_OPS.items() if set(kinds) - set(SCALAR_DRAWS)]
+SCALAR_RESULT = {"are_gyrocollinear": bool}
 
-# Batch shapes of the first argument, the second, and any others.
+# Batch shapes of the first argument, the second, and any others; the last
+# two are batches of a few hundred rows.
 BATCH_SHAPES = [((4, 1), (5,), (5,)), ((), (6,), (6,)), ((6,), (), ()), ((5,), (5,), (5,)),
-                ((), (4, 1), (5,)), ((_FEW_ROWS,), (), ()),
-                ((_FEW_ROWS + 1,), (_FEW_ROWS + 1,), (_FEW_ROWS + 1,))]
+                ((), (4, 1), (5,)), ((256,), (), ()), ((257,), (257,), (257,))]
 
 
-def draw_batch(rng, kind, shape):
+def draw_batch(rng, kind, shape, dim=3):
     """An argument drawn by DRAWS[kind] with the batch shape ``shape``."""
-    core = () if kind in SCALAR_DRAWS else (3,)
-    return DRAWS[kind](rng, math.prod(shape)).reshape(shape + core)
+    core = () if kind in SCALAR_DRAWS else (dim,)
+    return DRAWS[kind](rng, math.prod(shape), dim).reshape(shape + core)
+
+
+def failure(op, *args):
+    """The class, name, row and message of the GyrokinError op(*args) raises, or None."""
+    try:
+        op(*args)
+    except GyrokinError as exc:
+        return type(exc), exc.name, exc.row, exc.args
+    return None
 
 
 class TestBroadcast:
@@ -626,6 +656,39 @@ class TestBroadcast:
                 for a, s in zip(args, shapes)]
         want = np.array([fn(*row) for row in zip(*rows)])
         assert same_bits(out, want.reshape(out.shape))
+
+    @pytest.mark.parametrize("op", VECTOR_OPS)
+    @pytest.mark.parametrize("dim", range(1, 11))
+    def test_one_vector_against_rows_in_every_dimension(self, rng, monkeypatch, op, dim):
+        # The n-kn layout, with dim on both sides of ball._IN_ORDER_TERMS: the
+        # first of two or more arguments is one vector (or scalar), the others
+        # have k rows, and the j-th velocity batch has a +0.0 and a -0.0
+        # vector in rows 2j and 2j + 1.  Every row gives the bits and type of
+        # its single call, whole and in blocks; where rows raise, the batch
+        # raises the first one's error, with its row.
+        fn, kinds = BATCH_OPS[op]
+        k = 3 * TEST_BLOCK + 1
+        batch = [i > 0 or len(kinds) == 1 for i in range(len(kinds))]
+        args = [draw_batch(rng, kind, (k,) if b else (), dim) for kind, b in zip(kinds, batch)]
+        zeros = [arg for arg, kind, b in zip(args, kinds, batch) if b and kind not in SCALAR_DRAWS]
+        for j, arg in enumerate(zeros):
+            arg[2 * j], arg[2 * j + 1] = 0.0, -0.0
+        rows = [[arg[r] if b else arg for arg, b in zip(args, batch)] for r in range(k)]
+        alone = [failure(fn, *row) for row in rows]
+        bad = [r for r, error in enumerate(alone) if error]
+        if bad:
+            cls, name, _, message = alone[bad[0]]
+            want = (cls, name, (bad[0],), message)
+            assert failure(fn, *args) == want
+            assert in_blocks(monkeypatch, failure, fn, *args) == want
+            return
+        out = fn(*args)
+        assert type(out) is np.ndarray
+        assert same_bits(in_blocks(monkeypatch, fn, *args), out)
+        singles = [fn(*row) for row in rows]
+        assert same_bits(out, np.array(singles))
+        one = np.ndarray if out.ndim > 1 else SCALAR_RESULT.get(op, np.float64)
+        assert all(type(single) is one for single in singles)
 
     @pytest.mark.parametrize("op", BLOCKED_OPS)
     @pytest.mark.parametrize("layout", LAYOUTS)
