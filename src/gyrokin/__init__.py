@@ -23,6 +23,7 @@ from .errors import (
     NonFinite,
     NoSuchTriangle,
     NotRightTriangle,
+    OperandTypeError,
 )
 from .gyro import (
     Gyration,

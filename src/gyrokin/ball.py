@@ -11,18 +11,23 @@ cache; every row still gets the bits of a single-vector call.
 
 Each operation has one kernel, written on lists of components
 (``_components``): one vector's are Python floats, a batch's are views of
-its columns, and floats broadcast against columns.
-``_on_components`` hands a row block's arrays to a kernel this way and
-assembles its result (``_assemble``): an ndarray for a vector, an
-np.float64 for a scalar of one vector.  Only +, -, *, / and square roots
-(``_sqrt``) run in Python arithmetic, every transcendental function stays a
-numpy ufunc, and ``_dot`` and ``_norm_sq`` sum in np.sum's order, so one
-vector's floats get the bits of a batch row.
+its columns, and floats broadcast against columns.  Only +, -, *, / and
+square roots (``_sqrt``) run in Python arithmetic, every transcendental
+function stays a numpy ufunc, and ``_dot`` and ``_norm_sq`` sum in np.sum's
+order, so one vector's floats get the bits of a batch row.
 
-Every checked operation takes one order: coerce all its operands, match
-their shapes, then check row block after row block, with the operands in
-argument order inside each block (``_one_pass``); an operation that takes
-single vectors only checks them in the same order (``_single_vectors``).
+Each velocity operation has one checked boundary, built once at import
+(``_operation``).  It coerces all the operands, matches their shapes, then
+takes one of two routes, chosen from the input.  When every operand is one
+vector, each becomes its floats (one tolist()), each passes the check in
+argument order, and the kernel runs on the floats; a vector result becomes
+an ndarray and a scalar an np.float64.  Otherwise the batch runs row block
+after row block (``_by_rows``) through the operation's row-block function,
+also made once (``_on_components``): it checks each block's operands in
+argument order, runs the kernel on their columns and assembles the result
+(``_assemble``).  An operation on single vectors only takes the first route
+and hands back the checked vectors; a batch operand raises, in its place
+in the argument order.
 The first failing check raises, once; an error in a batch names its first
 failing row as an index into the whole batch ("u row 19999 has norm ..."),
 and a single value's error names no row.  The one velocity check,
@@ -36,9 +41,11 @@ which finds the failing row the same way (``_first_row``).
 from __future__ import annotations
 
 import math
+from functools import partial
+
 import numpy as np
 
-from .errors import AdmissibilityError, DimensionError, GyrokinError
+from .errors import AdmissibilityError, DimensionError, GyrokinError, OperandTypeError
 
 # Constructors reject squared norms above 1 - BALL_MARGIN: gamma factors blow
 # up and the algebraic laws lose their precision headroom without a hard edge.
@@ -90,13 +97,14 @@ def _assemble(result):
 
 
 def _on_components(kernel):
-    """The function of arrays that runs ``kernel`` on their components.
+    """The row-block function of ``kernel``, made once, where the kernel is defined.
 
-    Each array becomes its components (_components) and the kernel's result
-    is assembled (_assemble): row blocks (_by_rows) reach the kernels
-    through this one door.
+    Each array of a block becomes its components (_components), the keyword
+    arguments pass through, and the kernel's result is assembled
+    (_assemble): row blocks (_by_rows) reach the kernels through this one
+    door.
     """
-    return lambda *parts: _assemble(kernel(*map(_components, parts)))
+    return lambda *parts, **params: _assemble(kernel(*map(_components, parts), **params))
 
 
 def _sqrt(x):
@@ -316,11 +324,19 @@ def _norm_sq_checked(v, name: str, ambient: bool = False):
     return n2
 
 
+def _admissible(v, name: str) -> None:
+    """None once the components ``v`` pass _norm_sq_checked: as_velocity's kernel."""
+    _norm_sq_checked(v, name)
+
+
+_admissible_rows = _on_components(_admissible)
+
+
 def as_velocity(v, *, name: str = "velocity") -> np.ndarray:
     """Coerce to a float array of shape (..., n) and enforce admissibility.
 
-    A batch is checked in row blocks (_by_rows), so that no array of norms
-    longer than a block is built.
+    One vector is checked as its floats; a batch in row blocks (_by_rows),
+    so that no array of norms longer than a block is built.
 
     Raises
     ------
@@ -332,11 +348,10 @@ def as_velocity(v, *, name: str = "velocity") -> np.ndarray:
         ``1 - BALL_MARGIN``; a batch's error names its first failing row.
     """
     arr = _as_real(v, name)
-
-    def check(v):
-        _norm_sq_checked(v, name)
-
-    _by_rows(_on_components(check), arr)
+    if arr.ndim == 1:
+        _norm_sq_checked(arr.tolist(), name)
+    else:
+        _by_rows(partial(_admissible_rows, name=name), arr)
     return arr
 
 
@@ -387,37 +402,91 @@ def _matched(arrays, names) -> list:
     return arrs
 
 
-def _single_vectors(values, names) -> tuple:
-    """The operands of an operation on single vectors, coerced, shape-matched and checked.
+def _operation(kernel, names, ambient_last: bool = False):
+    """The checked boundary of one operation, built once: a function of its operands.
 
-    They are coerced and matched as _one_pass does (_matched); then each,
-    in argument order, must be one vector, not a batch, and admissible.
-    The DimensionError of a batch names it.  Returns the arrays, their
-    components (Python floats) and their squared norms, three lists.
+    ``names`` label the operands in argument order: a tuple, or the function
+    whose positional parameters they are.  The boundary coerces every
+    operand (_as_real) and matches their shapes (same_shape).  Then the
+    operands pass _norm_sq_checked in argument order and
+    kernel(*components, n2, **params) runs, with ``n2`` their squared
+    norms.  All must be admissible velocities, except that with
+    ``ambient_last`` the last one need only be finite.  When every operand
+    is one vector of one shape this happens once, on its floats, and a
+    vector result becomes an ndarray and a scalar an np.float64; one and two
+    operands take it without building lists of operands.  Otherwise it
+    happens in each row block (_by_rows), and the first failing block
+    raises.
+
+    With ``kernel`` None the operation takes single vectors only: the
+    boundary returns the arrays, their components (Python floats) and their
+    squared norms, three lists, and a batch operand raises DimensionError in
+    its place in the argument order.
     """
-    arrs = _matched(values, names)
-    vecs, n2 = [], []
-    for arr, name in zip(arrs, names):
-        if arr.ndim != 1:
-            raise DimensionError("must be a single vector, not a batch", name=name)
-        vecs.append(arr.tolist())
-        n2.append(_norm_sq_checked(vecs[-1], name))
-    return arrs, vecs, n2
+    if callable(names):
+        code = names.__code__
+        names = code.co_varnames[:code.co_argcount]
+    ambient = (False,) * (len(names) - 1) + (ambient_last,)
+    first, last = names[0], names[-1]
+
+    def checked(*vecs, **params):
+        return kernel(*vecs, list(map(_norm_sq_checked, vecs, names, ambient)), **params)
+
+    block = _on_components(checked)
+
+    def rows(arrays, params):
+        """The route of operands that are not all one vector of one shape."""
+        same_shape(arrays, names)
+        if kernel is None:  # the first batch raises, after the vectors before it pass
+            for a, name in zip(arrays, names):
+                if a.ndim != 1:
+                    raise DimensionError("must be a single vector, not a batch", name=name)
+                _norm_sq_checked(a.tolist(), name)
+        return _by_rows(partial(block, **params) if params else block, *arrays)
+
+    def one(x, **params):
+        x = _as_real(x, first)
+        if x.ndim != 1:
+            return rows([x], params)
+        a = x.tolist()
+        n2 = [_norm_sq_checked(a, first, ambient_last)]
+        if kernel is None:
+            return [x], [a], n2
+        result = kernel(a, n2, **params)
+        return np.array(result) if type(result) is list else np.float64(result)
+
+    def two(x, y, **params):
+        x, y = _as_real(x, first), _as_real(y, last)
+        if x.ndim != 1 or x.shape != y.shape:
+            return rows([x, y], params)
+        a, b = x.tolist(), y.tolist()
+        n2 = [_norm_sq_checked(a, first), _norm_sq_checked(b, last, ambient_last)]
+        if kernel is None:
+            return [x, y], [a, b], n2
+        result = kernel(a, b, n2, **params)
+        return np.array(result) if type(result) is list else np.float64(result)
+
+    def many(*operands, **params):
+        arrays = list(map(_as_real, operands, names))
+        for a in arrays:
+            if a.ndim != 1 or a.shape != arrays[0].shape:
+                return rows(arrays, params)
+        vecs = list(map(np.ndarray.tolist, arrays))
+        n2 = list(map(_norm_sq_checked, vecs, names, ambient))
+        if kernel is None:
+            return arrays, vecs, n2
+        result = kernel(*vecs, n2, **params)
+        return np.array(result) if type(result) is list else np.float64(result)
+
+    return {1: one, 2: two}.get(len(names), many)
 
 
-def _one_pass(kernel, arrays, names, ambient_last: bool = False):
-    """kernel(*components, n2) of one operation, checked inside its row blocks.
+def _require_instance(cls, **values) -> None:
+    """Raise OperandTypeError, naming the first argument that is not a ``cls``, if one is not.
 
-    The operands are coerced and their shapes matched whole (_matched); then
-    the components of each row block (_on_components) pass _norm_sq_checked
-    in argument order, and the kernel takes their squared norms as the list
-    ``n2``.  All must be admissible velocities, except that with
-    ``ambient_last`` the last one need only be finite.  The first failing
-    coercion, shape match or block raises.
+    ``values`` maps the names of the arguments to their values, in order.
     """
-    ambient = [False] * (len(names) - 1) + [ambient_last]
-
-    def checked(*vecs):
-        return kernel(*vecs, list(map(_norm_sq_checked, vecs, names, ambient)))
-
-    return _by_rows(_on_components(checked), *_matched(arrays, names))
+    for name, value in values.items():
+        if not isinstance(value, cls):
+            raise OperandTypeError(f"must be a {cls.__name__}, not {type(value).__name__}",
+                                   name=name)

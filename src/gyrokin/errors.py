@@ -30,6 +30,10 @@ class DimensionError(GyrokinError, ValueError):
     """Operands live in spaces of different dimension, or their shapes do not broadcast."""
 
 
+class OperandTypeError(GyrokinError, TypeError):
+    """An object argument (a particle system, a gyrotriangle, ...) is not of its type."""
+
+
 class NonFinite(GyrokinError, ValueError):
     """A scalar argument is NaN or infinite."""
 

@@ -13,14 +13,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .ball import (_as_real, _by_rows, _dot, _gamma, _neg, _norm, _norm_sq, _norm_sq_checked,
-                   _on_components, _one_pass, _real_array, _real_arrays, _require,
-                   _single_vectors, _sqrt)
+from .ball import (_by_rows, _dot, _gamma, _neg, _norm, _norm_sq, _norm_sq_checked, _operation,
+                   _real_array, _real_arrays, _require, _sqrt)
 from .errors import AdmissibilityError
-
-
-# gamma's row-block function, made once rather than on every call.
-_checked_gamma = _on_components(lambda v: _gamma(_norm_sq_checked(v, "v")))
 
 
 def gamma(v) -> np.ndarray:
@@ -28,7 +23,10 @@ def gamma(v) -> np.ndarray:
 
     Satisfies (gamma^2 - 1)/gamma^2 = |v|^2 to machine precision.
     """
-    return _by_rows(_checked_gamma, _as_real(v, "v"))
+    return _checked_gamma(v)
+
+
+_checked_gamma = _operation(lambda v, n2: _gamma(n2[0]), gamma)
 
 
 def _gamma_of_speed(s) -> np.ndarray:
@@ -92,7 +90,10 @@ def einstein_add(u, v) -> np.ndarray:
     holds for every pair, and for parallel arguments the formula collapses
     to (u + v)/(1 + |u||v|).
     """
-    return _one_pass(_add, (u, v), ("u", "v"))
+    return _checked_einstein_add(u, v)
+
+
+_checked_einstein_add = _operation(_add, einstein_add)
 
 
 def _sub(u, v, n2) -> list:
@@ -101,7 +102,10 @@ def _sub(u, v, n2) -> list:
 
 def einstein_sub(u, v) -> np.ndarray:
     """u (-) v = u (+) (-v)."""
-    return _one_pass(_sub, (u, v), ("u", "v"))
+    return _checked_einstein_sub(u, v)
+
+
+_checked_einstein_sub = _operation(_sub, einstein_sub)
 
 
 def _left_sub(a, b, n2) -> list:
@@ -115,7 +119,10 @@ def left_sub(a, b) -> np.ndarray:
     addition is noncommutative (their norms agree, so either form gives the
     gyrodistance).
     """
-    return _one_pass(_left_sub, (a, b), ("u", "v"))
+    return _checked_left_sub(a, b)
+
+
+_checked_left_sub = _operation(_left_sub, left_sub)
 
 
 def add_speeds(x, y):
@@ -163,7 +170,10 @@ def gyrate(u, v, w) -> np.ndarray:
     ``u`` and ``v`` must be admissible; ``w`` may be any ambient vector, since
     the closed form extends gyrations to linear maps of the whole space.
     """
-    return _one_pass(_gyrate, (u, v, w), ("u", "v", "w"), ambient_last=True)
+    return _checked_gyrate(u, v, w)
+
+
+_checked_gyrate = _operation(_gyrate, gyrate, ambient_last=True)
 
 
 def _gyrate_definitional(u, v, w, n2) -> list:
@@ -185,7 +195,10 @@ def gyrate_definitional(u, v, w) -> np.ndarray:
     other.  The intermediate sums are checked too: near c they can leave
     the ball.
     """
-    return _one_pass(_gyrate_definitional, (u, v, w), ("u", "v", "w"))
+    return _checked_gyrate_definitional(u, v, w)
+
+
+_checked_gyrate_definitional = _operation(_gyrate_definitional, gyrate_definitional)
 
 
 def _midpoint(u, v, n2) -> list:
@@ -211,7 +224,10 @@ def coadd(u, v) -> np.ndarray:
     exact identity 2 (x) m = 2m/(1 + |m|^2).  The floating-point result is
     symmetric in u and v bit for bit.
     """
-    return _one_pass(_coadd, (u, v), ("u", "v"))
+    return _checked_coadd(u, v)
+
+
+_checked_coadd = _operation(_coadd, coadd)
 
 
 def _coadd_via_gyration(u, v, n2) -> list:
@@ -226,7 +242,10 @@ def coadd_via_gyration(u, v) -> np.ndarray:
     Kept separate from :func:`coadd` as an independent route for
     cross-checking.
     """
-    return _one_pass(_coadd_via_gyration, (u, v), ("u", "v"))
+    return _checked_coadd_via_gyration(u, v)
+
+
+_checked_coadd_via_gyration = _operation(_coadd_via_gyration, coadd_via_gyration)
 
 
 def _cosub(u, v, n2) -> list:
@@ -242,7 +261,19 @@ def cosub(u, v) -> np.ndarray:
     intermediate can leave the ball; the gyration form u (-) gyr[u, v]v is
     the test suite's independent oracle.
     """
-    return _one_pass(_cosub, (u, v), ("u", "v"))
+    return _checked_cosub(u, v)
+
+
+_checked_cosub = _operation(_cosub, cosub)
+
+
+def _gyrate_by(u, w, n2, v, nv) -> list:
+    """gyr[u, v]w of a Gyration: its trusted generator v, with |v|^2 ``nv``, as a parameter."""
+    return _gyrate(u, v, w, (n2[0], nv))
+
+
+_checked_apply = _operation(_gyrate_by, ("u", "w"), ambient_last=True)
+_checked_generators = _operation(None, ("u", "v"))
 
 
 class Gyration:
@@ -255,24 +286,20 @@ class Gyration:
     """
 
     def __init__(self, u, v):
-        (self.u, self.v), _, _ = _single_vectors((u, v), ("u", "v"))
+        (self.u, self.v), _, _ = _checked_generators(u, v)
 
     @property
     def dim(self) -> int:
         return self.u.shape[0]
 
     def _generators(self):
-        """The components of u and v, and their squared norms (_single_vectors)."""
+        """The components of u and v, and their squared norms."""
         u, v = self.u.tolist(), self.v.tolist()
         return u, v, [_norm_sq(u), _norm_sq(v)]
 
     def apply(self, w) -> np.ndarray:
-        _, v, (_, nv) = self._generators()
-
-        def kernel(u, w, n2):
-            return _gyrate(u, v, w, (n2[0], nv))
-
-        return _one_pass(kernel, (self.u, w), ("u", "w"), ambient_last=True)
+        v = self.v.tolist()
+        return _checked_apply(self.u, w, v=v, nv=_norm_sq(v))
 
     __call__ = apply
 

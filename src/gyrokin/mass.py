@@ -33,13 +33,14 @@ import json
 import math
 import warnings
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .ball import (_as_real, _by_rows, _gamma, _norm_sq, _norm_sq_checked, _on_components,
-                   _one_pass, _real_scalars, _require, _single_vectors, as_velocity, norm_sq,
+                   _operation, _real_scalars, _require, _require_instance, as_velocity, norm_sq,
                    same_shape)
-from .errors import AdmissibilityError, DimensionError, GyrokinError
+from .errors import AdmissibilityError, DimensionError, GyrokinError, OperandTypeError
 from .gyro import _add
 
 
@@ -66,7 +67,7 @@ class Particle:
             mass = math.nan
         if not (mass > 0.0 and math.isfinite(mass)):
             raise AdmissibilityError("particle mass must be positive and finite")
-        (vel,), _, _ = _single_vectors((velocity,), ("particle velocity",))
+        (vel,), _, _ = _checked_particle_velocity(velocity)
         vel = vel.copy()
         vel.setflags(write=False)
         vars(self).update(mass=mass, velocity=vel)  # the fields of a frozen dataclass
@@ -78,6 +79,9 @@ class Particle:
     @property
     def relativistic_mass(self) -> float:
         return self.mass * self.gamma
+
+
+_checked_particle_velocity = _operation(None, ("particle velocity",))
 
 
 @dataclass(frozen=True, eq=False, init=False)
@@ -94,7 +98,12 @@ class ParticleSystem:
     frame: str = "rest"
 
     def __init__(self, particles, frame: str = "rest"):
-        parts = tuple(particles)
+        try:
+            parts = tuple(particles)
+        except TypeError:
+            raise OperandTypeError("must be an iterable of Particle objects, not "
+                                   f"{type(particles).__name__}", name="particles") from None
+        _require_instance(Particle, **{f"particles[{i}]": p for i, p in enumerate(parts)})
         if len(parts) < 1:
             raise DimensionError("a particle system needs at least one particle")
         if len({p.velocity.shape for p in parts}) > 1:
@@ -158,7 +167,10 @@ def gamma_rel_minus_1(u, v) -> np.ndarray:
     Identical velocities therefore give exactly 0.0.  Broadcasts like the
     other velocity operations.
     """
-    return _one_pass(_gamma_rel_minus_1, (u, v), ("u", "v"))
+    return _checked_gamma_rel_minus_1(u, v)
+
+
+_checked_gamma_rel_minus_1 = _operation(_gamma_rel_minus_1, gamma_rel_minus_1)
 
 
 def _dark_sq(sys: ParticleSystem, g, w) -> float:
@@ -205,6 +217,7 @@ class MassDecomposition:
 
 def decompose(sys: ParticleSystem) -> MassDecomposition:
     """Full invariant/Newtonian/dark mass decomposition of a system."""
+    _require_instance(ParticleSystem, sys=sys)
     m_newton = float(sys.masses.sum())
     g = sys.gammas
     w = sys.masses * g
@@ -235,6 +248,7 @@ def collide_and_stick(p1: Particle, p2: Particle) -> Particle:
     velocity, so m0 gamma0 = m1 gamma1 + m2 gamma2.  The invariant mass grows
     in the collision; the Newtonian mass sum is what stays put.
     """
+    _require_instance(Particle, p1=p1, p2=p2)
     dec = decompose(ParticleSystem((p1, p2)))
     return Particle(mass=dec.m0, velocity=dec.v0)
 
@@ -248,16 +262,24 @@ def boost(sys: ParticleSystem, u) -> ParticleSystem:
     name "u (+) particle velocity"; the system's own masses and velocities
     were checked when it was made.
     """
-    (u,), (u_vec,), n2 = _single_vectors((u,), ("u",))
+    _require_instance(ParticleSystem, sys=sys)
+    (u,), (u_vec,), n2 = _checked_boost_u(u)
     same_shape((u, sys.velocities), ("u", "v"))
-
-    def compose(v):
-        w = _add(u_vec, v, n2)
-        _norm_sq_checked(w, "u (+) particle velocity")
-        return w
-
-    boosted = _by_rows(_on_components(compose), sys.velocities)
+    boosted = _by_rows(partial(_boosted_rows, u=u_vec, n2=n2), sys.velocities)
     return ParticleSystem.__new__(ParticleSystem)._freeze(sys.masses, boosted, sys.frame)
+
+
+_checked_boost_u = _operation(None, ("u",))
+
+
+def _boosted(v, u, n2) -> list:
+    """u (+) v of boost's trusted u, with [|u|^2] ``n2``, checked as it is made."""
+    w = _add(u, v, n2)
+    _norm_sq_checked(w, "u (+) particle velocity")
+    return w
+
+
+_boosted_rows = _on_components(_boosted)
 
 
 def parse_particles(text: str, *, c_value: float = 1.0) -> ParticleSystem:
@@ -273,6 +295,7 @@ def parse_particles(text: str, *, c_value: float = 1.0) -> ParticleSystem:
     Raises ParticleFormatError (with a line number for CSV input) on
     malformed content and AdmissibilityError on inadmissible velocities.
     """
+    _require_instance(str, text=text)
     (c_value,) = _real_scalars((c_value,), ("c_value",))
     if c_value <= 0.0 or not np.isfinite(c_value):
         raise ParticleFormatError("c_value must be positive and finite")

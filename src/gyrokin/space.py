@@ -13,8 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ball import (MAX_NORM, _as_real, _broadcast, _by_rows, _dot, _matched, _neg, _norm,
-                   _norm_sq, _norm_sq_checked, _on_components, _one_pass, _real_array, _require,
-                   _single_vectors, _sqrt, norm, same_shape)
+                   _norm_sq, _norm_sq_checked, _on_components, _operation, _real_array, _require,
+                   _require_instance, _sqrt, norm, same_shape)
 from .errors import CollinearPoints, NonFinite
 from .gyro import _add, _coadd, _left_sub, _midpoint
 
@@ -50,7 +50,10 @@ def scalar_mul(r, v) -> np.ndarray:
     """
     r, v = _real_array(r, "scalar factor")[..., None], _as_real(v, "v")
     same_shape((r, v[..., :1]), ("scalar factor", "v"))
-    return _by_rows(_on_components(lambda r, v: _scalar_mul(r[0], v, "scalar factor")), r, v)
+    return _by_rows(_scaled_rows, r, v)
+
+
+_scaled_rows = _on_components(lambda r, v: _scalar_mul(r[0], v, "scalar factor"))
 
 
 def _distance(a, b, n2):
@@ -63,7 +66,18 @@ def gyrodistance(a, b) -> np.ndarray:
     Symmetric, zero exactly on coincident points, and gyroadditive along
     gyrosegments under the parallel speed composition.
     """
-    return _one_pass(_distance, (a, b), ("u", "v"))
+    return _checked_gyrodistance(a, b)
+
+
+_checked_gyrodistance = _operation(_distance, gyrodistance)
+
+
+def _line_point(a, b, t) -> list:
+    """gyroline_point of trusted components a, b and t, checking a, b and the gyrovector."""
+    n2 = [_norm_sq_checked(a, "a"), _norm_sq_checked(b, "b")]
+    v = _scalar_mul(t[0], _left_sub(a, b, n2), "t")
+    _norm_sq_checked(v, "v")
+    return _add(a, v, n2)
 
 
 def gyroline_point(a, b, t) -> np.ndarray:
@@ -74,16 +88,13 @@ def gyroline_point(a, b, t) -> np.ndarray:
     line degenerate and every t maps to ``a``.  Near c the gyrovector
     (-a) (+) b and its scaled image can leave the ball, so both are checked.
     """
-    def point(a, b, t):
-        n2 = [_norm_sq_checked(a, "a"), _norm_sq_checked(b, "b")]
-        v = _scalar_mul(t[0], _left_sub(a, b, n2), "t")
-        _norm_sq_checked(v, "v")
-        return _add(a, v, n2)
-
     a, b = _matched((a, b), ("a", "b"))
     t = _real_array(t, "t")[..., None]
     _broadcast((a, b, t), ("a", "b", "t"))
-    return _by_rows(_on_components(point), a, b, t)
+    return _by_rows(_line_point_rows, a, b, t)
+
+
+_line_point_rows = _on_components(_line_point)
 
 
 def gyromidpoint(a, b) -> np.ndarray:
@@ -94,7 +105,10 @@ def gyromidpoint(a, b) -> np.ndarray:
     the line-parameter and half-coaddition forms agree to rounding and are
     exercised by the test suite.
     """
-    return _one_pass(_midpoint, (a, b), ("a", "b"))
+    return _checked_gyromidpoint(a, b)
+
+
+_checked_gyromidpoint = _operation(_midpoint, gyromidpoint)
 
 
 def triangle_area(a, b, c) -> np.ndarray:
@@ -106,7 +120,7 @@ def triangle_area(a, b, c) -> np.ndarray:
     The points must have one dimension, like the operands of a velocity
     operation, and their batch shapes must broadcast.
     """
-    return _by_rows(_on_components(_area), *_matched((a, b, c), ("a", "b", "c")))
+    return _by_rows(_area_rows, *_matched((a, b, c), ("a", "b", "c")))
 
 
 def _area(a, b, c):
@@ -116,6 +130,9 @@ def _area(a, b, c):
     xx = _norm_sq(x)
     coef = _ratio(_dot(x, y), xx)
     return 0.5 * _sqrt(xx) * _norm([q - coef * p for p, q in zip(x, y)])
+
+
+_area_rows = _on_components(_area)
 
 
 def are_gyrocollinear(a, b, c, tol: float = COLLINEAR_AREA_TOL) -> bool | np.ndarray:
@@ -138,14 +155,19 @@ def gyroparallelogram_fourth(a, b, c, *, allow_degenerate: bool = False,
     A batch's error names its first collinear row.  Near c the coaddition
     b [+] c can leave the ball, so it is checked.
     """
-    def fourth(a, b, c, n2):
-        if not allow_degenerate:
-            _require(_area(a, b, c) >= tol, CollinearPoints,
-                     "lie on one gyroline; no gyroparallelogram", "a, b, c")
-        u = _coadd(b, c, n2[1:])
-        return _add(u, _neg(a), [_norm_sq_checked(u, "u")])
+    return _checked_fourth(a, b, c, tol=None if allow_degenerate else tol)
 
-    return _one_pass(fourth, (a, b, c), ("a", "b", "c"))
+
+def _fourth(a, b, c, n2, tol) -> list:
+    """gyroparallelogram_fourth of trusted velocities; a ``tol`` of None allows collinear ones."""
+    if tol is not None:
+        _require(_area(a, b, c) >= tol, CollinearPoints,
+                 "lie on one gyroline; no gyroparallelogram", "a, b, c")
+    u = _coadd(b, c, n2[1:])
+    return _add(u, _neg(a), [_norm_sq_checked(u, "u")])
+
+
+_checked_fourth = _operation(_fourth, gyroparallelogram_fourth)
 
 
 @dataclass(frozen=True, eq=False)
@@ -167,8 +189,11 @@ class RootedGyrovector:
 
 def gyrovector_between(p, q) -> RootedGyrovector:
     """Rooted gyrovector from point p to point q."""
-    value = _one_pass(_left_sub, (p, q), ("p", "q"))
+    value = _checked_between(p, q)
     return RootedGyrovector(tail=_as_real(p, "p"), head=_as_real(q, "q"), value=value)
+
+
+_checked_between = _operation(_left_sub, gyrovector_between)
 
 
 def equivalent(g1: RootedGyrovector, g2: RootedGyrovector,
@@ -178,6 +203,7 @@ def equivalent(g1: RootedGyrovector, g2: RootedGyrovector,
     A bool for one pair, and a bool array of the rows for batches of one
     shape; values of different shapes are never equivalent.
     """
+    _require_instance(RootedGyrovector, g1=g1, g2=g2)
     if g1.value.shape != g2.value.shape:
         return False
     rows = np.all(np.abs(g1.value - g2.value) <= tol, axis=-1)
@@ -191,8 +217,12 @@ def translate_to(g: RootedGyrovector, new_tail) -> RootedGyrovector:
     is equivalent to ``g`` exactly.  The value is checked as well, since a
     gyrovector between points near c can leave the ball.
     """
-    head = _one_pass(_add, (new_tail, g.value), ("new_tail", "value"))
+    _require_instance(RootedGyrovector, g=g)
+    head = _checked_translate(new_tail, g.value)
     return RootedGyrovector(tail=_as_real(new_tail, "new_tail"), head=head, value=g.value)
+
+
+_checked_translate = _operation(_add, ("new_tail", "value"))
 
 
 def metric_tensor(x) -> np.ndarray:
@@ -203,7 +233,10 @@ def metric_tensor(x) -> np.ndarray:
     with G(x) = I/(1 - x^2) + x x^T/(1 - x^2)^2, the classical line element
     of the ball model.  Symmetric positive definite; the identity at x = 0.
     """
-    (x,), _, (n2,) = _single_vectors((x,), ("x",))
+    (x,), _, (n2,) = _checked_metric_point(x)
     n = x.shape[0]
     q = 1.0 - float(n2)
     return np.eye(n) / q + np.outer(x, x) / (q * q)
+
+
+_checked_metric_point = _operation(None, metric_tensor)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ball import _neg, _norm, _real_scalars, _single_vectors
+from .ball import _neg, _norm, _operation, _real_scalars, _require_instance
 from .errors import (
     AdmissibilityError,
     CollinearPoints,
@@ -62,9 +62,12 @@ def gyroangle(vertex, p, q, *, tol: float = 1e-14) -> float:
 
     Raises DegenerateAngle when either gyrovector is shorter than ``tol``.
     """
-    _, (vertex, p, q), n2 = _single_vectors((vertex, p, q), ("vertex", "p", "q"))
+    _, (vertex, p, q), n2 = _checked_gyroangle(vertex, p, q)
     neg = _neg(vertex)
     return _gyroangle(_add(neg, p, n2), _add(neg, q, n2), tol)
+
+
+_checked_gyroangle = _operation(None, gyroangle)
 
 
 def triangle_q(gamma_a: float, gamma_b: float, gamma_c: float) -> float:
@@ -193,7 +196,7 @@ def triangle_from_vertices(a, b, c) -> Gyrotriangle:
     are measured geometrically at each vertex and agree with the analytic
     conversion from the side gammas.
     """
-    vertices, (a, b, c), (na, nb, nc) = _single_vectors((a, b, c), ("a", "b", "c"))
+    vertices, (a, b, c), (na, nb, nc) = _checked_vertices(a, b, c)
     if _area(a, b, c) < COLLINEAR_AREA_TOL:
         raise CollinearPoints("vertices lie on one gyroline")
     # The gyrovectors ab, ac, ba, bc, ca and cb.
@@ -214,6 +217,9 @@ def triangle_from_vertices(a, b, c) -> Gyrotriangle:
         alpha=alpha, beta=beta, gamma=gamma,
         vertices=tuple(vertices),
     )
+
+
+_checked_vertices = _operation(None, triangle_from_vertices)
 
 
 def triangle_from_sides(side_a: float, side_b: float, side_c: float
@@ -287,6 +293,7 @@ def right_triangle_relations(tri: Gyrotriangle, *,
 
     Raises NotRightTriangle when the angle at C is not pi/2 within ``tol``.
     """
+    _require_instance(Gyrotriangle, tri=tri)
     if not tri.is_right(tol):
         raise NotRightTriangle(
             f"gyroangle at C is {tri.gamma:.17g}, not pi/2"
@@ -317,6 +324,7 @@ def right_triangle_relations(tri: Gyrotriangle, *,
 def law_of_gyrosines_ratios(tri: Gyrotriangle) -> tuple[float, float, float]:
     """The three ratios sin(angle)/sqrt(gamma_side^2 - 1); equal on any
     gyrotriangle."""
+    _require_instance(Gyrotriangle, tri=tri)
     return (
         math.sin(tri.alpha) / math.sqrt(tri.gamma_a ** 2 - 1.0),
         math.sin(tri.beta) / math.sqrt(tri.gamma_b ** 2 - 1.0),

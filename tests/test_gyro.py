@@ -1,6 +1,7 @@
 """Core algebra: gamma factors, Einstein addition, gyrations, coaddition."""
 
 import importlib
+import inspect
 import math
 import warnings
 
@@ -780,9 +781,9 @@ TWO_FAULTS = {
 # the shapes its shape match sees when the faulty ones have shapes s and t.
 TWO_FAULT_OPS = {
     "einstein_add": (einstein_add, ("u", "v"), lambda s, t: (s, t)),
-    "left_sub": (left_sub, ("u", "v"), lambda s, t: (s, t)),
+    "left_sub": (left_sub, ("a", "b"), lambda s, t: (s, t)),
     "cosub": (cosub, ("u", "v"), lambda s, t: (s, t)),
-    "gyrodistance": (gyrodistance, ("u", "v"), lambda s, t: (s, t)),
+    "gyrodistance": (gyrodistance, ("a", "b"), lambda s, t: (s, t)),
     "gyromidpoint": (gyromidpoint, ("a", "b"), lambda s, t: (s, t)),
     "gyrate_definitional": (lambda u, v: gyrate_definitional(OK, u, v), ("u", "v", "w"),
                             lambda s, t: ((3,), s, t)),
@@ -832,13 +833,13 @@ CHECKED_OPS = {
     "gamma": (gamma, ("v",), None),
     "einstein_add": (einstein_add, ("u", "v"), None),
     "einstein_sub": (einstein_sub, ("u", "v"), None),
-    "left_sub": (left_sub, ("u", "v"), None),
+    "left_sub": (left_sub, ("a", "b"), None),
     "gyrate": (gyrate, ("u", "v", "w"), 2),
     "gyrate_definitional": (gyrate_definitional, ("u", "v", "w"), None),
     "coadd": (coadd, ("u", "v"), None),
     "coadd_via_gyration": (coadd_via_gyration, ("u", "v"), None),
     "cosub": (cosub, ("u", "v"), None),
-    "gyrodistance": (gyrodistance, ("u", "v"), None),
+    "gyrodistance": (gyrodistance, ("a", "b"), None),
     "gyromidpoint": (gyromidpoint, ("a", "b"), None),
     "gamma_rel_minus_1": (gamma_rel_minus_1, ("u", "v"), None),
     "scalar_mul": (lambda v: scalar_mul(0.5, v), ("v",), None),
@@ -1142,3 +1143,127 @@ class TestValidationBoundary:
     def test_scalar_arguments_raise_gyrokin_errors(self, call, error):
         with pytest.raises(error):
             call()
+
+
+W_FIX = np.array([0.2, -0.1, 0.4])
+
+# Each callable that takes an object argument, called with None (or a list
+# holding None) in its place, and the name its error gives that argument.
+OBJECT_ARGUMENTS = {
+    "decompose": (lambda: decompose(None), "sys"),
+    "boost": (lambda: gk.boost(None, U_FIX), "sys"),
+    "collide_and_stick": (lambda: gk.collide_and_stick(Particle(1.0, U_FIX), None), "p2"),
+    "translate_to": (lambda: translate_to(None, U_FIX), "g"),
+    "equivalent": (lambda: gk.equivalent(gyrovector_between(U_FIX, V_FIX), None), "g2"),
+    "right_triangle_relations": (lambda: gk.right_triangle_relations(None), "tri"),
+    "law_of_gyrosines_ratios": (lambda: gk.law_of_gyrosines_ratios(None), "tri"),
+    "parse_particles": (lambda: gk.parse_particles(None), "text"),
+    "ParticleSystem": (lambda: ParticleSystem(None), "particles"),
+    "ParticleSystem-item": (lambda: ParticleSystem([Particle(1.0, U_FIX), None]),
+                            "particles[1]"),
+}
+
+
+@pytest.mark.parametrize("op", list(OBJECT_ARGUMENTS))
+def test_object_argument_of_wrong_type_raises_one_error_class(op):
+    call, name = OBJECT_ARGUMENTS[op]
+    with pytest.raises(gk.OperandTypeError) as info:
+        call()
+    assert isinstance(info.value, GyrokinError) and isinstance(info.value, TypeError)
+    assert info.value.name == name
+    assert str(info.value).startswith(f"{name} must be ")
+    assert str(info.value).endswith("not NoneType")
+
+
+# Every operation whose operands are declared once (ball._operation), with
+# one vector for each vector argument.  boost is left out: its u is declared,
+# but it runs row blocks over its system's velocities by design.
+DECLARED_OPS = {
+    "as_velocity": (ball.as_velocity, (U_FIX,)),
+    "gamma": (gamma, (U_FIX,)),
+    "einstein_add": (einstein_add, (U_FIX, V_FIX)),
+    "einstein_sub": (einstein_sub, (U_FIX, V_FIX)),
+    "left_sub": (left_sub, (U_FIX, V_FIX)),
+    "gyrate": (gyrate, (U_FIX, V_FIX, W_FIX)),
+    "gyrate_definitional": (gyrate_definitional, (U_FIX, V_FIX, W_FIX)),
+    "coadd": (coadd, (U_FIX, V_FIX)),
+    "coadd_via_gyration": (coadd_via_gyration, (U_FIX, V_FIX)),
+    "cosub": (cosub, (U_FIX, V_FIX)),
+    "Gyration.apply": (Gyration(U_FIX, V_FIX).apply, (W_FIX,)),
+    "gyrodistance": (gyrodistance, (U_FIX, V_FIX)),
+    "gyromidpoint": (gyromidpoint, (U_FIX, V_FIX)),
+    "gyroparallelogram_fourth": (gyroparallelogram_fourth, (U_FIX, V_FIX, W_FIX)),
+    "gyrovector_between": (gyrovector_between, (U_FIX, V_FIX)),
+    "translate_to": (translate_to, (gyrovector_between(U_FIX, V_FIX), W_FIX)),
+    "gamma_rel_minus_1": (gamma_rel_minus_1, (U_FIX, V_FIX)),
+    "Gyration": (Gyration, (U_FIX, V_FIX)),
+    "gyroangle": (gk.gyroangle, (W_FIX, U_FIX, V_FIX)),
+    "triangle_from_vertices": (triangle_from_vertices, (U_FIX, V_FIX, W_FIX)),
+    "metric_tensor": (gk.metric_tensor, (U_FIX,)),
+    "Particle": (Particle, (1.0, U_FIX)),
+}
+
+
+def bits(x):
+    """x's type and the bytes of every array and float it holds, nested as x is."""
+    if isinstance(x, (np.ndarray, np.generic, float)):
+        a = np.asarray(x)
+        return type(x), a.dtype, a.shape, a.tobytes()
+    if isinstance(x, (tuple, list)):
+        return type(x), tuple(map(bits, x))
+    if hasattr(x, "__dict__"):
+        return type(x), tuple((k, bits(v)) for k, v in sorted(vars(x).items()))
+    return x
+
+
+class TestDeclaredOperations:
+    """Each operation's checked boundary is built once and takes two routes."""
+
+    @pytest.fixture
+    def entered(self, monkeypatch):
+        """Names of the row-block helpers of ball entered since the test began."""
+        calls = []
+        for name in ("_by_rows", "_on_components", "_components"):
+            original = getattr(ball, name)
+
+            def spy(*args, _name=name, _original=original, **kwargs):
+                calls.append(_name)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(ball, name, spy)
+        return calls
+
+    @pytest.mark.parametrize("op", list(DECLARED_OPS))
+    def test_one_vector_takes_no_row_blocks(self, entered, op):
+        fn, args = DECLARED_OPS[op]
+        fn(*args)
+        assert entered == []
+        # The first vector argument as a batch of four rows: the row blocks
+        # run it, or an operation on single vectors rejects it, and either
+        # way no row-block function is made for the call.
+        i = next(i for i, x in enumerate(args) if isinstance(x, np.ndarray))
+        batch = list(args)
+        batch[i] = np.array([args[i]] * 4)
+        if op in SINGLE_VECTOR_OPS:
+            with pytest.raises(DimensionError):
+                fn(*batch)
+            assert entered == []
+        else:
+            fn(*batch)
+            assert "_by_rows" in entered and "_components" in entered
+            assert "_on_components" not in entered
+
+    @pytest.mark.parametrize("op", list(DECLARED_OPS))
+    def test_keyword_call_gives_the_positional_bits(self, op):
+        fn, args = DECLARED_OPS[op]
+        keywords = inspect.signature(fn).bind(*args).arguments
+        assert bits(fn(**keywords)) == bits(fn(*args))
+
+    @pytest.mark.parametrize("op", list(DECLARED_OPS))
+    def test_defined_where_its_module_says(self, op):
+        fn = DECLARED_OPS[op][0]
+        fn = getattr(fn, "__func__", fn)
+        found = importlib.import_module(fn.__module__)
+        for part in fn.__qualname__.split("."):
+            found = getattr(found, part)
+        assert found is fn
