@@ -478,6 +478,9 @@ def _operation(kernel, names, ambient_last: bool = False):
         result = kernel(*vecs, n2, **params)
         return np.array(result) if type(result) is list else np.float64(result)
 
+    # many alone would do for every arity, but its lists of operands and star
+    # calls cost one vector about 1 us more a call (CPython 3.11 on x86_64), a
+    # third of einstein_add's and half of gamma's.
     return {1: one, 2: two}.get(len(names), many)
 
 

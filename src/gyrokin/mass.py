@@ -103,7 +103,10 @@ class ParticleSystem:
         except TypeError:
             raise OperandTypeError("must be an iterable of Particle objects, not "
                                    f"{type(particles).__name__}", name="particles") from None
-        _require_instance(Particle, **{f"particles[{i}]": p for i, p in enumerate(parts)})
+        for i, p in enumerate(parts):
+            if not isinstance(p, Particle):
+                raise OperandTypeError(f"must be a Particle, not {type(p).__name__}",
+                                       name=f"particles[{i}]")
         if len(parts) < 1:
             raise DimensionError("a particle system needs at least one particle")
         if len({p.velocity.shape for p in parts}) > 1:

@@ -155,12 +155,12 @@ def gyroparallelogram_fourth(a, b, c, *, allow_degenerate: bool = False,
     A batch's error names its first collinear row.  Near c the coaddition
     b [+] c can leave the ball, so it is checked.
     """
-    return _checked_fourth(a, b, c, tol=None if allow_degenerate else tol)
+    return _checked_fourth(a, b, c, allow_degenerate=allow_degenerate, tol=tol)
 
 
-def _fourth(a, b, c, n2, tol) -> list:
-    """gyroparallelogram_fourth of trusted velocities; a ``tol`` of None allows collinear ones."""
-    if tol is not None:
+def _fourth(a, b, c, n2, allow_degenerate, tol) -> list:
+    """gyroparallelogram_fourth of trusted velocities."""
+    if not allow_degenerate:
         _require(_area(a, b, c) >= tol, CollinearPoints,
                  "lie on one gyroline; no gyroparallelogram", "a, b, c")
     u = _coadd(b, c, n2[1:])
