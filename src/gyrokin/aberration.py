@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ball import _by_rows, _norm_sq_checked, _real_arrays, _real_scalars, _require
+from .ball import _by_rows, _norm, _norm_sq_checked, _real_arrays, _real_scalars, _record, _require
 from .errors import AdmissibilityError, AngleDegenerate, DimensionError
 from .gyro import _add, _gamma_of_speed
 from .trig import _gyroangle
@@ -34,9 +34,9 @@ ARCSEC_PER_RAD = 180.0 * 3600.0 / math.pi
 SIN_TOL = 1e-14
 
 
-# The range checks below take float arrays or numpy floats, coerced by their
-# callers (_real_arrays), and raise through _require, so that a batch's error
-# names its first failing row.
+# The range checks below take float arrays, numpy floats or Python floats,
+# coerced by their callers (_real_arrays, _real_scalars), and raise through
+# _require, so that a batch's error names its first failing row.
 
 def _check_angle(theta, name):
     """sin(theta), once theta lies strictly inside (0, pi) and sin(theta) >= SIN_TOL."""
@@ -182,7 +182,7 @@ def aberration_scene(v, p_s, theta_s) -> AberrationResult:
     velocity composition).
     """
     v, p_s, theta_s = _real_scalars((v, p_s, theta_s), ("v", "p_s", "theta_s"))
-    _check_angle(np.float64(theta_s), "theta_s")
+    _check_angle(theta_s, "theta_s")
     if v < 0.0:
         raise AdmissibilityError("v must lie in [0, 1)")
     if v == 0.0:
@@ -199,8 +199,8 @@ def aberration_scene(v, p_s, theta_s) -> AberrationResult:
     _norm_sq_checked(particle, "v (+) p_s")
     # E sits at the origin, so the gyrovectors from E are S and P themselves.
     p_e = float(np.linalg.norm(particle))
-    return AberrationResult(v=v, p_e=p_e, p_s=p_s,
-                            theta_e=_gyroangle(sun, particle), theta_s=theta_s)
+    return _record(AberrationResult, v=v, p_e=p_e, p_s=p_s, theta_s=theta_s,
+                   theta_e=_gyroangle(sun, particle, _norm(sun), _norm(particle)))
 
 
 def aberration_sweep(v, p, n_samples: int):

@@ -221,9 +221,12 @@ def _as_real(v, name: str) -> np.ndarray:
 def _real_scalars(values, names) -> list:
     """The scalar arguments ``values``, labelled ``names``, as Python floats.
 
-    Coerced in one call; raises DimensionError if any of them is a batch and
+    Python floats are taken as they are; otherwise all are coerced in one
+    call, which raises DimensionError if any of them is a batch and
     AdmissibilityError if any is not real-valued.
     """
+    if all(type(x) is float for x in values):
+        return list(values)
     label = names[0] if len(names) == 1 else f"one of {', '.join(names)}"
     try:
         arr = np.asarray(values)
@@ -233,6 +236,24 @@ def _real_scalars(values, names) -> list:
     if arr.shape != (len(names),):
         raise DimensionError(f"{label} is a batch, not a scalar")
     return arr.tolist()
+
+
+def _read_only(a) -> np.ndarray:
+    """A read-only copy of the array ``a``."""
+    a = a.copy()
+    a.setflags(write=False)
+    return a
+
+
+def _record(cls, **fields):
+    """A ``cls`` record, a frozen dataclass, with every field set in one step.
+
+    ``fields`` must name every field; __init__ would set them one by one,
+    each through object.__setattr__.
+    """
+    record = cls.__new__(cls)
+    vars(record).update(fields)
+    return record
 
 
 def _first_row(ok) -> tuple:

@@ -11,10 +11,13 @@ All velocities are unit-ball fractions of c (see :mod:`gyrokin.ball`).
 
 from __future__ import annotations
 
+import math
+from dataclasses import dataclass
+
 import numpy as np
 
 from .ball import (_by_rows, _dot, _gamma, _neg, _norm, _norm_sq, _norm_sq_checked, _operation,
-                   _real_array, _real_arrays, _require, _sqrt)
+                   _read_only, _real_array, _real_arrays, _require, _sqrt)
 from .errors import AdmissibilityError
 
 
@@ -141,26 +144,37 @@ def add_speeds(x, y):
     return _by_rows(kernel, *_real_arrays((x, y), ("x", "y")), core=0)
 
 
-def _gyr_coeffs(u, v, w, n2):
-    """Closed-form coefficients A, B, D with gyr[u,v]w = w + (A u + B v)/D."""
+def _gyr_factors(u, v, n2) -> tuple:
+    """The factors of gyr[u, v]'s closed form that do not depend on w.
+
+    Each is a product of the closed form in its own association, so that
+    _gyr_coeffs applies them to w with the bits of the whole expression.
+    """
     gu = _gamma(n2[0])
     gv = _gamma(n2[1])
     uv = _dot(u, v)
+    gu2, gu1, gv1, guv = gu * gu, gu + 1.0, gv + 1.0, gu * gv
+    return (-gu2 / gu1 * (gv - 1.0), guv, 2.0 * (gu2 * gv * gv) / (gu1 * gv1) * uv,
+            -(gv / gv1), gu * gv1, (gu - 1.0) * gv, guv * (1.0 + uv) + 1.0)
+
+
+def _gyr_coeffs(u, v, w, factors):
+    """Closed-form coefficients A, B, D with gyr[u,v]w = w + (A u + B v)/D.
+
+    ``factors`` are _gyr_factors(u, v, n2).
+    """
+    k_uw, k_vw, k_uv_vw, b_scale, b_uw, b_vw, d = factors
     uw = _dot(u, w)
     vw = _dot(v, w)
-    a = (
-        -(gu * gu) / (gu + 1.0) * (gv - 1.0) * uw
-        + gu * gv * vw
-        + 2.0 * (gu * gu * gv * gv) / ((gu + 1.0) * (gv + 1.0)) * uv * vw
-    )
-    b = -(gv / (gv + 1.0)) * (gu * (gv + 1.0) * uw + (gu - 1.0) * gv * vw)
-    d = gu * gv * (1.0 + uv) + 1.0
-    return a, b, d
+    return k_uw * uw + k_vw * vw + k_uv_vw * vw, b_scale * (b_uw * uw + b_vw * vw), d
 
 
-def _gyrate(u, v, w, n2) -> list:
-    """Closed-form gyr[u, v]w of trusted velocities u, v and ambient w."""
-    a, b, d = _gyr_coeffs(u, v, w, n2)
+def _gyrate(u, v, w, factors) -> list:
+    """Closed-form gyr[u, v]w of trusted velocities u, v and ambient w.
+
+    ``factors`` are _gyr_factors(u, v, n2).
+    """
+    a, b, d = _gyr_coeffs(u, v, w, factors)
     return [(a * x + b * y) / d + z for x, y, z in zip(u, v, w)]
 
 
@@ -173,7 +187,8 @@ def gyrate(u, v, w) -> np.ndarray:
     return _checked_gyrate(u, v, w)
 
 
-_checked_gyrate = _operation(_gyrate, gyrate, ambient_last=True)
+_checked_gyrate = _operation(lambda u, v, w, n2: _gyrate(u, v, w, _gyr_factors(u, v, n2)),
+                             gyrate, ambient_last=True)
 
 
 def _gyrate_definitional(u, v, w, n2) -> list:
@@ -231,7 +246,8 @@ _checked_coadd = _operation(_coadd, coadd)
 
 
 def _coadd_via_gyration(u, v, n2) -> list:
-    g = _gyrate(u, _neg(v), v, n2)
+    neg = _neg(v)
+    g = _gyrate(u, neg, v, _gyr_factors(u, neg, n2))
     _norm_sq_checked(g, "v")
     return _add(u, g, n2)
 
@@ -267,63 +283,69 @@ def cosub(u, v) -> np.ndarray:
 _checked_cosub = _operation(_cosub, cosub)
 
 
-def _gyrate_by(u, w, n2, v, nv) -> list:
-    """gyr[u, v]w of a Gyration: its trusted generator v, with |v|^2 ``nv``, as a parameter."""
-    return _gyrate(u, v, w, (n2[0], nv))
-
-
-_checked_apply = _operation(_gyrate_by, ("u", "w"), ambient_last=True)
+_checked_apply = _operation(lambda u, w, n2, v, factors: _gyrate(u, v, w, factors), ("u", "w"),
+                            ambient_last=True)
 _checked_generators = _operation(None, ("u", "v"))
 
 
+@dataclass(frozen=True, eq=False, init=False)
 class Gyration:
     """The rotation gyr[u, v] packaged with its generating pair.
 
-    The operator is lazy: applications re-evaluate the closed-form
-    coefficients against the stored generators, which keeps any ambient
-    vector admissible as input.  ``matrix()`` materializes the n x n rotation
-    for callers that want it, as the gyrations of the n unit vectors.
+    Built once and applied many times: the generators are checked, and the
+    factors of the closed form that depend on them alone computed, when the
+    gyration is made.  Any ambient vector is admissible as input to
+    ``apply``.  ``matrix()`` materializes the n x n rotation for callers
+    that want it, as the gyrations of the n unit vectors.  ``u`` and ``v``
+    are read-only copies of the generators, and assigning either raises.
     """
 
+    u: np.ndarray
+    v: np.ndarray
+
     def __init__(self, u, v):
-        (self.u, self.v), _, _ = _checked_generators(u, v)
+        (u, v), floats, n2 = _checked_generators(u, v)
+        self._set(_read_only(u), _read_only(v), floats, n2)
+
+    def _set(self, u, v, floats, n2) -> "Gyration":
+        """Hold the generators, their floats and squared norms, and the factors."""
+        vars(self).update(u=u, v=v, _floats=floats, _n2=n2, _factors=_gyr_factors(*floats, n2))
+        return self
+
+    def __reduce__(self):
+        # Unpickled arrays are writeable: rebuild, so that u and v stay read-only copies.
+        return Gyration, (self.u, self.v)
 
     @property
     def dim(self) -> int:
-        return self.u.shape[0]
-
-    def _generators(self):
-        """The components of u and v, and their squared norms."""
-        u, v = self.u.tolist(), self.v.tolist()
-        return u, v, [_norm_sq(u), _norm_sq(v)]
+        return len(self._floats[0])
 
     def apply(self, w) -> np.ndarray:
-        v = self.v.tolist()
-        return _checked_apply(self.u, w, v=v, nv=_norm_sq(v))
+        return _checked_apply(self.u, w, v=self._floats[1], factors=self._factors)
 
     __call__ = apply
 
     def inverse(self) -> "Gyration":
         """gyr[v, u], which undoes this gyration."""
-        inv = Gyration.__new__(Gyration)
-        inv.u, inv.v = self.v, self.u  # already validated
-        return inv
+        (u, v), (nu, nv) = self._floats, self._n2
+        return Gyration.__new__(Gyration)._set(self.v, self.u, [v, u], [nv, nu])
 
     def matrix(self) -> np.ndarray:
         """The operator as an orthogonal n x n matrix acting on columns.
 
         Column j is gyr[u, v] e_j, as apply computes it.
         """
-        u, v, n2 = self._generators()
-        return np.array([_gyrate(u, v, e, n2) for e in np.eye(self.dim).tolist()]).T
+        u, v = self._floats
+        n = len(u)
+        basis = [[1.0 if i == j else 0.0 for i in range(n)] for j in range(n)]
+        return np.array([_gyrate(u, v, e, self._factors) for e in basis]).T
 
     def is_trivial(self, tol: float = 1e-14) -> bool:
         """True when the generators make the gyration the identity map."""
-        u, v, _ = self._generators()
-        nu, nv = float(_norm(u)), float(_norm(v))
+        nu, nv = map(math.sqrt, self._n2)
         if nu < tol or nv < tol:
             return True
-        cross_sq = nu * nu * nv * nv - float(_dot(u, v)) ** 2
+        cross_sq = nu * nu * nv * nv - float(_dot(*self._floats)) ** 2
         return cross_sq <= (tol * nu * nv) ** 2
 
     def rotation_angle(self) -> float:
@@ -334,12 +356,9 @@ class Gyration:
         """
         if self.is_trivial():
             return 0.0
-        u, v, n2 = self._generators()
-        nu = _norm(u)
+        u, v = self._floats
+        nu = _sqrt(self._n2[0])
         e = [x / nu for x in u]
-        f = _gyrate(u, v, e, n2)
+        f = _gyrate(u, v, e, self._factors)
         return float(2.0 * np.arctan2(_norm([x - y for x, y in zip(e, f)]),
                                       _norm([x + y for x, y in zip(e, f)])))
-
-    def __repr__(self) -> str:
-        return f"Gyration(u={self.u!r}, v={self.v!r})"

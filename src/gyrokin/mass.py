@@ -38,8 +38,8 @@ from functools import partial
 import numpy as np
 
 from .ball import (_as_real, _by_rows, _gamma, _norm_sq, _norm_sq_checked, _on_components,
-                   _operation, _real_scalars, _require, _require_instance, as_velocity, norm_sq,
-                   same_shape)
+                   _operation, _read_only, _real_scalars, _record, _require, _require_instance,
+                   as_velocity, norm_sq, same_shape)
 from .errors import AdmissibilityError, DimensionError, GyrokinError, OperandTypeError
 from .gyro import _add
 
@@ -68,9 +68,7 @@ class Particle:
         if not (mass > 0.0 and math.isfinite(mass)):
             raise AdmissibilityError("particle mass must be positive and finite")
         (vel,), _, _ = _checked_particle_velocity(velocity)
-        vel = vel.copy()
-        vel.setflags(write=False)
-        vars(self).update(mass=mass, velocity=vel)  # the fields of a frozen dataclass
+        vars(self).update(mass=mass, velocity=_read_only(vel))  # the fields of a frozen dataclass
 
     @property
     def gamma(self) -> float:
@@ -231,7 +229,8 @@ def decompose(sys: ParticleSystem) -> MassDecomposition:
     v0 = momentum / energy
     g0 = float(_gamma(norm_sq(v0)))
     residual = np.hypot(m0 * g0 - energy, float(np.linalg.norm(m0 * g0 * v0 - momentum)))
-    return MassDecomposition(
+    return _record(
+        MassDecomposition,
         m0=m0,
         v0=v0,
         m_newton=m_newton,

@@ -36,8 +36,11 @@ def _scalar_mul(r, v, name: str) -> list:
     """
     _require(np.isfinite(r), NonFinite, "must be finite", name)
     n = _sqrt(_norm_sq_checked(v, "v"))
-    mag = np.clip(np.tanh(r * np.arctanh(n)), -MAX_NORM, MAX_NORM)
-    scale = _ratio(mag if mag.ndim else float(mag), n)
+    mag = np.tanh(r * np.arctanh(n))
+    # np.clip of one value costs more than the rest of one vector's call.
+    mag = np.clip(mag, -MAX_NORM, MAX_NORM) if mag.ndim else min(max(float(mag), -MAX_NORM),
+                                                                 MAX_NORM)
+    scale = _ratio(mag, n)
     return [scale * x for x in v]
 
 
@@ -48,6 +51,10 @@ def scalar_mul(r, v) -> np.ndarray:
     definition.  The magnitude is clamped into the admissible ball so that
     the result is valid for every finite r.
     """
+    if type(r) is float:  # one vector runs on its floats
+        v = _as_real(v, "v")
+        if v.ndim == 1:
+            return np.array(_scalar_mul(r, v.tolist(), "scalar factor"))
     r, v = _real_array(r, "scalar factor")[..., None], _as_real(v, "v")
     same_shape((r, v[..., :1]), ("scalar factor", "v"))
     return _by_rows(_scaled_rows, r, v)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ball import _neg, _norm, _operation, _real_scalars, _require_instance
+from .ball import _neg, _norm, _operation, _real_scalars, _record, _require_instance
 from .errors import (
     AdmissibilityError,
     CollinearPoints,
@@ -36,15 +36,14 @@ CLAMP_TOL = 1e-12
 RIGHT_ANGLE_TOL = 1e-8
 
 
-def _gyroangle(p, q, tol: float = 1e-14) -> float:
+def _gyroangle(p, q, lp, lq, tol: float = 1e-14) -> float:
     """Angle between the gyrovectors p and q, via 2*atan2(|p^ - q^|, |p^ + q^|).
 
-    p and q are lists of Python floats.  Exact at 0 for bitwise-equal
-    directions and well conditioned near both 0 and pi, unlike arccos of a
-    clamped dot product.  Raises DegenerateAngle when either gyrovector is
-    shorter than ``tol``.
+    p and q are lists of Python floats, and lp and lq their norms (_norm).
+    Exact at 0 for bitwise-equal directions and well conditioned near both 0
+    and pi, unlike arccos of a clamped dot product.  Raises DegenerateAngle
+    when either gyrovector is shorter than ``tol``.
     """
-    lp, lq = _norm(p), _norm(q)
     if not (lp >= tol and lq >= tol):
         raise DegenerateAngle("gyrovector of near-zero gyrolength at vertex")
     up = [x / lp for x in p]
@@ -64,7 +63,8 @@ def gyroangle(vertex, p, q, *, tol: float = 1e-14) -> float:
     """
     _, (vertex, p, q), n2 = _checked_gyroangle(vertex, p, q)
     neg = _neg(vertex)
-    return _gyroangle(_add(neg, p, n2), _add(neg, q, n2), tol)
+    p, q = _add(neg, p, n2), _add(neg, q, n2)
+    return _gyroangle(p, q, _norm(p), _norm(q), tol)
 
 
 _checked_gyroangle = _operation(None, gyroangle)
@@ -113,10 +113,14 @@ def sss_to_aaa(gamma_a: float, gamma_b: float, gamma_c: float
     a gyrotriangle (any cos outside [-1, 1] beyond rounding, negative
     triangle quantity, or a gamma at/below 1).
     """
-    gs = _real_scalars((gamma_a, gamma_b, gamma_c), ("gamma_a", "gamma_b", "gamma_c"))
-    if not all(g > 1.0 for g in gs):
+    return _sss_to_aaa(*_real_scalars((gamma_a, gamma_b, gamma_c),
+                                      ("gamma_a", "gamma_b", "gamma_c")))
+
+
+def _sss_to_aaa(ga: float, gb: float, gc: float) -> tuple[float, float, float]:
+    """sss_to_aaa of three trusted Python floats."""
+    if not (ga > 1.0 and gb > 1.0 and gc > 1.0):
         raise InvalidTriangle("side gamma factors must exceed 1")
-    ga, gb, gc = gs
     if _triangle_q(ga, gb, gc) < 0.0:  # negative beyond the rounding band
         raise InvalidTriangle("negative triangle quantity; sides do not close")
     ra = math.sqrt(ga * ga - 1.0)
@@ -178,7 +182,13 @@ class Gyrotriangle:
 
     @property
     def defect(self) -> float:
-        """pi minus the gyroangle sum; positive for every gyrotriangle."""
+        """pi minus the gyroangle sum.
+
+        Positive for every gyrotriangle in exact arithmetic, but a thin
+        triangle solved from its sides can lose its smallest angle to
+        rounding (in sss_to_aaa), and its defect can then read zero or
+        slightly negative.
+        """
         return math.pi - (self.alpha + self.beta + self.gamma)
 
     @property
@@ -202,16 +212,18 @@ def triangle_from_vertices(a, b, c) -> Gyrotriangle:
     # The gyrovectors ab, ac, ba, bc, ca and cb.
     g = [_add(_neg(p), q, [n2]) for p, q, n2 in
          ((a, b, na), (a, c, na), (b, a, nb), (b, c, nb), (c, a, nc), (c, b, nc))]
-    sides = [float(_norm(g[3])), float(_norm(g[1])), float(_norm(g[0]))]
+    lengths = list(map(_norm, g))
+    sides = [float(lengths[3]), float(lengths[1]), float(lengths[0])]
     for i, side in enumerate(sides):
         if not side < 1.0:  # a side between points near c can round to 1
             ends = " and ".join("abc".replace("abc"[i], ""))
             raise AdmissibilityError(f"side {'abc'[i]}, between vertices {ends}, has "
                                      f"gyrolength {side:.17g}, not below 1")
     ga, gb, gc = map(_gamma_of_speed, sides)
-    alpha, beta, gamma = (_gyroangle(*g[i:i + 2]) for i in (0, 2, 4))
+    alpha, beta, gamma = (_gyroangle(*g[i:i + 2], *lengths[i:i + 2]) for i in (0, 2, 4))
     side_a, side_b, side_c = sides
-    return Gyrotriangle(
+    return _record(
+        Gyrotriangle,
         side_a=side_a, side_b=side_b, side_c=side_c,
         gamma_a=ga, gamma_b=gb, gamma_c=gc,
         alpha=alpha, beta=beta, gamma=gamma,
@@ -229,11 +241,12 @@ def triangle_from_sides(side_a: float, side_b: float, side_c: float
     if not all(0.0 < s < 1.0 for s in sides):
         raise InvalidTriangle("side gyrolengths must lie in (0, 1)")
     ga, gb, gc = map(_gamma_of_speed, sides)
-    alpha, beta, gamma = sss_to_aaa(ga, gb, gc)
-    return Gyrotriangle(
+    alpha, beta, gamma = _sss_to_aaa(ga, gb, gc)
+    return _record(
+        Gyrotriangle,
         side_a=sides[0], side_b=sides[1], side_c=sides[2],
         gamma_a=ga, gamma_b=gb, gamma_c=gc,
-        alpha=alpha, beta=beta, gamma=gamma,
+        alpha=alpha, beta=beta, gamma=gamma, vertices=None,
     )
 
 
@@ -247,10 +260,11 @@ def triangle_from_angles(alpha: float, beta: float, gamma: float
     sides = [_speed_of_gamma(g) for g in (ga, gb, gc)]
     if not all(s < 1.0 for s in sides):
         raise NoSuchTriangle("gyroangles so small that a side reaches 1")
-    return Gyrotriangle(
+    return _record(
+        Gyrotriangle,
         side_a=sides[0], side_b=sides[1], side_c=sides[2],
         gamma_a=ga, gamma_b=gb, gamma_c=gc,
-        alpha=float(alpha), beta=float(beta), gamma=float(gamma),
+        alpha=float(alpha), beta=float(beta), gamma=float(gamma), vertices=None,
     )
 
 

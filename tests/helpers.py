@@ -61,6 +61,32 @@ def pairwise_dark_sq(masses, velocities):
     return 2.0 * float(np.sum(rows))
 
 
+def gyr_coeffs_oracle(u, v, w):
+    """gyr[u, v]w's closed-form coefficients A, B, D, each one expression.
+
+    Written out on float arrays, with np.sum's dot products, in the
+    association gyro._gyr_factors and gyro._gyr_coeffs split it into: the
+    factors that depend only on u and v, and their application to w.
+    """
+    gu = 1.0 / np.sqrt(1.0 - np.sum(u * u, axis=-1))
+    gv = 1.0 / np.sqrt(1.0 - np.sum(v * v, axis=-1))
+    uv, uw, vw = (np.sum(x * y, axis=-1) for x, y in ((u, v), (u, w), (v, w)))
+    a = (
+        -(gu * gu) / (gu + 1.0) * (gv - 1.0) * uw
+        + gu * gv * vw
+        + 2.0 * (gu * gu * gv * gv) / ((gu + 1.0) * (gv + 1.0)) * uv * vw
+    )
+    b = -(gv / (gv + 1.0)) * (gu * (gv + 1.0) * uw + (gu - 1.0) * gv * vw)
+    d = gu * gv * (1.0 + uv) + 1.0
+    return a, b, d
+
+
+def gyrate_oracle(u, v, w):
+    """gyr[u, v]w = (A u + B v)/D + w from gyr_coeffs_oracle."""
+    a, b, d = (np.asarray(x)[..., None] for x in gyr_coeffs_oracle(u, v, w))
+    return (a * u + b * v) / d + w
+
+
 def cosub_via_gyration(u, v):
     """u (-) gyr[u, v]v: cosubtraction from its definition, the oracle of cosub."""
     return einstein_sub(u, gyrate(u, v, v))

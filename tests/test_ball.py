@@ -1,5 +1,7 @@
 """The validation layer: last-axis sums and the admissibility check."""
 
+import dataclasses
+import math
 import pickle
 import tracemalloc
 import warnings
@@ -7,14 +9,15 @@ import warnings
 import numpy as np
 import pytest
 
-from gyrokin import (AdmissibilityError, AngleDegenerate, DimensionError, NonFinite,
-                     add_speeds, are_gyrocollinear, classical_aberration,
-                     classical_aberration_inv, classical_matched_p_e, gamma, gamma_of_speed,
-                     gyrate, gyroline_point, relativistic_aberration,
-                     relativistic_aberration_inv, relativistic_matched_p_e, scalar_mul,
-                     speed_of_gamma, stellar_aberration, stellar_aberration_inv,
-                     triangle_area)
-from gyrokin.ball import as_velocity, dot, norm_sq
+from gyrokin import (AdmissibilityError, AngleDegenerate, DimensionError, Gyrotriangle,
+                     NonFinite, Particle, ParticleSystem, aberration_scene, add_speeds,
+                     are_gyrocollinear, classical_aberration, classical_aberration_inv,
+                     classical_matched_p_e, decompose, gamma, gamma_of_speed, gyrate,
+                     gyroline_point, relativistic_aberration, relativistic_aberration_inv,
+                     relativistic_matched_p_e, scalar_mul, speed_of_gamma, stellar_aberration,
+                     stellar_aberration_inv, triangle_area, triangle_from_angles,
+                     triangle_from_sides, triangle_from_vertices)
+from gyrokin.ball import _real_scalars, _record, as_velocity, dot, norm_sq
 from helpers import broadcast_error, in_blocks, raised
 
 DIMS = range(1, 11)
@@ -281,3 +284,59 @@ def test_long_batch_checked_without_a_norm_array():
 def test_empty_batch_is_admissible():
     for check in (as_velocity, gyrate_w):
         assert check(np.zeros((0, 3))).shape == (0, 3)
+
+
+SCALAR_NAMES = ("x", "y", "z")
+
+
+@pytest.mark.parametrize("values", [(-0.0, 0.0, 1.0), (math.nan, -math.inf, math.inf),
+                                    (5e-324, -5e-324, 1.7976931348623157e308)])
+def test_python_floats_are_taken_as_they_are(values):
+    """The route of Python floats returns what coercion through numpy returns, bit for bit."""
+    got = _real_scalars(values, SCALAR_NAMES)
+    via_numpy = _real_scalars((np.float64(values[0]),) + values[1:], SCALAR_NAMES)
+    assert type(got) is list and [type(x) for x in got] == [float] * 3
+    assert np.array(got).tobytes() == np.array(via_numpy).tobytes()
+
+
+def test_other_scalars_are_coerced():
+    """np.float64 and int go through numpy, which returns Python floats."""
+    got = _real_scalars((np.float64(-0.0), 2, True), SCALAR_NAMES)
+    assert [type(x) for x in got] == [float] * 3
+    assert np.array(got).tobytes() == np.array([-0.0, 2.0, 1.0]).tobytes()
+    with pytest.raises(DimensionError, match="^one of x, y, z is a batch"):
+        _real_scalars((0.5, [0.5, 0.5], 0.5), SCALAR_NAMES)
+    with pytest.raises(AdmissibilityError, match="^one of x, y, z is not real-valued"):
+        _real_scalars((0.5, 1j, 0.5), SCALAR_NAMES)
+
+
+TRIANGLE = triangle_from_vertices([0.1, 0.2], [-0.3, 0.1], [0.2, -0.4])
+SYSTEM = ParticleSystem((Particle(1.0, [0.5, 0.0]), Particle(2.0, [-0.1, 0.3])))
+RECORDS = {
+    "triangle_from_vertices": TRIANGLE,
+    "triangle_from_sides": triangle_from_sides(TRIANGLE.side_a, TRIANGLE.side_b,
+                                               TRIANGLE.side_c),
+    "triangle_from_angles": triangle_from_angles(TRIANGLE.alpha, TRIANGLE.beta,
+                                                 TRIANGLE.gamma),
+    "aberration_scene": aberration_scene(0.5, 0.6, 1.0),
+    "decompose": decompose(SYSTEM),
+}
+
+
+@pytest.mark.parametrize("name", RECORDS)
+def test_record_is_the_dataclass_its_init_makes(name):
+    """A record set in one step has every field, as __init__ would set them."""
+    record = RECORDS[name]
+    cls = type(record)
+    fields = {f.name: getattr(record, f.name) for f in dataclasses.fields(cls)}
+    assert vars(record).keys() == fields.keys()
+    made = cls(**fields)
+    assert repr(made) == repr(record) == repr(_record(cls, **fields))
+    first = dataclasses.fields(cls)[0].name
+    assert repr(dataclasses.replace(record, **{first: 0.25})) == repr(
+        dataclasses.replace(made, **{first: 0.25}))
+    assert repr(pickle.loads(pickle.dumps(record))) == repr(record)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(record, first, 0.25)
+    if cls is Gyrotriangle:
+        assert record.defect == made.defect and record.q == made.q

@@ -1,8 +1,10 @@
 """Core algebra: gamma factors, Einstein addition, gyrations, coaddition."""
 
+import dataclasses
 import importlib
 import inspect
 import math
+import pickle
 import warnings
 
 import numpy as np
@@ -54,10 +56,11 @@ from gyrokin import (
 )
 from gyrokin import ball
 from gyrokin.ball import BALL_MARGIN, MAX_NORM, norm_sq
-from gyrokin.gyro import _gyr_coeffs
+from gyrokin.gyro import _gyr_coeffs, _gyr_factors
 from helpers import (BLOCK_LENGTHS, LAYOUTS, TEST_BLOCK, ball_points, ball_vectors,
                      broadcast_error, coercion_error, cosub_error_ratio, cosub_via_gyration,
-                     in_blocks, layout_operands, max_abs, raised, same_bits)
+                     gyr_coeffs_oracle, gyrate_oracle, in_blocks, layout_operands, max_abs,
+                     raised, same_bits)
 
 U_FIX = np.array([0.6, 0.0, 0.0])
 V_FIX = np.array([0.0, 0.6, 0.0])
@@ -65,7 +68,9 @@ V_FIX = np.array([0.0, 0.6, 0.0])
 
 def gyr_coeffs(u, v, w):
     """The closed-form coefficients A, B, D of gyr[u, v]w, from arrays."""
-    return _gyr_coeffs(*map(ball._components, (u, v, w)), [norm_sq(u), norm_sq(v)])
+    n2 = [norm_sq(u), norm_sq(v)]
+    u, v, w = map(ball._components, (u, v, w))
+    return _gyr_coeffs(u, v, w, _gyr_factors(u, v, n2))
 
 
 @st.composite
@@ -403,14 +408,17 @@ class TestGyration:
 
     @pytest.mark.parametrize("dim", range(1, 8))
     def test_matrix_is_the_image_of_the_basis_bit_for_bit(self, rng, dim):
-        # Column j of the matrix is gyr[u, v] e_j, as apply computes it, and
-        # the closed form I + (u a^T + v b^T)/d assembled from outer products.
+        # Column j of the matrix is gyr[u, v] e_j, as apply and gyrate compute
+        # it, and the closed form I + (u a^T + v b^T)/d assembled from outer
+        # products.
         eye = np.eye(dim)
         for u, v in ball_points(rng, 400, dim, max_norm=0.999).reshape(200, 2, dim):
             g = Gyration(u, v)
             a, b, d = gyr_coeffs(u, v, eye)
             assert same_bits(g.matrix(), np.ascontiguousarray(g.apply(eye).T))
             assert same_bits(g.matrix(), (np.outer(u, a) + np.outer(v, b)) / d + eye)
+            for j in range(dim):
+                assert same_bits(g.matrix()[:, j], gyrate(u, v, eye[j]))
 
     def test_rotation_angle_fixture(self):
         # angle of the canonical generator pair, frozen from the x-axis image
@@ -427,6 +435,64 @@ class TestGyration:
         inv = g.inverse()
         assert inv.u is g.v and inv.v is g.u
         assert max_abs(inv.apply(g.apply(w)) - w) < 1e-14
+
+    @pytest.mark.parametrize("dim", range(1, 10))
+    def test_made_once_it_gives_the_bits_of_the_functions(self, rng, dim):
+        # apply is gyrate, inverse() is the gyration of the swapped pair, and
+        # rotation_angle() measures the image of u/|u|, bit for bit.
+        u, v = ball_points(rng, 60, dim, max_norm=0.999).reshape(2, 30, dim)
+        u[0], v[1] = -0.0, 0.0
+        w = rng.normal(size=(30, dim))
+        w[2] = -0.0
+        for i in range(30):
+            g = Gyration(u[i], v[i])
+            assert same_bits(g.apply(w[i]), gyrate(u[i], v[i], w[i]))
+            assert same_bits(g.apply(w), gyrate(u[i], v[i], w))
+            inv, swapped = g.inverse(), Gyration(v[i], u[i])
+            assert same_bits(inv.apply(w), swapped.apply(w))
+            assert same_bits(inv.matrix(), swapped.matrix())
+            assert inv.rotation_angle() == swapped.rotation_angle()
+            if g.is_trivial():
+                assert g.rotation_angle() == 0.0
+                continue
+            e = u[i] / np.sqrt(norm_sq(u[i]))
+            f = gyrate(u[i], v[i], e)
+            want = 2.0 * np.arctan2(np.sqrt(norm_sq(e - f)), np.sqrt(norm_sq(e + f)))
+            assert g.rotation_angle() == float(want)
+
+    def test_generators_are_read_only_copies(self):
+        u, v, w = U_FIX.copy(), V_FIX.copy(), np.array([0.2, -0.1, 0.4])
+        g = Gyration(u, v)
+        matrix, image, angle = g.matrix(), g.apply(w), g.rotation_angle()
+        u[:], v[0] = 0.0, 0.3  # the caller's arrays change; the gyration does not
+        assert same_bits(g.u, U_FIX) and same_bits(g.v, V_FIX)
+        assert same_bits(g.matrix(), matrix) and same_bits(g.apply(w), image)
+        assert g.rotation_angle() == angle
+        copied = pickle.loads(pickle.dumps(g))
+        for h in (g, copied):
+            for name in ("u", "v"):
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    setattr(h, name, w)
+                with pytest.raises(ValueError, match="read-only"):
+                    getattr(h, name)[0] = 0.1
+            assert same_bits(h.matrix(), matrix) and h.rotation_angle() == angle
+
+
+@pytest.mark.parametrize("dim", range(1, 10))
+def test_closed_form_split_keeps_the_bits_of_one_expression(rng, dim):
+    # The factors that depend only on u and v, applied to w, give the bits of
+    # the coefficients and of gyr[u, v]w written each as one expression: for
+    # one vector, in Python floats, and for a batch, on its columns.
+    u, v = ball_points(rng, 80, dim, max_norm=0.999).reshape(2, 40, dim)
+    w = rng.normal(size=(40, dim)) * np.exp(rng.uniform(-30.0, 30.0, (40, 1)))
+    u[0], v[1], w[2] = 0.0, -0.0, -0.0
+    u[3], v[3] = -0.0, 0.5 * u[4]
+    w[4] = u[4]
+    for rows in [slice(None), slice(0, 1)] + list(range(8)):
+        args = u[rows], v[rows], w[rows]
+        for got, want in zip(gyr_coeffs(*args), gyr_coeffs_oracle(*args)):
+            assert same_bits(np.asarray(got), np.asarray(want))
+        assert same_bits(gyrate(*args), gyrate_oracle(*args))
 
 
 class TestCoadd:

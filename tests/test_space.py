@@ -75,6 +75,20 @@ class TestScalarMul:
     def test_zero_vector(self):
         assert np.array_equal(scalar_mul(7.3, np.zeros(3)), np.zeros(3))
 
+    @pytest.mark.parametrize("dim", range(1, 10))
+    def test_float_factor_of_one_vector_runs_on_floats(self, rng, dim):
+        # A Python float r and one vector take their own route: the bits,
+        # errors and check order of the array route, which np.float64 takes.
+        vectors = list(ball_points(rng, 4, dim, max_norm=MAX_NORM)) + [
+            np.zeros(dim), np.full(dim, -0.0), np.full(dim, 2.0), np.full(dim, np.nan),
+            np.zeros((dim, 1)), 0.5, np.full(dim, 1j)]
+        for r in (0.0, -0.0, 0.7, -2.5, 1e300, math.inf, math.nan):
+            for v in vectors:
+                got, want = raised(scalar_mul, r, v), raised(scalar_mul, np.float64(r), v)
+                assert got == want
+                if got is None:
+                    assert same_bits(scalar_mul(r, v), scalar_mul(np.float64(r), v))
+
     def test_nonfinite_scalar(self):
         with pytest.raises(NonFinite):
             scalar_mul(math.inf, U_FIX)

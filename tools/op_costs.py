@@ -2,6 +2,8 @@
 
 For every operation that accepts a batch, the table gives the time of one
 call at k = 1 in us, and the time per row at k = 1e3 and k = 1e6 in ns.
+The operations that take single values only (gyrations made once, triangles,
+the aberration scene) get the k = 1 column alone, on one fixed input each.
 Each source tree is measured in fresh interpreters, one per round; the
 trees take turns within a round, and the tree that goes first changes from
 round to round, so that a drift in processor speed falls on all of them
@@ -28,7 +30,8 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 # Runs in a fresh interpreter with one src/ on sys.path: prints a JSON object
-# {op: {k: seconds per call}} for the sizes in argv[1].
+# {op: {k: seconds per call}} for the sizes in argv[1]; the single-value
+# calls appear only when k = 1 is among them.
 WORKER = r'''
 import json, sys, time
 import numpy as np
@@ -92,10 +95,26 @@ def per_call(fn, args, budget):
 
 out = {}
 rng = np.random.default_rng(20130227)
-for k in json.loads(sys.argv[1]):
+sizes = json.loads(sys.argv[1])
+for k in sizes:
     for name, (fn, kinds) in OPS.items():
         args = [draw(rng, kind, k) for kind in kinds]
         out.setdefault(name, {})[k] = per_call(fn, args, 0.02 if k < 10 ** 6 else 0.2)
+if 1 in sizes:
+    u, v, a, b, c = (draw(rng, "v", 1) for _ in range(5))
+    gyr, tri = gk.Gyration(u, v), gk.triangle_from_vertices(a, b, c)
+    SINGLE = {
+        "Gyration": (gk.Gyration, (u, v)),
+        "Gyration.matrix": (gyr.matrix, ()),
+        "Gyration.rotation_angle": (gyr.rotation_angle, ()),
+        "triangle_from_vertices": (gk.triangle_from_vertices, (a, b, c)),
+        "triangle_from_sides": (gk.triangle_from_sides, (tri.side_a, tri.side_b, tri.side_c)),
+        "triangle_from_angles": (gk.triangle_from_angles, (tri.alpha, tri.beta, tri.gamma)),
+        "sss_to_aaa": (gk.sss_to_aaa, (tri.gamma_a, tri.gamma_b, tri.gamma_c)),
+        "aberration_scene": (gk.aberration_scene, (0.5, 0.6, 1.0)),
+    }
+    for name, (fn, args) in SINGLE.items():
+        out[name] = {1: per_call(fn, args, 0.02)}
 print(json.dumps(out))
 '''
 
@@ -134,6 +153,9 @@ def main() -> None:
         cells = [op]
         for src in args.src:
             for k in sizes:
+                if k not in runs[src][0][op]:  # a single-value call at k > 1
+                    cells.append("-")
+                    continue
                 s = statistics.median(run[op][k] for run in runs[src])
                 cells.append(f"{s * 1e6:.2f}" if k == 1 else f"{s / k * 1e9:.2f}")
         print("\t".join(cells))
