@@ -7,6 +7,11 @@ relativistic aberration, and invariant-mass bookkeeping for particle systems.
 
 All velocities are dimensionless fractions of c; physical units appear only
 at the CLI boundary.
+
+``import gyrokin`` loads the core: ``ball``, ``errors`` and ``gyro``.  The
+composite modules ``space``, ``trig``, ``aberration`` and ``mass`` load
+together the first time one of their names, or one of the modules, is read
+from the package.
 """
 
 __version__ = "0.1.0"
@@ -24,6 +29,7 @@ from .errors import (
     NoSuchTriangle,
     NotRightTriangle,
     OperandTypeError,
+    ParticleFormatError,
 )
 from .gyro import (
     Gyration,
@@ -40,57 +46,47 @@ from .gyro import (
     left_sub,
     speed_of_gamma,
 )
-from .space import (
-    RootedGyrovector,
-    are_gyrocollinear,
-    equivalent,
-    gyrodistance,
-    gyroline_point,
-    gyromidpoint,
-    gyroparallelogram_fourth,
-    gyrovector_between,
-    metric_tensor,
-    scalar_mul,
-    translate_to,
-    triangle_area,
-)
-from .trig import (
-    Gyrotriangle,
-    RightTriangleReport,
-    aaa_to_sss,
-    gyroangle,
-    law_of_gyrosines_ratios,
-    right_triangle_relations,
-    sss_to_aaa,
-    triangle_from_angles,
-    triangle_from_sides,
-    triangle_from_vertices,
-    triangle_q,
-)
-from .aberration import (
-    ARCSEC_PER_RAD,
-    AberrationResult,
-    aberration_scene,
-    aberration_sweep,
-    classical_aberration,
-    classical_aberration_inv,
-    classical_matched_p_e,
-    relativistic_aberration,
-    relativistic_aberration_inv,
-    relativistic_matched_p_e,
-    stellar_aberration,
-    stellar_aberration_inv,
-)
-from .mass import (
-    MassDecomposition,
-    Particle,
-    ParticleFormatError,
-    ParticleSystem,
-    boost,
-    collide_and_stick,
-    decompose,
-    gamma_rel_minus_1,
-    parse_particles,
-)
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# The composite modules, in import order, and the public names each exports.
+_COMPOSITES = {
+    "space": ("RootedGyrovector", "are_gyrocollinear", "equivalent", "gyrodistance",
+              "gyroline_point", "gyromidpoint", "gyroparallelogram_fourth",
+              "gyrovector_between", "metric_tensor", "scalar_mul", "translate_to",
+              "triangle_area"),
+    "trig": ("Gyrotriangle", "RightTriangleReport", "aaa_to_sss", "gyroangle",
+             "law_of_gyrosines_ratios", "right_triangle_relations", "sss_to_aaa",
+             "triangle_from_angles", "triangle_from_sides", "triangle_from_vertices",
+             "triangle_q"),
+    "aberration": ("ARCSEC_PER_RAD", "AberrationResult", "aberration_scene",
+                   "aberration_sweep", "classical_aberration", "classical_aberration_inv",
+                   "classical_matched_p_e", "relativistic_aberration",
+                   "relativistic_aberration_inv", "relativistic_matched_p_e",
+                   "stellar_aberration", "stellar_aberration_inv"),
+    "mass": ("MassDecomposition", "Particle", "ParticleSystem", "boost", "collide_and_stick",
+             "decompose", "gamma_rel_minus_1", "parse_particles"),
+}
+_LAZY = {*_COMPOSITES, *(name for names in _COMPOSITES.values() for name in names)}
+
+__all__ = sorted({*(name for name in globals() if not name.startswith("_")), *_LAZY})
+
+
+def __getattr__(name):
+    """Load the composite modules, bind their names here, and remove this hook.
+
+    Without a module ``__getattr__``, every later read of a package name
+    is a plain attribute read, which the interpreter can specialize.
+    """
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    import importlib
+
+    for module, names in _COMPOSITES.items():
+        mod = importlib.import_module(f"{__name__}.{module}")
+        globals().update((n, getattr(mod, n)) for n in names)
+    globals().pop("__getattr__", None)
+    return globals()[name]
+
+
+def __dir__():
+    """The package's names, with the composites' names before they load."""
+    return sorted({*globals(), *__all__})

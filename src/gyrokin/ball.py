@@ -55,6 +55,12 @@ BALL_MARGIN = 1e-12
 MAX_NORM = float(np.sqrt(1.0 - BALL_MARGIN))
 _OUTSIDE = f"outside the admissible ball (limit {MAX_NORM:.17g})"
 
+# Ambient triangle areas below this mark a triple as gyrocollinear (space, trig).
+COLLINEAR_AREA_TOL = 1e-12
+
+# Largest |gamma - pi/2| of a gyrotriangle's angle at C that counts as right (trig).
+RIGHT_ANGLE_TOL = 1e-8
+
 # Batches with more rows than this are evaluated this many rows at a time: the
 # temporaries of a block (192 kB for each (rows, 3) array) then stay in cache.
 _BLOCK = 8192

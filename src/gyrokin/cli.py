@@ -15,10 +15,16 @@ significant digits in every output format.
 
 Exit codes: 0 on success, 1 on parse/file-format errors, 2 on admissibility,
 dimension, or geometric-validity errors.
+
+The core modules (``ball``, ``errors``, ``gyro``) load with this module; a
+command imports the composite modules it calls (``space``, ``trig``,
+``aberration``, ``mass``) when it runs, so each start of the program
+compiles and runs only the library code its command uses.
 """
 
 from __future__ import annotations
 
+import importlib
 import json
 import math
 import os
@@ -28,8 +34,8 @@ import click
 import numpy as np
 
 from . import __version__
-from .ball import norm
-from .errors import AngleDegenerate, GyrokinError
+from .ball import COLLINEAR_AREA_TOL, RIGHT_ANGLE_TOL, norm
+from .errors import AngleDegenerate, GyrokinError, ParticleFormatError
 from .gyro import (
     Gyration,
     coadd,
@@ -40,33 +46,6 @@ from .gyro import (
     gyrate_definitional,
     left_sub,
 )
-from .mass import ParticleFormatError, decompose, parse_particles
-from .space import (
-    COLLINEAR_AREA_TOL,
-    gyrodistance,
-    gyromidpoint,
-    gyroline_point,
-    gyroparallelogram_fourth,
-    scalar_mul,
-)
-from .trig import (
-    RIGHT_ANGLE_TOL,
-    right_triangle_relations,
-    sss_to_aaa,
-    triangle_from_angles,
-    triangle_from_sides,
-    triangle_from_vertices,
-)
-from .aberration import (
-    ARCSEC_PER_RAD,
-    aberration_sweep,
-    classical_aberration,
-    classical_aberration_inv,
-    relativistic_aberration,
-    relativistic_aberration_inv,
-    stellar_aberration,
-    stellar_aberration_inv,
-)
 
 SI_C = 299792458.0
 
@@ -76,15 +55,15 @@ ANGLE_TO_RAD = {
     "arcsec": math.pi / (180.0 * 3600.0),
 }
 
+# The models of `aberration`.  Each one's formulas are <model>_aberration and
+# its inverse <model>_aberration_inv, called as f(theta, v, p); the stellar
+# pair is the photon case and takes no p.
+_ABERRATION_MODELS = ("classical", "relativistic", "stellar")
 
-# Each model's (forward, inverse) formula, called as f(theta, v, p).  The
-# stellar pair is the photon case and ignores p.
-_ABERRATION_MODELS = {
-    "classical": (classical_aberration, classical_aberration_inv),
-    "relativistic": (relativistic_aberration, relativistic_aberration_inv),
-    "stellar": (lambda theta, v, p: stellar_aberration(theta, v),
-                lambda theta, v, p: stellar_aberration_inv(theta, v)),
-}
+
+def _lib(module):
+    """The library module ``module``, imported when a command first calls it."""
+    return importlib.import_module(f"{__package__}.{module}")
 
 
 def _fmt(x) -> str:
@@ -292,6 +271,8 @@ def gyr(cfg, u, v, w, out_unit):
 @_command("distance", "a", "b")
 def distance(cfg, a, b):
     """Gyrodistance |(-a) (+) b| between two ball points (fraction of c)."""
+    from .space import gyrodistance
+
     w = left_sub(a, b)
     d = float(norm(w))
     checks = {"symmetry_abs": abs(d - float(gyrodistance(b, a)))}
@@ -305,16 +286,33 @@ def _add_checks(w, u, v):
 
 
 def _scale_checks(w, r, v):
+    from .space import scalar_mul
+
     half = scalar_mul(0.5, scalar_mul(2.0, w)) if abs(r) < 1e6 else w
     return {"halving_roundtrip_max_abs": _max_abs(half - w)}
 
 
+def _midpoint(a, b, t):
+    from .space import gyroline_point, gyromidpoint
+
+    return gyromidpoint(a, b) if t == 0.5 else gyroline_point(a, b, t)
+
+
 def _midpoint_checks(w, a, b, t):
+    from .space import gyrodistance, gyroline_point
+
     if t != 0.5:
         return {}
     return {"line_form_max_abs": _max_abs(w - gyroline_point(a, b, 0.5)),
             "equidistance_abs":
                 abs(float(gyrodistance(w, a)) - float(gyrodistance(w, b)))}
+
+
+def _parallelogram_checks(d, a, b, c, tol):
+    from .space import scalar_mul
+
+    return {"diagonal_midpoint_residual": _max_abs(
+        scalar_mul(0.5, coadd(a, d)) - scalar_mul(0.5, coadd(b, c)))}
 
 
 # The commands whose result is one ball vector w, printed with its norm and gamma.
@@ -333,20 +331,18 @@ _VECTOR_COMMANDS = {
               lambda w, u, v: {
                   "route_agreement_max_abs": _max_abs(w - coadd_via_gyration(u, v)),
                   "commutativity_max_abs": _max_abs(w - coadd(v, u))}, []),
-    "scale": ("Scalar gyromultiplication r (x) v.", scalar_mul, ("r", "v"),
+    "scale": ("Scalar gyromultiplication r (x) v.",
+              lambda r, v: _lib("space").scalar_mul(r, v), ("r", "v"),
               _scale_checks, [click.Option(["--r"], type=float, required=True,
                                            help="Real scalar factor.")]),
     "midpoint": ("Gyromidpoint of a and b (or the gyroline point at parameter t).",
-                 lambda a, b, t: (gyromidpoint(a, b) if t == 0.5
-                                  else gyroline_point(a, b, t)),
-                 ("a", "b", "t"), _midpoint_checks,
+                 _midpoint, ("a", "b", "t"), _midpoint_checks,
                  [click.Option(["--t"], type=float, default=0.5, show_default=True,
                                help="Gyroline parameter; 0.5 gives the gyromidpoint.")]),
     "parallelogram": (
         "Fourth gyroparallelogram vertex d = (b [+] c) (-) a.",
-        gyroparallelogram_fourth, ("a", "b", "c"),
-        lambda d, a, b, c, tol: {"diagonal_midpoint_residual": _max_abs(
-            scalar_mul(0.5, coadd(a, d)) - scalar_mul(0.5, coadd(b, c)))},
+        lambda a, b, c, tol: _lib("space").gyroparallelogram_fourth(a, b, c, tol=tol),
+        ("a", "b", "c"), _parallelogram_checks,
         [click.Option(["--tol"], type=float, default=COLLINEAR_AREA_TOL,
                       show_default=True, callback=_positive_finite,
                       help="Triangle area below which a, b, c count as gyrocollinear.")]),
@@ -378,11 +374,12 @@ def _three(text, key, parse):
 
 
 # The modes of `triangle`: mode -> (the options it reads, its solver).  The
-# solver takes the three vertices, or the three numbers of --sides or --angles.
+# solver takes the trig module, then the three vertices, or the three numbers
+# of --sides or --angles.
 _TRIANGLE_MODES = {
-    "vertices": (("a", "b", "c"), triangle_from_vertices),
-    "sss": (("sides",), lambda sides: triangle_from_sides(*sides)),
-    "aaa": (("angles",), lambda angles: triangle_from_angles(*angles)),
+    "vertices": (("a", "b", "c"), lambda trig, a, b, c: trig.triangle_from_vertices(a, b, c)),
+    "sss": (("sides",), lambda trig, sides: trig.triangle_from_sides(*sides)),
+    "aaa": (("angles",), lambda trig, angles: trig.triangle_from_angles(*angles)),
 }
 
 
@@ -406,7 +403,8 @@ def triangle(cfg, mode, tol, unit, out_unit, **texts):
               "angles": lambda x: _parse_angle(x, "angle", unit)}
     inputs = {k: _three(texts[k], k, number[k]) if k in number
               else cfg.parse_vector(texts[k], k) for k in keys}
-    tri = solve(*inputs.values())
+    trig = _lib("trig")
+    tri = solve(trig, *inputs.values())
     is_right = tri.is_right(tol)
     to_out = ANGLE_TO_RAD[out_unit]
     result = {
@@ -416,11 +414,11 @@ def triangle(cfg, mode, tol, unit, out_unit, **texts):
         "angle_unit": out_unit,
         "right_triangle": is_right,
     }
-    angles2 = sss_to_aaa(tri.gamma_a, tri.gamma_b, tri.gamma_c)
+    angles2 = trig.sss_to_aaa(tri.gamma_a, tri.gamma_b, tri.gamma_c)
     checks = {"sss_aaa_consistency_max_abs": max(
         abs(x - y) for x, y in zip(angles2, (tri.alpha, tri.beta, tri.gamma)))}
     if is_right:
-        report = right_triangle_relations(tri, tol=tol)
+        report = trig.right_triangle_relations(tri, tol=tol)
         checks["right_identities_max_residual"] = report.max_residual
     return "triangle", {"mode": mode, **inputs}, result, checks
 
@@ -435,7 +433,7 @@ _ABERRATION_DIRECTIONS = {
 
 
 @_command("aberration", options=[
-    click.Option(["--model"], type=click.Choice(list(_ABERRATION_MODELS)), required=True),
+    click.Option(["--model"], type=click.Choice(_ABERRATION_MODELS), required=True),
     click.Option(["--v"], required=True, help="Relative frame speed."),
     click.Option(["--theta-s"], help="Angle seen from S; computes theta_e."),
     click.Option(["--theta-e"], help="Angle seen from E; computes theta_s."),
@@ -448,10 +446,11 @@ _ABERRATION_DIRECTIONS = {
     _unit_option, _out_option])
 def aberration(cfg, model, sweep_n, unit, out_unit, **texts):
     """Aberration of a particle (or photon) direction between frames."""
+    lib = _lib("aberration")
     speeds = {k: cfg.parse_speed(texts[k], k) for k in ("v", "p_s", "p_e")}
     v = speeds["v"]
     if sweep_n is not None:
-        table = aberration_sweep(v, speeds["p_s"], sweep_n)
+        table = lib.aberration_sweep(v, speeds["p_s"], sweep_n)
         names = table.dtype.names
         # Angle columns print in the --out unit; the offset stays in arcsec.
         scale_out = 1.0 / ANGLE_TO_RAD[out_unit]
@@ -470,9 +469,10 @@ def aberration(cfg, model, sweep_n, unit, out_unit, **texts):
         raise click.UsageError("give exactly one of --theta-s or --theta-e")
     given = named[0]
     computed, speed, index = _ABERRATION_DIRECTIONS[given]
-    formulas = _ABERRATION_MODELS[model]
+    formulas = [getattr(lib, f"{model}_aberration{suffix}") for suffix in ("", "_inv")]
+    p = () if model == "stellar" else (speeds[speed],)
     angle = {given: _parse_angle(texts[given], given, unit)}
-    angle[computed] = float(formulas[index](angle[given], v, speeds[speed]))
+    angle[computed] = float(formulas[index](angle[given], v, *p))
     offset = angle["theta_s"] - angle["theta_e"]
     to_out = ANGLE_TO_RAD[out_unit]
     result = {
@@ -480,7 +480,7 @@ def aberration(cfg, model, sweep_n, unit, out_unit, **texts):
         "v": v,
         **{k: angle[k] / to_out for k in ("theta_s", "theta_e")},
         "offset": offset / to_out,
-        "offset_arcsec": offset * ARCSEC_PER_RAD,
+        "offset_arcsec": offset * lib.ARCSEC_PER_RAD,
         "angle_unit": out_unit,
     }
     checks = {}
@@ -489,7 +489,7 @@ def aberration(cfg, model, sweep_n, unit, out_unit, **texts):
         # when the computed angle is too near 0 or pi for that formula.
         try:
             checks["inverse_roundtrip_abs"] = abs(
-                float(formulas[1 - index](angle[computed], v, 1.0)) - angle[given])
+                float(formulas[1 - index](angle[computed], v)) - angle[given])
         except AngleDegenerate:
             checks["inverse_roundtrip_abs"] = None
     return "aberration", {"model": model, **speeds}, result, checks
@@ -499,6 +499,8 @@ def aberration(cfg, model, sweep_n, unit, out_unit, **texts):
     ["--in", "infile"], required=True, help="Particle file (CSV or JSON), or '-' for stdin.")])
 def mass_cmd(cfg, infile):
     """Invariant-mass decomposition of a particle system from a file."""
+    from .mass import decompose, parse_particles
+
     try:
         if infile == "-":
             text = sys.stdin.read()

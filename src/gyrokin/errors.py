@@ -61,3 +61,11 @@ class NoSuchTriangle(GyrokinError, ValueError):
 
 class NotRightTriangle(GyrokinError, ValueError):
     """The gyroangle at vertex C is not a right angle."""
+
+
+class ParticleFormatError(GyrokinError, ValueError):
+    """A particle file line failed to parse; carries its line number."""
+
+    def __init__(self, message: str, line: int | None = None):
+        super().__init__(message)
+        self.line = line

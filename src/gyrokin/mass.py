@@ -40,16 +40,8 @@ import numpy as np
 from .ball import (_as_real, _by_rows, _gamma, _norm_sq, _norm_sq_checked, _on_components,
                    _operation, _read_only, _real_scalars, _record, _require, _require_instance,
                    as_velocity, norm_sq, same_shape)
-from .errors import AdmissibilityError, DimensionError, GyrokinError, OperandTypeError
+from .errors import AdmissibilityError, DimensionError, OperandTypeError, ParticleFormatError
 from .gyro import _add
-
-
-class ParticleFormatError(GyrokinError, ValueError):
-    """A particle file line failed to parse; carries its line number."""
-
-    def __init__(self, message: str, line: int | None = None):
-        super().__init__(message)
-        self.line = line
 
 
 @dataclass(frozen=True, eq=False, init=False)
@@ -69,6 +61,10 @@ class Particle:
             raise AdmissibilityError("particle mass must be positive and finite")
         (vel,), _, _ = _checked_particle_velocity(velocity)
         vars(self).update(mass=mass, velocity=_read_only(vel))  # the fields of a frozen dataclass
+
+    def __reduce__(self):
+        # Unpickled arrays are writeable: rebuild, so that the velocity stays read-only.
+        return Particle, (self.mass, self.velocity)
 
     @property
     def gamma(self) -> float:
@@ -114,7 +110,7 @@ class ParticleSystem:
                      np.array([p.velocity for p in parts]), frame)
 
     @classmethod
-    def _from_arrays(cls, masses, velocities) -> "ParticleSystem":
+    def _from_arrays(cls, masses, velocities, frame: str = "rest") -> "ParticleSystem":
         """System from (N,) masses and (N, n) velocities, each checked in one pass."""
         masses = _as_real(masses, "particle mass")
         _require((masses > 0.0) & np.isfinite(masses), AdmissibilityError,
@@ -122,7 +118,11 @@ class ParticleSystem:
         velocities = as_velocity(velocities, name="particle velocity")
         if velocities.ndim != 2 or masses.shape != velocities.shape[:1]:
             raise DimensionError("need one velocity vector per particle mass")
-        return cls.__new__(cls)._freeze(masses, velocities, "rest")
+        return cls.__new__(cls)._freeze(masses, velocities, frame)
+
+    def __reduce__(self):
+        # Unpickled arrays are writeable: rebuild through the checks, so that they stay read-only.
+        return ParticleSystem._from_arrays, (self.masses, self.velocities, self.frame)
 
     def _freeze(self, masses, velocities, frame) -> "ParticleSystem":
         """Set the fields, making the arrays read-only; returns the system."""

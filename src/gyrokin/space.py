@@ -12,14 +12,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ball import (MAX_NORM, _as_real, _broadcast, _by_rows, _dot, _matched, _neg, _norm,
-                   _norm_sq, _norm_sq_checked, _on_components, _operation, _real_array, _require,
-                   _require_instance, _sqrt, norm, same_shape)
+from .ball import (COLLINEAR_AREA_TOL, MAX_NORM, _as_real, _broadcast, _by_rows, _dot, _matched,
+                   _neg, _norm, _norm_sq, _norm_sq_checked, _on_components, _operation,
+                   _real_array, _require, _require_instance, _sqrt, norm, same_shape)
 from .errors import CollinearPoints, NonFinite
 from .gyro import _add, _coadd, _left_sub, _midpoint
-
-# Ambient triangle areas below this mark a triple as gyrocollinear.
-COLLINEAR_AREA_TOL = 1e-12
 
 
 def _ratio(num, den):

@@ -16,7 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ball import _neg, _norm, _operation, _real_scalars, _record, _require_instance
+from .ball import (COLLINEAR_AREA_TOL, RIGHT_ANGLE_TOL, _neg, _norm, _operation, _real_scalars,
+                   _record, _require_instance)
 from .errors import (
     AdmissibilityError,
     CollinearPoints,
@@ -26,14 +27,11 @@ from .errors import (
     NotRightTriangle,
 )
 from .gyro import _add, _gamma_of_speed, _speed_of_gamma
-from .space import COLLINEAR_AREA_TOL, _area
+from .space import _area
 
 # cos values and the triangle quantity may land this far outside their exact
 # range from rounding at degenerate configurations; clamp instead of failing.
 CLAMP_TOL = 1e-12
-
-# Angle-at-C tolerance for treating a triangle as right-angled.
-RIGHT_ANGLE_TOL = 1e-8
 
 
 def _gyroangle(p, q, lp, lq, tol: float = 1e-14) -> float:

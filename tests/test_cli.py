@@ -819,6 +819,43 @@ class TestStellarRoundtrip:
         assert "check_inverse_roundtrip_abs: n/a" in out.splitlines()
 
 
+# The composite modules a fresh `gyrokin <argv>` loads beside the core (ball,
+# errors, gyro) and the CLI: only those its command calls.
+LOADS = {
+    ("add", *UV): (),
+    ("sub", *UV): (),
+    ("coadd", *UV): (),
+    ("gyr", *UV, "--w", "0.1,0,0.2"): (),
+    ("scale", "--r", "2", *UV[2:]): ("space",),
+    ("distance", *AB): ("space",),
+    ("midpoint", *AB): ("space",),
+    ("midpoint", *AB, "--t", "0.3"): ("space",),
+    ("parallelogram", *AB, "--c", "0.05,-0.3,0.4"): ("space",),
+    ("triangle", "--mode", "sss", "--sides", "0.3,0.4,0.5"): ("space", "trig"),
+    ("aberration", "--model", "stellar", "--v", "0.5", "--theta-s", "1"):
+        ("space", "trig", "aberration"),
+    ("aberration", "--model", "classical", "--v", "0.5c", "--sweep", "3"):
+        ("space", "trig", "aberration"),
+    ("mass", "--in", "-"): ("mass",),
+    ("--help",): (),
+    ("--version",): (),
+    ("triangle", "--help"): (),
+}
+LOADED = ("import json, sys; from gyrokin.cli import main; code = main(sys.argv[1:]); "
+          "print(json.dumps([code, sorted(m for m in sys.modules if m.startswith('gyrokin'))]))")
+
+
+@pytest.mark.parametrize("argv", LOADS, ids=[" ".join(a) for a in LOADS])
+def test_a_fresh_command_loads_only_the_modules_it_calls(argv):
+    proc = subprocess.run([sys.executable, "-c", LOADED, *argv], input=BACK_TO_BACK,
+                          capture_output=True, text=True, check=True,
+                          env={**os.environ, "PYTHONPATH": str(Path(gyrokin.__file__).parents[1])})
+    code, loaded = json.loads(proc.stdout.splitlines()[-1])
+    core = ["gyrokin", "gyrokin.ball", "gyrokin.cli", "gyrokin.errors", "gyrokin.gyro"]
+    assert (code, proc.stderr) == (0, "")
+    assert loaded == sorted(core + [f"gyrokin.{m}" for m in LOADS[argv]])
+
+
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 

@@ -1,6 +1,9 @@
 """Invariant mass, dark mass, and four-momentum bookkeeping."""
 
+import copy
+import dataclasses
 import math
+import pickle
 import tracemalloc
 import warnings
 
@@ -108,6 +111,25 @@ class TestParticleTypes:
             system.masses[0] = 3.0
         with pytest.raises(ValueError):
             system.velocities[0, 0] = 0.5
+
+    @pytest.mark.parametrize("copied", [lambda x: pickle.loads(pickle.dumps(x)),
+                                        copy.deepcopy], ids=["pickle", "deepcopy"])
+    def test_copies_stay_read_only_with_their_bits(self, copied):
+        p = Particle(1.5, [0.1, -0.0, 0.3])
+        system = ParticleSystem((p, Particle(2.0, [-0.6, 0.2, 0.0])), frame="lab")
+        boosted = boost(system, [0.3, 0.0, -0.1])
+        pairs = [(p, copied(p), ["velocity"])]
+        pairs += [(s, copied(s), ["masses", "velocities"]) for s in (system, boosted)]
+        for original, copy_, arrays in pairs:
+            assert type(copy_) is type(original) and copy_ is not original
+            for name in arrays:
+                assert same_bits(getattr(copy_, name), getattr(original, name))
+                with pytest.raises(ValueError, match="read-only"):
+                    getattr(copy_, name)[0] = 0.5
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    setattr(copy_, name, getattr(original, name))
+        assert pairs[0][1].mass == 1.5
+        assert [c.frame for _, c, _ in pairs[1:]] == ["lab", "lab"]
 
     def test_particles_rebuilt_from_arrays(self, rng):
         system = random_system(rng)
