@@ -10,6 +10,9 @@ The classical formulas relate cotangents with a velocity shift; the
 relativistic ones differ by a single gamma factor on the shifted cotangent.
 Every function evaluates through atan2 on a (sin, cos) rearrangement, so the
 cot singularity at theta = pi/2 never appears, and broadcasts over arrays.
+All eight formulas take one route (_formula): a batch longer than
+ball._BLOCK rows is checked and evaluated in row blocks, and its first
+failing block raises.
 
 The geometric construction in :func:`aberration_scene` rebuilds the same
 scenario from raw velocity-ball points and gyroangle measurements, with no
@@ -20,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -49,8 +53,8 @@ def _check_angle(theta, name):
 
 
 def _check_speed(s, name, *, allow_light=False):
-    top = 1.0 if allow_light else np.nextafter(1.0, 0.0)
-    _require((s >= 0.0) & (s <= top) & np.isfinite(s), AdmissibilityError,
+    """A speed in [0, 1), or in [0, 1] with ``allow_light``; NaN and inf fail the comparisons."""
+    _require((s >= 0.0) & ((s <= 1.0) if allow_light else (s < 1.0)), AdmissibilityError,
              "must lie in [0, 1]" if allow_light else "must lie in [0, 1)", name)
 
 
@@ -60,39 +64,42 @@ def _check_positive(p, name):
              name)
 
 
+def _formula(kernel, names, args, *params):
+    """kernel(*params, names, *blocks): one aberration formula, checked in row blocks.
+
+    The arguments ``args``, labelled ``names``, are coerced and their shapes
+    matched whole (_real_arrays); then each row block is checked, in
+    argument order, and evaluated (_by_rows), and the first failing block
+    raises.
+    """
+    return _by_rows(partial(kernel, *params, names), *_real_arrays(args, names), core=0)
+
+
+def _classical(shift, names, theta, v, p):
+    """atan2(p sin(theta), shift(p cos(theta), v)) of one row block."""
+    sin = _check_angle(theta, names[0])
+    _check_speed(v, "v", allow_light=True)
+    _check_positive(p, names[2])
+    return np.arctan2(p * sin, shift(p * np.cos(theta), v))
+
+
 def classical_aberration(theta_s, v, p_s):
     """theta_e from cot(theta_e) = cot(theta_s) + v/(p_s sin(theta_s))."""
-    theta_s, v, p_s = _real_arrays((theta_s, v, p_s), ("theta_s", "v", "p_s"))
-    sin_s = _check_angle(theta_s, "theta_s")
-    _check_speed(v, "v", allow_light=True)
-    _check_positive(p_s, "p_s")
-    return np.arctan2(p_s * sin_s, p_s * np.cos(theta_s) + v)
+    return _formula(_classical, ("theta_s", "v", "p_s"), (theta_s, v, p_s), np.add)
 
 
 def classical_aberration_inv(theta_e, v, p_e):
     """theta_s from cot(theta_s) = cot(theta_e) - v/(p_e sin(theta_e))."""
-    theta_e, v, p_e = _real_arrays((theta_e, v, p_e), ("theta_e", "v", "p_e"))
-    sin_e = _check_angle(theta_e, "theta_e")
-    _check_speed(v, "v", allow_light=True)
-    _check_positive(p_e, "p_e")
-    return np.arctan2(p_e * sin_e, p_e * np.cos(theta_e) - v)
+    return _formula(_classical, ("theta_e", "v", "p_e"), (theta_e, v, p_e), np.subtract)
 
 
 def _relativistic(shift, names, theta, v, p):
-    """atan2(p sin(theta), gamma_v shift(p cos(theta), v)), checked in row blocks.
-
-    ``names`` are theta's and p's.  The arguments are coerced and their
-    shapes matched whole; then each row block is checked, in argument order,
-    and evaluated.
-    """
-    def kernel(theta, v, p):
-        sin = _check_angle(theta, names[0])
-        _check_speed(v, "v")
-        _check_speed(p, names[1], allow_light=True)
-        _require(p > 0.0, AdmissibilityError, "must be positive", names[1])
-        return np.arctan2(p * sin, _gamma_of_speed(v) * shift(p * np.cos(theta), v))
-
-    return _by_rows(kernel, *_real_arrays((theta, v, p), (names[0], "v", names[1])), core=0)
+    """atan2(p sin(theta), gamma_v shift(p cos(theta), v)) of one row block."""
+    sin = _check_angle(theta, names[0])
+    _check_speed(v, "v")
+    _check_speed(p, names[2], allow_light=True)
+    _require(p > 0.0, AdmissibilityError, "must be positive", names[2])
+    return np.arctan2(p * sin, _gamma_of_speed(v) * shift(p * np.cos(theta), v))
 
 
 def relativistic_aberration(theta_s, v, p_s):
@@ -101,12 +108,12 @@ def relativistic_aberration(theta_s, v, p_s):
     Speeds of exactly 1 are admitted for photons; then the formula is the
     stellar aberration formula.
     """
-    return _relativistic(np.add, ("theta_s", "p_s"), theta_s, v, p_s)
+    return _formula(_relativistic, ("theta_s", "v", "p_s"), (theta_s, v, p_s), np.add)
 
 
 def relativistic_aberration_inv(theta_e, v, p_e):
     """theta_s from cot(theta_s) = gamma_v (cot(theta_e) - v/(p_e sin(theta_e)))."""
-    return _relativistic(np.subtract, ("theta_e", "p_e"), theta_e, v, p_e)
+    return _formula(_relativistic, ("theta_e", "v", "p_e"), (theta_e, v, p_e), np.subtract)
 
 
 def stellar_aberration(theta_s, v):
@@ -122,14 +129,29 @@ def stellar_aberration_inv(theta_e, v):
     return relativistic_aberration_inv(theta_e, v, 1.0)
 
 
+_MATCHED = ("theta_s", "theta_e", "p_s")
+
+
+def _classical_matched(names, theta_s, theta_e, p_s):
+    """p_s sin(theta_s)/sin(theta_e) of one row block."""
+    sin_s = _check_angle(theta_s, names[0])
+    sin_e = _check_angle(theta_e, names[1])
+    _check_positive(p_s, names[2])
+    return p_s * sin_s / sin_e
+
+
 def classical_matched_p_e(theta_s, theta_e, p_s):
     """p_e consistent with the law of sines p_s/sin(theta_e) = p_e/sin(theta_s)."""
-    theta_s, theta_e, p_s = _real_arrays((theta_s, theta_e, p_s),
-                                         ("theta_s", "theta_e", "p_s"))
-    sin_s = _check_angle(theta_s, "theta_s")
-    sin_e = _check_angle(theta_e, "theta_e")
-    _check_positive(p_s, "p_s")
-    return p_s * sin_s / sin_e
+    return _formula(_classical_matched, _MATCHED, (theta_s, theta_e, p_s))
+
+
+def _relativistic_matched(names, theta_s, theta_e, p_s):
+    """x/sqrt(1 + x^2), x = gamma_{p_s} p_s sin(theta_s)/sin(theta_e), of one row block."""
+    sin_s = _check_angle(theta_s, names[0])
+    sin_e = _check_angle(theta_e, names[1])
+    _check_speed(p_s, names[2])
+    x = _gamma_of_speed(p_s) * p_s * sin_s / sin_e
+    return x / np.sqrt(1.0 + x * x)
 
 
 def relativistic_matched_p_e(theta_s, theta_e, p_s):
@@ -138,13 +160,7 @@ def relativistic_matched_p_e(theta_s, theta_e, p_s):
     gamma_{p_s} p_s / sin(theta_e) = gamma_{p_e} p_e / sin(theta_s); the
     momentum-like product gamma*p determines the speed uniquely.
     """
-    theta_s, theta_e, p_s = _real_arrays((theta_s, theta_e, p_s),
-                                         ("theta_s", "theta_e", "p_s"))
-    sin_s = _check_angle(theta_s, "theta_s")
-    sin_e = _check_angle(theta_e, "theta_e")
-    _check_speed(p_s, "p_s")
-    x = _gamma_of_speed(p_s) * p_s * sin_s / sin_e
-    return x / np.sqrt(1.0 + x * x)
+    return _formula(_relativistic_matched, _MATCHED, (theta_s, theta_e, p_s))
 
 
 @dataclass(frozen=True, eq=False)
@@ -184,11 +200,11 @@ def aberration_scene(v, p_s, theta_s) -> AberrationResult:
     v, p_s, theta_s = _real_scalars((v, p_s, theta_s), ("v", "p_s", "theta_s"))
     _check_angle(theta_s, "theta_s")
     if v < 0.0:
-        raise AdmissibilityError("v must lie in [0, 1)")
+        raise AdmissibilityError("must lie in [0, 1)", name="v")
     if v == 0.0:
-        raise AngleDegenerate("v must be positive; E and S coincide otherwise")
+        raise AngleDegenerate("must be positive; E and S coincide otherwise", name="v")
     if p_s <= 0.0:
-        raise AdmissibilityError("p_s must be positive")
+        raise AdmissibilityError("must be positive", name="p_s")
     sun = [v, 0.0]
     # At S the gyroline ES continues along +x (gyrolines are chords), so the
     # particle gyrovector at S is p_s at Euclidean angle theta_s from +x.
@@ -213,7 +229,7 @@ def aberration_sweep(v, p, n_samples: int):
     """
     (n,) = _real_scalars((n_samples,), ("n_samples",))
     if n < 2 or not n.is_integer():
-        raise DimensionError(f"n_samples must be {'at least 2' if n < 2 else 'whole'}")
+        raise DimensionError(f"must be {'at least 2' if n < 2 else 'whole'}", name="n_samples")
     n_samples = int(n)
     k = np.arange(1, n_samples + 1, dtype=float)
     theta_s = math.pi * k / (n_samples + 1)

@@ -210,7 +210,7 @@ def _real_array(v, name: str) -> np.ndarray:
             raise TypeError("complex components")
         return arr.astype(float, copy=False)
     except (TypeError, ValueError, OverflowError) as exc:
-        raise AdmissibilityError(f"{name} is not real-valued: {exc}") from exc
+        raise AdmissibilityError(f"is not real-valued: {exc}", name=name) from exc
 
 
 def _as_real(v, name: str) -> np.ndarray:
@@ -220,7 +220,7 @@ def _as_real(v, name: str) -> np.ndarray:
     """
     arr = v if type(v) is np.ndarray and v.dtype is _FLOAT else _real_array(v, name)
     if arr.ndim == 0 or arr.shape[-1] == 0:
-        raise DimensionError(f"{name} must have at least one component")
+        raise DimensionError("must have at least one component", name=name)
     return arr
 
 
@@ -235,10 +235,12 @@ def _real_scalars(values, names) -> list:
         return list(values)
     label = names[0] if len(names) == 1 else f"one of {', '.join(names)}"
     try:
-        arr = np.asarray(values)
+        arr = _real_array(np.asarray(values), names[0])
+    except AdmissibilityError as exc:  # a label of several arguments names none of them
+        error = exc if len(names) == 1 else AdmissibilityError(f"{label} {exc.args[0]}")
+        raise error from exc.__cause__
     except ValueError as exc:  # ragged: an argument is a sequence
         raise DimensionError(f"{label} is a batch, not a scalar") from exc
-    arr = _real_array(arr, label)
     if arr.shape != (len(names),):
         raise DimensionError(f"{label} is a batch, not a scalar")
     return arr.tolist()
@@ -396,10 +398,12 @@ def _broadcast(arrays, names) -> None:
 def _real_arrays(values, names) -> list:
     """The arguments ``values``, labelled ``names``, as float arrays.
 
-    Raises AdmissibilityError if one is not real-valued and DimensionError
-    if their shapes do not broadcast together.
+    A single value comes as a numpy float, on which each comparison and
+    arithmetic operation costs a tenth of what it costs on a 0-d array, with
+    the same bits.  Raises AdmissibilityError if one is not real-valued and
+    DimensionError if their shapes do not broadcast together.
     """
-    arrays = [_real_array(x, name) for x, name in zip(values, names)]
+    arrays = [_real_array(x, name)[()] for x, name in zip(values, names)]
     _broadcast(arrays, names)
     return arrays
 

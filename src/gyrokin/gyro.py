@@ -128,6 +128,16 @@ def left_sub(a, b) -> np.ndarray:
 _checked_left_sub = _operation(_left_sub, left_sub)
 
 
+def _unit_angle(e, f) -> float:
+    """Angle between the unit vectors e and f, as 2 atan2(|e - f|, |e + f|).
+
+    Exact at 0 for bitwise-equal vectors and well conditioned near both 0
+    and pi, unlike arccos of a clamped dot product.
+    """
+    return float(2.0 * np.arctan2(_norm([x - y for x, y in zip(e, f)]),
+                                  _norm([x + y for x, y in zip(e, f)])))
+
+
 def add_speeds(x, y):
     """Parallel-velocity composition of scalar speeds: (x + y)/(1 + xy).
 
@@ -359,6 +369,4 @@ class Gyration:
         u, v = self._floats
         nu = _sqrt(self._n2[0])
         e = [x / nu for x in u]
-        f = _gyrate(u, v, e, self._factors)
-        return float(2.0 * np.arctan2(_norm([x - y for x, y in zip(e, f)]),
-                                      _norm([x + y for x, y in zip(e, f)])))
+        return _unit_angle(e, _gyrate(u, v, e, self._factors))

@@ -58,7 +58,7 @@ class Particle:
         except (TypeError, ValueError, OverflowError):
             mass = math.nan
         if not (mass > 0.0 and math.isfinite(mass)):
-            raise AdmissibilityError("particle mass must be positive and finite")
+            raise AdmissibilityError("must be positive and finite", name="particle mass")
         (vel,), _, _ = _checked_particle_velocity(velocity)
         vars(self).update(mass=mass, velocity=_read_only(vel))  # the fields of a frozen dataclass
 

@@ -14,10 +14,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from .ball import (COLLINEAR_AREA_TOL, RIGHT_ANGLE_TOL, _neg, _norm, _operation, _real_scalars,
-                   _record, _require_instance)
+from .ball import (COLLINEAR_AREA_TOL, RIGHT_ANGLE_TOL, _norm, _operation, _real_scalars, _record,
+                   _require_instance)
 from .errors import (
     AdmissibilityError,
     CollinearPoints,
@@ -26,7 +24,7 @@ from .errors import (
     NoSuchTriangle,
     NotRightTriangle,
 )
-from .gyro import _add, _gamma_of_speed, _speed_of_gamma
+from .gyro import _gamma_of_speed, _left_sub, _speed_of_gamma, _unit_angle
 from .space import _area
 
 # cos values and the triangle quantity may land this far outside their exact
@@ -35,19 +33,14 @@ CLAMP_TOL = 1e-12
 
 
 def _gyroangle(p, q, lp, lq, tol: float = 1e-14) -> float:
-    """Angle between the gyrovectors p and q, via 2*atan2(|p^ - q^|, |p^ + q^|).
+    """Angle between the gyrovectors p and q, of the unit vectors (gyro._unit_angle).
 
     p and q are lists of Python floats, and lp and lq their norms (_norm).
-    Exact at 0 for bitwise-equal directions and well conditioned near both 0
-    and pi, unlike arccos of a clamped dot product.  Raises DegenerateAngle
-    when either gyrovector is shorter than ``tol``.
+    Raises DegenerateAngle when either gyrovector is shorter than ``tol``.
     """
     if not (lp >= tol and lq >= tol):
         raise DegenerateAngle("gyrovector of near-zero gyrolength at vertex")
-    up = [x / lp for x in p]
-    uq = [x / lq for x in q]
-    return float(2.0 * np.arctan2(_norm([x - y for x, y in zip(up, uq)]),
-                                  _norm([x + y for x, y in zip(up, uq)])))
+    return _unit_angle([x / lp for x in p], [x / lq for x in q])
 
 
 def gyroangle(vertex, p, q, *, tol: float = 1e-14) -> float:
@@ -60,8 +53,7 @@ def gyroangle(vertex, p, q, *, tol: float = 1e-14) -> float:
     Raises DegenerateAngle when either gyrovector is shorter than ``tol``.
     """
     _, (vertex, p, q), n2 = _checked_gyroangle(vertex, p, q)
-    neg = _neg(vertex)
-    p, q = _add(neg, p, n2), _add(neg, q, n2)
+    p, q = _left_sub(vertex, p, n2), _left_sub(vertex, q, n2)
     return _gyroangle(p, q, _norm(p), _norm(q), tol)
 
 
@@ -197,6 +189,18 @@ class Gyrotriangle:
         return abs(self.gamma - math.pi / 2.0) <= tol
 
 
+def _triangle(sides, gammas, angles, vertices=None) -> Gyrotriangle:
+    """A Gyrotriangle with every field set in one step (_record).
+
+    ``sides``, ``gammas`` and ``angles`` are triples of Python floats: the
+    side gyrolengths, the side gamma factors and the gyroangles.
+    ``vertices`` is None for a triangle solved from its sides or angles.
+    """
+    (a, b, c), (ga, gb, gc), (alpha, beta, gamma) = sides, gammas, angles
+    return _record(Gyrotriangle, side_a=a, side_b=b, side_c=c, gamma_a=ga, gamma_b=gb,
+                   gamma_c=gc, alpha=alpha, beta=beta, gamma=gamma, vertices=vertices)
+
+
 def triangle_from_vertices(a, b, c) -> Gyrotriangle:
     """Assemble a gyrotriangle from three non-gyrocollinear ball points.
 
@@ -208,7 +212,7 @@ def triangle_from_vertices(a, b, c) -> Gyrotriangle:
     if _area(a, b, c) < COLLINEAR_AREA_TOL:
         raise CollinearPoints("vertices lie on one gyroline")
     # The gyrovectors ab, ac, ba, bc, ca and cb.
-    g = [_add(_neg(p), q, [n2]) for p, q, n2 in
+    g = [_left_sub(p, q, [n2]) for p, q, n2 in
          ((a, b, na), (a, c, na), (b, a, nb), (b, c, nb), (c, a, nc), (c, b, nc))]
     lengths = list(map(_norm, g))
     sides = [float(lengths[3]), float(lengths[1]), float(lengths[0])]
@@ -217,16 +221,9 @@ def triangle_from_vertices(a, b, c) -> Gyrotriangle:
             ends = " and ".join("abc".replace("abc"[i], ""))
             raise AdmissibilityError(f"side {'abc'[i]}, between vertices {ends}, has "
                                      f"gyrolength {side:.17g}, not below 1")
-    ga, gb, gc = map(_gamma_of_speed, sides)
-    alpha, beta, gamma = (_gyroangle(*g[i:i + 2], *lengths[i:i + 2]) for i in (0, 2, 4))
-    side_a, side_b, side_c = sides
-    return _record(
-        Gyrotriangle,
-        side_a=side_a, side_b=side_b, side_c=side_c,
-        gamma_a=ga, gamma_b=gb, gamma_c=gc,
-        alpha=alpha, beta=beta, gamma=gamma,
-        vertices=tuple(vertices),
-    )
+    return _triangle(sides, list(map(_gamma_of_speed, sides)),
+                     [_gyroangle(*g[i:i + 2], *lengths[i:i + 2]) for i in (0, 2, 4)],
+                     tuple(vertices))
 
 
 _checked_vertices = _operation(None, triangle_from_vertices)
@@ -238,14 +235,8 @@ def triangle_from_sides(side_a: float, side_b: float, side_c: float
     sides = _real_scalars((side_a, side_b, side_c), ("side_a", "side_b", "side_c"))
     if not all(0.0 < s < 1.0 for s in sides):
         raise InvalidTriangle("side gyrolengths must lie in (0, 1)")
-    ga, gb, gc = map(_gamma_of_speed, sides)
-    alpha, beta, gamma = _sss_to_aaa(ga, gb, gc)
-    return _record(
-        Gyrotriangle,
-        side_a=sides[0], side_b=sides[1], side_c=sides[2],
-        gamma_a=ga, gamma_b=gb, gamma_c=gc,
-        alpha=alpha, beta=beta, gamma=gamma, vertices=None,
-    )
+    gammas = list(map(_gamma_of_speed, sides))
+    return _triangle(sides, gammas, _sss_to_aaa(*gammas))
 
 
 def triangle_from_angles(alpha: float, beta: float, gamma: float
@@ -254,16 +245,11 @@ def triangle_from_angles(alpha: float, beta: float, gamma: float
 
     Angles so small that a side rounds to 1 raise NoSuchTriangle.
     """
-    ga, gb, gc = aaa_to_sss(alpha, beta, gamma)
-    sides = [_speed_of_gamma(g) for g in (ga, gb, gc)]
+    gammas = aaa_to_sss(alpha, beta, gamma)
+    sides = [_speed_of_gamma(g) for g in gammas]
     if not all(s < 1.0 for s in sides):
         raise NoSuchTriangle("gyroangles so small that a side reaches 1")
-    return _record(
-        Gyrotriangle,
-        side_a=sides[0], side_b=sides[1], side_c=sides[2],
-        gamma_a=ga, gamma_b=gb, gamma_c=gc,
-        alpha=float(alpha), beta=float(beta), gamma=float(gamma), vertices=None,
-    )
+    return _triangle(sides, gammas, (float(alpha), float(beta), float(gamma)))
 
 
 @dataclass(frozen=True)

@@ -172,15 +172,43 @@ def test_speeds_checked_once(monkeypatch):
     assert float(gamma_of_speed(0.6)) == 1.25 and calls == ["speed"]
 
 
-RELATIVISTIC = {
-    "relativistic_aberration": relativistic_aberration,
-    "relativistic_aberration_inv": relativistic_aberration_inv,
-    "stellar_aberration": lambda theta, v, p: stellar_aberration(theta, v),
-    "stellar_aberration_inv": lambda theta, v, p: stellar_aberration_inv(theta, v),
+# Every aberration formula runs in row blocks: each with the names of its
+# three arguments, and whether it evaluates a gamma factor (_gamma_of_speed)
+# once per block.  The stellar pair takes no p and ignores the third.
+FORMULAS = {
+    "relativistic_aberration": (relativistic_aberration, ("theta_s", "v", "p_s"), True),
+    "relativistic_aberration_inv": (relativistic_aberration_inv, ("theta_e", "v", "p_e"),
+                                    True),
+    "stellar_aberration": (lambda theta, v, p: stellar_aberration(theta, v),
+                           ("theta_s", "v", "p_s"), True),
+    "stellar_aberration_inv": (lambda theta, v, p: stellar_aberration_inv(theta, v),
+                               ("theta_e", "v", "p_e"), True),
+    "classical_aberration": (classical_aberration, ("theta_s", "v", "p_s"), False),
+    "classical_aberration_inv": (classical_aberration_inv, ("theta_e", "v", "p_e"), False),
+    "classical_matched_p_e": (classical_matched_p_e, ("theta_s", "theta_e", "p_s"), False),
+    "relativistic_matched_p_e": (relativistic_matched_p_e, ("theta_s", "theta_e", "p_s"),
+                                 True),
+}
+
+# The bad values of test_bad_last_row that a formula admits: (formula,
+# argument, value).  The classical formulas take a light-speed frame and any
+# positive particle speed, the matched ones any theta_e in (0, pi), and
+# relativistic_matched_p_e a particle at rest.  The stellar pair admits
+# every third argument, which it ignores.
+ADMISSIBLE = {
+    ("classical_aberration", 1, 1.0), ("classical_aberration_inv", 1, 1.0),
+    ("classical_aberration", 2, 1.5), ("classical_aberration_inv", 2, 1.5),
+    ("classical_matched_p_e", 2, 1.5),
+    ("classical_matched_p_e", 1, 1.0), ("relativistic_matched_p_e", 1, 1.0),
+    ("relativistic_matched_p_e", 2, 0.0),
 }
 
 # Around one block of 8192 rows, and several blocks with a remainder.
 LENGTHS = [8191, 8192, 8193, 20000]
+
+# The range an argument is drawn from, by its first letter: an angle, the
+# frames' speed v, a particle speed.
+RANGES = {"t": (0.01, math.pi - 0.01), "v": (0.0, 0.99), "p": (0.01, 1.0)}
 
 
 def one_call(monkeypatch, op, *args):
@@ -199,103 +227,132 @@ def failure(op, *args):
     return None
 
 
-def name_of(op, i):
-    """The name of argument theta (i = 0) or p (i = 1) of a RELATIVISTIC op."""
-    return ("theta_e", "p_e")[i] if op.endswith("_inv") else ("theta_s", "p_s")[i]
+def at_row(error, row):
+    """The class and message of a single value's ``error`` raised by ``row`` of a batch."""
+    return error and (error[0], error[1].replace(" ", f" row {row} ", 1))
 
 
-def scenario(rng, k):
-    return (rng.uniform(0.01, math.pi - 0.01, k), rng.uniform(0.0, 0.99, k),
-            rng.uniform(0.01, 1.0, k))
+def scenario(rng, names, k):
+    """Admissible arguments labelled ``names``, k rows each."""
+    return tuple(rng.uniform(*RANGES[name[0]], k) for name in names)
 
 
-@pytest.mark.parametrize("name", RELATIVISTIC)
+def count_blocks(monkeypatch, name):
+    """A list of the lengths of the blocks in which argument ``name`` is checked.
+
+    Every formula checks its first angle first in each block.
+    """
+    rows = []
+
+    def check(theta, n):
+        if n == name:
+            rows.append(len(theta))
+        return _check_angle(theta, n)
+
+    monkeypatch.setattr("gyrokin.aberration._check_angle", check)
+    return rows
+
+
+def count_gammas(monkeypatch):
+    """A list of the lengths of the speeds whose gamma factor is evaluated."""
+    rows = []
+    monkeypatch.setattr("gyrokin.aberration._gamma_of_speed",
+                        lambda s: rows.append(len(s)) or _gamma_of_speed(s))
+    return rows
+
+
+@pytest.mark.parametrize("name", FORMULAS)
 class TestRowBlocks:
     """Long batches run in row blocks with the checks inside; one call's bits and errors."""
 
     @pytest.mark.parametrize("k", LENGTHS)
     def test_blocks_give_the_bits_of_one_call(self, rng, monkeypatch, name, k):
-        op = RELATIVISTIC[name]
-        theta, v, p = scenario(rng, k)
-        for args in [(theta, v, p), (theta, 0.6, p), (theta[:, None], v[:3], p[:3]),
-                     (1.2, v, 0.7)]:
+        op, names, _ = FORMULAS[name]
+        a, b, c = scenario(rng, names, k)
+        for args in [(a, b, c), (a, 0.6, c), (a[:, None], b[:3], c[:3]), (1.2, b, 0.7)]:
             assert same_bits(op(*args), one_call(monkeypatch, op, *args))
 
     @pytest.mark.parametrize("k", LENGTHS)
     def test_each_block_evaluated_once(self, rng, monkeypatch, name, k):
-        rows = []
-        monkeypatch.setattr("gyrokin.aberration._gamma_of_speed",
-                            lambda s: rows.append(len(s)) or _gamma_of_speed(s))
-        RELATIVISTIC[name](*scenario(rng, k))
+        # Counted by the gamma factor a formula evaluates, or else by the
+        # first check of each block.
+        op, names, gamma = FORMULAS[name]
+        rows = count_gammas(monkeypatch) if gamma else count_blocks(monkeypatch, names[0])
+        op(*scenario(rng, names, k))
         assert rows == [min(8192, k - lo) for lo in range(0, k, 8192)]
 
     @pytest.mark.parametrize("k", LENGTHS)
     @pytest.mark.parametrize("arg, value", [(0, 0.0), (0, np.nan), (1, 1.0), (1, -0.1),
                                             (1, np.inf), (2, 0.0), (2, 1.5)])
     def test_bad_last_row(self, rng, monkeypatch, name, k, arg, value):
-        op = RELATIVISTIC[name]
-        args = scenario(rng, k)
+        # Every bad value fails but those in ADMISSIBLE, in the batch as in
+        # its last row called alone.
+        op, names, _ = FORMULAS[name]
+        args = scenario(rng, names, k)
         args[arg][-1] = value
         want = one_call(monkeypatch, failure, op, *args)
-        if name.startswith("stellar") and arg == 2:
-            assert want is None
+        alone = failure(op, *(a[-1] for a in args))
+        if (name, arg, value) in ADMISSIBLE or (name.startswith("stellar") and arg == 2):
+            assert want is None and alone is None
         else:
-            assert want is not None and want[0] is not ValueError
+            assert want is not None and want[0] is alone[0] is not ValueError
         assert failure(op, *args) == want
 
     @pytest.mark.parametrize("k", LENGTHS)
     @pytest.mark.parametrize("arg, value", [(0, 0.0), (1, 1.0), (2, 1.5)])
     def test_failing_call_evaluates_each_block_once(self, rng, monkeypatch, name, k, arg,
                                                     value):
-        # Counted as in test_each_block_evaluated_once, by the first check of
-        # each block; no block runs again after the last one raised.
-        rows = []
-        monkeypatch.setattr("gyrokin.aberration._check_angle",
-                            lambda theta, n: rows.append(len(theta)) or _check_angle(theta, n))
-        args = scenario(rng, k)
+        # Counted by the first check of each block; no block runs again after
+        # the last one raised.
+        op, names, _ = FORMULAS[name]
+        rows = count_blocks(monkeypatch, names[0])
+        args = scenario(rng, names, k)
         args[arg][-1] = value
-        failure(RELATIVISTIC[name], *args)
+        failure(op, *args)
         assert rows == [min(8192, k - lo) for lo in range(0, k, 8192)]
 
     @pytest.mark.parametrize("k", LENGTHS)
-    @pytest.mark.parametrize("arg, value", [(0, 0.0), (1, 1.0)])
+    @pytest.mark.parametrize("arg, value", [(0, 0.0), (1, 1.0), (1, -0.1)])
     def test_error_names_its_row_in_the_whole_batch(self, rng, monkeypatch, name, k, arg,
                                                     value):
-        # The same row with and without row blocks, on both sides of a block edge.
-        op = RELATIVISTIC[name]
-        error, text = [(AngleDegenerate, name_of(name, 0) + " row {} must lie strictly "
-                                                            "between 0 and pi"),
-                       (AdmissibilityError, "v row {} must lie in [0, 1)")][arg]
+        # The same row with and without row blocks, on both sides of a block
+        # edge, and the row's own error, which only the values in ADMISSIBLE
+        # do not raise.
+        op, names, _ = FORMULAS[name]
         for row in sorted({0, 8191, 8192, k - 1} & set(range(k))):
-            args = scenario(rng, k)
+            args = scenario(rng, names, k)
             args[arg][row] = value
-            want = (error, text.format(row))
+            want = at_row(failure(op, *(a[row] for a in args)), row)
+            assert (want is None) == ((name, arg, value) in ADMISSIBLE)
+            if arg == 0:
+                assert want == (AngleDegenerate, f"{names[0]} row {row} must lie strictly "
+                                                 f"between 0 and pi")
             assert failure(op, *args) == one_call(monkeypatch, failure, op, *args) == want
 
     def test_first_argument_checked_first(self, rng, monkeypatch, name):
         # Inside a block the arguments are checked in order; across blocks
         # the first failing block raises.  Each error names its row.
-        op = RELATIVISTIC[name]
-        angle = (AngleDegenerate,
-                 f"{name_of(name, 0)} row 19999 must lie strictly between 0 and pi")
-        speed = (AdmissibilityError, "v row 0 must lie in [0, 1)")
-        theta, v, p = scenario(rng, 20000)
-        theta[-1], v[-1] = math.pi, 1.0
-        assert failure(op, theta, v, p) == one_call(monkeypatch, failure, op, theta, v, p) == angle
-        v[-1], v[0] = 0.5, 1.0
-        assert one_call(monkeypatch, failure, op, theta, v, p) == angle
-        assert failure(op, theta, v, p) == speed
+        op, names, _ = FORMULAS[name]
+        angle = (AngleDegenerate, f"{names[0]} row 19999 must lie strictly between 0 and pi")
+        theta, b, c = scenario(rng, names, 20000)
+        theta[-1], b[-1] = math.pi, -0.1
+        assert failure(op, theta, b, c) == one_call(monkeypatch, failure, op, theta, b, c) == angle
+        b[-1], b[0] = b[1], -0.1
+        second = at_row(failure(op, theta[0], b[0], c[0]), 0)
+        assert second[1].startswith(f"{names[1]} row 0 must lie")
+        assert one_call(monkeypatch, failure, op, theta, b, c) == angle
+        assert failure(op, theta, b, c) == second
 
     def test_mismatched_shapes_fail_as_one_call(self, rng, monkeypatch, name):
-        op = RELATIVISTIC[name]
-        theta, v, p = scenario(rng, 20000)
-        names = f"{name_of(name, 0)}, v, {name_of(name, 1)}"
+        op, names, _ = FORMULAS[name]
+        a, b, c = scenario(rng, names, 20000)
         ragged = [[0.5], [0.6, 0.7]]
         for args, want in [
-                ((theta, v[:-1], p),
-                 (DimensionError, f"{names}: {broadcast_error(theta, v[:-1])}")),
-                ((theta, [0.1j], p), (AdmissibilityError, "v is not real-valued: complex components")),
-                ((ragged, v, p), (AdmissibilityError, f"{name_of(name, 0)} is not real-valued: "
+                ((a, b[:-1], c),
+                 (DimensionError, f"{', '.join(names)}: {broadcast_error(a, b[:-1])}")),
+                ((a, [0.1j], c),
+                 (AdmissibilityError, f"{names[1]} is not real-valued: complex components")),
+                ((ragged, b, c), (AdmissibilityError, f"{names[0]} is not real-valued: "
                                                       f"{coercion_error(ragged)}"))]:
             assert one_call(monkeypatch, failure, op, *args) == want
             assert failure(op, *args) == want

@@ -9,14 +9,14 @@ import warnings
 import numpy as np
 import pytest
 
-from gyrokin import (AdmissibilityError, AngleDegenerate, DimensionError, Gyrotriangle,
-                     NonFinite, Particle, ParticleSystem, aberration_scene, add_speeds,
-                     are_gyrocollinear, classical_aberration, classical_aberration_inv,
-                     classical_matched_p_e, decompose, gamma, gamma_of_speed, gyrate,
-                     gyroline_point, relativistic_aberration, relativistic_aberration_inv,
-                     relativistic_matched_p_e, scalar_mul, speed_of_gamma, stellar_aberration,
-                     stellar_aberration_inv, triangle_area, triangle_from_angles,
-                     triangle_from_sides, triangle_from_vertices)
+from gyrokin import (AdmissibilityError, AngleDegenerate, DimensionError, GyrokinError,
+                     Gyrotriangle, NonFinite, Particle, ParticleSystem, aberration_scene,
+                     aberration_sweep, add_speeds, are_gyrocollinear, classical_aberration,
+                     classical_aberration_inv, classical_matched_p_e, decompose, einstein_add,
+                     gamma, gamma_of_speed, gyrate, gyroline_point, relativistic_aberration,
+                     relativistic_aberration_inv, relativistic_matched_p_e, scalar_mul,
+                     speed_of_gamma, stellar_aberration, stellar_aberration_inv, triangle_area,
+                     triangle_from_angles, triangle_from_sides, triangle_from_vertices)
 from gyrokin.ball import _real_scalars, _record, as_velocity, dot, norm_sq
 from helpers import broadcast_error, in_blocks, raised
 
@@ -267,6 +267,32 @@ def test_range_error_row_is_a_tuple_over_the_batch_axes(monkeypatch):
             run()
         assert (info.value.name, info.value.row) == ("theta_s", (6, 1))
         assert str(info.value) == "theta_s row (6, 1) must lie strictly between 0 and pi"
+
+
+@pytest.mark.parametrize("op, args, want", [
+    (aberration_scene, (-0.5, 0.5, 1.0), (AdmissibilityError, "v", "v must lie in [0, 1)")),
+    (aberration_scene, (0.0, 0.5, 1.0),
+     (AngleDegenerate, "v", "v must be positive; E and S coincide otherwise")),
+    (aberration_scene, (0.5, 0.0, 1.0), (AdmissibilityError, "p_s", "p_s must be positive")),
+    (aberration_sweep, (0.5, 0.5, 1),
+     (DimensionError, "n_samples", "n_samples must be at least 2")),
+    (aberration_sweep, (0.5, 0.5, 2.5), (DimensionError, "n_samples", "n_samples must be whole")),
+    (aberration_sweep, (0.5, 0.5, 1j),
+     (AdmissibilityError, "n_samples", "n_samples is not real-valued: complex components")),
+    (Particle, (-1.0, [0.1, 0.0, 0.0]),
+     (AdmissibilityError, "particle mass", "particle mass must be positive and finite")),
+    (gamma, (0.5,), (DimensionError, "v", "v must have at least one component")),
+    (einstein_add, ([1j, 0, 0], [0.1, 0, 0]),
+     (AdmissibilityError, "u", "u is not real-valued: complex components")),
+    # A label of several scalar arguments is not one argument's name.
+    (triangle_from_sides, (1j, 0.5, 0.5),
+     (AdmissibilityError, None, "one of side_a, side_b, side_c is not real-valued: "
+                                "complex components")),
+])
+def test_error_about_one_argument_carries_its_name(op, args, want):
+    with pytest.raises(GyrokinError) as info:
+        op(*args)
+    assert (type(info.value), info.value.name, str(info.value)) == want
 
 
 def test_long_batch_checked_without_a_norm_array():
