@@ -11,7 +11,11 @@ at the CLI boundary.
 ``import gyrokin`` loads the core: ``ball``, ``errors`` and ``gyro``.  The
 composite modules ``space``, ``trig``, ``aberration`` and ``mass`` load
 together the first time one of their names, or one of the modules, is read
-from the package.
+from the package.  numpy is bound lazily (``ball.np``): its code runs the
+first time the library reads a numpy name, so ``import gyrokin`` and the
+CLI's float commands (``add``, ``sub``, ``coadd``, ``distance``, and
+``triangle`` from sides or angles) do not run it.  A numpy imported before
+gyrokin is the module gyrokin uses.
 """
 
 __version__ = "0.1.0"

@@ -19,15 +19,16 @@ order, so one vector's floats get the bits of a batch row.
 Each velocity operation has one checked boundary, built once at import
 (``_operation``).  It coerces all the operands, matches their shapes, then
 takes one of two routes, chosen from the input.  When every operand is one
-vector, each becomes its floats (one tolist()), each passes the check in
-argument order, and the kernel runs on the floats; a vector result becomes
-an ndarray and a scalar an np.float64.  Otherwise the batch runs row block
-after row block (``_by_rows``) through the operation's row-block function,
-also made once (``_on_components``): it checks each block's operands in
-argument order, runs the kernel on their columns and assembles the result
-(``_assemble``).  An operation on single vectors only takes the first route
-and hands back the checked vectors; a batch operand raises, in its place
-in the argument order.
+vector, each becomes its floats (one tolist()) and takes the boundary's
+``floats`` route: each passes the check in argument order, and the kernel
+runs on the floats; a vector result becomes an ndarray and a scalar an
+np.float64.  The CLI calls ``floats`` on the lists of floats it parses.
+Otherwise the batch runs row block after row block (``_by_rows``) through
+the operation's row-block function, also made once (``_on_components``):
+it checks each block's operands in argument order, runs the kernel on their
+columns and assembles the result (``_assemble``).  An operation on single
+vectors only takes the first route and hands back the checked vectors; a
+batch operand raises, in its place in the argument order.
 The first failing check raises, once; an error in a batch names its first
 failing row as an index into the whole batch ("u row 19999 has norm ..."),
 and a single value's error names no row.  The one velocity check,
@@ -36,23 +37,80 @@ them (``_gamma(n2)``) instead of summing |v|^2 again.  A more accurate
 1 - |v|^2 therefore has one place to go.  Every other range check (speeds,
 gamma factors, angles, scale factors, masses) raises through ``_require``,
 which finds the failing row the same way (``_first_row``).
+
+numpy is bound once, here (``np``); ``gyro`` and ``space`` import this
+binding, and ``trig`` and the CLI need numpy only through them.  No
+module-level value needs it, and on one vector of fewer than
+_IN_ORDER_TERMS components the checks and every kernel made of +, -, *, /
+and square roots run on Python floats alone: numpy's code runs only once
+something reads a numpy name, such as a function that makes an array.
 """
 
 from __future__ import annotations
 
+import importlib.util
 import math
+import sys
+import threading
+import types
 from functools import partial
-
-import numpy as np
+from types import MappingProxyType
 
 from .errors import AdmissibilityError, DimensionError, GyrokinError, OperandTypeError
+
+
+# Held while a lazy module's code runs.  It is reentrant: that code reads the
+# module too.
+_RUN_LOCK = threading.RLock()
+
+
+class _NotRun(types.ModuleType):
+    """A module whose code has not run: the first attribute read runs it, once.
+
+    importlib.util.LazyLoader does the same, but before Python 3.12 another
+    thread could read the module while its code still ran, and find names
+    missing.
+    """
+
+    def __getattribute__(self, name):
+        with _RUN_LOCK:
+            if type(self) is _NotRun:
+                self.__class__ = _Running
+                try:
+                    self.__spec__.loader.exec_module(self)
+                finally:
+                    self.__class__ = types.ModuleType
+        return getattr(self, name)
+
+
+class _Running(types.ModuleType):
+    """A module whose code runs in the thread that holds _RUN_LOCK: other threads wait."""
+
+    def __getattribute__(self, name):
+        with _RUN_LOCK:
+            return types.ModuleType.__getattribute__(self, name)
+
+
+# The one binding of numpy for ball, gyro and space: the module already
+# imported, or one whose code runs on its first attribute read (_NotRun).  It
+# stands in sys.modules, so a later ``import numpy`` runs its code in place
+# and gets this very module; from then on it is a plain module, and every
+# ``np.`` read a plain attribute read.  So a command whose kernels are pure
+# float arithmetic starts without running numpy's code.
+np = sys.modules.get("numpy")
+if np is None:
+    _spec = importlib.util.find_spec("numpy")
+    if _spec is None:
+        raise ModuleNotFoundError("No module named 'numpy'", name="numpy")
+    np = sys.modules["numpy"] = importlib.util.module_from_spec(_spec)
+    np.__class__ = _NotRun
 
 # Constructors reject squared norms above 1 - BALL_MARGIN: gamma factors blow
 # up and the algebraic laws lose their precision headroom without a hard edge.
 BALL_MARGIN = 1e-12
 
 # Largest norm an admissible velocity may have; scalar results clamp here.
-MAX_NORM = float(np.sqrt(1.0 - BALL_MARGIN))
+MAX_NORM = math.sqrt(1.0 - BALL_MARGIN)  # correctly rounded, as np.sqrt
 _OUTSIDE = f"outside the admissible ball (limit {MAX_NORM:.17g})"
 
 # Ambient triangle areas below this mark a triple as gyrocollinear (space, trig).
@@ -66,10 +124,10 @@ RIGHT_ANGLE_TOL = 1e-8
 _BLOCK = 8192
 
 # The largest finite float: an ambient vector's squared norm may not exceed it.
-_FLOAT_MAX = float(np.finfo(float).max)
+_FLOAT_MAX = sys.float_info.max
 
-# _as_real takes an ndarray of this dtype as it is.
-_FLOAT = np.dtype(float)
+# The keyword arguments of a kernel called without any.
+_NO_PARAMS = MappingProxyType({})
 
 # numpy's float sum adds fewer terms than this one by one, in order, from +0.0;
 # from here on it sums pairwise.
@@ -216,9 +274,10 @@ def _real_array(v, name: str) -> np.ndarray:
 def _as_real(v, name: str) -> np.ndarray:
     """Coerce to a float array with a nonempty component axis, or raise.
 
-    A float64 ndarray is taken as it is, without the calls of _real_array.
+    An ndarray of native float64 is taken as it is, without the calls of
+    _real_array, which would return it unchanged.
     """
-    arr = v if type(v) is np.ndarray and v.dtype is _FLOAT else _real_array(v, name)
+    arr = v if type(v) is np.ndarray and v.dtype == float else _real_array(v, name)
     if arr.ndim == 0 or arr.shape[-1] == 0:
         raise DimensionError("must have at least one component", name=name)
     return arr
@@ -233,16 +292,18 @@ def _real_scalars(values, names) -> list:
     """
     if all(type(x) is float for x in values):
         return list(values)
-    label = names[0] if len(names) == 1 else f"one of {', '.join(names)}"
+    # One argument's error carries its name; several arguments' is about none
+    # of them, and its message names them all.
+    name, label = (names[0], "") if len(names) == 1 else (None, f"one of {', '.join(names)} ")
     try:
         arr = _real_array(np.asarray(values), names[0])
-    except AdmissibilityError as exc:  # a label of several arguments names none of them
-        error = exc if len(names) == 1 else AdmissibilityError(f"{label} {exc.args[0]}")
+    except AdmissibilityError as exc:
+        error = exc if name else AdmissibilityError(label + exc.args[0])
         raise error from exc.__cause__
     except ValueError as exc:  # ragged: an argument is a sequence
-        raise DimensionError(f"{label} is a batch, not a scalar") from exc
+        raise DimensionError(label + "is a batch, not a scalar", name=name) from exc
     if arr.shape != (len(names),):
-        raise DimensionError(f"{label} is a batch, not a scalar")
+        raise DimensionError(label + "is a batch, not a scalar", name=name)
     return arr.tolist()
 
 
@@ -419,10 +480,14 @@ def same_shape(arrays, names) -> None:
             break
     else:
         return
-    dims = [a.shape[-1] for a in arrays]
+    _same_dimension([a.shape[-1] for a in arrays], names)
+    _broadcast(arrays, names)
+
+
+def _same_dimension(dims, names) -> None:
+    """Require one component count among ``dims``, those of the arguments ``names``."""
     if len(set(dims)) > 1:
         raise DimensionError(f"{', '.join(names)} have dimensions {dims}")
-    _broadcast(arrays, names)
 
 
 def _matched(arrays, names) -> list:
@@ -443,27 +508,29 @@ def _operation(kernel, names, ambient_last: bool = False):
     kernel(*components, n2, **params) runs, with ``n2`` their squared
     norms.  All must be admissible velocities, except that with
     ``ambient_last`` the last one need only be finite.  When every operand
-    is one vector of one shape this happens once, on its floats, and a
-    vector result becomes an ndarray and a scalar an np.float64; one and two
-    operands take it without building lists of operands.  Otherwise it
-    happens in each row block (_by_rows), and the first failing block
-    raises.
+    is one vector of one shape this happens once, on its floats, by the
+    boundary's ``floats`` route, and a vector result becomes an ndarray and
+    a scalar an np.float64; one and two operands take it without building
+    lists of operands.  Otherwise it happens in each row block (_by_rows),
+    and the first failing block raises.
+
+    ``floats(*vecs, params=...)`` takes each operand as a nonempty list of
+    Python floats, and the kernel's keyword arguments as one mapping.  It
+    requires one length (the error of same_shape), runs the checks and
+    returns the kernel's floats; it runs no numpy code on fewer than
+    _IN_ORDER_TERMS components.  The row blocks run the same checks and
+    kernel on their columns.
 
     With ``kernel`` None the operation takes single vectors only: the
     boundary returns the arrays, their components (Python floats) and their
     squared norms, three lists, and a batch operand raises DimensionError in
-    its place in the argument order.
+    its place in the argument order; its ``floats`` returns the squared norms.
     """
     if callable(names):
         code = names.__code__
         names = code.co_varnames[:code.co_argcount]
     ambient = (False,) * (len(names) - 1) + (ambient_last,)
     first, last = names[0], names[-1]
-
-    def checked(*vecs, **params):
-        return kernel(*vecs, list(map(_norm_sq_checked, vecs, names, ambient)), **params)
-
-    block = _on_components(checked)
 
     def rows(arrays, params):
         """The route of operands that are not all one vector of one shape."""
@@ -473,17 +540,38 @@ def _operation(kernel, names, ambient_last: bool = False):
                 if a.ndim != 1:
                     raise DimensionError("must be a single vector, not a batch", name=name)
                 _norm_sq_checked(a.tolist(), name)
-        return _by_rows(partial(block, **params) if params else block, *arrays)
+        return _by_rows(partial(block, params=params) if params else block, *arrays)
+
+    # The routes take the keyword arguments as one mapping: forwarding them as
+    # **params a second time costs one vector's call about 0.1 us more
+    # (CPython 3.11 on x86_64).
+    def one_floats(a, params=_NO_PARAMS):
+        n2 = [_norm_sq_checked(a, first, ambient_last)]
+        return n2 if kernel is None else kernel(a, n2, **params)
+
+    def two_floats(a, b, params=_NO_PARAMS):
+        if len(a) != len(b):
+            _same_dimension([len(a), len(b)], names)
+        n2 = [_norm_sq_checked(a, first), _norm_sq_checked(b, last, ambient_last)]
+        return n2 if kernel is None else kernel(a, b, n2, **params)
+
+    def many_floats(*vecs, params=_NO_PARAMS):
+        for v in vecs:  # a loop: a set of the lengths costs more on one vector
+            if len(v) != len(vecs[0]):
+                _same_dimension(list(map(len, vecs)), names)
+        n2 = list(map(_norm_sq_checked, vecs, names, ambient))
+        return n2 if kernel is None else kernel(*vecs, n2, **params)
+
+    block = _on_components(many_floats)  # a block's components are its columns
 
     def one(x, **params):
         x = _as_real(x, first)
         if x.ndim != 1:
             return rows([x], params)
         a = x.tolist()
-        n2 = [_norm_sq_checked(a, first, ambient_last)]
         if kernel is None:
-            return [x], [a], n2
-        result = kernel(a, n2, **params)
+            return [x], [a], one_floats(a)
+        result = one_floats(a, params)
         return np.array(result) if type(result) is list else np.float64(result)
 
     def two(x, y, **params):
@@ -491,10 +579,9 @@ def _operation(kernel, names, ambient_last: bool = False):
         if x.ndim != 1 or x.shape != y.shape:
             return rows([x, y], params)
         a, b = x.tolist(), y.tolist()
-        n2 = [_norm_sq_checked(a, first), _norm_sq_checked(b, last, ambient_last)]
         if kernel is None:
-            return [x, y], [a, b], n2
-        result = kernel(a, b, n2, **params)
+            return [x, y], [a, b], two_floats(a, b)
+        result = two_floats(a, b, params)
         return np.array(result) if type(result) is list else np.float64(result)
 
     def many(*operands, **params):
@@ -503,16 +590,18 @@ def _operation(kernel, names, ambient_last: bool = False):
             if a.ndim != 1 or a.shape != arrays[0].shape:
                 return rows(arrays, params)
         vecs = list(map(np.ndarray.tolist, arrays))
-        n2 = list(map(_norm_sq_checked, vecs, names, ambient))
         if kernel is None:
-            return arrays, vecs, n2
-        result = kernel(*vecs, n2, **params)
+            return arrays, vecs, many_floats(*vecs)
+        result = many_floats(*vecs, params=params) if params else many_floats(*vecs)
         return np.array(result) if type(result) is list else np.float64(result)
 
     # many alone would do for every arity, but its lists of operands and star
     # calls cost one vector about 1 us more a call (CPython 3.11 on x86_64), a
     # third of einstein_add's and half of gamma's.
-    return {1: one, 2: two}.get(len(names), many)
+    boundary, floats = {1: (one, one_floats), 2: (two, two_floats)}.get(
+        len(names), (many, many_floats))
+    boundary.floats = floats
+    return boundary
 
 
 def _require_instance(cls, **values) -> None:

@@ -19,7 +19,12 @@ dimension, or geometric-validity errors.
 The core modules (``ball``, ``errors``, ``gyro``) load with this module; a
 command imports the composite modules it calls (``space``, ``trig``,
 ``aberration``, ``mass``) when it runs, so each start of the program
-compiles and runs only the library code its command uses.
+compiles and runs only the library code its command uses.  numpy's code
+runs only in a command that makes an array: velocities parse to lists of
+Python floats, and ``add``, ``sub``, ``coadd``, ``distance`` and
+``triangle`` from sides or angles compute, check and print in floats, by
+the checked one-vector routes of their operations (``ball._operation``'s
+``floats``), with the bits of the library's arrays.
 """
 
 from __future__ import annotations
@@ -31,20 +36,20 @@ import os
 import sys
 
 import click
-import numpy as np
 
 from . import __version__
-from .ball import COLLINEAR_AREA_TOL, RIGHT_ANGLE_TOL, norm
+from .ball import COLLINEAR_AREA_TOL, RIGHT_ANGLE_TOL, _dot, _neg, _norm
 from .errors import AngleDegenerate, GyrokinError, ParticleFormatError
 from .gyro import (
     Gyration,
+    _checked_coadd,
+    _checked_coadd_via_gyration,
+    _checked_einstein_add,
+    _checked_einstein_sub,
+    _checked_gamma,
+    _checked_left_sub,
     coadd,
-    coadd_via_gyration,
-    einstein_add,
-    einstein_sub,
-    gamma,
     gyrate_definitional,
-    left_sub,
 )
 
 SI_C = 299792458.0
@@ -98,9 +103,9 @@ class Config:
         except ValueError:
             raise click.BadParameter(f"cannot parse {name} value {text!r}")
 
-    def parse_vector(self, text: str, name: str = "vector") -> np.ndarray:
-        """Comma-separated speeds as a float array; the library validates it."""
-        return np.array([self.parse_speed(c, name=name) for c in text.split(",")])
+    def parse_vector(self, text: str, name: str = "vector") -> list:
+        """Comma-separated speeds as a list of floats; the library validates it."""
+        return [self.parse_speed(c, name=name) for c in text.split(",")]
 
     def emit(self, op: str, inputs: dict, result, checks: dict) -> None:
         """Print one result; ``result`` is a dict, or in JSON also a list."""
@@ -146,14 +151,17 @@ def _parse_angle(text: str, name: str, unit: str) -> float:
 
 
 def _jsonify(obj):
+    """``obj`` as JSON carries it: numpy arrays and numbers as Python lists and numbers."""
     if isinstance(obj, dict):
         return {k: _jsonify(v) for k, v in obj.items()}
     if isinstance(obj, str) or obj is None or isinstance(obj, bool):
         return obj
-    if isinstance(obj, (np.ndarray, list, tuple)):
-        return [_jsonify(v) for v in np.asarray(obj).tolist()]
-    if isinstance(obj, (int, np.integer)):
-        return int(obj)
+    if hasattr(obj, "tolist"):  # a numpy array or number
+        return _jsonify(obj.tolist())
+    if isinstance(obj, (list, tuple)):
+        return [_jsonify(v) for v in obj]
+    if isinstance(obj, int):
+        return obj
     return float(_fmt(obj))  # rounded to the 15 digits printed
 
 
@@ -229,33 +237,31 @@ def cli():
 
 
 def _maybe_gamma(w):
+    """The gamma of the list of floats ``w``, or None past the ball."""
     try:
-        return float(gamma(w))
+        return _checked_gamma.floats(w)
     except GyrokinError:
         return None
 
 
 def _ball_result(w) -> dict:
-    """A ball vector as printed: w, its norm, and its gamma (None past the ball)."""
-    return {"result": w, "norm": float(norm(w)), "gamma": _maybe_gamma(w)}
+    """A ball vector, a list of floats, as printed: w, its norm, and its gamma."""
+    return {"result": w, "norm": _norm(w), "gamma": _maybe_gamma(w)}
 
 
-def _max_abs(x) -> float:
-    return float(np.max(np.abs(x)))
+def _max_gap(x, y) -> float:
+    """The largest |x_i - y_i| of two vectors, lists of floats or arrays."""
+    return max(abs(a - b) for a, b in zip(x, y))
 
 
 @_command("gyr", "u", "v", "w", options=[_out_option])
 def gyr(cfg, u, v, w, out_unit):
     """Apply the gyration gyr[u, v]; prints its matrix (n <= 3) and angle."""
     g = Gyration(u, v)
-    out = g.apply(w)
-    checks = {
-        "orthogonality_norm_abs":
-            abs(float(norm(out)) - float(norm(w))),
-    }
+    out = g.apply(w).tolist()
+    checks = {"orthogonality_norm_abs": abs(_norm(out) - _norm(w))}
     try:
-        checks["definitional_vs_closed_max_abs"] = _max_abs(
-            out - gyrate_definitional(u, v, w))
+        checks["definitional_vs_closed_max_abs"] = _max_gap(out, gyrate_definitional(u, v, w))
     except GyrokinError:
         pass  # w outside the ball: only the closed form applies
     result = {
@@ -271,16 +277,17 @@ def gyr(cfg, u, v, w, out_unit):
 @_command("distance", "a", "b")
 def distance(cfg, a, b):
     """Gyrodistance |(-a) (+) b| between two ball points (fraction of c)."""
-    from .space import gyrodistance
+    from .space import _checked_gyrodistance
 
-    w = left_sub(a, b)
-    d = float(norm(w))
-    checks = {"symmetry_abs": abs(d - float(gyrodistance(b, a)))}
+    w = _checked_left_sub.floats(a, b)
+    d = _norm(w)
+    checks = {"symmetry_abs": abs(d - _checked_gyrodistance.floats(b, a))}
     return "distance", {"a": a, "b": b}, {"result": d, "gamma": _maybe_gamma(w)}, checks
 
 
 def _add_checks(w, u, v):
-    identity = float(gamma(u) * gamma(v) * (1.0 + float(np.dot(u, v))))
+    # u.v in the kernels' order (_dot), not np.dot's
+    identity = _checked_gamma.floats(u) * _checked_gamma.floats(v) * (1.0 + _dot(u, v))
     g = _maybe_gamma(w)  # None once the sum has left the ball
     return {"gamma_identity_rel_error": None if g is None else abs(g - identity) / identity}
 
@@ -289,13 +296,13 @@ def _scale_checks(w, r, v):
     from .space import scalar_mul
 
     half = scalar_mul(0.5, scalar_mul(2.0, w)) if abs(r) < 1e6 else w
-    return {"halving_roundtrip_max_abs": _max_abs(half - w)}
+    return {"halving_roundtrip_max_abs": _max_gap(half, w)}
 
 
 def _midpoint(a, b, t):
     from .space import gyroline_point, gyromidpoint
 
-    return gyromidpoint(a, b) if t == 0.5 else gyroline_point(a, b, t)
+    return (gyromidpoint(a, b) if t == 0.5 else gyroline_point(a, b, t)).tolist()
 
 
 def _midpoint_checks(w, a, b, t):
@@ -303,7 +310,7 @@ def _midpoint_checks(w, a, b, t):
 
     if t != 0.5:
         return {}
-    return {"line_form_max_abs": _max_abs(w - gyroline_point(a, b, 0.5)),
+    return {"line_form_max_abs": _max_gap(w, gyroline_point(a, b, 0.5)),
             "equidistance_abs":
                 abs(float(gyrodistance(w, a)) - float(gyrodistance(w, b)))}
 
@@ -311,28 +318,30 @@ def _midpoint_checks(w, a, b, t):
 def _parallelogram_checks(d, a, b, c, tol):
     from .space import scalar_mul
 
-    return {"diagonal_midpoint_residual": _max_abs(
-        scalar_mul(0.5, coadd(a, d)) - scalar_mul(0.5, coadd(b, c)))}
+    return {"diagonal_midpoint_residual": _max_gap(
+        scalar_mul(0.5, coadd(a, d)), scalar_mul(0.5, coadd(b, c)))}
 
 
 # The commands whose result is one ball vector w, printed with its norm and gamma.
-# Each entry is (docstring, library call, its positional input names in order,
-# checks(w, *inputs, **opts), the command's own click options).  The inputs named
-# in _VECTOR_HELP are velocities that _command parses; the other inputs and the
-# keyword opts are the command's own options.
+# Each entry is (docstring, call, its positional input names in order,
+# checks(w, *inputs, **opts), the command's own click options).  The call
+# takes the inputs, velocities as lists of floats, and returns w as one: the
+# commands that need no numpy call an operation's checked floats route.  The
+# inputs named in _VECTOR_HELP are velocities that _command parses; the other
+# inputs and the keyword opts are the command's own options.
 _VECTOR_COMMANDS = {
-    "add": ("Einstein velocity addition u (+) v.", einstein_add, ("u", "v"),
+    "add": ("Einstein velocity addition u (+) v.", _checked_einstein_add.floats, ("u", "v"),
             _add_checks, []),
-    "sub": ("Einstein velocity subtraction u (-) v.", einstein_sub, ("u", "v"),
+    "sub": ("Einstein velocity subtraction u (-) v.", _checked_einstein_sub.floats, ("u", "v"),
             # left cancellation: (-u) (+) (u (+) (-v)) must recover -v
             lambda w, u, v: {"left_cancellation_max_abs":
-                             _max_abs(einstein_add(-u, w) + v)}, []),
-    "coadd": ("Einstein coaddition u [+] v (commutative).", coadd, ("u", "v"),
+                             _max_gap(_checked_einstein_add.floats(_neg(u), w), _neg(v))}, []),
+    "coadd": ("Einstein coaddition u [+] v (commutative).", _checked_coadd.floats, ("u", "v"),
               lambda w, u, v: {
-                  "route_agreement_max_abs": _max_abs(w - coadd_via_gyration(u, v)),
-                  "commutativity_max_abs": _max_abs(w - coadd(v, u))}, []),
+                  "route_agreement_max_abs": _max_gap(w, _checked_coadd_via_gyration.floats(u, v)),
+                  "commutativity_max_abs": _max_gap(w, _checked_coadd.floats(v, u))}, []),
     "scale": ("Scalar gyromultiplication r (x) v.",
-              lambda r, v: _lib("space").scalar_mul(r, v), ("r", "v"),
+              lambda r, v: _lib("space").scalar_mul(r, v).tolist(), ("r", "v"),
               _scale_checks, [click.Option(["--r"], type=float, required=True,
                                            help="Real scalar factor.")]),
     "midpoint": ("Gyromidpoint of a and b (or the gyroline point at parameter t).",
@@ -341,7 +350,7 @@ _VECTOR_COMMANDS = {
                                help="Gyroline parameter; 0.5 gives the gyromidpoint.")]),
     "parallelogram": (
         "Fourth gyroparallelogram vertex d = (b [+] c) (-) a.",
-        lambda a, b, c, tol: _lib("space").gyroparallelogram_fourth(a, b, c, tol=tol),
+        lambda a, b, c, tol: _lib("space").gyroparallelogram_fourth(a, b, c, tol=tol).tolist(),
         ("a", "b", "c"), _parallelogram_checks,
         [click.Option(["--tol"], type=float, default=COLLINEAR_AREA_TOL,
                       show_default=True, callback=_positive_finite,

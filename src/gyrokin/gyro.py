@@ -14,10 +14,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .ball import (_by_rows, _dot, _gamma, _neg, _norm, _norm_sq, _norm_sq_checked, _operation,
-                   _read_only, _real_array, _real_arrays, _require, _sqrt)
+                   _read_only, _real_array, _real_arrays, _require, _sqrt, np)
 from .errors import AdmissibilityError
 
 

@@ -10,11 +10,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .ball import (COLLINEAR_AREA_TOL, MAX_NORM, _as_real, _broadcast, _by_rows, _dot, _matched,
                    _neg, _norm, _norm_sq, _norm_sq_checked, _on_components, _operation,
-                   _real_array, _require, _require_instance, _sqrt, norm, same_shape)
+                   _real_array, _require, _require_instance, _sqrt, norm, np, same_shape)
 from .errors import CollinearPoints, NonFinite
 from .gyro import _add, _coadd, _left_sub, _midpoint
 

@@ -9,16 +9,19 @@ import warnings
 import numpy as np
 import pytest
 
-from gyrokin import (AdmissibilityError, AngleDegenerate, DimensionError, GyrokinError,
-                     Gyrotriangle, NonFinite, Particle, ParticleSystem, aberration_scene,
-                     aberration_sweep, add_speeds, are_gyrocollinear, classical_aberration,
-                     classical_aberration_inv, classical_matched_p_e, decompose, einstein_add,
-                     gamma, gamma_of_speed, gyrate, gyroline_point, relativistic_aberration,
-                     relativistic_aberration_inv, relativistic_matched_p_e, scalar_mul,
-                     speed_of_gamma, stellar_aberration, stellar_aberration_inv, triangle_area,
-                     triangle_from_angles, triangle_from_sides, triangle_from_vertices)
+from gyrokin import (MAX_NORM, AdmissibilityError, AngleDegenerate, DimensionError,
+                     GyrokinError, Gyrotriangle, NonFinite, Particle, ParticleSystem,
+                     aberration_scene, aberration_sweep, add_speeds, are_gyrocollinear,
+                     classical_aberration, classical_aberration_inv, classical_matched_p_e,
+                     coadd, coadd_via_gyration, decompose, einstein_add, einstein_sub, gamma,
+                     gamma_of_speed, gyrate, gyrodistance, gyroline_point, left_sub,
+                     parse_particles, relativistic_aberration, relativistic_aberration_inv,
+                     relativistic_matched_p_e, scalar_mul, speed_of_gamma, stellar_aberration,
+                     stellar_aberration_inv, triangle_area, triangle_from_angles,
+                     triangle_from_sides, triangle_from_vertices)
+from gyrokin import gyro, space
 from gyrokin.ball import _real_scalars, _record, as_velocity, dot, norm_sq
-from helpers import broadcast_error, in_blocks, raised
+from helpers import ball_points, broadcast_error, in_blocks, raised
 
 DIMS = range(1, 11)
 
@@ -284,7 +287,14 @@ def test_range_error_row_is_a_tuple_over_the_batch_axes(monkeypatch):
     (gamma, (0.5,), (DimensionError, "v", "v must have at least one component")),
     (einstein_add, ([1j, 0, 0], [0.1, 0, 0]),
      (AdmissibilityError, "u", "u is not real-valued: complex components")),
+    # A batch passed as one scalar argument carries that argument's name.
+    (aberration_sweep, (0.5, 0.5, [2, 3]),
+     (DimensionError, "n_samples", "n_samples is a batch, not a scalar")),
+    (lambda c: parse_particles("1,0.1,0,0", c_value=c), ([1.0, 2.0],),
+     (DimensionError, "c_value", "c_value is a batch, not a scalar")),
     # A label of several scalar arguments is not one argument's name.
+    (triangle_from_sides, (0.5, [0.5, 0.5], 0.5),
+     (DimensionError, None, "one of side_a, side_b, side_c is a batch, not a scalar")),
     (triangle_from_sides, (1j, 0.5, 0.5),
      (AdmissibilityError, None, "one of side_a, side_b, side_c is not real-valued: "
                                 "complex components")),
@@ -366,3 +376,88 @@ def test_record_is_the_dataclass_its_init_makes(name):
         setattr(record, first, 0.25)
     if cls is Gyrotriangle:
         assert record.defect == made.defect and record.q == made.q
+
+
+# Each velocity operation the CLI runs on lists of floats: its public function
+# and its checked boundary, whose floats route the CLI calls.
+FLOAT_ROUTES = {op.__name__: (op, checked) for op, checked in [
+    (gamma, gyro._checked_gamma),
+    (einstein_add, gyro._checked_einstein_add),
+    (einstein_sub, gyro._checked_einstein_sub),
+    (left_sub, gyro._checked_left_sub),
+    (coadd, gyro._checked_coadd),
+    (coadd_via_gyration, gyro._checked_coadd_via_gyration),
+    (gyrodistance, space._checked_gyrodistance),
+]}
+
+
+def outcome(op, *args):
+    """The shape and bytes of op(*args) as a float array, or the error it raises."""
+    try:
+        result = np.asarray(op(*args), dtype=float)
+    except GyrokinError as exc:
+        return type(exc), exc.args, exc.name, exc.row
+    return result.shape, result.tobytes()
+
+
+def route_points(n):
+    """Seeded velocities of n components: anywhere in the ball, and at its edge.
+
+    The edge points have norms from MAX_NORM down to 2.5e-15 below it, in
+    steps of about half an ulp of 1; rounding leaves some of them outside.
+    """
+    rng = np.random.default_rng(n)
+    inside = ball_points(rng, 24, n, max_norm=MAX_NORM)
+    unit = ball_points(rng, 24, n, max_norm=1.0, min_norm=1.0)
+    return [*inside, *(d * (MAX_NORM - k * 1.1e-16) for k, d in enumerate(unit))]
+
+
+def operand_lists(op, n):
+    """Seeded operand tuples of ``op``'s arity with n components each."""
+    points = route_points(n)
+    if op is gamma:
+        return [(p,) for p in points]
+    return list(zip(points, points[1:] + points[:1]))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 8])
+@pytest.mark.parametrize("name", FLOAT_ROUTES)
+def test_floats_route_has_the_bits_of_the_library(name, n):
+    op, checked = FLOAT_ROUTES[name]
+    outcomes = set()
+    for operands in operand_lists(op, n):
+        lists = [p.tolist() for p in operands]
+        want = outcome(op, *operands)
+        assert outcome(checked.floats, *lists) == want, operands
+        outcomes.add(type(want[0]))
+    assert tuple in outcomes  # some results, and not only errors
+
+
+def bad_operands(op, n):
+    """Operands that fail: each kind of bad vector in each place, and two at once."""
+    good = route_points(n)[3].tolist()
+    bad = [[math.nan] + good[1:], [-math.inf] + good[1:], [1.5] + [0.0] * (n - 1),
+           [1.0] + [0.0] * (n - 1), [MAX_NORM * 1.0000000000001] + [0.0] * (n - 1)]
+    if op is gamma:
+        return [(b,) for b in bad]
+    return [*((b, good) for b in bad), *((good, b) for b in bad), (bad[0], bad[2]),
+            (good, good + [0.1]), (good + [0.1], bad[0])]
+
+
+@pytest.mark.parametrize("n", [1, 3, 8])
+@pytest.mark.parametrize("name", FLOAT_ROUTES)
+def test_floats_route_raises_as_the_library(name, n):
+    op, checked = FLOAT_ROUTES[name]
+    for operands in bad_operands(op, n):
+        want = outcome(op, *map(np.array, operands))
+        assert isinstance(want[0], type) and issubclass(want[0], GyrokinError), operands
+        assert outcome(checked.floats, *operands) == want, operands
+
+
+def test_floats_route_of_three_operands():
+    """The route of three or more operands checks their lengths as same_shape does."""
+    u, v = [0.1, 0.2, 0.0], [0.0, -0.3, 0.1]
+    for w in ([0.5, -0.5, 2.0], [0.5, -0.5], [math.inf, 0.0, 0.0]):
+        want = outcome(gyrate, *map(np.array, (u, v, w)))
+        assert outcome(gyro._checked_gyrate.floats, u, v, w) == want
+    assert want[0] is AdmissibilityError

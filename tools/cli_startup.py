@@ -4,8 +4,9 @@ Every `gyrokin ...` line of the README's CLI block runs as its own fresh
 interpreter, the way the installed command runs, so each time covers the
 interpreter's start, the imports (numpy, click and the gyrokin modules the
 command loads), parsing, the command and its output.  The table gives, for
-each source tree, the median wall time over the rounds in ms, and the
-gyrokin modules the command loaded (short names, core first).  The trees take
+each source tree, the median wall time over the rounds in ms, whether
+numpy's package code ran ("yes" or "no"), and the gyrokin modules the
+command loaded (short names, core first).  The trees take
 turns within a round, and the tree that goes first changes from round to
 round, so that a drift in processor speed falls on all of them alike.
 
@@ -33,10 +34,13 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 
 # Runs one command in a fresh interpreter with one src/ on sys.path; its last
-# line of stdout is [exit code, the gyrokin modules loaded].
+# line of stdout is [exit code, whether numpy ran, the gyrokin modules loaded].
+# gyrokin binds numpy lazily, so "numpy" stands in sys.modules before its code
+# runs; numpy.linalg, which numpy's own __init__ imports, shows that it ran.
 WORKER = ("import json, sys; from gyrokin.cli import main; sys.argv[0] = 'gyrokin'; "
           "code = main(sys.argv[1:]); "
-          "print(json.dumps([code, sorted(m for m in sys.modules if m.startswith('gyrokin'))]))")
+          "print(json.dumps([code, 'numpy.linalg' in sys.modules, "
+          "sorted(m for m in sys.modules if m.startswith('gyrokin'))]))")
 
 # The README's `gyrokin mass --in particles.csv` reads this file.
 PARTICLES = "# two particles\n1.0, 0.6, 0, 0\n1.0, -0.6, 0, 0\n"
@@ -54,7 +58,7 @@ def readme_commands() -> list:
 
 
 def measure(src: Path, argv, workdir) -> tuple:
-    """(wall seconds, exit code, short names of the gyrokin modules loaded)."""
+    """(wall seconds, exit code, whether numpy ran, the gyrokin modules loaded by short name)."""
     env = dict(os.environ, PYTHONPATH=str(src))
     start = time.perf_counter()
     done = subprocess.run([sys.executable, "-c", WORKER, *argv], env=env, cwd=workdir,
@@ -62,9 +66,9 @@ def measure(src: Path, argv, workdir) -> tuple:
     elapsed = time.perf_counter() - start
     if done.returncode:
         sys.exit(f"cli_startup: gyrokin {shlex.join(argv)} on {src} failed:\n{done.stderr}")
-    code, modules = json.loads(done.stdout.splitlines()[-1])
+    code, numpy, modules = json.loads(done.stdout.splitlines()[-1])
     names = [m.removeprefix("gyrokin.") for m in modules]
-    return elapsed, code, sorted(names, key=ORDER.index)
+    return elapsed, code, numpy, sorted(names, key=ORDER.index)
 
 
 def main() -> None:
@@ -87,14 +91,15 @@ def main() -> None:
                     runs[src, i].append(measure(src, argv, workdir))
     for j, src in enumerate(args.src):
         print(f"# {j}: {src}")
-    print("\t".join(["command", "exit", *(f"{j}:ms" for j in range(len(args.src))),
-                     *(f"{j}:modules" for j in range(len(args.src)))]))
+    print("\t".join(["command", "exit", *(f"{j}:{column}" for column in ("ms", "numpy", "modules")
+                                           for j in range(len(args.src)))]))
     for i, argv in enumerate(commands):
         first = runs[args.src[0], i][0]
         cells = [shlex.join(argv), str(first[1])]
-        cells += [f"{statistics.median(t for t, _, _ in runs[src, i]) * 1e3:.1f}"
+        cells += [f"{statistics.median(run[0] for run in runs[src, i]) * 1e3:.1f}"
                   for src in args.src]
-        cells += [" ".join(runs[src, i][0][2]) for src in args.src]
+        cells += ["yes" if runs[src, i][0][2] else "no" for src in args.src]
+        cells += [" ".join(runs[src, i][0][3]) for src in args.src]
         print("\t".join(cells))
 
 
