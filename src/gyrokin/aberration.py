@@ -10,9 +10,9 @@ The classical formulas relate cotangents with a velocity shift; the
 relativistic ones differ by a single gamma factor on the shifted cotangent.
 Every function evaluates through atan2 on a (sin, cos) rearrangement, so the
 cot singularity at theta = pi/2 never appears, and broadcasts over arrays.
-All eight formulas take one route (_formula): a batch longer than
-ball._BLOCK rows is checked and evaluated in row blocks, and its first
-failing block raises.
+All eight formulas declare their three arguments as reals to one checked
+boundary (ball._operation): a batch longer than ball._BLOCK rows is checked
+and evaluated in row blocks, and its first failing block raises.
 
 The geometric construction in :func:`aberration_scene` rebuilds the same
 scenario from raw velocity-ball points and gyroangle measurements, with no
@@ -23,11 +23,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
-from .ball import _by_rows, _norm, _norm_sq_checked, _real_arrays, _real_scalars, _record, _require
+from .ball import (_REAL, _SINGLE_REAL, _norm, _norm_sq_checked, _operand_names, _operation,
+                   _record, _require)
 from .errors import AdmissibilityError, AngleDegenerate, DimensionError
 from .gyro import _add, _gamma_of_speed
 from .trig import _gyroangle
@@ -39,8 +39,8 @@ SIN_TOL = 1e-14
 
 
 # The range checks below take float arrays, numpy floats or Python floats,
-# coerced by their callers (_real_arrays, _real_scalars), and raise through
-# _require, so that a batch's error names its first failing row.
+# coerced by the checked boundaries, and raise through _require, so that a
+# batch's error names its first failing row.
 
 def _check_angle(theta, name):
     """sin(theta), once theta lies strictly inside (0, pi) and sin(theta) >= SIN_TOL."""
@@ -64,42 +64,45 @@ def _check_positive(p, name):
              name)
 
 
-def _formula(kernel, names, args, *params):
-    """kernel(*params, names, *blocks): one aberration formula, checked in row blocks.
+def _classical(shift, formula):
+    """The checked boundary of ``formula``: atan2(p sin(theta), shift(p cos(theta), v))."""
+    angle, _, speed = _operand_names(formula)
 
-    The arguments ``args``, labelled ``names``, are coerced and their shapes
-    matched whole (_real_arrays); then each row block is checked, in
-    argument order, and evaluated (_by_rows), and the first failing block
-    raises.
-    """
-    return _by_rows(partial(kernel, *params, names), *_real_arrays(args, names), core=0)
+    def kernel(theta, v, p):
+        sin = _check_angle(theta, angle)
+        _check_speed(v, "v", allow_light=True)
+        _check_positive(p, speed)
+        return np.arctan2(p * sin, shift(p * np.cos(theta), v))
 
-
-def _classical(shift, names, theta, v, p):
-    """atan2(p sin(theta), shift(p cos(theta), v)) of one row block."""
-    sin = _check_angle(theta, names[0])
-    _check_speed(v, "v", allow_light=True)
-    _check_positive(p, names[2])
-    return np.arctan2(p * sin, shift(p * np.cos(theta), v))
+    return _operation(kernel, formula, _REAL)
 
 
 def classical_aberration(theta_s, v, p_s):
     """theta_e from cot(theta_e) = cot(theta_s) + v/(p_s sin(theta_s))."""
-    return _formula(_classical, ("theta_s", "v", "p_s"), (theta_s, v, p_s), np.add)
+    return _checked_classical(theta_s, v, p_s)
 
 
 def classical_aberration_inv(theta_e, v, p_e):
     """theta_s from cot(theta_s) = cot(theta_e) - v/(p_e sin(theta_e))."""
-    return _formula(_classical, ("theta_e", "v", "p_e"), (theta_e, v, p_e), np.subtract)
+    return _checked_classical_inv(theta_e, v, p_e)
 
 
-def _relativistic(shift, names, theta, v, p):
-    """atan2(p sin(theta), gamma_v shift(p cos(theta), v)) of one row block."""
-    sin = _check_angle(theta, names[0])
-    _check_speed(v, "v")
-    _check_speed(p, names[2], allow_light=True)
-    _require(p > 0.0, AdmissibilityError, "must be positive", names[2])
-    return np.arctan2(p * sin, _gamma_of_speed(v) * shift(p * np.cos(theta), v))
+_checked_classical = _classical(np.add, classical_aberration)
+_checked_classical_inv = _classical(np.subtract, classical_aberration_inv)
+
+
+def _relativistic(shift, formula):
+    """The checked boundary of ``formula``: atan2(p sin(theta), gamma_v shift(p cos(theta), v))."""
+    angle, _, speed = _operand_names(formula)
+
+    def kernel(theta, v, p):
+        sin = _check_angle(theta, angle)
+        _check_speed(v, "v")
+        _check_speed(p, speed, allow_light=True)
+        _require(p > 0.0, AdmissibilityError, "must be positive", speed)
+        return np.arctan2(p * sin, _gamma_of_speed(v) * shift(p * np.cos(theta), v))
+
+    return _operation(kernel, formula, _REAL)
 
 
 def relativistic_aberration(theta_s, v, p_s):
@@ -108,12 +111,16 @@ def relativistic_aberration(theta_s, v, p_s):
     Speeds of exactly 1 are admitted for photons; then the formula is the
     stellar aberration formula.
     """
-    return _formula(_relativistic, ("theta_s", "v", "p_s"), (theta_s, v, p_s), np.add)
+    return _checked_relativistic(theta_s, v, p_s)
 
 
 def relativistic_aberration_inv(theta_e, v, p_e):
     """theta_s from cot(theta_s) = gamma_v (cot(theta_e) - v/(p_e sin(theta_e)))."""
-    return _formula(_relativistic, ("theta_e", "v", "p_e"), (theta_e, v, p_e), np.subtract)
+    return _checked_relativistic_inv(theta_e, v, p_e)
+
+
+_checked_relativistic = _relativistic(np.add, relativistic_aberration)
+_checked_relativistic_inv = _relativistic(np.subtract, relativistic_aberration_inv)
 
 
 def stellar_aberration(theta_s, v):
@@ -129,27 +136,27 @@ def stellar_aberration_inv(theta_e, v):
     return relativistic_aberration_inv(theta_e, v, 1.0)
 
 
-_MATCHED = ("theta_s", "theta_e", "p_s")
-
-
-def _classical_matched(names, theta_s, theta_e, p_s):
-    """p_s sin(theta_s)/sin(theta_e) of one row block."""
-    sin_s = _check_angle(theta_s, names[0])
-    sin_e = _check_angle(theta_e, names[1])
-    _check_positive(p_s, names[2])
+def _classical_matched(theta_s, theta_e, p_s):
+    """p_s sin(theta_s)/sin(theta_e), once the angles and p_s pass their checks."""
+    sin_s = _check_angle(theta_s, "theta_s")
+    sin_e = _check_angle(theta_e, "theta_e")
+    _check_positive(p_s, "p_s")
     return p_s * sin_s / sin_e
 
 
 def classical_matched_p_e(theta_s, theta_e, p_s):
     """p_e consistent with the law of sines p_s/sin(theta_e) = p_e/sin(theta_s)."""
-    return _formula(_classical_matched, _MATCHED, (theta_s, theta_e, p_s))
+    return _checked_classical_matched(theta_s, theta_e, p_s)
 
 
-def _relativistic_matched(names, theta_s, theta_e, p_s):
-    """x/sqrt(1 + x^2), x = gamma_{p_s} p_s sin(theta_s)/sin(theta_e), of one row block."""
-    sin_s = _check_angle(theta_s, names[0])
-    sin_e = _check_angle(theta_e, names[1])
-    _check_speed(p_s, names[2])
+_checked_classical_matched = _operation(_classical_matched, classical_matched_p_e, _REAL)
+
+
+def _relativistic_matched(theta_s, theta_e, p_s):
+    """x/sqrt(1 + x^2), x = gamma_{p_s} p_s sin(theta_s)/sin(theta_e), once checked."""
+    sin_s = _check_angle(theta_s, "theta_s")
+    sin_e = _check_angle(theta_e, "theta_e")
+    _check_speed(p_s, "p_s")
     x = _gamma_of_speed(p_s) * p_s * sin_s / sin_e
     return x / np.sqrt(1.0 + x * x)
 
@@ -160,7 +167,11 @@ def relativistic_matched_p_e(theta_s, theta_e, p_s):
     gamma_{p_s} p_s / sin(theta_e) = gamma_{p_e} p_e / sin(theta_s); the
     momentum-like product gamma*p determines the speed uniquely.
     """
-    return _formula(_relativistic_matched, _MATCHED, (theta_s, theta_e, p_s))
+    return _checked_relativistic_matched(theta_s, theta_e, p_s)
+
+
+_checked_relativistic_matched = _operation(_relativistic_matched, relativistic_matched_p_e,
+                                           _REAL)
 
 
 @dataclass(frozen=True, eq=False)
@@ -197,7 +208,11 @@ def aberration_scene(v, p_s, theta_s) -> AberrationResult:
     formulas (and thereby for the gyroparallelogram/gyrotriangle view of
     velocity composition).
     """
-    v, p_s, theta_s = _real_scalars((v, p_s, theta_s), ("v", "p_s", "theta_s"))
+    return _checked_scene(v, p_s, theta_s)
+
+
+def _scene(v, p_s, theta_s) -> AberrationResult:
+    """aberration_scene of three Python floats."""
     _check_angle(theta_s, "theta_s")
     if v < 0.0:
         raise AdmissibilityError("must lie in [0, 1)", name="v")
@@ -219,19 +234,30 @@ def aberration_scene(v, p_s, theta_s) -> AberrationResult:
                    theta_e=_gyroangle(sun, particle, _norm(sun), _norm(particle)))
 
 
+_checked_scene = _operation(_scene, aberration_scene, _SINGLE_REAL)
+
+
 def aberration_sweep(v, p, n_samples: int):
     """Tabulate theta_s against the two model outputs over (0, pi).
 
     Returns a structured array with fields ``theta_s``,
     ``theta_e_classical``, ``theta_e_relativistic`` and ``offset_arcsec``
     (relativistic shift theta_s - theta_e in arc-seconds).  Sample angles
-    are interior: theta_k = pi (k+1)/(n+1).
+    are interior: theta_k = pi (k+1)/(n+1).  A count too large for memory
+    raises DimensionError.
     """
-    (n,) = _real_scalars((n_samples,), ("n_samples",))
+    return _checked_sweep(v, p, n_samples)
+
+
+def _sweep(v, p, n):
+    """aberration_sweep of three Python floats."""
     if n < 2 or not n.is_integer():
         raise DimensionError(f"must be {'at least 2' if n < 2 else 'whole'}", name="n_samples")
     n_samples = int(n)
-    k = np.arange(1, n_samples + 1, dtype=float)
+    try:
+        k = np.arange(1, n_samples + 1, dtype=float)
+    except (MemoryError, ValueError) as exc:  # numpy refuses the size, or cannot allocate it
+        raise DimensionError(f"is too large to tabulate: {exc}", name="n_samples") from exc
     theta_s = math.pi * k / (n_samples + 1)
     theta_cl = classical_aberration(theta_s, v, p)
     theta_rel = relativistic_aberration(theta_s, v, p)
@@ -246,3 +272,6 @@ def aberration_sweep(v, p, n_samples: int):
     out["theta_e_relativistic"] = theta_rel
     out["offset_arcsec"] = (theta_s - theta_rel) * ARCSEC_PER_RAD
     return out
+
+
+_checked_sweep = _operation(_sweep, aberration_sweep, _SINGLE_REAL)

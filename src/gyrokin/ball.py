@@ -16,19 +16,25 @@ square roots (``_sqrt``) run in Python arithmetic, every transcendental
 function stays a numpy ufunc, and ``_dot`` and ``_norm_sq`` sum in np.sum's
 order, so one vector's floats get the bits of a batch row.
 
-Each velocity operation has one checked boundary, built once at import
-(``_operation``).  It coerces all the operands, matches their shapes, then
-takes one of two routes, chosen from the input.  When every operand is one
-vector, each becomes its floats (one tolist()) and takes the boundary's
-``floats`` route: each passes the check in argument order, and the kernel
-runs on the floats; a vector result becomes an ndarray and a scalar an
-np.float64.  The CLI calls ``floats`` on the lists of floats it parses.
-Otherwise the batch runs row block after row block (``_by_rows``) through
-the operation's row-block function, also made once (``_on_components``):
-it checks each block's operands in argument order, runs the kernel on their
-columns and assembles the result (``_assemble``).  An operation on single
-vectors only takes the first route and hands back the checked vectors; a
-batch operand raises, in its place in the argument order.
+Each operation has one checked boundary, built once at import
+(``_operation``) from its operands' names, read from the public function's
+signature, and their declared kinds: velocities, ambient vectors, single
+velocities, reals, finite reals and single reals.  The velocity
+operations, the speed and gamma conversions, the aberration formulas and
+the scalar-only functions all take it.  It coerces all the operands,
+matches their shapes, then takes one of two routes, chosen from the input.
+When every operand is one value, each vector becomes its floats (one
+tolist()) and each real a numpy float; each vector passes its check, and
+each finite real its own, in argument order, and the kernel runs on them.
+A vector result becomes an ndarray and a scalar an np.float64.  The
+velocity operations run this on lists of floats by the boundary's
+``floats`` route, which the CLI calls on the lists of floats it parses.
+Otherwise the batch runs row block after row block (``_by_rows``), and
+each block runs the same checks and kernel on the columns of its vectors
+and reals, and assembles the result (``_assemble``).  An operation on
+single vectors only takes the first route and hands back the checked
+vectors; a batch operand raises, in its place in the argument order.  Single
+reals become Python floats, each in turn (``_real_scalar``); a batch raises.
 The first failing check raises, once; an error in a batch names its first
 failing row as an index into the whole batch ("u row 19999 has norm ..."),
 and a single value's error names no row.  The one velocity check,
@@ -54,9 +60,10 @@ import sys
 import threading
 import types
 from functools import partial
-from types import MappingProxyType
+from itertools import compress
+from operator import attrgetter
 
-from .errors import AdmissibilityError, DimensionError, GyrokinError, OperandTypeError
+from .errors import AdmissibilityError, DimensionError, GyrokinError, NonFinite, OperandTypeError
 
 
 # Held while a lazy module's code runs.  It is reentrant: that code reads the
@@ -126,8 +133,13 @@ _BLOCK = 8192
 # The largest finite float: an ambient vector's squared norm may not exceed it.
 _FLOAT_MAX = sys.float_info.max
 
-# The keyword arguments of a kernel called without any.
-_NO_PARAMS = MappingProxyType({})
+# The keyword arguments of a kernel called without any.  Nothing writes to it:
+# ``**`` copies it, and a dict, unlike a read-only mapping, is copied without
+# a lookup per key (``**`` of a MappingProxyType costs a call about 0.4 us).
+_NO_PARAMS = {}
+
+# The number of axes of an array or a numpy float.
+_ndim = attrgetter("ndim")
 
 # numpy's float sum adds fewer terms than this one by one, in order, from +0.0;
 # from here on it sums pairwise.
@@ -283,28 +295,35 @@ def _as_real(v, name: str) -> np.ndarray:
     return arr
 
 
-def _real_scalars(values, names) -> list:
-    """The scalar arguments ``values``, labelled ``names``, as Python floats.
+def _real_value(x, name: str):
+    """A real operand: a numpy float for one value, else a float array of its shape.
 
-    Python floats are taken as they are; otherwise all are coerced in one
-    call, which raises DimensionError if any of them is a batch and
-    AdmissibilityError if any is not real-valued.
+    On a numpy float each comparison and arithmetic operation costs a tenth
+    of what it costs on a 0-d array, with the same bits.  An ndarray of
+    native float64 with axes is taken as it is.
     """
-    if all(type(x) is float for x in values):
-        return list(values)
-    # One argument's error carries its name; several arguments' is about none
-    # of them, and its message names them all.
-    name, label = (names[0], "") if len(names) == 1 else (None, f"one of {', '.join(names)} ")
+    if type(x) is float:
+        return np.float64(x)
+    arr = x if type(x) is np.ndarray and x.dtype == float else _real_array(x, name)
+    return arr if arr.ndim else arr[()]
+
+
+def _real_scalar(x, name: str) -> float:
+    """A single real operand as a Python float, or raise.
+
+    A Python float is taken as it is.  Raises AdmissibilityError if ``x`` is
+    not real-valued and DimensionError if it is a batch.
+    """
+    if type(x) is float:
+        return x
     try:
-        arr = _real_array(np.asarray(values), names[0])
-    except AdmissibilityError as exc:
-        error = exc if name else AdmissibilityError(label + exc.args[0])
-        raise error from exc.__cause__
-    except ValueError as exc:  # ragged: an argument is a sequence
-        raise DimensionError(label + "is a batch, not a scalar", name=name) from exc
-    if arr.shape != (len(names),):
-        raise DimensionError(label + "is a batch, not a scalar", name=name)
-    return arr.tolist()
+        arr = np.asarray(x)
+    except ValueError as exc:  # ragged: a sequence of sequences
+        raise DimensionError("is a batch, not a scalar", name=name) from exc
+    arr = _real_array(arr, name)
+    if arr.ndim:
+        raise DimensionError("is a batch, not a scalar", name=name)
+    return arr.item()
 
 
 def _read_only(a) -> np.ndarray:
@@ -349,7 +368,8 @@ def _by_rows(fn, *arrays, core: int = 1):
     ``fn`` is a trusted kernel that works row by row, so every block gets the
     bits a single call would give; a check that returns None makes this
     return None.  The last ``core`` axes of an operand make one row: a
-    velocity's component axis, or none for scalars.  The blocks run along the
+    vector's component axis, or the unit axis a checked boundary gives a
+    real beside vectors, or none for reals alone.  The blocks run along the
     leading axis of the operands' broadcast shape; an operand without that
     axis takes part whole in every block, so its faults raise in the first
     block.  The first block that raises ends the call: a GyrokinError that
@@ -446,7 +466,7 @@ def as_velocity(v, *, name: str = "velocity") -> np.ndarray:
 
 
 def _broadcast(arrays, names) -> None:
-    """Require arrays whose shapes broadcast together.
+    """Require arrays (or numpy floats) whose shapes broadcast together.
 
     The DimensionError names the arguments ``names``.
     """
@@ -454,19 +474,6 @@ def _broadcast(arrays, names) -> None:
         np.broadcast(*arrays)
     except ValueError as exc:
         raise DimensionError(f"{', '.join(names)}: {exc}") from None
-
-
-def _real_arrays(values, names) -> list:
-    """The arguments ``values``, labelled ``names``, as float arrays.
-
-    A single value comes as a numpy float, on which each comparison and
-    arithmetic operation costs a tenth of what it costs on a 0-d array, with
-    the same bits.  Raises AdmissibilityError if one is not real-valued and
-    DimensionError if their shapes do not broadcast together.
-    """
-    arrays = [_real_array(x, name)[()] for x, name in zip(values, names)]
-    _broadcast(arrays, names)
-    return arrays
 
 
 def same_shape(arrays, names) -> None:
@@ -490,79 +497,149 @@ def _same_dimension(dims, names) -> None:
         raise DimensionError(f"{', '.join(names)} have dimensions {dims}")
 
 
-def _matched(arrays, names) -> list:
-    """The operands coerced by _as_real, in argument order, once same_shape passes them."""
-    arrs = list(map(_as_real, arrays, names))
-    if len(arrs) > 1:
-        same_shape(arrs, names)
-    return arrs
+# The kinds of operand a checked boundary takes (_operation).  A velocity
+# must lie in the admissible ball and an ambient vector be finite; either may
+# be a batch of shape (..., n), and a real a batch of any shape.  A finite
+# real, a factor beside vectors, must be finite.  A single velocity must be
+# one vector, and a single real one number.
+_VELOCITY = "velocity"
+_AMBIENT = "ambient vector"
+_SINGLE = "single velocity"
+_REAL = "real"
+_FINITE_REAL = "finite real"
+_SINGLE_REAL = "single real"
 
 
-def _operation(kernel, names, ambient_last: bool = False):
+def _require_finite(x, name: str) -> None:
+    """Raise NonFinite, naming the first failing row, unless the float or array x is finite."""
+    # np.isfinite of one float costs ten times math.isfinite.
+    _require(math.isfinite(x) if isinstance(x, float) else np.isfinite(x), NonFinite,
+             "must be finite", name)
+
+
+def _operand_names(fn) -> tuple:
+    """The names of the positional parameters of the function ``fn``."""
+    code = fn.__code__
+    return code.co_varnames[:code.co_argcount]
+
+
+def _operation(kernel, names, kinds=_VELOCITY):
     """The checked boundary of one operation, built once: a function of its operands.
 
     ``names`` label the operands in argument order: a tuple, or the function
-    whose positional parameters they are.  The boundary coerces every
-    operand (_as_real) and matches their shapes (same_shape).  Then the
-    operands pass _norm_sq_checked in argument order and
-    kernel(*components, n2, **params) runs, with ``n2`` their squared
-    norms.  All must be admissible velocities, except that with
-    ``ambient_last`` the last one need only be finite.  When every operand
-    is one vector of one shape this happens once, on its floats, by the
-    boundary's ``floats`` route, and a vector result becomes an ndarray and
-    a scalar an np.float64; one and two operands take it without building
-    lists of operands.  Otherwise it happens in each row block (_by_rows),
-    and the first failing block raises.
+    whose positional parameters they are.  ``kinds`` declares the operands'
+    kinds, one for all of them or one each.  Vectors are coerced by _as_real
+    and reals by _real_value; then the vectors' shapes are matched
+    (same_shape), and the reals' against the vectors' rows (_broadcast).
+    Then, in argument order, each vector passes _norm_sq_checked and each
+    finite real _require_finite, and kernel(*operands, n2, **params) runs,
+    with ``n2`` the vectors' squared norms.  When every operand is one value
+    this happens once: each vector as its floats and each real as a numpy
+    float; a vector result becomes an ndarray and a float an np.float64.
+    One and two vectors, and a finite real and a vector, take that route
+    without building lists of operands.  Otherwise it happens in each row
+    block (_by_rows), where a vector comes as its columns and a real as its
+    column, and the first failing block raises.  An operation on reals alone
+    checks none of them here: kernel(*reals) runs, and raises through
+    _require.
 
-    ``floats(*vecs, params=...)`` takes each operand as a nonempty list of
+    ``floats(*vecs, params=...)`` takes each vector as a nonempty list of
     Python floats, and the kernel's keyword arguments as one mapping.  It
     requires one length (the error of same_shape), runs the checks and
     returns the kernel's floats; it runs no numpy code on fewer than
-    _IN_ORDER_TERMS components.  The row blocks run the same checks and
-    kernel on their columns.
+    _IN_ORDER_TERMS components.
 
-    With ``kernel`` None the operation takes single vectors only: the
-    boundary returns the arrays, their components (Python floats) and their
-    squared norms, three lists, and a batch operand raises DimensionError in
-    its place in the argument order; its ``floats`` returns the squared norms.
+    Single velocities take no kernel (None): the boundary returns the
+    arrays, their components (Python floats) and their squared norms, three
+    lists, and a batch operand raises DimensionError in its place in the
+    argument order; its ``floats`` returns the squared norms.  Single reals
+    become Python floats (_real_scalar), each in turn, and
+    kernel(*floats, **params) runs on them.
     """
     if callable(names):
-        code = names.__code__
-        names = code.co_varnames[:code.co_argcount]
-    ambient = (False,) * (len(names) - 1) + (ambient_last,)
+        names = _operand_names(names)
+    if type(kinds) is str:
+        kinds = (kinds,) * len(names)
+    if kinds[0] == _SINGLE_REAL:
+        all_floats = [float] * len(names)
+
+        def singles(*operands, **params):
+            if list(map(type, operands)) != all_floats:  # Python floats are taken as they are
+                operands = map(_real_scalar, operands, names)
+            return kernel(*operands, **params)
+
+        return singles
+    vector = [kind not in (_REAL, _FINITE_REAL) for kind in kinds]
+    if not any(vector):
+        def reals(*operands):
+            values = list(map(_real_value, operands, names))
+            for x in values:
+                if type(x) is np.ndarray:
+                    if len(values) > 1:
+                        _broadcast(values, names)
+                    return _by_rows(kernel, *values, core=0)
+            return kernel(*values)
+
+        return reals
+    pure = all(vector)
+    # An operand is one value when it has this many axes: a vector's components.
+    one_ndim = [1 if vec else 0 for vec in vector]
+    coercers = [_as_real if vec else _real_value for vec in vector]
+    vector_names = list(compress(names, vector))
+    ambient = [kind == _AMBIENT for kind in compress(kinds, vector)]
+    single = kinds[0] == _SINGLE
     first, last = names[0], names[-1]
 
-    def rows(arrays, params):
-        """The route of operands that are not all one vector of one shape."""
-        same_shape(arrays, names)
-        if kernel is None:  # the first batch raises, after the vectors before it pass
-            for a, name in zip(arrays, names):
+    def rows(values, params):
+        """The route of operands that are not all one value."""
+        if pure:
+            same_shape(values, names)
+        else:  # each real, given a unit axis, broadcasts against the vectors' rows
+            values = [v if vec else v[..., None] for v, vec in zip(values, vector)]
+            if len(vector_names) > 1:
+                same_shape(list(compress(values, vector)), vector_names)
+            if len({v.shape[:-1] for v in values}) > 1:
+                _broadcast([v[..., :1] for v in values], names)
+        if single:  # the first batch raises, after the vectors before it pass
+            for a, name in zip(values, names):
                 if a.ndim != 1:
                     raise DimensionError("must be a single vector, not a batch", name=name)
                 _norm_sq_checked(a.tolist(), name)
-        return _by_rows(partial(block, params=params) if params else block, *arrays)
+        return _by_rows(partial(block, params=params) if params else block, *values)
+
+    def block(*parts, params=_NO_PARAMS):
+        """One row block: each vector as its columns and each real as its column."""
+        parts = [_components(p) if vec else p[..., 0] for p, vec in zip(parts, vector)]
+        return _assemble(many_floats(*parts, params=params))
 
     # The routes take the keyword arguments as one mapping: forwarding them as
     # **params a second time costs one vector's call about 0.1 us more
     # (CPython 3.11 on x86_64).
     def one_floats(a, params=_NO_PARAMS):
-        n2 = [_norm_sq_checked(a, first, ambient_last)]
+        n2 = [_norm_sq_checked(a, first, ambient[0])]
         return n2 if kernel is None else kernel(a, n2, **params)
 
     def two_floats(a, b, params=_NO_PARAMS):
         if len(a) != len(b):
             _same_dimension([len(a), len(b)], names)
-        n2 = [_norm_sq_checked(a, first), _norm_sq_checked(b, last, ambient_last)]
+        n2 = [_norm_sq_checked(a, first, ambient[0]), _norm_sq_checked(b, last, ambient[1])]
         return n2 if kernel is None else kernel(a, b, n2, **params)
 
-    def many_floats(*vecs, params=_NO_PARAMS):
+    def many_floats(*vals, params=_NO_PARAMS):
+        vecs = vals if pure else list(compress(vals, vector))
         for v in vecs:  # a loop: a set of the lengths costs more on one vector
             if len(v) != len(vecs[0]):
-                _same_dimension(list(map(len, vecs)), names)
-        n2 = list(map(_norm_sq_checked, vecs, names, ambient))
-        return n2 if kernel is None else kernel(*vecs, n2, **params)
-
-    block = _on_components(many_floats)  # a block's components are its columns
+                _same_dimension(list(map(len, vecs)), vector_names)
+        if pure:
+            n2 = list(map(_norm_sq_checked, vals, names, ambient))
+        else:  # in argument order: each vector's check, and each finite real's
+            n2 = []
+            for v, name, kind in zip(vals, names, kinds):
+                if kind == _FINITE_REAL:
+                    _require_finite(v, name)
+                elif kind != _REAL:
+                    n2.append(_norm_sq_checked(v, name, kind == _AMBIENT))
+        return n2 if kernel is None else kernel(*vals, n2, **params)
 
     def one(x, **params):
         x = _as_real(x, first)
@@ -584,22 +661,35 @@ def _operation(kernel, names, ambient_last: bool = False):
         result = two_floats(a, b, params)
         return np.array(result) if type(result) is list else np.float64(result)
 
+    def factor(r, y, **params):
+        """The boundary of a finite real factor r and a vector."""
+        r, y = _real_value(r, first), _as_real(y, last)
+        if type(r) is np.ndarray or y.ndim != 1:
+            return rows([r, y], params)
+        _require_finite(r, first)
+        b = y.tolist()
+        return np.array(kernel(r, b, [_norm_sq_checked(b, last, ambient[0])], **params))
+
     def many(*operands, **params):
-        arrays = list(map(_as_real, operands, names))
-        for a in arrays:
-            if a.ndim != 1 or a.shape != arrays[0].shape:
-                return rows(arrays, params)
-        vecs = list(map(np.ndarray.tolist, arrays))
+        values = list(map(_as_real, operands, names)) if pure else [
+            coerce(x, name) for coerce, x, name in zip(coercers, operands, names)]
+        if list(map(_ndim, values)) != one_ndim:
+            return rows(values, params)
+        # Vectors of unequal lengths raise same_shape's error in many_floats.
+        vals = list(map(np.ndarray.tolist, values)) if pure else [
+            v.tolist() if vec else v for v, vec in zip(values, vector)]
         if kernel is None:
-            return arrays, vecs, many_floats(*vecs)
-        result = many_floats(*vecs, params=params) if params else many_floats(*vecs)
+            return values, vals, many_floats(*vals)
+        result = many_floats(*vals, params=params)
         return np.array(result) if type(result) is list else np.float64(result)
 
     # many alone would do for every arity, but its lists of operands and star
     # calls cost one vector about 1 us more a call (CPython 3.11 on x86_64), a
-    # third of einstein_add's and half of gamma's.
+    # third of einstein_add's and half of gamma's; a finite real and a vector
+    # (scalar_mul) take factor for the same reason, about 2 us of 4.
     boundary, floats = {1: (one, one_floats), 2: (two, two_floats)}.get(
-        len(names), (many, many_floats))
+        len(names), (many, many_floats)) if pure else (
+        factor if kinds == (_FINITE_REAL, _VELOCITY) else many, many_floats)
     boundary.floats = floats
     return boundary
 

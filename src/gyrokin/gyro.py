@@ -14,8 +14,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .ball import (_by_rows, _dot, _gamma, _neg, _norm, _norm_sq, _norm_sq_checked, _operation,
-                   _read_only, _real_array, _real_arrays, _require, _sqrt, np)
+from .ball import (_AMBIENT, _REAL, _SINGLE, _VELOCITY, _dot, _gamma, _neg, _norm, _norm_sq,
+                   _norm_sq_checked, _operation, _read_only, _require, _sqrt, np)
 from .errors import AdmissibilityError
 
 
@@ -37,11 +37,16 @@ def _gamma_of_speed(s) -> np.ndarray:
 
 def gamma_of_speed(s) -> np.ndarray:
     """Gamma factor of a scalar speed in [0, 1)."""
-    def kernel(s):
-        _require((s >= 0.0) & (s < 1.0), AdmissibilityError, "must lie in [0, 1)", "speed")
-        return _gamma_of_speed(s)
+    return _checked_gamma_of_speed(s)
 
-    return _by_rows(kernel, _real_array(s, "speed"), core=0)
+
+def _gamma_of_valid_speed(s):
+    """_gamma_of_speed(s), once the float or array s lies in [0, 1)."""
+    _require((s >= 0.0) & (s < 1.0), AdmissibilityError, "must lie in [0, 1)", "speed")
+    return _gamma_of_speed(s)
+
+
+_checked_gamma_of_speed = _operation(_gamma_of_valid_speed, ("speed",), _REAL)
 
 
 def _speed_of_gamma(g) -> np.ndarray:
@@ -56,12 +61,17 @@ def speed_of_gamma(g) -> np.ndarray:
     a relative error below machine epsilon; a speed that rounds up to 1 is
     returned as 1.0.
     """
-    def kernel(g):
-        _require((g >= 1.0) & (g < np.inf), AdmissibilityError, "must be finite and >= 1",
-                 "gamma factor")
-        return _speed_of_gamma(g)
+    return _checked_speed_of_gamma(g)
 
-    return _by_rows(kernel, _real_array(g, "gamma factor"), core=0)
+
+def _speed_of_valid_gamma(g):
+    """_speed_of_gamma(g), once the float or array g is finite and >= 1."""
+    _require((g >= 1.0) & (g < np.inf), AdmissibilityError, "must be finite and >= 1",
+             "gamma factor")
+    return _speed_of_gamma(g)
+
+
+_checked_speed_of_gamma = _operation(_speed_of_valid_gamma, ("gamma factor",), _REAL)
 
 
 def _add(u, v, n2) -> list:
@@ -144,12 +154,17 @@ def add_speeds(x, y):
     inequality.  Both speeds must be finite and lie in (-1, 1); a batch's
     error names the first failing row of the batch the two broadcast to.
     """
-    def kernel(x, y):
-        _require((np.abs(x) < 1.0) & (np.abs(y) < 1.0), AdmissibilityError,
-                 "must lie in (-1, 1)", "speeds")
-        return (x + y) / (1.0 + x * y)
+    return _checked_add_speeds(x, y)
 
-    return _by_rows(kernel, *_real_arrays((x, y), ("x", "y")), core=0)
+
+def _add_speeds(x, y):
+    """add_speeds of two floats or arrays, once both lie in (-1, 1)."""
+    _require((np.abs(x) < 1.0) & (np.abs(y) < 1.0), AdmissibilityError,
+             "must lie in (-1, 1)", "speeds")
+    return (x + y) / (1.0 + x * y)
+
+
+_checked_add_speeds = _operation(_add_speeds, add_speeds, _REAL)
 
 
 def _gyr_factors(u, v, n2) -> tuple:
@@ -196,7 +211,7 @@ def gyrate(u, v, w) -> np.ndarray:
 
 
 _checked_gyrate = _operation(lambda u, v, w, n2: _gyrate(u, v, w, _gyr_factors(u, v, n2)),
-                             gyrate, ambient_last=True)
+                             gyrate, (_VELOCITY, _VELOCITY, _AMBIENT))
 
 
 def _gyrate_definitional(u, v, w, n2) -> list:
@@ -292,8 +307,8 @@ _checked_cosub = _operation(_cosub, cosub)
 
 
 _checked_apply = _operation(lambda u, w, n2, v, factors: _gyrate(u, v, w, factors), ("u", "w"),
-                            ambient_last=True)
-_checked_generators = _operation(None, ("u", "v"))
+                            (_VELOCITY, _AMBIENT))
+_checked_generators = _operation(None, ("u", "v"), _SINGLE)
 
 
 @dataclass(frozen=True, eq=False, init=False)

@@ -37,8 +37,8 @@ from functools import partial
 
 import numpy as np
 
-from .ball import (_as_real, _by_rows, _gamma, _norm_sq, _norm_sq_checked, _on_components,
-                   _operation, _read_only, _real_scalars, _record, _require, _require_instance,
+from .ball import (_SINGLE, _as_real, _by_rows, _gamma, _norm_sq, _norm_sq_checked, _on_components,
+                   _operation, _read_only, _real_scalar, _record, _require, _require_instance,
                    as_velocity, norm_sq, same_shape)
 from .errors import AdmissibilityError, DimensionError, OperandTypeError, ParticleFormatError
 from .gyro import _add
@@ -75,7 +75,7 @@ class Particle:
         return self.mass * self.gamma
 
 
-_checked_particle_velocity = _operation(None, ("particle velocity",))
+_checked_particle_velocity = _operation(None, ("particle velocity",), _SINGLE)
 
 
 @dataclass(frozen=True, eq=False, init=False)
@@ -271,7 +271,7 @@ def boost(sys: ParticleSystem, u) -> ParticleSystem:
     return ParticleSystem.__new__(ParticleSystem)._freeze(sys.masses, boosted, sys.frame)
 
 
-_checked_boost_u = _operation(None, ("u",))
+_checked_boost_u = _operation(None, ("u",), _SINGLE)
 
 
 def _boosted(v, u, n2) -> list:
@@ -298,7 +298,7 @@ def parse_particles(text: str, *, c_value: float = 1.0) -> ParticleSystem:
     malformed content and AdmissibilityError on inadmissible velocities.
     """
     _require_instance(str, text=text)
-    (c_value,) = _real_scalars((c_value,), ("c_value",))
+    c_value = _real_scalar(c_value, "c_value")
     if c_value <= 0.0 or not np.isfinite(c_value):
         raise ParticleFormatError("c_value must be positive and finite")
     stripped = text.lstrip()

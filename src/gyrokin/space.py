@@ -10,10 +10,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .ball import (COLLINEAR_AREA_TOL, MAX_NORM, _as_real, _broadcast, _by_rows, _dot, _matched,
-                   _neg, _norm, _norm_sq, _norm_sq_checked, _on_components, _operation,
-                   _real_array, _require, _require_instance, _sqrt, norm, np, same_shape)
-from .errors import CollinearPoints, NonFinite
+from .ball import (COLLINEAR_AREA_TOL, MAX_NORM, _AMBIENT, _FINITE_REAL, _SINGLE, _VELOCITY,
+                   _as_real, _dot, _neg, _norm, _norm_sq, _norm_sq_checked, _operation, _require,
+                   _require_instance, _sqrt, norm, np)
+from .errors import CollinearPoints
 from .gyro import _add, _coadd, _left_sub, _midpoint
 
 
@@ -24,13 +24,9 @@ def _ratio(num, den):
     return np.divide(num, den, out=np.zeros(np.broadcast(num, den).shape), where=den > 0.0)
 
 
-def _scalar_mul(r, v, name: str) -> list:
-    """r (x) v, once the float or array r is finite and v admissible.
-
-    ``name`` is r's name in the errors, and their rows are r's own.
-    """
-    _require(np.isfinite(r), NonFinite, "must be finite", name)
-    n = _sqrt(_norm_sq_checked(v, "v"))
+def _scalar_mul(r, v, n2) -> list:
+    """r (x) v of a finite float or array r and trusted components v with [|v|^2] ``n2``."""
+    n = _sqrt(n2[0])
     mag = np.tanh(r * np.arctanh(n))
     # np.clip of one value costs more than the rest of one vector's call.
     mag = np.clip(mag, -MAX_NORM, MAX_NORM) if mag.ndim else min(max(float(mag), -MAX_NORM),
@@ -46,16 +42,10 @@ def scalar_mul(r, v) -> np.ndarray:
     definition.  The magnitude is clamped into the admissible ball so that
     the result is valid for every finite r.
     """
-    if type(r) is float:  # one vector runs on its floats
-        v = _as_real(v, "v")
-        if v.ndim == 1:
-            return np.array(_scalar_mul(r, v.tolist(), "scalar factor"))
-    r, v = _real_array(r, "scalar factor")[..., None], _as_real(v, "v")
-    same_shape((r, v[..., :1]), ("scalar factor", "v"))
-    return _by_rows(_scaled_rows, r, v)
+    return _checked_scalar_mul(r, v)
 
 
-_scaled_rows = _on_components(lambda r, v: _scalar_mul(r[0], v, "scalar factor"))
+_checked_scalar_mul = _operation(_scalar_mul, ("scalar factor", "v"), (_FINITE_REAL, _VELOCITY))
 
 
 def _distance(a, b, n2):
@@ -74,10 +64,10 @@ def gyrodistance(a, b) -> np.ndarray:
 _checked_gyrodistance = _operation(_distance, gyrodistance)
 
 
-def _line_point(a, b, t) -> list:
-    """gyroline_point of trusted components a, b and t, checking a, b and the gyrovector."""
-    n2 = [_norm_sq_checked(a, "a"), _norm_sq_checked(b, "b")]
-    v = _scalar_mul(t[0], _left_sub(a, b, n2), "t")
+def _line_point(a, b, t, n2) -> list:
+    """gyroline_point of trusted a, b and t, checking the gyrovector and its image."""
+    g = _left_sub(a, b, n2)
+    v = _scalar_mul(t, g, [_norm_sq_checked(g, "v")])
     _norm_sq_checked(v, "v")
     return _add(a, v, n2)
 
@@ -90,13 +80,11 @@ def gyroline_point(a, b, t) -> np.ndarray:
     line degenerate and every t maps to ``a``.  Near c the gyrovector
     (-a) (+) b and its scaled image can leave the ball, so both are checked.
     """
-    a, b = _matched((a, b), ("a", "b"))
-    t = _real_array(t, "t")[..., None]
-    _broadcast((a, b, t), ("a", "b", "t"))
-    return _by_rows(_line_point_rows, a, b, t)
+    return _checked_line_point(a, b, t)
 
 
-_line_point_rows = _on_components(_line_point)
+_checked_line_point = _operation(_line_point, gyroline_point,
+                                 (_VELOCITY, _VELOCITY, _FINITE_REAL))
 
 
 def gyromidpoint(a, b) -> np.ndarray:
@@ -119,10 +107,10 @@ def triangle_area(a, b, c) -> np.ndarray:
     Uses base times orthogonalized height rather than the Gram determinant:
     the latter cancels catastrophically near collinear triples and cannot
     resolve areas below sqrt(eps), while this form stays accurate to rounding.
-    The points must have one dimension, like the operands of a velocity
-    operation, and their batch shapes must broadcast.
+    The points are ambient vectors: they must be finite, have one
+    dimension, and batch shapes that broadcast.
     """
-    return _by_rows(_area_rows, *_matched((a, b, c), ("a", "b", "c")))
+    return _checked_area(a, b, c)
 
 
 def _area(a, b, c):
@@ -134,7 +122,7 @@ def _area(a, b, c):
     return 0.5 * _sqrt(xx) * _norm([q - coef * p for p, q in zip(x, y)])
 
 
-_area_rows = _on_components(_area)
+_checked_area = _operation(lambda a, b, c, n2: _area(a, b, c), triangle_area, _AMBIENT)
 
 
 def are_gyrocollinear(a, b, c, tol: float = COLLINEAR_AREA_TOL) -> bool | np.ndarray:
@@ -241,4 +229,4 @@ def metric_tensor(x) -> np.ndarray:
     return np.eye(n) / q + np.outer(x, x) / (q * q)
 
 
-_checked_metric_point = _operation(None, metric_tensor)
+_checked_metric_point = _operation(None, metric_tensor, _SINGLE)

@@ -14,8 +14,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .ball import (COLLINEAR_AREA_TOL, RIGHT_ANGLE_TOL, _norm, _operation, _real_scalars, _record,
-                   _require_instance)
+from .ball import (COLLINEAR_AREA_TOL, RIGHT_ANGLE_TOL, _SINGLE, _SINGLE_REAL, _norm, _operation,
+                   _record, _require_instance)
 from .errors import (
     AdmissibilityError,
     CollinearPoints,
@@ -57,7 +57,7 @@ def gyroangle(vertex, p, q, *, tol: float = 1e-14) -> float:
     return _gyroangle(p, q, _norm(p), _norm(q), tol)
 
 
-_checked_gyroangle = _operation(None, gyroangle)
+_checked_gyroangle = _operation(None, gyroangle, _SINGLE)
 
 
 def triangle_q(gamma_a: float, gamma_b: float, gamma_c: float) -> float:
@@ -68,8 +68,7 @@ def triangle_q(gamma_a: float, gamma_b: float, gamma_c: float) -> float:
     Values in a rounding-width band below zero clamp to 0.  The gammas must
     be real scalars.
     """
-    return _triangle_q(*_real_scalars((gamma_a, gamma_b, gamma_c),
-                                      ("gamma_a", "gamma_b", "gamma_c")))
+    return _checked_triangle_q(gamma_a, gamma_b, gamma_c)
 
 
 def _triangle_q(gamma_a: float, gamma_b: float, gamma_c: float) -> float:
@@ -80,6 +79,9 @@ def _triangle_q(gamma_a: float, gamma_b: float, gamma_c: float) -> float:
     if -CLAMP_TOL * scale <= q < 0.0:
         return 0.0
     return q
+
+
+_checked_triangle_q = _operation(_triangle_q, triangle_q, _SINGLE_REAL)
 
 
 def _clamped_cos(num: float, den: float) -> float:
@@ -103,8 +105,7 @@ def sss_to_aaa(gamma_a: float, gamma_b: float, gamma_c: float
     a gyrotriangle (any cos outside [-1, 1] beyond rounding, negative
     triangle quantity, or a gamma at/below 1).
     """
-    return _sss_to_aaa(*_real_scalars((gamma_a, gamma_b, gamma_c),
-                                      ("gamma_a", "gamma_b", "gamma_c")))
+    return _checked_sss_to_aaa(gamma_a, gamma_b, gamma_c)
 
 
 def _sss_to_aaa(ga: float, gb: float, gc: float) -> tuple[float, float, float]:
@@ -122,6 +123,9 @@ def _sss_to_aaa(ga: float, gb: float, gc: float) -> tuple[float, float, float]:
     return math.acos(cos_alpha), math.acos(cos_beta), math.acos(cos_gamma)
 
 
+_checked_sss_to_aaa = _operation(_sss_to_aaa, sss_to_aaa, _SINGLE_REAL)
+
+
 def aaa_to_sss(alpha: float, beta: float, gamma: float, *,
                tol: float = 1e-12) -> tuple[float, float, float]:
     """Side gamma factors from the three gyroangles.
@@ -132,7 +136,11 @@ def aaa_to_sss(alpha: float, beta: float, gamma: float, *,
     otherwise, or when a computed gamma does not exceed 1 or overflows, there
     is no such gyrotriangle and NoSuchTriangle is raised.
     """
-    angles = _real_scalars((alpha, beta, gamma), ("alpha", "beta", "gamma"))
+    return _checked_aaa_to_sss(alpha, beta, gamma, tol=tol)
+
+
+def _aaa_to_sss(*angles, tol: float) -> tuple[float, float, float]:
+    """aaa_to_sss of three trusted Python floats."""
     if not all(0.0 < a < math.pi for a in angles):
         raise NoSuchTriangle("gyroangles must lie strictly between 0 and pi")
     if angles[0] + angles[1] + angles[2] >= math.pi - tol:
@@ -149,6 +157,9 @@ def aaa_to_sss(alpha: float, beta: float, gamma: float, *,
     if max(ga, gb, gc) == math.inf:
         raise NoSuchTriangle("gyroangles so small that a side gamma factor overflows")
     return ga, gb, gc
+
+
+_checked_aaa_to_sss = _operation(_aaa_to_sss, aaa_to_sss, _SINGLE_REAL)
 
 
 @dataclass(frozen=True, eq=False)
@@ -226,17 +237,24 @@ def triangle_from_vertices(a, b, c) -> Gyrotriangle:
                      tuple(vertices))
 
 
-_checked_vertices = _operation(None, triangle_from_vertices)
+_checked_vertices = _operation(None, triangle_from_vertices, _SINGLE)
 
 
 def triangle_from_sides(side_a: float, side_b: float, side_c: float
                         ) -> Gyrotriangle:
     """Solve a gyrotriangle from its three side gyrolengths in (0, 1)."""
-    sides = _real_scalars((side_a, side_b, side_c), ("side_a", "side_b", "side_c"))
+    return _checked_from_sides(side_a, side_b, side_c)
+
+
+def _from_sides(*sides) -> Gyrotriangle:
+    """triangle_from_sides of three trusted Python floats."""
     if not all(0.0 < s < 1.0 for s in sides):
         raise InvalidTriangle("side gyrolengths must lie in (0, 1)")
     gammas = list(map(_gamma_of_speed, sides))
     return _triangle(sides, gammas, _sss_to_aaa(*gammas))
+
+
+_checked_from_sides = _operation(_from_sides, triangle_from_sides, _SINGLE_REAL)
 
 
 def triangle_from_angles(alpha: float, beta: float, gamma: float

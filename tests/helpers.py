@@ -1,5 +1,6 @@
 """Shared sampling helpers and hypothesis strategies for the test suite."""
 
+import importlib
 import math
 
 import numpy as np
@@ -190,3 +191,33 @@ def raised(op, *args):
     except GyrokinError as exc:
         return type(exc), str(exc)
     return None
+
+
+# The gyrokin modules that bind ball._sqrt, the one square root of the
+# component kernels.  on_intervals patches it in each; tests/test_source.py
+# keeps this list equal to the modules that define or import it.
+SQRT_MODULES = ("gyrokin.ball", "gyrokin.gyro", "gyrokin.space")
+
+
+def on_intervals(kernel, *vectors, dps=40):
+    """kernel(*vectors) run on mpmath intervals of ``dps`` digits.
+
+    Each float component of the vectors (lists of floats) becomes the point
+    interval of its exact value, and _sqrt becomes iv.sqrt in every module of
+    SQRT_MODULES.  A kernel made of +, -, *, / and _sqrt then returns an
+    enclosure of its formula's exact value on the float inputs, so the width
+    and position of the enclosure measure the kernel's own rounding error.
+    """
+    from mpmath import iv
+
+    modules = [importlib.import_module(name) for name in SQRT_MODULES]
+    saved, saved_dps = [m._sqrt for m in modules], iv.dps
+    try:
+        for m in modules:
+            m._sqrt = iv.sqrt
+        iv.dps = dps
+        return kernel(*[[iv.mpf(float(x)) for x in v] for v in vectors])
+    finally:
+        for m, sqrt in zip(modules, saved):
+            m._sqrt = sqrt
+        iv.dps = saved_dps

@@ -26,7 +26,7 @@ from gyrokin import (
     stellar_aberration_inv,
 )
 from gyrokin.aberration import _check_angle
-from gyrokin.ball import _real_array
+from gyrokin.ball import _real_value
 from gyrokin.gyro import _gamma_of_speed
 from helpers import broadcast_error, coercion_error, same_bits
 
@@ -154,21 +154,27 @@ class TestRelativistic:
 
 
 def test_speeds_checked_once(monkeypatch):
-    """The relativistic formulas range-check each speed once, not in gyro again."""
+    """The relativistic formulas range-check each speed once, not in gyro again.
+
+    Each formula coerces its own three arguments once, and none passes a
+    speed to gamma_of_speed, which coerces it under the name "speed".
+    """
     calls = []
 
     def counting(value, name):
         calls.append(name)
-        return _real_array(value, name)
+        return _real_value(value, name)
 
-    monkeypatch.setattr("gyrokin.gyro._real_array", counting)
+    monkeypatch.setattr("gyrokin.ball._real_value", counting)
     v = np.linspace(0.0, 0.99, 7)
     theta = np.linspace(0.1, 3.0, 7)
     relativistic_aberration(theta, v, 0.9)
     relativistic_aberration_inv(theta, v, 0.9)
     stellar_aberration(theta, v)
     relativistic_matched_p_e(theta, theta[::-1], v)
-    assert calls == []
+    assert calls == ["theta_s", "v", "p_s", "theta_e", "v", "p_e", "theta_s", "v", "p_s",
+                     "theta_s", "theta_e", "p_s"]
+    calls.clear()
     assert float(gamma_of_speed(0.6)) == 1.25 and calls == ["speed"]
 
 
@@ -442,6 +448,15 @@ class TestSweep:
     def test_requires_two_samples(self):
         with pytest.raises(ValueError):
             aberration_sweep(0.5, 1.0, 1)
+
+    @pytest.mark.parametrize("n", [10 ** 16, 10 ** 20])
+    def test_count_too_large_for_memory_names_it(self, n):
+        # Both counts fail at allocation and touch no memory: 1e16 rows of
+        # floats need 71 PiB, and 1e20 is past the largest size numpy allows.
+        with pytest.raises(DimensionError) as info:
+            aberration_sweep(0.5, 0.5, n)
+        assert info.value.name == "n_samples" and info.value.row is None
+        assert str(info.value).startswith("n_samples is too large to tabulate: ")
 
 
 class TestSceneValidation:

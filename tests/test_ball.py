@@ -20,7 +20,7 @@ from gyrokin import (MAX_NORM, AdmissibilityError, AngleDegenerate, DimensionErr
                      stellar_aberration_inv, triangle_area, triangle_from_angles,
                      triangle_from_sides, triangle_from_vertices)
 from gyrokin import gyro, space
-from gyrokin.ball import _real_scalars, _record, as_velocity, dot, norm_sq
+from gyrokin.ball import _SINGLE_REAL, _operation, _record, as_velocity, dot, norm_sq
 from helpers import ball_points, broadcast_error, in_blocks, raised
 
 DIMS = range(1, 11)
@@ -172,18 +172,32 @@ def test_batches_that_do_not_broadcast(op, args, names):
 
 @pytest.mark.parametrize("op", [triangle_area, are_gyrocollinear],
                          ids=lambda op: op.__name__)
-@pytest.mark.parametrize("points, want", [
-    (([0.5], [0.1, 0.2, 0.3], [0.0, 0.0, 0.1]), "a, b, c have dimensions [1, 3, 3]"),
-    (([[0.5]] * 2, [0.1, 0.2, 0.3], [[0.0, 0.0, 0.1]] * 2),
+@pytest.mark.parametrize("points, error, want", [
+    (([0.5], [0.1, 0.2, 0.3], [0.0, 0.0, 0.1]), DimensionError,
      "a, b, c have dimensions [1, 3, 3]"),
-    (([0.1, 0.2, 0.3], [0.0, 0.1, 0.0], [0.3, 0.4]), "a, b, c have dimensions [3, 3, 2]"),
-    ((0.5, [0.1, 0.2, 0.3], [0.0, 0.0, 0.1]), "a must have at least one component"),
-    (([0.1, 0.2], [0.0, 0.1], 0.3), "c must have at least one component"),
-    (([], [], []), "a must have at least one component"),
-], ids=["1-vs-3", "batch-1-vs-3", "3-vs-2", "0-d-a", "0-d-c", "no-components"])
-def test_points_of_other_dimensions(op, points, want):
-    """The three points share one dimension: no component axis broadcasts."""
-    assert raised(op, *points) == (DimensionError, want)
+    (([[0.5]] * 2, [0.1, 0.2, 0.3], [[0.0, 0.0, 0.1]] * 2), DimensionError,
+     "a, b, c have dimensions [1, 3, 3]"),
+    (([0.1, 0.2, 0.3], [0.0, 0.1, 0.0], [0.3, 0.4]), DimensionError,
+     "a, b, c have dimensions [3, 3, 2]"),
+    ((0.5, [0.1, 0.2, 0.3], [0.0, 0.0, 0.1]), DimensionError,
+     "a must have at least one component"),
+    (([0.1, 0.2], [0.0, 0.1], 0.3), DimensionError, "c must have at least one component"),
+    (([], [], []), DimensionError, "a must have at least one component"),
+    # The points are ambient vectors: each must be finite, and so must its
+    # squared norm.
+    (([math.nan, 0.0], [0.1, 0.0], [0.0, 0.1]), AdmissibilityError,
+     "a has non-finite components"),
+    (([0.1, 0.0], [1e200, 0.0], [0.0, 0.1]), AdmissibilityError,
+     "b has a squared norm that overflows"),
+    (([0.1, 0.0], [0.0, 0.1], [[0.2, 0.0], [0.0, -math.inf]]), AdmissibilityError,
+     "c row 1 has non-finite components"),
+    (([[0.1, 0.0], [1e200, 0.0]], [0.0, 0.1], [0.2, 0.2]), AdmissibilityError,
+     "a row 1 has a squared norm that overflows"),
+], ids=["1-vs-3", "batch-1-vs-3", "3-vs-2", "0-d-a", "0-d-c", "no-components", "nan-a",
+        "overflow-b", "inf-c-row", "overflow-a-row"])
+def test_points_of_other_dimensions(op, points, error, want):
+    """The three points share one dimension, and each is finite: no component axis broadcasts."""
+    assert raised(op, *points) == (error, want)
 
 
 K = 7
@@ -292,12 +306,11 @@ def test_range_error_row_is_a_tuple_over_the_batch_axes(monkeypatch):
      (DimensionError, "n_samples", "n_samples is a batch, not a scalar")),
     (lambda c: parse_particles("1,0.1,0,0", c_value=c), ([1.0, 2.0],),
      (DimensionError, "c_value", "c_value is a batch, not a scalar")),
-    # A label of several scalar arguments is not one argument's name.
+    # Each of several single reals is coerced, and named, on its own.
     (triangle_from_sides, (0.5, [0.5, 0.5], 0.5),
-     (DimensionError, None, "one of side_a, side_b, side_c is a batch, not a scalar")),
+     (DimensionError, "side_b", "side_b is a batch, not a scalar")),
     (triangle_from_sides, (1j, 0.5, 0.5),
-     (AdmissibilityError, None, "one of side_a, side_b, side_c is not real-valued: "
-                                "complex components")),
+     (AdmissibilityError, "side_a", "side_a is not real-valued: complex components")),
 ])
 def test_error_about_one_argument_carries_its_name(op, args, want):
     with pytest.raises(GyrokinError) as info:
@@ -322,28 +335,31 @@ def test_empty_batch_is_admissible():
         assert check(np.zeros((0, 3))).shape == (0, 3)
 
 
-SCALAR_NAMES = ("x", "y", "z")
+# A checked boundary of three single reals whose kernel returns the floats it gets.
+single_reals = _operation(lambda *floats: list(floats), ("x", "y", "z"), _SINGLE_REAL)
 
 
 @pytest.mark.parametrize("values", [(-0.0, 0.0, 1.0), (math.nan, -math.inf, math.inf),
                                     (5e-324, -5e-324, 1.7976931348623157e308)])
 def test_python_floats_are_taken_as_they_are(values):
     """The route of Python floats returns what coercion through numpy returns, bit for bit."""
-    got = _real_scalars(values, SCALAR_NAMES)
-    via_numpy = _real_scalars((np.float64(values[0]),) + values[1:], SCALAR_NAMES)
+    got = single_reals(*values)
+    via_numpy = single_reals(np.float64(values[0]), *values[1:])
     assert type(got) is list and [type(x) for x in got] == [float] * 3
     assert np.array(got).tobytes() == np.array(via_numpy).tobytes()
 
 
 def test_other_scalars_are_coerced():
     """np.float64 and int go through numpy, which returns Python floats."""
-    got = _real_scalars((np.float64(-0.0), 2, True), SCALAR_NAMES)
+    got = single_reals(np.float64(-0.0), 2, True)
     assert [type(x) for x in got] == [float] * 3
     assert np.array(got).tobytes() == np.array([-0.0, 2.0, 1.0]).tobytes()
-    with pytest.raises(DimensionError, match="^one of x, y, z is a batch"):
-        _real_scalars((0.5, [0.5, 0.5], 0.5), SCALAR_NAMES)
-    with pytest.raises(AdmissibilityError, match="^one of x, y, z is not real-valued"):
-        _real_scalars((0.5, 1j, 0.5), SCALAR_NAMES)
+    with pytest.raises(DimensionError, match="^y is a batch"):
+        single_reals(0.5, [0.5, 0.5], 0.5)
+    with pytest.raises(DimensionError, match="^z is a batch"):  # ragged
+        single_reals(0.5, 0.5, [[0.5], [0.5, 0.6]])
+    with pytest.raises(AdmissibilityError, match="^y is not real-valued"):
+        single_reals(0.5, 1j, 0.5)
 
 
 TRIANGLE = triangle_from_vertices([0.1, 0.2], [-0.3, 0.1], [0.2, -0.4])

@@ -346,6 +346,15 @@ class TestExitCodes:
         assert out == ""
         assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
+    @pytest.mark.parametrize("n", [str(10 ** 16), str(10 ** 20)])
+    def test_sweep_too_large_for_memory_exits_two(self, capsys, n):
+        # Both counts fail at allocation, before any row is made.
+        rc, out, err = run(capsys, "aberration", "--model", "stellar",
+                           "--v", "0.5c", "--sweep", n)
+        assert (rc, out) == (2, "")
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: DimensionError: n_samples is too large to tabulate: ")
+
 
 ADD = ("add", "--u", "0.1,0", "--v", "0,0.2")
 

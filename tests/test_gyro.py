@@ -1254,10 +1254,9 @@ OWN_ARGS = {
     "boost": (ParticleSystem((Particle(1.0, V_FIX),)), U_FIX),
 }
 
-# The operations of those tables that run row blocks on one vector too:
-# scalar_mul's and gyroline_point's real factor is not declared once, and boost
+# The operations of those tables that run row blocks on one vector too: boost
 # runs its system's velocities.
-ALWAYS_ROW_BLOCKS = {"scalar_mul", "gyroline_point", "boost"}
+ALWAYS_ROW_BLOCKS = {"boost"}
 
 
 def own_call(op):
@@ -1337,3 +1336,46 @@ class TestDeclaredOperations:
         for part in fn.__qualname__.split("."):
             found = getattr(found, part)
         assert found is fn
+
+
+# One value of each real operand: the operations on reals, and on a finite
+# real beside vectors, with a function the real reaches as it is: a kernel,
+# or the check of a finite real, which gets what the kernel gets.
+ONE_REAL_CALLS = {
+    "gamma_of_speed": (lambda: gamma_of_speed(0.5), "gyrokin.gyro._gamma_of_speed"),
+    "speed_of_gamma": (lambda: speed_of_gamma(1.25), "gyrokin.gyro._speed_of_gamma"),
+    "relativistic_aberration": (lambda: relativistic_aberration(1.0, 0.3, 0.5),
+                                "gyrokin.aberration._gamma_of_speed"),
+    "relativistic_matched_p_e": (lambda: relativistic_matched_p_e(1.0, 1.2, 0.5),
+                                 "gyrokin.aberration._gamma_of_speed"),
+    "scalar_mul": (lambda: scalar_mul(0.5, U_FIX), "gyrokin.ball._require_finite"),
+    "gyroline_point": (lambda: gyroline_point(U_FIX, V_FIX, 0.5),
+                       "gyrokin.ball._require_finite"),
+}
+
+
+@pytest.mark.parametrize("op", list(ONE_REAL_CALLS))
+def test_one_real_reaches_its_kernel_as_a_numpy_float(monkeypatch, op):
+    """A real of one value passes no row blocks, and its kernel sees an np.float64."""
+    call, kernel = ONE_REAL_CALLS[op]
+    seen = []
+    module, name = kernel.rsplit(".", 1)
+    original = getattr(importlib.import_module(module), name)
+    monkeypatch.setattr(kernel, lambda x, *rest: seen.append(type(x)) or original(x, *rest))
+    monkeypatch.setattr("gyrokin.ball._by_rows", _failing)
+    call()
+    assert seen and set(seen) == {np.float64}
+
+
+@pytest.mark.parametrize("call, want", [
+    (lambda: scalar_mul(np.nan, [1.5, 0.0]), (gk.NonFinite, "scalar factor must be finite")),
+    (lambda: scalar_mul([0.5, np.inf], [[0.1, 0.0], [1.5, 0.0]]),
+     (gk.NonFinite, "scalar factor row 1 must be finite")),
+    (lambda: gyroline_point([0.1, 0.0], [1.5, 0.0], np.nan),
+     (gk.AdmissibilityError, f"b {OUT}")),
+    (lambda: gyroline_point([0.1, 0.0], [0.2, 0.0], [0.5, np.nan]),
+     (gk.NonFinite, "t row 1 must be finite")),
+], ids=["scalar_mul", "scalar_mul-rows", "gyroline_point", "gyroline_point-rows"])
+def test_finite_reals_checked_in_argument_order(call, want):
+    """A finite real is checked in its place among the vectors' checks."""
+    assert raised(call) == want

@@ -5,6 +5,8 @@ import pathlib
 
 import pytest
 
+from helpers import SQRT_MODULES
+
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "gyrokin"
 
 # __init__ imports the public names in order to export them.
@@ -33,3 +35,36 @@ def test_finds_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def binds_sqrt(source: str) -> bool:
+    """Whether a module defines a function _sqrt or imports the name _sqrt."""
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.FunctionDef) and node.name == "_sqrt":
+            return True
+        if isinstance(node, ast.ImportFrom) and any(a.name == "_sqrt" for a in node.names):
+            return True
+    return False
+
+
+def test_interval_runs_patch_every_sqrt():
+    """helpers.on_intervals patches _sqrt in every module that defines or imports it."""
+    binding = {"gyrokin" if p.stem == "__init__" else f"gyrokin.{p.stem}"
+               for p in SRC.glob("*.py") if binds_sqrt(p.read_text(encoding="utf-8"))}
+    assert set(SQRT_MODULES) == binding
+    assert binds_sqrt("from .ball import _dot, _sqrt\n")
+    assert binds_sqrt("def _sqrt(x):\n    return x\n")
+    assert not binds_sqrt("from .ball import sqrt\nx = _sqrt\n")
+
+
+# Helpers of ball's row blocks and real coercion that the other layers reach
+# only through a checked boundary (ball._operation).
+BOUNDARY_INTERNALS = {"_by_rows", "_on_components", "_real_array"}
+
+
+@pytest.mark.parametrize("name", ["gyro", "space", "trig", "aberration"])
+def test_layers_reach_row_blocks_only_through_a_boundary(name):
+    tree = ast.parse((SRC / f"{name}.py").read_text(encoding="utf-8"))
+    imported = {a.asname or a.name for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) for a in node.names}
+    assert imported & BOUNDARY_INTERNALS == set()

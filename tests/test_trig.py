@@ -28,7 +28,7 @@ from gyrokin import (
     triangle_area,
     triangle_q,
 )
-from gyrokin.ball import _real_array
+from gyrokin.ball import _real_value
 from gyrokin.trig import CLAMP_TOL, _clamped_cos, _triangle_q
 from helpers import ball_points, max_abs, random_rotation
 
@@ -199,8 +199,8 @@ class TestTriangleFromVertices:
 
     def test_no_second_range_check_in_gyro(self, monkeypatch):
         calls = []
-        monkeypatch.setattr("gyrokin.gyro._real_array",
-                            lambda *args: calls.append(args) or _real_array(*args))
+        monkeypatch.setattr("gyrokin.ball._real_value",
+                            lambda *args: calls.append(args) or _real_value(*args))
         tri = triangle_from_vertices(A_FIX, B_FIX, C_FIX)
         triangle_from_sides(tri.side_a, tri.side_b, tri.side_c)
         triangle_from_angles(tri.alpha, tri.beta, tri.gamma)

@@ -1,9 +1,12 @@
 """Run a fixed corpus of gyrokin invocations and print one line for each.
 
 Each line holds the GYROKIN_C setting, the argv, the exit code and a digest
-of stdout and stderr, tab-separated.  Two runs compare by ``diff``: run the
-sweep once against each checkout's src/ directory, and any line that differs
-is an invocation whose output, error text or exit code changed.
+of stdout and stderr, tab-separated.  An invocation that raises instead of
+exiting gets "raised" and the exception's class in place of its exit code,
+its message joins the digest, and the sweep goes on.  Two runs compare by
+``diff``: run the sweep once against each checkout's src/ directory, and any
+line that differs is an invocation whose output, error text or exit code
+changed.
 
     python3 tools/cli_sweep.py [SRC_DIR] > sweep.txt
 
@@ -68,6 +71,17 @@ VECTOR_PAIRS = [
     ("nan,0", "0,0"), ("1e308,0", "0,0"), ("0.3c,0.1c", "1e7,0"),
     ("", "0"), ("0.1,,0.2", "0,0,0"), ("0.2,0.1,0.05,0.3", "-0.1,0.4,0.2,0.1"),
 ]
+# add inputs on which u.v summed in the kernels' order and np.dot's u.v
+# differ in the last bit, so that add's printed gamma identity check differs
+# between the two sums (numpy seed 0, components uniform in [-0.57, 0.57]).
+DOT_ORDER_PAIRS = [
+    ("0.48726327863199825,0.53343585651409675,-0.55323481233947902",
+     "0.41454970287995629,0.54856234567563245,0.52121960475649842"),
+    ("0.43331185828663943,0.35606235384682949,0.19139392235134034",
+     "0.52259154022686516,0.48531461802443732,0.28300329376399957"),
+    ("0.36684288311244462,0.096880255457273301,-0.026689199255421681",
+     "-0.2779889755722027,-0.48716948254091402,-0.54960378017744815"),
+]
 TRIANGLE = [
     ["--mode", "vertices", "--a", "0,0", "--b", "0.5,0", "--c", "0,0.5"],
     ["--mode", "vertices", "--a", "0.1,0.2,0", "--b", "0.5,0,0.1", "--c", "0,0.4,-0.2"],
@@ -121,9 +135,13 @@ ABERRATION = [
     ["--model", "stellar", "--v", "0.5c", "--sweep", "0"],
     ["--model", "stellar", "--v", "0.5c", "--sweep", "-1"],
     ["--model", "stellar", "--v", "0.5c", "--sweep", "x"],
+    # Counts whose table cannot be allocated: 71 PiB, and past numpy's largest size.
+    ["--model", "stellar", "--v", "0.5c", "--sweep", "10000000000000000"],
+    ["--model", "stellar", "--v", "0.5c", "--sweep", "100000000000000000000"],
 ]
 CASES = [
     *[c for op in ("add", "sub", "coadd") for c in _pairs(op, VECTOR_PAIRS)],
+    *_pairs("add", DOT_ORDER_PAIRS),
     ["add", "--u", "0.1,0"],
     ["add", "--u", "0.1,0", "--v", "0,0.1", "--out", "deg"],
     ["add", "--nope", "1"],
@@ -181,7 +199,11 @@ def run_one(main, env, argv):
     out, err = io.StringIO(), io.StringIO()
     sys.stdin = io.StringIO(STDIN)
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(list(argv))
+        try:
+            code = main(list(argv))
+        except Exception as exc:  # a crash is one line of the sweep, not its end
+            code = f"raised {type(exc).__name__}"
+            err.write(f"{exc}\n")
     digest = hashlib.blake2b(f"{out.getvalue()}\0{err.getvalue()}".encode(),
                              digest_size=12).hexdigest()
     return code, digest
