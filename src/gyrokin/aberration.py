@@ -10,9 +10,10 @@ The classical formulas relate cotangents with a velocity shift; the
 relativistic ones differ by a single gamma factor on the shifted cotangent.
 Every function evaluates through atan2 on a (sin, cos) rearrangement, so the
 cot singularity at theta = pi/2 never appears, and broadcasts over arrays.
-All eight formulas declare their three arguments as reals to one checked
-boundary (ball._operation): a batch longer than ball._BLOCK rows is checked
-and evaluated in row blocks, and its first failing block raises.
+Each formula is declared with its three arguments as reals (ball._declare),
+and the two stellar ones call the relativistic pair: a batch longer than
+ball._BLOCK rows is checked and evaluated in row blocks, and its first
+failing block raises.
 
 The geometric construction in :func:`aberration_scene` rebuilds the same
 scenario from raw velocity-ball points and gyroangle measurements, with no
@@ -26,8 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ball import (_REAL, _SINGLE_REAL, _norm, _norm_sq_checked, _operand_names, _operation,
-                   _record, _require)
+from .ball import (_REAL, _SINGLE_REAL, _declare, _norm, _norm_sq_checked, _parameters, _record,
+                   _require)
 from .errors import AdmissibilityError, AngleDegenerate, DimensionError
 from .gyro import _add, _gamma_of_speed
 from .trig import _gyroangle
@@ -64,63 +65,53 @@ def _check_positive(p, name):
              name)
 
 
-def _classical(shift, formula):
-    """The checked boundary of ``formula``: atan2(p sin(theta), shift(p cos(theta), v))."""
-    angle, _, speed = _operand_names(formula)
+def _aberration(shift, relativistic):
+    """Declare the decorated formula: atan2(p sin(theta), g shift(p cos(theta), v)).
 
-    def kernel(theta, v, p):
-        sin = _check_angle(theta, angle)
-        _check_speed(v, "v", allow_light=True)
-        _check_positive(p, speed)
-        return np.arctan2(p * sin, shift(p * np.cos(theta), v))
+    g is gamma_v in the relativistic formulas, whose particle speed may reach
+    1, and 1 in the classical ones, whose particle speed may be any positive
+    value and whose frame speed may reach 1.
+    """
+    def declare(formula):
+        angle, _, speed = _parameters(formula)[0]
 
-    return _operation(kernel, formula, _REAL)
+        def kernel(theta, v, p):
+            sin = _check_angle(theta, angle)
+            _check_speed(v, "v", allow_light=not relativistic)
+            if not relativistic:
+                _check_positive(p, speed)
+                return np.arctan2(p * sin, shift(p * np.cos(theta), v))
+            _check_speed(p, speed, allow_light=True)
+            _require(p > 0.0, AdmissibilityError, "must be positive", speed)
+            return np.arctan2(p * sin, _gamma_of_speed(v) * shift(p * np.cos(theta), v))
+
+        return _declare(kernel, _REAL)(formula)
+
+    return declare
 
 
+@_aberration(np.add, relativistic=False)
 def classical_aberration(theta_s, v, p_s):
     """theta_e from cot(theta_e) = cot(theta_s) + v/(p_s sin(theta_s))."""
-    return _checked_classical(theta_s, v, p_s)
 
 
+@_aberration(np.subtract, relativistic=False)
 def classical_aberration_inv(theta_e, v, p_e):
     """theta_s from cot(theta_s) = cot(theta_e) - v/(p_e sin(theta_e))."""
-    return _checked_classical_inv(theta_e, v, p_e)
 
 
-_checked_classical = _classical(np.add, classical_aberration)
-_checked_classical_inv = _classical(np.subtract, classical_aberration_inv)
-
-
-def _relativistic(shift, formula):
-    """The checked boundary of ``formula``: atan2(p sin(theta), gamma_v shift(p cos(theta), v))."""
-    angle, _, speed = _operand_names(formula)
-
-    def kernel(theta, v, p):
-        sin = _check_angle(theta, angle)
-        _check_speed(v, "v")
-        _check_speed(p, speed, allow_light=True)
-        _require(p > 0.0, AdmissibilityError, "must be positive", speed)
-        return np.arctan2(p * sin, _gamma_of_speed(v) * shift(p * np.cos(theta), v))
-
-    return _operation(kernel, formula, _REAL)
-
-
+@_aberration(np.add, relativistic=True)
 def relativistic_aberration(theta_s, v, p_s):
     """theta_e from cot(theta_e) = gamma_v (cot(theta_s) + v/(p_s sin(theta_s))).
 
     Speeds of exactly 1 are admitted for photons; then the formula is the
     stellar aberration formula.
     """
-    return _checked_relativistic(theta_s, v, p_s)
 
 
+@_aberration(np.subtract, relativistic=True)
 def relativistic_aberration_inv(theta_e, v, p_e):
     """theta_s from cot(theta_s) = gamma_v (cot(theta_e) - v/(p_e sin(theta_e)))."""
-    return _checked_relativistic_inv(theta_e, v, p_e)
-
-
-_checked_relativistic = _relativistic(np.add, relativistic_aberration)
-_checked_relativistic_inv = _relativistic(np.subtract, relativistic_aberration_inv)
 
 
 def stellar_aberration(theta_s, v):
@@ -144,12 +135,9 @@ def _classical_matched(theta_s, theta_e, p_s):
     return p_s * sin_s / sin_e
 
 
+@_declare(_classical_matched, _REAL)
 def classical_matched_p_e(theta_s, theta_e, p_s):
     """p_e consistent with the law of sines p_s/sin(theta_e) = p_e/sin(theta_s)."""
-    return _checked_classical_matched(theta_s, theta_e, p_s)
-
-
-_checked_classical_matched = _operation(_classical_matched, classical_matched_p_e, _REAL)
 
 
 def _relativistic_matched(theta_s, theta_e, p_s):
@@ -161,17 +149,13 @@ def _relativistic_matched(theta_s, theta_e, p_s):
     return x / np.sqrt(1.0 + x * x)
 
 
+@_declare(_relativistic_matched, _REAL)
 def relativistic_matched_p_e(theta_s, theta_e, p_s):
     """p_e consistent with the law of gyrosines.
 
     gamma_{p_s} p_s / sin(theta_e) = gamma_{p_e} p_e / sin(theta_s); the
     momentum-like product gamma*p determines the speed uniquely.
     """
-    return _checked_relativistic_matched(theta_s, theta_e, p_s)
-
-
-_checked_relativistic_matched = _operation(_relativistic_matched, relativistic_matched_p_e,
-                                           _REAL)
 
 
 @dataclass(frozen=True, eq=False)
@@ -192,23 +176,6 @@ class AberrationResult:
     @property
     def offset_arcsec(self) -> float:
         return self.offset * ARCSEC_PER_RAD
-
-
-def aberration_scene(v, p_s, theta_s) -> AberrationResult:
-    """Rebuild the aberration scenario geometrically in a velocity plane.
-
-    E sits at the origin, S at distance ``v`` along the reference axis, and P
-    is placed so that the gyrovector from S to P has gyrolength ``p_s`` and
-    makes angle ``theta_s`` with the outgoing direction of the gyroline ES at
-    S.  ``theta_e`` is then *measured* as the gyroangle at E between S and P,
-    and ``p_e`` as the gyrodistance from E to P.
-
-    The construction uses only velocity composition and gyroangle
-    measurement, which makes it an independent witness for the cotangent
-    formulas (and thereby for the gyroparallelogram/gyrotriangle view of
-    velocity composition).
-    """
-    return _checked_scene(v, p_s, theta_s)
 
 
 def _scene(v, p_s, theta_s) -> AberrationResult:
@@ -234,19 +201,21 @@ def _scene(v, p_s, theta_s) -> AberrationResult:
                    theta_e=_gyroangle(sun, particle, _norm(sun), _norm(particle)))
 
 
-_checked_scene = _operation(_scene, aberration_scene, _SINGLE_REAL)
+@_declare(_scene, _SINGLE_REAL)
+def aberration_scene(v, p_s, theta_s) -> AberrationResult:
+    """Rebuild the aberration scenario geometrically in a velocity plane.
 
+    E sits at the origin, S at distance ``v`` along the reference axis, and P
+    is placed so that the gyrovector from S to P has gyrolength ``p_s`` and
+    makes angle ``theta_s`` with the outgoing direction of the gyroline ES at
+    S.  ``theta_e`` is then *measured* as the gyroangle at E between S and P,
+    and ``p_e`` as the gyrodistance from E to P.
 
-def aberration_sweep(v, p, n_samples: int):
-    """Tabulate theta_s against the two model outputs over (0, pi).
-
-    Returns a structured array with fields ``theta_s``,
-    ``theta_e_classical``, ``theta_e_relativistic`` and ``offset_arcsec``
-    (relativistic shift theta_s - theta_e in arc-seconds).  Sample angles
-    are interior: theta_k = pi (k+1)/(n+1).  A count too large for memory
-    raises DimensionError.
+    The construction uses only velocity composition and gyroangle
+    measurement, which makes it an independent witness for the cotangent
+    formulas (and thereby for the gyroparallelogram/gyrotriangle view of
+    velocity composition).
     """
-    return _checked_sweep(v, p, n_samples)
 
 
 def _sweep(v, p, n):
@@ -274,4 +243,13 @@ def _sweep(v, p, n):
     return out
 
 
-_checked_sweep = _operation(_sweep, aberration_sweep, _SINGLE_REAL)
+@_declare(_sweep, _SINGLE_REAL)
+def aberration_sweep(v, p, n_samples: int):
+    """Tabulate theta_s against the two model outputs over (0, pi).
+
+    Returns a structured array with fields ``theta_s``,
+    ``theta_e_classical``, ``theta_e_relativistic`` and ``offset_arcsec``
+    (relativistic shift theta_s - theta_e in arc-seconds).  Sample angles
+    are interior: theta_k = pi (k+1)/(n+1).  A count too large for memory
+    raises DimensionError.
+    """

@@ -19,10 +19,17 @@ order, so one vector's floats get the bits of a batch row.
 Each operation has one checked boundary, built once at import
 (``_operation``) from its operands' names, read from the public function's
 signature, and their declared kinds: velocities, ambient vectors, single
-velocities, reals, finite reals and single reals.  The velocity
-operations, the speed and gamma conversions, the aberration formulas and
-the scalar-only functions all take it.  It coerces all the operands,
-matches their shapes, then takes one of two routes, chosen from the input.
+velocities, reals, finite reals and single reals.  For the 31 operations
+declared with ``_declare`` (the velocity operations, the speed and gamma
+conversions, the aberration formulas, the scalar-only functions of trig)
+the boundary is the public function itself: it takes the name, docstring
+and signature of a function whose body is its docstring, so a call runs
+no forwarding frame.  An operand passed by keyword is put in its place on
+a slow path (``_by_keyword``).  Functions whose body does more (a
+Gyration, a rooted gyrovector, a triangle from its vertices, a Particle)
+call a boundary made by ``_operation`` alone.  A boundary coerces all the
+operands, matches their shapes, then takes one of two routes, chosen from
+the input.
 When every operand is one value, each vector becomes its floats (one
 tolist()) and each real a numpy float; each vector passes its check, and
 each finite real its own, in argument order, and the kernel runs on them.
@@ -59,7 +66,7 @@ import math
 import sys
 import threading
 import types
-from functools import partial
+from functools import partial, update_wrapper
 from itertools import compress
 from operator import attrgetter
 
@@ -272,8 +279,18 @@ def _gamma(n2):
     return 1.0 / _sqrt(1.0 - n2)
 
 
+# numpy's float64 dtype, bound by the first _real_array call, so that importing
+# this module runs no numpy code.  _as_real and _real_value take an ndarray of
+# it as it is after one identity test, which costs 40 ns less than
+# ``dtype == float`` (CPython 3.11 on x86_64); an array of an equal dtype
+# that is not this object takes the longer way to the same array.
+_FLOAT64 = None
+
+
 def _real_array(v, name: str) -> np.ndarray:
     """Coerce to a float array of any shape, or raise AdmissibilityError."""
+    global _FLOAT64
+    _FLOAT64 = np.dtype(float)
     try:
         arr = np.asarray(v)
         if arr.dtype.kind == "c":
@@ -286,10 +303,10 @@ def _real_array(v, name: str) -> np.ndarray:
 def _as_real(v, name: str) -> np.ndarray:
     """Coerce to a float array with a nonempty component axis, or raise.
 
-    An ndarray of native float64 is taken as it is, without the calls of
-    _real_array, which would return it unchanged.
+    An ndarray of native float64 (_FLOAT64) is taken as it is, without the
+    calls of _real_array, which would return it unchanged.
     """
-    arr = v if type(v) is np.ndarray and v.dtype == float else _real_array(v, name)
+    arr = v if type(v) is np.ndarray and v.dtype is _FLOAT64 else _real_array(v, name)
     if arr.ndim == 0 or arr.shape[-1] == 0:
         raise DimensionError("must have at least one component", name=name)
     return arr
@@ -304,7 +321,7 @@ def _real_value(x, name: str):
     """
     if type(x) is float:
         return np.float64(x)
-    arr = x if type(x) is np.ndarray and x.dtype == float else _real_array(x, name)
+    arr = x if type(x) is np.ndarray and x.dtype is _FLOAT64 else _real_array(x, name)
     return arr if arr.ndim else arr[()]
 
 
@@ -362,25 +379,23 @@ def _require(ok, error, message: str, name: str) -> None:
         raise error(message, name=name, row=_first_row(ok) if batch and ok.ndim else None)
 
 
-def _by_rows(fn, *arrays, core: int = 1):
+def _by_rows(fn, *arrays):
     """fn(*arrays), evaluated in blocks of _BLOCK rows when the batch is longer.
 
     ``fn`` is a trusted kernel that works row by row, so every block gets the
     bits a single call would give; a check that returns None makes this
-    return None.  The last ``core`` axes of an operand make one row: a
-    vector's component axis, or the unit axis a checked boundary gives a
-    real beside vectors, or none for reals alone.  The blocks run along the
-    leading axis of the operands' broadcast shape; an operand without that
-    axis takes part whole in every block, so its faults raise in the first
-    block.  The first block that raises ends the call: a GyrokinError that
-    names a row gets the block's first row added, so that it indexes the
-    whole batch.
+    return None.  Some operand is a batch: it has more axes than one value,
+    which has a vector's component axis, or the unit axis a checked boundary
+    gives a real beside vectors, or none for reals alone.  The blocks run
+    along the leading axis of the operands' broadcast shape; an operand
+    without that axis takes part whole in every block, so its faults raise
+    in the first block.  The first block that raises ends the call: a
+    GyrokinError that names a row gets the block's first row added, so that
+    it indexes the whole batch.
     """
     nd = 0
     for a in arrays:  # a loop: a comprehension's frame costs more on one vector
         nd = max(nd, a.ndim)
-    if nd <= core:
-        return fn(*arrays)
     k = max([a.shape[0] for a in arrays if a.ndim == nd])
     if k <= _BLOCK:
         return fn(*arrays)
@@ -517,13 +532,35 @@ def _require_finite(x, name: str) -> None:
              "must be finite", name)
 
 
-def _operand_names(fn) -> tuple:
-    """The names of the positional parameters of the function ``fn``."""
+def _parameters(fn) -> tuple:
+    """The names of the positional, and of the keyword-only, parameters of the function ``fn``."""
     code = fn.__code__
-    return code.co_varnames[:code.co_argcount]
+    n = code.co_argcount
+    return code.co_varnames[:n], code.co_varnames[n:n + code.co_kwonlyargcount]
 
 
-def _operation(kernel, names, kinds=_VELOCITY):
+# The default of each operand of a boundary's routes, which take their
+# operands by position only: an operand passed by keyword leaves it in place.
+_MISSING = object()
+
+
+def _by_keyword(public, boundary, operands, params):
+    """boundary's result for a call of ``public`` that passed an operand by keyword.
+
+    Also the route of any keyword but public's keyword-only options.  The
+    call is made first to ``public``, whose body is its docstring: a call
+    that does not fit its signature raises the TypeError it always raised
+    there.
+    Then each operand passed by keyword takes its place in the argument
+    order, and the keyword options stay keywords.
+    """
+    operands = [x for x in operands if x is not _MISSING]
+    public(*operands, **params)
+    operands += [params.pop(name) for name in _parameters(public)[0][len(operands):]]
+    return boundary(*operands, **params)
+
+
+def _operation(kernel, names, kinds=_VELOCITY, public=None):
     """The checked boundary of one operation, built once: a function of its operands.
 
     ``names`` label the operands in argument order: a tuple, or the function
@@ -543,6 +580,13 @@ def _operation(kernel, names, kinds=_VELOCITY):
     checks none of them here: kernel(*reals) runs, and raises through
     _require.
 
+    The routes take the operands by position, and the options, the
+    keyword-only parameters of ``public``, the function the boundary stands
+    for (_declare), by keyword; their defaults become the kernel's, once.  A
+    call that passes an operand or any other keyword by keyword is bound by
+    public's signature, then run (_by_keyword).  A boundary that stands for
+    no function hands every keyword to its kernel.
+
     ``floats(*vecs, params=...)`` takes each vector as a nonempty list of
     Python floats, and the kernel's keyword arguments as one mapping.  It
     requires one length (the error of same_shape), runs the checks and
@@ -557,13 +601,18 @@ def _operation(kernel, names, kinds=_VELOCITY):
     kernel(*floats, **params) runs on them.
     """
     if callable(names):
-        names = _operand_names(names)
+        names = _parameters(names)[0]
     if type(kinds) is str:
         kinds = (kinds,) * len(names)
+    arity, options = len(names), public and frozenset(_parameters(public)[1])
+    if public and public.__kwdefaults__:
+        kernel.__kwdefaults__ = public.__kwdefaults__
     if kinds[0] == _SINGLE_REAL:
-        all_floats = [float] * len(names)
+        all_floats = [float] * arity
 
         def singles(*operands, **params):
+            if len(operands) != arity or params and public and not params.keys() <= options:
+                return _by_keyword(public, singles, operands, params)
             if list(map(type, operands)) != all_floats:  # Python floats are taken as they are
                 operands = map(_real_scalar, operands, names)
             return kernel(*operands, **params)
@@ -571,13 +620,15 @@ def _operation(kernel, names, kinds=_VELOCITY):
         return singles
     vector = [kind not in (_REAL, _FINITE_REAL) for kind in kinds]
     if not any(vector):
-        def reals(*operands):
+        def reals(*operands, **params):
+            if len(operands) != arity or params:
+                return _by_keyword(public, reals, operands, params)
             values = list(map(_real_value, operands, names))
             for x in values:
                 if type(x) is np.ndarray:
                     if len(values) > 1:
                         _broadcast(values, names)
-                    return _by_rows(kernel, *values, core=0)
+                    return _by_rows(kernel, *values)
             return kernel(*values)
 
         return reals
@@ -641,7 +692,9 @@ def _operation(kernel, names, kinds=_VELOCITY):
                     n2.append(_norm_sq_checked(v, name, kind == _AMBIENT))
         return n2 if kernel is None else kernel(*vals, n2, **params)
 
-    def one(x, **params):
+    def one(x=_MISSING, /, **params):
+        if x is _MISSING or params and public and not params.keys() <= options:
+            return _by_keyword(public, one, (x,), params)
         x = _as_real(x, first)
         if x.ndim != 1:
             return rows([x], params)
@@ -651,7 +704,9 @@ def _operation(kernel, names, kinds=_VELOCITY):
         result = one_floats(a, params)
         return np.array(result) if type(result) is list else np.float64(result)
 
-    def two(x, y, **params):
+    def two(x=_MISSING, y=_MISSING, /, **params):
+        if y is _MISSING or params and public and not params.keys() <= options:
+            return _by_keyword(public, two, (x, y), params)
         x, y = _as_real(x, first), _as_real(y, last)
         if x.ndim != 1 or x.shape != y.shape:
             return rows([x, y], params)
@@ -661,8 +716,10 @@ def _operation(kernel, names, kinds=_VELOCITY):
         result = two_floats(a, b, params)
         return np.array(result) if type(result) is list else np.float64(result)
 
-    def factor(r, y, **params):
+    def factor(r=_MISSING, y=_MISSING, /, **params):
         """The boundary of a finite real factor r and a vector."""
+        if y is _MISSING or params and public and not params.keys() <= options:
+            return _by_keyword(public, factor, (r, y), params)
         r, y = _real_value(r, first), _as_real(y, last)
         if type(r) is np.ndarray or y.ndim != 1:
             return rows([r, y], params)
@@ -671,6 +728,8 @@ def _operation(kernel, names, kinds=_VELOCITY):
         return np.array(kernel(r, b, [_norm_sq_checked(b, last, ambient[0])], **params))
 
     def many(*operands, **params):
+        if len(operands) != arity or params and public and not params.keys() <= options:
+            return _by_keyword(public, many, operands, params)
         values = list(map(_as_real, operands, names)) if pure else [
             coerce(x, name) for coerce, x, name in zip(coercers, operands, names)]
         if list(map(_ndim, values)) != one_ndim:
@@ -692,6 +751,23 @@ def _operation(kernel, names, kinds=_VELOCITY):
         factor if kinds == (_FINITE_REAL, _VELOCITY) else many, many_floats)
     boundary.floats = floats
     return boundary
+
+
+def _declare(kernel, kinds=_VELOCITY, names=None):
+    """Declare the decorated function an operation: its checked boundary takes its place.
+
+    The boundary (_operation) of ``kernel`` and the operands' ``kinds`` takes
+    the function's name, docstring and signature, and its code the name
+    too, so that tracebacks and profilers name the operation; the body of
+    the function is its docstring alone.  ``names`` label the operands in
+    errors where the parameters' names would not ("speed" for ``s``).
+    """
+    def declare(fn):
+        boundary = _operation(kernel, names or fn, kinds, fn)
+        boundary.__code__ = boundary.__code__.replace(co_name=fn.__name__)
+        return update_wrapper(boundary, fn)
+
+    return declare
 
 
 def _require_instance(cls, **values) -> None:

@@ -40,17 +40,8 @@ import click
 from . import __version__
 from .ball import COLLINEAR_AREA_TOL, RIGHT_ANGLE_TOL, _dot, _neg, _norm
 from .errors import AngleDegenerate, GyrokinError, ParticleFormatError
-from .gyro import (
-    Gyration,
-    _checked_coadd,
-    _checked_coadd_via_gyration,
-    _checked_einstein_add,
-    _checked_einstein_sub,
-    _checked_gamma,
-    _checked_left_sub,
-    coadd,
-    gyrate_definitional,
-)
+from .gyro import (Gyration, coadd, coadd_via_gyration, einstein_add, einstein_sub, gamma,
+                   gyrate_definitional, left_sub)
 
 SI_C = 299792458.0
 
@@ -64,6 +55,14 @@ ANGLE_TO_RAD = {
 # its inverse <model>_aberration_inv, called as f(theta, v, p); the stellar
 # pair is the photon case and takes no p.
 _ABERRATION_MODELS = ("classical", "relativistic", "stellar")
+
+# The checked one-vector routes, on lists of floats, of the velocity operations
+# the float commands run (ball._operation's ``floats``).  They are read once,
+# here: a wrapper that stands in for a public function later (a profiler's,
+# say) need not carry the attribute.
+(_add_floats, _sub_floats, _coadd_floats, _coadd_via_gyration_floats, _gamma_floats,
+ _left_sub_floats) = (op.floats for op in (
+    einstein_add, einstein_sub, coadd, coadd_via_gyration, gamma, left_sub))
 
 
 def _lib(module):
@@ -239,7 +238,7 @@ def cli():
 def _maybe_gamma(w):
     """The gamma of the list of floats ``w``, or None past the ball."""
     try:
-        return _checked_gamma.floats(w)
+        return _gamma_floats(w)
     except GyrokinError:
         return None
 
@@ -277,17 +276,16 @@ def gyr(cfg, u, v, w, out_unit):
 @_command("distance", "a", "b")
 def distance(cfg, a, b):
     """Gyrodistance |(-a) (+) b| between two ball points (fraction of c)."""
-    from .space import _checked_gyrodistance
-
-    w = _checked_left_sub.floats(a, b)
+    w = _left_sub_floats(a, b)
     d = _norm(w)
-    checks = {"symmetry_abs": abs(d - _checked_gyrodistance.floats(b, a))}
+    # gyrodistance(b, a), by its own kernel: the norm of (-b) (+) a.
+    checks = {"symmetry_abs": abs(d - _norm(_left_sub_floats(b, a)))}
     return "distance", {"a": a, "b": b}, {"result": d, "gamma": _maybe_gamma(w)}, checks
 
 
 def _add_checks(w, u, v):
     # u.v in the kernels' order (_dot), not np.dot's
-    identity = _checked_gamma.floats(u) * _checked_gamma.floats(v) * (1.0 + _dot(u, v))
+    identity = _gamma_floats(u) * _gamma_floats(v) * (1.0 + _dot(u, v))
     g = _maybe_gamma(w)  # None once the sum has left the ball
     return {"gamma_identity_rel_error": None if g is None else abs(g - identity) / identity}
 
@@ -330,16 +328,16 @@ def _parallelogram_checks(d, a, b, c, tol):
 # inputs named in _VECTOR_HELP are velocities that _command parses; the other
 # inputs and the keyword opts are the command's own options.
 _VECTOR_COMMANDS = {
-    "add": ("Einstein velocity addition u (+) v.", _checked_einstein_add.floats, ("u", "v"),
+    "add": ("Einstein velocity addition u (+) v.", _add_floats, ("u", "v"),
             _add_checks, []),
-    "sub": ("Einstein velocity subtraction u (-) v.", _checked_einstein_sub.floats, ("u", "v"),
+    "sub": ("Einstein velocity subtraction u (-) v.", _sub_floats, ("u", "v"),
             # left cancellation: (-u) (+) (u (+) (-v)) must recover -v
             lambda w, u, v: {"left_cancellation_max_abs":
-                             _max_gap(_checked_einstein_add.floats(_neg(u), w), _neg(v))}, []),
-    "coadd": ("Einstein coaddition u [+] v (commutative).", _checked_coadd.floats, ("u", "v"),
+                             _max_gap(_add_floats(_neg(u), w), _neg(v))}, []),
+    "coadd": ("Einstein coaddition u [+] v (commutative).", _coadd_floats, ("u", "v"),
               lambda w, u, v: {
-                  "route_agreement_max_abs": _max_gap(w, _checked_coadd_via_gyration.floats(u, v)),
-                  "commutativity_max_abs": _max_gap(w, _checked_coadd.floats(v, u))}, []),
+                  "route_agreement_max_abs": _max_gap(w, _coadd_via_gyration_floats(u, v)),
+                  "commutativity_max_abs": _max_gap(w, _coadd_floats(v, u))}, []),
     "scale": ("Scalar gyromultiplication r (x) v.",
               lambda r, v: _lib("space").scalar_mul(r, v).tolist(), ("r", "v"),
               _scale_checks, [click.Option(["--r"], type=float, required=True,

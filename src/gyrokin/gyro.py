@@ -14,30 +14,22 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .ball import (_AMBIENT, _REAL, _SINGLE, _VELOCITY, _dot, _gamma, _neg, _norm, _norm_sq,
-                   _norm_sq_checked, _operation, _read_only, _require, _sqrt, np)
+from .ball import (_AMBIENT, _REAL, _SINGLE, _VELOCITY, _declare, _dot, _gamma, _neg, _norm,
+                   _norm_sq, _norm_sq_checked, _operation, _read_only, _require, _sqrt, np)
 from .errors import AdmissibilityError
 
 
+@_declare(lambda v, n2: _gamma(n2[0]))
 def gamma(v) -> np.ndarray:
     """Lorentz gamma factor 1/sqrt(1 - |v|^2) of an admissible velocity.
 
     Satisfies (gamma^2 - 1)/gamma^2 = |v|^2 to machine precision.
     """
-    return _checked_gamma(v)
-
-
-_checked_gamma = _operation(lambda v, n2: _gamma(n2[0]), gamma)
 
 
 def _gamma_of_speed(s) -> np.ndarray:
     """Gamma factor of a trusted speed in [0, 1), a float or an array."""
     return 1.0 / _sqrt((1.0 - s) * (1.0 + s))
-
-
-def gamma_of_speed(s) -> np.ndarray:
-    """Gamma factor of a scalar speed in [0, 1)."""
-    return _checked_gamma_of_speed(s)
 
 
 def _gamma_of_valid_speed(s):
@@ -46,22 +38,14 @@ def _gamma_of_valid_speed(s):
     return _gamma_of_speed(s)
 
 
-_checked_gamma_of_speed = _operation(_gamma_of_valid_speed, ("speed",), _REAL)
+@_declare(_gamma_of_valid_speed, _REAL, ("speed",))
+def gamma_of_speed(s) -> np.ndarray:
+    """Gamma factor of a scalar speed in [0, 1)."""
 
 
 def _speed_of_gamma(g) -> np.ndarray:
     """Speed of a trusted gamma factor, finite and >= 1, a float or an array."""
     return _sqrt((g - 1.0) / g * ((g + 1.0) / g))
-
-
-def speed_of_gamma(g) -> np.ndarray:
-    """Speed in [0, 1] of a finite gamma factor >= 1: sqrt(g^2 - 1)/g.
-
-    Evaluated as sqrt((g - 1)/g * (g + 1)/g), which cannot overflow and has
-    a relative error below machine epsilon; a speed that rounds up to 1 is
-    returned as 1.0.
-    """
-    return _checked_speed_of_gamma(g)
 
 
 def _speed_of_valid_gamma(g):
@@ -71,7 +55,14 @@ def _speed_of_valid_gamma(g):
     return _speed_of_gamma(g)
 
 
-_checked_speed_of_gamma = _operation(_speed_of_valid_gamma, ("gamma factor",), _REAL)
+@_declare(_speed_of_valid_gamma, _REAL, ("gamma factor",))
+def speed_of_gamma(g) -> np.ndarray:
+    """Speed in [0, 1] of a finite gamma factor >= 1: sqrt(g^2 - 1)/g.
+
+    Evaluated as sqrt((g - 1)/g * (g + 1)/g), which cannot overflow and has
+    a relative error below machine epsilon; a speed that rounds up to 1 is
+    returned as 1.0.
+    """
 
 
 def _add(u, v, n2) -> list:
@@ -89,6 +80,7 @@ def _add(u, v, n2) -> list:
     return [(coef_u * x + inv_gu * y) / den for x, y in zip(u, v)]
 
 
+@_declare(_add)
 def einstein_add(u, v) -> np.ndarray:
     """Relativistic composition u (+) v of two admissible velocities.
 
@@ -101,28 +93,22 @@ def einstein_add(u, v) -> np.ndarray:
     holds for every pair, and for parallel arguments the formula collapses
     to (u + v)/(1 + |u||v|).
     """
-    return _checked_einstein_add(u, v)
-
-
-_checked_einstein_add = _operation(_add, einstein_add)
 
 
 def _sub(u, v, n2) -> list:
     return _add(u, _neg(v), n2)
 
 
+@_declare(_sub)
 def einstein_sub(u, v) -> np.ndarray:
     """u (-) v = u (+) (-v)."""
-    return _checked_einstein_sub(u, v)
-
-
-_checked_einstein_sub = _operation(_sub, einstein_sub)
 
 
 def _left_sub(a, b, n2) -> list:
     return _add(_neg(a), b, n2)
 
 
+@_declare(_left_sub)
 def left_sub(a, b) -> np.ndarray:
     """(-a) (+) b: the value of the gyrovector with tail a and head b.
 
@@ -130,10 +116,6 @@ def left_sub(a, b) -> np.ndarray:
     addition is noncommutative (their norms agree, so either form gives the
     gyrodistance).
     """
-    return _checked_left_sub(a, b)
-
-
-_checked_left_sub = _operation(_left_sub, left_sub)
 
 
 def _unit_angle(e, f) -> float:
@@ -146,6 +128,14 @@ def _unit_angle(e, f) -> float:
                                   _norm([x + y for x, y in zip(e, f)])))
 
 
+def _add_speeds(x, y):
+    """add_speeds of two floats or arrays, once both lie in (-1, 1)."""
+    _require((np.abs(x) < 1.0) & (np.abs(y) < 1.0), AdmissibilityError,
+             "must lie in (-1, 1)", "speeds")
+    return (x + y) / (1.0 + x * y)
+
+
+@_declare(_add_speeds, _REAL)
 def add_speeds(x, y):
     """Parallel-velocity composition of scalar speeds: (x + y)/(1 + xy).
 
@@ -154,17 +144,6 @@ def add_speeds(x, y):
     inequality.  Both speeds must be finite and lie in (-1, 1); a batch's
     error names the first failing row of the batch the two broadcast to.
     """
-    return _checked_add_speeds(x, y)
-
-
-def _add_speeds(x, y):
-    """add_speeds of two floats or arrays, once both lie in (-1, 1)."""
-    _require((np.abs(x) < 1.0) & (np.abs(y) < 1.0), AdmissibilityError,
-             "must lie in (-1, 1)", "speeds")
-    return (x + y) / (1.0 + x * y)
-
-
-_checked_add_speeds = _operation(_add_speeds, add_speeds, _REAL)
 
 
 def _gyr_factors(u, v, n2) -> tuple:
@@ -201,17 +180,14 @@ def _gyrate(u, v, w, factors) -> list:
     return [(a * x + b * y) / d + z for x, y, z in zip(u, v, w)]
 
 
+@_declare(lambda u, v, w, n2: _gyrate(u, v, w, _gyr_factors(u, v, n2)),
+          (_VELOCITY, _VELOCITY, _AMBIENT))
 def gyrate(u, v, w) -> np.ndarray:
     """Apply the gyration gyr[u, v] to ``w`` via the closed form.
 
     ``u`` and ``v`` must be admissible; ``w`` may be any ambient vector, since
     the closed form extends gyrations to linear maps of the whole space.
     """
-    return _checked_gyrate(u, v, w)
-
-
-_checked_gyrate = _operation(lambda u, v, w, n2: _gyrate(u, v, w, _gyr_factors(u, v, n2)),
-                             gyrate, (_VELOCITY, _VELOCITY, _AMBIENT))
 
 
 def _gyrate_definitional(u, v, w, n2) -> list:
@@ -223,6 +199,7 @@ def _gyrate_definitional(u, v, w, n2) -> list:
     return _add(neg, uvw, [_norm_sq_checked(neg, "u")])
 
 
+@_declare(_gyrate_definitional)
 def gyrate_definitional(u, v, w) -> np.ndarray:
     """gyr[u, v]w evaluated from its definition, by three nested additions:
 
@@ -233,10 +210,6 @@ def gyrate_definitional(u, v, w) -> np.ndarray:
     other.  The intermediate sums are checked too: near c they can leave
     the ball.
     """
-    return _checked_gyrate_definitional(u, v, w)
-
-
-_checked_gyrate_definitional = _operation(_gyrate_definitional, gyrate_definitional)
 
 
 def _midpoint(u, v, n2) -> list:
@@ -254,6 +227,7 @@ def _coadd(u, v, n2) -> list:
     return [x * s for x in m]
 
 
+@_declare(_coadd)
 def coadd(u, v) -> np.ndarray:
     """Coaddition u [+] v, the commutative dual of Einstein addition.
 
@@ -262,10 +236,6 @@ def coadd(u, v) -> np.ndarray:
     exact identity 2 (x) m = 2m/(1 + |m|^2).  The floating-point result is
     symmetric in u and v bit for bit.
     """
-    return _checked_coadd(u, v)
-
-
-_checked_coadd = _operation(_coadd, coadd)
 
 
 def _coadd_via_gyration(u, v, n2) -> list:
@@ -275,22 +245,20 @@ def _coadd_via_gyration(u, v, n2) -> list:
     return _add(u, g, n2)
 
 
+@_declare(_coadd_via_gyration)
 def coadd_via_gyration(u, v) -> np.ndarray:
     """Coaddition evaluated from its definition u (+) gyr[u, -v]v.
 
     Kept separate from :func:`coadd` as an independent route for
     cross-checking.
     """
-    return _checked_coadd_via_gyration(u, v)
-
-
-_checked_coadd_via_gyration = _operation(_coadd_via_gyration, coadd_via_gyration)
 
 
 def _cosub(u, v, n2) -> list:
     return _coadd(u, _neg(v), n2)
 
 
+@_declare(_cosub)
 def cosub(u, v) -> np.ndarray:
     """Cosubtraction u [-] v = u [+] (-v) = u (-) gyr[u, v]v.
 
@@ -300,10 +268,6 @@ def cosub(u, v) -> np.ndarray:
     intermediate can leave the ball; the gyration form u (-) gyr[u, v]v is
     the test suite's independent oracle.
     """
-    return _checked_cosub(u, v)
-
-
-_checked_cosub = _operation(_cosub, cosub)
 
 
 _checked_apply = _operation(lambda u, w, n2, v, factors: _gyrate(u, v, w, factors), ("u", "w"),

@@ -37,9 +37,9 @@ from functools import partial
 
 import numpy as np
 
-from .ball import (_SINGLE, _as_real, _by_rows, _gamma, _norm_sq, _norm_sq_checked, _on_components,
-                   _operation, _read_only, _real_scalar, _record, _require, _require_instance,
-                   as_velocity, norm_sq, same_shape)
+from .ball import (_SINGLE, _as_real, _by_rows, _declare, _gamma, _norm_sq, _norm_sq_checked,
+                   _on_components, _operation, _read_only, _real_scalar, _record, _require,
+                   _require_instance, as_velocity, norm_sq, same_shape)
 from .errors import AdmissibilityError, DimensionError, OperandTypeError, ParticleFormatError
 from .gyro import _add
 
@@ -155,6 +155,7 @@ def _gamma_rel_minus_1(u, v, n2):
     return d * d / (2.0 * gu * gv) + gu * gv * _norm_sq([x - y for x, y in zip(u, v)]) / 2.0
 
 
+@_declare(_gamma_rel_minus_1)
 def gamma_rel_minus_1(u, v) -> np.ndarray:
     """gamma of the relative velocity (-u) (+) v, minus 1, without cancellation.
 
@@ -168,10 +169,6 @@ def gamma_rel_minus_1(u, v) -> np.ndarray:
     Identical velocities therefore give exactly 0.0.  Broadcasts like the
     other velocity operations.
     """
-    return _checked_gamma_rel_minus_1(u, v)
-
-
-_checked_gamma_rel_minus_1 = _operation(_gamma_rel_minus_1, gamma_rel_minus_1)
 
 
 def _dark_sq(sys: ParticleSystem, g, w) -> float:

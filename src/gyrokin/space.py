@@ -11,8 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .ball import (COLLINEAR_AREA_TOL, MAX_NORM, _AMBIENT, _FINITE_REAL, _SINGLE, _VELOCITY,
-                   _as_real, _dot, _neg, _norm, _norm_sq, _norm_sq_checked, _operation, _require,
-                   _require_instance, _sqrt, norm, np)
+                   _as_real, _declare, _dot, _neg, _norm, _norm_sq, _norm_sq_checked, _operation,
+                   _read_only, _record, _require, _require_instance, _sqrt, norm, np)
 from .errors import CollinearPoints
 from .gyro import _add, _coadd, _left_sub, _midpoint
 
@@ -35,6 +35,7 @@ def _scalar_mul(r, v, n2) -> list:
     return [scale * x for x in v]
 
 
+@_declare(_scalar_mul, (_FINITE_REAL, _VELOCITY), ("scalar factor", "v"))
 def scalar_mul(r, v) -> np.ndarray:
     """Scalar gyromultiplication r (x) v = tanh(r artanh|v|) v/|v|.
 
@@ -42,26 +43,19 @@ def scalar_mul(r, v) -> np.ndarray:
     definition.  The magnitude is clamped into the admissible ball so that
     the result is valid for every finite r.
     """
-    return _checked_scalar_mul(r, v)
-
-
-_checked_scalar_mul = _operation(_scalar_mul, ("scalar factor", "v"), (_FINITE_REAL, _VELOCITY))
 
 
 def _distance(a, b, n2):
     return _norm(_left_sub(a, b, n2))
 
 
+@_declare(_distance)
 def gyrodistance(a, b) -> np.ndarray:
     """Gyrometric d(a, b) = |(-a) (+) b|, in [0, 1).
 
     Symmetric, zero exactly on coincident points, and gyroadditive along
     gyrosegments under the parallel speed composition.
     """
-    return _checked_gyrodistance(a, b)
-
-
-_checked_gyrodistance = _operation(_distance, gyrodistance)
 
 
 def _line_point(a, b, t, n2) -> list:
@@ -72,6 +66,7 @@ def _line_point(a, b, t, n2) -> list:
     return _add(a, v, n2)
 
 
+@_declare(_line_point, (_VELOCITY, _VELOCITY, _FINITE_REAL))
 def gyroline_point(a, b, t) -> np.ndarray:
     """Point a (+) ((-a) (+) b) (x) t of the gyroline through a and b.
 
@@ -80,13 +75,9 @@ def gyroline_point(a, b, t) -> np.ndarray:
     line degenerate and every t maps to ``a``.  Near c the gyrovector
     (-a) (+) b and its scaled image can leave the ball, so both are checked.
     """
-    return _checked_line_point(a, b, t)
 
 
-_checked_line_point = _operation(_line_point, gyroline_point,
-                                 (_VELOCITY, _VELOCITY, _FINITE_REAL))
-
-
+@_declare(_midpoint)
 def gyromidpoint(a, b) -> np.ndarray:
     """Gyromidpoint of a and b: the equidistant point of gyrosegment ab.
 
@@ -95,22 +86,6 @@ def gyromidpoint(a, b) -> np.ndarray:
     the line-parameter and half-coaddition forms agree to rounding and are
     exercised by the test suite.
     """
-    return _checked_gyromidpoint(a, b)
-
-
-_checked_gyromidpoint = _operation(_midpoint, gyromidpoint)
-
-
-def triangle_area(a, b, c) -> np.ndarray:
-    """Euclidean area of the ambient triangle abc (any dimension).
-
-    Uses base times orthogonalized height rather than the Gram determinant:
-    the latter cancels catastrophically near collinear triples and cannot
-    resolve areas below sqrt(eps), while this form stays accurate to rounding.
-    The points are ambient vectors: they must be finite, have one
-    dimension, and batch shapes that broadcast.
-    """
-    return _checked_area(a, b, c)
 
 
 def _area(a, b, c):
@@ -122,7 +97,16 @@ def _area(a, b, c):
     return 0.5 * _sqrt(xx) * _norm([q - coef * p for p, q in zip(x, y)])
 
 
-_checked_area = _operation(lambda a, b, c, n2: _area(a, b, c), triangle_area, _AMBIENT)
+@_declare(lambda a, b, c, n2: _area(a, b, c), _AMBIENT)
+def triangle_area(a, b, c) -> np.ndarray:
+    """Euclidean area of the ambient triangle abc (any dimension).
+
+    Uses base times orthogonalized height rather than the Gram determinant:
+    the latter cancels catastrophically near collinear triples and cannot
+    resolve areas below sqrt(eps), while this form stays accurate to rounding.
+    The points are ambient vectors: they must be finite, have one
+    dimension, and batch shapes that broadcast.
+    """
 
 
 def are_gyrocollinear(a, b, c, tol: float = COLLINEAR_AREA_TOL) -> bool | np.ndarray:
@@ -134,6 +118,16 @@ def are_gyrocollinear(a, b, c, tol: float = COLLINEAR_AREA_TOL) -> bool | np.nda
     return rows if rows.ndim else bool(rows)
 
 
+def _fourth(a, b, c, n2, *, allow_degenerate, tol) -> list:
+    """gyroparallelogram_fourth of trusted velocities."""
+    if not allow_degenerate:
+        _require(_area(a, b, c) >= tol, CollinearPoints,
+                 "lie on one gyroline; no gyroparallelogram", "a, b, c")
+    u = _coadd(b, c, n2[1:])
+    return _add(u, _neg(a), [_norm_sq_checked(u, "u")])
+
+
+@_declare(_fourth)
 def gyroparallelogram_fourth(a, b, c, *, allow_degenerate: bool = False,
                              tol: float = COLLINEAR_AREA_TOL) -> np.ndarray:
     """Fourth vertex d = (b [+] c) (-) a of the gyroparallelogram abdc.
@@ -145,19 +139,6 @@ def gyroparallelogram_fourth(a, b, c, *, allow_degenerate: bool = False,
     A batch's error names its first collinear row.  Near c the coaddition
     b [+] c can leave the ball, so it is checked.
     """
-    return _checked_fourth(a, b, c, allow_degenerate=allow_degenerate, tol=tol)
-
-
-def _fourth(a, b, c, n2, allow_degenerate, tol) -> list:
-    """gyroparallelogram_fourth of trusted velocities."""
-    if not allow_degenerate:
-        _require(_area(a, b, c) >= tol, CollinearPoints,
-                 "lie on one gyroline; no gyroparallelogram", "a, b, c")
-    u = _coadd(b, c, n2[1:])
-    return _add(u, _neg(a), [_norm_sq_checked(u, "u")])
-
-
-_checked_fourth = _operation(_fourth, gyroparallelogram_fourth)
 
 
 @dataclass(frozen=True, eq=False)
@@ -165,7 +146,8 @@ class RootedGyrovector:
     """An ordered point pair with its value (-tail) (+) head.
 
     Two rooted gyrovectors are one gyrovector exactly when their values
-    agree; re-rooting keeps the value and moves the head accordingly.
+    agree; re-rooting keeps the value and moves the head accordingly.  The
+    library's records hold read-only arrays of their own.
     """
 
     tail: np.ndarray
@@ -173,14 +155,18 @@ class RootedGyrovector:
     value: np.ndarray
 
     @property
-    def gyrolength(self) -> float:
-        return float(norm(self.value))
+    def gyrolength(self) -> float | np.ndarray:
+        """|value|: a float for one gyrovector, and an array of the rows' for a batch."""
+        length = norm(self.value)
+        return length if length.ndim else float(length)
 
 
 def gyrovector_between(p, q) -> RootedGyrovector:
     """Rooted gyrovector from point p to point q."""
+    p, q = _as_real(p, "p"), _as_real(q, "q")
     value = _checked_between(p, q)
-    return RootedGyrovector(tail=_as_real(p, "p"), head=_as_real(q, "q"), value=value)
+    value.setflags(write=False)
+    return _record(RootedGyrovector, tail=_read_only(p), head=_read_only(q), value=value)
 
 
 _checked_between = _operation(_left_sub, gyrovector_between)
@@ -208,8 +194,10 @@ def translate_to(g: RootedGyrovector, new_tail) -> RootedGyrovector:
     gyrovector between points near c can leave the ball.
     """
     _require_instance(RootedGyrovector, g=g)
+    new_tail = _as_real(new_tail, "new_tail")
     head = _checked_translate(new_tail, g.value)
-    return RootedGyrovector(tail=_as_real(new_tail, "new_tail"), head=head, value=g.value)
+    head.setflags(write=False)
+    return _record(RootedGyrovector, tail=_read_only(new_tail), head=head, value=g.value)
 
 
 _checked_translate = _operation(_add, ("new_tail", "value"))

@@ -14,8 +14,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .ball import (COLLINEAR_AREA_TOL, RIGHT_ANGLE_TOL, _SINGLE, _SINGLE_REAL, _norm, _operation,
-                   _record, _require_instance)
+from .ball import (COLLINEAR_AREA_TOL, RIGHT_ANGLE_TOL, _SINGLE, _SINGLE_REAL, _declare, _norm,
+                   _operation, _read_only, _record, _require_instance)
 from .errors import (
     AdmissibilityError,
     CollinearPoints,
@@ -60,17 +60,6 @@ def gyroangle(vertex, p, q, *, tol: float = 1e-14) -> float:
 _checked_gyroangle = _operation(None, gyroangle, _SINGLE)
 
 
-def triangle_q(gamma_a: float, gamma_b: float, gamma_c: float) -> float:
-    """Triangle quantity 1 + 2 g_a g_b g_c - g_a^2 - g_b^2 - g_c^2.
-
-    Nonnegative exactly when the three gammas belong to a realizable
-    gyrotriangle; it is the squared common numerator of the three gyrosines.
-    Values in a rounding-width band below zero clamp to 0.  The gammas must
-    be real scalars.
-    """
-    return _checked_triangle_q(gamma_a, gamma_b, gamma_c)
-
-
 def _triangle_q(gamma_a: float, gamma_b: float, gamma_c: float) -> float:
     """triangle_q of three trusted Python floats."""
     q = (1.0 + 2.0 * gamma_a * gamma_b * gamma_c
@@ -81,7 +70,15 @@ def _triangle_q(gamma_a: float, gamma_b: float, gamma_c: float) -> float:
     return q
 
 
-_checked_triangle_q = _operation(_triangle_q, triangle_q, _SINGLE_REAL)
+@_declare(_triangle_q, _SINGLE_REAL)
+def triangle_q(gamma_a: float, gamma_b: float, gamma_c: float) -> float:
+    """Triangle quantity 1 + 2 g_a g_b g_c - g_a^2 - g_b^2 - g_c^2.
+
+    Nonnegative exactly when the three gammas belong to a realizable
+    gyrotriangle; it is the squared common numerator of the three gyrosines.
+    Values in a rounding-width band below zero clamp to 0.  The gammas must
+    be real scalars.
+    """
 
 
 def _clamped_cos(num: float, den: float) -> float:
@@ -93,19 +90,6 @@ def _clamped_cos(num: float, den: float) -> float:
             f"side gammas give cos = {c:.17g}, outside [-1, 1]"
         )
     return c
-
-
-def sss_to_aaa(gamma_a: float, gamma_b: float, gamma_c: float
-               ) -> tuple[float, float, float]:
-    """Gyroangles (alpha, beta, gamma) from the three side gamma factors.
-
-        cos alpha = (-g_a + g_b g_c) / (sqrt(g_b^2 - 1) sqrt(g_c^2 - 1))
-
-    and cyclically.  Raises InvalidTriangle when the gammas cannot come from
-    a gyrotriangle (any cos outside [-1, 1] beyond rounding, negative
-    triangle quantity, or a gamma at/below 1).
-    """
-    return _checked_sss_to_aaa(gamma_a, gamma_b, gamma_c)
 
 
 def _sss_to_aaa(ga: float, gb: float, gc: float) -> tuple[float, float, float]:
@@ -123,20 +107,17 @@ def _sss_to_aaa(ga: float, gb: float, gc: float) -> tuple[float, float, float]:
     return math.acos(cos_alpha), math.acos(cos_beta), math.acos(cos_gamma)
 
 
-_checked_sss_to_aaa = _operation(_sss_to_aaa, sss_to_aaa, _SINGLE_REAL)
+@_declare(_sss_to_aaa, _SINGLE_REAL)
+def sss_to_aaa(gamma_a: float, gamma_b: float, gamma_c: float
+               ) -> tuple[float, float, float]:
+    """Gyroangles (alpha, beta, gamma) from the three side gamma factors.
 
+        cos alpha = (-g_a + g_b g_c) / (sqrt(g_b^2 - 1) sqrt(g_c^2 - 1))
 
-def aaa_to_sss(alpha: float, beta: float, gamma: float, *,
-               tol: float = 1e-12) -> tuple[float, float, float]:
-    """Side gamma factors from the three gyroangles.
-
-        g_a = (cos alpha + cos beta cos gamma) / (sin beta sin gamma)
-
-    and cyclically.  The angle sum must fall short of pi (positive defect);
-    otherwise, or when a computed gamma does not exceed 1 or overflows, there
-    is no such gyrotriangle and NoSuchTriangle is raised.
+    and cyclically.  Raises InvalidTriangle when the gammas cannot come from
+    a gyrotriangle (any cos outside [-1, 1] beyond rounding, negative
+    triangle quantity, or a gamma at/below 1).
     """
-    return _checked_aaa_to_sss(alpha, beta, gamma, tol=tol)
 
 
 def _aaa_to_sss(*angles, tol: float) -> tuple[float, float, float]:
@@ -159,15 +140,26 @@ def _aaa_to_sss(*angles, tol: float) -> tuple[float, float, float]:
     return ga, gb, gc
 
 
-_checked_aaa_to_sss = _operation(_aaa_to_sss, aaa_to_sss, _SINGLE_REAL)
+@_declare(_aaa_to_sss, _SINGLE_REAL)
+def aaa_to_sss(alpha: float, beta: float, gamma: float, *,
+               tol: float = 1e-12) -> tuple[float, float, float]:
+    """Side gamma factors from the three gyroangles.
+
+        g_a = (cos alpha + cos beta cos gamma) / (sin beta sin gamma)
+
+    and cyclically.  The angle sum must fall short of pi (positive defect);
+    otherwise, or when a computed gamma does not exceed 1 or overflows, there
+    is no such gyrotriangle and NoSuchTriangle is raised.
+    """
 
 
 @dataclass(frozen=True, eq=False)
 class Gyrotriangle:
     """A solved gyrotriangle: sides, side gammas, and gyroangles.
 
-    ``vertices`` is populated when the triangle was built from points and is
-    None for triangles solved from sides or angles alone.
+    ``vertices`` holds read-only copies of the points when the triangle was
+    built from them, and is None for triangles solved from sides or angles
+    alone.
     """
 
     side_a: float
@@ -234,16 +226,10 @@ def triangle_from_vertices(a, b, c) -> Gyrotriangle:
                                      f"gyrolength {side:.17g}, not below 1")
     return _triangle(sides, list(map(_gamma_of_speed, sides)),
                      [_gyroangle(*g[i:i + 2], *lengths[i:i + 2]) for i in (0, 2, 4)],
-                     tuple(vertices))
+                     tuple(map(_read_only, vertices)))
 
 
 _checked_vertices = _operation(None, triangle_from_vertices, _SINGLE)
-
-
-def triangle_from_sides(side_a: float, side_b: float, side_c: float
-                        ) -> Gyrotriangle:
-    """Solve a gyrotriangle from its three side gyrolengths in (0, 1)."""
-    return _checked_from_sides(side_a, side_b, side_c)
 
 
 def _from_sides(*sides) -> Gyrotriangle:
@@ -254,7 +240,10 @@ def _from_sides(*sides) -> Gyrotriangle:
     return _triangle(sides, gammas, _sss_to_aaa(*gammas))
 
 
-_checked_from_sides = _operation(_from_sides, triangle_from_sides, _SINGLE_REAL)
+@_declare(_from_sides, _SINGLE_REAL)
+def triangle_from_sides(side_a: float, side_b: float, side_c: float
+                        ) -> Gyrotriangle:
+    """Solve a gyrotriangle from its three side gyrolengths in (0, 1)."""
 
 
 def triangle_from_angles(alpha: float, beta: float, gamma: float

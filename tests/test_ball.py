@@ -19,7 +19,6 @@ from gyrokin import (MAX_NORM, AdmissibilityError, AngleDegenerate, DimensionErr
                      relativistic_matched_p_e, scalar_mul, speed_of_gamma, stellar_aberration,
                      stellar_aberration_inv, triangle_area, triangle_from_angles,
                      triangle_from_sides, triangle_from_vertices)
-from gyrokin import gyro, space
 from gyrokin.ball import _SINGLE_REAL, _operation, _record, as_velocity, dot, norm_sq
 from helpers import ball_points, broadcast_error, in_blocks, raised
 
@@ -394,17 +393,11 @@ def test_record_is_the_dataclass_its_init_makes(name):
         assert record.defect == made.defect and record.q == made.q
 
 
-# Each velocity operation the CLI runs on lists of floats: its public function
-# and its checked boundary, whose floats route the CLI calls.
-FLOAT_ROUTES = {op.__name__: (op, checked) for op, checked in [
-    (gamma, gyro._checked_gamma),
-    (einstein_add, gyro._checked_einstein_add),
-    (einstein_sub, gyro._checked_einstein_sub),
-    (left_sub, gyro._checked_left_sub),
-    (coadd, gyro._checked_coadd),
-    (coadd_via_gyration, gyro._checked_coadd_via_gyration),
-    (gyrodistance, space._checked_gyrodistance),
-]}
+# The velocity operations whose checked floats route (op.floats) the CLI
+# calls on lists of floats, and gyrodistance's, which it replaces by the
+# norm of left_sub's.
+FLOAT_ROUTES = {op.__name__: op for op in [
+    gamma, einstein_add, einstein_sub, left_sub, coadd, coadd_via_gyration, gyrodistance]}
 
 
 def outcome(op, *args):
@@ -439,12 +432,12 @@ def operand_lists(op, n):
 @pytest.mark.parametrize("n", [1, 2, 3, 8])
 @pytest.mark.parametrize("name", FLOAT_ROUTES)
 def test_floats_route_has_the_bits_of_the_library(name, n):
-    op, checked = FLOAT_ROUTES[name]
+    op = FLOAT_ROUTES[name]
     outcomes = set()
     for operands in operand_lists(op, n):
         lists = [p.tolist() for p in operands]
         want = outcome(op, *operands)
-        assert outcome(checked.floats, *lists) == want, operands
+        assert outcome(op.floats, *lists) == want, operands
         outcomes.add(type(want[0]))
     assert tuple in outcomes  # some results, and not only errors
 
@@ -463,11 +456,11 @@ def bad_operands(op, n):
 @pytest.mark.parametrize("n", [1, 3, 8])
 @pytest.mark.parametrize("name", FLOAT_ROUTES)
 def test_floats_route_raises_as_the_library(name, n):
-    op, checked = FLOAT_ROUTES[name]
+    op = FLOAT_ROUTES[name]
     for operands in bad_operands(op, n):
         want = outcome(op, *map(np.array, operands))
         assert isinstance(want[0], type) and issubclass(want[0], GyrokinError), operands
-        assert outcome(checked.floats, *operands) == want, operands
+        assert outcome(op.floats, *operands) == want, operands
 
 
 def test_floats_route_of_three_operands():
@@ -475,5 +468,5 @@ def test_floats_route_of_three_operands():
     u, v = [0.1, 0.2, 0.0], [0.0, -0.3, 0.1]
     for w in ([0.5, -0.5, 2.0], [0.5, -0.5], [math.inf, 0.0, 0.0]):
         want = outcome(gyrate, *map(np.array, (u, v, w)))
-        assert outcome(gyro._checked_gyrate.floats, u, v, w) == want
+        assert outcome(gyrate.floats, u, v, w) == want
     assert want[0] is AdmissibilityError

@@ -836,7 +836,7 @@ LOADS = {
     ("coadd", *UV): (),
     ("gyr", *UV, "--w", "0.1,0,0.2"): (),
     ("scale", "--r", "2", *UV[2:]): ("space",),
-    ("distance", *AB): ("space",),
+    ("distance", *AB): (),
     ("midpoint", *AB): ("space",),
     ("midpoint", *AB, "--t", "0.3"): ("space",),
     ("parallelogram", *AB, "--c", "0.05,-0.3,0.4"): ("space",),

@@ -173,6 +173,32 @@ def test_float_commands_run_no_numpy(argv):
     assert (code, out.splitlines()[0], ran) == (0, WITHOUT_NUMPY[argv], False)
 
 
+# Run in a fresh interpreter: the output of ``gyrokin distance`` with the
+# options in argv, and the gyrokin modules loaded when it ends.
+DISTANCE_PROBE = r'''
+import contextlib, io, json, sys
+from gyrokin.cli import main
+out = io.StringIO()
+with contextlib.redirect_stdout(out):
+    main(["distance", *sys.argv[1:]])
+print(json.dumps([out.getvalue(), sorted(m for m in sys.modules if m.startswith("gyrokin"))]))
+'''
+
+
+def test_distance_runs_without_space():
+    """distance checks its symmetry by the norm of left_sub's floats route.
+
+    That is gyrodistance's kernel, so the output keeps its bytes, and the
+    command loads no gyrokin.space.
+    """
+    proc = subprocess.run([sys.executable, "-c", DISTANCE_PROBE, *AB], capture_output=True,
+                          text=True, check=True, env={**os.environ, "PYTHONPATH": str(SRC)})
+    assert proc.stderr == ""
+    assert json.loads(proc.stdout) == [
+        "result: 0.768374908491942\ngamma: 1.5625\ncheck_symmetry_abs: 0\n",
+        ["gyrokin", "gyrokin.ball", "gyrokin.cli", "gyrokin.errors", "gyrokin.gyro"]]
+
+
 @pytest.mark.parametrize("argv", WITH_NUMPY, ids=" ".join)
 def test_array_commands_load_numpy(argv):
     code, out, ran = numpy_probe(*argv)

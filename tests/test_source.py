@@ -68,3 +68,32 @@ def test_layers_reach_row_blocks_only_through_a_boundary(name):
     imported = {a.asname or a.name for node in ast.walk(tree)
                 if isinstance(node, ast.ImportFrom) for a in node.names}
     assert imported & BOUNDARY_INTERNALS == set()
+
+
+def forwarders(source: str) -> list:
+    """The public module-level functions whose body, after its docstring, only
+    returns a call of a private name."""
+    found = []
+    for node in ast.parse(source).body:
+        if not isinstance(node, ast.FunctionDef) or node.name.startswith("_"):
+            continue
+        body = node.body[1:] if ast.get_docstring(node) is not None else node.body
+        if (len(body) == 1 and isinstance(body[0], ast.Return)
+                and isinstance(body[0].value, ast.Call)
+                and isinstance(body[0].value.func, ast.Name)
+                and body[0].value.func.id.startswith("_")):
+            found.append(node.name)
+    return found
+
+
+def test_finds_a_forwarder():
+    source = ('def f(x):\n    """Doc."""\n    return _g(x)\n\n\ndef g(x):\n    return _h(x, 1)\n\n\n'
+              '@_declare(_k)\ndef h(x):\n    """Doc."""\n\n\ndef k(x):\n    return j(x)\n\n\n'
+              'def _m(x):\n    return _k(x)\n\n\ndef n(x):\n    y = _k(x)\n    return y\n')
+    assert forwarders(source) == ["f", "g"]
+
+
+@pytest.mark.parametrize("name", ["gyro", "space", "trig", "aberration", "mass"])
+def test_no_public_function_forwards_to_a_private_one(name):
+    """A public operation is its own boundary (ball._declare), not a forwarder to one."""
+    assert forwarders((SRC / f"{name}.py").read_text(encoding="utf-8")) == []

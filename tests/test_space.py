@@ -333,6 +333,34 @@ class TestRootedGyrovectors:
         g2 = gyrovector_between(np.zeros(3), V_FIX)
         assert not equivalent(g1, g2)
 
+    @pytest.mark.parametrize("shape", [(2,), (5, 4), (3, 1)])
+    def test_gyrolength_of_a_batch_is_the_gyrodistance_of_its_rows(self, rng, shape):
+        p, q = ball_points(rng, 2 * math.prod(shape), 3, max_norm=0.99).reshape(2, *shape, 3)
+        lengths = gyrovector_between(p, q).gyrolength
+        want = gyrodistance(p, q)
+        assert type(lengths) is np.ndarray and lengths.shape == shape
+        assert lengths.tobytes() == want.tobytes()
+        one = gyrovector_between(p.reshape(-1, 3)[0], q.reshape(-1, 3)[0]).gyrolength
+        assert type(one) is float and one == float(want.flat[0])
+
+    def test_records_hold_read_only_copies(self):
+        """Writing to the points a record was made from leaves it as it was made."""
+        p, q, t = np.array(U_FIX), np.array(V_FIX), np.array([0.1, -0.2, 0.3])
+        g = gyrovector_between(p, q)
+        moved = translate_to(g, t)
+        batch = gyrovector_between(np.array([p, q]), np.array([q, t]))
+        records = [g, moved, batch]
+        arrays = [(r.tail, r.head, r.value) for r in records]
+        made = [[a.tobytes() for a in fields] for fields in arrays]
+        for x in (p, q, t):
+            x[0] = 0.9
+        assert [[a.tobytes() for a in fields] for fields in arrays] == made
+        assert moved.value is g.value  # re-rooting reuses the value
+        for a in (a for fields in arrays for a in fields):
+            assert not a.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                a[..., 0] = 0.0
+
     def test_equivalent_batches_row_by_row(self):
         # A bool per row for batches, one bool for one pair, and False for
         # values of different shapes.
@@ -351,8 +379,7 @@ class TestRootedGyrovectors:
         # d(p, q); moved to the tail t it stays the same gyrovector, with
         # head t (+) value.  Checked on a batch and on its first row.
         p, q, t = ball_points(rng, 21, 3, max_norm=0.9).reshape(3, 7, 3)
-        assert [gyrovector_between(a, b).gyrolength
-                for a, b in zip(p, q)] == gyrodistance(p, q).tolist()
+        assert gyrovector_between(p, q).gyrolength.tobytes() == gyrodistance(p, q).tobytes()
         for tail, head, new_tail in [(p, q, t), (p[0], q[0], t[0])]:
             g = gyrovector_between(tail, head)
             moved = translate_to(g, new_tail)

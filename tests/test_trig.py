@@ -128,6 +128,18 @@ class TestTriangleFromVertices:
         # hypotenuse gamma is the product of the leg gammas
         assert tri.gamma_a * tri.gamma_b == pytest.approx(tri.gamma_c, abs=1e-12)
 
+    def test_vertices_are_read_only_copies(self):
+        """Writing to the points a triangle was made from leaves its vertices as they were."""
+        points = [np.array(A_FIX), np.array(B_FIX), np.array(C_FIX)]
+        tri = triangle_from_vertices(*points)
+        for p in points:
+            p[0] = 0.9
+        assert [v.tolist() for v in tri.vertices] == [list(A_FIX), list(B_FIX), list(C_FIX)]
+        for v in tri.vertices:
+            assert not v.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                v[0] = 0.0
+
     def test_positive_defect(self, rng):
         for _ in range(200):
             tri = triangle_from_vertices(*random_triangle(rng))

@@ -2,8 +2,9 @@
 
 For every operation that accepts a batch, the table gives the time of one
 call at k = 1 in us, and the time per row at k = 1e3 and k = 1e6 in ns.
-The operations that take single values only (gyrations made once, triangles,
-the aberration scene) get the k = 1 column alone, on one fixed input each.
+The operations that take single values only (gyrations made once, triangles
+and the scalar triangle functions, the aberration scene and sweep) get the
+k = 1 column alone, on one fixed input each.
 Velocities have n = 3 components.  Each round runs in a fresh interpreter,
 and a figure is the median over the rounds of the fastest of three timed
 repeats in one interpreter.
@@ -97,9 +98,12 @@ def singles(gk, u, v, a, b, c):
         "triangle_from_vertices": (gk.triangle_from_vertices, (a, b, c)),
         "triangle_from_sides": (gk.triangle_from_sides, (tri.side_a, tri.side_b, tri.side_c)),
         "triangle_from_angles": (gk.triangle_from_angles, (tri.alpha, tri.beta, tri.gamma)),
+        "triangle_q": (gk.triangle_q, (tri.gamma_a, tri.gamma_b, tri.gamma_c)),
         "sss_to_aaa": (gk.sss_to_aaa, (tri.gamma_a, tri.gamma_b, tri.gamma_c)),
+        "aaa_to_sss": (gk.aaa_to_sss, (tri.alpha, tri.beta, tri.gamma)),
         "law_of_gyrosines_ratios": (gk.law_of_gyrosines_ratios, (tri,)),
         "aberration_scene": (gk.aberration_scene, (0.5, 0.6, 1.0)),
+        "aberration_sweep": (gk.aberration_sweep, (0.5, 0.6, 64)),
     }
 
 
