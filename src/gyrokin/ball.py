@@ -16,32 +16,35 @@ square roots (``_sqrt``) run in Python arithmetic, every transcendental
 function stays a numpy ufunc, and ``_dot`` and ``_norm_sq`` sum in np.sum's
 order, so one vector's floats get the bits of a batch row.
 
-Each operation has one checked boundary, built once at import
+Each operation has one checked boundary, generated once at import
 (``_operation``) from its operands' names, read from the public function's
 signature, and their declared kinds: velocities, ambient vectors, single
-velocities, reals, finite reals and single reals.  For the 31 operations
-declared with ``_declare`` (the velocity operations, the speed and gamma
-conversions, the aberration formulas, the scalar-only functions of trig)
-the boundary is the public function itself: it takes the name, docstring
-and signature of a function whose body is its docstring, so a call runs
-no forwarding frame.  An operand passed by keyword is put in its place on
-a slow path (``_by_keyword``).  Functions whose body does more (a
-Gyration, a rooted gyrovector, a triangle from its vertices, a Particle)
-call a boundary made by ``_operation`` alone.  A boundary coerces all the
-operands, matches their shapes, then takes one of two routes, chosen from
-the input.
+velocities, reals, finite reals and single reals.  ``_operation`` writes
+the boundary's source, two straight-line functions, and compiles it; its
+docstring shows the source written for ``einstein_add``.  For the 31
+operations declared with ``_declare`` (the velocity operations, the speed
+and gamma conversions, the aberration formulas, the scalar-only functions
+of trig) the boundary is the public function itself: it has that
+function's parameters, keyword-only options and defaults, and takes its
+name, docstring and signature, so a call runs no forwarding frame and
+Python binds an operand passed by keyword as it binds any other call.
+Functions whose body does more (a Gyration, a rooted gyrovector, a
+triangle from its vertices, a Particle) call a boundary made by
+``_operation`` alone.  A boundary coerces each operand, in argument order,
+then takes one of two routes, chosen from the input.
 When every operand is one value, each vector becomes its floats (one
-tolist()) and each real a numpy float; each vector passes its check, and
-each finite real its own, in argument order, and the kernel runs on them.
-A vector result becomes an ndarray and a scalar an np.float64.  The
-velocity operations run this on lists of floats by the boundary's
-``floats`` route, which the CLI calls on the lists of floats it parses.
-Otherwise the batch runs row block after row block (``_by_rows``), and
-each block runs the same checks and kernel on the columns of its vectors
-and reals, and assembles the result (``_assemble``).  An operation on
-single vectors only takes the first route and hands back the checked
-vectors; a batch operand raises, in its place in the argument order.  Single
-reals become Python floats, each in turn (``_real_scalar``); a batch raises.
+tolist()) and each real a numpy float, and the boundary's ``floats`` route
+runs on them: each vector passes its check, and each finite real its own,
+in argument order, and the kernel runs.  A vector result becomes an
+ndarray and a scalar an np.float64.  The CLI calls the ``floats`` route of
+the velocity operations on the lists of floats it parses.
+Otherwise the operands' shapes are matched and the batch runs row block
+after row block (``_by_rows``); each block runs the same ``floats`` route
+on the columns of its vectors and reals, and assembles the result
+(``_assemble``).  An operation on single vectors only takes the first
+route and hands back the checked vectors; a batch operand raises, in its
+place in the argument order.  Single reals become Python floats, each in
+turn (``_real_scalar``); a batch raises.
 The first failing check raises, once; an error in a batch names its first
 failing row as an index into the whole batch ("u row 19999 has norm ..."),
 and a single value's error names no row.  The one velocity check,
@@ -62,13 +65,13 @@ something reads a numpy name, such as a function that makes an array.
 from __future__ import annotations
 
 import importlib.util
+import linecache
 import math
 import sys
 import threading
 import types
 from functools import partial, update_wrapper
-from itertools import compress
-from operator import attrgetter
+from itertools import compress, count
 
 from .errors import AdmissibilityError, DimensionError, GyrokinError, NonFinite, OperandTypeError
 
@@ -144,9 +147,6 @@ _FLOAT_MAX = sys.float_info.max
 # ``**`` copies it, and a dict, unlike a read-only mapping, is copied without
 # a lookup per key (``**`` of a MappingProxyType costs a call about 0.4 us).
 _NO_PARAMS = {}
-
-# The number of axes of an array or a numpy float.
-_ndim = attrgetter("ndim")
 
 # numpy's float sum adds fewer terms than this one by one, in order, from +0.0;
 # from here on it sums pairwise.
@@ -539,25 +539,8 @@ def _parameters(fn) -> tuple:
     return code.co_varnames[:n], code.co_varnames[n:n + code.co_kwonlyargcount]
 
 
-# The default of each operand of a boundary's routes, which take their
-# operands by position only: an operand passed by keyword leaves it in place.
-_MISSING = object()
-
-
-def _by_keyword(public, boundary, operands, params):
-    """boundary's result for a call of ``public`` that passed an operand by keyword.
-
-    Also the route of any keyword but public's keyword-only options.  The
-    call is made first to ``public``, whose body is its docstring: a call
-    that does not fit its signature raises the TypeError it always raised
-    there.
-    Then each operand passed by keyword takes its place in the argument
-    order, and the keyword options stay keywords.
-    """
-    operands = [x for x in operands if x is not _MISSING]
-    public(*operands, **params)
-    operands += [params.pop(name) for name in _parameters(public)[0][len(operands):]]
-    return boundary(*operands, **params)
+# Numbers the file names under which linecache holds the boundaries' sources.
+_SOURCES = count()
 
 
 def _operation(kernel, names, kinds=_VELOCITY, public=None):
@@ -565,85 +548,73 @@ def _operation(kernel, names, kinds=_VELOCITY, public=None):
 
     ``names`` label the operands in argument order: a tuple, or the function
     whose positional parameters they are.  ``kinds`` declares the operands'
-    kinds, one for all of them or one each.  Vectors are coerced by _as_real
-    and reals by _real_value; then the vectors' shapes are matched
-    (same_shape), and the reals' against the vectors' rows (_broadcast).
-    Then, in argument order, each vector passes _norm_sq_checked and each
-    finite real _require_finite, and kernel(*operands, n2, **params) runs,
-    with ``n2`` the vectors' squared norms.  When every operand is one value
-    this happens once: each vector as its floats and each real as a numpy
-    float; a vector result becomes an ndarray and a float an np.float64.
-    One and two vectors, and a finite real and a vector, take that route
-    without building lists of operands.  Otherwise it happens in each row
-    block (_by_rows), where a vector comes as its columns and a real as its
-    column, and the first failing block raises.  An operation on reals alone
-    checks none of them here: kernel(*reals) runs, and raises through
-    _require.
+    kinds, one for all of them or one each.  ``public`` is the function the
+    boundary stands for (_declare): the boundary takes its name, its
+    positional parameters and its keyword-only options with their defaults.
+    A boundary that stands for no function is named ``boundary``, takes its
+    operands as x0, x1, ... and hands every keyword to its kernel.
 
-    The routes take the operands by position, and the options, the
-    keyword-only parameters of ``public``, the function the boundary stands
-    for (_declare), by keyword; their defaults become the kernel's, once.  A
-    call that passes an operand or any other keyword by keyword is bound by
-    public's signature, then run (_by_keyword).  A boundary that stands for
-    no function hands every keyword to its kernel.
+    The boundary and its ``floats`` route are written as source, compiled
+    once with this module's globals and registered with linecache, so that
+    tracebacks and pdb show their lines; labels enter the source by repr.
+    The boundary coerces each operand in argument order, a vector by
+    _as_real, a real by _real_value and a single real by _real_scalar
+    (a Python float is taken as it is), then tests for one value: a vector
+    of one axis, a real of none.  If every operand is one value, ``floats``
+    runs once, each vector as its floats and each real as a numpy float,
+    and a vector result becomes an ndarray and a float an np.float64
+    (_assemble).
+    Otherwise the operands go to the row blocks (``rows``): the vectors'
+    shapes are matched (same_shape), and the reals' against the vectors'
+    rows (_broadcast), and each block (_by_rows) runs ``floats`` on the
+    vectors' columns and the reals' columns and assembles the result.
 
-    ``floats(*vecs, params=...)`` takes each vector as a nonempty list of
-    Python floats, and the kernel's keyword arguments as one mapping.  It
-    requires one length (the error of same_shape), runs the checks and
-    returns the kernel's floats; it runs no numpy code on fewer than
-    _IN_ORDER_TERMS components.
+    ``floats``, also the boundary's attribute, takes each vector as a
+    nonempty list of Python floats, each real as a number, and the options
+    by keyword.  It requires one length (the error of same_shape), then
+    runs, in argument order, each vector's _norm_sq_checked and each finite
+    real's _require_finite, and returns kernel(*operands, n2, **options),
+    with ``n2`` the vectors' squared norms.  It runs no numpy code on fewer
+    than _IN_ORDER_TERMS components.  The source written for einstein_add:
 
-    Single velocities take no kernel (None): the boundary returns the
-    arrays, their components (Python floats) and their squared norms, three
-    lists, and a batch operand raises DimensionError in its place in the
-    argument order; its ``floats`` returns the squared norms.  Single reals
-    become Python floats (_real_scalar), each in turn, and
-    kernel(*floats, **params) runs on them.
+        def _make(_kernel, _rows):
+            def floats(u, v):
+                if not len(u) == len(v):
+                    _same_dimension([len(u), len(v)], ('u', 'v'))
+                _u = _norm_sq_checked(u, 'u')
+                _v = _norm_sq_checked(v, 'v')
+                return _kernel(u, v, [_u, _v])
+            def einstein_add(u, v):
+                u = _as_real(u, 'u')
+                v = _as_real(v, 'v')
+                if u.ndim != 1 or v.ndim != 1:
+                    return _rows([u, v])
+                return _assemble(floats(u.tolist(), v.tolist()))
+            return einstein_add, floats
+
+    An operation on reals alone, or on single reals, checks nothing here:
+    its ``floats`` is the kernel, which checks its reals through _require.
+    Single reals have no row blocks: a batch raises DimensionError in
+    _real_scalar.  Single velocities take no kernel (None): the boundary
+    returns the arrays, their components (Python floats) and their squared
+    norms, three lists, and a batch operand raises DimensionError in its
+    place in the argument order; their ``floats`` returns the squared norms.
     """
     if callable(names):
         names = _parameters(names)[0]
     if type(kinds) is str:
         kinds = (kinds,) * len(names)
-    arity, options = len(names), public and frozenset(_parameters(public)[1])
-    if public and public.__kwdefaults__:
-        kernel.__kwdefaults__ = public.__kwdefaults__
-    if kinds[0] == _SINGLE_REAL:
-        all_floats = [float] * arity
-
-        def singles(*operands, **params):
-            if len(operands) != arity or params and public and not params.keys() <= options:
-                return _by_keyword(public, singles, operands, params)
-            if list(map(type, operands)) != all_floats:  # Python floats are taken as they are
-                operands = map(_real_scalar, operands, names)
-            return kernel(*operands, **params)
-
-        return singles
-    vector = [kind not in (_REAL, _FINITE_REAL) for kind in kinds]
-    if not any(vector):
-        def reals(*operands, **params):
-            if len(operands) != arity or params:
-                return _by_keyword(public, reals, operands, params)
-            values = list(map(_real_value, operands, names))
-            for x in values:
-                if type(x) is np.ndarray:
-                    if len(values) > 1:
-                        _broadcast(values, names)
-                    return _by_rows(kernel, *values)
-            return kernel(*values)
-
-        return reals
-    pure = all(vector)
-    # An operand is one value when it has this many axes: a vector's components.
-    one_ndim = [1 if vec else 0 for vec in vector]
-    coercers = [_as_real if vec else _real_value for vec in vector]
+    vector = [kind not in (_REAL, _FINITE_REAL, _SINGLE_REAL) for kind in kinds]
     vector_names = list(compress(names, vector))
-    ambient = [kind == _AMBIENT for kind in compress(kinds, vector)]
     single = kinds[0] == _SINGLE
-    first, last = names[0], names[-1]
 
-    def rows(values, params):
+    def rows(values, params=_NO_PARAMS):
         """The route of operands that are not all one value."""
-        if pure:
+        if not any(vector):  # reals alone: the kernel checks them
+            if len(values) > 1:
+                _broadcast(values, names)
+            return _by_rows(kernel, *values)
+        if all(vector):
             same_shape(values, names)
         else:  # each real, given a unit axis, broadcasts against the vectors' rows
             values = [v if vec else v[..., None] for v, vec in zip(values, vector)]
@@ -661,94 +632,62 @@ def _operation(kernel, names, kinds=_VELOCITY, public=None):
     def block(*parts, params=_NO_PARAMS):
         """One row block: each vector as its columns and each real as its column."""
         parts = [_components(p) if vec else p[..., 0] for p, vec in zip(parts, vector)]
-        return _assemble(many_floats(*parts, params=params))
+        return _assemble(floats(*parts, **params))
 
-    # The routes take the keyword arguments as one mapping: forwarding them as
-    # **params a second time costs one vector's call about 0.1 us more
-    # (CPython 3.11 on x86_64).
-    def one_floats(a, params=_NO_PARAMS):
-        n2 = [_norm_sq_checked(a, first, ambient[0])]
-        return n2 if kernel is None else kernel(a, n2, **params)
-
-    def two_floats(a, b, params=_NO_PARAMS):
-        if len(a) != len(b):
-            _same_dimension([len(a), len(b)], names)
-        n2 = [_norm_sq_checked(a, first, ambient[0]), _norm_sq_checked(b, last, ambient[1])]
-        return n2 if kernel is None else kernel(a, b, n2, **params)
-
-    def many_floats(*vals, params=_NO_PARAMS):
-        vecs = vals if pure else list(compress(vals, vector))
-        for v in vecs:  # a loop: a set of the lengths costs more on one vector
-            if len(v) != len(vecs[0]):
-                _same_dimension(list(map(len, vecs)), vector_names)
-        if pure:
-            n2 = list(map(_norm_sq_checked, vals, names, ambient))
-        else:  # in argument order: each vector's check, and each finite real's
-            n2 = []
-            for v, name, kind in zip(vals, names, kinds):
-                if kind == _FINITE_REAL:
-                    _require_finite(v, name)
-                elif kind != _REAL:
-                    n2.append(_norm_sq_checked(v, name, kind == _AMBIENT))
-        return n2 if kernel is None else kernel(*vals, n2, **params)
-
-    def one(x=_MISSING, /, **params):
-        if x is _MISSING or params and public and not params.keys() <= options:
-            return _by_keyword(public, one, (x,), params)
-        x = _as_real(x, first)
-        if x.ndim != 1:
-            return rows([x], params)
-        a = x.tolist()
-        if kernel is None:
-            return [x], [a], one_floats(a)
-        result = one_floats(a, params)
-        return np.array(result) if type(result) is list else np.float64(result)
-
-    def two(x=_MISSING, y=_MISSING, /, **params):
-        if y is _MISSING or params and public and not params.keys() <= options:
-            return _by_keyword(public, two, (x, y), params)
-        x, y = _as_real(x, first), _as_real(y, last)
-        if x.ndim != 1 or x.shape != y.shape:
-            return rows([x, y], params)
-        a, b = x.tolist(), y.tolist()
-        if kernel is None:
-            return [x, y], [a, b], two_floats(a, b)
-        result = two_floats(a, b, params)
-        return np.array(result) if type(result) is list else np.float64(result)
-
-    def factor(r=_MISSING, y=_MISSING, /, **params):
-        """The boundary of a finite real factor r and a vector."""
-        if y is _MISSING or params and public and not params.keys() <= options:
-            return _by_keyword(public, factor, (r, y), params)
-        r, y = _real_value(r, first), _as_real(y, last)
-        if type(r) is np.ndarray or y.ndim != 1:
-            return rows([r, y], params)
-        _require_finite(r, first)
-        b = y.tolist()
-        return np.array(kernel(r, b, [_norm_sq_checked(b, last, ambient[0])], **params))
-
-    def many(*operands, **params):
-        if len(operands) != arity or params and public and not params.keys() <= options:
-            return _by_keyword(public, many, operands, params)
-        values = list(map(_as_real, operands, names)) if pure else [
-            coerce(x, name) for coerce, x, name in zip(coercers, operands, names)]
-        if list(map(_ndim, values)) != one_ndim:
-            return rows(values, params)
-        # Vectors of unequal lengths raise same_shape's error in many_floats.
-        vals = list(map(np.ndarray.tolist, values)) if pure else [
-            v.tolist() if vec else v for v, vec in zip(values, vector)]
-        if kernel is None:
-            return values, vals, many_floats(*vals)
-        result = many_floats(*vals, params=params)
-        return np.array(result) if type(result) is list else np.float64(result)
-
-    # many alone would do for every arity, but its lists of operands and star
-    # calls cost one vector about 1 us more a call (CPython 3.11 on x86_64), a
-    # third of einstein_add's and half of gamma's; a finite real and a vector
-    # (scalar_mul) take factor for the same reason, about 2 us of 4.
-    boundary, floats = {1: (one, one_floats), 2: (two, two_floats)}.get(
-        len(names), (many, many_floats)) if pure else (
-        factor if kinds == (_FINITE_REAL, _VELOCITY) else many, many_floats)
+    # The source.  A boundary that stands for no function takes x0, x1, ... and
+    # **params, the kernel's keyword arguments, which reach floats as one option.
+    if public:
+        name, (args, options) = public.__name__, _parameters(public)
+    else:
+        name, args, options = "boundary", [f"x{i}" for i in range(len(names))], ("params",)
+    passed = "".join(f", {o}={o}" for o in options)
+    tail = ", *, " + ", ".join(options) if options else ""
+    to_rows = f", dict({passed[2:]})" if options else ""
+    own_tail, to_kernel = (tail, passed) if public else (", **params",) * 2
+    coerce, checks = [], []
+    for a, label, kind, vec in zip(args, map(repr, names), kinds, vector):
+        if kind == _SINGLE_REAL:
+            coerce.append(f"    {a} = {a} if type({a}) is float else _real_scalar({a}, {label})")
+        else:
+            coerce.append(f"    {a} = {'_as_real' if vec else '_real_value'}({a}, {label})")
+        if vec:
+            ambient = ", True" if kind == _AMBIENT else ""
+            checks.append(f"    _{a} = _norm_sq_checked({a}, {label}{ambient})")
+        elif kind == _FINITE_REAL:
+            checks.append(f"    _require_finite({a}, {label})")
+    listed, vecs = ", ".join(args), list(compress(args, vector))
+    lengths, n2 = ", ".join(f"len({v})" for v in vecs), f"[{', '.join('_' + v for v in vecs)}]"
+    if len(vecs) > 1:
+        checks[:0] = [f"    if not {lengths.replace(', ', ' == ')}:",
+                      f"        _same_dimension([{lengths}], {tuple(vector_names)!r})"]
+    if checks or not public:
+        result = f"_kernel({listed}, {n2}{to_kernel})" if vecs else f"_kernel({listed}{to_kernel})"
+        lines = [f"def floats({listed}{tail}):", *checks,
+                 f"    return {n2 if kernel is None else result}"]
+    else:
+        lines = ["floats = _kernel"]
+    lines += [f"def {name}({listed}{own_tail}):", *coerce]
+    if kinds[0] != _SINGLE_REAL:
+        batch = " or ".join(f"{a}.ndim != 1" if vec else f"{a}.ndim"
+                            for a, vec in zip(args, vector))
+        lines += [f"    if {batch}:", f"        return _rows([{listed}]{to_rows})"]
+    values = ", ".join(f"{a}.tolist()" if vec else a for a, vec in zip(args, vector))
+    if kernel is None:
+        lines += [f"    _floats = [{values}]", f"    return [{listed}], _floats, floats(*_floats)"]
+    else:  # a vector result becomes an ndarray, a float of one vector an np.float64
+        call = f"floats({values}{passed})"
+        lines.append(f"    return _assemble({call})" if vecs else f"    return {call}")
+    source = "".join(f"    {line}\n" for line in [*lines, f"return {name}, floats"])
+    source = f"def _make(_kernel, _rows):\n{source}"
+    filename = f"<boundary {next(_SOURCES)}: {name}>"
+    linecache.cache[filename] = len(source), None, source.splitlines(True), filename
+    namespace = {}
+    exec(compile(source, filename, "exec"), globals(), namespace)
+    boundary, floats = namespace["_make"](kernel, rows)
+    if not public:
+        floats.__kwdefaults__ = {"params": _NO_PARAMS}
+    elif options:
+        boundary.__kwdefaults__ = floats.__kwdefaults__ = public.__kwdefaults__
     boundary.floats = floats
     return boundary
 
@@ -756,18 +695,13 @@ def _operation(kernel, names, kinds=_VELOCITY, public=None):
 def _declare(kernel, kinds=_VELOCITY, names=None):
     """Declare the decorated function an operation: its checked boundary takes its place.
 
-    The boundary (_operation) of ``kernel`` and the operands' ``kinds`` takes
-    the function's name, docstring and signature, and its code the name
-    too, so that tracebacks and profilers name the operation; the body of
-    the function is its docstring alone.  ``names`` label the operands in
-    errors where the parameters' names would not ("speed" for ``s``).
+    The boundary (_operation) of ``kernel`` and the operands' ``kinds`` has
+    the function's parameters and takes its name, docstring and signature;
+    the body of the function is its docstring alone.  ``names`` label the
+    operands in errors where the parameters' names would not ("speed" for
+    ``s``).
     """
-    def declare(fn):
-        boundary = _operation(kernel, names or fn, kinds, fn)
-        boundary.__code__ = boundary.__code__.replace(co_name=fn.__name__)
-        return update_wrapper(boundary, fn)
-
-    return declare
+    return lambda fn: update_wrapper(_operation(kernel, names or fn, kinds, fn), fn)
 
 
 def _require_instance(cls, **values) -> None:

@@ -2,15 +2,19 @@
 
 The public function of an operation is the boundary itself: these tests pin
 what a caller sees of it (its name, signature, docstring and module), and
-check that it binds operands passed by keyword, hands its keyword options'
-defaults to its kernel, pickles by reference, renders under help() and
-names itself in tracebacks.
+check that its code has the function's own parameters, so that Python binds
+operands passed by keyword and rejects a bad call as the function would,
+that it hands its keyword options' defaults to its kernel, pickles by
+reference, renders under help() and names itself in tracebacks, and that
+ball._operation's docstring shows the source it generates.
 """
 
 import hashlib
 import inspect
+import linecache
 import pickle
 import pydoc
+import textwrap
 import traceback
 
 import numpy as np
@@ -18,7 +22,7 @@ import pytest
 
 import gyrokin as gk
 from gyrokin import CollinearPoints, GyrokinError, NoSuchTriangle
-from gyrokin.ball import COLLINEAR_AREA_TOL
+from gyrokin.ball import COLLINEAR_AREA_TOL, _operation
 
 U, V, W = [0.1, 0.2, -0.3], [-0.4, 0.1, 0.2], [0.3, 0.3, 0.1]
 
@@ -126,6 +130,41 @@ def test_call_that_does_not_fit_the_signature_raises_type_error(name):
         fn(*args, 0.5)
 
 
+@pytest.mark.parametrize("name", DECLARED)
+def test_boundary_has_the_parameters_of_the_function(name):
+    """The boundary's code has the function's operands and options, and no *args or **kwargs."""
+    fn = getattr(gk, name)
+    code, parameters = fn.__code__, inspect.signature(fn).parameters.values()
+    operands = [p.name for p in parameters if p.kind is p.POSITIONAL_OR_KEYWORD]
+    options = [p.name for p in parameters if p.kind is p.KEYWORD_ONLY]
+    assert list(code.co_varnames[:code.co_argcount]) == operands
+    assert code.co_kwonlyargcount == len(options)
+    assert not code.co_flags & (inspect.CO_VARARGS | inspect.CO_VARKEYWORDS)
+
+
+@pytest.mark.parametrize("name", DECLARED)
+def test_bad_call_raises_the_type_error_of_the_function(name):
+    """One operand too few or too many, an unknown keyword or a repeated operand
+    raise the TypeError the docstring-only function raises, word for word."""
+    fn, args = getattr(gk, name), DECLARED[name][3]
+    first = list(inspect.signature(fn).parameters)[0]
+    for given, keywords in [(args[:-1], {}), ((*args, args[-1]), {}), (args, {"foo": 1}),
+                            (args, {first: args[0]})]:
+        with pytest.raises(TypeError) as want:
+            fn.__wrapped__(*given, **keywords)
+        with pytest.raises(TypeError) as got:
+            fn(*given, **keywords)
+        assert str(got.value) == str(want.value)
+
+
+def test_operation_docstring_shows_the_source_it_generates():
+    """The example in _operation's docstring is the source generated for einstein_add."""
+    doc = inspect.getdoc(_operation)
+    example = doc.split("The source written for einstein_add:\n\n", 1)[1].split("\n\n", 1)[0]
+    source = "".join(linecache.getlines(gk.einstein_add.__code__.co_filename))
+    assert textwrap.dedent(example) + "\n" == source
+
+
 def test_keyword_options_and_their_defaults():
     """The defaults of the public signature are the kernel's, with or without the option."""
     fourth = gk.gyroparallelogram_fourth
@@ -166,5 +205,7 @@ def test_pickles_by_reference_and_renders_under_help(name):
 def test_error_traceback_names_the_operation(name, args):
     with pytest.raises(GyrokinError) as info:
         getattr(gk, name)(*args)
-    frames = [frame.name for frame in traceback.extract_tb(info.value.__traceback__)]
-    assert name in frames[1:]
+    frames = traceback.extract_tb(info.value.__traceback__)
+    assert name in [frame.name for frame in frames[1:]]
+    # linecache holds the boundary's generated source, so the frame shows its line.
+    assert all(frame.line for frame in frames if frame.name == name)

@@ -3,7 +3,9 @@
 Every `gyrokin ...` line of the README's CLI block runs as its own fresh
 interpreter, the way the installed command runs, so each time covers the
 interpreter's start, the imports (numpy, click and the gyrokin modules the
-command loads), parsing, the command and its output.  The table gives, for
+command loads), parsing, the command and its output.  The first row,
+`import gyrokin`, imports the package alone in a fresh interpreter and times
+the import inside it, as bench/run.py's set-up probe does.  The table gives, for
 each source tree, the median wall time over the rounds in ms, whether
 numpy's package code ran ("yes" or "no"), and the gyrokin modules the
 command loaded (short names, core first).  The trees take
@@ -42,6 +44,13 @@ WORKER = ("import json, sys; from gyrokin.cli import main; sys.argv[0] = 'gyroki
           "print(json.dumps([code, 'numpy.linalg' in sys.modules, "
           "sorted(m for m in sys.modules if m.startswith('gyrokin'))]))")
 
+# Imports gyrokin alone; its last line of stdout is as WORKER's, followed by
+# the seconds the import took, timed inside the interpreter.
+IMPORT_WORKER = ("import json, sys, time; t = time.perf_counter(); import gyrokin; "
+                 "t = time.perf_counter() - t; "
+                 "print(json.dumps([0, 'numpy.linalg' in sys.modules, "
+                 "sorted(m for m in sys.modules if m.startswith('gyrokin')), t]))")
+
 # The README's `gyrokin mass --in particles.csv` reads this file.
 PARTICLES = "# two particles\n1.0, 0.6, 0, 0\n1.0, -0.6, 0, 0\n"
 
@@ -50,25 +59,32 @@ ORDER = ["gyrokin", "ball", "errors", "gyro", "cli", "space", "trig", "aberratio
 
 
 def readme_commands() -> list:
-    """The argv of each gyrokin command line of the README's CLI block."""
+    """(row label, worker, argv): the import row, then each gyrokin command line of
+    the README's CLI block."""
     text = (ROOT / "README.md").read_text(encoding="utf-8")
     block = text.split("## CLI", 1)[1].split("```bash", 1)[1].split("```", 1)[0]
-    return [shlex.split(line, comments=True)[1:]
-            for line in block.replace("\\\n", " ").splitlines() if line.startswith("gyrokin ")]
+    argvs = [shlex.split(line, comments=True)[1:]
+             for line in block.replace("\\\n", " ").splitlines() if line.startswith("gyrokin ")]
+    return [("import gyrokin", IMPORT_WORKER, []),
+            *((shlex.join(argv), WORKER, argv) for argv in argvs)]
 
 
-def measure(src: Path, argv, workdir) -> tuple:
-    """(wall seconds, exit code, whether numpy ran, the gyrokin modules loaded by short name)."""
+def measure(src: Path, label, worker, argv, workdir) -> tuple:
+    """(seconds, exit code, whether numpy ran, the gyrokin modules loaded by short name).
+
+    The seconds are the wall time of the whole interpreter, or the import's
+    own time for the import row.
+    """
     env = dict(os.environ, PYTHONPATH=str(src))
     start = time.perf_counter()
-    done = subprocess.run([sys.executable, "-c", WORKER, *argv], env=env, cwd=workdir,
+    done = subprocess.run([sys.executable, "-c", worker, *argv], env=env, cwd=workdir,
                           capture_output=True, text=True)
     elapsed = time.perf_counter() - start
     if done.returncode:
-        sys.exit(f"cli_startup: gyrokin {shlex.join(argv)} on {src} failed:\n{done.stderr}")
-    code, numpy, modules = json.loads(done.stdout.splitlines()[-1])
+        sys.exit(f"cli_startup: {label} on {src} failed:\n{done.stderr}")
+    code, numpy, modules, *took = json.loads(done.stdout.splitlines()[-1])
     names = [m.removeprefix("gyrokin.") for m in modules]
-    return elapsed, code, numpy, sorted(names, key=ORDER.index)
+    return (took or [elapsed])[0], code, numpy, sorted(names, key=ORDER.index)
 
 
 def main() -> None:
@@ -86,16 +102,16 @@ def main() -> None:
             # Each round starts with the next tree, so that no tree always
             # runs first in a round.
             trees = args.src[r % len(args.src):] + args.src[:r % len(args.src)]
-            for i, argv in enumerate(commands):
+            for i, command in enumerate(commands):
                 for src in trees:
-                    runs[src, i].append(measure(src, argv, workdir))
+                    runs[src, i].append(measure(src, *command, workdir))
     for j, src in enumerate(args.src):
         print(f"# {j}: {src}")
     print("\t".join(["command", "exit", *(f"{j}:{column}" for column in ("ms", "numpy", "modules")
                                            for j in range(len(args.src)))]))
-    for i, argv in enumerate(commands):
+    for i, (label, _, _) in enumerate(commands):
         first = runs[args.src[0], i][0]
-        cells = [shlex.join(argv), str(first[1])]
+        cells = [label, str(first[1])]
         cells += [f"{statistics.median(run[0] for run in runs[src, i]) * 1e3:.1f}"
                   for src in args.src]
         cells += ["yes" if runs[src, i][0][2] else "no" for src in args.src]

@@ -5,7 +5,8 @@ call at k = 1 in us, and the time per row at k = 1e3 and k = 1e6 in ns.
 The operations that take single values only (gyrations made once, triangles
 and the scalar triangle functions, the aberration scene and sweep) get the
 k = 1 column alone, on one fixed input each.
-Velocities have n = 3 components.  Each round runs in a fresh interpreter,
+Velocities have n = 3 components, and at k = 1 a velocity is a (3,) array
+and a real a Python float.  Each round runs in a fresh interpreter,
 and a figure is the median over the rounds of the fastest of three timed
 repeats in one interpreter.
 
@@ -116,7 +117,8 @@ def draw(rng, kind, k):
         d /= np.linalg.norm(d, axis=-1, keepdims=True)
         return d * rng.uniform(0.0, 0.95, size=shape + (1,))
     low, high = {"s": (0.05, 0.9), "g": (1.0, 10.0), "t": (-2.0, 2.0), "a": (0.1, 3.0)}[kind]
-    return rng.uniform(low, high, size=shape)
+    x = rng.uniform(low, high, size=shape)
+    return x if k > 1 else x.item()  # one real as the Python float callers pass
 
 
 def per_call(calls, budget):
