@@ -179,17 +179,6 @@ def _assemble(result):
     return out
 
 
-def _on_components(kernel):
-    """The row-block function of ``kernel``, made once, where the kernel is defined.
-
-    Each array of a block becomes its components (_components), the keyword
-    arguments pass through, and the kernel's result is assembled
-    (_assemble): row blocks (_by_rows) reach the kernels through this one
-    door.
-    """
-    return lambda *parts, **params: _assemble(kernel(*map(_components, parts), **params))
-
-
 def _sqrt(x):
     """Square root of a Python float by math.sqrt, of anything else by np.sqrt."""
     return math.sqrt(x) if type(x) is float else np.sqrt(x)
@@ -350,6 +339,26 @@ def _read_only(a) -> np.ndarray:
     return a
 
 
+class _Frozen:
+    """The base of gyrokin's frozen dataclasses: a copy holds read-only arrays.
+
+    pickle, copy.copy and copy.deepcopy restore an object through
+    __setstate__, which makes every ndarray among its fields read-only, each
+    one in a tuple field too, and then sets the fields in one step.  A copy
+    takes the original's fields without the constructor's checks, which
+    would guard nothing there: pickle.loads calls whatever callable the
+    stream names.  The library's own constructors freeze the arrays they
+    make as they make them, without this loop over the fields.
+    """
+
+    def __setstate__(self, state):
+        for value in state.values():
+            for a in value if type(value) is tuple else (value,):
+                if isinstance(a, np.ndarray):
+                    a.setflags(write=False)
+        vars(self).update(state)
+
+
 def _record(cls, **fields):
     """A ``cls`` record, a frozen dataclass, with every field set in one step.
 
@@ -449,12 +458,9 @@ def _norm_sq_checked(v, name: str, ambient: bool = False):
     return n2
 
 
-def _admissible(v, name: str) -> None:
-    """None once the components ``v`` pass _norm_sq_checked: as_velocity's kernel."""
-    _norm_sq_checked(v, name)
-
-
-_admissible_rows = _on_components(_admissible)
+def _admissible(block, name: str) -> None:
+    """None once the rows of ``block`` pass _norm_sq_checked: as_velocity's row blocks."""
+    _norm_sq_checked(_components(block), name)
 
 
 def as_velocity(v, *, name: str = "velocity") -> np.ndarray:
@@ -476,7 +482,7 @@ def as_velocity(v, *, name: str = "velocity") -> np.ndarray:
     if arr.ndim == 1:
         _norm_sq_checked(arr.tolist(), name)
     else:
-        _by_rows(partial(_admissible_rows, name=name), arr)
+        _by_rows(partial(_admissible, name=name), arr)
     return arr
 
 

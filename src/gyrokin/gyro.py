@@ -14,8 +14,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .ball import (_AMBIENT, _REAL, _SINGLE, _VELOCITY, _declare, _dot, _gamma, _neg, _norm,
-                   _norm_sq, _norm_sq_checked, _operation, _read_only, _require, _sqrt, np)
+from .ball import (_AMBIENT, _REAL, _SINGLE, _VELOCITY, _Frozen, _declare, _dot, _gamma, _neg,
+                   _norm, _norm_sq, _norm_sq_checked, _operation, _read_only, _require, _sqrt, np)
 from .errors import AdmissibilityError
 
 
@@ -276,7 +276,7 @@ _checked_generators = _operation(None, ("u", "v"), _SINGLE)
 
 
 @dataclass(frozen=True, eq=False, init=False)
-class Gyration:
+class Gyration(_Frozen):
     """The rotation gyr[u, v] packaged with its generating pair.
 
     Built once and applied many times: the generators are checked, and the
@@ -298,10 +298,6 @@ class Gyration:
         """Hold the generators, their floats and squared norms, and the factors."""
         vars(self).update(u=u, v=v, _floats=floats, _n2=n2, _factors=_gyr_factors(*floats, n2))
         return self
-
-    def __reduce__(self):
-        # Unpickled arrays are writeable: rebuild, so that u and v stay read-only copies.
-        return Gyration, (self.u, self.v)
 
     @property
     def dim(self) -> int:

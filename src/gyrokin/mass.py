@@ -37,15 +37,15 @@ from functools import partial
 
 import numpy as np
 
-from .ball import (_SINGLE, _as_real, _by_rows, _declare, _gamma, _norm_sq, _norm_sq_checked,
-                   _on_components, _operation, _read_only, _real_scalar, _record, _require,
-                   _require_instance, as_velocity, norm_sq, same_shape)
+from .ball import (_SINGLE, _Frozen, _as_real, _assemble, _by_rows, _components, _declare, _gamma,
+                   _norm_sq, _norm_sq_checked, _operation, _read_only, _real_scalar, _record,
+                   _require, _require_instance, as_velocity, norm_sq, same_shape)
 from .errors import AdmissibilityError, DimensionError, OperandTypeError, ParticleFormatError
 from .gyro import _add
 
 
 @dataclass(frozen=True, eq=False, init=False)
-class Particle:
+class Particle(_Frozen):
     """A point particle: positive invariant mass and admissible velocity."""
 
     mass: float
@@ -62,10 +62,6 @@ class Particle:
         (vel,), _, _ = _checked_particle_velocity(velocity)
         vars(self).update(mass=mass, velocity=_read_only(vel))  # the fields of a frozen dataclass
 
-    def __reduce__(self):
-        # Unpickled arrays are writeable: rebuild, so that the velocity stays read-only.
-        return Particle, (self.mass, self.velocity)
-
     @property
     def gamma(self) -> float:
         return float(_gamma(norm_sq(self.velocity)))
@@ -79,7 +75,7 @@ _checked_particle_velocity = _operation(None, ("particle velocity",), _SINGLE)
 
 
 @dataclass(frozen=True, eq=False, init=False)
-class ParticleSystem:
+class ParticleSystem(_Frozen):
     """A nonempty collection of particles sharing one rest frame.
 
     Held as arrays: read-only ``(N,)`` masses and ``(N, n)`` velocities,
@@ -119,10 +115,6 @@ class ParticleSystem:
         if velocities.ndim != 2 or masses.shape != velocities.shape[:1]:
             raise DimensionError("need one velocity vector per particle mass")
         return cls.__new__(cls)._freeze(masses, velocities, frame)
-
-    def __reduce__(self):
-        # Unpickled arrays are writeable: rebuild through the checks, so that they stay read-only.
-        return ParticleSystem._from_arrays, (self.masses, self.velocities, self.frame)
 
     def _freeze(self, masses, velocities, frame) -> "ParticleSystem":
         """Set the fields, making the arrays read-only; returns the system."""
@@ -188,7 +180,7 @@ def _dark_sq(sys: ParticleSystem, g, w) -> float:
 
 
 @dataclass(frozen=True, eq=False)
-class MassDecomposition:
+class MassDecomposition(_Frozen):
     """Invariant-mass split of a particle system.
 
     m0^2 = m_newton^2 + m_dark^2; the relativistic mass m0*gamma0 equals the
@@ -224,6 +216,8 @@ def decompose(sys: ParticleSystem) -> MassDecomposition:
     m0 = float(np.sqrt(m_newton * m_newton + dark_sq))
     energy, momentum = float(w.sum()), (w[:, None] * sys.velocities).sum(axis=0)
     v0 = momentum / energy
+    momentum.setflags(write=False)
+    v0.setflags(write=False)
     g0 = float(_gamma(norm_sq(v0)))
     residual = np.hypot(m0 * g0 - energy, float(np.linalg.norm(m0 * g0 * v0 - momentum)))
     return _record(
@@ -264,21 +258,21 @@ def boost(sys: ParticleSystem, u) -> ParticleSystem:
     _require_instance(ParticleSystem, sys=sys)
     (u,), (u_vec,), n2 = _checked_boost_u(u)
     same_shape((u, sys.velocities), ("u", "v"))
-    boosted = _by_rows(partial(_boosted_rows, u=u_vec, n2=n2), sys.velocities)
+    boosted = _by_rows(partial(_boosted, u=u_vec, n2=n2), sys.velocities)
     return ParticleSystem.__new__(ParticleSystem)._freeze(sys.masses, boosted, sys.frame)
 
 
 _checked_boost_u = _operation(None, ("u",), _SINGLE)
 
 
-def _boosted(v, u, n2) -> list:
-    """u (+) v of boost's trusted u, with [|u|^2] ``n2``, checked as it is made."""
-    w = _add(u, v, n2)
+def _boosted(block, u, n2) -> np.ndarray:
+    """u (+) v of each row v of ``block``, checked as it is made: boost's row blocks.
+
+    ``u`` is boost's trusted u, as its floats, and ``n2`` is [|u|^2].
+    """
+    w = _add(u, _components(block), n2)
     _norm_sq_checked(w, "u (+) particle velocity")
-    return w
-
-
-_boosted_rows = _on_components(_boosted)
+    return _assemble(w)
 
 
 def parse_particles(text: str, *, c_value: float = 1.0) -> ParticleSystem:

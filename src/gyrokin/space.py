@@ -11,8 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .ball import (COLLINEAR_AREA_TOL, MAX_NORM, _AMBIENT, _FINITE_REAL, _SINGLE, _VELOCITY,
-                   _as_real, _declare, _dot, _neg, _norm, _norm_sq, _norm_sq_checked, _operation,
-                   _read_only, _record, _require, _require_instance, _sqrt, norm, np)
+                   _Frozen, _as_real, _declare, _dot, _neg, _norm, _norm_sq, _norm_sq_checked,
+                   _operation, _read_only, _record, _require, _require_instance, _sqrt, norm, np)
 from .errors import CollinearPoints
 from .gyro import _add, _coadd, _left_sub, _midpoint
 
@@ -142,7 +142,7 @@ def gyroparallelogram_fourth(a, b, c, *, allow_degenerate: bool = False,
 
 
 @dataclass(frozen=True, eq=False)
-class RootedGyrovector:
+class RootedGyrovector(_Frozen):
     """An ordered point pair with its value (-tail) (+) head.
 
     Two rooted gyrovectors are one gyrovector exactly when their values

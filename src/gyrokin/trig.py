@@ -14,8 +14,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .ball import (COLLINEAR_AREA_TOL, RIGHT_ANGLE_TOL, _SINGLE, _SINGLE_REAL, _declare, _norm,
-                   _operation, _read_only, _record, _require_instance)
+from .ball import (COLLINEAR_AREA_TOL, RIGHT_ANGLE_TOL, _SINGLE, _SINGLE_REAL, _Frozen, _declare,
+                   _norm, _operation, _read_only, _record, _require_instance)
 from .errors import (
     AdmissibilityError,
     CollinearPoints,
@@ -154,7 +154,7 @@ def aaa_to_sss(alpha: float, beta: float, gamma: float, *,
 
 
 @dataclass(frozen=True, eq=False)
-class Gyrotriangle:
+class Gyrotriangle(_Frozen):
     """A solved gyrotriangle: sides, side gammas, and gyroangles.
 
     ``vertices`` holds read-only copies of the points when the triangle was

@@ -1,5 +1,6 @@
 """The validation layer: last-axis sums and the admissibility check."""
 
+import copy
 import dataclasses
 import math
 import pickle
@@ -9,13 +10,13 @@ import warnings
 import numpy as np
 import pytest
 
-from gyrokin import (MAX_NORM, AdmissibilityError, AngleDegenerate, DimensionError,
-                     GyrokinError, Gyrotriangle, NonFinite, Particle, ParticleSystem,
-                     aberration_scene, aberration_sweep, add_speeds, are_gyrocollinear,
-                     classical_aberration, classical_aberration_inv, classical_matched_p_e,
-                     coadd, coadd_via_gyration, decompose, einstein_add, einstein_sub, gamma,
-                     gamma_of_speed, gyrate, gyrodistance, gyroline_point, left_sub,
-                     parse_particles, relativistic_aberration, relativistic_aberration_inv,
+from gyrokin import (MAX_NORM, AdmissibilityError, AngleDegenerate, DimensionError, GyrokinError,
+                     Gyration, Gyrotriangle, NonFinite, Particle, ParticleSystem, aberration_scene,
+                     aberration_sweep, add_speeds, are_gyrocollinear, classical_aberration,
+                     classical_aberration_inv, classical_matched_p_e, coadd, coadd_via_gyration,
+                     decompose, einstein_add, einstein_sub, gamma, gamma_of_speed, gyrate,
+                     gyrodistance, gyroline_point, gyrovector_between, left_sub, parse_particles,
+                     relativistic_aberration, relativistic_aberration_inv,
                      relativistic_matched_p_e, scalar_mul, speed_of_gamma, stellar_aberration,
                      stellar_aberration_inv, triangle_area, triangle_from_angles,
                      triangle_from_sides, triangle_from_vertices)
@@ -391,6 +392,55 @@ def test_record_is_the_dataclass_its_init_makes(name):
         setattr(record, first, 0.25)
     if cls is Gyrotriangle:
         assert record.defect == made.defect and record.q == made.q
+
+
+# One object, as the library makes it, of each frozen class that holds arrays.
+FROZEN = {
+    "Particle": Particle(1.5, [0.1, -0.0, 0.3]),
+    "ParticleSystem": ParticleSystem(SYSTEM.particles, frame="lab"),
+    "Gyration": Gyration([0.6, 0.0, -0.0], [0.0, 0.6, 0.1]),
+    "RootedGyrovector": gyrovector_between([0.1, 0.2], [-0.3, -0.0]),
+    "RootedGyrovector batch": gyrovector_between([[0.1, 0.2], [0.0, -0.0]], [-0.3, 0.1]),
+    "Gyrotriangle": TRIANGLE,
+    "MassDecomposition": decompose(SYSTEM),
+}
+COPIES = {"pickle": lambda x: pickle.loads(pickle.dumps(x)), "copy": copy.copy,
+          "deepcopy": copy.deepcopy}
+
+
+def arrays(obj) -> dict:
+    """The ndarray fields of ``obj`` by name, and the arrays of a tuple field as name[i]."""
+    found = {}
+    for name, value in vars(obj).items():
+        if type(value) is tuple:
+            found.update((f"{name}[{i}]", a) for i, a in enumerate(value)
+                         if isinstance(a, np.ndarray))
+        elif isinstance(value, np.ndarray):
+            found[name] = value
+    return found
+
+
+@pytest.mark.parametrize("name", FROZEN)
+def test_objects_hand_out_read_only_arrays(name):
+    """Every array an object holds is read-only as made, decompose's v0 and momentum too."""
+    held = arrays(FROZEN[name])
+    assert held and [key for key, a in held.items() if a.flags.writeable] == []
+
+
+@pytest.mark.parametrize("how", COPIES)
+@pytest.mark.parametrize("name", FROZEN)
+def test_copies_hold_read_only_arrays_with_the_original_bits(name, how):
+    """A pickled, copied or deep-copied object keeps its repr, its bits and read-only arrays."""
+    original = FROZEN[name]
+    copied = COPIES[how](original)
+    assert type(copied) is type(original) and copied is not original
+    assert repr(copied) == repr(original) and vars(copied).keys() == vars(original).keys()
+    want, got = arrays(original), arrays(copied)
+    assert got.keys() == want.keys()
+    for key, a in got.items():
+        assert same_bits(a, want[key]) and not a.flags.writeable, key
+        with pytest.raises(ValueError, match="read-only"):
+            a[...] = 0.5
 
 
 # The velocity operations whose checked floats route (op.floats) the CLI

@@ -1292,7 +1292,7 @@ class TestDeclaredOperations:
     def entered(self, monkeypatch):
         """Names of the row-block helpers of ball entered since the test began."""
         calls = []
-        for name in ("_by_rows", "_on_components", "_components"):
+        for name in ("_by_rows", "_components"):
             original = getattr(ball, name)
 
             def spy(*args, _name=name, _original=original, **kwargs):
@@ -1321,7 +1321,6 @@ class TestDeclaredOperations:
         else:
             fn(*batch)
             assert "_by_rows" in entered and "_components" in entered
-            assert "_on_components" not in entered
 
     @pytest.mark.parametrize("op", [*CHECKED_OPS, *SINGLE_VECTOR_OPS])
     def test_keyword_call_gives_the_positional_bits(self, op):

@@ -59,7 +59,7 @@ def test_interval_runs_patch_every_sqrt():
 
 # Helpers of ball's row blocks and real coercion that the other layers reach
 # only through a checked boundary (ball._operation).
-BOUNDARY_INTERNALS = {"_by_rows", "_on_components", "_real_array"}
+BOUNDARY_INTERNALS = {"_by_rows", "_real_array"}
 
 
 @pytest.mark.parametrize("name", ["gyro", "space", "trig", "aberration"])

@@ -3,8 +3,9 @@
 For every operation that accepts a batch, the table gives the time of one
 call at k = 1 in us, and the time per row at k = 1e3 and k = 1e6 in ns.
 The operations that take single values only (gyrations made once, triangles
-and the scalar triangle functions, the aberration scene and sweep) get the
-k = 1 column alone, on one fixed input each.
+and the scalar triangle functions, the aberration scene and sweep, rooted
+gyrovectors re-rooted, particles and particle systems) get the k = 1 column
+alone, on one fixed input each; so does copy.deepcopy of a particle system.
 Velocities have n = 3 components, and at k = 1 a velocity is a (3,) array
 and a real a Python float.  Each round runs in a fresh interpreter,
 and a figure is the median over the rounds of the fastest of three timed
@@ -46,7 +47,7 @@ REPEATS = 3
 # {op: {k: [[seconds per call of each tree], repeats the second tree won]}};
 # the single-value calls appear only when k = 1 is among the sizes.
 WORKER = r'''
-import importlib, json, sys, time
+import copy, importlib, json, sys, time
 import numpy as np
 
 sizes, packages = json.loads(sys.argv[1]), json.loads(sys.argv[2])
@@ -88,9 +89,15 @@ def ops(gk):
     }
 
 
-def singles(gk, u, v, a, b, c):
-    """The single-value calls of ``gk``, each with its fixed arguments."""
+def singles(gk, u, v, a, b, c, masses, velocities):
+    """The single-value calls of ``gk``, each with its fixed arguments.
+
+    The particle systems hold the first 10, and all, of ``masses`` and
+    ``velocities``.
+    """
     gyr, tri = gk.Gyration(u, v), gk.triangle_from_vertices(a, b, c)
+    particles = [gk.Particle(m, w) for m, w in zip(masses.tolist(), velocities)]
+    system = gk.ParticleSystem(particles[:10])
     return {
         "Gyration": (gk.Gyration, (u, v)),
         "Gyration.matrix": (gyr.matrix, ()),
@@ -105,6 +112,13 @@ def singles(gk, u, v, a, b, c):
         "law_of_gyrosines_ratios": (gk.law_of_gyrosines_ratios, (tri,)),
         "aberration_scene": (gk.aberration_scene, (0.5, 0.6, 1.0)),
         "aberration_sweep": (gk.aberration_sweep, (0.5, 0.6, 64)),
+        "translate_to": (gk.translate_to, (gk.gyrovector_between(a, b), c)),
+        "Particle": (gk.Particle, (1.5, u)),
+        "ParticleSystem (10)": (gk.ParticleSystem, (particles[:10],)),
+        "decompose (10)": (gk.decompose, (system,)),
+        "boost (10)": (gk.boost, (system, u)),
+        f"copy.deepcopy ParticleSystem ({len(particles)})":
+            (copy.deepcopy, (gk.ParticleSystem(particles),)),
     }
 
 
@@ -157,9 +171,10 @@ for k in sizes:
         budget = 0.02 if k < 10 ** 6 else 0.2
         out.setdefault(name, {})[k] = per_call([(t[name][0], args) for t in tables], budget)
 if 1 in sizes:
-    # Each tree makes its own gyration and triangle from the same points.
+    # Each tree makes its own gyration, triangle and particle systems from the same draws.
     points = [draw(rng, "v", 1) for _ in range(5)]
-    tables = [singles(gk, *points) for gk in trees]
+    masses, velocities = rng.uniform(0.5, 2.0, 2000), draw(rng, "v", 2000)
+    tables = [singles(gk, *points, masses, velocities) for gk in trees]
     for name in tables[0]:
         out[name] = {1: per_call([t[name] for t in tables], 0.02)}
 print(json.dumps(out))
