@@ -25,10 +25,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .ball import (_REAL, _SINGLE_REAL, _declare, _norm, _norm_sq_checked, _parameters, _record,
-                   _require)
+                   _require, np)
 from .errors import AdmissibilityError, AngleDegenerate, DimensionError
 from .gyro import _add, _gamma_of_speed
 from .trig import _gyroangle

@@ -49,14 +49,19 @@ The first failing check raises, once; an error in a batch names its first
 failing row as an index into the whole batch ("u row 19999 has norm ..."),
 and a single value's error names no row.  The one velocity check,
 ``_norm_sq_checked``, returns the block's squared norms, and gamma consumes
-them (``_gamma(n2)``) instead of summing |v|^2 again.  A more accurate
-1 - |v|^2 therefore has one place to go.  Every other range check (speeds,
+them (``_gamma(n2)``) instead of summing |v|^2 again.  The objects of
+mass take their gamma factors from the same pair, ``_gamma(_norm_sq(...))``
+on their components, so one |v|^2 (``_norm_sq``) is behind every gamma, and
+a more accurate 1 - |v|^2 has one place to go.  Every other range check (speeds,
 gamma factors, angles, scale factors, masses) raises through ``_require``,
 which finds the failing row the same way (``_first_row``).
 
-numpy is bound once, here (``np``); ``gyro`` and ``space`` import this
+numpy is bound once, here (``np``); every other module that reads a numpy
+name (``gyro``, ``space``, ``aberration`` and ``mass``) imports this
 binding, and ``trig`` and the CLI need numpy only through them.  No
-module-level value needs it, and on one vector of fewer than
+module-level value of ``ball``, ``gyro``, ``space`` or ``trig`` needs it
+(``aberration``'s formulas are declared with numpy's ufuncs), and on one
+vector of fewer than
 _IN_ORDER_TERMS components the checks and every kernel made of +, -, *, /
 and square roots run on Python floats alone: numpy's code runs only once
 something reads a numpy name, such as a function that makes an array.
@@ -64,6 +69,7 @@ something reads a numpy name, such as a function that makes an array.
 
 from __future__ import annotations
 
+import copy
 import importlib.util
 import linecache
 import math
@@ -108,7 +114,7 @@ class _Running(types.ModuleType):
             return types.ModuleType.__getattribute__(self, name)
 
 
-# The one binding of numpy for ball, gyro and space: the module already
+# The one binding of numpy for the whole package: the module already
 # imported, or one whose code runs on its first attribute read (_NotRun).  It
 # stands in sys.modules, so a later ``import numpy`` runs its code in place
 # and gets this very module; from then on it is a plain module, and every
@@ -199,28 +205,14 @@ def _dot(u, v):
     return acc
 
 
-def _sum_squares(squares):
-    """The sum of a list of squared components, bit for bit as np.sum over them.
-
-    As _dot adds its products, except that the +0.0 start is left out: it
-    changes only a -0.0, and a square never is one.
-    """
-    if len(squares) >= _IN_ORDER_TERMS:
-        return np.add.reduce(_assemble(squares), -1)
-    acc = squares[0] + (squares[1] if len(squares) > 1 else 0.0)
-    for x in squares[2:]:
-        acc += x
-    return acc
-
-
 def _norm_sq(v):
     """Squared norm of a component list, bit for bit as np.sum(v * v, axis=-1).
 
-    The squares are summed as _sum_squares sums them, but as they are made:
-    a list and a call would cost one vector's norm a tenth more.
+    The squares are added as _dot adds its products, except that the +0.0
+    start is left out: it changes only a -0.0, and a square never is one.
     """
     if len(v) >= _IN_ORDER_TERMS:
-        return _sum_squares([x * x for x in v])
+        return np.add.reduce(_assemble([x * x for x in v]), -1)
     acc = v[0] * v[0]
     for x in v[1:]:
         acc += x * x
@@ -242,17 +234,13 @@ def dot(u, v):
 
 
 def norm_sq(v):
-    """Squared Euclidean norm over the last axis: np.sum(v * v, axis=-1), bit for bit.
+    """Squared Euclidean norm over the last axis: np.sum(v * v, axis=-1) itself.
 
-    The squares of a float64 row of fewer than _IN_ORDER_TERMS components
-    are summed by _sum_squares, without numpy's slow reduction over a short
-    axis.
+    Of an array-like of any shape and dtype; the library's own |v|^2 of
+    trusted components is _norm_sq.
     """
     v = np.asarray(v)
-    p = v * v
-    if p.ndim and 0 < p.shape[-1] < _IN_ORDER_TERMS and p.dtype == np.float64:
-        return _assemble(_sum_squares(_components(p)))
-    return np.add.reduce(p, -1)
+    return np.add.reduce(v * v, -1)
 
 
 def norm(v):
@@ -340,16 +328,24 @@ def _read_only(a) -> np.ndarray:
 
 
 class _Frozen:
-    """The base of gyrokin's frozen dataclasses: a copy holds read-only arrays.
+    """The base of gyrokin's frozen dataclasses: they hold read-only arrays of their own.
 
     pickle, copy.copy and copy.deepcopy restore an object through
     __setstate__, which makes every ndarray among its fields read-only, each
-    one in a tuple field too, and then sets the fields in one step.  A copy
-    takes the original's fields without the constructor's checks, which
-    would guard nothing there: pickle.loads calls whatever callable the
-    stream names.  The library's own constructors freeze the arrays they
-    make as they make them, without this loop over the fields.
+    one in a tuple field too, and then sets the fields in one step.  A call
+    of a generated dataclass __init__ (the public constructor of a record,
+    and dataclasses.replace) ends in __post_init__, which restores the
+    object from a deep copy of its fields, so that it holds read-only
+    copies of the caller's arrays, which a later write to them leaves as
+    they were.  A copy takes the original's fields without the
+    constructor's checks, which would guard nothing there: pickle.loads
+    calls whatever callable the stream names.  The library's own
+    constructors freeze the arrays they make as they make them, and _record
+    skips __init__, so neither runs these loops over the fields.
     """
+
+    def __post_init__(self):
+        self.__setstate__(copy.deepcopy(vars(self)))
 
     def __setstate__(self, state):
         for value in state.values():

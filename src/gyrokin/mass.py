@@ -35,11 +35,9 @@ import warnings
 from dataclasses import dataclass
 from functools import partial
 
-import numpy as np
-
 from .ball import (_SINGLE, _Frozen, _as_real, _assemble, _by_rows, _components, _declare, _gamma,
                    _norm_sq, _norm_sq_checked, _operation, _read_only, _real_scalar, _record,
-                   _require, _require_instance, as_velocity, norm_sq, same_shape)
+                   _require, _require_instance, as_velocity, np, same_shape)
 from .errors import AdmissibilityError, DimensionError, OperandTypeError, ParticleFormatError
 from .gyro import _add
 
@@ -64,7 +62,7 @@ class Particle(_Frozen):
 
     @property
     def gamma(self) -> float:
-        return float(_gamma(norm_sq(self.velocity)))
+        return float(_gamma(_norm_sq(self.velocity.tolist())))
 
     @property
     def relativistic_mass(self) -> float:
@@ -105,19 +103,11 @@ class ParticleSystem(_Frozen):
         self._freeze(np.array([p.mass for p in parts]),
                      np.array([p.velocity for p in parts]), frame)
 
-    @classmethod
-    def _from_arrays(cls, masses, velocities, frame: str = "rest") -> "ParticleSystem":
-        """System from (N,) masses and (N, n) velocities, each checked in one pass."""
-        masses = _as_real(masses, "particle mass")
-        _require((masses > 0.0) & np.isfinite(masses), AdmissibilityError,
-                 "must be positive and finite", "particle mass")
-        velocities = as_velocity(velocities, name="particle velocity")
-        if velocities.ndim != 2 or masses.shape != velocities.shape[:1]:
-            raise DimensionError("need one velocity vector per particle mass")
-        return cls.__new__(cls)._freeze(masses, velocities, frame)
-
     def _freeze(self, masses, velocities, frame) -> "ParticleSystem":
-        """Set the fields, making the arrays read-only; returns the system."""
+        """Set the fields, making the arrays read-only; returns the system.
+
+        The arrays must be the system's own: no caller may hold them writeable.
+        """
         masses.setflags(write=False)
         velocities.setflags(write=False)
         vars(self).update(masses=masses, velocities=velocities, frame=frame)
@@ -137,7 +127,7 @@ class ParticleSystem(_Frozen):
 
     @property
     def gammas(self) -> np.ndarray:
-        return _gamma(norm_sq(self.velocities))
+        return _gamma(_norm_sq(_components(self.velocities)))
 
 
 def _gamma_rel_minus_1(u, v, n2):
@@ -176,7 +166,7 @@ def _dark_sq(sys: ParticleSystem, g, w) -> float:
     s = sys.velocities - sys.velocities[0]
     t -= (w @ t) / total
     s -= (w @ s) / total
-    return float(total * (w @ (t * t + norm_sq(s))))
+    return float(total * (w @ (t * t + _norm_sq(_components(s)))))
 
 
 @dataclass(frozen=True, eq=False)
@@ -218,7 +208,7 @@ def decompose(sys: ParticleSystem) -> MassDecomposition:
     v0 = momentum / energy
     momentum.setflags(write=False)
     v0.setflags(write=False)
-    g0 = float(_gamma(norm_sq(v0)))
+    g0 = _gamma(_norm_sq(v0.tolist()))
     residual = np.hypot(m0 * g0 - energy, float(np.linalg.norm(m0 * g0 * v0 - momentum)))
     return _record(
         MassDecomposition,
@@ -297,8 +287,15 @@ def parse_particles(text: str, *, c_value: float = 1.0) -> ParticleSystem:
         masses, rows = _read_json(stripped)
     else:
         masses, rows = _read_table(text) or _read_csv(text)
+    # Both arrays are made here, so the system takes them as its own.
     velocities = _as_real(rows, "particle velocity") / c_value
-    return ParticleSystem._from_arrays(masses, velocities)
+    masses = _as_real(masses, "particle mass")
+    _require((masses > 0.0) & np.isfinite(masses), AdmissibilityError,
+             "must be positive and finite", "particle mass")
+    velocities = as_velocity(velocities, name="particle velocity")
+    if velocities.ndim != 2 or masses.shape != velocities.shape[:1]:
+        raise DimensionError("need one velocity vector per particle mass")
+    return ParticleSystem.__new__(ParticleSystem)._freeze(masses, velocities, "rest")
 
 
 def _read_json(text: str) -> tuple[list, list]:

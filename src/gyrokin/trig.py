@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from types import MappingProxyType
 
 from .ball import (COLLINEAR_AREA_TOL, RIGHT_ANGLE_TOL, _SINGLE, _SINGLE_REAL, _Frozen, _declare,
                    _norm, _operation, _read_only, _record, _require_instance)
@@ -263,9 +264,12 @@ def triangle_from_angles(alpha: float, beta: float, gamma: float
 class RightTriangleReport:
     """Right-gyrotriangle identity check: values and residuals.
 
-    ``residuals`` maps identity names to absolute errors; ``max_residual``
-    is their maximum.  All identities are stated for the right angle at C,
-    hypotenuse c, legs a and b.
+    ``residuals`` maps identity names to absolute errors, in a read-only
+    mapping of its own (a copy of the one the constructor is given);
+    ``max_residual`` is their maximum.  All identities are stated for the
+    right angle at C, hypotenuse c, legs a and b.  A mappingproxy does not
+    pickle, so pickle and copy rebuild the report through its constructor,
+    from the fields with the residuals as a plain dict.
     """
 
     gamma_a: float
@@ -275,7 +279,13 @@ class RightTriangleReport:
     cos_beta: float
     sin_alpha: float
     sin_beta: float
-    residuals: dict
+    residuals: MappingProxyType
+
+    def __post_init__(self):
+        vars(self)["residuals"] = MappingProxyType(dict(self.residuals))
+
+    def __reduce__(self):  # the fields in order: residuals is the last
+        return RightTriangleReport, (*list(vars(self).values())[:-1], dict(self.residuals))
 
     @property
     def max_residual(self) -> float:

@@ -6,21 +6,26 @@ import math
 import pickle
 import tracemalloc
 import warnings
+from types import MappingProxyType
 
 import numpy as np
 import pytest
 
-from gyrokin import (MAX_NORM, AdmissibilityError, AngleDegenerate, DimensionError, GyrokinError,
-                     Gyration, Gyrotriangle, NonFinite, Particle, ParticleSystem, aberration_scene,
-                     aberration_sweep, add_speeds, are_gyrocollinear, classical_aberration,
-                     classical_aberration_inv, classical_matched_p_e, coadd, coadd_via_gyration,
-                     decompose, einstein_add, einstein_sub, gamma, gamma_of_speed, gyrate,
-                     gyrodistance, gyroline_point, gyrovector_between, left_sub, parse_particles,
-                     relativistic_aberration, relativistic_aberration_inv,
-                     relativistic_matched_p_e, scalar_mul, speed_of_gamma, stellar_aberration,
+import gyrokin
+from gyrokin import (MAX_NORM, AberrationResult, AdmissibilityError, AngleDegenerate,
+                     DimensionError, GyrokinError, Gyration, Gyrotriangle, MassDecomposition,
+                     NonFinite, Particle, ParticleSystem, RightTriangleReport, RootedGyrovector,
+                     aberration_scene, aberration_sweep, add_speeds, are_gyrocollinear,
+                     classical_aberration, classical_aberration_inv, classical_matched_p_e, coadd,
+                     coadd_via_gyration, decompose, einstein_add, einstein_sub, gamma,
+                     gamma_of_speed, gyrate, gyrodistance, gyroline_point, gyrovector_between,
+                     left_sub, parse_particles, relativistic_aberration,
+                     relativistic_aberration_inv, relativistic_matched_p_e,
+                     right_triangle_relations, scalar_mul, speed_of_gamma, stellar_aberration,
                      stellar_aberration_inv, triangle_area, triangle_from_angles,
                      triangle_from_sides, triangle_from_vertices)
-from gyrokin.ball import _SINGLE_REAL, _operation, _record, as_velocity, dot, norm_sq
+from gyrokin.ball import (_IN_ORDER_TERMS, _SINGLE_REAL, _components, _dot, _norm_sq, _operation,
+                          _record, as_velocity, dot, norm_sq)
 from helpers import ball_points, broadcast_error, in_blocks, raised
 
 DIMS = range(1, 11)
@@ -38,19 +43,40 @@ def spread(rng, shape):
     return rng.standard_normal(shape) * np.exp(rng.uniform(-70.0, 70.0, shape))
 
 
+def as_numpy(x):
+    """A Python float as an np.float64; anything else as it is."""
+    return np.float64(x) if type(x) is float else x
+
+
+def test_dims_straddle_the_in_order_sum():
+    assert min(DIMS) < _IN_ORDER_TERMS <= max(DIMS)
+
+
 @pytest.mark.parametrize("n", DIMS)
 class TestSumOrder:
-    """dot and norm_sq give the bits of np.sum(..., axis=-1)."""
+    """dot, norm_sq and the kernels' _dot and _norm_sq give the bits of np.sum(..., axis=-1).
+
+    norm_sq is np.sum itself.  _dot and _norm_sq run on components
+    (_components): one vector's Python floats, summed in numpy's order below
+    _IN_ORDER_TERMS components, or a batch's columns.  numpy's summation
+    order is its own, so this runs on every numpy of the CI matrix.
+    """
 
     def check(self, u, v):
-        assert same_bits(dot(u, v), np.sum(u * v, axis=-1))
-        assert same_bits(norm_sq(u), np.sum(u * u, axis=-1))
+        want_dot, want_sq = np.sum(u * v, axis=-1), np.sum(u * u, axis=-1)
+        assert same_bits(dot(u, v), want_dot)
+        assert same_bits(norm_sq(u), want_sq)
+        assert same_bits(as_numpy(_dot(_components(u), _components(v))), want_dot)
+        assert same_bits(as_numpy(_norm_sq(_components(u))), want_sq)
 
     def test_one_vector(self, rng, n):
         u, v = spread(rng, (2, n))
         self.check(u, v)
         assert type(dot(u, v)) is np.float64
         assert type(norm_sq(u)) is np.float64
+        floats = float if n < _IN_ORDER_TERMS else np.float64
+        assert type(_dot(u.tolist(), v.tolist())) is floats
+        assert type(_norm_sq(u.tolist())) is floats
 
     def test_batch(self, rng, n):
         self.check(spread(rng, (4000, n)), spread(rng, (4000, n)))
@@ -441,6 +467,103 @@ def test_copies_hold_read_only_arrays_with_the_original_bits(name, how):
         assert same_bits(a, want[key]) and not a.flags.writeable, key
         with pytest.raises(ValueError, match="read-only"):
             a[...] = 0.5
+
+
+# Each public frozen class: its public constructor called on the caller's
+# values ``a`` (caller_values), and dataclasses.replace of an object given
+# some of them.  A ParticleSystem's constructor takes particles, and
+# dataclasses.replace cannot call it; parse_particles, its one door for
+# arrays, takes text.
+replace = dataclasses.replace
+SOLVED = [getattr(TRIANGLE, f.name) for f in dataclasses.fields(Gyrotriangle)][:-1]
+PUBLIC = {
+    "Particle": (lambda a: Particle(1.5, a[0]), lambda p, a: replace(p, velocity=a[1])),
+    "ParticleSystem": (lambda a: ParticleSystem([Particle(1.0, a[0]), Particle(2.0, a[1])]),
+                       None),
+    "parse_particles": (lambda a: parse_particles("1.0,0.1,0.2\n2.0,-0.3,0.0\n"), None),
+    "Gyration": (lambda a: Gyration(a[0], a[1]), lambda g, a: replace(g, u=a[2])),
+    "RootedGyrovector": (lambda a: RootedGyrovector(a[0], a[1], a[2]),
+                         lambda r, a: replace(r, tail=a[0], value=a[1])),
+    "Gyrotriangle": (lambda a: Gyrotriangle(*SOLVED, tuple(a[:3])),
+                     lambda t, a: replace(t, vertices=tuple(a[:3]))),
+    "MassDecomposition": (lambda a: MassDecomposition(1.0, a[0], 1.0, 0.0, 1.0, 1.0, a[1], 0.0),
+                          lambda d, a: replace(d, v0=a[2], momentum=a[0])),
+    "RightTriangleReport": (lambda a: RightTriangleReport(1.0, 1.0, 1.0, 0.0, 0.0, 1.0, 1.0, a[3]),
+                            lambda r, a: replace(r, residuals=a[3])),
+    "AberrationResult": (lambda a: AberrationResult(0.5, 0.6, 0.7, 1.0, 1.1),
+                         lambda r, a: replace(r, v=0.25)),
+}
+
+
+def caller_values():
+    """Three writeable arrays and a dict, all the caller's."""
+    return [np.array([0.1, -0.2]), np.array([0.0, 0.3]), np.array([-0.4, 0.0]), {"a": 1e-16}]
+
+
+def test_every_public_frozen_class_is_built():
+    public = [getattr(gyrokin, name) for name in gyrokin.__all__]
+    frozen = {cls.__name__ for cls in public
+              if dataclasses.is_dataclass(cls) and cls.__dataclass_params__.frozen}
+    assert frozen == PUBLIC.keys() - {"parse_particles"}
+
+
+def shown_through(obj, given) -> list:
+    """The fields of ``obj`` through which a write to the caller's ``given`` could show.
+
+    Each array field, and each array of a tuple field, must be read-only and
+    share no memory with the caller's arrays; a mapping must not be a dict.
+    """
+    faults = []
+    for name, value in vars(obj).items():
+        for i, a in enumerate(value if type(value) is tuple else (value,)):
+            if isinstance(a, dict) or isinstance(a, np.ndarray) and (
+                    a.flags.writeable or any(np.shares_memory(a, g) for g in given[:3])):
+                faults.append(f"{name}[{i}]" if type(value) is tuple else name)
+    return faults
+
+
+@pytest.mark.parametrize("name, route", [(name, route) for name in PUBLIC
+                                         for route in ("constructor", "replace")
+                                         if route == "constructor" or PUBLIC[name][1]])
+def test_public_constructors_hold_read_only_copies(name, route):
+    """A public constructor call, and dataclasses.replace, hold read-only copies.
+
+    A later write to the caller's arrays or dict leaves the object as it was made.
+    """
+    build, rebuild = PUBLIC[name]
+    given = caller_values()
+    obj = build(given)
+    if route == "replace":
+        given = caller_values()
+        obj = rebuild(obj, given)
+    before = repr(obj)
+    assert shown_through(obj, given) == []
+    for a in given[:3]:
+        a[0] = 0.5
+    given[3]["a"] = 1.0
+    assert repr(obj) == before
+    for value in vars(obj).values():
+        if isinstance(value, MappingProxyType):
+            with pytest.raises(TypeError):
+                value["a"] = 1.0
+
+
+def test_report_residuals_are_read_only():
+    report = right_triangle_relations(triangle_from_vertices([0.5, 0.0], [0.0, 0.4], [0.0, 0.0]))
+    worst = report.max_residual
+    assert type(report.residuals) is MappingProxyType and worst < 1e-15
+    with pytest.raises(TypeError):
+        report.residuals["hypotenuse_gamma_product"] = 1.0
+    assert report.max_residual == worst
+
+
+@pytest.mark.parametrize("how", COPIES)
+def test_report_copies_compare_equal(how):
+    """pickle and copy carry the residuals as a dict and wrap them again."""
+    report = right_triangle_relations(triangle_from_vertices([0.5, 0.0], [0.0, 0.4], [0.0, 0.0]))
+    copied = COPIES[how](report)
+    assert copied == report and copied is not report
+    assert type(copied.residuals) is MappingProxyType and repr(copied) == repr(report)
 
 
 # The velocity operations whose checked floats route (op.floats) the CLI

@@ -40,6 +40,12 @@ def random_system(rng, n_max=10, dim=3, max_norm=0.99):
     return ParticleSystem(tuple(Particle(m, v) for m, v in zip(masses, vel)))
 
 
+def parsed_system(masses, velocities):
+    """The system of (N,) masses and (N, n) velocities, read back exactly by parse_particles."""
+    rows = np.column_stack([masses, velocities]).tolist()
+    return parse_particles("\n".join(",".join(map(repr, row)) for row in rows))
+
+
 def _failing(*args, **kwargs):
     raise AssertionError("a range check ran again")
 
@@ -111,6 +117,24 @@ class TestParticleTypes:
             system.masses[0] = 3.0
         with pytest.raises(ValueError):
             system.velocities[0, 0] = 0.5
+
+    def test_no_door_freezes_the_callers_arrays(self):
+        """Every way to a system leaves the caller's arrays writeable and its own.
+
+        parse_particles is the one door from arrays, which it makes itself:
+        the class has no other constructor to hand a caller's arrays to.
+        """
+        assert [name for name, value in vars(ParticleSystem).items()
+                if isinstance(value, (classmethod, staticmethod))] == []
+        v, u = np.array([[0.1, 0.2], [-0.3, 0.0]]), np.array([0.2, 0.1])
+        system = ParticleSystem([Particle(1.0, v[0]), Particle(2.0, v[1])])
+        made = [system, boost(system, u), parse_particles("1.0,0.1,0.2\n2.0,-0.3,0.0\n")]
+        assert v.flags.writeable and u.flags.writeable
+        for s in made:
+            assert not s.masses.flags.writeable and not s.velocities.flags.writeable
+            assert not any(np.shares_memory(a, b) for a in (s.masses, s.velocities)
+                           for b in (v, u))
+        assert same_bits(made[2].velocities, v) and same_bits(made[2].masses, system.masses)
 
     @pytest.mark.parametrize("copied", [lambda x: pickle.loads(pickle.dumps(x)),
                                         copy.deepcopy], ids=["pickle", "deepcopy"])
@@ -310,7 +334,7 @@ class TestDecompose:
         for _ in range(5):
             vel = ball_points(rng, 100, 3, max_norm=0.005)
             u = (1.0 - eps) * ball_points(rng, 1, 3, max_norm=1.0, min_norm=1.0)[0]
-            system = boost(ParticleSystem._from_arrays(rng.uniform(0.5, 2.0, 100), vel), u)
+            system = boost(parsed_system(rng.uniform(0.5, 2.0, 100), vel), u)
             with mpmath.workdps(60):
                 energy, momentum = 0, [0, 0, 0]
                 for m, v in zip(system.masses.tolist(), system.velocities.tolist()):
@@ -432,7 +456,7 @@ class TestBoostInvariance:
         vel = np.zeros((3 * TEST_BLOCK + 1, 3))
         vel[:, 0] = 0.1
         vel[2 * TEST_BLOCK + 1] = fast
-        system = ParticleSystem._from_arrays(np.ones(len(vel)), vel)
+        system = parsed_system(np.ones(len(vel)), vel)
         for run in (boost, lambda *a: in_blocks(monkeypatch, boost, *a)):
             with pytest.raises(AdmissibilityError) as err:
                 run(system, u)
@@ -675,7 +699,7 @@ class TestScaling:
         # form holds a few (N, n) temporaries.
         n = 100_000
         vel = ball_points(rng, n, 3, max_norm=0.95)
-        system = ParticleSystem._from_arrays(rng.uniform(0.5, 2.0, size=n), vel)
+        system = parsed_system(rng.uniform(0.5, 2.0, size=n), vel)
         tracemalloc.start()
         try:
             decompose(system)

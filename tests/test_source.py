@@ -97,3 +97,25 @@ def test_finds_a_forwarder():
 def test_no_public_function_forwards_to_a_private_one(name):
     """A public operation is its own boundary (ball._declare), not a forwarder to one."""
     assert forwarders((SRC / f"{name}.py").read_text(encoding="utf-8")) == []
+
+
+def imports_numpy(source: str) -> bool:
+    """Whether a module has an import statement of numpy or of one of its modules."""
+    for node in ast.walk(ast.parse(source)):
+        names = ([a.name for a in node.names] if isinstance(node, ast.Import)
+                 else [node.module or ""] if isinstance(node, ast.ImportFrom) else [])
+        if any(name.split(".")[0] == "numpy" for name in names):
+            return True
+    return False
+
+
+def test_finds_a_numpy_import():
+    assert imports_numpy("import numpy as np\n")
+    assert imports_numpy("from numpy.linalg import norm\n")
+    assert not imports_numpy("from .ball import np\nimport numbers\n")
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_numpy_is_bound_only_by_ball(path):
+    """Every module takes numpy from ball.np, which binds it without an import statement."""
+    assert not imports_numpy(path.read_text(encoding="utf-8"))

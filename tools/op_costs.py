@@ -5,7 +5,9 @@ call at k = 1 in us, and the time per row at k = 1e3 and k = 1e6 in ns.
 The operations that take single values only (gyrations made once, triangles
 and the scalar triangle functions, the aberration scene and sweep, rooted
 gyrovectors re-rooted, particles and particle systems) get the k = 1 column
-alone, on one fixed input each; so does copy.deepcopy of a particle system.
+alone, on one fixed input each; so do a particle's gamma, and the gamma
+factors, decompose, parse_particles of its CSV lines and copy.deepcopy of a
+2000-particle system.
 Velocities have n = 3 components, and at k = 1 a velocity is a (3,) array
 and a real a Python float.  Each round runs in a fresh interpreter,
 and a figure is the median over the rounds of the fastest of three timed
@@ -47,7 +49,7 @@ REPEATS = 3
 # {op: {k: [[seconds per call of each tree], repeats the second tree won]}};
 # the single-value calls appear only when k = 1 is among the sizes.
 WORKER = r'''
-import copy, importlib, json, sys, time
+import copy, importlib, json, operator, sys, time
 import numpy as np
 
 sizes, packages = json.loads(sys.argv[1]), json.loads(sys.argv[2])
@@ -93,11 +95,14 @@ def singles(gk, u, v, a, b, c, masses, velocities):
     """The single-value calls of ``gk``, each with its fixed arguments.
 
     The particle systems hold the first 10, and all, of ``masses`` and
-    ``velocities``.
+    ``velocities``; parse_particles reads all of them from CSV lines.
     """
     gyr, tri = gk.Gyration(u, v), gk.triangle_from_vertices(a, b, c)
     particles = [gk.Particle(m, w) for m, w in zip(masses.tolist(), velocities)]
-    system = gk.ParticleSystem(particles[:10])
+    system, every = gk.ParticleSystem(particles[:10]), gk.ParticleSystem(particles)
+    rows = np.column_stack([masses, velocities]).tolist()
+    text = "\n".join(",".join(map(repr, row)) for row in rows)
+    n = len(particles)
     return {
         "Gyration": (gk.Gyration, (u, v)),
         "Gyration.matrix": (gyr.matrix, ()),
@@ -114,11 +119,14 @@ def singles(gk, u, v, a, b, c, masses, velocities):
         "aberration_sweep": (gk.aberration_sweep, (0.5, 0.6, 64)),
         "translate_to": (gk.translate_to, (gk.gyrovector_between(a, b), c)),
         "Particle": (gk.Particle, (1.5, u)),
+        "Particle.gamma": (operator.attrgetter("gamma"), (particles[0],)),
         "ParticleSystem (10)": (gk.ParticleSystem, (particles[:10],)),
         "decompose (10)": (gk.decompose, (system,)),
         "boost (10)": (gk.boost, (system, u)),
-        f"copy.deepcopy ParticleSystem ({len(particles)})":
-            (copy.deepcopy, (gk.ParticleSystem(particles),)),
+        f"ParticleSystem.gammas ({n})": (operator.attrgetter("gammas"), (every,)),
+        f"decompose ({n})": (gk.decompose, (every,)),
+        f"parse_particles ({n})": (gk.parse_particles, (text,)),
+        f"copy.deepcopy ParticleSystem ({n})": (copy.deepcopy, (every,)),
     }
 
 
