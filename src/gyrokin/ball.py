@@ -48,13 +48,15 @@ turn (``_real_scalar``); a batch raises.
 The first failing check raises, once; an error in a batch names its first
 failing row as an index into the whole batch ("u row 19999 has norm ..."),
 and a single value's error names no row.  The one velocity check,
-``_norm_sq_checked``, returns the block's squared norms, and gamma consumes
-them (``_gamma(n2)``) instead of summing |v|^2 again.  The objects of
-mass take their gamma factors from the same pair, ``_gamma(_norm_sq(...))``
-on their components, so one |v|^2 (``_norm_sq``) is behind every gamma, and
-a more accurate 1 - |v|^2 has one place to go.  Every other range check (speeds,
-gamma factors, angles, scale factors, masses) raises through ``_require``,
-which finds the failing row the same way (``_first_row``).
+``_norm_sq_checked``, returns the block's squared norms, and each kernel
+hands a velocity's components and squared norm to ``_gamma(v, n2)`` where
+it uses the gamma factor, instead of summing |v|^2 again.  The objects of
+mass take theirs from ``_gamma(v, _norm_sq(v))``.  So one |v|^2
+(``_norm_sq``) is behind every gamma, one 1 - |v|^2 (``_deficit``, which
+the metric tensor reads too) and one gamma (``_gamma``), and a more
+accurate 1 - |v|^2 has one function to change.  Every other range check
+(speeds, gamma factors, angles, scale factors, masses) raises through
+``_require``, which finds the failing row the same way (``_first_row``).
 
 numpy is bound once, here (``np``); every other module that reads a numpy
 name (``gyro``, ``space``, ``aberration`` and ``mass``) imports this
@@ -228,32 +230,19 @@ def _neg(v) -> list:
     return [-x for x in v]
 
 
-def dot(u, v):
-    """Inner product over the last axis: np.sum(u * v, axis=-1), bit for bit."""
-    return np.add.reduce(np.asarray(u) * np.asarray(v), -1)
+def _deficit(v, n2):
+    """1 - |v|^2 of the trusted components ``v``, whose squared norm is ``n2``.
 
-
-def norm_sq(v):
-    """Squared Euclidean norm over the last axis: np.sum(v * v, axis=-1) itself.
-
-    Of an array-like of any shape and dtype; the library's own |v|^2 of
-    trusted components is _norm_sq.
+    ``n2`` is a float or an array, as _norm_sq_checked or _norm_sq returns
+    it.  The one place where a squared norm is subtracted from 1: every
+    gamma factor of a velocity, and the metric tensor, take it from here.
     """
-    v = np.asarray(v)
-    return np.add.reduce(v * v, -1)
+    return 1.0 - n2
 
 
-def norm(v):
-    """Euclidean norm over the last axis."""
-    return np.sqrt(norm_sq(v))
-
-
-def _gamma(n2):
-    """Lorentz gamma factor 1/sqrt(1 - |v|^2) of a trusted squared norm ``n2``.
-
-    ``n2`` is a float or an array, as _norm_sq_checked returns it.
-    """
-    return 1.0 / _sqrt(1.0 - n2)
+def _gamma(v, n2):
+    """Lorentz gamma factor 1/sqrt(1 - |v|^2) of trusted components ``v`` with |v|^2 ``n2``."""
+    return 1.0 / _sqrt(_deficit(v, n2))
 
 
 # numpy's float64 dtype, bound by the first _real_array call, so that importing

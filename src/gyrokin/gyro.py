@@ -19,7 +19,7 @@ from .ball import (_AMBIENT, _REAL, _SINGLE, _VELOCITY, _Frozen, _declare, _dot,
 from .errors import AdmissibilityError
 
 
-@_declare(lambda v, n2: _gamma(n2[0]))
+@_declare(lambda v, n2: _gamma(v, n2[0]))
 def gamma(v) -> np.ndarray:
     """Lorentz gamma factor 1/sqrt(1 - |v|^2) of an admissible velocity.
 
@@ -73,7 +73,7 @@ def _add(u, v, n2) -> list:
     others hold the squared norms of their velocity operands in order.
     """
     uv = _dot(u, v)
-    gu = _gamma(n2[0])
+    gu = _gamma(u, n2[0])
     coef_u = 1.0 + (gu / (1.0 + gu)) * uv
     inv_gu = 1.0 / gu
     den = 1.0 + uv
@@ -152,8 +152,8 @@ def _gyr_factors(u, v, n2) -> tuple:
     Each is a product of the closed form in its own association, so that
     _gyr_coeffs applies them to w with the bits of the whole expression.
     """
-    gu = _gamma(n2[0])
-    gv = _gamma(n2[1])
+    gu = _gamma(u, n2[0])
+    gv = _gamma(v, n2[1])
     uv = _dot(u, v)
     gu2, gu1, gv1, guv = gu * gu, gu + 1.0, gv + 1.0, gu * gv
     return (-gu2 / gu1 * (gv - 1.0), guv, 2.0 * (gu2 * gv * gv) / (gu1 * gv1) * uv,
@@ -214,8 +214,8 @@ def gyrate_definitional(u, v, w) -> np.ndarray:
 
 def _midpoint(u, v, n2) -> list:
     """Gamma-weighted mean (gamma_u u + gamma_v v)/(gamma_u + gamma_v)."""
-    gu = _gamma(n2[0])
-    gv = _gamma(n2[1])
+    gu = _gamma(u, n2[0])
+    gv = _gamma(v, n2[1])
     den = gu + gv
     return [(gu * x + gv * y) / den for x, y in zip(u, v)]
 

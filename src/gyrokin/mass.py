@@ -62,7 +62,8 @@ class Particle(_Frozen):
 
     @property
     def gamma(self) -> float:
-        return float(_gamma(_norm_sq(self.velocity.tolist())))
+        v = self.velocity.tolist()
+        return float(_gamma(v, _norm_sq(v)))
 
     @property
     def relativistic_mass(self) -> float:
@@ -127,12 +128,13 @@ class ParticleSystem(_Frozen):
 
     @property
     def gammas(self) -> np.ndarray:
-        return _gamma(_norm_sq(_components(self.velocities)))
+        v = _components(self.velocities)
+        return _gamma(v, _norm_sq(v))
 
 
 def _gamma_rel_minus_1(u, v, n2):
-    gu = _gamma(n2[0])
-    gv = _gamma(n2[1])
+    gu = _gamma(u, n2[0])
+    gv = _gamma(v, n2[1])
     d = gu - gv
     return d * d / (2.0 * gu * gv) + gu * gv * _norm_sq([x - y for x, y in zip(u, v)]) / 2.0
 
@@ -208,7 +210,8 @@ def decompose(sys: ParticleSystem) -> MassDecomposition:
     v0 = momentum / energy
     momentum.setflags(write=False)
     v0.setflags(write=False)
-    g0 = _gamma(_norm_sq(v0.tolist()))
+    v = v0.tolist()
+    g0 = _gamma(v, _norm_sq(v))
     residual = np.hypot(m0 * g0 - energy, float(np.linalg.norm(m0 * g0 * v0 - momentum)))
     return _record(
         MassDecomposition,

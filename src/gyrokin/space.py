@@ -11,8 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .ball import (COLLINEAR_AREA_TOL, MAX_NORM, _AMBIENT, _FINITE_REAL, _SINGLE, _VELOCITY,
-                   _Frozen, _as_real, _declare, _dot, _neg, _norm, _norm_sq, _norm_sq_checked,
-                   _operation, _read_only, _record, _require, _require_instance, _sqrt, norm, np)
+                   _Frozen, _as_real, _components, _declare, _deficit, _dot, _neg, _norm, _norm_sq,
+                   _norm_sq_checked, _operation, _read_only, _record, _require, _require_instance,
+                   _sqrt, np)
 from .errors import CollinearPoints
 from .gyro import _add, _coadd, _left_sub, _midpoint
 
@@ -157,8 +158,8 @@ class RootedGyrovector(_Frozen):
     @property
     def gyrolength(self) -> float | np.ndarray:
         """|value|: a float for one gyrovector, and an array of the rows' for a batch."""
-        length = norm(self.value)
-        return length if length.ndim else float(length)
+        length = _norm(_components(self.value))
+        return length if self.value.ndim > 1 else float(length)
 
 
 def gyrovector_between(p, q) -> RootedGyrovector:
@@ -210,10 +211,11 @@ def metric_tensor(x) -> np.ndarray:
 
     with G(x) = I/(1 - x^2) + x x^T/(1 - x^2)^2, the classical line element
     of the ball model.  Symmetric positive definite; the identity at x = 0.
+    1 - x^2 is ball._deficit's, the one behind every gamma factor.
     """
-    (x,), _, (n2,) = _checked_metric_point(x)
+    (x,), (floats,), (n2,) = _checked_metric_point(x)
     n = x.shape[0]
-    q = 1.0 - float(n2)
+    q = float(_deficit(floats, n2))
     return np.eye(n) / q + np.outer(x, x) / (q * q)
 
 

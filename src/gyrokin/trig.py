@@ -12,7 +12,7 @@ conversion runs in both directions.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from types import MappingProxyType
 
 from .ball import (COLLINEAR_AREA_TOL, RIGHT_ANGLE_TOL, _SINGLE, _SINGLE_REAL, _Frozen, _declare,
@@ -269,7 +269,8 @@ class RightTriangleReport:
     ``max_residual`` is their maximum.  All identities are stated for the
     right angle at C, hypotenuse c, legs a and b.  A mappingproxy does not
     pickle, so pickle and copy rebuild the report through its constructor,
-    from the fields with the residuals as a plain dict.
+    from the fields with the residuals as a plain dict.  Nor does it hash:
+    the hash leaves the residuals out, and equal reports still hash alike.
     """
 
     gamma_a: float
@@ -279,7 +280,7 @@ class RightTriangleReport:
     cos_beta: float
     sin_alpha: float
     sin_beta: float
-    residuals: MappingProxyType
+    residuals: MappingProxyType = field(hash=False)
 
     def __post_init__(self):
         vars(self)["residuals"] = MappingProxyType(dict(self.residuals))

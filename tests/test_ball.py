@@ -4,6 +4,7 @@ import copy
 import dataclasses
 import math
 import pickle
+import sys
 import tracemalloc
 import warnings
 from types import MappingProxyType
@@ -18,14 +19,15 @@ from gyrokin import (MAX_NORM, AberrationResult, AdmissibilityError, AngleDegene
                      aberration_scene, aberration_sweep, add_speeds, are_gyrocollinear,
                      classical_aberration, classical_aberration_inv, classical_matched_p_e, coadd,
                      coadd_via_gyration, decompose, einstein_add, einstein_sub, gamma,
-                     gamma_of_speed, gyrate, gyrodistance, gyroline_point, gyrovector_between,
-                     left_sub, parse_particles, relativistic_aberration,
+                     gamma_of_speed, gamma_rel_minus_1, gyrate, gyrodistance, gyroline_point,
+                     gyromidpoint, gyrovector_between, left_sub, metric_tensor, parse_particles,
+                     relativistic_aberration,
                      relativistic_aberration_inv, relativistic_matched_p_e,
                      right_triangle_relations, scalar_mul, speed_of_gamma, stellar_aberration,
                      stellar_aberration_inv, triangle_area, triangle_from_angles,
                      triangle_from_sides, triangle_from_vertices)
-from gyrokin.ball import (_IN_ORDER_TERMS, _SINGLE_REAL, _components, _dot, _norm_sq, _operation,
-                          _record, as_velocity, dot, norm_sq)
+from gyrokin.ball import (_IN_ORDER_TERMS, _SINGLE_REAL, _components, _deficit, _dot, _norm,
+                          _norm_sq, _operation, _record, as_velocity)
 from helpers import ball_points, broadcast_error, in_blocks, raised
 
 DIMS = range(1, 11)
@@ -54,26 +56,23 @@ def test_dims_straddle_the_in_order_sum():
 
 @pytest.mark.parametrize("n", DIMS)
 class TestSumOrder:
-    """dot, norm_sq and the kernels' _dot and _norm_sq give the bits of np.sum(..., axis=-1).
+    """The kernels' _dot and _norm_sq give the bits of np.sum(..., axis=-1), and _norm its root.
 
-    norm_sq is np.sum itself.  _dot and _norm_sq run on components
-    (_components): one vector's Python floats, summed in numpy's order below
-    _IN_ORDER_TERMS components, or a batch's columns.  numpy's summation
-    order is its own, so this runs on every numpy of the CI matrix.
+    They run on components (_components): one vector's Python floats,
+    summed in numpy's order below _IN_ORDER_TERMS components, or a batch's
+    columns.  numpy's summation order is its own, so this runs on every
+    numpy of the CI matrix.
     """
 
     def check(self, u, v):
         want_dot, want_sq = np.sum(u * v, axis=-1), np.sum(u * u, axis=-1)
-        assert same_bits(dot(u, v), want_dot)
-        assert same_bits(norm_sq(u), want_sq)
         assert same_bits(as_numpy(_dot(_components(u), _components(v))), want_dot)
         assert same_bits(as_numpy(_norm_sq(_components(u))), want_sq)
+        assert same_bits(as_numpy(_norm(_components(u))), np.sqrt(want_sq))
 
     def test_one_vector(self, rng, n):
         u, v = spread(rng, (2, n))
         self.check(u, v)
-        assert type(dot(u, v)) is np.float64
-        assert type(norm_sq(u)) is np.float64
         floats = float if n < _IN_ORDER_TERMS else np.float64
         assert type(_dot(u.tolist(), v.tolist())) is floats
         assert type(_norm_sq(u.tolist())) is floats
@@ -99,12 +98,40 @@ class TestSumOrder:
         self.check(u[0], np.abs(v[0]))
 
 
-def test_empty_component_axis():
-    # dot and norm_sq take raw arrays, which may have no components.
-    for shape in [(0,), (5, 0), (2, 3, 0)]:
-        x = np.zeros(shape)
-        assert same_bits(dot(x, x), np.sum(x * x, axis=-1))
-        assert same_bits(norm_sq(x), np.sum(x * x, axis=-1))
+# Every call that makes a gamma factor of a velocity, or reads 1 - |v|^2,
+# with the number of deficits it takes: one per velocity whose gamma it
+# uses.  The velocity operations take one vector and a batch of two.
+U, VS, W = [0.6, 0.0, 0.2], [[0.0, 0.5, 0.1], [-0.3, 0.4, 0.0]], [0.2, -0.1, 0.4]
+DEFICIT_CALLS = {
+    "gamma": (lambda: gamma(VS), 1),
+    "einstein_add": (lambda: einstein_add(U, VS), 1),
+    "gyrate": (lambda: gyrate(U, VS, W), 2),
+    "coadd": (lambda: coadd(U, VS), 2),
+    "gyromidpoint": (lambda: gyromidpoint(U, VS), 2),
+    "gamma_rel_minus_1": (lambda: gamma_rel_minus_1(U, VS), 2),
+    "Particle.gamma": (lambda: Particle(1.5, U).gamma, 1),
+    "ParticleSystem.gammas": (lambda: SYSTEM.gammas, 1),
+    "decompose": (lambda: decompose(SYSTEM), 2),  # the particles' gammas and gamma(v0)
+    "metric_tensor": (lambda: metric_tensor(U), 1),
+}
+
+
+@pytest.mark.parametrize("name", DEFICIT_CALLS)
+def test_every_gamma_reaches_the_one_deficit(monkeypatch, name):
+    """1 - |v|^2 comes from ball._deficit, given a velocity's components and their |v|^2."""
+    calls = []
+
+    def counted(v, n2):
+        assert same_bits(_norm_sq(v), n2)
+        calls.append(n2)
+        return _deficit(v, n2)
+
+    for module_name, module in list(sys.modules.items()):
+        if module_name.startswith("gyrokin") and getattr(module, "_deficit", None) is _deficit:
+            monkeypatch.setattr(module, "_deficit", counted)
+    call, count = DEFICIT_CALLS[name]
+    call()
+    assert len(calls) == count
 
 
 class TestOverflowingVelocity:
@@ -564,6 +591,23 @@ def test_report_copies_compare_equal(how):
     copied = COPIES[how](report)
     assert copied == report and copied is not report
     assert type(copied.residuals) is MappingProxyType and repr(copied) == repr(report)
+
+
+@pytest.mark.parametrize("how", COPIES)
+@pytest.mark.parametrize("name", [name for name in PUBLIC if name != "parse_particles"])
+def test_objects_and_their_copies_hash(name, how):
+    """Every public frozen object hashes.
+
+    A copy of one that compares by value (a RightTriangleReport, whose hash
+    leaves its residuals out) equals it and hashes as it does; the others
+    compare and hash by identity.
+    """
+    obj = PUBLIC[name][0](caller_values())
+    copied = COPIES[how](obj)
+    if type(obj).__dataclass_params__.eq:
+        assert copied == obj and hash(copied) == hash(obj)
+    else:
+        assert copied != obj and hash(obj) == object.__hash__(obj)
 
 
 # The velocity operations whose checked floats route (op.floats) the CLI

@@ -55,7 +55,7 @@ from gyrokin import (
     decompose,
 )
 from gyrokin import ball
-from gyrokin.ball import BALL_MARGIN, MAX_NORM, norm_sq
+from gyrokin.ball import BALL_MARGIN, MAX_NORM
 from gyrokin.gyro import _gyr_coeffs, _gyr_factors
 from helpers import (BLOCK_LENGTHS, LAYOUTS, TEST_BLOCK, ball_points, ball_vectors,
                      broadcast_error, coercion_error, cosub_error_ratio, cosub_via_gyration,
@@ -64,6 +64,11 @@ from helpers import (BLOCK_LENGTHS, LAYOUTS, TEST_BLOCK, ball_points, ball_vecto
 
 U_FIX = np.array([0.6, 0.0, 0.0])
 V_FIX = np.array([0.0, 0.6, 0.0])
+
+
+def norm_sq(v):
+    """np.sum(v * v, axis=-1): the squared norms of an array's rows."""
+    return np.sum(v * v, axis=-1)
 
 
 def gyr_coeffs(u, v, w):
@@ -593,6 +598,58 @@ def near_c_pairs(rng, n, low=-12.0, at_max=0.25):
     return u[keep], v[keep]
 
 
+# The seed of the near-boundary slice of the bench's scalar workload
+# (bench/workloads.py, EDGE_SEED).
+EDGE_SEED = 20130227
+
+
+def edge_pairs(n=256):
+    """The scalar workload's near-boundary pairs, drawn as Scalar._edge_pairs draws them.
+
+    1 - |v| is log-uniform in [1 - MAX_NORM, 1e-4], and each vector is
+    nudged down until its squared norm is within 1 - BALL_MARGIN.
+    """
+    rng = np.random.default_rng(EDGE_SEED)
+    low, high = math.log(1.0 - MAX_NORM), math.log(1e-4)
+    pairs = []
+    for _ in range(n):
+        pair = []
+        for _ in range(2):
+            d = rng.normal(size=3)
+            d /= np.linalg.norm(d)
+            x = (1.0 - math.exp(rng.uniform(low, high))) * d
+            while float(np.dot(x, x)) > 1.0 - BALL_MARGIN:
+                x = x * (1.0 - 2.0 ** -52)
+            pair.append(x)
+        pairs.append(tuple(pair))
+    return pairs
+
+
+def test_near_c_slice_of_the_scalar_workload():
+    """gamma(u (+) v) of the 256 near-boundary pairs: 208 sums leave the ball.
+
+    Each of the other 48 lies within 64 EPS gamma^3 of the gamma identity
+    at 50 digits, the workload's own tolerance.  No float rounding of any of
+    the 208 exact sums is admissible, so a more accurate 1 - |v|^2 of the
+    inputs leaves the split as it is; only a result that carries its own
+    deficit can move it.
+    """
+    mpmath = pytest.importorskip("mpmath")
+    eps, left = float(np.finfo(float).eps), 0
+    for u, v in edge_pairs():
+        try:
+            got = float(gamma(einstein_add(u, v)))
+        except AdmissibilityError:
+            left += 1
+            continue
+        with mpmath.workdps(50):
+            mu, mv = ([mpmath.mpf(float(x)) for x in w] for w in (u, v))
+            gu, gv = (1 / mpmath.sqrt(1 - mpmath.fsum(x * x for x in w)) for w in (mu, mv))
+            want = float(gu * gv * (1 + mpmath.fsum(a * b for a, b in zip(mu, mv))))
+        assert abs(got - want) <= 64 * eps * want ** 3
+    assert left == 208
+
+
 class TestAddSpeeds:
     def test_fixture(self):
         assert float(add_speeds(0.5, 0.5)) == pytest.approx(0.8, abs=1e-15)
@@ -661,6 +718,7 @@ BATCH_OPS = {
     "gyroline_point": (gyroline_point, ("v", "v", "t")),
     "gyroparallelogram_fourth": (gyroparallelogram_fourth, ("v", "v", "v")),
     "gyrovector_between": (lambda p, q: gyrovector_between(p, q).value, ("v", "v")),
+    "gyrolength": (lambda p, q: gyrovector_between(p, q).gyrolength, ("v", "v")),
     "translate_to": (lambda t, v: translate_to(RootedGyrovector(v, v, v), t).head,
                      ("v", "v")),
     "triangle_area": (triangle_area, ("x", "x", "x")),
@@ -676,14 +734,11 @@ BATCH_OPS = {
     "classical_matched_p_e": (classical_matched_p_e, ("angle", "angle", "speed")),
     "relativistic_matched_p_e": (relativistic_matched_p_e, ("angle", "angle", "speed")),
     "as_velocity": (ball.as_velocity, ("v",)),
-    "dot": (ball.dot, ("w", "w")),
-    "norm_sq": (ball.norm_sq, ("w",)),
-    "norm": (ball.norm, ("w",)),
 }
 # The operations above with a vector argument, and the type of a result
 # that is not a vector, for one vector: np.float64 unless named here.
 VECTOR_OPS = [op for op, (_, kinds) in BATCH_OPS.items() if set(kinds) - set(SCALAR_DRAWS)]
-SCALAR_RESULT = {"are_gyrocollinear": bool}
+SCALAR_RESULT = {"are_gyrocollinear": bool, "gyrolength": float}
 
 # Batch shapes of the first argument, the second, and any others; the last
 # two are batches of a few hundred rows.

@@ -26,7 +26,7 @@ GAPS = [10.0 ** -k for k in range(1, 12, 2)]
 def gamma_of_sum(u, v):
     """gamma(u (+) v) by the kernels: _add, then _gamma of the sum's _norm_sq."""
     w = gyro._add(u, v, [ball._norm_sq(u), ball._norm_sq(v)])
-    return ball._gamma(ball._norm_sq(w))
+    return ball._gamma(w, ball._norm_sq(w))
 
 
 def test_near_c_gamma_of_sum_is_enclosed():
@@ -81,6 +81,7 @@ def squared_norms(*vectors) -> list:
 # The kernels made of +, -, *, / and _sqrt that check no intermediate, each on
 # (u, v, w) and returning a list of components.
 KERNELS = {
+    "add": lambda u, v, w: gyro._add(u, v, squared_norms(u, v)),
     "gyrate": lambda u, v, w: gyro._gyrate(u, v, w, gyro._gyr_factors(u, v, squared_norms(u, v))),
     "coadd": lambda u, v, w: gyro._coadd(u, v, squared_norms(u, v)),
     "midpoint": lambda u, v, w: gyro._midpoint(u, v, squared_norms(u, v)),
@@ -97,6 +98,9 @@ def exact(name, u, v, w) -> list:
             return mpmath.fsum(x * y for x, y in zip(a, b))
 
         gu, gv = (1 / mpmath.sqrt(1 - dot(a, a)) for a in (u, v))
+        if name == "add":
+            uv = dot(u, v)
+            return [((1 + gu / (1 + gu) * uv) * x + y / gu) / (1 + uv) for x, y in zip(u, v)]
         if name == "gyrate":
             uv, uw, vw = dot(u, v), dot(u, w), dot(v, w)
             a = (-(gu * gu) / (gu + 1) * (gv - 1) * uw + gu * gv * vw
@@ -119,6 +123,7 @@ def exact(name, u, v, w) -> list:
 # result's largest component, rounded up.  Each is the measured figure.  The
 # error grows near c, where the gamma factors come from a rounded 1 - |v|^2.
 ULP_PROFILE = {
+    "add": [106, 2, 1, 40, 849, 1708, 43159],
     "gyrate": [24, 2, 2, 16, 1152, 1163, 1165],
     "coadd": [369, 2, 17, 10635, 2551994, 2458769, 8940435297],
     "midpoint": [561, 3, 16, 9299, 2666438, 2068868, 10607177478],

@@ -26,7 +26,7 @@ from gyrokin import (
     parse_particles,
 )
 from gyrokin import mass
-from gyrokin.ball import _assemble, _components, _gamma, norm_sq
+from gyrokin.ball import _assemble, _components, _gamma
 from gyrokin.gyro import _add
 from helpers import TEST_BLOCK, ball_points, in_blocks, max_abs, pairwise_dark_sq, same_bits
 
@@ -318,7 +318,8 @@ class TestDecompose:
             calls.clear()
             dec = decompose(system)
             assert len(calls) == 2  # the particles' gammas and gamma(v0), once each
-            w = system.masses * _gamma(norm_sq(system.velocities))
+            v = system.velocities
+            w = system.masses * (1.0 / np.sqrt(1.0 - np.sum(v * v, axis=-1)))
             energy, momentum = float(w.sum()), (w[:, None] * system.velocities).sum(axis=0)
             assert dec.energy == energy and same_bits(dec.momentum, momentum)
 
@@ -438,7 +439,7 @@ class TestBoostInvariance:
     def test_boost_bits_are_those_of_one_addition(self, rng, monkeypatch):
         sys_n = random_system(rng, n_max=50, max_norm=0.95)
         u = ball_points(rng, 1, 3, max_norm=0.9)[0]
-        want = _assemble(_add(u.tolist(), _components(sys_n.velocities), [norm_sq(u)]))
+        want = _assemble(_add(u.tolist(), _components(sys_n.velocities), [np.sum(u * u)]))
         assert same_bits(boost(sys_n, u).velocities, want)
         assert same_bits(in_blocks(monkeypatch, boost, sys_n, u).velocities, want)
 

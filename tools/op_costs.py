@@ -21,9 +21,13 @@ copied under its own package name (gyrokin_0, gyrokin_1, ...) and every
 round imports them all into one interpreter: each operation's
 inputs are drawn once, and the trees take turns inside each repeat, the
 tree that goes first changing from repeat to repeat and round to round, so
-that a drift in processor speed falls on all of them alike.  The last
-column counts the repeats in which the second tree was faster than the
-first, at each size.
+that a drift in processor speed falls on all of them alike.  Two more
+columns, at each size: the repeats in which the second tree was faster
+than the first, and whether every other tree's result has the first's
+bits ("same") or not ("differs") in every round.  A result is compared by
+its first call, through a digest of its bits: the dtype, shape and bytes
+of an array, float.hex of a float, and the same of the items of a tuple,
+list or mapping and of the fields of a record.
 """
 
 from __future__ import annotations
@@ -46,10 +50,12 @@ REPEATS = 3
 # Runs in a fresh interpreter: argv[1] holds the sizes, argv[2] the names of
 # the packages to import, one per tree, argv[3] the tree that goes first in
 # the first repeat and argv[4] the number of repeats.  Prints a JSON object
-# {op: {k: [[seconds per call of each tree], repeats the second tree won]}};
-# the single-value calls appear only when k = 1 is among the sizes.
+# {op: {k: [[seconds per call of each tree], repeats the second tree won,
+# whether every tree's result has the first's bits]}}; the single-value
+# calls appear only when k = 1 is among the sizes.
 WORKER = r'''
-import copy, importlib, json, operator, sys, time
+import copy, hashlib, importlib, json, operator, sys, time
+from collections.abc import Mapping
 import numpy as np
 
 sizes, packages = json.loads(sys.argv[1]), json.loads(sys.argv[2])
@@ -143,15 +149,30 @@ def draw(rng, kind, k):
     return x if k > 1 else x.item()  # one real as the Python float callers pass
 
 
+def bits(x):
+    """A digest of the bits of a result ``x``, equal for results with equal bits."""
+    if isinstance(x, np.ndarray):
+        return [x.dtype.str, x.shape, hashlib.sha256(x.tobytes()).hexdigest()]
+    if isinstance(x, float):
+        return float.hex(x)
+    if isinstance(x, (tuple, list)):
+        return [bits(y) for y in x]
+    if isinstance(x, Mapping):
+        return {str(k): bits(y) for k, y in x.items()}
+    if hasattr(x, "__dict__"):  # a record: its fields
+        return [type(x).__name__, bits(vars(x))]
+    return repr(x)
+
+
 def per_call(calls, budget):
-    """The fastest time of each (fn, args) call over the repeats, and the repeats
-    in which the second call beat the first.
+    """The fastest time of each (fn, args) call over the repeats, the repeats in
+    which the second call beat the first, and whether every call's first
+    result has the first call's bits.
 
     A repeat runs each call about ``budget`` seconds in turn; the one that
     runs first moves on by one from repeat to repeat.
     """
-    for fn, args in calls:
-        fn(*args)
+    digests = [bits(fn(*args)) for fn, args in calls]
     t = time.perf_counter()
     calls[0][0](*calls[0][1])
     n = max(1, int(budget / max(time.perf_counter() - t, 1e-7)))
@@ -167,7 +188,7 @@ def per_call(calls, budget):
             took[i] = (time.perf_counter() - t) / n
         best = [min(b, s) for b, s in zip(best, took)]
         won += len(calls) > 1 and took[1] < took[0]
-    return best, won
+    return best, won, all(d == digests[0] for d in digests)
 
 
 out = {}
@@ -190,7 +211,7 @@ print(json.dumps(out))
 
 
 def measure(path: Path, packages, sizes, first: int) -> dict:
-    """{op: {k: ([seconds of each package], repeats won)}} from one fresh interpreter.
+    """{op: {k: ([seconds of each package], repeats won, same bits)}} from one fresh interpreter.
 
     ``packages`` are imported from ``path``, and package ``first`` goes
     first in the first repeat.
@@ -224,12 +245,12 @@ def main() -> None:
     header = ["op"] + [f"{i}:{'k=1 us' if k == 1 else f'k={k:.0e} ns/elt'}"
                        for i in range(trees) for k in sizes]
     if trees > 1:
-        header.append(f"1 won/{REPEATS * args.rounds}")
+        header += [f"1 won/{REPEATS * args.rounds}", "bits"]
     for i, src in enumerate(args.src):
         print(f"# {i}: {src}")
     print("\t".join(header))
     for op in runs[0]:
-        cells, won = [op], []
+        cells, won, same = [op], [], []
         for i in range(trees):
             for k in sizes:
                 if k not in runs[0][op]:  # a single-value call at k > 1
@@ -239,8 +260,9 @@ def main() -> None:
                 cells.append(f"{s * 1e6:.2f}" if k == 1 else f"{s / k * 1e9:.2f}")
                 if i == 1:
                     won.append(str(sum(run[op][k][1] for run in runs)))
+                    same.append("same" if all(run[op][k][2] for run in runs) else "differs")
         if trees > 1:
-            cells.append(",".join(won))
+            cells += [",".join(won), ",".join(same)]
         print("\t".join(cells))
 
 
