@@ -21,17 +21,19 @@ Each operation has one checked boundary, generated once at import
 signature, and their declared kinds: velocities, ambient vectors, single
 velocities, reals, finite reals and single reals.  ``_operation`` writes
 the boundary's source, two straight-line functions, and compiles it; its
-docstring shows the source written for ``einstein_add``.  For the 31
+docstring shows the source written for ``einstein_add``.  For the 34
 operations declared with ``_declare`` (the velocity operations, the speed
-and gamma conversions, the aberration formulas, the scalar-only functions
-of trig) the boundary is the public function itself: it has that
-function's parameters, keyword-only options and defaults, and takes its
-name, docstring and signature, so a call runs no forwarding frame and
-Python binds an operand passed by keyword as it binds any other call.
-Functions whose body does more (a Gyration, a rooted gyrovector, a
-triangle from its vertices, a Particle) call a boundary made by
-``_operation`` alone.  A boundary coerces each operand, in argument order,
-then takes one of two routes, chosen from the input.
+and gamma conversions, the aberration formulas, the metric tensor, and
+trig's functions of single values, gyroangle and triangles from their
+vertices among them) the boundary is the public function itself: it has that function's
+parameters, keyword-only options and defaults, and takes its name,
+docstring and signature, so a call runs no forwarding frame and Python
+binds an operand passed by keyword as it binds any other call.  Functions
+whose body does more (a Gyration and its ``apply``, a rooted gyrovector, a
+Particle, a boost) call a boundary made by ``_operation`` alone.  Every
+boundary runs a kernel, and takes keywords only as the keyword-only
+options of a signature.  A boundary coerces each operand, in argument
+order, then takes one of two routes, chosen from the input.
 When every operand is one value, each vector becomes its floats (one
 tolist()) and each real a numpy float, and the boundary's ``floats`` route
 runs on them: each vector passes its check, and each finite real its own,
@@ -42,8 +44,8 @@ Otherwise the operands' shapes are matched and the batch runs row block
 after row block (``_by_rows``); each block runs the same ``floats`` route
 on the columns of its vectors and reals, and assembles the result
 (``_assemble``).  An operation on single vectors only takes the first
-route and hands back the checked vectors; a batch operand raises, in its
-place in the argument order.  Single reals become Python floats, each in
+route and returns its kernel's result as it is; a batch operand raises, in
+its place in the argument order.  Single reals become Python floats, each in
 turn (``_real_scalar``); a batch raises.
 The first failing check raises, once; an error in a batch names its first
 failing row as an index into the whole batch ("u row 19999 has norm ..."),
@@ -310,8 +312,8 @@ def _real_scalar(x, name: str) -> float:
 
 
 def _read_only(a) -> np.ndarray:
-    """A read-only copy of the array ``a``."""
-    a = a.copy()
+    """A read-only array copy of ``a``, an array or a list of floats."""
+    a = np.array(a)
     a.setflags(write=False)
     return a
 
@@ -542,8 +544,8 @@ def _operation(kernel, names, kinds=_VELOCITY, public=None):
     kinds, one for all of them or one each.  ``public`` is the function the
     boundary stands for (_declare): the boundary takes its name, its
     positional parameters and its keyword-only options with their defaults.
-    A boundary that stands for no function is named ``boundary``, takes its
-    operands as x0, x1, ... and hands every keyword to its kernel.
+    A boundary that stands for no function is named ``boundary`` and takes
+    its operands as x0, x1, ... and no keyword.
 
     The boundary and its ``floats`` route are written as source, compiled
     once with this module's globals and registered with linecache, so that
@@ -586,10 +588,10 @@ def _operation(kernel, names, kinds=_VELOCITY, public=None):
     An operation on reals alone, or on single reals, checks nothing here:
     its ``floats`` is the kernel, which checks its reals through _require.
     Single reals have no row blocks: a batch raises DimensionError in
-    _real_scalar.  Single velocities take no kernel (None): the boundary
-    returns the arrays, their components (Python floats) and their squared
-    norms, three lists, and a batch operand raises DimensionError in its
-    place in the argument order; their ``floats`` returns the squared norms.
+    _real_scalar.  Nor do single velocities: a batch operand raises
+    DimensionError in its place in the argument order, once the vectors
+    before it pass their checks.  An operation on single values returns its
+    kernel's result as it is.
     """
     if callable(names):
         names = _parameters(names)[0]
@@ -625,16 +627,14 @@ def _operation(kernel, names, kinds=_VELOCITY, public=None):
         parts = [_components(p) if vec else p[..., 0] for p, vec in zip(parts, vector)]
         return _assemble(floats(*parts, **params))
 
-    # The source.  A boundary that stands for no function takes x0, x1, ... and
-    # **params, the kernel's keyword arguments, which reach floats as one option.
+    # The source.  A boundary that stands for no function takes x0, x1, ... alone.
     if public:
         name, (args, options) = public.__name__, _parameters(public)
     else:
-        name, args, options = "boundary", [f"x{i}" for i in range(len(names))], ("params",)
+        name, args, options = "boundary", [f"x{i}" for i in range(len(names))], ()
     passed = "".join(f", {o}={o}" for o in options)
     tail = ", *, " + ", ".join(options) if options else ""
     to_rows = f", dict({passed[2:]})" if options else ""
-    own_tail, to_kernel = (tail, passed) if public else (", **params",) * 2
     coerce, checks = [], []
     for a, label, kind, vec in zip(args, map(repr, names), kinds, vector):
         if kind == _SINGLE_REAL:
@@ -651,23 +651,21 @@ def _operation(kernel, names, kinds=_VELOCITY, public=None):
     if len(vecs) > 1:
         checks[:0] = [f"    if not {lengths.replace(', ', ' == ')}:",
                       f"        _same_dimension([{lengths}], {tuple(vector_names)!r})"]
-    if checks or not public:
-        result = f"_kernel({listed}, {n2}{to_kernel})" if vecs else f"_kernel({listed}{to_kernel})"
-        lines = [f"def floats({listed}{tail}):", *checks,
-                 f"    return {n2 if kernel is None else result}"]
+    if checks:
+        result = f"_kernel({listed}, {n2}{passed})" if vecs else f"_kernel({listed}{passed})"
+        lines = [f"def floats({listed}{tail}):", *checks, f"    return {result}"]
     else:
         lines = ["floats = _kernel"]
-    lines += [f"def {name}({listed}{own_tail}):", *coerce]
+    lines += [f"def {name}({listed}{tail}):", *coerce]
     if kinds[0] != _SINGLE_REAL:
         batch = " or ".join(f"{a}.ndim != 1" if vec else f"{a}.ndim"
                             for a, vec in zip(args, vector))
         lines += [f"    if {batch}:", f"        return _rows([{listed}]{to_rows})"]
     values = ", ".join(f"{a}.tolist()" if vec else a for a, vec in zip(args, vector))
-    if kernel is None:
-        lines += [f"    _floats = [{values}]", f"    return [{listed}], _floats, floats(*_floats)"]
-    else:  # a vector result becomes an ndarray, a float of one vector an np.float64
-        call = f"floats({values}{passed})"
-        lines.append(f"    return _assemble({call})" if vecs else f"    return {call}")
+    call = f"floats({values}{passed})"
+    # A vector result becomes an ndarray, a float of one vector an np.float64; an
+    # operation on single values returns its kernel's result as it is.
+    lines.append(f"    return _assemble({call})" if vecs and not single else f"    return {call}")
     source = "".join(f"    {line}\n" for line in [*lines, f"return {name}, floats"])
     source = f"def _make(_kernel, _rows):\n{source}"
     filename = f"<boundary {next(_SOURCES)}: {name}>"
@@ -675,9 +673,7 @@ def _operation(kernel, names, kinds=_VELOCITY, public=None):
     namespace = {}
     exec(compile(source, filename, "exec"), globals(), namespace)
     boundary, floats = namespace["_make"](kernel, rows)
-    if not public:
-        floats.__kwdefaults__ = {"params": _NO_PARAMS}
-    elif options:
+    if options:
         boundary.__kwdefaults__ = floats.__kwdefaults__ = public.__kwdefaults__
     boundary.floats = floats
     return boundary

@@ -20,16 +20,22 @@ The core modules (``ball``, ``errors``, ``gyro``) load with this module; a
 command imports the composite modules it calls (``space``, ``trig``,
 ``aberration``, ``mass``) when it runs, so each start of the program
 compiles and runs only the library code its command uses.  numpy's code
-runs only in a command that makes an array: velocities parse to lists of
-Python floats, and ``add``, ``sub``, ``coadd``, ``distance`` and
-``triangle`` from sides or angles compute, check and print in floats, by
-the checked one-vector routes of their operations (``ball._operation``'s
-``floats``), with the bits of the library's arrays.
+runs only in a command that makes an array or calls a numpy function:
+velocities parse to lists of Python floats, and ``add``, ``sub``,
+``coadd``, ``distance``, ``scale``, ``midpoint`` and ``parallelogram``
+compute and check in floats, by the checked one-vector routes of their
+operations (``ball._operation``'s ``floats``), with the bits of the
+library's arrays, and print them.  ``scale``, ``midpoint`` and
+``parallelogram`` still run numpy's code, through ``np.tanh`` in
+``scalar_mul``; ``triangle`` from sides or angles runs none.  ``gyr``
+checks its closed form against the definitional route in floats, but its
+Gyration makes arrays.
 """
 
 from __future__ import annotations
 
 import importlib
+import inspect
 import json
 import math
 import os
@@ -61,13 +67,24 @@ _ABERRATION_MODELS = ("classical", "relativistic", "stellar")
 # here: a wrapper that stands in for a public function later (a profiler's,
 # say) need not carry the attribute.
 (_add_floats, _sub_floats, _coadd_floats, _coadd_via_gyration_floats, _gamma_floats,
- _left_sub_floats) = (op.floats for op in (
-    einstein_add, einstein_sub, coadd, coadd_via_gyration, gamma, left_sub))
+ _gyrate_definitional_floats, _left_sub_floats) = (op.floats for op in (
+    einstein_add, einstein_sub, coadd, coadd_via_gyration, gamma, gyrate_definitional, left_sub))
 
 
 def _lib(module):
     """The library module ``module``, imported when a command first calls it."""
     return importlib.import_module(f"{__package__}.{module}")
+
+
+def _floats(module, name):
+    """The checked floats route of the operation ``name`` of the library module ``module``.
+
+    The module is imported when a command first calls it (_lib), by which
+    time a wrapper (a profiler's, say) may stand in for the operation: the
+    route is read from the first function along the ``__wrapped__`` chain
+    that carries one.
+    """
+    return inspect.unwrap(getattr(_lib(module), name), stop=lambda f: hasattr(f, "floats")).floats
 
 
 def _fmt(x) -> str:
@@ -249,7 +266,7 @@ def _ball_result(w) -> dict:
 
 
 def _max_gap(x, y) -> float:
-    """The largest |x_i - y_i| of two vectors, lists of floats or arrays."""
+    """The largest |x_i - y_i| of two vectors, lists of floats."""
     return max(abs(a - b) for a, b in zip(x, y))
 
 
@@ -260,7 +277,8 @@ def gyr(cfg, u, v, w, out_unit):
     out = g.apply(w).tolist()
     checks = {"orthogonality_norm_abs": abs(_norm(out) - _norm(w))}
     try:
-        checks["definitional_vs_closed_max_abs"] = _max_gap(out, gyrate_definitional(u, v, w))
+        checks["definitional_vs_closed_max_abs"] = _max_gap(
+            out, _gyrate_definitional_floats(u, v, w))
     except GyrokinError:
         pass  # w outside the ball: only the closed form applies
     result = {
@@ -291,42 +309,32 @@ def _add_checks(w, u, v):
 
 
 def _scale_checks(w, r, v):
-    from .space import scalar_mul
-
+    scalar_mul = _floats("space", "scalar_mul")
     half = scalar_mul(0.5, scalar_mul(2.0, w)) if abs(r) < 1e6 else w
     return {"halving_roundtrip_max_abs": _max_gap(half, w)}
 
 
-def _midpoint(a, b, t):
-    from .space import gyroline_point, gyromidpoint
-
-    return (gyromidpoint(a, b) if t == 0.5 else gyroline_point(a, b, t)).tolist()
-
-
 def _midpoint_checks(w, a, b, t):
-    from .space import gyrodistance, gyroline_point
-
     if t != 0.5:
         return {}
-    return {"line_form_max_abs": _max_gap(w, gyroline_point(a, b, 0.5)),
-            "equidistance_abs":
-                abs(float(gyrodistance(w, a)) - float(gyrodistance(w, b)))}
+    distance = _floats("space", "gyrodistance")
+    return {"line_form_max_abs": _max_gap(w, _floats("space", "gyroline_point")(a, b, 0.5)),
+            "equidistance_abs": abs(distance(w, a) - distance(w, b))}
 
 
 def _parallelogram_checks(d, a, b, c, tol):
-    from .space import scalar_mul
-
+    scalar_mul = _floats("space", "scalar_mul")
     return {"diagonal_midpoint_residual": _max_gap(
-        scalar_mul(0.5, coadd(a, d)), scalar_mul(0.5, coadd(b, c)))}
+        scalar_mul(0.5, _coadd_floats(a, d)), scalar_mul(0.5, _coadd_floats(b, c)))}
 
 
 # The commands whose result is one ball vector w, printed with its norm and gamma.
 # Each entry is (docstring, call, its positional input names in order,
 # checks(w, *inputs, **opts), the command's own click options).  The call
-# takes the inputs, velocities as lists of floats, and returns w as one: the
-# commands that need no numpy call an operation's checked floats route.  The
-# inputs named in _VECTOR_HELP are velocities that _command parses; the other
-# inputs and the keyword opts are the command's own options.
+# takes the inputs, velocities as lists of floats, and returns w as one: it is
+# an operation's checked floats route.  The inputs named in _VECTOR_HELP are
+# velocities that _command parses; the other inputs and the keyword opts are
+# the command's own options.
 _VECTOR_COMMANDS = {
     "add": ("Einstein velocity addition u (+) v.", _add_floats, ("u", "v"),
             _add_checks, []),
@@ -339,16 +347,18 @@ _VECTOR_COMMANDS = {
                   "route_agreement_max_abs": _max_gap(w, _coadd_via_gyration_floats(u, v)),
                   "commutativity_max_abs": _max_gap(w, _coadd_floats(v, u))}, []),
     "scale": ("Scalar gyromultiplication r (x) v.",
-              lambda r, v: _lib("space").scalar_mul(r, v).tolist(), ("r", "v"),
+              lambda r, v: _floats("space", "scalar_mul")(r, v), ("r", "v"),
               _scale_checks, [click.Option(["--r"], type=float, required=True,
                                            help="Real scalar factor.")]),
     "midpoint": ("Gyromidpoint of a and b (or the gyroline point at parameter t).",
-                 _midpoint, ("a", "b", "t"), _midpoint_checks,
+                 lambda a, b, t: (_floats("space", "gyromidpoint")(a, b) if t == 0.5
+                                  else _floats("space", "gyroline_point")(a, b, t)),
+                 ("a", "b", "t"), _midpoint_checks,
                  [click.Option(["--t"], type=float, default=0.5, show_default=True,
                                help="Gyroline parameter; 0.5 gives the gyromidpoint.")]),
     "parallelogram": (
         "Fourth gyroparallelogram vertex d = (b [+] c) (-) a.",
-        lambda a, b, c, tol: _lib("space").gyroparallelogram_fourth(a, b, c, tol=tol).tolist(),
+        lambda a, b, c, tol: _floats("space", "gyroparallelogram_fourth")(a, b, c, tol=tol),
         ("a", "b", "c"), _parallelogram_checks,
         [click.Option(["--tol"], type=float, default=COLLINEAR_AREA_TOL,
                       show_default=True, callback=_positive_finite,

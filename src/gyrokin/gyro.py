@@ -270,9 +270,15 @@ def cosub(u, v) -> np.ndarray:
     """
 
 
-_checked_apply = _operation(lambda u, w, n2, v, factors: _gyrate(u, v, w, factors), ("u", "w"),
-                            (_VELOCITY, _AMBIENT))
-_checked_generators = _operation(None, ("u", "v"), _SINGLE)
+def _apply(u, w, *, v, factors):
+    """Gyration.apply's operands, u and w, and options: v's floats and gyr[u, v]'s factors."""
+
+
+_checked_apply = _operation(lambda u, w, n2, *, v, factors: _gyrate(u, v, w, factors), _apply,
+                            (_VELOCITY, _AMBIENT), _apply)
+# The generators as read-only arrays, their floats and their squared norms: Gyration._set's.
+_checked_generators = _operation(lambda u, v, n2: (_read_only(u), _read_only(v), [u, v], n2),
+                                 ("u", "v"), _SINGLE)
 
 
 @dataclass(frozen=True, eq=False, init=False)
@@ -291,8 +297,7 @@ class Gyration(_Frozen):
     v: np.ndarray
 
     def __init__(self, u, v):
-        (u, v), floats, n2 = _checked_generators(u, v)
-        self._set(_read_only(u), _read_only(v), floats, n2)
+        self._set(*_checked_generators(u, v))
 
     def _set(self, u, v, floats, n2) -> "Gyration":
         """Hold the generators, their floats and squared norms, and the factors."""

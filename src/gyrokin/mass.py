@@ -37,7 +37,7 @@ from functools import partial
 
 from .ball import (_SINGLE, _Frozen, _as_real, _assemble, _by_rows, _components, _declare, _gamma,
                    _norm_sq, _norm_sq_checked, _operation, _read_only, _real_scalar, _record,
-                   _require, _require_instance, as_velocity, np, same_shape)
+                   _require, _require_instance, _same_dimension, as_velocity, np)
 from .errors import AdmissibilityError, DimensionError, OperandTypeError, ParticleFormatError
 from .gyro import _add
 
@@ -57,8 +57,8 @@ class Particle(_Frozen):
             mass = math.nan
         if not (mass > 0.0 and math.isfinite(mass)):
             raise AdmissibilityError("must be positive and finite", name="particle mass")
-        (vel,), _, _ = _checked_particle_velocity(velocity)
-        vars(self).update(mass=mass, velocity=_read_only(vel))  # the fields of a frozen dataclass
+        velocity = _checked_particle_velocity(velocity)
+        vars(self).update(mass=mass, velocity=velocity)  # the fields of a frozen dataclass
 
     @property
     def gamma(self) -> float:
@@ -70,7 +70,8 @@ class Particle(_Frozen):
         return self.mass * self.gamma
 
 
-_checked_particle_velocity = _operation(None, ("particle velocity",), _SINGLE)
+_checked_particle_velocity = _operation(lambda v, n2: _read_only(v), ("particle velocity",),
+                                        _SINGLE)
 
 
 @dataclass(frozen=True, eq=False, init=False)
@@ -249,13 +250,13 @@ def boost(sys: ParticleSystem, u) -> ParticleSystem:
     were checked when it was made.
     """
     _require_instance(ParticleSystem, sys=sys)
-    (u,), (u_vec,), n2 = _checked_boost_u(u)
-    same_shape((u, sys.velocities), ("u", "v"))
-    boosted = _by_rows(partial(_boosted, u=u_vec, n2=n2), sys.velocities)
+    u, n2 = _checked_boost_u(u)
+    _same_dimension([len(u), sys.dim], ("u", "v"))
+    boosted = _by_rows(partial(_boosted, u=u, n2=n2), sys.velocities)
     return ParticleSystem.__new__(ParticleSystem)._freeze(sys.masses, boosted, sys.frame)
 
 
-_checked_boost_u = _operation(None, ("u",), _SINGLE)
+_checked_boost_u = _operation(lambda u, n2: (u, n2), ("u",), _SINGLE)
 
 
 def _boosted(block, u, n2) -> np.ndarray:

@@ -204,6 +204,14 @@ def translate_to(g: RootedGyrovector, new_tail) -> RootedGyrovector:
 _checked_translate = _operation(_add, ("new_tail", "value"))
 
 
+def _metric(x, n2) -> np.ndarray:
+    """metric_tensor of a trusted single velocity, a list of Python floats."""
+    q = float(_deficit(x, n2[0]))
+    x = np.array(x)  # one conversion, not one for each side of np.outer
+    return np.eye(len(x)) / q + np.outer(x, x) / (q * q)
+
+
+@_declare(_metric, _SINGLE)
 def metric_tensor(x) -> np.ndarray:
     """Matrix G(x) of the Riemannian line element at a ball point x.
 
@@ -213,10 +221,3 @@ def metric_tensor(x) -> np.ndarray:
     of the ball model.  Symmetric positive definite; the identity at x = 0.
     1 - x^2 is ball._deficit's, the one behind every gamma factor.
     """
-    (x,), (floats,), (n2,) = _checked_metric_point(x)
-    n = x.shape[0]
-    q = float(_deficit(floats, n2))
-    return np.eye(n) / q + np.outer(x, x) / (q * q)
-
-
-_checked_metric_point = _operation(None, metric_tensor, _SINGLE)

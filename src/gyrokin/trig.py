@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from types import MappingProxyType
 
 from .ball import (COLLINEAR_AREA_TOL, RIGHT_ANGLE_TOL, _SINGLE, _SINGLE_REAL, _Frozen, _declare,
-                   _norm, _operation, _read_only, _record, _require_instance)
+                   _norm, _read_only, _record, _require_instance)
 from .errors import (
     AdmissibilityError,
     CollinearPoints,
@@ -44,6 +44,13 @@ def _gyroangle(p, q, lp, lq, tol: float = 1e-14) -> float:
     return _unit_angle([x / lp for x in p], [x / lq for x in q])
 
 
+def _angle_at(vertex, p, q, n2, *, tol) -> float:
+    """gyroangle of trusted single velocities, each a list of Python floats."""
+    p, q = _left_sub(vertex, p, n2), _left_sub(vertex, q, n2)
+    return _gyroangle(p, q, _norm(p), _norm(q), tol)
+
+
+@_declare(_angle_at, _SINGLE)
 def gyroangle(vertex, p, q, *, tol: float = 1e-14) -> float:
     """Gyroangle at ``vertex`` between the gyrovectors toward p and q.
 
@@ -53,12 +60,6 @@ def gyroangle(vertex, p, q, *, tol: float = 1e-14) -> float:
 
     Raises DegenerateAngle when either gyrovector is shorter than ``tol``.
     """
-    _, (vertex, p, q), n2 = _checked_gyroangle(vertex, p, q)
-    p, q = _left_sub(vertex, p, n2), _left_sub(vertex, q, n2)
-    return _gyroangle(p, q, _norm(p), _norm(q), tol)
-
-
-_checked_gyroangle = _operation(None, gyroangle, _SINGLE)
 
 
 def _triangle_q(gamma_a: float, gamma_b: float, gamma_c: float) -> float:
@@ -205,18 +206,13 @@ def _triangle(sides, gammas, angles, vertices=None) -> Gyrotriangle:
                    gamma_c=gc, alpha=alpha, beta=beta, gamma=gamma, vertices=vertices)
 
 
-def triangle_from_vertices(a, b, c) -> Gyrotriangle:
-    """Assemble a gyrotriangle from three non-gyrocollinear ball points.
-
-    Sides are pairwise gyrodistances (side a = d(B, C) and so on); angles
-    are measured geometrically at each vertex and agree with the analytic
-    conversion from the side gammas.
-    """
-    vertices, (a, b, c), (na, nb, nc) = _checked_vertices(a, b, c)
+def _from_vertices(a, b, c, n2) -> Gyrotriangle:
+    """triangle_from_vertices of trusted single velocities, each a list of Python floats."""
     if _area(a, b, c) < COLLINEAR_AREA_TOL:
         raise CollinearPoints("vertices lie on one gyroline")
+    na, nb, nc = n2
     # The gyrovectors ab, ac, ba, bc, ca and cb.
-    g = [_left_sub(p, q, [n2]) for p, q, n2 in
+    g = [_left_sub(p, q, [n]) for p, q, n in
          ((a, b, na), (a, c, na), (b, a, nb), (b, c, nb), (c, a, nc), (c, b, nc))]
     lengths = list(map(_norm, g))
     sides = [float(lengths[3]), float(lengths[1]), float(lengths[0])]
@@ -227,10 +223,17 @@ def triangle_from_vertices(a, b, c) -> Gyrotriangle:
                                      f"gyrolength {side:.17g}, not below 1")
     return _triangle(sides, list(map(_gamma_of_speed, sides)),
                      [_gyroangle(*g[i:i + 2], *lengths[i:i + 2]) for i in (0, 2, 4)],
-                     tuple(map(_read_only, vertices)))
+                     (_read_only(a), _read_only(b), _read_only(c)))
 
 
-_checked_vertices = _operation(None, triangle_from_vertices, _SINGLE)
+@_declare(_from_vertices, _SINGLE)
+def triangle_from_vertices(a, b, c) -> Gyrotriangle:
+    """Assemble a gyrotriangle from three non-gyrocollinear ball points.
+
+    Sides are pairwise gyrodistances (side a = d(B, C) and so on); angles
+    are measured geometrically at each vertex and agree with the analytic
+    conversion from the side gammas.
+    """
 
 
 def _from_sides(*sides) -> Gyrotriangle:

@@ -923,3 +923,28 @@ class TestReadmeExamples:
         rc, out, err = run(capsys, *argv)
         assert rc == (2 if "60,60,60" in argv else 0), err  # the Euclidean AAA
         assert out if rc == 0 else err.startswith("error: ")
+
+
+@pytest.mark.parametrize("argv", [
+    ["scale", "--r", "2", "--v", "0.5,0,0"],
+    ["midpoint", "--a", "0,0,0", "--b", "0.8,0,0"],
+    ["midpoint", "--a", "0,0,0", "--b", "0.8,0,0", "--t", "0.3"],
+    ["parallelogram", "--a", "0,0,0", "--b", "0.6,0,0", "--c", "0,0.6,0"],
+])
+def test_float_commands_run_past_wrappers_of_their_operations(capsys, monkeypatch, argv):
+    """A wrapper that stands in for each space operation (a profiler's, marked by
+    __wrapped__ and without the floats attribute) leaves the output as it was."""
+    want = run(capsys, *argv)
+    import gyrokin.space as space
+
+    def stand_in(op):
+        def wrapper(*args, **kwargs):
+            return op(*args, **kwargs)
+        wrapper.__wrapped__ = op
+        return wrapper
+
+    for name in ("scalar_mul", "gyromidpoint", "gyroline_point", "gyrodistance",
+                 "gyroparallelogram_fourth"):
+        monkeypatch.setattr(space, name, stand_in(getattr(space, name)))
+    assert run(capsys, *argv) == want
+    assert want[0] == 0

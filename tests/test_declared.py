@@ -61,6 +61,12 @@ DECLARED = {
                    (0.5, 0.6, 0.7)),
     "triangle_from_sides": ("trig", "(side_a: 'float', side_b: 'float', side_c: 'float') "
                             "-> 'Gyrotriangle'", "f936e8a73d42753b", (0.3, 0.4, 0.5)),
+    # Declared later than the others: their docstrings as they were before that.
+    "gyroangle": ("trig", "(vertex, p, q, *, tol: 'float' = 1e-14) -> 'float'",
+                  "779ec11a654e25fd", (U, V, W)),
+    "triangle_from_vertices": ("trig", "(a, b, c) -> 'Gyrotriangle'", "49f68d11d677469c",
+                               (U, V, W)),
+    "metric_tensor": ("space", "(x) -> 'np.ndarray'", "f834f16cca4bcb61", (U,)),
     "classical_aberration": ("aberration", "(theta_s, v, p_s)", "dba8752e6bafb906",
                              (1.0, 0.5, 0.6)),
     "classical_aberration_inv": ("aberration", "(theta_e, v, p_e)", "863d19370df71599",
@@ -200,7 +206,7 @@ def test_pickles_by_reference_and_renders_under_help(name):
     ("einstein_add", (U, [1.5, 0.0, 0.0])), ("gamma", (np.array([U, [2.0, 0.0, 0.0]]),)),
     ("scalar_mul", (np.nan, U)), ("gamma_of_speed", (1.5,)), ("triangle_q", ("x", 1.0, 1.0)),
     ("classical_aberration", (0.0, 0.5, 0.5)), ("aberration_sweep", (0.5, 0.5, 1)),
-    ("gyroparallelogram_fourth", (U, U, V)),
+    ("gyroparallelogram_fourth", (U, U, V)), ("triangle_from_vertices", (U, V, [0.0, 1.5, 0.0])),
 ])
 def test_error_traceback_names_the_operation(name, args):
     with pytest.raises(GyrokinError) as info:

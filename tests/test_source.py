@@ -119,3 +119,24 @@ def test_finds_a_numpy_import():
 def test_numpy_is_bound_only_by_ball(path):
     """Every module takes numpy from ball.np, which binds it without an import statement."""
     assert not imports_numpy(path.read_text(encoding="utf-8"))
+
+
+def kernel_less_operations(source: str) -> list:
+    """The lines of the calls of _operation (ball._operation) whose first argument is None."""
+    return [node.lineno for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Call)
+            and getattr(node.func, "id", getattr(node.func, "attr", None)) == "_operation"
+            and node.args and isinstance(node.args[0], ast.Constant)
+            and node.args[0].value is None]
+
+
+def test_finds_a_kernel_less_operation():
+    source = ("a = _operation(None, ('u',))\nb = _operation(_add, ('u', 'v'))\n"
+              "c = ball._operation(None, f, _SINGLE)\nd = _declare(None)\n")
+    assert kernel_less_operations(source) == [1, 3]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_every_boundary_runs_a_kernel(path):
+    """Every checked boundary (ball._operation) is given a kernel to run."""
+    assert kernel_less_operations(path.read_text(encoding="utf-8")) == []

@@ -4,8 +4,9 @@ For every operation that accepts a batch, the table gives the time of one
 call at k = 1 in us, and the time per row at k = 1e3 and k = 1e6 in ns.
 The operations that take single values only (gyrations made once, triangles
 and the scalar triangle functions, the aberration scene and sweep, rooted
-gyrovectors re-rooted, particles and particle systems) get the k = 1 column
-alone, on one fixed input each; so do a particle's gamma, and the gamma
+gyrovectors re-rooted, the metric tensor, particles and particle systems)
+get the k = 1 column alone, on one fixed input each; so do a particle's
+gamma, and the gamma
 factors, decompose, parse_particles of its CSV lines and copy.deepcopy of a
 2000-particle system.
 Velocities have n = 3 components, and at k = 1 a velocity is a (3,) array
@@ -14,6 +15,7 @@ and a figure is the median over the rounds of the fastest of three timed
 repeats in one interpreter.
 
     python3 tools/op_costs.py [SRC_DIR ...] [--rounds R] [--sizes 1,1000,1000000]
+                              [--json PATH]
 
 With no SRC_DIR the checkout's own src/ is measured; name two, a parent's
 and a change's, to compare them column by column.  Each tree's gyrokin is
@@ -28,6 +30,12 @@ bits ("same") or not ("differs") in every round.  A result is compared by
 its first call, through a digest of its bits: the dtype, shape and bytes
 of an array, float.hex of a float, and the same of the items of a tuple,
 list or mapping and of the fields of a record.
+
+--json PATH also writes the figures behind the table to PATH: for each
+operation and size, each tree's seconds per call in every round (the
+fastest of its repeats there) with their median and quartiles, the
+repeats the second tree won and the bits verdict; and the machine (Python,
+numpy, cores), the trees' paths, the rounds and the repeats.
 """
 
 from __future__ import annotations
@@ -35,11 +43,13 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import platform
 import shutil
 import statistics
 import subprocess
 import sys
 import tempfile
+from importlib.metadata import version
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -124,6 +134,7 @@ def singles(gk, u, v, a, b, c, masses, velocities):
         "aberration_scene": (gk.aberration_scene, (0.5, 0.6, 1.0)),
         "aberration_sweep": (gk.aberration_sweep, (0.5, 0.6, 64)),
         "translate_to": (gk.translate_to, (gk.gyrovector_between(a, b), c)),
+        "metric_tensor": (gk.metric_tensor, (u,)),
         "Particle": (gk.Particle, (1.5, u)),
         "Particle.gamma": (operator.attrgetter("gamma"), (particles[0],)),
         "ParticleSystem (10)": (gk.ParticleSystem, (particles[:10],)),
@@ -227,12 +238,37 @@ def measure(path: Path, packages, sizes, first: int) -> dict:
             for op, by_k in json.loads(done.stdout).items()}
 
 
+def spread(values: list) -> dict:
+    """``values`` with their median and quartiles (the value itself, thrice, for one)."""
+    q = statistics.quantiles(values, n=4, method="inclusive") if len(values) > 1 else values * 3
+    return {"values": values, "median": statistics.median(values), "quartiles": [q[0], q[2]]}
+
+
+def report(runs, args) -> dict:
+    """The figures of ``runs`` that --json writes: every round's, per operation and size."""
+    trees = len(args.src)
+    ops = {}
+    for op in runs[0]:
+        for k in runs[0][op]:
+            entry = {"seconds_per_call": [spread([run[op][k][0][i] for run in runs])
+                                          for i in range(trees)]}
+            if trees > 1:
+                entry["won"] = sum(run[op][k][1] for run in runs)
+                entry["bits"] = "same" if all(run[op][k][2] for run in runs) else "differs"
+            ops.setdefault(op, {})[str(k)] = entry
+    return {"machine": {"python": platform.python_version(), "numpy": version("numpy"),
+                        "cores": os.cpu_count()},
+            "trees": [str(src.resolve()) for src in args.src], "rounds": args.rounds,
+            "repeats": REPEATS, "ops": ops}
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("src", nargs="*", type=Path, default=[SRC])
     parser.add_argument("--rounds", type=int, default=5)
     parser.add_argument("--sizes", default="1,1000,1000000",
                         help="comma-separated batch lengths k (1 means one vector)")
+    parser.add_argument("--json", type=Path, help="also write every round's figures here")
     args = parser.parse_args()
     sizes = [int(float(k)) for k in args.sizes.split(",")]
     trees = len(args.src)
@@ -264,6 +300,8 @@ def main() -> None:
         if trees > 1:
             cells += [",".join(won), ",".join(same)]
         print("\t".join(cells))
+    if args.json:
+        args.json.write_text(json.dumps(report(runs, args), indent=1) + "\n", encoding="utf-8")
 
 
 if __name__ == "__main__":
