@@ -52,6 +52,7 @@ from .gyro import (
 )
 
 # The composite modules, in import order, and the public names each exports.
+# Each depends on the core alone (ball, errors, gyro), never on another composite.
 _COMPOSITES = {
     "space": ("RootedGyrovector", "are_gyrocollinear", "equivalent", "gyrodistance",
               "gyroline_point", "gyromidpoint", "gyroparallelogram_fourth",

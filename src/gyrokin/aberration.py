@@ -28,8 +28,7 @@ from dataclasses import dataclass
 from .ball import (_REAL, _SINGLE_REAL, _declare, _norm, _norm_sq_checked, _parameters, _record,
                    _require, np)
 from .errors import AdmissibilityError, AngleDegenerate, DimensionError
-from .gyro import _add, _gamma_of_speed
-from .trig import _gyroangle
+from .gyro import _add, _gamma_of_speed, _gyroangle
 
 ARCSEC_PER_RAD = 180.0 * 3600.0 / math.pi
 
@@ -194,9 +193,9 @@ def _scene(v, p_s, theta_s) -> AberrationResult:
     particle = _add(sun, w_s, [_norm_sq_checked(sun, "v"), _norm_sq_checked(w_s, "p_s")])
     _norm_sq_checked(particle, "v (+) p_s")
     # E sits at the origin, so the gyrovectors from E are S and P themselves.
-    p_e = float(np.linalg.norm(particle))
+    p_e = _norm(particle)
     return _record(AberrationResult, v=v, p_e=p_e, p_s=p_s, theta_s=theta_s,
-                   theta_e=_gyroangle(sun, particle, _norm(sun), _norm(particle)))
+                   theta_e=_gyroangle(sun, particle, _norm(sun), p_e))
 
 
 @_declare(_scene, _SINGLE_REAL)

@@ -14,7 +14,11 @@ Each operation has one kernel, written on lists of components
 its columns, and floats broadcast against columns.  Only +, -, *, / and
 square roots (``_sqrt``) run in Python arithmetic, every transcendental
 function stays a numpy ufunc, and ``_dot`` and ``_norm_sq`` sum in np.sum's
-order, so one vector's floats get the bits of a batch row.
+order, so one vector's floats get the bits of a batch row.  The primitives
+the composite modules share live here too: ``_norm``, ``_ratio`` (a
+quotient that reads 0 where its denominator is not positive) and ``_area``
+(the Euclidean area of three points, behind ``triangle_area`` and the
+collinearity checks of gyroparallelograms and triangles from vertices).
 
 Each operation has one checked boundary, generated once at import
 (``_operation``) from its operands' names, read from the public function's
@@ -226,6 +230,22 @@ def _norm_sq(v):
 def _norm(v):
     """Norm of a component list."""
     return _sqrt(_norm_sq(v))
+
+
+def _ratio(num, den):
+    """num / den where den > 0, else 0.0: of two Python floats, or by np.divide."""
+    if type(num) is float and type(den) is float:
+        return num / den if den > 0.0 else 0.0
+    return np.divide(num, den, out=np.zeros(np.broadcast(num, den).shape), where=den > 0.0)
+
+
+def _area(a, b, c):
+    """Euclidean area of the triangle of three trusted component lists."""
+    x = [q - p for p, q in zip(a, b)]
+    y = [q - p for p, q in zip(a, c)]
+    xx = _norm_sq(x)
+    coef = _ratio(_dot(x, y), xx)
+    return 0.5 * _sqrt(xx) * _norm([q - coef * p for p, q in zip(x, y)])
 
 
 def _neg(v) -> list:

@@ -45,7 +45,7 @@ import click
 
 from . import __version__
 from .ball import COLLINEAR_AREA_TOL, RIGHT_ANGLE_TOL, _dot, _neg, _norm
-from .errors import AngleDegenerate, GyrokinError, ParticleFormatError
+from .errors import AngleDegenerate, GyrokinError, NoSuchTriangle, ParticleFormatError
 from .gyro import (Gyration, coadd, coadd_via_gyration, einstein_add, einstein_sub, gamma,
                    gyrate_definitional, left_sub)
 
@@ -431,9 +431,16 @@ def triangle(cfg, mode, tol, unit, out_unit, **texts):
         "angle_unit": out_unit,
         "right_triangle": is_right,
     }
-    angles2 = trig.sss_to_aaa(tri.gamma_a, tri.gamma_b, tri.gamma_c)
-    checks = {"sss_aaa_consistency_max_abs": max(
-        abs(x - y) for x, y in zip(angles2, (tri.alpha, tri.beta, tri.gamma)))}
+    gammas, angles = (tri.gamma_a, tri.gamma_b, tri.gamma_c), (tri.alpha, tri.beta, tri.gamma)
+    # sss mode's angles come from sss_to_aaa, so its check takes them back to
+    # side gammas; n/a where aaa_to_sss rejects them.
+    convert, given, want = ((trig.aaa_to_sss, angles, gammas) if mode == "sss"
+                            else (trig.sss_to_aaa, gammas, angles))
+    try:
+        consistency = max(abs(x - y) for x, y in zip(convert(*given), want))
+    except NoSuchTriangle:
+        consistency = None
+    checks = {"sss_aaa_consistency_max_abs": consistency}
     if is_right:
         report = trig.right_triangle_relations(tri, tol=tol)
         checks["right_identities_max_residual"] = report.max_residual

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from .ball import (_AMBIENT, _REAL, _SINGLE, _VELOCITY, _Frozen, _declare, _dot, _gamma, _neg,
                    _norm, _norm_sq, _norm_sq_checked, _operation, _read_only, _require, _sqrt, np)
-from .errors import AdmissibilityError
+from .errors import AdmissibilityError, DegenerateAngle
 
 
 @_declare(lambda v, n2: _gamma(v, n2[0]))
@@ -126,6 +126,17 @@ def _unit_angle(e, f) -> float:
     """
     return float(2.0 * np.arctan2(_norm([x - y for x, y in zip(e, f)]),
                                   _norm([x + y for x, y in zip(e, f)])))
+
+
+def _gyroangle(p, q, lp, lq, tol: float = 1e-14) -> float:
+    """Angle between the gyrovectors p and q, of the unit vectors (_unit_angle).
+
+    p and q are lists of Python floats, and lp and lq their norms (_norm).
+    Raises DegenerateAngle when either gyrovector is shorter than ``tol``.
+    """
+    if not (lp >= tol and lq >= tol):
+        raise DegenerateAngle("gyrovector of near-zero gyrolength at vertex")
+    return _unit_angle([x / lp for x in p], [x / lq for x in q])
 
 
 def _add_speeds(x, y):

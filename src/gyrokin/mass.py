@@ -36,8 +36,8 @@ from dataclasses import dataclass
 from functools import partial
 
 from .ball import (_SINGLE, _Frozen, _as_real, _assemble, _by_rows, _components, _declare, _gamma,
-                   _norm_sq, _norm_sq_checked, _operation, _read_only, _real_scalar, _record,
-                   _require, _require_instance, _same_dimension, as_velocity, np)
+                   _norm, _norm_sq, _norm_sq_checked, _operation, _read_only, _real_scalar,
+                   _record, _require, _require_instance, _same_dimension, _sqrt, as_velocity, np)
 from .errors import AdmissibilityError, DimensionError, OperandTypeError, ParticleFormatError
 from .gyro import _add
 
@@ -205,15 +205,15 @@ def decompose(sys: ParticleSystem) -> MassDecomposition:
     g = sys.gammas
     w = sys.masses * g
     dark_sq = _dark_sq(sys, g, w)
-    m_dark = float(np.sqrt(dark_sq))
-    m0 = float(np.sqrt(m_newton * m_newton + dark_sq))
+    m_dark = _sqrt(dark_sq)
+    m0 = _sqrt(m_newton * m_newton + dark_sq)
     energy, momentum = float(w.sum()), (w[:, None] * sys.velocities).sum(axis=0)
     v0 = momentum / energy
     momentum.setflags(write=False)
     v0.setflags(write=False)
     v = v0.tolist()
     g0 = _gamma(v, _norm_sq(v))
-    residual = np.hypot(m0 * g0 - energy, float(np.linalg.norm(m0 * g0 * v0 - momentum)))
+    residual = _norm([m0 * g0 - energy, *(m0 * g0 * x - p for x, p in zip(v, momentum.tolist()))])
     return _record(
         MassDecomposition,
         m0=m0,

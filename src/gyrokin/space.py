@@ -11,18 +11,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .ball import (COLLINEAR_AREA_TOL, MAX_NORM, _AMBIENT, _FINITE_REAL, _SINGLE, _VELOCITY,
-                   _Frozen, _as_real, _components, _declare, _deficit, _dot, _neg, _norm, _norm_sq,
-                   _norm_sq_checked, _operation, _read_only, _record, _require, _require_instance,
-                   _sqrt, np)
+                   _Frozen, _area, _as_real, _components, _declare, _deficit, _neg, _norm,
+                   _norm_sq_checked, _operation, _ratio, _read_only, _record, _require,
+                   _require_instance, _sqrt, np)
 from .errors import CollinearPoints
 from .gyro import _add, _coadd, _left_sub, _midpoint
-
-
-def _ratio(num, den):
-    """num / den where den > 0, else 0.0: of two Python floats, or by np.divide."""
-    if type(num) is float and type(den) is float:
-        return num / den if den > 0.0 else 0.0
-    return np.divide(num, den, out=np.zeros(np.broadcast(num, den).shape), where=den > 0.0)
 
 
 def _scalar_mul(r, v, n2) -> list:
@@ -87,15 +80,6 @@ def gyromidpoint(a, b) -> np.ndarray:
     the line-parameter and half-coaddition forms agree to rounding and are
     exercised by the test suite.
     """
-
-
-def _area(a, b, c):
-    """triangle_area of three trusted component lists."""
-    x = [q - p for p, q in zip(a, b)]
-    y = [q - p for p, q in zip(a, c)]
-    xx = _norm_sq(x)
-    coef = _ratio(_dot(x, y), xx)
-    return 0.5 * _sqrt(xx) * _norm([q - coef * p for p, q in zip(x, y)])
 
 
 @_declare(lambda a, b, c, n2: _area(a, b, c), _AMBIENT)

@@ -15,33 +15,20 @@ import math
 from dataclasses import dataclass, field
 from types import MappingProxyType
 
-from .ball import (COLLINEAR_AREA_TOL, RIGHT_ANGLE_TOL, _SINGLE, _SINGLE_REAL, _Frozen, _declare,
-                   _norm, _read_only, _record, _require_instance)
+from .ball import (COLLINEAR_AREA_TOL, RIGHT_ANGLE_TOL, _SINGLE, _SINGLE_REAL, _Frozen, _area,
+                   _declare, _norm, _read_only, _record, _require_instance)
 from .errors import (
     AdmissibilityError,
     CollinearPoints,
-    DegenerateAngle,
     InvalidTriangle,
     NoSuchTriangle,
     NotRightTriangle,
 )
-from .gyro import _gamma_of_speed, _left_sub, _speed_of_gamma, _unit_angle
-from .space import _area
+from .gyro import _gamma_of_speed, _gyroangle, _left_sub, _speed_of_gamma
 
 # cos values and the triangle quantity may land this far outside their exact
 # range from rounding at degenerate configurations; clamp instead of failing.
 CLAMP_TOL = 1e-12
-
-
-def _gyroangle(p, q, lp, lq, tol: float = 1e-14) -> float:
-    """Angle between the gyrovectors p and q, of the unit vectors (gyro._unit_angle).
-
-    p and q are lists of Python floats, and lp and lq their norms (_norm).
-    Raises DegenerateAngle when either gyrovector is shorter than ``tol``.
-    """
-    if not (lp >= tol and lq >= tol):
-        raise DegenerateAngle("gyrovector of near-zero gyrolength at vertex")
-    return _unit_angle([x / lp for x in p], [x / lq for x in q])
 
 
 def _angle_at(vertex, p, q, n2, *, tol) -> float:

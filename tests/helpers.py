@@ -196,7 +196,7 @@ def raised(op, *args):
 # The gyrokin modules that bind ball._sqrt, the one square root of the
 # component kernels.  on_intervals patches it in each; tests/test_source.py
 # keeps this list equal to the modules that define or import it.
-SQRT_MODULES = ("gyrokin.ball", "gyrokin.gyro", "gyrokin.space")
+SQRT_MODULES = ("gyrokin.ball", "gyrokin.gyro", "gyrokin.space", "gyrokin.mass")
 
 
 def on_intervals(kernel, *vectors, dps=40):

@@ -26,8 +26,8 @@ from gyrokin import (
     stellar_aberration_inv,
 )
 from gyrokin.aberration import _check_angle
-from gyrokin.ball import _real_value
-from gyrokin.gyro import _gamma_of_speed
+from gyrokin.ball import _norm_sq, _real_value
+from gyrokin.gyro import _add, _gamma_of_speed
 from helpers import broadcast_error, coercion_error, same_bits
 
 SI_C = 299792458.0
@@ -135,6 +135,22 @@ class TestRelativistic:
             lhs = float(gamma_of_speed(scene.p_s)) * scene.p_s / math.sin(scene.theta_e)
             rhs = float(gamma_of_speed(scene.p_e)) * scene.p_e / math.sin(scene.theta_s)
             assert abs(lhs - rhs) / rhs < 1e-10
+
+    def test_scene_speed_within_an_ulp_and_a_half_of_the_exact_norm(self, rng):
+        # p_e against the 50-digit norm of the scene's own float particle,
+        # rebuilt here by the same composition of the same floats.
+        mpmath = pytest.importorskip("mpmath")
+        worst = 0.0
+        with mpmath.workdps(50):
+            for v, p_s, theta_s in zip(rng.uniform(0.01, 0.9, 2000).tolist(),
+                                       rng.uniform(0.01, 0.95, 2000).tolist(),
+                                       rng.uniform(0.05, 3.09, 2000).tolist()):
+                sun, w_s = [v, 0.0], [p_s * math.cos(theta_s), p_s * math.sin(theta_s)]
+                particle = _add(sun, w_s, [_norm_sq(sun), _norm_sq(w_s)])
+                exact = mpmath.sqrt(mpmath.fsum(mpmath.mpf(x) ** 2 for x in particle))
+                p_e = aberration_scene(v, p_s, theta_s).p_e
+                worst = max(worst, float(abs(p_e - exact)) / math.ulp(float(exact)))
+        assert worst <= 1.5
 
     def test_roundtrip_with_law_of_gyrosines(self, rng):
         for _ in range(300):

@@ -140,3 +140,44 @@ def test_finds_a_kernel_less_operation():
 def test_every_boundary_runs_a_kernel(path):
     """Every checked boundary (ball._operation) is given a kernel to run."""
     assert kernel_less_operations(path.read_text(encoding="utf-8")) == []
+
+
+def package_imports(source: str) -> set:
+    """The gyrokin modules a module imports from: ``from .x import`` and ``from . import x``."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            found |= {node.module.split(".")[0]} if node.module else {a.name for a in node.names}
+    return found
+
+
+def test_finds_the_package_imports():
+    source = ("from __future__ import annotations\nimport math\nfrom numpy import linalg\n"
+              "from .ball import _norm\nfrom . import space\nfrom .gyro import _add, _neg\n")
+    assert package_imports(source) == {"ball", "space", "gyro"}
+
+
+@pytest.mark.parametrize("name", ["space", "trig", "aberration", "mass"])
+def test_composites_import_only_the_core(name):
+    """A composite module takes its primitives from the core, and loads no other composite."""
+    source = (SRC / f"{name}.py").read_text(encoding="utf-8")
+    assert package_imports(source) <= {"ball", "errors", "gyro"}
+
+
+def numpy_attribute_reads(source: str, names) -> list:
+    """The lines that read one of ``names`` as an attribute of ``np``."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Attribute) and node.attr in names
+                  and isinstance(node.value, ast.Name) and node.value.id == "np")
+
+
+def test_finds_a_numpy_attribute_read():
+    source = ("np.linalg.norm(x)\nnp.hypot(a, b)\nmath.hypot(a, b)\nnp.sqrt(x)\n"
+              "linalg = hypot = 1\n")
+    assert numpy_attribute_reads(source, {"linalg", "hypot"}) == [1, 2]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_second_norm_from_numpy(path):
+    """Every norm is ball._norm's: no module reads np.linalg or np.hypot."""
+    assert numpy_attribute_reads(path.read_text(encoding="utf-8"), {"linalg", "hypot"}) == []

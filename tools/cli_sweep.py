@@ -95,6 +95,8 @@ TRIANGLE = [
     ["--mode", "sss", "--sides", "0.3,0.4,0.9"],
     ["--mode", "sss", "--sides", "0.3c,0.4c,0.5c"],
     ["--mode", "sss", "--sides", "0.3,x,0.5"],
+    ["--mode", "sss", "--sides", "0.0780334714593798,1.9600924219906294e-05,0.07805295299939231"],
+    ["--mode", "sss", "--sides", "0.01,0.012,0.015"],
     ["--mode", "sss"],
     ["--mode", "aaa", "--angles", "30deg,40deg,90.0001deg"],
     ["--mode", "aaa", "--angles", "30deg,40deg,90.0001deg", "--tol", "1e-5"],
