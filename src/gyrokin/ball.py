@@ -13,16 +13,19 @@ Each operation has one kernel, written on lists of components
 (``_components``): one vector's are Python floats, a batch's are views of
 its columns, and floats broadcast against columns.  Only +, -, *, / and
 square roots (``_sqrt``) run in Python arithmetic, every transcendental
-function stays a numpy ufunc, and ``_dot`` and ``_norm_sq`` sum in np.sum's
-order, so one vector's floats get the bits of a batch row.  The primitives
-the composite modules share live here too: ``_norm``, ``_ratio`` (a
+function of a kernel stays a numpy ufunc, and ``_dot`` and ``_norm_sq`` sum
+in np.sum's order, so one vector's floats get the bits of a batch row.  The
+functions of single values alone take ``math``'s: ``gyro._unit_angle``'s
+atan2, as ``trig``'s acos, cos and sin.  The primitives the composite
+modules share live here too: ``_norm``, ``_ratio`` (a
 quotient that reads 0 where its denominator is not positive) and ``_area``
 (the Euclidean area of three points, behind ``triangle_area`` and the
 collinearity checks of gyroparallelograms and triangles from vertices).
 
 Each operation has one checked boundary, generated once at import
 (``_operation``) from its operands' names, read from the public function's
-signature, and their declared kinds: velocities, ambient vectors, single
+signature, and their declared kinds: velocities, ambient vectors, checked
+velocities (a Gyration's generator, checked when it was made), single
 velocities, reals, finite reals and single reals.  ``_operation`` writes
 the boundary's source, two straight-line functions, and compiles it; its
 docstring shows the source written for ``einstein_add``.  For the 34
@@ -390,7 +393,7 @@ def _require(ok, error, message: str, name: str) -> None:
     failing row (_first_row), or None for a single value.  Inside _by_rows
     the row becomes an index over the whole batch.
     """
-    batch = isinstance(ok, np.ndarray)
+    batch = type(ok) is not bool and isinstance(ok, np.ndarray)  # a bool runs no numpy code
     if not (ok.all() if batch else ok):
         raise error(message, name=name, row=_first_row(ok) if batch and ok.ndim else None)
 
@@ -527,11 +530,13 @@ def _same_dimension(dims, names) -> None:
 
 # The kinds of operand a checked boundary takes (_operation).  A velocity
 # must lie in the admissible ball and an ambient vector be finite; either may
-# be a batch of shape (..., n), and a real a batch of any shape.  A finite
-# real, a factor beside vectors, must be finite.  A single velocity must be
-# one vector, and a single real one number.
+# be a batch of shape (..., n), and a real a batch of any shape.  A checked
+# velocity, one that passed its check before, has its length matched alone.
+# A finite real, a factor beside vectors, must be finite.  A single velocity
+# must be one vector, and a single real one number.
 _VELOCITY = "velocity"
 _AMBIENT = "ambient vector"
+_CHECKED = "checked velocity"
 _SINGLE = "single velocity"
 _REAL = "real"
 _FINITE_REAL = "finite real"
@@ -585,10 +590,11 @@ def _operation(kernel, names, kinds=_VELOCITY, public=None):
     ``floats``, also the boundary's attribute, takes each vector as a
     nonempty list of Python floats, each real as a number, and the options
     by keyword.  It requires one length (the error of same_shape), then
-    runs, in argument order, each vector's _norm_sq_checked and each finite
-    real's _require_finite, and returns kernel(*operands, n2, **options),
-    with ``n2`` the vectors' squared norms.  It runs no numpy code on fewer
-    than _IN_ORDER_TERMS components.  The source written for einstein_add:
+    runs, in argument order, each vector's _norm_sq_checked (but a checked
+    velocity's) and each finite real's _require_finite, and returns
+    kernel(*operands, n2, **options), with ``n2`` the squared norms it
+    summed.  It runs no numpy code on fewer than _IN_ORDER_TERMS components.
+    The source written for einstein_add:
 
         def _make(_kernel, _rows):
             def floats(u, v):
@@ -655,19 +661,20 @@ def _operation(kernel, names, kinds=_VELOCITY, public=None):
     passed = "".join(f", {o}={o}" for o in options)
     tail = ", *, " + ", ".join(options) if options else ""
     to_rows = f", dict({passed[2:]})" if options else ""
-    coerce, checks = [], []
+    coerce, checks, summed = [], [], []  # summed: the vectors whose squared norms n2 holds
     for a, label, kind, vec in zip(args, map(repr, names), kinds, vector):
         if kind == _SINGLE_REAL:
             coerce.append(f"    {a} = {a} if type({a}) is float else _real_scalar({a}, {label})")
         else:
             coerce.append(f"    {a} = {'_as_real' if vec else '_real_value'}({a}, {label})")
-        if vec:
+        if vec and kind != _CHECKED:
             ambient = ", True" if kind == _AMBIENT else ""
             checks.append(f"    _{a} = _norm_sq_checked({a}, {label}{ambient})")
+            summed.append(a)
         elif kind == _FINITE_REAL:
             checks.append(f"    _require_finite({a}, {label})")
     listed, vecs = ", ".join(args), list(compress(args, vector))
-    lengths, n2 = ", ".join(f"len({v})" for v in vecs), f"[{', '.join('_' + v for v in vecs)}]"
+    lengths, n2 = ", ".join(f"len({v})" for v in vecs), f"[{', '.join('_' + v for v in summed)}]"
     if len(vecs) > 1:
         checks[:0] = [f"    if not {lengths.replace(', ', ' == ')}:",
                       f"        _same_dimension([{lengths}], {tuple(vector_names)!r})"]

@@ -22,14 +22,15 @@ command imports the composite modules it calls (``space``, ``trig``,
 compiles and runs only the library code its command uses.  numpy's code
 runs only in a command that makes an array or calls a numpy function:
 velocities parse to lists of Python floats, and ``add``, ``sub``,
-``coadd``, ``distance``, ``scale``, ``midpoint`` and ``parallelogram``
-compute and check in floats, by the checked one-vector routes of their
-operations (``ball._operation``'s ``floats``), with the bits of the
-library's arrays, and print them.  ``scale``, ``midpoint`` and
-``parallelogram`` still run numpy's code, through ``np.tanh`` in
-``scalar_mul``; ``triangle`` from sides or angles runs none.  ``gyr``
-checks its closed form against the definitional route in floats, but its
-Gyration makes arrays.
+``coadd``, ``distance``, ``gyr``, ``scale``, ``midpoint`` and
+``parallelogram`` compute and check in floats, by the checked one-vector
+routes of their operations (``ball._operation``'s ``floats``), with the
+bits of the library's arrays, and print them.  ``gyr`` runs a Gyration's
+kernels so: its generators' check, ``apply``'s route, its matrix and its
+angle.  Of these, ``scale``, and ``midpoint`` at a ``--t`` other than 0.5,
+run numpy's code, through ``np.tanh`` in ``scalar_mul``; the others, and
+``triangle`` from sides or angles, run none.  ``triangle`` from vertices,
+``aberration`` and ``mass`` run numpy's code.
 """
 
 from __future__ import annotations
@@ -46,7 +47,8 @@ import click
 from . import __version__
 from .ball import COLLINEAR_AREA_TOL, RIGHT_ANGLE_TOL, _dot, _neg, _norm
 from .errors import AngleDegenerate, GyrokinError, NoSuchTriangle, ParticleFormatError
-from .gyro import (Gyration, coadd, coadd_via_gyration, einstein_add, einstein_sub, gamma,
+from .gyro import (_checked_apply, _checked_generators, _gyr_columns, _gyr_factors,
+                   _rotation_angle, coadd, coadd_via_gyration, einstein_add, einstein_sub, gamma,
                    gyrate_definitional, left_sub)
 
 SI_C = 299792458.0
@@ -273,8 +275,10 @@ def _max_gap(x, y) -> float:
 @_command("gyr", "u", "v", "w", options=[_out_option])
 def gyr(cfg, u, v, w, out_unit):
     """Apply the gyration gyr[u, v]; prints its matrix (n <= 3) and angle."""
-    g = Gyration(u, v)
-    out = g.apply(w).tolist()
+    # Gyration(u, v).apply(w), its angle and its matrix, by their kernels' floats.
+    _, n2 = _checked_generators.floats(u, v)
+    factors = _gyr_factors(u, v, n2)
+    out = _checked_apply.floats(u, w, v=v, factors=factors)
     checks = {"orthogonality_norm_abs": abs(_norm(out) - _norm(w))}
     try:
         checks["definitional_vs_closed_max_abs"] = _max_gap(
@@ -283,11 +287,11 @@ def gyr(cfg, u, v, w, out_unit):
         pass  # w outside the ball: only the closed form applies
     result = {
         **_ball_result(out),
-        "rotation_angle": g.rotation_angle() / ANGLE_TO_RAD[out_unit],
+        "rotation_angle": _rotation_angle(u, v, n2, factors) / ANGLE_TO_RAD[out_unit],
         "angle_unit": out_unit,
     }
-    if g.dim <= 3:
-        result["matrix"] = g.matrix()
+    if len(u) <= 3:
+        result["matrix"] = list(zip(*_gyr_columns(u, v, factors)))  # its rows
     return "gyr", {"u": u, "v": v, "w": w}, result, checks
 
 
@@ -317,15 +321,18 @@ def _scale_checks(w, r, v):
 def _midpoint_checks(w, a, b, t):
     if t != 0.5:
         return {}
+    # The line form a (+) 1/2 (x) g of g = (-a) (+) b, with 1/2 (x) g = gamma_g g/(1 + gamma_g).
+    g = _left_sub_floats(a, b)
+    gg = _gamma_floats(g)
+    line_form = _add_floats(a, [gg * x / (1.0 + gg) for x in g])
     distance = _floats("space", "gyrodistance")
-    return {"line_form_max_abs": _max_gap(w, _floats("space", "gyroline_point")(a, b, 0.5)),
+    return {"line_form_max_abs": _max_gap(w, line_form),
             "equidistance_abs": abs(distance(w, a) - distance(w, b))}
 
 
 def _parallelogram_checks(d, a, b, c, tol):
-    scalar_mul = _floats("space", "scalar_mul")
-    return {"diagonal_midpoint_residual": _max_gap(
-        scalar_mul(0.5, _coadd_floats(a, d)), scalar_mul(0.5, _coadd_floats(b, c)))}
+    # The diagonals ad and bc share their gyromidpoint, 1/2 (x) their coadditions.
+    return {"diagonal_midpoint_residual": _max_gap(_coadd_floats(a, d), _coadd_floats(b, c))}
 
 
 # The commands whose result is one ball vector w, printed with its norm and gamma.

@@ -14,8 +14,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .ball import (_AMBIENT, _REAL, _SINGLE, _VELOCITY, _Frozen, _declare, _dot, _gamma, _neg,
-                   _norm, _norm_sq, _norm_sq_checked, _operation, _read_only, _require, _sqrt, np)
+from .ball import (_AMBIENT, _CHECKED, _REAL, _SINGLE, _VELOCITY, _Frozen, _declare, _dot,
+                   _gamma, _neg, _norm, _norm_sq, _norm_sq_checked, _operation, _read_only,
+                   _require, _sqrt, np)
 from .errors import AdmissibilityError, DegenerateAngle
 
 
@@ -122,10 +123,11 @@ def _unit_angle(e, f) -> float:
     """Angle between the unit vectors e and f, as 2 atan2(|e - f|, |e + f|).
 
     Exact at 0 for bitwise-equal vectors and well conditioned near both 0
-    and pi, unlike arccos of a clamped dot product.
+    and pi, unlike arccos of a clamped dot product.  Its callers pass single
+    vectors, so the atan2 is math's, within an ulp of the exact angle.
     """
-    return float(2.0 * np.arctan2(_norm([x - y for x, y in zip(e, f)]),
-                                  _norm([x + y for x, y in zip(e, f)])))
+    return 2.0 * math.atan2(_norm([x - y for x, y in zip(e, f)]),
+                            _norm([x + y for x, y in zip(e, f)]))
 
 
 def _gyroangle(p, q, lp, lq, tol: float = 1e-14) -> float:
@@ -282,14 +284,38 @@ def cosub(u, v) -> np.ndarray:
 
 
 def _apply(u, w, *, v, factors):
-    """Gyration.apply's operands, u and w, and options: v's floats and gyr[u, v]'s factors."""
+    """Gyration.apply's operands, its generator u and w, and options: v's floats and the factors."""
 
 
+# u was checked when the gyration was made: here it only gives w's dimension check.
 _checked_apply = _operation(lambda u, w, n2, *, v, factors: _gyrate(u, v, w, factors), _apply,
-                            (_VELOCITY, _AMBIENT), _apply)
-# The generators as read-only arrays, their floats and their squared norms: Gyration._set's.
-_checked_generators = _operation(lambda u, v, n2: (_read_only(u), _read_only(v), [u, v], n2),
-                                 ("u", "v"), _SINGLE)
+                            (_CHECKED, _AMBIENT), _apply)
+# The generators' floats and their squared norms.
+_checked_generators = _operation(lambda u, v, n2: ([u, v], n2), ("u", "v"), _SINGLE)
+
+
+def _gyr_columns(u, v, factors) -> list:
+    """The columns of gyr[u, v]'s n x n matrix: column j is gyr[u, v]e_j."""
+    n = len(u)
+    return [_gyrate(u, v, [1.0 if i == j else 0.0 for i in range(n)], factors) for j in range(n)]
+
+
+def _is_trivial(u, v, n2, tol: float = 1e-14) -> bool:
+    """Whether the generators u and v, with squared norms n2, make gyr[u, v] the identity."""
+    nu, nv = map(math.sqrt, n2)
+    if nu < tol or nv < tol:
+        return True
+    cross_sq = nu * nu * nv * nv - float(_dot(u, v)) ** 2
+    return cross_sq <= (tol * nu * nv) ** 2
+
+
+def _rotation_angle(u, v, n2, factors) -> float:
+    """gyr[u, v]'s angle in [0, pi]: that of u/|u| and its image, 0.0 if trivial."""
+    if _is_trivial(u, v, n2):
+        return 0.0
+    nu = _sqrt(n2[0])
+    e = [x / nu for x in u]
+    return _unit_angle(e, _gyrate(u, v, e, factors))
 
 
 @dataclass(frozen=True, eq=False, init=False)
@@ -308,7 +334,8 @@ class Gyration(_Frozen):
     v: np.ndarray
 
     def __init__(self, u, v):
-        self._set(*_checked_generators(u, v))
+        floats, n2 = _checked_generators(u, v)
+        self._set(_read_only(floats[0]), _read_only(floats[1]), floats, n2)
 
     def _set(self, u, v, floats, n2) -> "Gyration":
         """Hold the generators, their floats and squared norms, and the factors."""
@@ -334,18 +361,11 @@ class Gyration(_Frozen):
 
         Column j is gyr[u, v] e_j, as apply computes it.
         """
-        u, v = self._floats
-        n = len(u)
-        basis = [[1.0 if i == j else 0.0 for i in range(n)] for j in range(n)]
-        return np.array([_gyrate(u, v, e, self._factors) for e in basis]).T
+        return np.array(_gyr_columns(*self._floats, self._factors)).T
 
     def is_trivial(self, tol: float = 1e-14) -> bool:
         """True when the generators make the gyration the identity map."""
-        nu, nv = map(math.sqrt, self._n2)
-        if nu < tol or nv < tol:
-            return True
-        cross_sq = nu * nu * nv * nv - float(_dot(*self._floats)) ** 2
-        return cross_sq <= (tol * nu * nv) ** 2
+        return _is_trivial(*self._floats, self._n2, tol)
 
     def rotation_angle(self) -> float:
         """Unsigned rotation angle in [0, pi].
@@ -353,9 +373,4 @@ class Gyration(_Frozen):
         Measured inside the plane spanned by the generators, where the
         rotation acts; 0.0 for trivial gyrations.
         """
-        if self.is_trivial():
-            return 0.0
-        u, v = self._floats
-        nu = _sqrt(self._n2[0])
-        e = [x / nu for x in u]
-        return _unit_angle(e, _gyrate(u, v, e, self._factors))
+        return _rotation_angle(*self._floats, self._n2, self._factors)

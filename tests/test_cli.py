@@ -15,9 +15,10 @@ import numpy as np
 import pytest
 
 import gyrokin
-from gyrokin import aberration_sweep, einstein_add, gyrodistance, stellar_aberration
+from gyrokin import Gyration, aberration_sweep, einstein_add, gyrodistance, stellar_aberration
 import gyrokin.cli as cli_module
 from gyrokin.cli import ANGLE_TO_RAD, _fmt, cli, main
+from gyrokin.errors import GyrokinError
 
 BACK_TO_BACK = "# two particles\n1.0, 0.6, 0, 0\n1.0, -0.6, 0, 0\n"
 
@@ -726,6 +727,76 @@ class TestOtherCommands:
         assert rc == 0
         values, _ = result_lines(out)
         assert "gamma: n/a" in values
+
+
+def vec(x):
+    """The option text of the vector x: each component's repr, so it parses back exactly."""
+    return ",".join(repr(float(c)) for c in x)
+
+
+class TestGyrParity:
+    """gyr prints what the library's Gyration gives, and raises what it raises."""
+
+    @pytest.mark.parametrize("dim", range(1, 6))
+    def test_json_is_the_library_gyration(self, capsys, rng, dim):
+        for i in range(10):
+            # Norms below 0.95 for u and v; w's is 0.5, or 1.5 past the ball for odd i.
+            u, v, w = (x * r / np.linalg.norm(x) for x, r in zip(
+                rng.normal(size=(3, dim)), [*rng.uniform(0.0, 0.95, 2), 1.5 if i % 2 else 0.5]))
+            rc, out, err = run(capsys, "gyr", "--u", vec(u), "--v", vec(v), "--w", vec(w),
+                               "--format", "json")
+            assert (rc, err) == (0, "")
+            got = json.loads(out)["result"]
+            g = Gyration(u, v)
+            assert got["result"] == cli_module._jsonify(g.apply(w))
+            assert got["rotation_angle"] == cli_module._jsonify(g.rotation_angle())
+            assert got.get("matrix") == (cli_module._jsonify(g.matrix()) if dim <= 3 else None)
+            assert (got["gamma"] is None) == bool(i % 2)
+
+    @pytest.mark.parametrize("u, v, w", [
+        ("0.1,0.2", "0.3,0,0", "0.1,0.1,0.1"),
+        ("0.1,0.2,0", "0.3,0,0", "0.1,0.1"),
+        ("0.1,0.2,0", "0.3,0,0", "nan,0.1"),
+        ("1.2,0,0", "0.3,0,0", "0.1,0.1,0.1"),
+        ("0.1,0.2,0", "0.3,0,inf", "0.1,0.1,0.1"),
+        ("0.1,0.2,0", "0.3,0,0", "0.1,nan,0.1"),
+        ("0.1,0.2,0", "0.3,0,0", "1e200,1e200,0"),
+    ])
+    def test_errors_are_the_library_gyrations(self, capsys, u, v, w):
+        floats = [[float(x) for x in s.split(",")] for s in (u, v, w)]
+        with pytest.raises(GyrokinError) as exc:
+            Gyration(*floats[:2]).apply(floats[2])
+        got = run(capsys, "gyr", "--u", u, "--v", v, "--w", w)
+        assert got == (2, "", f"error: {type(exc.value).__name__}: {exc.value}\n")
+
+
+def planted(op, fault):
+    """A stand-in for the operation ``op`` whose floats route returns fault(op.floats(...))."""
+    def stand_in(*args, **kwargs):
+        raise AssertionError("the CLI calls the floats route")
+    stand_in.floats = lambda *args, **kwargs: fault(op.floats(*args, **kwargs))
+    return stand_in
+
+
+@pytest.mark.parametrize("argv, name, check", [
+    (["midpoint", *AB], "gyromidpoint", "line_form_max_abs"),
+    (["parallelogram", *AB, "--c", vec(C)], "gyroparallelogram_fourth",
+     "diagonal_midpoint_residual"),
+])
+def test_a_planted_fault_shows_in_the_check(capsys, monkeypatch, argv, name, check):
+    """Each check is a route of its own: a fault of 1e-9 in the result's route
+    shows in it, where the check reads rounding alone without the fault."""
+    import gyrokin.space as space
+
+    def checks():
+        rc, out, err = run(capsys, *argv, "--format", "json")
+        assert (rc, err) == (0, "")
+        return json.loads(out)["checks"][check]
+
+    assert checks() < 1e-15
+    monkeypatch.setattr(space, name, planted(getattr(space, name),
+                                             lambda w: [w[0] + 1e-9, *w[1:]]))
+    assert checks() >= 1e-10
 
 
 class TestInverseDirection:

@@ -56,7 +56,7 @@ from gyrokin import (
 )
 from gyrokin import ball
 from gyrokin.ball import BALL_MARGIN, MAX_NORM
-from gyrokin.gyro import _gyr_coeffs, _gyr_factors
+from gyrokin.gyro import _gyr_coeffs, _gyr_factors, _unit_angle
 from helpers import (BLOCK_LENGTHS, LAYOUTS, TEST_BLOCK, ball_points, ball_vectors,
                      broadcast_error, coercion_error, cosub_error_ratio, cosub_via_gyration,
                      gyr_coeffs_oracle, gyrate_oracle, in_blocks, layout_operands, max_abs,
@@ -462,8 +462,8 @@ class TestGyration:
                 continue
             e = u[i] / np.sqrt(norm_sq(u[i]))
             f = gyrate(u[i], v[i], e)
-            want = 2.0 * np.arctan2(np.sqrt(norm_sq(e - f)), np.sqrt(norm_sq(e + f)))
-            assert g.rotation_angle() == float(want)
+            want = 2.0 * math.atan2(math.sqrt(norm_sq(e - f)), math.sqrt(norm_sq(e + f)))
+            assert g.rotation_angle() == want
 
     def test_generators_are_read_only_copies(self):
         u, v, w = U_FIX.copy(), V_FIX.copy(), np.array([0.2, -0.1, 0.4])
@@ -498,6 +498,20 @@ def test_closed_form_split_keeps_the_bits_of_one_expression(rng, dim):
         for got, want in zip(gyr_coeffs(*args), gyr_coeffs_oracle(*args)):
             assert same_bits(np.asarray(got), np.asarray(want))
         assert same_bits(gyrate(*args), gyrate_oracle(*args))
+
+
+def test_unit_angle_within_an_ulp_of_the_exact_angle(rng):
+    # 2 atan2(|e - f|, |e + f|) against the 50-digit angle of the same two
+    # float norms: math.atan2 of one pair is within an ulp, and doubling is exact.
+    mpmath = pytest.importorskip("mpmath")
+    e, f = (x / np.linalg.norm(x, axis=-1, keepdims=True) for x in rng.normal(size=(2, 2000, 3)))
+    worst = 0.0
+    with mpmath.workdps(50):
+        for p, q in zip(e.tolist(), f.tolist()):
+            gap, span = (ball._norm([x + s * y for x, y in zip(p, q)]) for s in (-1.0, 1.0))
+            exact = 2 * mpmath.atan2(mpmath.mpf(gap), mpmath.mpf(span))
+            worst = max(worst, float(abs(_unit_angle(p, q) - exact)) / math.ulp(float(exact)))
+    assert worst <= 1.0
 
 
 class TestCoadd:
@@ -1127,6 +1141,23 @@ class TestOnePass:
         u = ball_points(rng, ROWS, 3)
         in_blocks(monkeypatch, einstein_add, u, u[0])
         assert validation_calls == ["u", "v"] * math.ceil(ROWS / TEST_BLOCK)
+
+    def test_gyration_apply_checks_w_alone(self, rng, monkeypatch, validation_calls):
+        # u was checked when the gyration was made: apply checks w, once per
+        # row block (three of 8192 rows for 20,000), and u never again.
+        g = Gyration(U_FIX, V_FIX)
+        w = rng.normal(size=(20_000, 3))
+        for arg, want in [(w[0], ["w"]), (w, ["w"] * 3), (w[:ROWS], ["w"])]:
+            validation_calls.clear()
+            g.apply(arg)
+            assert validation_calls == want
+        validation_calls.clear()
+        in_blocks(monkeypatch, g.apply, w[:ROWS])
+        assert validation_calls == ["w"] * math.ceil(ROWS / TEST_BLOCK)
+        # Its length is still matched against u's, first: w is not finite either.
+        w[:, 0] = np.nan
+        for bad in (w[0, :2], w[:ROWS, :2]):
+            assert raised(g.apply, bad) == (DimensionError, "u, w have dimensions [3, 2]")
 
 
 

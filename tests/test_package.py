@@ -134,16 +134,17 @@ WITHOUT_NUMPY = {
     ("sub", *UV): "result: 0.6,-0.48,0",
     ("coadd", *UV): "result: 0.508474576271186,0.508474576271186,0",
     ("distance", *AB): "result: 0.768374908491942",
+    ("gyr", *UV, "--w", "0.1,0.2,0.3"): "result: 0.141463414634146,0.173170731707317,0.3",
+    ("midpoint", "--a", "0,0,0", "--b", "0.8,0,0"): "result: 0.5,0,0",
+    ("parallelogram", "--a", "0,0,0", "--b", "0.6,0,0", "--c", "0,0.6,0"):
+        "result: 0.508474576271186,0.508474576271186,0",
     ("triangle", "--mode", "sss", "--sides", "0.3,0.4,0.5"): "side_a: 0.3",
     ("triangle", "--mode", "aaa", "--angles", "30,40,90.0001", "--unit", "deg"):
         "side_a: 0.670147061553341",
 }
 WITH_NUMPY = {
-    ("gyr", *UV, "--w", "0.1,0.2,0.3"): "result: 0.141463414634146,",
     ("scale", "--r", "2", "--v", "0.5,0,0"): "result: 0.8,0,0",
-    ("midpoint", "--a", "0,0,0", "--b", "0.8,0,0"): "result: 0.5,0,0",
     ("midpoint", "--a", "0,0,0", "--b", "0.8,0,0", "--t", "0.3"): "result: ",
-    ("parallelogram", "--a", "0,0,0", "--b", "0.6,0,0", "--c", "0,0.6,0"): "result: ",
     ("triangle", "--mode", "vertices", "--a", "0.6,0", "--b", "0,0.6", "--c", "0,0"):
         "side_a: ",
     ("aberration", "--model", "stellar", "--v", "0.5", "--theta-s", "1"): "model: stellar",
